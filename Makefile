@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test lint-tools self-check lint-concurrency lint-effects \
 	sanitize sanitize-store benchmarks bench-store bench-loadgen \
-	slo-smoke
+	bench-e2e-selftest slo-smoke
 
 ## The CI gate: tier-1 tests + static analysis + the repo's own lint.
 check: test lint-tools self-check lint-concurrency lint-effects
@@ -62,6 +62,12 @@ bench-store:
 bench-loadgen:
 	$(PYTHON) -m pytest benchmarks/bench_loadgen.py \
 		--benchmark-only -q
+
+## Self-test of the BENCHMARK.json driver (benchmarks/e2e): every
+## workload at reduced op counts with its correctness oracles, every
+## declared metric printed with a unit, exact counters repeatable.
+bench-e2e-selftest:
+	$(PYTHON) -m pytest benchmarks/e2e
 
 ## One small SLO-checked load run straight through the CLI — the same
 ## invocation the slo-smoke CI job gates on.

@@ -1,0 +1,131 @@
+"""Python-source scaffolding shared by the CC and EF analyzers.
+
+Both :mod:`repro.analysis.concurrency` and :mod:`repro.analysis.effects`
+parse the package's own source with :mod:`ast`; what they need before
+any rule runs is the same: byte spans for diagnostics, per-line
+``# <tag>: allow[=RULE,...]`` suppression pragmas, dotted names of
+``Name``/``Attribute`` chains, and import-alias resolution.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from typing import Dict, List, Optional, Set
+
+from .diagnostics import Span
+
+
+class SourceFile:
+    """Line-offset math and pragma lookup for one source file.
+
+    ``pragma_tag`` names the analyzer's comment namespace: ``"cc"``
+    reads ``# cc: allow=CC001,CC003`` (or bare ``# cc: allow``, which
+    suppresses every rule on that line).
+    """
+
+    def __init__(self, text: str, name: str, pragma_tag: str) -> None:
+        self.text = text
+        self.name = name
+        self.line_starts = [0]
+        for line in text.splitlines(keepends=True):
+            self.line_starts.append(self.line_starts[-1] + len(line))
+        pragma = re.compile(
+            rf"#\s*{pragma_tag}:\s*allow"
+            r"(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
+        )
+        #: ``lineno -> allowed rule ids`` (``None`` = all rules)
+        self.pragmas: Dict[int, Optional[Set[str]]] = {}
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            match = pragma.search(line)
+            if not match:
+                continue
+            rules = match.group("rules")
+            if rules is None:
+                self.pragmas[lineno] = None
+            else:
+                self.pragmas[lineno] = {
+                    r.strip() for r in rules.split(",") if r.strip()
+                }
+
+    def span(self, node: ast.AST) -> Span:
+        start = self.line_starts[node.lineno - 1] + node.col_offset
+        end_lineno = getattr(node, "end_lineno", None) or node.lineno
+        end_col = getattr(node, "end_col_offset", None)
+        end = (
+            start if end_col is None
+            else self.line_starts[end_lineno - 1] + end_col
+        )
+        return Span(start, max(end, start))
+
+    def suppressed(self, rule_id: str, lineno: int) -> bool:
+        if lineno not in self.pragmas:
+            return False
+        allowed = self.pragmas[lineno]
+        return allowed is None or rule_id in allowed
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+class ImportMap:
+    """Resolve local names back to dotted module paths.
+
+    With ``module`` (the dotted name of the file being read) relative
+    imports resolve to absolute paths; without it they keep the module
+    name as written and bare ``from . import x`` forms are skipped.
+    """
+
+    def __init__(
+        self, tree: ast.Module, module: Optional[str] = None
+    ) -> None:
+        self.aliases: Dict[str, str] = {}
+        self.modules: Set[str] = set()
+        parts = module.split(".") if module else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.modules.add(alias.name)
+                    self.aliases[alias.asname or alias.name] = (
+                        alias.name
+                    )
+            elif isinstance(node, ast.ImportFrom):
+                origin = node.module or ""
+                if node.level and parts is not None:
+                    origin = ".".join(
+                        parts[:len(parts) - node.level]
+                        + ([node.module] if node.module else [])
+                    )
+                if not origin:
+                    continue
+                self.modules.add(origin)
+                for alias in node.names:
+                    self.aliases[alias.asname or alias.name] = (
+                        f"{origin}.{alias.name}"
+                    )
+
+    def resolve(self, dotted: Optional[str]) -> Optional[str]:
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        resolved = self.aliases.get(head)
+        if resolved is None:
+            return dotted
+        return f"{resolved}.{rest}" if rest else resolved
+
+    @property
+    def threaded(self) -> bool:
+        """Does the module import threading machinery at all?"""
+        return any(
+            m == "threading" or m.startswith("concurrent")
+            for m in self.modules
+        )

@@ -79,6 +79,7 @@ from typing import (
     Tuple,
 )
 
+from ._pysource import ImportMap, SourceFile, dotted_name
 from .diagnostics import Diagnostic, Span
 from .rules import make
 
@@ -108,9 +109,6 @@ _SHARED_STATE_RULES = ("CC001", "CC004", "CC008", "CC010")
 
 _CONTRACT_RE = re.compile(
     r"^\s*Concurrency:\s*([a-z-]+)", re.MULTILINE
-)
-_PRAGMA_RE = re.compile(
-    r"#\s*cc:\s*allow(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
 )
 
 #: Dotted call names that block (or read clocks) — forbidden under a
@@ -201,65 +199,6 @@ class _FileFacts:
 # ----------------------------------------------------------------------
 # Per-file analysis
 # ----------------------------------------------------------------------
-class _SourceFile:
-    """Line-offset math and pragma lookup for one source file."""
-
-    def __init__(self, text: str, name: str) -> None:
-        self.text = text
-        self.name = name
-        self.line_starts = [0]
-        for line in text.splitlines(keepends=True):
-            self.line_starts.append(self.line_starts[-1] + len(line))
-        self.pragmas = self._collect_pragmas(text)
-
-    @staticmethod
-    def _collect_pragmas(text: str) -> Dict[int, Optional[Set[str]]]:
-        """``lineno -> allowed rule ids`` (``None`` = all rules)."""
-        pragmas: Dict[int, Optional[Set[str]]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _PRAGMA_RE.search(line)
-            if not match:
-                continue
-            rules = match.group("rules")
-            if rules is None:
-                pragmas[lineno] = None
-            else:
-                pragmas[lineno] = {
-                    r.strip() for r in rules.split(",") if r.strip()
-                }
-        return pragmas
-
-    def span(self, node: ast.AST) -> Span:
-        start = (
-            self.line_starts[node.lineno - 1] + node.col_offset
-        )
-        end_lineno = getattr(node, "end_lineno", None) or node.lineno
-        end_col = getattr(node, "end_col_offset", None)
-        if end_col is None:
-            end = start
-        else:
-            end = self.line_starts[end_lineno - 1] + end_col
-        return Span(start, max(end, start))
-
-    def suppressed(self, rule_id: str, lineno: int) -> bool:
-        if lineno not in self.pragmas:
-            return False
-        allowed = self.pragmas[lineno]
-        return allowed is None or rule_id in allowed
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_self_attr(node: ast.AST) -> Optional[str]:
     if (
         isinstance(node, ast.Attribute)
@@ -275,7 +214,7 @@ def _mutable_literal(node: ast.AST) -> bool:
                          ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        name = _dotted_name(node.func)
+        name = dotted_name(node.func)
         return name in (
             "list", "dict", "set", "collections.OrderedDict",
             "collections.defaultdict", "collections.deque",
@@ -284,50 +223,12 @@ def _mutable_literal(node: ast.AST) -> bool:
     return False
 
 
-class _ImportMap:
-    """Resolve local names back to dotted module paths."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.aliases: Dict[str, str] = {}
-        self.modules: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules.add(alias.name)
-                    self.aliases[alias.asname or alias.name] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                self.modules.add(node.module)
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-
-    def resolve(self, dotted: Optional[str]) -> Optional[str]:
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        resolved = self.aliases.get(head)
-        if resolved is None:
-            return dotted
-        return f"{resolved}.{rest}" if rest else resolved
-
-    @property
-    def threaded(self) -> bool:
-        """Does the module import threading machinery at all?"""
-        return any(
-            m == "threading" or m.startswith("concurrent")
-            for m in self.modules
-        )
-
-
 def _lock_ctor_kind(
-    call: ast.Call, imports: _ImportMap
+    call: ast.Call, imports: ImportMap
 ) -> Optional[str]:
     """``"lock"`` / ``"rlock"`` / ``"condition"`` if ``call`` creates
     one, else ``None``."""
-    resolved = imports.resolve(_dotted_name(call.func))
+    resolved = imports.resolve(dotted_name(call.func))
     if resolved in ("threading.Lock", "threading.RLock",
                     "threading.Condition"):
         short = resolved.rsplit(".", 1)[1]
@@ -437,8 +338,8 @@ class ConcurrencyAnalyzer:
         if match and match.group(1) in _CONTRACTS:
             contract.contract = match.group(1)
 
-        source = _SourceFile(text, name)
-        imports = _ImportMap(tree)
+        source = SourceFile(text, name, "cc")
+        imports = ImportMap(tree)
 
         def emit(rule_id: str, message: str, node: ast.AST,
                  lineno: Optional[int] = None) -> None:
@@ -662,7 +563,7 @@ class _FunctionChecker:
                 resolved = None
                 if isinstance(value, ast.Call):
                     resolved = self.imports.resolve(
-                        _dotted_name(value.func)
+                        dotted_name(value.func)
                     )
                 for target in node.targets:
                     if not isinstance(target, ast.Name):
@@ -691,7 +592,7 @@ class _FunctionChecker:
                 ctx = node.context_expr
                 if isinstance(ctx, ast.Call):
                     resolved = self.imports.resolve(
-                        _dotted_name(ctx.func)
+                        dotted_name(ctx.func)
                     )
                     if (
                         resolved is not None
@@ -1037,7 +938,7 @@ class _WalkContext:
     def check_call(self, call: ast.Call, held,
                    in_while: bool = False) -> None:
         func = call.func
-        dotted = _dotted_name(func)
+        dotted = dotted_name(func)
         resolved = self.checker.imports.resolve(dotted)
 
         # CC005: lock construction inside a regular function

@@ -69,6 +69,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ._pysource import ImportMap, SourceFile, dotted_name
 from .diagnostics import Diagnostic
 from .rules import make
 
@@ -85,9 +86,6 @@ EFFECTS = (
     "stats-read", "io", "clock",
 )
 
-_PRAGMA_RE = re.compile(
-    r"#\s*ef:\s*allow(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
-)
 _WRITES_CONTRACT_RE = re.compile(
     r"^\s*Graph-writes:\s*(?P<value>\S.*?)\s*$", re.MULTILINE
 )
@@ -144,100 +142,9 @@ _GRAPHLIKE = (_KIND_GRAPH, _KIND_UNION, _KIND_FROZEN)
 _DERIVED = (_KIND_UNION, _KIND_FROZEN)
 
 
-# ----------------------------------------------------------------------
-# Source bookkeeping (line offsets + pragmas)
-# ----------------------------------------------------------------------
-class _SourceFile:
-    """Line-offset math and ``# ef: allow`` pragma lookup."""
-
-    def __init__(self, text: str, name: str) -> None:
-        self.text = text
-        self.name = name
-        self.line_starts = [0]
-        for line in text.splitlines(keepends=True):
-            self.line_starts.append(self.line_starts[-1] + len(line))
-        self.pragmas: Dict[int, Optional[Set[str]]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _PRAGMA_RE.search(line)
-            if not match:
-                continue
-            rules = match.group("rules")
-            if rules is None:
-                self.pragmas[lineno] = None
-            else:
-                self.pragmas[lineno] = {
-                    r.strip() for r in rules.split(",") if r.strip()
-                }
-
-    def span(self, node: ast.AST):
-        from .diagnostics import Span
-
-        start = self.line_starts[node.lineno - 1] + node.col_offset
-        end_lineno = getattr(node, "end_lineno", None) or node.lineno
-        end_col = getattr(node, "end_col_offset", None)
-        end = (
-            start if end_col is None
-            else self.line_starts[end_lineno - 1] + end_col
-        )
-        return Span(start, max(end, start))
-
-    def suppressed(self, rule_id: str, lineno: int) -> bool:
-        if lineno not in self.pragmas:
-            return False
-        allowed = self.pragmas[lineno]
-        return allowed is None or rule_id in allowed
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _name_key(node: ast.AST) -> Optional[str]:
     """A stable per-function identity for a receiver expression."""
-    return _dotted_name(node)
-
-
-class _ImportMap:
-    """Local name → absolute dotted path, honoring relative imports."""
-
-    def __init__(self, tree: ast.Module, module: str) -> None:
-        self.aliases: Dict[str, str] = {}
-        parts = module.split(".")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = alias.name
-            elif isinstance(node, ast.ImportFrom):
-                level = node.level or 0
-                if level:
-                    base = parts[:len(parts) - level]
-                    absolute = ".".join(
-                        base + ([node.module] if node.module else [])
-                    )
-                else:
-                    absolute = node.module or ""
-                if not absolute:
-                    continue
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = (
-                        f"{absolute}.{alias.name}"
-                    )
-
-    def resolve(self, dotted: Optional[str]) -> Optional[str]:
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        resolved = self.aliases.get(head)
-        if resolved is None:
-            return dotted
-        return f"{resolved}.{rest}" if rest else resolved
+    return dotted_name(node)
 
 
 def _module_for(name: str) -> str:
@@ -305,7 +212,7 @@ class FunctionSummary:
 class _ModuleFacts:
     name: str
     module: str
-    source: _SourceFile
+    source: SourceFile
     writes_contract: Optional[str] = None
     pure: bool = False
     functions: List[FunctionSummary] = field(default_factory=list)
@@ -324,7 +231,7 @@ class _FunctionAnalyzer:
         self,
         facts: _ModuleFacts,
         summary: FunctionSummary,
-        imports: _ImportMap,
+        imports: ImportMap,
         class_name: Optional[str],
         attr_kinds: Dict[str, str],
         param_kinds: Dict[str, str],
@@ -381,7 +288,7 @@ class _FunctionAnalyzer:
             if recv == _KIND_DB:
                 return _KIND_DB  # db.table(...) is still db-side
             return None
-        resolved = self.imports.resolve(_dotted_name(func)) or ""
+        resolved = self.imports.resolve(dotted_name(func)) or ""
         base = resolved.rsplit(".", 1)[-1]
         if base == "freeze":
             return _KIND_FROZEN
@@ -581,7 +488,7 @@ class _FunctionAnalyzer:
                     loops: Tuple[str, ...]) -> None:
         func = call.func
         # freeze(x): sanctions mutating the derived copy named x
-        resolved = self.imports.resolve(_dotted_name(func)) or ""
+        resolved = self.imports.resolve(dotted_name(func)) or ""
         base = resolved.rsplit(".", 1)[-1] if resolved else ""
         if base == "freeze":
             for arg in call.args:
@@ -779,7 +686,7 @@ class _FunctionAnalyzer:
                     f"{self.facts.module}.{self.class_name}.{func.attr}"
                 )
             else:
-                dotted = _dotted_name(func)
+                dotted = dotted_name(func)
                 resolved = self.imports.resolve(dotted)
                 if resolved:
                     keys.append(resolved)
@@ -854,7 +761,7 @@ class StoreEffectAnalyzer:
     # -- pass 1: per-file -----------------------------------------------
     def _collect(self, text: str, name: str) -> None:
         module = _module_for(name)
-        source = _SourceFile(text, name)
+        source = SourceFile(text, name, "ef")
         facts = _ModuleFacts(name=name, module=module, source=source)
         self.modules.append(facts)
         try:
@@ -870,7 +777,7 @@ class StoreEffectAnalyzer:
             contract.group("value") if contract else None
         )
         facts.pure = bool(_PURE_CONTRACT_RE.search(docstring))
-        imports = _ImportMap(tree, module)
+        imports = ImportMap(tree, module)
 
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -887,7 +794,7 @@ class StoreEffectAnalyzer:
                         )
 
     def _class_attr_kinds(
-        self, facts: _ModuleFacts, imports: _ImportMap,
+        self, facts: _ModuleFacts, imports: ImportMap,
         cls: ast.ClassDef,
     ) -> Dict[str, str]:
         """``self.X`` provenance, from assignments anywhere in the
@@ -957,7 +864,7 @@ class StoreEffectAnalyzer:
     def _collect_function(
         self,
         facts: _ModuleFacts,
-        imports: _ImportMap,
+        imports: ImportMap,
         fn: ast.AST,
         class_name: Optional[str],
         attr_kinds: Dict[str, str],

@@ -16,7 +16,7 @@ SP015       redundant DISTINCT eliminated
 SP016       redundant ORDER BY eliminated
 ==========  ============================================================
 
-Soundness notes (why each rewrite preserves the naive evaluator's
+Soundness notes (why each rewrite preserves the un-rewritten plan's
 result multiset) are documented on the individual passes. Passes never
 mutate the input AST — plan nodes reference the parser's frozen
 expressions and triple patterns, and rewrites rebuild plan structure
@@ -449,7 +449,10 @@ def merge_bgps(root: PlanNode, ctx: _PassContext) -> PlanNode:
     triple patterns commute), so merging them gives the scan reorderer
     a larger search space. Non-adjacent BGPs are left alone: an
     intervening OPTIONAL / BIND is order-sensitive, and even a UNION
-    may bind a ``bif:contains`` subject the later BGP depends on.
+    may bind a ``bif:contains`` subject the later BGP depends on. So
+    are neighbours of which only one has had its scans ordered — its
+    per-scan filters are placed for that order and would run too early
+    under the run-time pick the merged BGP would fall back to.
     """
 
     def rewrite(node: PlanNode) -> PlanNode:
@@ -461,11 +464,13 @@ def merge_bgps(root: PlanNode, ctx: _PassContext) -> PlanNode:
                     isinstance(element, BGPNode)
                     and elements
                     and isinstance(elements[-1], BGPNode)
+                    and elements[-1].ordered == element.ordered
                 ):
                     previous = elements[-1]
                     elements[-1] = BGPNode(
                         previous.scans + element.scans,
                         previous.pushed + element.pushed,
+                        ordered=element.ordered,
                     )
                     continue
                 elements.append(element)
@@ -671,7 +676,7 @@ def _reorder_bgp(
                 break
         if not placed:
             leftover.append(expr)
-    return BGPNode(attached, leftover)
+    return BGPNode(attached, leftover, ordered=True)
 
 
 def _scan_deferred(scan: ScanStep, bound: Set[str]) -> bool:
@@ -715,7 +720,7 @@ def _greedy_order(
         if not eligible:
             # e.g. bif:contains whose subject is never bound: keep the
             # written order and let the executor raise the same error
-            # the naive path raises.
+            # the un-rewritten plan raises.
             ordered.extend(remaining)
             break
         connected = [
@@ -1233,8 +1238,9 @@ def explain(
     """Plan (and optionally run) a query, collecting cardinalities.
 
     With ``execute`` the optimized plan runs and every node records its
-    actual row count; with ``compare`` the naive path is also timed so
-    the report shows the speedup.
+    actual row count; with ``compare`` the un-rewritten lowering — what
+    ``Evaluator(optimize=False)`` runs, reported as ``naive`` — is also
+    timed so the report shows the speedup.
     """
     from ..sparql.parser import parse_query
 
@@ -1254,14 +1260,14 @@ def explain(
         evaluator._time_plan_nodes = True
         try:
             start = time.perf_counter()
-            rows = evaluator._exec_select_plan(query, planned.plan)
+            rows = evaluator._exec_modifier(planned.plan)
             optimized_ms = (time.perf_counter() - start) * 1000.0
         finally:
             evaluator._time_plan_nodes = previous_timing
         row_count = len(rows)
         if compare:
             start = time.perf_counter()
-            evaluator._select_rows(query)
+            evaluator._exec_modifier(lower_query(query))
             naive_ms = (time.perf_counter() - start) * 1000.0
     return Explanation(
         planned,

@@ -138,6 +138,28 @@ class Platform:
         self._dirty = True
         return user
 
+    def update_user(
+        self,
+        username: str,
+        full_name: Optional[str] = None,
+        email: Optional[str] = None,
+    ) -> None:
+        """Change a registered user's profile fields (``None`` leaves a
+        field as it is)."""
+        changes = {}
+        if full_name is not None:
+            changes["full_name"] = full_name
+        if email is not None:
+            changes["email"] = email
+        if not changes:
+            return
+        updated = self.db.table("users").update_where(
+            lambda row: row["user_name"] == username, changes
+        )
+        if not updated:
+            raise KeyError(f"unknown user: {username}")
+        self._dirty = True
+
     def add_friendship(self, user_a: str, user_b: str) -> None:
         """Symmetric friendship, recorded in both directions (the SPARQL
         queries traverse ``foaf:knows`` directionally)."""
@@ -239,21 +261,20 @@ class Platform:
         """Update a content's title and/or user tags; context tags are
         preserved and the item is re-semanticized on the next build."""
         item = self.content(pid)
+        changes = {}
         if title is not None:
             item.title = title
+            changes["title"] = title
         if tags is not None:
             item.plain_tags = list(tags)
-        keywords = " ".join(item.plain_tags + item.context_tags) or None
-        changes = []
-        if title is not None:
-            changes.append(f"title = '{title.replace(chr(39), chr(39)*2)}'")
-        if keywords is not None:
-            escaped = keywords.replace("'", "''")
-            changes.append(f"keywords = '{escaped}'")
+            # no tag left at all is NULL, as on upload — the D2R dump
+            # must stop emitting the old tlv:keyword triples
+            changes["keywords"] = (
+                " ".join(item.plain_tags + item.context_tags) or None
+            )
         if changes:
-            self.db.execute(
-                f"UPDATE pictures SET {', '.join(changes)} "
-                f"WHERE pid = {int(pid)}"
+            self.db.table("pictures").update_where(
+                lambda row: row["pid"] == pid, changes
             )
         self._dirty = True
         return item

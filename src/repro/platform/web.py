@@ -188,19 +188,9 @@ class WebInterface:
         full_name: Optional[str] = None,
         email: Optional[str] = None,
     ) -> None:
-        changes = []
-        if full_name is not None:
-            escaped = full_name.replace("'", "''")
-            changes.append(f"full_name = '{escaped}'")
-        if email is not None:
-            escaped = email.replace("'", "''")
-            changes.append(f"email = '{escaped}'")
-        if changes:
-            self.platform.db.execute(
-                f"UPDATE users SET {', '.join(changes)} "
-                f"WHERE user_name = '{session.username}'"
-            )
-            self.platform._dirty = True
+        self.platform.update_user(
+            session.username, full_name=full_name, email=email
+        )
 
     def profile(self, username: str) -> dict:
         row = self.platform.db.table("users").get(username)
@@ -214,11 +204,11 @@ class WebInterface:
 
     @_traced("friends")
     def friends_of(self, username: str) -> List[str]:
-        result = self.platform.db.execute(
-            f"SELECT user_b FROM friends WHERE user_a = '{username}' "
-            "ORDER BY user_b"
+        return sorted(
+            row["user_b"]
+            for row in self.platform.db.table("friends").scan()
+            if row["user_a"] == username
         )
-        return [row[0] for row in result]
 
     # ------------------------------------------------------------------
     # Content browsing

@@ -1,13 +1,13 @@
 """Explicit query algebra: the plan the optimizer rewrites.
 
-The parser's AST (:mod:`repro.sparql.ast`) doubles as an executable
-tree, but it has no room for the facts a planner needs: per-node
-cardinality estimates, statically chosen scan orders, filters pushed
-into the basic graph pattern that owns their variables. This module
-lowers a parsed query into an explicit algebra tree of
-:class:`PlanNode` objects that the pass pipeline in
-:mod:`repro.analysis.plan` rewrites and the evaluator executes
-(``Evaluator(optimize=True)``).
+The parser's AST (:mod:`repro.sparql.ast`) has no room for the facts a
+planner needs: per-node cardinality estimates, statically chosen scan
+orders, filters pushed into the basic graph pattern that owns their
+variables. This module lowers a parsed query into an explicit algebra
+tree of :class:`PlanNode` objects — the only thing the evaluator
+executes. ``Evaluator(optimize=True)`` first lets the pass pipeline in
+:mod:`repro.analysis.plan` rewrite the tree; ``optimize=False`` runs it
+exactly as lowered here.
 
 Lowering never mutates the AST — plan nodes hold references to the
 parser's (immutable) triple patterns and expressions, and every
@@ -134,18 +134,25 @@ class BGPNode(PlanNode):
     but not yet attached to a specific scan (the reorder pass attaches
     them at the earliest position where their variables are bound; the
     executor applies any leftovers after the final scan).
+
+    ``ordered`` says who decides the scan order: true once the reorder
+    pass has fixed it (the executor runs ``scans`` as listed), false
+    for a BGP as lowered (the executor picks the next scan per
+    incoming solution, by bound positions).
     """
 
-    __slots__ = ("scans", "pushed")
+    __slots__ = ("scans", "pushed", "ordered")
 
     def __init__(
         self,
         scans: List[ScanStep],
         pushed: Optional[List[Expression]] = None,
+        ordered: bool = False,
     ) -> None:
         super().__init__()
         self.scans = scans
         self.pushed: List[Expression] = list(pushed or ())
+        self.ordered = ordered
 
     def children(self) -> Sequence[PlanNode]:
         return self.scans
@@ -160,7 +167,8 @@ class BGPNode(PlanNode):
         return self.variables()
 
     def label(self) -> str:
-        text = f"BGP ({len(self.scans)} scan(s))"
+        order = "" if self.ordered else ", order picked at run time"
+        text = f"BGP ({len(self.scans)} scan(s){order})"
         for expr in self.pushed:
             text += f" | FILTER {render_expression(expr)}"
         return text

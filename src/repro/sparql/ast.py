@@ -1,9 +1,10 @@
 """Abstract syntax tree for SPARQL queries.
 
-The parser produces these nodes; the evaluator consumes them directly (the
-tree doubles as the algebra — group-graph-pattern elements are evaluated
-in sequence with binding propagation, which matches SPARQL semantics for
-the query subset we support).
+The parser produces these nodes; :mod:`repro.sparql.algebra` lowers them
+to the plan tree the evaluator executes (group-graph-pattern elements in
+sequence with binding propagation, which matches SPARQL semantics for
+the query subset we support). Expressions are not lowered — plan nodes
+reference them as parsed.
 """
 
 from __future__ import annotations

@@ -3,16 +3,34 @@
 Graph-writes: fresh result graphs materialized for CONSTRUCT
 queries
 
-Evaluation streams solution mappings (dicts of variable → term) through
-the group-graph-pattern elements:
+There is one executor. Every query form — SELECT, ASK, CONSTRUCT,
+DESCRIBE, sub-SELECTs and the groups inside ``EXISTS`` — is lowered to
+the algebra of :mod:`repro.sparql.algebra` and the plan is run by
+:meth:`Evaluator._exec_modifier` (solution modifiers, materialized) over
+:meth:`Evaluator._exec_node` (graph patterns, streaming solution
+mappings: dicts of variable → term). What ``optimize=`` decides is only
+which plan that is:
 
-* BGPs are join-reordered greedily — at each step the most selective
-  remaining triple pattern (most bound positions under the current
-  bindings) is matched against the store's indexes;
-* FILTERs within a group are collected and applied after the group's
-  other elements, matching SPARQL's group-level filter scoping;
-* OPTIONAL is a left join, UNION a concatenation, sub-SELECTs are
-  evaluated independently and hash-joined back in.
+* ``optimize=True`` — the plan after the rewrite passes of
+  :mod:`repro.analysis.plan` (folding, pruning, filter pushdown,
+  statistics-driven reordering);
+* ``optimize=False`` — the lowering as written, no pass run: FILTERs
+  apply after their group's other elements (SPARQL's group-level filter
+  scoping), OPTIONAL is a left join, UNION a concatenation, sub-SELECTs
+  are evaluated independently and joined back in. This is the reference
+  the tests, ``explain(compare=True)`` and the benchmark oracles compare
+  the rewritten plan against.
+
+The scans of a BGP run in one of two orders, read off the plan node
+(:attr:`BGPNode.ordered`), not off an option:
+
+* *static* — the planner's ``reorder_scans`` pass fixed the order; the
+  scans run as listed;
+* *picked at run time* — no pass ordered the BGP (the reference plan, a
+  custom pipeline without ``reorder_scans``, every ``EXISTS`` group):
+  for each incoming solution the pattern with the most bound positions
+  goes next, and a ``bif:contains`` constraint waits until its subject
+  is bound (:func:`_runtime_order`).
 
 Expression errors follow the spec: a FILTER whose expression errors
 rejects the solution; an ORDER BY key that errors sorts lowest.
@@ -21,7 +39,7 @@ rejects the solution; an ORDER BY key that errors sorts lowest.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import get_registry, get_tracer
 from ..rdf.graph import Dataset, Graph
@@ -44,35 +62,28 @@ from .algebra import (
     SubSelectNode,
     UnionNode,
     ValuesNode,
+    collect_variables,
+    lower_group,
+    lower_query,
 )
 from .ast import (
     AggregateBinding,
     AndExpr,
     ArithExpr,
     AskQuery,
-    BGP,
-    BindPattern,
     CompareExpr,
     ConstructQuery,
     DescribeQuery,
     ExistsExpr,
     Expression,
-    FilterPattern,
     FunctionCall,
-    GraphGraphPattern,
     GroupPattern,
     InExpr,
     NegExpr,
     NotExpr,
-    OptionalPattern,
     OrExpr,
-    PatternNode,
     SelectQuery,
-    SubSelectPattern,
     TermExpr,
-    TriplePatternNode,
-    UnionPattern,
-    ValuesPattern,
 )
 from .errors import ExpressionError, SparqlEvalError
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv
@@ -83,8 +94,6 @@ Bindings = Dict[Variable, Term]
 
 #: Virtuoso magic predicate for full-text matching in triple position.
 _MAGIC_CONTAINS = URIRef("bif:contains")
-
-_EMPTY: Bindings = {}
 
 
 class Evaluator:
@@ -106,13 +115,14 @@ class Evaluator:
     :class:`repro.analysis.AnalysisError`. ``linter`` overrides the
     default linter instance (e.g. to supply a custom vocabulary).
 
-    With ``optimize=True`` (the default) queries are first lowered and
-    rewritten by the static planner (:mod:`repro.analysis.plan`) and
-    the optimized plan is executed — results are identical to the
-    naive path, only faster. ``planner`` overrides the planner
-    instance (e.g. to pin a custom pass pipeline); by default one is
-    built from statistics collected off the live graph and re-collected
-    whenever the graph changes.
+    With ``optimize=True`` (the default) the lowered query is rewritten
+    by the static planner (:mod:`repro.analysis.plan`) before it runs;
+    with ``optimize=False`` it runs as lowered, no pass applied — same
+    rows, only slower, and the reference the rewritten plan is checked
+    against. ``planner`` overrides the planner instance (e.g. to pin a
+    custom pass pipeline); by default one is built from statistics
+    collected off the live graph and re-collected whenever the graph
+    changes.
     """
 
     def __init__(
@@ -151,6 +161,7 @@ class Evaluator:
         self.optimize = optimize
         self._planner = planner
         self._stats = None
+        self._exists_plans: Dict[int, Tuple[GroupPattern, PlanNode]] = {}
         # when true, _exec_node/_exec_modifier accumulate inclusive
         # wall time on each plan node (PlanNode.actual_ms) and emit
         # plan-node spans; EXPLAIN turns it on for its run, and an
@@ -216,8 +227,29 @@ class Evaluator:
             raise AnalysisError(errors)
 
     # ------------------------------------------------------------------
-    # Planning (optimize=True)
+    # Planning
     # ------------------------------------------------------------------
+    def _executable_plan(self, query) -> PlanNode:
+        """The plan :meth:`evaluate` runs: rewritten by the planner when
+        optimizing, otherwise the lowering with no pass applied."""
+        if self.optimize:
+            return self._plan(query).plan
+        return lower_query(query)
+
+    def _exists_plan(self, group: GroupPattern) -> PlanNode:
+        """The plan of an ``EXISTS`` group, lowered once per evaluator.
+
+        No pass rewrites it — the group runs under whatever the outer
+        solution has bound, which only the run-time scan order sees.
+        """
+        cached = self._exists_plans.get(id(group))
+        if cached is None:
+            # the group rides along so its id cannot be reused
+            cached = self._exists_plans[id(group)] = (
+                group, lower_group(group)
+            )
+        return cached[1]
+
     def _statistics(self):
         """Graph statistics, re-collected whenever the graph changes.
 
@@ -266,8 +298,8 @@ class Evaluator:
 
         Returns a :class:`repro.analysis.plan.Explanation`; with
         ``execute`` the plan runs and every node records the row count
-        it actually produced, with ``compare`` the naive path is timed
-        alongside.
+        it actually produced, with ``compare`` the un-rewritten plan is
+        timed alongside.
         """
         from ..analysis.plan import explain as _explain
 
@@ -279,55 +311,9 @@ class Evaluator:
     # SELECT
     # ------------------------------------------------------------------
     def _eval_select(self, query: SelectQuery) -> SelectResult:
-        if self.optimize:
-            planned = self._plan(query)
-            rows = self._exec_select_plan(query, planned.plan)
-        else:
-            rows = self._select_rows(query)
-        variables = query.variables or self._collect_variables(query.where)
+        rows = self._exec_modifier(self._executable_plan(query))
+        variables = query.variables or collect_variables(query.where)
         return SelectResult(variables, rows)
-
-    def _select_rows(self, query: SelectQuery) -> List[Row]:
-        solutions = self._eval_group(query.where, iter([dict()]))
-
-        if query.group_by or any(
-            agg.function != "EXPR" for agg in query.aggregates
-        ):
-            solutions = self._aggregate(query, solutions)
-        elif query.aggregates:
-            # plain (expr AS ?v) projections without grouping
-            solutions = self._bind_projection_exprs(query, solutions)
-
-        materialized = list(solutions)
-
-        if query.order_by:
-            materialized.sort(
-                key=lambda row: tuple(
-                    self._order_key(cond, row) for cond in query.order_by
-                )
-            )
-
-        variables = query.variables or self._collect_variables(query.where)
-        projected: List[Row] = [
-            {v: row[v] for v in variables if v in row}
-            for row in materialized
-        ]
-
-        if query.distinct or query.reduced:
-            seen = set()
-            unique: List[Row] = []
-            for row in projected:
-                key = tuple(sorted((str(k), v) for k, v in row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            projected = unique
-
-        if query.offset:
-            projected = projected[query.offset :]
-        if query.limit is not None:
-            projected = projected[: query.limit]
-        return projected
 
     def _bind_projection_exprs(
         self, query: SelectQuery, solutions: Iterator[Bindings]
@@ -427,57 +413,14 @@ class Evaluator:
             return (_Desc((error, key)),)
         return ((error, key),)
 
-    def _collect_variables(self, node: PatternNode) -> List[Variable]:
-        found: List[Variable] = []
-        seen = set()
-
-        def visit(element: PatternNode) -> None:
-            if isinstance(element, BGP):
-                for triple in element.triples:
-                    for var in triple.variables():
-                        if var not in seen:
-                            seen.add(var)
-                            found.append(var)
-            elif isinstance(element, GroupPattern):
-                for child in element.elements:
-                    visit(child)
-            elif isinstance(element, OptionalPattern):
-                visit(element.group)
-            elif isinstance(element, UnionPattern):
-                for branch in element.branches:
-                    visit(branch)
-            elif isinstance(element, BindPattern):
-                if element.variable not in seen:
-                    seen.add(element.variable)
-                    found.append(element.variable)
-            elif isinstance(element, ValuesPattern):
-                for var in element.variables:
-                    if var not in seen:
-                        seen.add(var)
-                        found.append(var)
-            elif isinstance(element, SubSelectPattern):
-                inner = element.query.variables or self._collect_variables(
-                    element.query.where
-                )
-                for var in inner:
-                    if var not in seen:
-                        seen.add(var)
-                        found.append(var)
-
-        visit(node)
-        return found
-
     # ------------------------------------------------------------------
     # ASK / CONSTRUCT / DESCRIBE
     # ------------------------------------------------------------------
     def _where_solutions(self, query) -> Iterator[Bindings]:
-        """Solutions of a query's WHERE group, planned when optimizing."""
-        if self.optimize:
-            planned = self._plan(query)
-            return self._exec_node(
-                planned.plan, iter([dict()]), self.graph
-            )
-        return self._eval_group(query.where, iter([dict()]))
+        """Solutions of a query's WHERE group."""
+        return self._exec_node(
+            self._executable_plan(query), iter([dict()]), self.graph
+        )
 
     def _eval_ask(self, query: AskQuery) -> bool:
         for _ in self._where_solutions(query):
@@ -541,307 +484,8 @@ class Evaluator:
         return result
 
     # ------------------------------------------------------------------
-    # Graph pattern evaluation
+    # Plan execution
     # ------------------------------------------------------------------
-    def _eval_group(
-        self,
-        group: GroupPattern,
-        solutions: Iterator[Bindings],
-        graph: Optional[Graph] = None,
-    ) -> Iterator[Bindings]:
-        graph = graph if graph is not None else self.graph
-        filters = [
-            e for e in group.elements if isinstance(e, FilterPattern)
-        ]
-        others = [
-            e for e in group.elements if not isinstance(e, FilterPattern)
-        ]
-        for element in others:
-            solutions = self._eval_element(element, solutions, graph)
-        for filter_pattern in filters:
-            solutions = self._eval_filter(filter_pattern, solutions, graph)
-        return solutions
-
-    def _eval_element(
-        self,
-        element: PatternNode,
-        solutions: Iterator[Bindings],
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        if isinstance(element, BGP):
-            return self._eval_bgp(element.triples, solutions, graph)
-        if isinstance(element, GroupPattern):
-            return self._eval_group(element, solutions, graph)
-        if isinstance(element, OptionalPattern):
-            return self._eval_optional(element, solutions, graph)
-        if isinstance(element, UnionPattern):
-            return self._eval_union(element, solutions, graph)
-        if isinstance(element, BindPattern):
-            return self._eval_bind(element, solutions, graph)
-        if isinstance(element, ValuesPattern):
-            return self._eval_values(element, solutions)
-        if isinstance(element, SubSelectPattern):
-            return self._eval_subselect(element, solutions)
-        if isinstance(element, GraphGraphPattern):
-            return self._eval_graph_pattern(element, solutions)
-        raise SparqlEvalError(f"unknown pattern element: {element!r}")
-
-    def _eval_graph_pattern(
-        self, element: GraphGraphPattern, solutions: Iterator[Bindings]
-    ) -> Iterator[Bindings]:
-        named = self.dataset.graphs() if self.dataset is not None else []
-        for binding in solutions:
-            target = element.target
-            if isinstance(target, Variable) and target in binding:
-                target = binding[target]
-            if isinstance(target, Variable):
-                for named_graph in named:
-                    extended = dict(binding)
-                    extended[target] = named_graph.identifier
-                    yield from self._eval_group(
-                        element.group, iter([extended]), named_graph
-                    )
-            else:
-                for named_graph in named:
-                    if named_graph.identifier == target:
-                        yield from self._eval_group(
-                            element.group, iter([binding]), named_graph
-                        )
-                        break
-
-    def _eval_bgp(
-        self,
-        triples: Sequence[TriplePatternNode],
-        solutions: Iterator[Bindings],
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        for binding in solutions:
-            yield from self._match_bgp(list(triples), binding, graph)
-
-    def _match_bgp(
-        self,
-        remaining: List[TriplePatternNode],
-        binding: Bindings,
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        if not remaining:
-            yield binding
-            return
-        # (graph is threaded so GRAPH patterns scope their own store)
-        # pick the most selective pattern under current bindings; magic
-        # bif: predicates are deferred until their subject is bound
-        best_idx = 0
-        best_score = -10
-        for idx, pattern in enumerate(remaining):
-            if pattern.predicate == _MAGIC_CONTAINS:
-                subject_ready = (
-                    not isinstance(pattern.subject, Variable)
-                    or pattern.subject in binding
-                )
-                score = 4 if subject_ready else -5
-            else:
-                score = 0
-                for position in (
-                    pattern.subject,
-                    pattern.predicate,
-                    pattern.object,
-                ):
-                    if not isinstance(position, Variable) \
-                            or position in binding:
-                        score += 1
-            if score > best_score:
-                best_score = score
-                best_idx = idx
-        pattern = remaining[best_idx]
-        rest = remaining[:best_idx] + remaining[best_idx + 1 :]
-
-        if pattern.predicate == _MAGIC_CONTAINS:
-            yield from self._match_magic_contains(
-                pattern, rest, binding, graph
-            )
-            return
-
-        def resolve(position):
-            if isinstance(position, Variable):
-                return binding.get(position)
-            return position
-
-        s = resolve(pattern.subject)
-        p = resolve(pattern.predicate)
-        o = resolve(pattern.object)
-        # Literals can never be subjects/predicates in the store
-        if isinstance(s, Literal) or isinstance(p, (Literal, BNode)):
-            return
-        for ts, tp, to in graph.triples((s, p, o)):
-            new_binding = binding
-            extended: Optional[Bindings] = None
-            conflict = False
-            for position, value in (
-                (pattern.subject, ts),
-                (pattern.predicate, tp),
-                (pattern.object, to),
-            ):
-                if isinstance(position, Variable):
-                    current = (
-                        extended.get(position)
-                        if extended is not None
-                        else binding.get(position)
-                    )
-                    if current is None:
-                        if extended is None:
-                            extended = dict(new_binding)
-                        extended[position] = value
-                    elif current != value:
-                        conflict = True
-                        break
-            if conflict:
-                continue
-            yield from self._match_bgp(
-                rest, extended if extended is not None else binding,
-                graph,
-            )
-
-    def _match_magic_contains(
-        self,
-        pattern: TriplePatternNode,
-        rest: List[TriplePatternNode],
-        binding: Bindings,
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
-        a full-text constraint on an already-bound literal."""
-        from .fulltext import contains as fulltext_contains
-
-        subject = pattern.subject
-        if isinstance(subject, Variable):
-            subject = binding.get(subject)
-        if subject is None:
-            raise SparqlEvalError(
-                "bif:contains requires its subject to be bound by "
-                "another pattern"
-            )
-        needle = pattern.object
-        if isinstance(needle, Variable):
-            needle = binding.get(needle)
-        if not isinstance(needle, Literal):
-            raise SparqlEvalError(
-                "bif:contains requires a literal search pattern"
-            )
-        if isinstance(subject, Literal) and fulltext_contains(
-            subject.lexical, needle.lexical
-        ):
-            yield from self._match_bgp(rest, binding, graph)
-
-    def _eval_optional(
-        self,
-        element: OptionalPattern,
-        solutions: Iterator[Bindings],
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        for binding in solutions:
-            matched = False
-            for extended in self._eval_group(
-                element.group, iter([binding]), graph
-            ):
-                matched = True
-                yield extended
-            if not matched:
-                yield binding
-
-    def _eval_union(
-        self,
-        element: UnionPattern,
-        solutions: Iterator[Bindings],
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        for binding in solutions:
-            for branch in element.branches:
-                yield from self._eval_group(branch, iter([binding]), graph)
-
-    def _eval_bind(
-        self,
-        element: BindPattern,
-        solutions: Iterator[Bindings],
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        for binding in solutions:
-            if element.variable in binding:
-                raise SparqlEvalError(
-                    f"BIND would rebind ?{element.variable}"
-                )
-            extended = dict(binding)
-            try:
-                extended[element.variable] = self._eval_expression(
-                    element.expression, binding, graph
-                )
-            except ExpressionError:
-                pass  # variable stays unbound per spec
-            yield extended
-
-    def _eval_values(
-        self, element: ValuesPattern, solutions: Iterator[Bindings]
-    ) -> Iterator[Bindings]:
-        for binding in solutions:
-            for row in element.rows:
-                merged = dict(binding)
-                compatible = True
-                for var, value in zip(element.variables, row):
-                    if value is None:
-                        continue
-                    current = merged.get(var)
-                    if current is None:
-                        merged[var] = value
-                    elif current != value:
-                        compatible = False
-                        break
-                if compatible:
-                    yield merged
-
-    def _eval_subselect(
-        self, element: SubSelectPattern, solutions: Iterator[Bindings]
-    ) -> Iterator[Bindings]:
-        inner_rows = self._select_rows(element.query)
-        for binding in solutions:
-            for row in inner_rows:
-                merged = dict(binding)
-                compatible = True
-                for var, value in row.items():
-                    current = merged.get(var)
-                    if current is None:
-                        merged[var] = value
-                    elif current != value:
-                        compatible = False
-                        break
-                if compatible:
-                    yield merged
-
-    def _eval_filter(
-        self,
-        element: FilterPattern,
-        solutions: Iterator[Bindings],
-        graph: Optional[Graph] = None,
-    ) -> Iterator[Bindings]:
-        graph = graph if graph is not None else self.graph
-        for binding in solutions:
-            try:
-                value = self._eval_expression(
-                    element.expression, binding, graph
-                )
-                if ebv(value):
-                    yield binding
-            except ExpressionError:
-                continue
-
-    # ------------------------------------------------------------------
-    # Optimized plan execution
-    # ------------------------------------------------------------------
-    def _exec_select_plan(
-        self, query: SelectQuery, plan: PlanNode
-    ) -> List[Row]:
-        """Execute a planned SELECT's modifier chain; mirrors
-        :meth:`_select_rows` operation for operation."""
-        return self._exec_modifier(plan)
-
     def _exec_modifier_inner(self, node: PlanNode) -> List[Row]:
         if isinstance(node, SliceNode):
             rows = self._exec_modifier(node.child)
@@ -972,9 +616,12 @@ class Evaluator:
                 solutions = self._exec_node(element, solutions, graph)
             yield from solutions
         elif isinstance(node, BGPNode):
+            scans = node.scans
             for binding in solutions:
+                if not node.ordered:
+                    scans = _runtime_order(node.scans, binding)
                 yield from self._exec_scans(
-                    node.scans, node.pushed, 0, binding, graph
+                    scans, node.pushed, 0, binding, graph
                 )
         elif isinstance(node, FilterNode):
             for binding in solutions:
@@ -1025,7 +672,7 @@ class Evaluator:
                     if merged is not None:
                         yield merged
         elif isinstance(node, SubSelectNode):
-            inner_rows = self._exec_select_plan(node.query, node.plan)
+            inner_rows = self._exec_modifier(node.plan)
             for binding in solutions:
                 for row in inner_rows:
                     merged = self._merge_row(binding, row.items())
@@ -1082,7 +729,7 @@ class Evaluator:
         binding: Bindings,
         graph: Graph,
     ) -> Iterator[Bindings]:
-        """Match scans in their statically planned order."""
+        """Match ``scans`` in the order given, from ``index`` on."""
         if index == len(scans):
             for expr in leftover:
                 try:
@@ -1152,8 +799,8 @@ class Evaluator:
         binding: Bindings,
         graph: Graph,
     ) -> Iterator[Bindings]:
-        """``bif:contains`` constraint — same semantics as the naive
-        :meth:`_match_magic_contains`."""
+        """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
+        a full-text constraint on an already-bound literal."""
         from .fulltext import contains as fulltext_contains
 
         scan = scans[index]
@@ -1277,8 +924,10 @@ class Evaluator:
         if isinstance(expression, ExistsExpr):
             exists = any(
                 True
-                for _ in self._eval_group(
-                    expression.group, iter([dict(binding)]), graph
+                for _ in self._exec_node(
+                    self._exists_plan(expression.group),
+                    iter([dict(binding)]),
+                    graph,
                 )
             )
             return boolean(exists != expression.negated)
@@ -1318,6 +967,42 @@ class Evaluator:
             raise SparqlEvalError(f"unknown function: {call.name}")
         args = [self._eval_expression(a, binding, graph) for a in call.args]
         return implementation(args)
+
+
+def _runtime_order(
+    scans: List[ScanStep], binding: Bindings
+) -> List[ScanStep]:
+    """Scan order for a BGP no planner pass has ordered.
+
+    Greedy: the pattern with the most positions bound so far goes next
+    (ties keep the written order), and a ``bif:contains`` constraint is
+    held back until its subject is bound. A scan binds all of its
+    variables whatever triple it matches, so the whole order follows
+    from the incoming ``binding`` alone.
+    """
+    bound = set(binding)
+
+    def score(scan: ScanStep) -> int:
+        pattern = scan.pattern
+        if pattern.predicate == _MAGIC_CONTAINS:
+            subject = pattern.subject
+            ready = not isinstance(subject, Variable) or subject in bound
+            return 4 if ready else -5
+        return sum(
+            not isinstance(position, Variable) or position in bound
+            for position in (
+                pattern.subject, pattern.predicate, pattern.object
+            )
+        )
+
+    remaining = list(scans)
+    ordered: List[ScanStep] = []
+    while remaining:
+        best = max(remaining, key=score)
+        remaining.remove(best)
+        ordered.append(best)
+        bound.update(best.pattern.variables())
+    return ordered
 
 
 class _Desc:

@@ -229,6 +229,32 @@ class TestPlannerMechanics:
         planned = planner.plan(parse_query(rated_album().query))
         assert planned.plan is not None
 
+    def test_only_reorder_fixes_the_scan_order(self, graph):
+        # what the executor does with a BGP is read off the plan: the
+        # reorder pass marks it ordered, every other pipeline leaves
+        # the scan order to be picked per incoming solution
+        text = (
+            'SELECT ?p WHERE { ?p rev:rating ?r . ?p foaf:maker ?u . '
+            '?u foaf:name "walter" . FILTER(?r >= 4) }'
+        )
+
+        def bgps(passes):
+            planned = QueryPlanner(
+                stats=GraphStatistics.collect(graph), passes=passes
+            ).plan(parse_query(text))
+            return [
+                n for n in walk(planned.plan) if isinstance(n, BGPNode)
+            ]
+
+        assert [b.ordered for b in bgps(None)] == [True]
+        assert [b.ordered for b in bgps(["reorder_scans"])] == [True]
+        for passes in ([], ["merge_bgps", "push_filters"]):
+            (bgp,) = bgps(passes)
+            assert not bgp.ordered
+            assert "order picked at run time" in bgp.label()
+            assert not any(scan.filters for scan in bgp.scans)
+        assert "run time" not in bgps(None)[0].label()
+
     def test_scan_actual_counts_recorded(self, graph):
         evaluator = Evaluator(graph)
         explanation = evaluator.explain(

@@ -4,7 +4,10 @@ For workload-generated graphs and the paper's parameterized query
 family, every permutation of the rewrite-pass pipeline must produce the
 same multiset of rows as the naive evaluator, and planning must never
 mutate the parsed AST. Hypothesis drives the graph seed, the query
-parameters and the pass order.
+parameters and the pass order. A second property drops the "same as
+each other" indirection: over a hand-built dataset, any *subset* of the
+passes in any order — the empty pipeline included — must produce the
+literal rows written next to each query.
 """
 
 import pytest
@@ -25,6 +28,8 @@ from repro.workloads import (
     generate_workload,
     populate_platform,
 )
+
+from ..sparql.executor_cases import CASES, build_dataset, normalize
 
 _GRAPH_CACHE = {}
 
@@ -90,6 +95,29 @@ def test_any_pass_order_matches_naive(seed, text, order):
     evaluator = Evaluator(graph, planner=planner)
     optimized = multiset(evaluator.evaluate(text))
     assert optimized == naive
+
+
+PIPELINES = st.lists(
+    st.sampled_from(list(DEFAULT_PASSES)), unique_by=lambda p: p[0]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), passes=PIPELINES)
+def test_any_pass_subset_yields_the_literal_rows(case, passes):
+    _, text, expected = case
+    dataset = build_dataset()
+    for optimize in (True, False):
+        # with optimize=False the planner is never consulted
+        evaluator = Evaluator(
+            dataset,
+            optimize=optimize,
+            planner=QueryPlanner(
+                stats=GraphStatistics.collect(dataset.union_graph()),
+                passes=passes,
+            ),
+        )
+        assert normalize(evaluator.evaluate(text)) == expected
 
 
 @settings(

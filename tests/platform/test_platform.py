@@ -150,6 +150,28 @@ class TestSemanticization:
         assert result is not None
         assert result.language == "it"
 
+    def test_removing_the_last_tag_clears_keyword_triples(self):
+        # no position, no buddies: the item carries no context tag, so
+        # dropping its user tags leaves the keywords column NULL
+        from repro.platform import TLV
+
+        p = Platform()
+        p.register_user("ada")
+        item = p.upload(Capture(
+            username="ada", title="untagged", tags=("mole", "night"),
+            timestamp=5,
+        ))
+        assert item.context_tags == []
+        assert str(TLV.keyword) in p.dump_ntriples()
+
+        p.edit_content(item.pid, tags=[])
+        assert p.content(item.pid).plain_tags == []
+        assert p.db.table("pictures").get(item.pid)["keywords"] is None
+        assert str(TLV.keyword) not in p.dump_ntriples()
+        assert list(
+            p.union_graph().objects(item.resource, TLV.keyword)
+        ) == []
+
     def test_dump_ntriples_loadable(self, platform):
         from repro.rdf import load_ntriples
 

@@ -125,6 +125,35 @@ class TestProfile:
         web.update_profile(session, full_name="Walter O'Goix")
         assert web.profile("walter")["full_name"] == "Walter O'Goix"
 
+    @pytest.mark.parametrize("username", [
+        pytest.param("x' OR user_a = 'walter", id="injection"),
+        pytest.param("o'brien", id="apostrophe"),
+    ])
+    def test_friends_of_takes_the_name_literally(self, web, username):
+        web.add_friend(login(web), "oscar")
+        assert web.friends_of(username) == []
+
+    def test_update_profile_of_a_quoted_username(self, web):
+        web.platform.register_user("o'brien")
+        web.platform.update_user("o'brien", email="ob@example.org")
+        assert web.profile("o'brien")["email"] == "ob@example.org"
+        # nobody else's row was touched
+        assert web.profile("walter")["email"] is None
+
+    def test_update_profile_reaches_the_rdf_view(self, web):
+        from repro.platform import TLV
+        from repro.rdf import Literal, TL_USER
+
+        web.platform.union_graph()  # clean build before the change
+        web.update_profile(login(web), full_name="Walter G.")
+        assert web.platform.union_graph().value(
+            TL_USER.walter, TLV.fullName
+        ) == Literal("Walter G.")
+
+    def test_update_unknown_user(self, web):
+        with pytest.raises(KeyError):
+            web.platform.update_user("ghost", email="g@example.org")
+
 
 class TestBrowsing:
     def test_pagination(self, web):

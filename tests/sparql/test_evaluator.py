@@ -17,6 +17,8 @@ from repro.rdf import (
 from repro.sparql import Evaluator, SparqlEvalError, SparqlSyntaxError, query
 from repro.sparql.geo import Point
 
+from .executor_cases import CASES, build_dataset, normalize
+
 EX = "http://example.org/"
 
 
@@ -679,3 +681,50 @@ class TestPaperQueries:
             optimized = query(turin_workload_graph, text)
             naive = query(turin_workload_graph, text, optimize=False)
             assert self._rows(optimized) == self._rows(naive)
+
+
+# ---------------------------------------------------------------------------
+# One executor: whichever plan it is handed, the answer is the same
+# literal rows (tests/sparql/executor_cases.py holds queries + answers).
+# ---------------------------------------------------------------------------
+
+def _empty_pipeline(graph):
+    from repro.analysis import QueryPlanner
+
+    return Evaluator(graph, planner=QueryPlanner(passes=[]))
+
+
+class TestOneExecutor:
+    CONFIGURATIONS = [
+        pytest.param(lambda g: Evaluator(g, optimize=True), id="optimized"),
+        pytest.param(lambda g: Evaluator(g, optimize=False), id="reference"),
+        pytest.param(_empty_pipeline, id="no-passes"),
+    ]
+
+    @pytest.mark.parametrize("build", CONFIGURATIONS)
+    @pytest.mark.parametrize(
+        "text,expected",
+        [pytest.param(text, expected, id=name)
+         for name, text, expected in CASES],
+    )
+    def test_literal_rows(self, build, text, expected):
+        assert normalize(build(build_dataset()).evaluate(text)) == expected
+
+    @pytest.mark.parametrize("build", CONFIGURATIONS)
+    def test_unbindable_contains_subject_raises(self, build):
+        with pytest.raises(SparqlEvalError, match="subject to be bound"):
+            build(build_dataset()).evaluate(
+                'SELECT ?l WHERE { ?l bif:contains "mole" }'
+            )
+
+    def test_exists_group_is_lowered_once(self):
+        from repro.sparql import parse_query
+
+        evaluator = Evaluator(build_dataset(), optimize=False)
+        parsed = parse_query(next(
+            text for name, text, _ in CASES if name == "filter-exists"
+        ))
+        evaluator.evaluate(parsed)
+        evaluator.evaluate(parsed)
+        # three candidate users, two evaluations, one lowering
+        assert len(evaluator._exists_plans) == 1
