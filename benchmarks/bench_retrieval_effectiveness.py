@@ -43,7 +43,6 @@ def retrieval_world():
         )
     )
     pids = populate_platform(platform, workload)
-    platform.semanticize()
     search = SearchInterface(
         platform.union_graph(), platform.contents()
     )

@@ -37,9 +37,8 @@ def build_platform(n_contents: int, cities=("Turin",), seed=42) -> Platform:
             )
         )
         populate_platform(platform, workload)
-        platform.semanticize()
-        # force the union graph + evaluator construction out of the
-        # timed region
+        # force the LODification + store bootstrap out of the timed
+        # region
         platform.union_graph()
         _platform_cache[key] = platform
     return _platform_cache[key]

@@ -60,7 +60,7 @@ def main() -> None:
     for pid, rating in ((1, 5.0), (2, 3.0), (3, 4.0), (4, 2.0)):
         platform.rate(pid, rating)
 
-    platform.semanticize()
+    platform.synchronize_store()
 
     print("=" * 70)
     print("Automatic semantic annotation (Figure 1 pipeline)")

@@ -32,7 +32,6 @@ def main() -> None:
                        seed=7)
     )
     populate_platform(platform, workload)
-    platform.semanticize()
     search = SearchInterface(platform.union_graph(), platform.contents())
 
     # --- Figure 2: the search box, with geolocation ---------------------

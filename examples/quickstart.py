@@ -31,8 +31,9 @@ def main() -> None:
     print(f"uploaded content #{item.pid}: {item.title!r}")
     print("context tags:", ", ".join(item.context_tags))
 
-    # 3. LODify: D2R lifting + automatic semantic annotation.
-    platform.semanticize()
+    # 3. LODify: D2R lifting + automatic semantic annotation of what
+    #    was uploaded, committed to the triple store as one delta.
+    platform.synchronize_store()
     result = platform.annotation_result(item.pid)
     print(f"\ndetected language: {result.language}")
     for annotation in result.annotations:

@@ -627,7 +627,6 @@ def _cmd_demo(args) -> int:
         timestamp=1_325_376_000,
         point=Point(7.6930, 45.0690),
     ))
-    platform.semanticize()
     album = geo_album("Mole Antonelliana", radius_km=0.3)
     for link in album.links(platform.evaluator()):
         print(link)
@@ -918,7 +917,6 @@ def _cmd_explain(args) -> int:
             seed=42,
         ))
         populate_platform(platform, workload)
-        platform.semanticize()
         graph = platform.union_graph()
 
     evaluator = Evaluator(graph)

@@ -9,7 +9,9 @@ pipeline consumes, and the triple tags the legacy annotation path stores
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..rdf.namespace import TL_USER
@@ -20,6 +22,12 @@ from .triple_tags import TripleTag
 
 #: Radius within which another user counts as a "nearby buddy".
 NEARBY_RADIUS_KM = 1.0
+
+#: A position fix older than this (seconds) no longer locates a user.
+MAX_FIX_AGE = 3600
+
+#: Sort key of a ``(timestamp, point)`` fix.
+_fix_time = itemgetter(0)
 
 
 @dataclass
@@ -69,13 +77,19 @@ class ContextPlatform:
         self._record(user_a).friends.add(user_b)
         self._record(user_b).friends.add(user_a)
 
+    def friends_of(self, username: str) -> List[str]:
+        """The user's friends, sorted by username."""
+        return sorted(self._record(username).friends)
+
     def report_position(
         self, username: str, timestamp: int, point: Point
     ) -> None:
-        """Record a position fix (kept sorted by time)."""
-        record = self._record(username)
-        record.positions.append((timestamp, point))
-        record.positions.sort(key=lambda item: item[0])
+        """Record a position fix (kept sorted by time; fixes with the
+        same timestamp stay in the order they were reported)."""
+        insort_right(
+            self._record(username).positions, (timestamp, point),
+            key=_fix_time,
+        )
 
     def add_calendar_entry(
         self, username: str, entry: CalendarEntry
@@ -98,31 +112,30 @@ class ContextPlatform:
     # Lookup
     # ------------------------------------------------------------------
     def position_at(
-        self, username: str, timestamp: int, max_age: int = 3600
+        self, username: str, timestamp: int, max_age: int = MAX_FIX_AGE
     ) -> Optional[Point]:
         """Most recent fix at or before ``timestamp`` within ``max_age``
-        seconds (deferred uploads carry their capture timestamp)."""
-        record = self._record(username)
-        best: Optional[Tuple[int, Point]] = None
-        for fix_time, point in record.positions:
-            if fix_time <= timestamp and (
-                best is None or fix_time > best[0]
-            ):
-                best = (fix_time, point)
-        if best is None or timestamp - best[0] > max_age:
+        seconds (deferred uploads carry their capture timestamp); among
+        fixes with that same timestamp the first reported wins."""
+        positions = self._record(username).positions
+        after = bisect_right(positions, timestamp, key=_fix_time)
+        if after == 0:
             return None
-        return best[1]
+        fix_time = positions[after - 1][0]
+        if timestamp - fix_time > max_age:
+            return None
+        first = bisect_left(positions, fix_time, hi=after, key=_fix_time)
+        return positions[first][1]
 
     def nearby_buddies(
         self, username: str, timestamp: int
     ) -> List[Buddy]:
         """Friends within :data:`NEARBY_RADIUS_KM` at ``timestamp``."""
-        record = self._record(username)
         own_position = self.position_at(username, timestamp)
         if own_position is None:
             return []
         buddies: List[Buddy] = []
-        for friend_name in sorted(record.friends):
+        for friend_name in self.friends_of(username):
             friend = self._users.get(friend_name)
             if friend is None:
                 continue

@@ -1,6 +1,12 @@
 """D2R-style relational→RDF lifting (paper §2.1)."""
 
-from .dump import dump_graph, dump_ntriples, dump_triples, validate_mapping
+from .dump import (
+    dump_graph,
+    dump_ntriples,
+    dump_triples,
+    lift_row,
+    validate_mapping,
+)
 from .mapping import (
     D2RMapping,
     KeywordSplitMap,
@@ -23,6 +29,7 @@ __all__ = [
     "dump_graph",
     "dump_ntriples",
     "dump_triples",
+    "lift_row",
     "literal_for",
     "validate_mapping",
 ]

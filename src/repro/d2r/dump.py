@@ -17,6 +17,7 @@ from ..rdf.graph import Graph, Triple
 from ..rdf.namespace import RDF
 from ..rdf.ntriples import serialize_ntriples
 from ..relational.database import Database
+from ..relational.table import Row
 from .mapping import D2RMapping, MappingError, literal_for
 
 
@@ -55,7 +56,6 @@ def dump_triples(
 
 def _dump_triples(db: Database, mapping: D2RMapping) -> Iterator[Triple]:
     for table_name, table_map in mapping.table_maps.items():
-        table = db.table(table_name)
         # validate link targets before emitting anything
         for link in table_map.links:
             if link.target_table not in mapping:
@@ -63,44 +63,56 @@ def _dump_triples(db: Database, mapping: D2RMapping) -> Iterator[Triple]:
                     f"link {table_name}.{link.column} targets unmapped "
                     f"table {link.target_table!r}"
                 )
-        for row in table.scan():
-            subject = table_map.uri_for(row)
-            if table_map.rdf_class is not None:
-                yield (subject, RDF.type, table_map.rdf_class)
-            for prop in table_map.properties:
-                value = row.get(prop.column)
-                if value is None:
-                    continue
-                column_type = table.column(prop.column).type
-                yield (
-                    subject,
-                    prop.predicate,
-                    literal_for(column_type, value, prop.lang,
-                                prop.datatype),
-                )
-            for link in table_map.links:
-                value = row.get(link.column)
-                if value is None:
-                    continue
-                target_map = mapping.for_table(link.target_table)
-                target_row = _target_row(db, link.target_table, value)
-                if target_row is None:
-                    continue
-                yield (subject, link.predicate,
-                       target_map.uri_for(target_row))
-            for split in table_map.keyword_splits:
-                value = row.get(split.column)
-                if not value:
-                    continue
-                seen = set()
-                for token in str(value).split(split.separator):
-                    token = token.strip()
-                    if split.lowercase:
-                        token = token.lower()
-                    if not token or token in seen:
-                        continue
-                    seen.add(token)
-                    yield (subject, split.predicate, _keyword_literal(token))
+        for row in db.table(table_name).scan():
+            yield from lift_row(db, mapping, table_name, row)
+
+
+def lift_row(
+    db: Database, mapping: D2RMapping, table_name: str, row: Row
+) -> Iterator[Triple]:
+    """Yield the triples ``mapping`` produces for one row of a table.
+
+    The single place a relational row becomes RDF: the full dump walks
+    every row through it, and a row-level delta (the platform's write
+    path) calls it for just the rows a mutation touched.
+    """
+    table = db.table(table_name)
+    table_map = mapping.for_table(table_name)
+    subject = table_map.uri_for(row)
+    if table_map.rdf_class is not None:
+        yield (subject, RDF.type, table_map.rdf_class)
+    for prop in table_map.properties:
+        value = row.get(prop.column)
+        if value is None:
+            continue
+        column_type = table.column(prop.column).type
+        yield (
+            subject,
+            prop.predicate,
+            literal_for(column_type, value, prop.lang, prop.datatype),
+        )
+    for link in table_map.links:
+        value = row.get(link.column)
+        if value is None:
+            continue
+        target_map = mapping.for_table(link.target_table)
+        target_row = _target_row(db, link.target_table, value)
+        if target_row is None:
+            continue
+        yield (subject, link.predicate, target_map.uri_for(target_row))
+    for split in table_map.keyword_splits:
+        value = row.get(split.column)
+        if not value:
+            continue
+        seen = set()
+        for token in str(value).split(split.separator):
+            token = token.strip()
+            if split.lowercase:
+                token = token.lower()
+            if not token or token in seen:
+                continue
+            seen.add(token)
+            yield (subject, split.predicate, _keyword_literal(token))
 
 
 def _keyword_literal(token: str):

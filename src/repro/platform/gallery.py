@@ -1,8 +1,10 @@
 """The UGC sharing platform (the paper's TeamLife).
 
-Graph-writes: the platform's own semantic graph (rebuilt by
-``semanticize``), the local merged union before it is frozen, and the
-optionally attached quad-store via generation-stamped sync commits
+Graph-writes: the fresh graph ``semanticize`` returns, the dataset
+``attach_store`` bulk-loads (one ``sync_dataset``), the thawed head copy
+the inference mode closes before freezing it, and the platform's
+quad-store — one generation-stamped delta commit per flush into the
+default context
 
 Integration point of the substrates:
 
@@ -10,28 +12,34 @@ Integration point of the substrates:
   (:mod:`repro.relational`);
 * uploads are contextualized by the context management platform and
   stored with their triple tags (the legacy path, §1.1);
-* :meth:`Platform.semanticize` runs the LODification (§2): D2R-dumps the
-  relational data, runs the automatic semantic annotation pipeline on
-  every content, runs location analysis, and loads everything into the
-  triple store next to the LOD corpus;
+* the LODification (§2) — D2R lifting of the relational rows, the
+  automatic semantic annotation pipeline, location analysis — is
+  maintained *incrementally* in an MVCC quad-store next to the LOD
+  corpus: every mutation records the sources it touched, and the next
+  read flushes their new triples (and the inverse removes) as one
+  commit (see "Write path" in DESIGN.md);
+* :meth:`Platform.semanticize` is the same LODification from scratch —
+  the oracle the incremental path is tested against;
 * :meth:`Platform.evaluator` exposes the SPARQL endpoint used by the
   virtual albums, the mashup and the mobile search interface.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..context.provider import ContextPlatform
+from ..context.provider import MAX_FIX_AGE, ContextPlatform
 from ..context.triple_tags import TripleTag, split_tags
 from ..core.annotator import AnnotationResult, SemanticAnnotator
 from ..core.location import LocationAnalyzer
-from ..d2r.dump import dump_graph, dump_ntriples
+from ..d2r.dump import dump_graph, dump_ntriples, lift_row
 from ..lod.datasets import LodCorpus, build_lod_corpus
-from ..rdf.graph import Dataset, Graph, freeze
+from ..rdf.graph import Dataset, Graph, Triple, freeze
 from ..rdf.namespace import DCTERMS
 from ..relational.database import Database
 from ..sparql.evaluator import Evaluator
+from ..store import QuadStore, WriteBatch
 from .crosspost import CrossPoster, default_crossposter
 from .models import Capture, ContentItem, PlatformUser
 from .vocab import TLV, platform_mapping
@@ -71,6 +79,12 @@ _SCHEMA = [
 ]
 
 
+#: What contributes triples to the platform graph: one relational row
+#: ``(table name, primary key)``, or one item's annotation / location
+#: analysis ``("annotation" | "location", pid)``.
+Source = Tuple[str, Any]
+
+
 class Platform:
     """The content-sharing platform."""
 
@@ -102,10 +116,18 @@ class Platform:
         self.crossposter = crossposter or default_crossposter()
         self._items: Dict[int, ContentItem] = {}
         self._annotations: Dict[int, AnnotationResult] = {}
-        self._semantic_graph: Optional[Graph] = None
-        self._union: Optional[Graph] = None
-        self._dirty = True
-        self._store = None
+        #: per owner, the sorted ``(timestamp, pid)`` of their items —
+        #: what a new position fix or friendship has to re-locate
+        self._timeline: Dict[str, List[Tuple[int, int]]] = {}
+        # the write path (meaningful only while a store is attached):
+        # each source's triples as last committed, how many sources
+        # contribute each triple, and the sources touched since then
+        self._store: Optional[QuadStore] = None
+        self._sources: Dict[Source, Tuple[Triple, ...]] = {}
+        self._refs: Dict[Triple, int] = {}
+        self._pending: Dict[Source, None] = {}
+        #: inference mode: (store generation, its frozen RDFS closure)
+        self._closure: Optional[Tuple[int, Graph]] = None
 
     # ------------------------------------------------------------------
     # Users and relationships
@@ -135,7 +157,7 @@ class Platform:
         self.context.register_user(
             username, user.full_name, external_accounts
         )
-        self._dirty = True
+        self._touch(("users", username))
         return user
 
     def update_user(
@@ -158,15 +180,22 @@ class Platform:
         )
         if not updated:
             raise KeyError(f"unknown user: {username}")
-        self._dirty = True
+        # the context record (hence a buddy's foaf:name) keeps the
+        # registration name: only the users row changes
+        self._touch(("users", username))
 
     def add_friendship(self, user_a: str, user_b: str) -> None:
         """Symmetric friendship, recorded in both directions (the SPARQL
         queries traverse ``foaf:knows`` directionally)."""
-        self.db.insert("friends", user_a=user_a, user_b=user_b)
-        self.db.insert("friends", user_a=user_b, user_b=user_a)
+        rows = [
+            self.db.insert("friends", user_a=user_a, user_b=user_b),
+            self.db.insert("friends", user_a=user_b, user_b=user_a),
+        ]
         self.context.add_friendship(user_a, user_b)
-        self._dirty = True
+        self._touch(*(("friends", row["id"]) for row in rows))
+        # each one's items may now have the other as a nearby buddy
+        for owner in (user_a, user_b):
+            self._relocate(self._timeline.get(owner, ()))
 
     def users(self) -> List[str]:
         return [row["user_name"] for row in self.db.table("users").scan()]
@@ -231,7 +260,17 @@ class Platform:
             rating=0.0,
         )
         self._items[item.pid] = item
-        self._dirty = True
+        insort(
+            self._timeline.setdefault(item.owner, []),
+            (item.timestamp, item.pid),
+        )
+        self._touch(
+            ("pictures", item.pid),
+            ("annotation", item.pid),
+            ("location", item.pid),
+        )
+        if capture.point is not None:
+            self._relocate_around_fix(capture.username, capture.timestamp)
         if crosspost_to is not None:
             self.crossposter.post(item, crosspost_to)
         return item
@@ -239,10 +278,11 @@ class Platform:
     def rate(self, pid: int, rating: float) -> None:
         if not 0.0 <= rating <= 5.0:
             raise ValueError("rating must be within [0, 5]")
-        self.db.execute(f"UPDATE pictures SET rating = {float(rating)} "
-                        f"WHERE pid = {int(pid)}")
-        self._items[pid].rating = rating
-        self._dirty = True
+        self.content(pid).rating = rating  # raises for unknown pids
+        self.db.table("pictures").update_where(
+            lambda row: row["pid"] == pid, {"rating": float(rating)}
+        )
+        self._touch(("pictures", pid))
 
     def content(self, pid: int) -> ContentItem:
         if pid not in self._items:
@@ -259,7 +299,8 @@ class Platform:
         tags: Optional[List[str]] = None,
     ) -> ContentItem:
         """Update a content's title and/or user tags; context tags are
-        preserved and the item is re-semanticized on the next build."""
+        preserved and the item is re-annotated on the next flush (with
+        neither given, nothing changes and nothing is committed)."""
         item = self.content(pid)
         changes = {}
         if title is not None:
@@ -276,17 +317,26 @@ class Platform:
             self.db.table("pictures").update_where(
                 lambda row: row["pid"] == pid, changes
             )
-        self._dirty = True
+            self._touch(("pictures", pid), ("annotation", pid))
         return item
 
     def delete_content(self, pid: int) -> None:
         """Remove a content item (and its region annotations)."""
-        self.content(pid)  # raises for unknown pids
-        self.db.execute(f"DELETE FROM regions WHERE pid = {int(pid)}")
-        self.db.execute(f"DELETE FROM pictures WHERE pid = {int(pid)}")
+        item = self.content(pid)  # raises for unknown pids
+        self._touch(
+            ("pictures", pid), ("annotation", pid), ("location", pid),
+            *(("regions", region["rid"]) for region in self.regions(pid)),
+        )
+        self.db.table("regions").delete_where(
+            lambda row: row["pid"] == pid
+        )
+        self.db.table("pictures").delete_where(
+            lambda row: row["pid"] == pid
+        )
         del self._items[pid]
         self._annotations.pop(pid, None)
-        self._dirty = True
+        timeline = self._timeline[item.owner]
+        del timeline[bisect_left(timeline, (item.timestamp, pid))]
 
     # ------------------------------------------------------------------
     # Graphical region annotations (paper §1.1: "in the case of
@@ -317,7 +367,7 @@ class Platform:
             "regions", pid=pid, x=float(x), y=float(y),
             width=float(width), height=float(height), note=note,
         )
-        self._dirty = True
+        self._touch(("regions", row["rid"]))
         return row["rid"]
 
     def regions(self, pid: int) -> List[dict]:
@@ -338,108 +388,235 @@ class Platform:
         return dump_ntriples(self.db, self.mapping)
 
     def semanticize(self) -> Graph:
-        """Run the full semantic enhancement and return the platform
-        graph: D2R dump + automatic annotations + location analysis."""
+        """The platform graph from scratch: D2R dump + automatic
+        annotations + location analysis of every item.
+
+        Nothing on the read path calls this — the store is maintained by
+        deltas (:meth:`synchronize_store`). It stays as the independent
+        statement of what the platform graph *is*, which the tests hold
+        the incremental path to after every flush."""
         graph = dump_graph(self.db, self.mapping)
         for item in self.contents():
-            annotation = self.annotator.annotate(
-                item.title, item.plain_tags
-            )
-            self._annotations[item.pid] = annotation
-            for ann in annotation.annotations:
-                graph.add((item.resource, DCTERMS.subject, ann.resource))
-
-            context = self.context.contextualize(
-                item.owner, item.timestamp
-            )
-            triple_tags, _ = split_tags(item.context_tags)
-            analysis = self.location_analyzer.analyze(
-                context, tuple(triple_tags)
-            )
-            if analysis.geonames_resource is not None:
-                graph.add(
-                    (item.resource, TLV.location,
-                     analysis.geonames_resource)
-                )
-            for buddy_resource in analysis.buddy_resources:
-                graph.add((item.resource, TLV.nearby, buddy_resource))
-            graph.add_all(analysis.triples)
-            if analysis.poi_resource is not None:
-                graph.add(
-                    (item.resource, DCTERMS.subject,
-                     analysis.poi_resource)
-                )
-        self._semantic_graph = graph
-        self._union = None
-        self._dirty = False
+            graph.add_all(self._annotation_triples(item))
+            graph.add_all(self._location_triples(item))
         return graph
 
+    def _annotation_triples(self, item: ContentItem) -> Tuple[Triple, ...]:
+        """Run the annotation pipeline on an item's title and tags."""
+        annotation = self.annotator.annotate(item.title, item.plain_tags)
+        self._annotations[item.pid] = annotation
+        return tuple(
+            (item.resource, DCTERMS.subject, ann.resource)
+            for ann in annotation.annotations
+        )
+
+    def _location_triples(self, item: ContentItem) -> Tuple[Triple, ...]:
+        """Location analysis of an item: its owner's (and the owner's
+        friends') position fixes around the capture time, plus the
+        explicit POI tag."""
+        context = self.context.contextualize(item.owner, item.timestamp)
+        triple_tags, _ = split_tags(item.context_tags)
+        analysis = self.location_analyzer.analyze(
+            context, tuple(triple_tags)
+        )
+        triples: List[Triple] = list(analysis.triples)
+        if analysis.geonames_resource is not None:
+            triples.append(
+                (item.resource, TLV.location, analysis.geonames_resource)
+            )
+        for buddy_resource in analysis.buddy_resources:
+            triples.append((item.resource, TLV.nearby, buddy_resource))
+        if analysis.poi_resource is not None:
+            triples.append(
+                (item.resource, DCTERMS.subject, analysis.poi_resource)
+            )
+        return tuple(triples)
+
     def annotation_result(self, pid: int) -> Optional[AnnotationResult]:
-        """The pipeline output for a content (populated by semanticize)."""
+        """The pipeline output for a content (populated when the item's
+        annotation is flushed, or by :meth:`semanticize`)."""
         return self._annotations.get(pid)
+
+    # ------------------------------------------------------------------
+    # The write path: source -> contribution -> reference count -> one
+    # WriteBatch per flush (DESIGN.md, "Write path")
+    # ------------------------------------------------------------------
+    def _touch(self, *sources: Source) -> None:
+        """Record that a mutation changed (or removed) ``sources``."""
+        if self._store is not None:  # else the bootstrap covers it
+            self._pending.update(dict.fromkeys(sources))
+
+    def _relocate(self, entries) -> None:
+        """Re-run location analysis (never annotation) for the items of
+        some ``(timestamp, pid)`` timeline entries."""
+        self._touch(*(("location", pid) for _, pid in entries))
+
+    def _relocate_around_fix(self, username: str, timestamp: int) -> None:
+        """A position fix of ``username`` at ``timestamp`` can change
+        ``position_at`` only inside ``[timestamp, timestamp +
+        MAX_FIX_AGE]``, and only for items of the user (their location)
+        or of a friend (the user as a nearby buddy)."""
+        for owner in (username, *self.context.friends_of(username)):
+            timeline = self._timeline.get(owner, ())
+            self._relocate(timeline[
+                bisect_left(timeline, (timestamp,)):
+                bisect_left(timeline, (timestamp + MAX_FIX_AGE + 1,))
+            ])
+
+    def _all_sources(self) -> Iterator[Source]:
+        for table_name in self.mapping.table_maps:
+            table = self.db.table(table_name)
+            key = table.primary_key.name
+            for row in table.scan():
+                yield (table_name, row[key])
+        for pid in sorted(self._items):
+            yield ("annotation", pid)
+            yield ("location", pid)
+
+    def _contribution(self, source: Source) -> Tuple[Triple, ...]:
+        """The triples ``source`` contributes now (none once it is gone)."""
+        kind, key = source
+        if kind in ("annotation", "location"):
+            item = self._items.get(key)
+            if item is None:
+                return ()
+            if kind == "annotation":
+                return self._annotation_triples(item)
+            return self._location_triples(item)
+        row = self.db.table(kind).get(key)
+        if row is None:
+            return ()
+        return tuple(lift_row(self.db, self.mapping, kind, row))
+
+    def _pending_delta(
+        self,
+    ) -> Tuple[Dict[Source, Tuple[Triple, ...]], Dict[Triple, int]]:
+        """Recompute the touched sources; returns their contributions
+        and, per triple, the change of its reference count. Changes no
+        write-path state: that waits for the commit to succeed."""
+        fresh = {
+            source: self._contribution(source) for source in self._pending
+        }
+        delta: Dict[Triple, int] = {}
+        for source, triples in fresh.items():
+            for triple in triples:
+                delta[triple] = delta.get(triple, 0) + 1
+            for triple in self._sources.get(source, ()):
+                delta[triple] = delta.get(triple, 0) - 1
+        return fresh, delta
+
+    def _settle(
+        self,
+        fresh: Dict[Source, Tuple[Triple, ...]],
+        delta: Dict[Triple, int],
+    ) -> None:
+        """The store holds the delta: make it the recorded state."""
+        for triple, change in delta.items():
+            count = self._refs.get(triple, 0) + change
+            if count:
+                self._refs[triple] = count
+            else:
+                self._refs.pop(triple, None)
+        for source, triples in fresh.items():
+            if triples:
+                self._sources[source] = triples
+            else:
+                self._sources.pop(source, None)
+        self._pending.clear()
 
     # ------------------------------------------------------------------
     # The triple store
     # ------------------------------------------------------------------
-    def triple_store(self) -> Dataset:
-        """Named-graph dataset: platform graph + the LOD corpus."""
-        if self._semantic_graph is None or self._dirty:
-            self.semanticize()
-        return self.corpus.as_dataset(self._semantic_graph)
-
-    def union_graph(self) -> Graph:
-        """The merged corpus + platform graph, as a *read-only* view.
-
-        The union is a derived copy: a write to it would never reach
-        the corpus or the platform graph, so the cache is frozen before
-        it is handed out (build-then-publish — mutation happens on the
-        local merged graph, then ``freeze()`` shares its indexes
-        zero-copy). Consumers that need fresh results after an upload
-        re-pull this method; see :class:`~repro.platform.sparql_push.
-        SparqlPushService` for the provider-based pattern.
-        """
-        if self._semantic_graph is None or self._dirty:
-            self.semanticize()
-        if self._union is None:
-            merged = self.corpus.union(self._semantic_graph)
-            if self.inference:
-                from ..lod.ontology import build_ontology
-                from ..rdf.inference import rdfs_closure
-
-                rdfs_closure(merged, build_ontology())
-            self._union = freeze(merged)
-        return self._union
-
-    # ------------------------------------------------------------------
-    # MVCC quad-store persistence
-    # ------------------------------------------------------------------
     def attach_store(self, store) -> "Platform":
-        """Back the triple store with an MVCC quad-store
-        (:class:`repro.store.QuadStore`): every
-        :meth:`synchronize_store` reconciles the store with the current
-        corpus + platform graph as one generation-stamped commit, and
-        :meth:`evaluator` serves queries from pinned snapshots of it —
-        with WAL + snapshot durability when the store is on disk."""
+        """Keep the triple store in an MVCC quad-store
+        (:class:`repro.store.QuadStore`; without this call the platform
+        uses a private in-memory one).
+
+        The one from-scratch pass of the write path: every source's
+        contribution is computed and the store is reconciled — the
+        platform graph into the default context, the LOD corpus into
+        its three named contexts, other contexts left alone — as one
+        generation-stamped commit. From then on :meth:`evaluator`
+        serves queries from pinned snapshots of it, with WAL + snapshot
+        durability when the store is on disk."""
+        # detached while rebuilding: a failure leaves the platform
+        # without a store (the next read builds a private one), never
+        # with a half-recorded one
+        self._store = None
+        self._closure = None
+        self._sources, self._refs = {}, {}
+        self._pending = dict.fromkeys(self._all_sources())
+        fresh, delta = self._pending_delta()
+        dataset = self.corpus.as_dataset()
+        dataset.default.add_all(delta)
+        store.sync_dataset(dataset)
         self._store = store
-        self.synchronize_store()
+        self._settle(fresh, delta)
         return self
 
     def synchronize_store(self) -> Optional[int]:
-        """Bring the attached store up to date with the platform's
-        triple store; returns the store generation (None when no store
-        is attached). Unchanged data commits nothing — the generation
-        only advances when the dataset actually differs."""
+        """Flush: commit what the mutations since the last flush changed
+        as **one** ``WriteBatch`` (a triple is added when its first
+        source appears and removed when its last one goes); returns the
+        store generation. With nothing pending this commits nothing and
+        the generation stays."""
         if self._store is None:
-            return None
-        return self._store.sync_dataset(self.triple_store())
+            self.attach_store(QuadStore(name="platform"))
+        if not self._pending:
+            return self._store.generation
+        fresh, delta = self._pending_delta()
+        batch = WriteBatch()
+        for triple, change in delta.items():
+            count = self._refs.get(triple, 0)
+            if count == 0 and change > 0:
+                batch.insert(triple)
+            elif count > 0 and count + change == 0:
+                batch.remove(triple)
+        generation = self._store.commit(batch)
+        self._settle(fresh, delta)
+        return generation
+
+    def triple_store(self) -> Dataset:
+        """Named-graph dataset: platform graph + the LOD corpus, pinned
+        to the store generation the flush left."""
+        self.synchronize_store()
+        return self._store.dataset_snapshot()
+
+    def union_graph(self) -> Graph:
+        """The merged corpus + platform graph, as a *read-only* view
+        pinned to one store generation.
+
+        A write to it would never reach the store, so it raises
+        :class:`~repro.rdf.graph.FrozenGraphError`. Consumers that need
+        fresh results after an upload re-pull this method; see
+        :class:`~repro.platform.sparql_push.SparqlPushService` for the
+        provider-based pattern.
+
+        With ``inference=True`` the view is the RDFS closure of that
+        union, materialized once per store generation — O(corpus) after
+        every commit, the price of that mode.
+        """
+        self.synchronize_store()
+        head = self._store.head()
+        if not self.inference:
+            return head
+        if self._closure is None or self._closure[0] != head.generation:
+            from ..lod.ontology import build_ontology
+            from ..rdf.inference import rdfs_closure
+
+            merged = head.copy()
+            rdfs_closure(merged, build_ontology())
+            self._closure = (head.generation, freeze(merged))
+        return self._closure[1]
 
     def evaluator(self) -> Evaluator:
         """The platform's SPARQL endpoint over everything.
 
-        With an attached store (and inference off) the evaluator pins
-        one MVCC snapshot, so it never observes writes committed after
-        this call; otherwise it reads the frozen in-memory union."""
-        if self._store is not None and not self.inference:
-            self.synchronize_store()
-            return Evaluator(self._store)
-        return Evaluator(self.union_graph())
+        Flushes what is pending (nothing, usually: then this only pins
+        the head) and pins one MVCC snapshot, so the evaluator never
+        observes writes committed after this call. In inference mode it
+        reads the frozen closure of :meth:`union_graph` instead."""
+        if self.inference:
+            return Evaluator(self.union_graph())
+        self.synchronize_store()
+        return Evaluator(self._store)

@@ -1210,10 +1210,13 @@ class QuadStore:
 
     # -- dataset interop -------------------------------------------------
     def sync_dataset(self, dataset: Dataset) -> int:
-        """Commit the delta that makes this store equal ``dataset``.
+        """Commit the delta that makes every context ``dataset`` names
+        (its default graph and each named graph) equal to it; contexts
+        it does not name belong to other writers and are left alone.
 
-        One generation for the whole reconciliation; unchanged quads
-        cost nothing. Returns the resulting generation."""
+        The bulk loader: one generation for the whole reconciliation,
+        unchanged quads cost nothing, at the price of visiting both
+        sides in full. Returns the resulting generation."""
         desired: Dict[ContextKey, Set[Triple]] = {
             None: set(dataset.default.triples())
         }
@@ -1222,13 +1225,12 @@ class QuadStore:
             desired[key] = set(graph.triples())
         batch = WriteBatch()
         state = self._state  # cc: allow=CC001 (atomic reference read)
-        for key, cs in state.contexts.items():
-            want = desired.get(key, set())
-            for triple in _context_triples(cs, (None, None, None)):
-                if triple not in want:
-                    batch.ops.append((OP_REMOVE, triple, key))
         for key, want in desired.items():
             cs = state.contexts.get(key)
+            if cs is not None:
+                for triple in _context_triples(cs, (None, None, None)):
+                    if triple not in want:
+                        batch.ops.append((OP_REMOVE, triple, key))
             for triple in sorted(want):
                 if cs is None or not _context_visible(cs, triple):
                     batch.ops.append((OP_ADD, triple, key))

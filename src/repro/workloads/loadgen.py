@@ -3,13 +3,13 @@
 Concurrency: thread-safe
 Graph-writes: a scratch quad-store context via the ``StoreGraph``
 facade (generation-stamped commits), and the platform's attached store
-through ``Platform.synchronize_store``
+through ``Platform.synchronize_store`` (one delta commit per flush)
 
 The ROADMAP's "load-tested SLOs" harness: drive a
 :class:`~repro.platform.gallery.Platform` + :class:`~repro.platform.
 web.WebInterface` + :class:`~repro.store.engine.QuadStore` stack with
 the paper's interactive traffic — uploads that get annotated and
-synced, incremental-search suggestions (§4), the three virtual-album
+flushed to the store, incremental-search suggestions (§4), the three virtual-album
 SPARQL queries, the About mashup, content browsing, and raw store
 writes through the group-commit path — from several worker threads at
 once, and report per-operation latency distributions out of the
@@ -34,7 +34,11 @@ Freshness is measured end to end: an upload records its start time,
 every ``sync_every``-th upload triggers ``synchronize_store`` plus a
 search-index rebuild, and each drained upload is verified visible in
 the store head before its upload-to-queryable staleness is observed
-into ``repro_loadgen_freshness_seconds``.
+into ``repro_loadgen_freshness_seconds``. ``synchronize_store`` is the
+platform's flush: it annotates and locates the uploads since the last
+one and commits their triples as a single delta — O(those uploads),
+not O(corpus) — so the staleness measured here is dominated by how
+long an upload waits for its ``sync_every`` batch to fill.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Context platform and gazetteer tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.context import (
     CalendarEntry,
@@ -181,3 +182,52 @@ class TestContextTags:
     def test_no_location_no_tags(self, platform):
         context = platform.contextualize("oscar", 100)
         assert platform.context_tags(context) == []
+
+
+def _linear_position_at(fixes, timestamp, max_age):
+    """The lookup as it was before the list was bisected: scan the
+    fixes in time order (stable: equal timestamps in report order) and
+    keep the first one with the greatest timestamp <= ``timestamp``."""
+    best = None
+    for fix_time, point in sorted(fixes, key=lambda fix: fix[0]):
+        if fix_time <= timestamp and (best is None or fix_time > best[0]):
+            best = (fix_time, point)
+    if best is None or timestamp - best[0] > max_age:
+        return None
+    return best[1]
+
+
+class TestPositionLookupMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # few distinct timestamps, so ties are common; each fix gets
+        # its own point, so which fix won is visible in the answer
+        fixes=st.lists(st.integers(0, 12), max_size=14),
+        queries=st.lists(
+            st.tuples(st.integers(-2, 16), st.sampled_from([0, 1, 3, 3600])),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_bisected_list_answers_like_the_scan(self, fixes, queries):
+        platform = ContextPlatform()
+        platform.register_user("oscar")
+        reported = []
+        for serial, fix_time in enumerate(fixes):
+            fix = (fix_time * 1000, Point(7.0 + serial / 100.0, 45.0))
+            platform.report_position("oscar", *fix)
+            reported.append(fix)
+            for when, max_age in queries:
+                assert platform.position_at(
+                    "oscar", when * 1000, max_age * 1000
+                ) == _linear_position_at(
+                    reported, when * 1000, max_age * 1000
+                )
+
+    def test_first_reported_fix_wins_a_tie(self):
+        platform = ContextPlatform()
+        platform.register_user("oscar")
+        platform.report_position("oscar", 100, MOLE)
+        platform.report_position("oscar", 100, ROME_CENTER)
+        platform.report_position("oscar", 50, TURIN_SUBURB)
+        assert platform.position_at("oscar", 100) == MOLE
+        assert platform.position_at("oscar", 99) == TURIN_SUBURB
