@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check test lint-tools self-check lint-concurrency lint-effects \
 	sanitize sanitize-store benchmarks bench-store bench-loadgen \
-	bench-write-path bench-e2e-selftest slo-smoke
+	bench-write-path bench-read-path bench-e2e-selftest slo-smoke
 
 ## The CI gate: tier-1 tests + static analysis + the repo's own lint.
 check: test lint-tools self-check lint-concurrency lint-effects
@@ -70,6 +70,14 @@ bench-loadgen:
 bench-write-path:
 	$(PYTHON) -m pytest benchmarks/bench_write_path.py \
 		--benchmark-only -q -k "not scaling"
+
+## Read-path guards, counts not timings: geo-filter evaluations of Q1
+## at 1 600 contents <= 2x the same at 200 (the spatial grid, not every
+## geometry), a commit rewrites no more grid cells than its delta has
+## geometry triples, a repeated query plans and parses 0 times.
+bench-read-path:
+	$(PYTHON) -m pytest benchmarks/bench_read_path.py \
+		--benchmark-only -q
 
 ## Self-test of the BENCHMARK.json driver (benchmarks/e2e): every
 ## workload at reduced op counts with its correctness oracles, every

@@ -1,0 +1,205 @@
+"""READ PATH — a geo read must not grow with the corpus, nor a commit
+rebuild what reads rely on.
+
+Three machine-independent guards, counts not timings (DESIGN.md, "Read
+path"):
+
+* ``bench_geo_filter_flat`` — ``bif:st_intersects`` evaluations of one
+  geo album (Q1) at 1 600 contents divided by the same at 200 must stay
+  <= 2. The larger corpus is scattered over a proportionally larger
+  area, so the album's answer stays the same size: what the filter is
+  asked about is what the spatial grid hands it, not every geometry in
+  the store (8x before the grid — linear in the corpus).
+* ``bench_upload_rewrites_its_cells_only`` — the grid a commit carries
+  forward rewrites at most as many cells as its delta has geometry
+  triples, and no statistics pass over the store runs.
+* ``bench_repeat_plans_nothing`` — a query repeated against an
+  unchanged store generation is parsed and planned zero times.
+
+Results persist to ``BENCH_read_path.json`` via :mod:`_harness`.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+from _harness import record
+from repro.analysis.plan import QueryPlanner
+from repro.core import geo_album
+from repro.obs import get_registry
+from repro.platform import Platform
+from repro.rdf import GEO
+from repro.sparql import Evaluator
+from repro.sparql import evaluator as evaluator_module
+from repro.sparql import functions as sparql_functions
+from repro.store import QuadStore
+from repro.workloads import (
+    WorkloadConfig,
+    generate_workload,
+    populate_platform,
+)
+
+SMALL, LARGE = 200, 1600
+UPLOADS = 20
+SEED = 7
+SCATTER_KM = 1.5  # at SMALL; grows with the corpus to keep its density
+
+
+def _stack(contents: int):
+    """A populated platform attached to a store, its workload, and the
+    store. The scatter area grows with the corpus, so a fixed radius
+    around a monument holds about as many contents at every size."""
+    workload = generate_workload(WorkloadConfig(
+        n_users=10, n_contents=contents, seed=SEED,
+        scatter_km=SCATTER_KM * math.sqrt(contents / SMALL),
+    ))
+    platform = Platform()
+    populate_platform(platform, workload)
+    store = QuadStore(name=f"read-path-{contents}")
+    platform.attach_store(store)
+    return platform, workload, store
+
+
+def _count_calls(owner, name: str):
+    """Wrap ``owner.name`` with a call counter; returns (calls, undo)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
+    return calls, lambda: setattr(owner, name, original)
+
+
+def _geo_album_filter_evaluations(store: QuadStore):
+    """(filter evaluations, links, seconds) of one Q1 over ``store``."""
+    query = geo_album().query
+    Evaluator(store).evaluate(query)  # statistics + plan out of the way
+    # fn_st_intersects looks the geometry test up in its own module, so
+    # counting there leaves FUNCTIONS — and with it the probe — alone
+    calls, undo = _count_calls(sparql_functions, "st_intersects")
+    try:
+        began = time.perf_counter()
+        links = Evaluator(store).evaluate(query)
+        took = time.perf_counter() - began
+    finally:
+        undo()
+    return len(calls), len(links), took
+
+
+def bench_geo_filter_flat(benchmark):
+    _, _, small = _stack(SMALL)
+    _, _, large = _stack(LARGE)
+    at_small, links_small, _ = _geo_album_filter_evaluations(small)
+    at_large, links_large, took = _geo_album_filter_evaluations(large)
+    ratio = at_large / max(1, at_small)
+
+    benchmark.extra_info.update({
+        "evaluations_at_200": at_small,
+        "evaluations_at_1600": at_large,
+        "ratio": round(ratio, 2),
+    })
+    record(
+        "read_path",
+        [took * 1000.0],
+        extra={
+            "section": "geo_filter_flat",
+            "contents": [SMALL, LARGE],
+            "evaluations": [at_small, at_large],
+            "links": [links_small, links_large],
+            "geometries": [
+                small.statistics().geo_points,
+                large.statistics().geo_points,
+            ],
+            "ratio_1600_over_200": round(ratio, 3),
+        },
+    )
+    assert links_small and links_large, "the album must not be empty"
+    assert ratio <= 2.0, (
+        f"geo filter evaluations grow with the corpus: {at_large} at "
+        f"{LARGE} contents vs {at_small} at {SMALL} ({ratio:.1f}x)"
+    )
+    query = geo_album().query
+    benchmark.pedantic(
+        lambda: Evaluator(large).evaluate(query), rounds=20, iterations=1
+    )
+
+
+def bench_upload_rewrites_its_cells_only(benchmark):
+    platform, base, store = _stack(SMALL)
+    extra = generate_workload(WorkloadConfig(
+        n_users=10, n_contents=UPLOADS, seed=SEED + 1,
+        start_timestamp=base.captures[-1].timestamp,
+    ))
+    rebuilds = get_registry().counter("repro_graph_stats_rebuilds_total")
+    before = store.statistics()
+    rebuilt_before = rebuilds.value
+    worst = (0, 0)
+    for capture in extra.captures:
+        old_head = store.head()
+        platform.upload(capture)
+        platform.evaluator()  # flushes the upload as one commit
+        after = store.statistics()
+        old = set(old_head.triples((None, GEO.geometry, None)))
+        new = set(store.head().triples((None, GEO.geometry, None)))
+        delta = len(old ^ new)
+        cells = set(before.geo_grid) | set(after.geo_grid)
+        rewritten = sum(
+            1 for cell in cells
+            if after.geo_grid.get(cell) is not before.geo_grid.get(cell)
+        )
+        assert rewritten <= delta, (
+            f"a commit with {delta} geometry triple(s) rewrote "
+            f"{rewritten} grid cell(s)"
+        )
+        worst = max(worst, (rewritten, delta))
+        before = after
+    assert rebuilds.value == rebuilt_before, (
+        "statistics were re-collected instead of carried by the commits"
+    )
+    benchmark.extra_info["cells_rewritten_max"] = worst[0]
+    record(
+        "read_path",
+        [0.0],
+        extra={
+            "section": "upload_cells",
+            "uploads": UPLOADS,
+            "cells_rewritten_max": worst[0],
+            "geometry_triples_in_that_delta": worst[1],
+            "occupied_cells": len(before.geo_grid),
+        },
+    )
+    benchmark.pedantic(store.statistics, rounds=20, iterations=1)
+
+
+def bench_repeat_plans_nothing(benchmark):
+    _, _, store = _stack(SMALL)
+    query = geo_album().query
+    Evaluator(store).evaluate(query)
+    plans, undo_plan = _count_calls(QueryPlanner, "plan")
+    parses, undo_parse = _count_calls(evaluator_module, "parse_query")
+    try:
+        for _ in range(10):
+            Evaluator(store).evaluate(query)
+    finally:
+        undo_plan()
+        undo_parse()
+    benchmark.extra_info.update({"plans": len(plans), "parses": len(parses)})
+    record(
+        "read_path",
+        [0.0],
+        extra={
+            "section": "repeat", "repeats": 10,
+            "plans": len(plans), "parses": len(parses),
+        },
+    )
+    assert not plans and not parses, (
+        f"10 repeats of one query on one generation planned "
+        f"{len(plans)} and parsed {len(parses)} time(s)"
+    )
+    benchmark.pedantic(
+        lambda: Evaluator(store).evaluate(query), rounds=20, iterations=1
+    )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..rdf.namespace import GEO
 from ..rdf.terms import Variable
 from ..sparql.algebra import (
     AggregateNode,
@@ -36,6 +37,7 @@ from ..sparql.algebra import (
     EmptyNode,
     ExtendNode,
     FilterNode,
+    GeoProbe,
     GraphNode,
     JoinNode,
     LeftJoinNode,
@@ -66,6 +68,8 @@ from ..sparql.ast import (
     SelectQuery,
     TermExpr,
 )
+from ..sparql.functions import FUNCTIONS
+from ..sparql.geo import Point, bounding_box
 from .diagnostics import Diagnostic
 from .rules import make
 from .sparql_lint import (
@@ -75,11 +79,14 @@ from .sparql_lint import (
     _interval_contradiction,
     _statically_false,
 )
-from .stats import GraphStatistics
+from .stats import GraphStatistics, _constant_number
 
 #: Magic predicates are constraints, not scans — they bind nothing and
 #: require their subject bound before they run.
 _MAGIC = "bif:contains"
+
+#: The geo filter the spatial grid is an access path for.
+_ST_INTERSECTS = "bif:st_intersects"
 
 #: Function names whose value depends on more than their arguments; a
 #: filter calling one of these is never folded or pushed.
@@ -643,11 +650,23 @@ def _reorder_bgp(
     node: BGPNode, bound: Set[str], ctx: _PassContext
 ) -> BGPNode:
     scans = list(node.scans)
+
+    def probe_of(scan: ScanStep, running: Set[str]):
+        return _geo_probe(scan, running, node.pushed + scan.filters, ctx)
+
+    def cost(scan: ScanStep, running: Set[str]) -> float:
+        # a grid probe competes on its estimate alone: it is not
+        # "connected" to the variable its filter compares against
+        probe = probe_of(scan, running)
+        if probe is not None:
+            return ctx.stats.geo_probe_cardinality(probe.radius_km)
+        return _scan_estimate(scan, running, ctx)
+
     if len(scans) > 1:
         ordered = _greedy_order(
             scans,
             set(bound),
-            lambda s, b: _scan_estimate(s, b, ctx),
+            cost,
             lambda s: s.variables(),
             ctx,
             kind="triple patterns",
@@ -660,10 +679,16 @@ def _reorder_bgp(
                 "estimated selectivity",
             )
         scans = ordered
+    attached: List[ScanStep] = []
+    running = set(bound)
+    for scan in scans:
+        attached.append(
+            ScanStep(scan.pattern, scan.filters, probe_of(scan, running))
+        )
+        running |= scan.variables()
     # attach pushed filters at the earliest scan where all their
     # variables are bound; whatever cannot attach stays on the BGP
     leftover: List[Expression] = []
-    attached = [ScanStep(s.pattern, s.filters) for s in scans]
     for expr in node.pushed:
         variables = _expr_vars(expr)
         running = set(bound)
@@ -676,7 +701,102 @@ def _reorder_bgp(
                 break
         if not placed:
             leftover.append(expr)
-    return BGPNode(attached, leftover, ordered=True)
+    tail = _disconnected_tail(attached, bound)
+    if tail is not None:
+        # the filters relating head and tail apply where the two are
+        # paired: after the last scan, i.e. as filters of the BGP
+        head_vars = set().union(*(s.variables() for s in attached[:tail]))
+        last = attached[-1]
+        spanning = [
+            e for e in last.filters if _expr_vars(e) & head_vars
+        ]
+        last.filters = [e for e in last.filters if e not in spanning]
+        leftover = spanning + leftover
+    return BGPNode(attached, leftover, ordered=True, tail=tail)
+
+
+def _geo_probe(
+    scan: ScanStep,
+    bound: Set[str],
+    filters: Sequence[Expression],
+    ctx: _PassContext,
+) -> Optional[GeoProbe]:
+    """The grid access path of ``?s geo:geometry ?o`` (both unbound),
+    if one of ``filters`` is ``bif:st_intersects`` between ``?o`` and a
+    constant or already-bound geometry within a constant radius."""
+    pattern = scan.pattern
+    subject, geometry = pattern.subject, pattern.object
+    if (
+        pattern.predicate != GEO.geometry
+        or ctx.stats is None
+        or not isinstance(subject, Variable)
+        or not isinstance(geometry, Variable)
+        or subject == geometry
+        or str(subject) in bound
+        or str(geometry) in bound
+    ):
+        return None
+    if ctx.functions is not None and ctx.functions.get(
+        _ST_INTERSECTS
+    ) is not FUNCTIONS[_ST_INTERSECTS]:
+        return None  # a deployment's own bif:st_intersects decides
+    for expr in filters:
+        if not (
+            isinstance(expr, FunctionCall)
+            and expr.name == _ST_INTERSECTS
+            and len(expr.args) == 3
+        ):
+            continue
+        radius = _constant_number(expr.args[2])
+        # a radius no centre has a bounding box for (negative, a
+        # quarter circumference or more) leaves nothing to probe
+        if radius is None or bounding_box(Point(0.0, 0.0), radius) is None:
+            continue
+        for mine, other in (expr.args[:2], expr.args[1::-1]):
+            if (
+                isinstance(mine, TermExpr)
+                and mine.term == geometry
+                and isinstance(other, TermExpr)
+                and (
+                    not isinstance(other.term, Variable)
+                    or str(other.term) in bound
+                )
+            ):
+                return GeoProbe(expr, other.term, radius)
+    return None
+
+
+def _disconnected_tail(
+    scans: List[ScanStep], bound: Set[str]
+) -> Optional[int]:
+    """Index of the first scan of a disconnected tail, if there is one.
+
+    The smallest ``k >= 1`` such that the scans from ``k`` on use no
+    variable of the scans before ``k`` nor of the incoming solution —
+    a grid probe *uses* its centre variable — and no filter before the
+    last scan relates the two halves (one there prunes the rest of the
+    tail per head row, which evaluating the tail once would give up).
+    A ``bif:contains`` step counts its subject like any scan variable,
+    so a tail never holds one whose subject the head binds.
+    """
+    needs = [
+        s.variables() | (
+            {str(s.probe.center)}
+            if s.probe is not None
+            and isinstance(s.probe.center, Variable) else set()
+        )
+        for s in scans
+    ]
+    for k in range(1, len(scans)):
+        head_vars = set().union(*(s.variables() for s in scans[:k]))
+        if not set(bound).union(*needs[:k]) & set().union(
+            *needs[k:]
+        ) and not any(
+            _expr_vars(expr) & head_vars
+            for scan in scans[k:-1] for expr in scan.filters
+        ):
+            return k
+    return None
 
 
 def _scan_deferred(scan: ScanStep, bound: Set[str]) -> bool:
@@ -967,15 +1087,27 @@ def _estimate(
 ) -> Tuple[float, Set[str]]:
     if isinstance(node, BGPNode):
         rows = in_rows
+        head_rows = 1.0
         running = set(bound)
-        for scan in node.scans:
-            rows *= max(
-                stats.scan_cardinality(scan.pattern, running), 0.0
-            )
+        for index, scan in enumerate(node.scans):
+            if index == node.tail:
+                # the tail runs once, whatever the head yields; the
+                # two are multiplied where they are paired
+                head_rows, rows = rows, 1.0
+            probe = scan.probe
+            if probe is not None:
+                # the probe's estimate already counts its own filter
+                rows *= stats.geo_probe_cardinality(probe.radius_km)
+            else:
+                rows *= max(
+                    stats.scan_cardinality(scan.pattern, running), 0.0
+                )
             for expr in scan.filters:
-                rows *= stats.filter_selectivity(expr)
+                if probe is None or expr is not probe.filter:
+                    rows *= stats.filter_selectivity(expr)
             scan.est_rows = rows
             running |= scan.variables()
+        rows *= head_rows
         for expr in node.pushed:
             rows *= stats.filter_selectivity(expr)
         node.est_rows = rows
@@ -1251,19 +1383,18 @@ def explain(
     optimized_ms = None
     naive_ms = None
     if execute and isinstance(query, SelectQuery):
-        # per-node wall-time accounting (PlanNode.actual_ms / the
-        # plan.* spans) is normally off — EXPLAIN is the one consumer
-        # that always wants it
-        previous_timing = getattr(
-            evaluator, "_time_plan_nodes", False
-        )
-        evaluator._time_plan_nodes = True
+        # per-node wall-time accounting (the plan.* spans) is normally
+        # off, and a run never writes actual_rows / actual_ms on the
+        # plan it executes (evaluate() may be sharing it) — EXPLAIN is
+        # the one consumer that wants both, on a plan of its own
+        previous = evaluator._time_plan_nodes, evaluator._annotate
+        evaluator._time_plan_nodes = evaluator._annotate = True
         try:
             start = time.perf_counter()
             rows = evaluator._exec_modifier(planned.plan)
             optimized_ms = (time.perf_counter() - start) * 1000.0
         finally:
-            evaluator._time_plan_nodes = previous_timing
+            evaluator._time_plan_nodes, evaluator._annotate = previous
         row_count = len(rows)
         if compare:
             start = time.perf_counter()

@@ -6,7 +6,11 @@ subject/object counts (via ``Graph.predicate_statistics``), per-class
 instance counts from ``rdf:type``, and the bounding box of every
 ``geo:geometry`` WKT point so that ``bif:st_intersects(?a, ?b, r)``
 filters get a spatial selectivity estimate (circle area over data
-bounding-box area).
+bounding-box area). The same pass files every such point into a
+fixed-cell spatial grid (:attr:`GraphStatistics.geo_grid`) — the access
+path the executor probes instead of scanning all geometries when a
+``bif:st_intersects`` filter constrains them (what ``rdf_geo_fill``
+gives the paper's Virtuoso).
 
 The estimation formulas are the classic System-R style ones: a triple
 pattern with a concrete predicate starts from that predicate's triple
@@ -21,12 +25,12 @@ import math
 import threading
 import time
 from contextlib import nullcontext
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import get_registry
 from ..rdf.graph import Graph
 from ..rdf.namespace import GEO, RDF
-from ..rdf.terms import Term, Variable
+from ..rdf.terms import BNode, Term, Variable
 from ..sparql.ast import (
     AndExpr,
     CompareExpr,
@@ -37,7 +41,7 @@ from ..sparql.ast import (
     OrExpr,
     TriplePatternNode,
 )
-from ..sparql.geo import try_parse_point
+from ..sparql.geo import Point, bounding_box, try_parse_point
 
 #: Fallback selectivities for filter shapes we cannot model better.
 _EQ_SELECTIVITY = 0.1
@@ -46,6 +50,16 @@ _DEFAULT_SELECTIVITY = 0.5
 
 #: ~1 degree of latitude in kilometers (longitude scaled by cos(lat)).
 _KM_PER_DEGREE = 111.195
+
+#: Edge of one spatial-grid cell in degrees: ~1.1 km of latitude, ~0.8 km
+#: of longitude at 45°N. The paper's radii are 0.2–1 km, so a probe
+#: touches 1–9 cells; a finer grid multiplies empty-cell lookups for the
+#: 1 km radius, a coarser one hands the exact filter a whole district.
+GEO_CELL_DEGREES = 0.01
+
+#: One indexed geometry: (subject, geometry term, longitude, latitude).
+GeoEntry = Tuple[Term, Term, float, float]
+GeoCell = Tuple[int, int]
 
 #: Serializes :meth:`GraphStatistics.cached` rebuilds so concurrent
 #: readers of a stale graph cannot each launch a full collection pass.
@@ -74,6 +88,7 @@ class GraphStatistics:
         class_counts: Dict[Term, int],
         bbox: Optional[Tuple[float, float, float, float]],
         geo_points: int,
+        geo_grid: Optional[Dict[GeoCell, Tuple[GeoEntry, ...]]] = None,
     ) -> None:
         self.total = total
         self.predicates = predicates
@@ -81,6 +96,20 @@ class GraphStatistics:
         #: (min_lon, min_lat, max_lon, max_lat) of geo:geometry points.
         self.bbox = bbox
         self.geo_points = geo_points
+        #: Spatial grid over the same points: cell -> its entries. A
+        #: geometry the ``bif:st_intersects`` filter would reject
+        #: anyway (unparseable text, blank node) is not in it. Never
+        #: mutated once published; :meth:`apply_delta` shares every
+        #: cell a commit did not touch with the snapshot it came from.
+        self.geo_grid: Dict[GeoCell, Tuple[GeoEntry, ...]] = (
+            geo_grid if geo_grid is not None else {}
+        )
+        #: Rewritten plans of queries run against this snapshot, by
+        #: query text — owned (bounded, locked) by the evaluator. They
+        #: live here because a plan is only valid for the statistics
+        #: it was pruned and ordered with: a new fingerprint is a new
+        #: ``GraphStatistics`` object, which starts with no plans.
+        self.plans: Dict[str, object] = {}
         #: ``Graph._version`` at collection time (staleness detection);
         #: an always-stale sentinel when the graph has no version.
         self.fingerprint: object = None
@@ -91,6 +120,11 @@ class GraphStatistics:
     def age_seconds(self) -> float:
         """Seconds since this snapshot was collected."""
         return max(time.time() - self.collected_at, 0.0)
+
+    def describes(self, graph) -> bool:
+        """True while ``graph`` is in the state this snapshot counted."""
+        version = _graph_fingerprint(graph)
+        return version is not None and self.fingerprint == version
 
     @classmethod
     def collect(cls, graph: Graph) -> "GraphStatistics":
@@ -110,23 +144,23 @@ class GraphStatistics:
                     class_counts.get(cls_term, 0) + 1
                 )
 
-            min_lon = min_lat = math.inf
-            max_lon = max_lat = -math.inf
-            points = 0
-            for _, _, obj in graph.triples((None, GEO.geometry, None)):
-                point = try_parse_point(obj)
-                if point is None:
-                    continue
-                points += 1
-                min_lon = min(min_lon, point.longitude)
-                max_lon = max(max_lon, point.longitude)
-                min_lat = min(min_lat, point.latitude)
-                max_lat = max(max_lat, point.latitude)
-            bbox = (
-                (min_lon, min_lat, max_lon, max_lat) if points else None
-            )
+            cells: Dict[GeoCell, List[GeoEntry]] = {}
+            for subject, _, obj in graph.triples(
+                (None, GEO.geometry, None)
+            ):
+                entry = _geo_entry(subject, obj)
+                if entry is not None:
+                    cells.setdefault(
+                        _cell_of(entry[2], entry[3]), []
+                    ).append(entry)
+            grid = {
+                cell: tuple(entries) for cell, entries in cells.items()
+            }
             stats = cls(
-                len(graph), predicates, class_counts, bbox, points
+                len(graph), predicates, class_counts,
+                _grid_bbox(grid),
+                sum(len(entries) for entries in grid.values()),
+                grid,
             )
             version = _graph_fingerprint(graph)
         # no fingerprint source -> a unique sentinel: never equal to any
@@ -152,24 +186,14 @@ class GraphStatistics:
         not N — the interleaving the concurrency analyzer flagged when
         the evaluator open-coded this check.
         """
-        version = _graph_fingerprint(graph)
         stats = getattr(graph, "_stats_cache", None)
-        if (
-            stats is not None
-            and version is not None
-            and stats.fingerprint == version
-        ):
+        if stats is not None and stats.describes(graph):
             return stats
         with _REBUILD_LOCK:
             # double-check: another reader may have rebuilt while we
             # waited on the lock
-            version = _graph_fingerprint(graph)
             stats = getattr(graph, "_stats_cache", None)
-            if (
-                stats is not None
-                and version is not None
-                and stats.fingerprint == version
-            ):
+            if stats is not None and stats.describes(graph):
                 return stats
             stats = cls.collect(graph)
             try:
@@ -197,11 +221,14 @@ class GraphStatistics:
         ``triples(pattern)`` — the MVCC store passes lightweight state
         views. Cost is O(delta): per-predicate triple counts and class
         counts adjust by op, distinct subject/object counts use one
-        bounded membership probe per (predicate, candidate) pair, and
-        the geo bounding box only rescans when a removed point sat on
-        the current boundary. This is what replaces the full rebuild
-        (and its ``repro_graph_stats_rebuilds_total`` tick) on every
-        store commit.
+        bounded membership probe per (predicate, candidate) pair, the
+        spatial grid rewrites only the cells a geometry triple of the
+        delta falls in (every other cell is shared with this snapshot),
+        and the geo bounding box is only recomputed — from the grid,
+        not the graph — when a removed point sat on the current
+        boundary. This is what replaces the full rebuild (and its
+        ``repro_graph_stats_rebuilds_total`` tick) on every store
+        commit.
         """
         predicates: Dict[Term, list] = {
             p: [t, s, o] for p, (t, s, o) in self.predicates.items()
@@ -210,8 +237,19 @@ class GraphStatistics:
         bbox = self.bbox
         points = self.geo_points
         bbox_stale = False
+        #: grid cells this delta rewrites, as editable entry lists
+        touched: Dict[GeoCell, List[GeoEntry]] = {}
         subject_candidates: Dict[Term, Set[Term]] = {}
         object_candidates: Dict[Term, Set[Term]] = {}
+
+        def cell_entries(geo: GeoEntry) -> List[GeoEntry]:
+            cell = _cell_of(geo[2], geo[3])
+            entries = touched.get(cell)
+            if entries is None:
+                entries = touched[cell] = list(
+                    self.geo_grid.get(cell, ())
+                )
+            return entries
 
         def entry(predicate: Term) -> list:
             found = predicates.get(predicate)
@@ -227,18 +265,17 @@ class GraphStatistics:
             if p == RDF.type:
                 class_counts[o] = class_counts.get(o, 0) + 1
             elif p == GEO.geometry:
-                point = try_parse_point(o)
-                if point is not None:
+                geo = _geo_entry(s, o)
+                if geo is not None:
+                    cell_entries(geo).append(geo)
                     points += 1
+                    lon, lat = geo[2], geo[3]
                     if bbox is None:
-                        bbox = (point.longitude, point.latitude,
-                                point.longitude, point.latitude)
+                        bbox = (lon, lat, lon, lat)
                     else:
                         bbox = (
-                            min(bbox[0], point.longitude),
-                            min(bbox[1], point.latitude),
-                            max(bbox[2], point.longitude),
-                            max(bbox[3], point.latitude),
+                            min(bbox[0], lon), min(bbox[1], lat),
+                            max(bbox[2], lon), max(bbox[3], lat),
                         )
         for s, p, o in removed:
             entry(p)[0] -= 1
@@ -247,12 +284,15 @@ class GraphStatistics:
             if p == RDF.type:
                 class_counts[o] = class_counts.get(o, 0) - 1
             elif p == GEO.geometry:
-                point = try_parse_point(o)
-                if point is not None:
-                    points -= 1
+                geo = _geo_entry(s, o)
+                if geo is not None:
+                    entries = cell_entries(geo)
+                    if geo in entries:
+                        entries.remove(geo)
+                        points -= 1
                     if bbox is not None and (
-                        point.longitude in (bbox[0], bbox[2])
-                        or point.latitude in (bbox[1], bbox[3])
+                        geo[2] in (bbox[0], bbox[2])
+                        or geo[3] in (bbox[1], bbox[3])
                     ):
                         bbox_stale = True
 
@@ -273,28 +313,20 @@ class GraphStatistics:
                     before, (None, p, o)
                 )
 
-        points = max(points, 0)
+        grid = self.geo_grid
+        if touched:
+            grid = dict(grid)  # shallow: untouched cells stay shared
+            for cell, entries in touched.items():
+                if entries:
+                    grid[cell] = tuple(entries)
+                else:
+                    grid.pop(cell, None)
         if points == 0:
             bbox = None
         elif bbox_stale:
-            # a boundary point left: one pass over the remaining geo
-            # triples (bounded by the geo predicate, not the graph)
-            min_lon = min_lat = math.inf
-            max_lon = max_lat = -math.inf
-            found = 0
-            for _, _, obj in after.triples((None, GEO.geometry, None)):
-                point = try_parse_point(obj)
-                if point is None:
-                    continue
-                found += 1
-                min_lon = min(min_lon, point.longitude)
-                max_lon = max(max_lon, point.longitude)
-                min_lat = min(min_lat, point.latitude)
-                max_lat = max(max_lat, point.latitude)
-            bbox = (
-                (min_lon, min_lat, max_lon, max_lat) if found else None
-            )
-            points = found
+            # a boundary point left: one pass over the remaining
+            # entries of the grid (no graph read, nothing re-parsed)
+            bbox = _grid_bbox(grid)
 
         result = GraphStatistics(
             max(self.total + len(added) - len(removed), 0),
@@ -306,6 +338,7 @@ class GraphStatistics:
             {c: n for c, n in class_counts.items() if n > 0},
             bbox,
             points,
+            grid,
         )
         result.fingerprint = fingerprint
         get_registry().counter(
@@ -411,6 +444,68 @@ class GraphStatistics:
         circle = math.pi * radius_km * radius_km
         return max(min(circle / area, 1.0), 1e-6)
 
+    # ------------------------------------------------------------------
+    # Spatial grid
+    # ------------------------------------------------------------------
+    def geo_candidates(
+        self, center: Point, radius_km: float
+    ) -> Optional[List[GeoEntry]]:
+        """Every indexed geometry that *may* lie within ``radius_km``
+        of ``center``: the entries of the cells the circle's bounding
+        box touches — a superset of the circle (see
+        :func:`repro.sparql.geo.bounding_box`), which the caller still
+        filters exactly. ``None`` when the circle has no such box; the
+        caller then scans.
+        """
+        box = bounding_box(center, radius_km)
+        if box is None:
+            return None
+        low_x, low_y = _cell_of(box[0], box[1])
+        high_x, high_y = _cell_of(box[2], box[3])
+        grid = self.geo_grid
+        if (high_x - low_x + 1) * (high_y - low_y + 1) > len(grid):
+            # a wide circle covers more cells than are occupied
+            return [
+                entry
+                for (x, y), entries in grid.items()
+                if low_x <= x <= high_x and low_y <= y <= high_y
+                for entry in entries
+            ]
+        return [
+            entry
+            for x in range(low_x, high_x + 1)
+            for y in range(low_y, high_y + 1)
+            for entry in grid.get((x, y), ())
+        ]
+
+    def geo_probe_cardinality(self, radius_km: float) -> float:
+        """Estimated matches of one grid probe of ``radius_km``.
+
+        Cells its bounding box covers (at the data's mid latitude, at
+        most the occupied ones) × mean points per occupied cell × the
+        share of a box its inscribed circle fills. Read off the grid's
+        own occupancy because user content clusters around a handful
+        of places: :meth:`spatial_selectivity` spreads the points
+        evenly over the data's bounding box and is off by orders of
+        magnitude for the paper's sub-kilometer radii.
+        """
+        if not self.geo_grid or self.bbox is None:
+            return 0.001
+        min_lon, min_lat, max_lon, max_lat = self.bbox
+        box = bounding_box(
+            Point((min_lon + max_lon) / 2.0, (min_lat + max_lat) / 2.0),
+            radius_km,
+        )
+        if box is None:
+            return float(self.geo_points)
+        covered = min(
+            ((box[2] - box[0]) / GEO_CELL_DEGREES + 1.0)
+            * ((box[3] - box[1]) / GEO_CELL_DEGREES + 1.0),
+            float(len(self.geo_grid)),
+        )
+        per_cell = self.geo_points / len(self.geo_grid)
+        return max(covered * per_cell * math.pi / 4.0, 0.001)
+
     def filter_selectivity(self, expr: Expression) -> float:
         """Heuristic fraction of solutions an expression lets through."""
         if isinstance(expr, AndExpr):
@@ -461,6 +556,37 @@ def _graph_fingerprint(graph) -> Optional[object]:
     if version is not None:
         return version
     return getattr(graph, "generation", None)
+
+
+def _geo_entry(subject: Term, geometry: Term) -> Optional[GeoEntry]:
+    """The grid entry of one ``geo:geometry`` triple; ``None`` for a
+    geometry ``bif:st_intersects`` rejects (blank node, not a POINT)."""
+    if isinstance(geometry, BNode):
+        return None
+    point = try_parse_point(geometry)
+    if point is None:
+        return None
+    return subject, geometry, point.longitude, point.latitude
+
+
+def _cell_of(longitude: float, latitude: float) -> GeoCell:
+    return (
+        math.floor(longitude / GEO_CELL_DEGREES),
+        math.floor(latitude / GEO_CELL_DEGREES),
+    )
+
+
+def _grid_bbox(
+    grid: Dict[GeoCell, Tuple[GeoEntry, ...]]
+) -> Optional[Tuple[float, float, float, float]]:
+    """(min_lon, min_lat, max_lon, max_lat) over a grid's entries."""
+    if not grid:
+        return None
+    longitudes = [e[2] for entries in grid.values() for e in entries]
+    latitudes = [e[3] for entries in grid.values() for e in entries]
+    return (
+        min(longitudes), min(latitudes), max(longitudes), max(latitudes)
+    )
 
 
 def _has(graph, pattern) -> int:

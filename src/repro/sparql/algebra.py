@@ -18,12 +18,13 @@ Every node carries two annotations rendered by ``repro explain``:
 * ``est_rows`` — the planner's cardinality estimate (filled by the
   estimate pass from :class:`repro.analysis.stats.GraphStatistics`);
 * ``actual_rows`` — the number of solutions the node actually produced
-  during execution (filled by the evaluator).
+  during execution (filled by the evaluator when EXPLAIN runs the plan;
+  a plan ``evaluate()`` runs may be shared and is never written to).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..rdf.terms import Term, Variable
 from .ast import (
@@ -74,8 +75,7 @@ class PlanNode:
         self.est_rows: Optional[float] = None
         self.actual_rows: Optional[int] = None
         # inclusive wall time spent producing this node's solutions,
-        # in milliseconds — filled only when the evaluator times plan
-        # nodes (EXPLAIN, or an enabled tracer)
+        # in milliseconds — filled, like actual_rows, only by EXPLAIN
         self.actual_ms: Optional[float] = None
 
     def children(self) -> Sequence["PlanNode"]:
@@ -89,23 +89,41 @@ class PlanNode:
         return frozenset()
 
 
+class GeoProbe(NamedTuple):
+    """An access path for ``?s geo:geometry ?o``: one of the scan's
+    ``filters`` is ``bif:st_intersects`` between ``?o`` and ``center``
+    within a constant ``radius_km``, so the solutions can only come
+    from the spatial-grid cells around ``center``."""
+
+    #: the ``bif:st_intersects`` call (still applied, exactly)
+    filter: FunctionCall
+    #: a constant geometry, or a variable bound before the scan runs
+    center: Term
+    radius_km: float
+
+
 class ScanStep(PlanNode):
     """One triple-pattern lookup inside a :class:`BGPNode`.
 
     ``filters`` are expressions pushed down by the planner, applied to
-    each solution as soon as this scan has extended it.
+    each solution as soon as this scan has extended it. ``probe``, set
+    by the reorder pass, lets the executor read the candidates off the
+    statistics' spatial grid instead of the triple index; the filters
+    apply either way.
     """
 
-    __slots__ = ("pattern", "filters")
+    __slots__ = ("pattern", "filters", "probe")
 
     def __init__(
         self,
         pattern: TriplePatternNode,
         filters: Optional[List[Expression]] = None,
+        probe: Optional[GeoProbe] = None,
     ) -> None:
         super().__init__()
         self.pattern = pattern
         self.filters: List[Expression] = list(filters or ())
+        self.probe = probe
 
     def variables(self) -> frozenset:
         return frozenset(str(v) for v in self.pattern.variables())
@@ -124,6 +142,8 @@ class ScanStep(PlanNode):
         )
         for expr in self.filters:
             text += f" | FILTER {render_expression(expr)}"
+        if self.probe is not None:
+            text += f" via geo grid, r={self.probe.radius_km:g}"
         return text
 
 
@@ -139,20 +159,29 @@ class BGPNode(PlanNode):
     pass has fixed it (the executor runs ``scans`` as listed), false
     for a BGP as lowered (the executor picks the next scan per
     incoming solution, by bound positions).
+
+    ``tail``, set by the reorder pass on an ordered BGP, is the index
+    of the first scan of a *disconnected tail*: the scans from there
+    on share no variable with the scans before them, and every filter
+    relating the two halves is in ``pushed``. The executor evaluates
+    such a tail once per incoming solution instead of once per row of
+    the head, and applies ``pushed`` to each pairing.
     """
 
-    __slots__ = ("scans", "pushed", "ordered")
+    __slots__ = ("scans", "pushed", "ordered", "tail")
 
     def __init__(
         self,
         scans: List[ScanStep],
         pushed: Optional[List[Expression]] = None,
         ordered: bool = False,
+        tail: Optional[int] = None,
     ) -> None:
         super().__init__()
         self.scans = scans
         self.pushed: List[Expression] = list(pushed or ())
         self.ordered = ordered
+        self.tail = tail
 
     def children(self) -> Sequence[PlanNode]:
         return self.scans
@@ -168,6 +197,8 @@ class BGPNode(PlanNode):
 
     def label(self) -> str:
         order = "" if self.ordered else ", order picked at run time"
+        if self.tail is not None:
+            order += f", last {len(self.scans) - self.tail} evaluated once"
         text = f"BGP ({len(self.scans)} scan(s){order})"
         for expr in self.pushed:
             text += f" | FILTER {render_expression(expr)}"

@@ -32,14 +32,39 @@ The scans of a BGP run in one of two orders, read off the plan node
   goes next, and a ``bif:contains`` constraint waits until its subject
   is bound (:func:`_runtime_order`).
 
+Two facts the reorder pass leaves on an ordered BGP change *how* its
+scans run, never what they yield (DESIGN.md, "Read path"):
+
+* :attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
+  ``bif:st_intersects`` filter reads its candidates off the spatial
+  grid of the graph's statistics (:meth:`Evaluator._geo_candidates`
+  says when) instead of the triple index; every filter still applies;
+* :attr:`BGPNode.tail` — scans sharing no variable with the ones
+  before them are evaluated once per incoming solution and paired with
+  each row of the head (:meth:`Evaluator._exec_tail_once`).
+
+``evaluate(text)`` parses a text once per process and, when optimizing
+with the default planner and function registry, plans it once per
+statistics snapshot (:data:`_PARSED`, ``GraphStatistics.plans``). A
+cached plan is shared by every evaluator — and thread — reading that
+generation, so execution never writes on a plan: the per-node
+``actual_rows`` / ``actual_ms`` annotations are EXPLAIN's, which plans
+privately.
+
 Expression errors follow the spec: a FILTER whose expression errors
 rejects the solution; an ORDER BY key that errors sorts lowest.
+
+Concurrency: thread-safe
+(the module's shared state — the parse cache and the per-snapshot plan
+caches — is only written under ``_CACHE_LOCK``; one ``Evaluator`` is
+still one thread's object)
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry, get_tracer
 from ..rdf.graph import Dataset, Graph
@@ -87,6 +112,7 @@ from .ast import (
 )
 from .errors import ExpressionError, SparqlEvalError
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv
+from .geo import try_parse_point
 from .parser import parse_query
 from .results import Row, SelectResult
 
@@ -94,6 +120,28 @@ Bindings = Dict[Variable, Term]
 
 #: Virtuoso magic predicate for full-text matching in triple position.
 _MAGIC_CONTAINS = URIRef("bif:contains")
+
+#: The filter the statistics' spatial grid can answer for — as long as
+#: it is the builtin one.
+_ST_INTERSECTS = "bif:st_intersects"
+
+#: Entries kept by the parse cache and by each statistics snapshot's
+#: plan cache; the oldest entry makes room for a new one.
+_CACHE_LIMIT = 256
+
+#: Guards every write to :data:`_PARSED` and to a ``GraphStatistics.plans``.
+_CACHE_LOCK = threading.Lock()
+
+#: Query text -> parsed query. The AST is never mutated after parsing
+#: and never handed to callers of ``evaluate(text)``, so it is shared.
+_PARSED: Dict[str, object] = {}
+
+
+def _remember(cache: Dict[str, object], key: str, value: object) -> None:
+    with _CACHE_LOCK:
+        if key not in cache and len(cache) >= _CACHE_LIMIT:
+            del cache[next(iter(cache))]
+        cache[key] = value
 
 
 class Evaluator:
@@ -162,13 +210,16 @@ class Evaluator:
         self._planner = planner
         self._stats = None
         self._exists_plans: Dict[int, Tuple[GroupPattern, PlanNode]] = {}
-        # when true, _exec_node/_exec_modifier accumulate inclusive
-        # wall time on each plan node (PlanNode.actual_ms) and emit
-        # plan-node spans; EXPLAIN turns it on for its run, and an
-        # enabled tracer turns it on for every evaluation. Off by
-        # default: per-solution clock reads are measurable on hot
-        # queries.
+        # when true, _exec_node/_exec_modifier measure the inclusive
+        # wall time of each plan node and emit plan-node spans; EXPLAIN
+        # turns it on for its run, and an enabled tracer turns it on
+        # for every evaluation. Off by default: per-solution clock
+        # reads are measurable on hot queries.
         self._time_plan_nodes = False
+        # when true (EXPLAIN only, together with the timing above, on
+        # a plan it made for itself) the run also leaves actual_rows /
+        # actual_ms on the plan's nodes
+        self._annotate = False
 
     # ------------------------------------------------------------------
     # Entry points
@@ -179,8 +230,13 @@ class Evaluator:
         Returns a :class:`SelectResult` for SELECT, ``bool`` for ASK and a
         :class:`~repro.rdf.Graph` for CONSTRUCT/DESCRIBE.
         """
+        text = None
         if isinstance(query, str):
-            query = parse_query(query)
+            text = query
+            query = _PARSED.get(text)
+            if query is None:
+                query = parse_query(text)
+                _remember(_PARSED, text, query)
         if self.strict:
             self._lint(query)
         tracer = get_tracer()
@@ -191,18 +247,16 @@ class Evaluator:
             if tracer.enabled:
                 self._time_plan_nodes = True
             try:
+                # (an object that is no query at all fails to lower)
+                plan = self._executable_plan(query, text)
                 if isinstance(query, SelectQuery):
-                    result = self._eval_select(query)
+                    result = self._eval_select(query, plan)
                 elif isinstance(query, AskQuery):
-                    result = self._eval_ask(query)
+                    result = self._eval_ask(plan)
                 elif isinstance(query, ConstructQuery):
-                    result = self._eval_construct(query)
-                elif isinstance(query, DescribeQuery):
-                    result = self._eval_describe(query)
+                    result = self._eval_construct(query, plan)
                 else:
-                    raise SparqlEvalError(
-                        f"unsupported query form: {query!r}"
-                    )
+                    result = self._eval_describe(query, plan)
             finally:
                 self._time_plan_nodes = previous_timing
         get_registry().histogram(
@@ -229,12 +283,37 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _executable_plan(self, query) -> PlanNode:
+    def _executable_plan(
+        self, query, text: Optional[str] = None
+    ) -> PlanNode:
         """The plan :meth:`evaluate` runs: rewritten by the planner when
-        optimizing, otherwise the lowering with no pass applied."""
-        if self.optimize:
+        optimizing, otherwise the lowering with no pass applied.
+
+        A query that came in as ``text`` is planned once per statistics
+        snapshot; the plan found there may be running on other threads,
+        so it is executed but never written to.
+        """
+        if not self.optimize:
+            return lower_query(query)
+        if (
+            text is None
+            or self._planner is not None
+            or self.functions != FUNCTIONS
+        ):
+            # plans are shared through the statistics snapshot only
+            # between evaluators that plan alike
             return self._plan(query).plan
-        return lower_query(query)
+        plans = self._statistics().plans
+        plan = plans.get(text)
+        get_registry().counter(
+            "repro_plan_cache_total",
+            "Rewritten plans taken from (hit) or added to (miss) the "
+            "statistics snapshot's plan cache.",
+        ).labels(outcome="miss" if plan is None else "hit").inc()
+        if plan is None:
+            plan = self._plan(query).plan
+            _remember(plans, text, plan)
+        return plan
 
     def _exists_plan(self, group: GroupPattern) -> PlanNode:
         """The plan of an ``EXISTS`` group, lowered once per evaluator.
@@ -310,8 +389,10 @@ class Evaluator:
     # ------------------------------------------------------------------
     # SELECT
     # ------------------------------------------------------------------
-    def _eval_select(self, query: SelectQuery) -> SelectResult:
-        rows = self._exec_modifier(self._executable_plan(query))
+    def _eval_select(
+        self, query: SelectQuery, plan: PlanNode
+    ) -> SelectResult:
+        rows = self._exec_modifier(plan)
         variables = query.variables or collect_variables(query.where)
         return SelectResult(variables, rows)
 
@@ -416,20 +497,20 @@ class Evaluator:
     # ------------------------------------------------------------------
     # ASK / CONSTRUCT / DESCRIBE
     # ------------------------------------------------------------------
-    def _where_solutions(self, query) -> Iterator[Bindings]:
+    def _where_solutions(self, plan: PlanNode) -> Iterator[Bindings]:
         """Solutions of a query's WHERE group."""
-        return self._exec_node(
-            self._executable_plan(query), iter([dict()]), self.graph
-        )
+        return self._exec_node(plan, iter([dict()]), self.graph)
 
-    def _eval_ask(self, query: AskQuery) -> bool:
-        for _ in self._where_solutions(query):
+    def _eval_ask(self, plan: PlanNode) -> bool:
+        for _ in self._where_solutions(plan):
             return True
         return False
 
-    def _eval_construct(self, query: ConstructQuery) -> Graph:
+    def _eval_construct(
+        self, query: ConstructQuery, plan: PlanNode
+    ) -> Graph:
         result = Graph()
-        materialized = list(self._where_solutions(query))
+        materialized = list(self._where_solutions(plan))
         if query.offset:
             materialized = materialized[query.offset :]
         if query.limit is not None:
@@ -465,11 +546,13 @@ class Evaluator:
                 result.add((s, p, o))
         return result
 
-    def _eval_describe(self, query: DescribeQuery) -> Graph:
+    def _eval_describe(
+        self, query: DescribeQuery, plan: PlanNode
+    ) -> Graph:
         result = Graph()
         targets: List[Term] = []
         if query.where is not None:
-            for row in self._where_solutions(query):
+            for row in self._where_solutions(plan):
                 for term in query.terms:
                     if isinstance(term, Variable):
                         bound = row.get(term)
@@ -527,7 +610,8 @@ class Evaluator:
                 self._exec_node(node, iter([dict()]), self.graph)
             )
             return rows
-        node.actual_rows = (node.actual_rows or 0) + len(rows)
+        if self._annotate:
+            node.actual_rows = (node.actual_rows or 0) + len(rows)
         return rows
 
     def _exec_modifier(self, node: PlanNode) -> List[Row]:
@@ -544,7 +628,8 @@ class Evaluator:
         began = time.perf_counter()
         rows = self._exec_modifier_inner(node)
         elapsed = time.perf_counter() - began
-        node.actual_ms = (node.actual_ms or 0.0) + elapsed * 1000.0
+        if self._annotate:
+            node.actual_ms = (node.actual_ms or 0.0) + elapsed * 1000.0
         get_tracer().record_span(
             f"plan.{type(node).__name__}",
             elapsed,
@@ -558,14 +643,9 @@ class Evaluator:
         solutions: Iterator[Bindings],
         graph: Graph,
     ) -> Iterator[Bindings]:
-        if node.actual_rows is None:
-            node.actual_rows = 0
         if not self._time_plan_nodes:
-            for binding in self._exec_node_inner(node, solutions, graph):
-                node.actual_rows += 1
-                yield binding
-            return
-        yield from self._exec_node_timed(node, solutions, graph)
+            return self._exec_node_inner(node, solutions, graph)
+        return self._exec_node_timed(node, solutions, graph)
 
     def _exec_node_timed(
         self,
@@ -573,12 +653,15 @@ class Evaluator:
         solutions: Iterator[Bindings],
         graph: Graph,
     ) -> Iterator[Bindings]:
-        """Like :meth:`_exec_node` but accumulates the *inclusive* wall
-        time spent inside the node's generator (time in child nodes
+        """Like :meth:`_exec_node_inner` but measures the *inclusive*
+        wall time spent inside the node's generator (time in child nodes
         counts toward their ancestors too, matching span semantics) and
-        emits one plan-node span when the node is exhausted."""
-        if node.actual_ms is None:
-            node.actual_ms = 0.0
+        emits one plan-node span when the node is exhausted. Under
+        EXPLAIN the time and the row count are also left on the node."""
+        annotate = self._annotate
+        if annotate:
+            node.actual_rows = node.actual_rows or 0
+            node.actual_ms = node.actual_ms or 0.0
         inner = self._exec_node_inner(node, solutions, graph)
         produced = 0
         elapsed = 0.0
@@ -589,15 +672,17 @@ class Evaluator:
             except StopIteration:
                 step = time.perf_counter() - began
                 elapsed += step
-                node.actual_ms += step * 1000.0
+                if annotate:
+                    node.actual_ms += step * 1000.0
                 break
             step = time.perf_counter() - began
             elapsed += step
-            # accumulate per step: a partially-consumed generator
-            # (ASK, LIMIT upstream) still leaves its time on the node
-            node.actual_ms += step * 1000.0
-            node.actual_rows += 1
             produced += 1
+            if annotate:
+                # accumulate per step: a partially-consumed generator
+                # (ASK, LIMIT upstream) still leaves its time on the node
+                node.actual_ms += step * 1000.0
+                node.actual_rows += 1
             yield binding
         get_tracer().record_span(
             f"plan.{type(node).__name__}",
@@ -620,6 +705,13 @@ class Evaluator:
             for binding in solutions:
                 if not node.ordered:
                     scans = _runtime_order(node.scans, binding)
+                elif node.tail is not None and not any(
+                    variable in binding
+                    for scan in scans[node.tail:]
+                    for variable in scan.pattern.variables()
+                ):
+                    yield from self._exec_tail_once(node, binding, graph)
+                    continue
                 yield from self._exec_scans(
                     scans, node.pushed, 0, binding, graph
                 )
@@ -724,22 +816,15 @@ class Evaluator:
     def _exec_scans(
         self,
         scans: List[ScanStep],
-        leftover: List[Expression],
+        leftover: Sequence[Expression],
         index: int,
         binding: Bindings,
         graph: Graph,
     ) -> Iterator[Bindings]:
         """Match ``scans`` in the order given, from ``index`` on."""
         if index == len(scans):
-            for expr in leftover:
-                try:
-                    if not ebv(
-                        self._eval_expression(expr, binding, graph)
-                    ):
-                        return
-                except ExpressionError:
-                    return
-            yield binding
+            if self._filters_pass(leftover, binding, graph):
+                yield binding
             return
         scan = scans[index]
         pattern = scan.pattern
@@ -749,6 +834,20 @@ class Evaluator:
                 scans, leftover, index, binding, graph
             )
             return
+        if scan.probe is not None:
+            candidates = self._geo_candidates(scan, binding, graph)
+            if candidates is not None:
+                for subject, geometry, _, _ in candidates:
+                    produced = dict(binding)
+                    produced[pattern.subject] = subject
+                    produced[pattern.object] = geometry
+                    if self._filters_pass(scan.filters, produced, graph):
+                        if self._annotate:
+                            scan.actual_rows = (scan.actual_rows or 0) + 1
+                        yield from self._exec_scans(
+                            scans, leftover, index + 1, produced, graph
+                        )
+                return
 
         def resolve(position):
             if isinstance(position, Variable):
@@ -784,12 +883,85 @@ class Evaluator:
             if conflict:
                 continue
             produced = extended if extended is not None else binding
-            if not self._scan_filters_pass(scan, produced, graph):
+            if not self._filters_pass(scan.filters, produced, graph):
                 continue
-            scan.actual_rows = (scan.actual_rows or 0) + 1
+            if self._annotate:
+                scan.actual_rows = (scan.actual_rows or 0) + 1
             yield from self._exec_scans(
                 scans, leftover, index + 1, produced, graph
             )
+
+    def _exec_tail_once(
+        self, node: BGPNode, binding: Bindings, graph: Graph
+    ) -> Iterator[Bindings]:
+        """Run an ordered BGP whose scans from ``node.tail`` on share no
+        variable with the earlier ones (nor with ``binding``).
+
+        The nested loop would re-run those scans for every row of the
+        head and get the same rows each time; here they run once — when
+        the head yields its first row, so an empty head costs nothing —
+        and each head row is paired with them in the same order. The
+        filters relating the two halves are the BGP's own
+        (``node.pushed``) and apply to each pairing.
+        """
+        scans = node.scans
+        tail_rows: Optional[List[Bindings]] = None
+        for row in self._exec_scans(
+            scans[:node.tail], (), 0, binding, graph
+        ):
+            if tail_rows is None:
+                tail_rows = list(self._exec_scans(
+                    scans[node.tail:], (), 0, binding, graph
+                ))
+            for extra in tail_rows:
+                merged = {**row, **extra}
+                if self._filters_pass(node.pushed, merged, graph):
+                    yield merged
+
+    def _geo_candidates(
+        self, scan: ScanStep, binding: Bindings, graph: Graph
+    ) -> Optional[list]:
+        """Spatial-grid entries to try for a probed scan, or ``None``
+        to read the triple index like any other scan.
+
+        The grid is the one in the statistics cached on ``graph`` and
+        is used only when it provably describes what a scan would see:
+        ``graph`` is the evaluator's own (not a ``GRAPH`` pattern's
+        named graph), the statistics' fingerprint is the graph's
+        current one, ``bif:st_intersects`` is the builtin, neither end
+        of the pattern is already bound, and the centre is a geometry
+        some circle around has a bounding box.
+        """
+        pattern = scan.pattern
+        probe = scan.probe
+        candidates = None
+        stats = (
+            getattr(graph, "_stats_cache", None)
+            if graph is self.graph
+            and self.functions.get(_ST_INTERSECTS) is FUNCTIONS[_ST_INTERSECTS]
+            else None
+        )
+        if (
+            stats is not None
+            and stats.describes(graph)
+            and pattern.subject not in binding
+            and pattern.object not in binding
+        ):
+            center = probe.center
+            if isinstance(center, Variable):
+                center = binding.get(center)
+            if isinstance(center, (Literal, URIRef)):
+                point = try_parse_point(center)
+                if point is not None:
+                    candidates = stats.geo_candidates(
+                        point, probe.radius_km
+                    )
+        get_registry().counter(
+            "repro_geo_probe_total",
+            "Scans with a spatial access path, by the path taken: "
+            "the statistics' grid, or the triple index.",
+        ).labels(path="scan" if candidates is None else "grid").inc()
+        return candidates
 
     def _exec_magic_scan(
         self,
@@ -822,16 +994,20 @@ class Evaluator:
         if isinstance(subject, Literal) and fulltext_contains(
             subject.lexical, needle.lexical
         ):
-            if self._scan_filters_pass(scan, binding, graph):
-                scan.actual_rows = (scan.actual_rows or 0) + 1
+            if self._filters_pass(scan.filters, binding, graph):
+                if self._annotate:
+                    scan.actual_rows = (scan.actual_rows or 0) + 1
                 yield from self._exec_scans(
                     scans, leftover, index + 1, binding, graph
                 )
 
-    def _scan_filters_pass(
-        self, scan: ScanStep, binding: Bindings, graph: Graph
+    def _filters_pass(
+        self,
+        filters: Sequence[Expression],
+        binding: Bindings,
+        graph: Graph,
     ) -> bool:
-        for expr in scan.filters:
+        for expr in filters:
             try:
                 if not ebv(self._eval_expression(expr, binding, graph)):
                     return False

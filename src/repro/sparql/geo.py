@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Optional, Tuple, Union
 
 from ..rdf.terms import Literal, Term
 
@@ -57,15 +58,22 @@ def _fmt(value: float) -> str:
     return text if text not in ("", "-") else "0"
 
 
-def parse_point(value: Union[str, Term, Point]) -> Point:
-    """Parse a WKT POINT literal (or pass through a :class:`Point`)."""
-    if isinstance(value, Point):
-        return value
-    text = str(value)
+@lru_cache(maxsize=4096)
+def _parse_wkt(text: str) -> Point:
+    # memoised on the literal text: a corpus has a few thousand distinct
+    # geometries and every geo filter, statistics pass and location
+    # analysis asks for the same ones again. A raise is not cached.
     match = _POINT_RE.match(text)
     if not match:
         raise GeometryError(f"not a POINT geometry: {text!r}")
     return Point(float(match.group(1)), float(match.group(2)))
+
+
+def parse_point(value: Union[str, Term, Point]) -> Point:
+    """Parse a WKT POINT literal (or pass through a :class:`Point`)."""
+    if isinstance(value, Point):
+        return value
+    return _parse_wkt(str(value))
 
 
 def try_parse_point(value: Union[str, Term, Point]) -> Optional[Point]:
@@ -87,6 +95,46 @@ def haversine_km(a: Point, b: Point) -> float:
         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     )
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+#: Slack added to a search radius before boxing it, in kilometers: far
+#: above the rounding error of :func:`haversine_km` and the ``1e-9``
+#: tolerance of :func:`st_intersects`, far below any real radius.
+_BOX_SLACK_KM = 1e-6
+
+
+def bounding_box(
+    center: Point, radius_km: float
+) -> Optional[Tuple[float, float, float, float]]:
+    """``(min_lon, min_lat, max_lon, max_lat)`` holding every point
+    within ``radius_km`` of ``center``, or ``None`` when no plain
+    latitude/longitude box does.
+
+    A point at great-circle distance ``d`` is at most ``d / R`` radians
+    of latitude away and — as long as the circle keeps clear of the
+    poles — at most ``asin(sin(d / R) / cos(lat))`` of longitude. The
+    box is therefore a superset of the circle; ``None`` covers the
+    cases where that argument does not hold or the box would wrap: a
+    negative (or NaN) radius, a circle reaching a pole (any radius of a
+    quarter circumference or more does), a box crossing the
+    antimeridian.
+    """
+    if not radius_km >= 0.0:
+        return None
+    angular = (radius_km + _BOX_SLACK_KM) / EARTH_RADIUS_KM
+    dlat = math.degrees(angular)
+    min_lat = center.latitude - dlat
+    max_lat = center.latitude + dlat
+    if min_lat <= -90.0 or max_lat >= 90.0:
+        return None
+    dlon = math.degrees(math.asin(min(
+        1.0, math.sin(angular) / math.cos(math.radians(center.latitude))
+    )))
+    min_lon = center.longitude - dlon
+    max_lon = center.longitude + dlon
+    if min_lon < -180.0 or max_lon > 180.0:
+        return None
+    return min_lon, min_lat, max_lon, max_lat
 
 
 def st_distance(

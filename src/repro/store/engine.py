@@ -139,7 +139,7 @@ class _ContextState:
     count, maintained exactly by the engine.
     """
 
-    __slots__ = ("base", "adds", "removes", "size")
+    __slots__ = ("base", "adds", "removes", "size", "parts")
 
     def __init__(
         self,
@@ -152,6 +152,14 @@ class _ContextState:
         self.adds = adds
         self.removes = removes
         self.size = size
+        #: the segments a read has to visit — (graph, triples of it to
+        #: hide) — with the empty ones left out: a freshly loaded
+        #: context has no overlay, a small one no base yet
+        self.parts: Tuple[Tuple[Graph, frozenset], ...] = tuple(
+            (graph, hidden)
+            for graph, hidden in ((base, removes), (adds, frozenset()))
+            if len(graph)
+        )
 
     @property
     def overlay(self) -> int:
@@ -190,13 +198,37 @@ def _context_visible(cs: _ContextState, triple: Triple) -> bool:
 def _context_triples(
     cs: _ContextState, pattern: TriplePattern
 ) -> Iterator[Triple]:
-    if cs.removes:
-        for triple in cs.base.triples(pattern):
-            if triple not in cs.removes:
+    for graph, hidden in cs.parts:
+        if hidden:
+            for triple in graph.triples(pattern):
+                if triple not in hidden:
+                    yield triple
+        else:
+            yield from graph.triples(pattern)
+
+
+def _union_triples(
+    contexts: Sequence[_ContextState], pattern: TriplePattern
+) -> Iterator[Triple]:
+    """Matches of ``pattern`` over several contexts, each triple once.
+
+    A triple can only repeat *across* contexts, and most patterns are
+    answered by one of them (platform predicates live in the default
+    context, LOD ones in theirs): a match is looked up in the earlier
+    contexts that answered this pattern at all — usually none — which
+    keeps the read lazy and builds no per-call set.
+    """
+    answered: List[_ContextState] = []
+    for cs in contexts:
+        matched = False
+        for triple in _context_triples(cs, pattern):
+            matched = True
+            if not any(
+                _context_visible(earlier, triple) for earlier in answered
+            ):
                 yield triple
-    else:
-        yield from cs.base.triples(pattern)
-    yield from cs.adds.triples(pattern)
+        if matched:
+            answered.append(cs)
 
 
 class SnapshotGraph(FrozenGraph):
@@ -226,44 +258,32 @@ class SnapshotGraph(FrozenGraph):
         self._scope = scope
         self.namespaces = store.namespaces
         self.generation = state.generation
+        #: the context states in scope, fixed with the pinned state
+        self._contexts: Tuple[_ContextState, ...]
         if scope is _UNION:
             self.identifier = URIRef(
                 f"urn:store:{store.name}:union:g{state.generation}"
             )
             self._size = state.union_size
+            self._contexts = tuple(state.contexts.values())
         else:
             self.identifier = (
                 scope if scope is not None else DEFAULT_GRAPH_IRI
             )
             cs = state.contexts.get(scope)
             self._size = cs.size if cs is not None else 0
+            self._contexts = (cs,) if cs is not None else ()
 
     # -- pinned reads ---------------------------------------------------
-    def _scope_contexts(self) -> List[_ContextState]:
-        if self._scope is _UNION:
-            return list(self._state.contexts.values())
-        cs = self._state.contexts.get(self._scope)
-        return [cs] if cs is not None else []
-
     def triples(
         self, pattern: TriplePattern = (None, None, None)
     ) -> Iterator[Triple]:
-        contexts = self._scope_contexts()
-        if len(contexts) == 1:
-            yield from _context_triples(contexts[0], pattern)
-            return
-        seen: Set[Triple] = set()
-        for cs in contexts:
-            for triple in _context_triples(cs, pattern):
-                if triple not in seen:
-                    seen.add(triple)
-                    yield triple
+        return _union_triples(self._contexts, pattern)
 
     def _contains(self, s: Term, p: Term, o: Term) -> bool:
         triple = (s, p, o)
         return any(
-            _context_visible(cs, triple)
-            for cs in self._scope_contexts()
+            _context_visible(cs, triple) for cs in self._contexts
         )
 
     def resource_exists(self, subject: Term) -> bool:
@@ -272,7 +292,7 @@ class SnapshotGraph(FrozenGraph):
         return False
 
     def predicate_statistics(self) -> Dict[Term, Tuple[int, int, int]]:
-        contexts = self._scope_contexts()
+        contexts = self._contexts
         if len(contexts) == 1 and contexts[0].overlay == 0:
             # post-compaction fast path: one frozen base, index-backed
             return contexts[0].base.predicate_statistics()
@@ -1395,30 +1415,20 @@ def _maintain_stats(
 class _StateView:
     """Minimal union-membership probe over a state (for stats deltas)."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_contexts",)
 
     def __init__(self, state: _State) -> None:
-        self._state = state
+        self._contexts = tuple(state.contexts.values())
 
     def __contains__(self, triple: Triple) -> bool:
         return any(
-            _context_visible(cs, triple)
-            for cs in self._state.contexts.values()
+            _context_visible(cs, triple) for cs in self._contexts
         )
 
     def triples(
         self, pattern: TriplePattern = (None, None, None)
     ) -> Iterator[Triple]:
-        contexts = list(self._state.contexts.values())
-        if len(contexts) == 1:
-            yield from _context_triples(contexts[0], pattern)
-            return
-        seen: Set[Triple] = set()
-        for cs in contexts:
-            for triple in _context_triples(cs, pattern):
-                if triple not in seen:
-                    seen.add(triple)
-                    yield triple
+        return _union_triples(self._contexts, pattern)
 
 
 # ---------------------------------------------------------------------

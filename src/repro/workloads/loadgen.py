@@ -260,9 +260,26 @@ class LoadReport:
                 f"p95={self.freshness['p95_ms']:.0f}ms "
                 f"max={self.freshness['max_ms']:.0f}ms"
             )
+        probes = self._counts("repro_geo_probe_total", "path")
+        plans = self._counts("repro_plan_cache_total", "outcome")
+        if probes or plans:
+            lines.append(
+                "  read path: geo probes "
+                f"grid={probes.get('grid', 0)} "
+                f"scan={probes.get('scan', 0)}, plan cache "
+                f"hit={plans.get('hit', 0)} miss={plans.get('miss', 0)}"
+            )
         for sample in self.error_samples:
             lines.append(f"  error: {sample}")
         return "\n".join(lines)
+
+    def _counts(self, family: str, label: str) -> Dict[str, int]:
+        """A labelled counter of the run's registry snapshot."""
+        series = self.metrics.get(family, {}).get("series", ())
+        return {
+            entry["labels"].get(label, ""): int(entry["value"])
+            for entry in series
+        }
 
 
 class LoadGenerator:

@@ -118,6 +118,14 @@ def test_any_pass_subset_yields_the_literal_rows(case, passes):
             ),
         )
         assert normalize(evaluator.evaluate(text)) == expected
+    # the same pipelines over the statistics cached on the evaluator's
+    # own graph: a scan the reorder pass marked is then really answered
+    # from the spatial grid
+    evaluator = Evaluator(dataset)
+    evaluator._planner = QueryPlanner(
+        stats=GraphStatistics.cached(evaluator.graph), passes=passes
+    )
+    assert normalize(evaluator.evaluate(text)) == expected
 
 
 @settings(

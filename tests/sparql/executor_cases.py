@@ -8,11 +8,21 @@ pipeline, or not rewritten at all — must produce exactly these rows.
 pass subsets and orders.
 """
 
-from repro.rdf import Dataset, FOAF, Literal, RDFS, REV, URIRef
+from repro.rdf import Dataset, FOAF, GEO, Literal, RDFS, REV, URIRef
 
 EX = "http://example.org/"
 PEOPLE = "http://graphs/people"
 PICTURES = "http://graphs/pictures"
+PLACES = "http://graphs/places"
+
+#: the monument, and where the three pictures were taken: two within
+#: 0.3 km of it, one ~5 km away
+MOLE = "POINT(7.6934 45.0692)"
+_TAKEN_AT = {
+    "pic1": "POINT(7.693 45.069)",
+    "pic2": "POINT(7.6936 45.0693)",
+    "pic3": "POINT(7.65 45.03)",
+}
 
 
 def ex(name):
@@ -20,7 +30,9 @@ def ex(name):
 
 
 def build_dataset():
-    """Two named graphs: who knows whom, and who made which picture."""
+    """Three named graphs: who knows whom, who made which picture
+    (and where), and two places — one with a geometry no geo function
+    can parse."""
     ds = Dataset()
     people = ds.graph(PEOPLE)
     for name in ("oscar", "walter", "carmen"):
@@ -35,6 +47,12 @@ def build_dataset():
         pictures.add((ex(pic), FOAF.maker, ex(maker)))
         pictures.add((ex(pic), RDFS.label, Literal(label)))
         pictures.add((ex(pic), REV.rating, Literal(rating)))
+        pictures.add((ex(pic), GEO.geometry, Literal(_TAKEN_AT[pic])))
+    places = ds.graph(PLACES)
+    places.add((ex("mole"), RDFS.comment, Literal("landmark")))
+    places.add((ex("mole"), GEO.geometry, Literal(MOLE)))
+    places.add((ex("nowhere"), RDFS.comment, Literal("landmark")))
+    places.add((ex("nowhere"), GEO.geometry, Literal("somewhere")))
     return ds
 
 
@@ -59,6 +77,9 @@ def _rows(*rows):
 
 _OSCAR, _WALTER, _CARMEN = (
     ex(n).n3() for n in ("oscar", "walter", "carmen")
+)
+_PIC1, _PIC2, _PIC3, _MOLE = (
+    ex(n).n3() for n in ("pic1", "pic2", "pic3", "mole")
 )
 
 #: (id, query text, expected ``normalize(result)``)
@@ -149,5 +170,118 @@ CASES = [
             (_WALTER, FOAF.name.n3(), Literal("walter").n3()),
             (_WALTER, FOAF.knows.n3(), _OSCAR),
         ]),
+    ),
+    # -- the read path: grid probes and disconnected tails -------------
+    (
+        "geo-constant-centre",
+        f"""SELECT ?x WHERE {{
+             ?x geo:geometry ?loc
+             FILTER(bif:st_intersects(?loc, "{MOLE}", 0.3))
+           }}""",
+        _rows({"x": _PIC1}, {"x": _PIC2}, {"x": _MOLE}),
+    ),
+    (
+        "geo-variable-centre",
+        # the unparseable geometry of ex:nowhere is a centre too: its
+        # filter errors and rejects, probe or no probe
+        """SELECT ?pic ?place WHERE {
+             ?place rdfs:comment "landmark" .
+             ?place geo:geometry ?src .
+             ?pic geo:geometry ?loc .
+             ?pic foaf:maker ?who
+             FILTER(bif:st_intersects(?loc, ?src, 0.3))
+           }""",
+        _rows(
+            {"pic": _PIC1, "place": _MOLE}, {"pic": _PIC2, "place": _MOLE}
+        ),
+    ),
+    (
+        "geo-variable-radius",
+        f"""SELECT ?pic ?r WHERE {{
+             VALUES ?r {{ 0.01 10 }}
+             ?pic geo:geometry ?loc .
+             ?pic foaf:maker ?who
+             FILTER(bif:st_intersects(?loc, "{MOLE}", ?r))
+           }}""",
+        _rows(
+            {"pic": _PIC1, "r": Literal(10).n3()},
+            {"pic": _PIC2, "r": Literal(10).n3()},
+            {"pic": _PIC3, "r": Literal(10).n3()},
+        ),
+    ),
+    (
+        "geo-arguments-swapped",
+        f"""SELECT ?pic WHERE {{
+             ?pic geo:geometry ?loc .
+             ?pic rev:rating ?r
+             FILTER(bif:st_intersects("{MOLE}", ?loc, 0.3))
+           }}""",
+        _rows({"pic": _PIC1}, {"pic": _PIC2}),
+    ),
+    (
+        "geo-inside-graph",
+        # the grid indexes the union; a named graph must not see the
+        # monument that lives in another one
+        f"""SELECT ?x WHERE {{
+             GRAPH <{PICTURES}> {{
+               ?x geo:geometry ?loc
+               FILTER(bif:st_intersects(?loc, "{MOLE}", 0.3))
+             }}
+           }}""",
+        _rows({"x": _PIC1}, {"x": _PIC2}),
+    ),
+    (
+        "geo-inside-optional",
+        f"""SELECT ?name ?x WHERE {{
+             ?who foaf:knows ?friend .
+             ?who foaf:name ?name
+             OPTIONAL {{
+               ?x geo:geometry ?loc .
+               ?x foaf:maker ?who
+               FILTER(bif:st_intersects(?loc, "{MOLE}", 0.3))
+             }}
+           }}""",
+        _rows({"name": Literal("walter").n3(), "x": _PIC1}),
+    ),
+    (
+        "geo-negative-radius",
+        f"""SELECT ?x WHERE {{
+             ?x geo:geometry ?loc
+             FILTER(bif:st_intersects(?loc, "{MOLE}", -1))
+           }}""",
+        [],
+    ),
+    (
+        "tail-spanning-filter-errors",
+        # people share no variable with pictures; the filter relating
+        # them divides by zero for "oscar" and rejects those pairings
+        """SELECT ?pic ?name WHERE {
+             ?pic rev:rating ?r .
+             ?pic foaf:maker ?who .
+             ?p foaf:name ?name
+             FILTER(?r / (strlen(?name) - 5) >= 4)
+           }""",
+        _rows(*(
+            {"pic": pic, "name": Literal(name).n3()}
+            for pic in (_PIC1, _PIC3) for name in ("walter", "carmen")
+        )),
+    ),
+    (
+        "tail-variable-prebound",
+        # ?name arrives bound in one incoming solution and unbound in
+        # the other: only the second may evaluate the tail on its own
+        """SELECT ?pic ?name WHERE {
+             VALUES ?name { "carmen" UNDEF }
+             ?pic rev:rating 5 .
+             ?pic foaf:maker ?who .
+             ?p foaf:name ?name
+           }""",
+        _rows(
+            {"pic": _PIC1, "name": Literal("carmen").n3()},
+            *(
+                {"pic": _PIC1, "name": Literal(name).n3()}
+                for name in ("oscar", "walter", "carmen")
+            ),
+        ),
     ),
 ]
