@@ -12,13 +12,9 @@ as an artifact.
 The destination defaults to ``bench-results/`` under the current
 working directory; set ``REPRO_BENCH_DIR`` to redirect it.
 
-Checked-in seed baselines live in ``benchmarks/baselines/`` (override
-with ``REPRO_BENCH_BASELINE_DIR``): when ``BENCH_<name>.json`` exists
-there, :func:`record` adds a ``delta_vs_baseline`` block to the new
-record — percentage change of median and p95 against the *first*
-baseline entry — so every run (and the CI artifact) shows the perf
-trajectory against the committed reference instead of an empty
-history.
+These records are a CI artifact, not a comparison: two commits are
+compared with ``python3 benchmarks/e2e/run.py --compare`` (paired
+alternating runs, speed-normalised, spread-aware verdicts).
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = [
-    "baseline_dir",
-    "baseline_for",
     "percentile",
     "record",
     "results_dir",
@@ -45,36 +39,6 @@ __all__ = [
 def results_dir() -> Path:
     """Directory that receives ``BENCH_<name>.json`` files."""
     return Path(os.environ.get("REPRO_BENCH_DIR", "bench-results"))
-
-
-def baseline_dir() -> Path:
-    """Directory holding the checked-in seed baseline records."""
-    override = os.environ.get("REPRO_BENCH_BASELINE_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "baselines"
-
-
-def baseline_for(name: str) -> Optional[Dict[str, object]]:
-    """The committed baseline record for ``name`` (first entry), or
-    ``None`` when no readable baseline file exists."""
-    path = baseline_dir() / f"BENCH_{name}.json"
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if isinstance(loaded, list):
-        entries = [e for e in loaded if isinstance(e, dict)]
-        return entries[0] if entries else None
-    if isinstance(loaded, dict):
-        return loaded
-    return None
-
-
-def _delta_pct(current: float, baseline: float) -> Optional[float]:
-    if baseline <= 0:
-        return None
-    return round((current - baseline) / baseline * 100.0, 1)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -125,20 +89,6 @@ def record(
     }
     if extra:
         entry["extra"] = dict(extra)
-
-    baseline = baseline_for(name)
-    if baseline is not None:
-        deltas: Dict[str, object] = {
-            "baseline_recorded_at": baseline.get("recorded_at"),
-        }
-        for key in ("median_ms", "p95_ms"):
-            base_value = baseline.get(key)
-            if isinstance(base_value, (int, float)):
-                deltas[f"baseline_{key}"] = base_value
-                pct = _delta_pct(float(entry[key]), float(base_value))
-                if pct is not None:
-                    deltas[key.replace("_ms", "_pct")] = pct
-        entry["delta_vs_baseline"] = deltas
 
     path = results_dir() / f"BENCH_{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,8 @@ Two guards pin this PR's observability machinery:
   perturb it.
 
 Results persist to ``BENCH_loadgen.json`` via :mod:`_harness`; each
-record carries the measured throughput and per-op p95s so CI artifacts
-show the latency trajectory against the committed baseline.
+record carries the measured throughput and per-op p95s for the CI
+artifact.
 """
 
 from __future__ import annotations

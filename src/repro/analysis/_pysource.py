@@ -2,18 +2,57 @@
 
 Both :mod:`repro.analysis.concurrency` and :mod:`repro.analysis.effects`
 parse the package's own source with :mod:`ast`; what they need before
-any rule runs is the same: byte spans for diagnostics, per-line
-``# <tag>: allow[=RULE,...]`` suppression pragmas, dotted names of
-``Name``/``Attribute`` chains, and import-alias resolution.
+any rule runs is the same: the files below the given paths read and
+parsed (``SP000`` for the ones that cannot be), byte spans for
+diagnostics, per-line ``# <tag>: allow[=RULE,...]`` suppression
+pragmas, dotted names of ``Name``/``Attribute`` chains, and
+import-alias resolution.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .diagnostics import Span
+from .diagnostics import Diagnostic, Span
+from .rules import make
+
+
+def read_sources(
+    paths: Iterable[Path], diags: List[Diagnostic]
+) -> Iterator[Tuple[str, str]]:
+    """``(name, text)`` of every path; a directory stands for the
+    ``*.py`` files below it, sorted. A file that cannot be read is
+    reported into ``diags`` as ``SP000`` and skipped."""
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            yield from read_sources(sorted(path.rglob("*.py")), diags)
+            continue
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            diags.append(make(
+                "SP000", f"cannot read file: {exc}", source=str(path)
+            ))
+            continue
+        yield str(path), text
+
+
+def parse_module(
+    text: str, name: str, complaint: str, diags: List[Diagnostic]
+) -> Tuple[Optional[ast.Module], str]:
+    """The parsed module and its docstring (``""`` without one); a
+    syntax error is reported into ``diags`` as ``SP000 <complaint>: …``
+    and gives ``(None, "")``."""
+    try:
+        tree = ast.parse(text)
+    except SyntaxError as exc:
+        diags.append(make("SP000", f"{complaint}: {exc}", source=name))
+        return None, ""
+    return tree, ast.get_docstring(tree) or ""
 
 
 class SourceFile:

@@ -79,7 +79,13 @@ from typing import (
     Tuple,
 )
 
-from ._pysource import ImportMap, SourceFile, dotted_name
+from ._pysource import (
+    ImportMap,
+    SourceFile,
+    dotted_name,
+    parse_module,
+    read_sources,
+)
 from .diagnostics import Diagnostic, Span
 from .rules import make
 
@@ -244,11 +250,11 @@ def _lock_ctor_kind(
 class ConcurrencyAnalyzer:
     """AST-based lock-discipline analysis with a shared order graph.
 
-    ``analyze_source`` / ``analyze_path`` run every per-file rule;
-    CC002 needs the union of lock-order edges across files, so callers
-    analyzing a tree should use :meth:`analyze_paths` (or the
-    module-level :func:`analyze_paths`) which appends the cross-file
-    cycle diagnostics after the per-file passes.
+    ``analyze_source`` runs every per-file rule; CC002 needs the union
+    of lock-order edges across files, so callers analyzing a tree
+    should use :meth:`analyze_paths` (or the module-level
+    :func:`analyze_paths`) which appends the cross-file cycle
+    diagnostics after the per-file passes.
 
     ``long_hold`` style runtime properties are out of scope here — the
     :mod:`repro.analysis.sanitizer` owns everything observable only at
@@ -268,27 +274,13 @@ class ConcurrencyAnalyzer:
         self.contracts[name] = facts.contract
         return facts.diagnostics
 
-    def analyze_path(self, path: Path) -> List[Diagnostic]:
-        path = Path(path)
-        if path.is_dir():
-            diags: List[Diagnostic] = []
-            for child in sorted(path.rglob("*.py")):
-                diags.extend(self.analyze_path(child))
-            return diags
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            return [make("SP000", f"cannot read file: {exc}",
-                         source=str(path))]
-        return self.analyze_source(text, name=str(path))
-
     def analyze_paths(
         self, paths: Iterable[Path]
     ) -> List[Diagnostic]:
         """Per-file rules over every path, then cross-file CC002."""
         diags: List[Diagnostic] = []
-        for path in paths:
-            diags.extend(self.analyze_path(Path(path)))
+        for name, text in read_sources(paths, diags):
+            diags.extend(self.analyze_source(text, name))
         diags.extend(self.order_graph_diagnostics())
         return diags
 
@@ -324,16 +316,11 @@ class ConcurrencyAnalyzer:
     def _analyze_file(self, text: str, name: str) -> _FileFacts:
         contract = ModuleContract(name)
         facts = _FileFacts(name=name, contract=contract)
-        try:
-            tree = ast.parse(text)
-        except SyntaxError as exc:
-            facts.diagnostics.append(make(
-                "SP000", f"cannot parse python source: {exc}",
-                source=name,
-            ))
+        tree, docstring = parse_module(
+            text, name, "cannot parse python source", facts.diagnostics
+        )
+        if tree is None:
             return facts
-
-        docstring = ast.get_docstring(tree) or ""
         match = _CONTRACT_RE.search(docstring)
         if match and match.group(1) in _CONTRACTS:
             contract.contract = match.group(1)

@@ -69,7 +69,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ._pysource import ImportMap, SourceFile, dotted_name
+from ._pysource import (
+    ImportMap,
+    SourceFile,
+    dotted_name,
+    parse_module,
+    read_sources,
+)
 from .diagnostics import Diagnostic
 from .rules import make
 
@@ -739,24 +745,10 @@ class StoreEffectAnalyzer:
         self, paths: Iterable[Path]
     ) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
-        for path in paths:
-            diags.extend(self._collect_path(Path(path)))
+        for name, text in read_sources(paths, diags):
+            self._collect(text, name)
         diags.extend(self.finish())
         return diags
-
-    def _collect_path(self, path: Path) -> List[Diagnostic]:
-        if path.is_dir():
-            diags: List[Diagnostic] = []
-            for child in sorted(path.rglob("*.py")):
-                diags.extend(self._collect_path(child))
-            return diags
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            return [make("SP000", f"cannot read file: {exc}",
-                         source=str(path))]
-        self._collect(text, str(path))
-        return []
 
     # -- pass 1: per-file -----------------------------------------------
     def _collect(self, text: str, name: str) -> None:
@@ -764,14 +756,11 @@ class StoreEffectAnalyzer:
         source = SourceFile(text, name, "ef")
         facts = _ModuleFacts(name=name, module=module, source=source)
         self.modules.append(facts)
-        try:
-            tree = ast.parse(text)
-        except SyntaxError as exc:
-            facts.diagnostics.append(make(
-                "SP000", f"cannot parse: {exc}", source=name,
-            ))
+        tree, docstring = parse_module(
+            text, name, "cannot parse", facts.diagnostics
+        )
+        if tree is None:
             return
-        docstring = ast.get_docstring(tree) or ""
         contract = _WRITES_CONTRACT_RE.search(docstring)
         facts.writes_contract = (
             contract.group("value") if contract else None

@@ -59,6 +59,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..obs import get_registry
 from .effects import _WRITES_CONTRACT_RE
+from .sanitizer import _thread_name
 
 __all__ = [
     "StoreSanitizer",
@@ -75,16 +76,9 @@ _PLUMBING_MODULES = frozenset({
     # the MVCC storage engine: its writes to private base/overlay
     # graphs are store plumbing, attributed to the committing caller
     "repro.store.engine",
-    "repro.store.facade",
     "repro.store.persistence",
     __name__,
 })
-
-
-def _thread_name() -> str:
-    ident = threading.get_ident()
-    thread = threading._active.get(ident)  # type: ignore[attr-defined]
-    return thread.name if thread is not None else f"thread-{ident}"
 
 
 @dataclass(frozen=True)

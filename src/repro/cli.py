@@ -392,35 +392,39 @@ def build_parser() -> argparse.ArgumentParser:
     obs_slo.add_argument(
         "--report", metavar="FILE", help="write the report as JSON"
     )
-
-    obs_profile = obs_sub.add_parser(
-        "profile",
-        help="run a small load under the sampling profiler and print "
-             "the hottest stacks (flamegraph-compatible output)",
-    )
-    obs_profile.add_argument("--seed", type=int, default=42)
-    obs_profile.add_argument("--ops", type=int, default=40)
-    obs_profile.add_argument("--workers", type=int, default=4)
-    obs_profile.add_argument("--hz", type=float, default=200.0)
-    obs_profile.add_argument(
-        "--top", type=int, default=10, help="hot frames to print"
-    )
-    obs_profile.add_argument(
-        "--output", metavar="FILE",
-        help="write collapsed stacks (flamegraph.pl input) to FILE",
-    )
-
-    obs_health = obs_sub.add_parser(
-        "health",
-        help="one-shot health probe: a tiny mixed load run judged "
-             "against the default SLOs (exit 1 when unhealthy)",
-    )
-    obs_health.add_argument("--seed", type=int, default=42)
-    # 32+ ops is the smallest schedule where every op kind of the
-    # default mix reliably appears (a missing kind reads as "no data"
-    # and would fail its SLO)
-    obs_health.add_argument("--ops", type=int, default=32)
     return parser
+
+
+def _read_text(path: str) -> Optional[str]:
+    """The text of ``path`` (``-`` is stdin); ``None`` once an
+    unreadable file has been reported on stderr."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _demo_platform(n_contents: int, n_users: int):
+    """The seeded synthetic Turin catalog the workload verbs run on."""
+    from .platform import Platform
+    from .workloads import (
+        WorkloadConfig,
+        generate_workload,
+        populate_platform,
+    )
+
+    platform = Platform()
+    populate_platform(platform, generate_workload(WorkloadConfig(
+        n_users=n_users,
+        n_contents=n_contents,
+        cities=("Turin",),
+        seed=42,
+    )))
+    return platform
 
 
 def _cmd_annotate(args) -> int:
@@ -454,18 +458,11 @@ def _cmd_annotate_batch(args) -> int:
     from .core.annotator import SemanticAnnotator
     from .core.filtering import SemanticFilter
     from .lod import build_lod_corpus
-    from .platform import Platform
-    from .rdf import Graph
     from .resolvers import SemanticBroker, default_resolvers
     from .resolvers.resilience import (
         FlakyResolver,
         RetryPolicy,
         wrap_resilient,
-    )
-    from .workloads import (
-        WorkloadConfig,
-        generate_workload,
-        populate_platform,
     )
 
     if args.contents <= 0:
@@ -476,14 +473,9 @@ def _cmd_annotate_batch(args) -> int:
               file=sys.stderr)
         return 2
 
-    platform = Platform()
-    workload = generate_workload(WorkloadConfig(
-        n_users=max(10, args.contents // 50),
-        n_contents=args.contents,
-        cities=("Turin",),
-        seed=42,
-    ))
-    populate_platform(platform, workload)
+    platform = _demo_platform(
+        args.contents, max(10, args.contents // 50)
+    )
 
     corpus = build_lod_corpus()
     resolvers = default_resolvers(corpus)
@@ -526,8 +518,7 @@ def _cmd_annotate_batch(args) -> int:
     )
 
     batch = BatchAnnotator(
-        platform, Graph(),
-        batch_size=args.batch_size, workers=args.workers,
+        platform, batch_size=args.batch_size, workers=args.workers
     )
     started = time.perf_counter()
     stats = batch.run()
@@ -579,16 +570,9 @@ def _cmd_query(args) -> int:
     from .sparql import Evaluator, SelectResult
     from .rdf.graph import Graph
 
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.file}: {exc}",
-                  file=sys.stderr)
-            return 2
+    text = _read_text(args.file)
+    if text is None:
+        return 2
     graph = load_ntriples(text)
     result = Evaluator(graph).evaluate(args.sparql)
     if isinstance(result, SelectResult):
@@ -749,27 +733,18 @@ def _diagnostics_as_json(report) -> str:
 def _cmd_lint(args) -> int:
     from .analysis import Severity
 
-    try:
-        min_severity = Severity.parse(args.min_severity)
-    except ValueError:
-        allowed = ", ".join(s.name.lower() for s in Severity)
-        print(
-            f"error: unknown severity {args.min_severity!r} "
-            f"(allowed: {allowed})",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        fail_on = Severity.parse(args.fail_on)
-    except ValueError:
-        allowed = ", ".join(s.name.lower() for s in Severity)
-        print(
-            f"error: unknown severity {args.fail_on!r} "
-            f"(allowed: {allowed})",
-            file=sys.stderr,
-        )
-        return 2
+    severities = []
+    for text in (args.min_severity, args.fail_on):
+        try:
+            severities.append(Severity.parse(text))
+        except ValueError:
+            allowed = ", ".join(s.name.lower() for s in Severity)
+            print(
+                f"error: unknown severity {text!r} (allowed: {allowed})",
+                file=sys.stderr,
+            )
+            return 2
+    min_severity, fail_on = severities
 
     if not (
         args.files or args.queries or args.mapping
@@ -807,13 +782,6 @@ def _noop_context():
 def _cmd_sanitize(args) -> int:
     from .analysis.sanitizer import LockSanitizer
     from .core import BatchAnnotator
-    from .platform import Platform
-    from .rdf import Graph
-    from .workloads import (
-        WorkloadConfig,
-        generate_workload,
-        populate_platform,
-    )
 
     if args.contents <= 0 or args.workers <= 0 or args.batch_size <= 0:
         print("error: --contents, --workers and --batch-size must be "
@@ -833,17 +801,11 @@ def _cmd_sanitize(args) -> int:
         if store_sanitizer is not None
         else _noop_context()
     ):
-        platform = Platform()
-        workload = generate_workload(WorkloadConfig(
-            n_users=max(5, args.contents // 20),
-            n_contents=args.contents,
-            cities=("Turin",),
-            seed=42,
-        ))
-        populate_platform(platform, workload)
+        platform = _demo_platform(
+            args.contents, max(5, args.contents // 20)
+        )
         batch = BatchAnnotator(
-            platform, Graph(),
-            batch_size=args.batch_size, workers=args.workers,
+            platform, batch_size=args.batch_size, workers=args.workers
         )
         stats = batch.run()
 
@@ -876,48 +838,24 @@ def _cmd_explain(args) -> int:
     elif args.query.startswith("@") or args.query.endswith(
         (".rq", ".sparql")
     ):
-        path = args.query.lstrip("@")
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        name = args.query.lstrip("@")
+        text = _read_text(name)
+        if text is None:
             return 2
-        name = path
     else:
         text = args.query
 
     if args.file is not None:
         from .rdf import load_ntriples
 
-        if args.file == "-":
-            source = sys.stdin.read()
-        else:
-            try:
-                with open(args.file, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                print(f"error: cannot read {args.file}: {exc}",
-                      file=sys.stderr)
-                return 2
+        source = _read_text(args.file)
+        if source is None:
+            return 2
         graph = load_ntriples(source)
     else:
-        from .workloads import (
-            WorkloadConfig,
-            generate_workload,
-            populate_platform,
-        )
-        from .platform import Platform
-
-        platform = Platform()
-        workload = generate_workload(WorkloadConfig(
-            n_users=max(10, args.contents // 50),
-            n_contents=args.contents,
-            cities=("Turin",),
-            seed=42,
-        ))
-        populate_platform(platform, workload)
-        graph = platform.union_graph()
+        graph = _demo_platform(
+            args.contents, max(10, args.contents // 50)
+        ).union_graph()
 
     evaluator = Evaluator(graph)
     try:
@@ -977,11 +915,9 @@ def _cmd_store(args) -> int:
         from .rdf.nquads import parse_nquads
         from .store.wal import OP_ADD
 
-        if args.file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
+        text = _read_text(args.file)
+        if text is None:
+            return 2
         with QuadStore(args.directory, **policy_kwargs()) as store:
             ops = [
                 (OP_ADD, (s, p, o), graph)
@@ -1012,10 +948,6 @@ def _cmd_obs(args) -> int:
         return _cmd_obs_loadgen(args)
     if args.obs_command == "slo":
         return _cmd_obs_slo(args)
-    if args.obs_command == "profile":
-        return _cmd_obs_profile(args)
-    if args.obs_command == "health":
-        return _cmd_obs_health(args)
     print(f"error: unknown obs command {args.obs_command!r}",
           file=sys.stderr)
     return 2
@@ -1158,77 +1090,6 @@ def _cmd_obs_slo(args) -> int:
         _write_json(args.report, report.to_dict())
         print(f"SLO report -> {args.report}")
     return 0 if report.passed else 1
-
-
-def _cmd_obs_profile(args) -> int:
-    from .obs import MetricsRegistry, SamplingProfiler, set_registry
-    from .workloads.loadgen import LoadConfig, LoadGenerator
-
-    config = LoadConfig(
-        seed=args.seed, ops=args.ops, workers=args.workers
-    )
-    profiler = SamplingProfiler(hz=args.hz)
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        generator = LoadGenerator(config)
-        generator.setup()
-        profiler.start()
-        try:
-            report = generator.run()
-        finally:
-            stats = profiler.stop()
-    finally:
-        set_registry(previous)
-    print(
-        f"profiled {report.completed} op(s) in "
-        f"{report.wall_seconds:.2f}s: {stats.samples} sample(s) at "
-        f"{args.hz:g} Hz over {stats.threads_seen} thread(s), "
-        f"duty cycle {stats.duty_cycle:.2%}"
-    )
-    print(f"hottest frames (inclusive samples, top {args.top}):")
-    for frame, count in profiler.top(args.top):
-        print(f"  {count:>5}  {frame}")
-    if args.output:
-        written = profiler.write_collapsed(args.output)
-        print(f"collapsed stacks -> {written}")
-    return 0
-
-
-def _cmd_obs_health(args) -> int:
-    from .obs import (
-        MetricsRegistry,
-        default_slo,
-        evaluate_slo,
-        set_registry,
-    )
-    from .workloads.loadgen import LoadConfig, LoadGenerator
-
-    config = LoadConfig(seed=args.seed, ops=args.ops, workers=2)
-    registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        generator = LoadGenerator(config)
-        generator.setup()
-        report = generator.run()
-    finally:
-        set_registry(previous)
-    slo_report = evaluate_slo(
-        default_slo(), report.metrics, report.wall_seconds
-    )
-    verdict = "healthy" if slo_report.passed else "UNHEALTHY"
-    print(
-        f"{verdict}: {report.completed} op(s) at "
-        f"{report.throughput:.1f} op/s, {report.errors} error(s), "
-        f"{len(slo_report.results) - len(slo_report.breaches)}/"
-        f"{len(slo_report.results)} SLO(s) met"
-    )
-    for breach in slo_report.breaches:
-        print(
-            f"  breach: {breach.objective.name} "
-            f"({breach.objective.target_text()}) — {breach.detail or ''}"
-        )
-    return 0 if slo_report.passed else 1
 
 
 def _cmd_obs_demo(args) -> int:

@@ -1,7 +1,8 @@
 """Batch annotation of legacy content (paper §6 / conclusion).
 
-Graph-writes: the caller-supplied target graph, from the single-threaded
-drain loop only
+Graph-writes: the caller-supplied target — a graph (one insert per
+triple) or a quad-store (one ``WriteBatch`` commit per checkpoint
+batch) — from the single-threaded drain loop only
 
 "There's a huge amount of content already present in our platform that
 remains to be semantically annotated. Solving this issue requires to
@@ -28,11 +29,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs import get_registry, get_tracer
 from ..rdf.graph import Graph
 from ..rdf.namespace import DCTERMS
+from ..store import QuadStore, WriteBatch
 
 
 @dataclass
@@ -116,17 +118,20 @@ class Checkpoint:
 class BatchAnnotator:
     """Annotates a platform's back catalog in resumable batches.
 
-    ``target`` may be a plain :class:`~repro.rdf.graph.Graph` or a
-    buffered :class:`repro.store.StoreGraph`: any target exposing
-    ``flush`` is flushed at every checkpoint boundary, so one batch of
-    annotations becomes one generation-stamped store commit (one WAL
-    record) and concurrent readers only ever observe whole batches.
+    ``target`` is a plain :class:`~repro.rdf.graph.Graph` (each triple
+    is inserted as it is recorded) or a
+    :class:`~repro.store.engine.QuadStore`: the triples of one
+    checkpoint batch then go into the store's default context as one
+    :class:`~repro.store.engine.WriteBatch` commit — one generation,
+    one WAL record — so concurrent readers only ever observe whole
+    batches, and ``triples_added`` counts the ops that commit made
+    effective.
     """
 
     def __init__(
         self,
         platform,
-        target: Optional[Graph] = None,
+        target: Union[Graph, QuadStore, None] = None,
         batch_size: int = 100,
         workers: int = 1,
         on_progress: Optional[Callable[[Checkpoint], None]] = None,
@@ -141,6 +146,8 @@ class BatchAnnotator:
         self.workers = workers
         self.on_progress = on_progress
         self.checkpoint = Checkpoint()
+        #: a store target's triples recorded since its last commit
+        self._batch = WriteBatch()
 
     # ------------------------------------------------------------------
     def pending_pids(self) -> List[int]:
@@ -189,15 +196,13 @@ class BatchAnnotator:
     def _settle_store(self) -> None:
         """Let a policy-triggered background checkpoint finish.
 
-        A store-backed target whose :class:`~repro.store.engine.
+        A store target whose :class:`~repro.store.engine.
         CheckpointPolicy` tripped during this run may still be writing
         its snapshot; waiting here means that when ``run`` returns, the
         WAL replay cost the policy bounds is actually bounded — a
         restart right after a completed batch replays only the tail."""
-        store = getattr(self.target, "store", None)
-        wait = getattr(store, "wait_for_checkpoints", None)
-        if callable(wait):
-            wait()
+        if isinstance(self.target, QuadStore):
+            self.target.wait_for_checkpoints()
 
     @property
     def done(self) -> bool:
@@ -262,19 +267,21 @@ class BatchAnnotator:
                 if in_batch >= self.batch_size:
                     in_batch = 0
                     self._commit_watermark()
-        if in_batch:
+        # a batch whose commit failed in an earlier run is still pending
+        if in_batch or self._batch.ops:
             self._commit_watermark()
 
     def _commit_watermark(self) -> None:
-        """Checkpoint boundary: flush a buffered store-backed target
-        (one annotation batch → one generation-stamped commit / WAL
-        record) *before* the progress callback, so a checkpoint the
-        callback persists never points past durable data. A failed
-        flush keeps its ops buffered in the target and raises — the
+        """Checkpoint boundary: commit a store target's batch (one
+        annotation batch → one generation-stamped commit / WAL record)
+        *before* the progress callback, so a checkpoint the callback
+        persists never points past durable data. A failed commit keeps
+        its ops pending for the next watermark and raises — the
         callback never sees a checkpoint whose batch did not commit."""
-        flush = getattr(self.target, "flush", None)
-        if callable(flush):
-            flush()
+        if self._batch.ops:
+            _, effective = self.target.apply(self._batch.ops)
+            self._batch = WriteBatch()
+            self.checkpoint.stats.triples_added += effective
         if self.on_progress is not None:
             self.on_progress(self.checkpoint)
 
@@ -300,20 +307,21 @@ class BatchAnnotator:
             stats.failures.append((pid, payload))
             return
         resource = payload
-        added = 0
         for annotation in result.annotations:
-            # insert() reports newness atomically — the previous
-            # len()-before/len()-after straddle read store statistics
-            # mid-write (the EF004 lint rule) and would miscount under
-            # a concurrent writer
-            if self.target.insert(
-                (resource, DCTERMS.subject, annotation.resource)
-            ):
-                added += 1
+            triple = (resource, DCTERMS.subject, annotation.resource)
+            if isinstance(self.target, QuadStore):
+                # counted when the watermark's commit reports its
+                # effective ops
+                self._batch.insert(triple)
+            elif self.target.insert(triple):
+                # insert() reports newness atomically — the previous
+                # len()-before/len()-after straddle read store
+                # statistics mid-write (the EF004 lint rule) and would
+                # miscount under a concurrent writer
+                stats.triples_added += 1
         stats.processed += 1
         if result.annotations:
             stats.annotated += 1
-        stats.triples_added += added
         broker_result = getattr(result, "broker_result", None)
         if broker_result is not None and broker_result.degraded:
             stats.degraded_items += 1

@@ -483,7 +483,7 @@ def default_slo() -> SLOSpec:
                 metric="repro_loadgen_op_seconds",
                 labels={"op": "store_write"}, quantile=0.99,
                 threshold=0.25,
-                description="StoreGraph autocommit write latency",
+                description="QuadStore.insert autocommit write latency",
             ),
             Objective(
                 name="upload_p95", kind="latency",

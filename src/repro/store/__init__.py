@@ -11,10 +11,10 @@ The storage engine extracted out of :class:`repro.rdf.graph.Graph`
   compaction, incremental planner statistics.
 * :class:`SnapshotGraph` / :class:`SnapshotDataset` — generation-pinned
   read views the SPARQL evaluator and planner run against.
-* :class:`StoreGraph` — a mutable ``Graph``-compatible facade so
-  existing writers (``BatchAnnotator``, D2R loading) run unchanged;
-  ``buffered=True`` turns its :meth:`~StoreGraph.flush` into one
-  generation-stamped batch per checkpoint watermark.
+* :class:`WriteBatch` — the one way in: ordered quad ops that
+  ``QuadStore.commit``/``apply`` turn into one generation and one WAL
+  record (``insert``/``remove`` are one-op conveniences,
+  ``sync_dataset`` the bulk loader over the same path).
 * :class:`WriteAheadLog` / snapshot files — durability; opening a store
   directory *is* crash recovery (newest snapshot + WAL tail, torn tail
   truncated).
@@ -44,7 +44,6 @@ from .engine import (
     WriteBatch,
     is_quad_store,
 )
-from .facade import StoreGraph
 from .persistence import RecoveryReport, snapshot_files
 from .wal import WalScan, WriteAheadLog, scan_wal
 
@@ -56,7 +55,6 @@ __all__ = [
     "SnapshotDataset",
     "SnapshotGraph",
     "StoreError",
-    "StoreGraph",
     "WalScan",
     "WriteAheadLog",
     "WriteBatch",

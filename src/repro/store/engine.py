@@ -601,11 +601,13 @@ class _Checkpointer:
                 span.set_attribute(
                     "outcome", "error" if error else "ok"
                 )
-            _observe_auto_checkpoint(
-                self._store,
-                failed=error is not None,
-                seconds=time.perf_counter() - run_began,
-            )
+            seconds = time.perf_counter() - run_began
+            labels = {
+                "store": self._store.name,
+                "outcome": "error" if error else "ok",
+            }
+            _emit("repro_store_auto_checkpoints_total", **labels)
+            _emit("repro_store_checkpoint_seconds", seconds, **labels)
             with self._cond:
                 self._running = False
                 if error is None:
@@ -723,7 +725,9 @@ class GroupCommitQueue:
                         self._busy = False
         elapsed = time.perf_counter() - began
         role = "leader" if sub.lead else "follower"
-        _observe_group_flush(self._store, elapsed, role, waited)
+        labels = {"store": self._store.name, "role": role}
+        _emit("repro_store_flush_seconds", elapsed, **labels)
+        _emit("repro_store_group_wait_seconds", waited, **labels)
         # parents to the *submitting* thread's active span, so a
         # follower's commit shows up in its own request trace even
         # though another thread did the flush
@@ -759,7 +763,14 @@ class GroupCommitQueue:
             self._batched += len(group) - 1
             if len(group) > self._largest_group:
                 self._largest_group = len(group)
-        _observe_group_commit(self._store, len(group))
+        name = self._store.name
+        _emit("repro_store_group_commit_groups_total", store=name)
+        if len(group) > 1:
+            _emit(
+                "repro_store_group_commit_batched_total",
+                len(group) - 1, store=name,
+            )
+        _emit("repro_store_group_batch_size", len(group), store=name)
 
     def stats(self) -> dict:
         with self._mutex:
@@ -837,7 +848,17 @@ class QuadStore:
             self._wal = WriteAheadLog(
                 self.directory / WAL_FILENAME, sync=sync
             )
-            _observe_recovery(self)
+            report = self.recovery
+            _emit("repro_store_recoveries_total", store=self.name)
+            if report.torn_bytes:
+                _emit(
+                    "repro_store_torn_bytes_total", report.torn_bytes,
+                    store=self.name,
+                )
+            _emit(
+                "repro_store_replayed_ops_total", report.ops_replayed,
+                store=self.name,
+            )
         else:
             self._state = _State(0, {}, 0, None)
         self._group = GroupCommitQueue(self) if group_commit else None
@@ -846,7 +867,9 @@ class QuadStore:
             if not self.checkpoint_policy.explicit_only
             else None
         )
-        _observe_generation(self)
+        _emit(
+            "repro_store_generation", self.generation, store=self.name
+        )
 
     # -- recovery -------------------------------------------------------
     def _bootstrap(self) -> _State:
@@ -1035,10 +1058,21 @@ class QuadStore:
             # one condition notify; the snapshot IO runs on the
             # checkpointer thread after this commit releases the lock
             self._checkpointer.request()
-        _observe_commit(
-            self, len(effective), wal_bytes, folded,
-            wal_seconds, fsync_seconds,
-        )
+        name = self.name
+        _emit("repro_store_commits_total", store=name)
+        _emit("repro_store_committed_ops_total", len(effective), store=name)
+        if wal_bytes:
+            _emit("repro_store_wal_records_total", store=name)
+            _emit("repro_store_wal_bytes_total", wal_bytes, store=name)
+            _emit("repro_store_wal_append_seconds", wal_seconds, store=name)
+            if fsync_seconds:
+                _emit(
+                    "repro_store_wal_fsync_seconds", fsync_seconds,
+                    store=name,
+                )
+        if folded:
+            _emit("repro_store_compactions_total", folded, store=name)
+        _emit("repro_store_generation", new_state.generation, store=name)
         return new_state.generation, seg_counts
 
     def _advance(
@@ -1178,7 +1212,12 @@ class QuadStore:
                 # empty
                 self._wal.reset()  # cc: allow=CC003
                 self._ops_since_checkpoint = 0
-            _observe_checkpoint(self, snap_took)
+            _emit("repro_store_checkpoints_total", store=self.name)
+            if snap_took:
+                _emit(
+                    "repro_store_snapshot_write_seconds", snap_took,
+                    store=self.name,
+                )
         return path
 
     def compact(self) -> dict:
@@ -1218,7 +1257,9 @@ class QuadStore:
                 for p in prune_snapshots(self.directory, self.generation)
             ]
         if folded:
-            _observe_fold(self, folded)
+            _emit(
+                "repro_store_compactions_total", folded, store=self.name
+            )
         return summary
 
     # -- statistics ------------------------------------------------------
@@ -1283,11 +1324,18 @@ class QuadStore:
                 "records_this_session": self._wal.records,
                 "sync": self._wal.sync,
             }
-            data["snapshots"] = [
-                {"generation": generation, "path": str(path),
-                 "bytes": path.stat().st_size}
-                for generation, path in snapshot_files(self.directory)
-            ]
+            data["snapshots"] = snapshots = []
+            for generation, path in snapshot_files(self.directory):
+                try:
+                    size = path.stat().st_size
+                except FileNotFoundError:
+                    # pruned by the background checkpointer since the
+                    # listing: superseded, not part of the store now
+                    continue
+                snapshots.append({
+                    "generation": generation, "path": str(path),
+                    "bytes": size,
+                })
         data["checkpoint_policy"] = self.checkpoint_policy.as_dict()
         if self._checkpointer is not None:
             data["auto_checkpoint"] = self._checkpointer.stats()
@@ -1432,146 +1480,75 @@ class _StateView:
 
 
 # ---------------------------------------------------------------------
-# metrics (emitted outside the commit lock)
+# metrics: every ``repro_store_*`` family, declared once
 # ---------------------------------------------------------------------
-def _observe_generation(store: QuadStore) -> None:
-    get_registry().gauge(
-        "repro_store_generation",
-        "Current generation of each quad store",
-    ).labels(store=store.name).set(store.generation)
+#: family name → (kind, help[, histogram buckets]).
+_METRICS: Dict[str, tuple] = {
+    "repro_store_generation": (
+        "gauge", "Current generation of each quad store"),
+    "repro_store_commits_total": (
+        "counter", "Committed write batches per store"),
+    "repro_store_committed_ops_total": (
+        "counter", "Effective quad ops committed per store"),
+    "repro_store_wal_records_total": (
+        "counter", "WAL records appended per store"),
+    "repro_store_wal_bytes_total": (
+        "counter", "WAL bytes appended per store"),
+    "repro_store_wal_append_seconds": (
+        "histogram",
+        "WAL append latency per commit (serialize + write + flush)"),
+    "repro_store_wal_fsync_seconds": (
+        "histogram",
+        "fsync share of each WAL append (sync=True stores)"),
+    "repro_store_compactions_total": (
+        "counter", "Context overlays folded into fresh bases per store"),
+    "repro_store_checkpoints_total": (
+        "counter", "Snapshot checkpoints written per store"),
+    "repro_store_snapshot_write_seconds": (
+        "histogram", "Snapshot file write latency per checkpoint"),
+    "repro_store_auto_checkpoints_total": (
+        "counter",
+        "Policy-triggered background checkpoints per store and outcome"),
+    "repro_store_checkpoint_seconds": (
+        "histogram",
+        "Background checkpointer run duration per store and outcome"),
+    "repro_store_group_commit_groups_total": (
+        "counter", "Group commits flushed per store"),
+    "repro_store_group_commit_batched_total": (
+        "counter",
+        "Submissions that shared another submitter's WAL flush"),
+    "repro_store_group_batch_size": (
+        "histogram", "Submissions coalesced into each group commit",
+        (1, 2, 4, 8, 16, 32, 64, 128)),
+    "repro_store_flush_seconds": (
+        "histogram",
+        "Group-commit latency per submitted batch (queue wait + flush)"),
+    "repro_store_group_wait_seconds": (
+        "histogram",
+        "Queue wait before each submission's flush began, by role"),
+    "repro_store_recoveries_total": (
+        "counter", "Store opens that replayed durable state"),
+    "repro_store_torn_bytes_total": (
+        "counter", "WAL bytes discarded as torn tails during recovery"),
+    "repro_store_replayed_ops_total": (
+        "counter", "WAL ops replayed during recovery"),
+}
 
 
-def _observe_commit(
-    store: QuadStore,
-    ops: int,
-    wal_bytes: int,
-    folded: int,
-    wal_seconds: float = 0.0,
-    fsync_seconds: float = 0.0,
-) -> None:
+def _emit(name: str, value: float = 1, **labels: str) -> None:
+    """Record ``value`` on the ``labels`` series of family ``name``.
+
+    The family is looked up in the registry current *now* —
+    ``set_registry`` swaps it, so nothing is bound at import — and only
+    exists there once a sample was emitted."""
+    kind, help_text, *buckets = _METRICS[name]
     registry = get_registry()
-    labels = {"store": store.name}
-    registry.counter(
-        "repro_store_commits_total",
-        "Committed write batches per store",
-    ).labels(**labels).inc()
-    registry.counter(
-        "repro_store_committed_ops_total",
-        "Effective quad ops committed per store",
-    ).labels(**labels).inc(ops)
-    if wal_bytes:
-        registry.counter(
-            "repro_store_wal_records_total",
-            "WAL records appended per store",
-        ).labels(**labels).inc()
-        registry.counter(
-            "repro_store_wal_bytes_total",
-            "WAL bytes appended per store",
-        ).labels(**labels).inc(wal_bytes)
-        registry.histogram(
-            "repro_store_wal_append_seconds",
-            "WAL append latency per commit (serialize + write + flush)",
-        ).labels(**labels).observe(wal_seconds)
-        if fsync_seconds:
-            registry.histogram(
-                "repro_store_wal_fsync_seconds",
-                "fsync share of each WAL append (sync=True stores)",
-            ).labels(**labels).observe(fsync_seconds)
-    if folded:
-        _observe_fold(store, folded)
-    _observe_generation(store)
+    if kind == "histogram":
+        registry.histogram(name, help_text, *buckets).labels(
+            **labels
+        ).observe(value)
+    elif kind == "gauge":
+        registry.gauge(name, help_text).labels(**labels).set(value)
+    else:
+        registry.counter(name, help_text).labels(**labels).inc(value)
 
-
-def _observe_fold(store: QuadStore, folded: int) -> None:
-    get_registry().counter(
-        "repro_store_compactions_total",
-        "Context overlays folded into fresh bases per store",
-    ).labels(store=store.name).inc(folded)
-
-
-def _observe_checkpoint(
-    store: QuadStore, snapshot_seconds: float = 0.0
-) -> None:
-    registry = get_registry()
-    registry.counter(
-        "repro_store_checkpoints_total",
-        "Snapshot checkpoints written per store",
-    ).labels(store=store.name).inc()
-    if snapshot_seconds:
-        registry.histogram(
-            "repro_store_snapshot_write_seconds",
-            "Snapshot file write latency per checkpoint",
-        ).labels(store=store.name).observe(snapshot_seconds)
-
-
-def _observe_auto_checkpoint(
-    store: QuadStore, *, failed: bool, seconds: float = 0.0
-) -> None:
-    outcome = "error" if failed else "ok"
-    registry = get_registry()
-    registry.counter(
-        "repro_store_auto_checkpoints_total",
-        "Policy-triggered background checkpoints per store and outcome",
-    ).labels(store=store.name, outcome=outcome).inc()
-    registry.histogram(
-        "repro_store_checkpoint_seconds",
-        "Background checkpointer run duration per store and outcome",
-    ).labels(store=store.name, outcome=outcome).observe(seconds)
-
-
-def _observe_group_commit(store: QuadStore, group_size: int) -> None:
-    registry = get_registry()
-    labels = {"store": store.name}
-    registry.counter(
-        "repro_store_group_commit_groups_total",
-        "Group commits flushed per store",
-    ).labels(**labels).inc()
-    if group_size > 1:
-        registry.counter(
-            "repro_store_group_commit_batched_total",
-            "Submissions that shared another submitter's WAL flush",
-        ).labels(**labels).inc(group_size - 1)
-    registry.histogram(
-        "repro_store_group_batch_size",
-        "Submissions coalesced into each group commit",
-        buckets=(1, 2, 4, 8, 16, 32, 64, 128),
-    ).labels(**labels).observe(group_size)
-
-
-def _observe_group_flush(
-    store: QuadStore,
-    seconds: float,
-    role: str = "leader",
-    wait_seconds: float = 0.0,
-) -> None:
-    registry = get_registry()
-    labels = {"store": store.name, "role": role}
-    registry.histogram(
-        "repro_store_flush_seconds",
-        "Group-commit latency per submitted batch (queue wait + flush)",
-    ).labels(**labels).observe(seconds)
-    registry.histogram(
-        "repro_store_group_wait_seconds",
-        "Queue wait before each submission's flush began, by role",
-    ).labels(**labels).observe(wait_seconds)
-
-
-def _observe_recovery(store: QuadStore) -> None:
-    report = store.recovery
-    if report is None:
-        return
-    registry = get_registry()
-    labels = {"store": store.name}
-    registry.counter(
-        "repro_store_recoveries_total",
-        "Store opens that replayed durable state",
-    ).labels(**labels).inc()
-    if report.torn_bytes:
-        registry.counter(
-            "repro_store_torn_bytes_total",
-            "WAL bytes discarded as torn tails during recovery",
-        ).labels(**labels).inc(report.torn_bytes)
-    registry.counter(
-        "repro_store_replayed_ops_total",
-        "WAL ops replayed during recovery",
-    ).labels(**labels).inc(report.ops_replayed)

@@ -1,9 +1,10 @@
 """Deterministic mixed-traffic load generator over the full stack.
 
 Concurrency: thread-safe
-Graph-writes: a scratch quad-store context via the ``StoreGraph``
-facade (generation-stamped commits), and the platform's attached store
-through ``Platform.synchronize_store`` (one delta commit per flush)
+Graph-writes: a scratch quad-store context via ``QuadStore.insert``
+(one generation-stamped commit per op, through the group-commit queue),
+and the platform's attached store through
+``Platform.synchronize_store`` (one delta commit per flush)
 
 The ROADMAP's "load-tested SLOs" harness: drive a
 :class:`~repro.platform.gallery.Platform` + :class:`~repro.platform.
@@ -60,7 +61,7 @@ from ..platform.search import SearchInterface
 from ..platform.web import WebInterface
 from ..rdf.terms import URIRef
 from ..sparql.evaluator import Evaluator
-from ..store import QuadStore, StoreGraph
+from ..store import QuadStore
 from .generator import WorkloadConfig, generate_workload, populate_platform
 
 __all__ = [
@@ -101,6 +102,9 @@ _SEARCH_PREFIXES = (
 )
 
 _ALBUM_KINDS = ("geo", "social", "rated")
+
+#: The context the ``store_write`` op commits into.
+_SCRATCH_CONTEXT = URIRef("http://repro.local/loadgen/scratch")
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,6 @@ class LoadGenerator:
         self._platform: Optional[Platform] = None
         self._web: Optional[WebInterface] = None
         self._store: Optional[QuadStore] = None
-        self._scratch: Optional[StoreGraph] = None
         self._search: Optional[SearchInterface] = None
         self._pids: List[int] = []
         self._uploads: List[Capture] = []
@@ -320,9 +323,6 @@ class LoadGenerator:
         self._platform = platform
         self._store = store
         self._web = WebInterface(platform)
-        self._scratch = StoreGraph(
-            store, "http://repro.local/loadgen/scratch"
-        )
         self._search = SearchInterface(
             platform.union_graph(), platform.contents()
         )
@@ -411,11 +411,14 @@ class LoadGenerator:
 
     def _op_store_write(self, arg: str) -> None:
         index = int(arg[1:])
-        self._scratch.insert((
-            URIRef(f"http://repro.local/loadgen/op/{index}"),
-            URIRef("http://repro.local/loadgen/vocab#payload"),
-            f"write-{index}",
-        ))
+        self._store.insert(
+            (
+                URIRef(f"http://repro.local/loadgen/op/{index}"),
+                URIRef("http://repro.local/loadgen/vocab#payload"),
+                f"write-{index}",
+            ),
+            _SCRATCH_CONTEXT,
+        )
 
     def _execute(self, op: ScheduledOp) -> None:
         handler = getattr(self, f"_op_{op.kind}")

@@ -24,6 +24,7 @@ from repro.resolvers import (
     default_resolvers,
     wrap_resilient,
 )
+from repro.store import QuadStore, StoreError
 from repro.workloads import (
     WorkloadConfig,
     generate_workload,
@@ -215,6 +216,90 @@ class TestParallelEquivalence:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             BatchAnnotator(FakePlatform([1]), workers=0)
+
+
+class TestStoreTarget:
+    """A ``QuadStore`` target: one ``WriteBatch`` commit per checkpoint
+    batch, counted by the effective ops the commit reports (the
+    generation-per-batch case itself is
+    ``tests/store/test_integration.py::TestBatchAnnotatorCommits``)."""
+
+    def test_second_run_over_the_same_catalog_adds_nothing(self):
+        platform = FakePlatform(range(1, 8))
+        store = QuadStore()
+        first = BatchAnnotator(platform, store, batch_size=3)
+        assert first.run().triples_added == store.size == 7
+        generation = store.generation
+        # nothing pending: a resumed run commits and counts nothing
+        assert first.run().triples_added == 7
+        # a fresh annotator re-annotates everything; no op is effective
+        second = BatchAnnotator(platform, store, batch_size=3)
+        assert second.run().triples_added == 0
+        assert store.size == 7
+        assert store.generation == generation
+
+    def test_sequential_and_parallel_summaries_agree(self):
+        def run(workers):
+            platform = FakePlatform(
+                range(1, 25), failing=[5, 13], delays={1: 0.02},
+            )
+            store = QuadStore()
+            generations = []
+            stats = BatchAnnotator(
+                platform, store, batch_size=5, workers=workers,
+                on_progress=lambda cp: generations.append(
+                    store.generation
+                ),
+            ).run()
+            return stats.summary(), generations, store.to_nquads()
+
+        assert run(1) == run(4)
+
+    def test_failed_commit_raises_and_the_next_run_commits_it(
+        self, tmp_path
+    ):
+        store = QuadStore(tmp_path / "s")
+        seen = []
+        batch = BatchAnnotator(
+            FakePlatform(range(1, 7)), store, batch_size=4,
+            on_progress=lambda cp: seen.append(cp.last_pid),
+        )
+        append = store._wal.append
+
+        def disk_full(generation, ops):
+            raise OSError("disk full")
+
+        store._wal.append = disk_full
+        with pytest.raises(OSError, match="disk full"):
+            batch.run()
+        # no checkpoint was announced past durable data
+        assert seen == []
+        assert store.generation == 0 and store.size == 0
+        assert batch.checkpoint.stats.triples_added == 0
+
+        store._wal.append = append
+        stats = batch.run()
+        # the held-back batch and the rest of the catalog both landed
+        assert seen == [6]
+        assert stats.processed == 6
+        assert stats.triples_added == store.size == 6
+        dump = store.to_nquads()
+        store.close()
+        with QuadStore(tmp_path / "s") as reopened:
+            assert reopened.to_nquads() == dump
+
+    def test_closed_durable_store_refuses_the_commit(self, tmp_path):
+        store = QuadStore(tmp_path / "s")
+        seen = []
+        batch = BatchAnnotator(
+            FakePlatform([1, 2, 3]), store,
+            on_progress=lambda cp: seen.append(cp.last_pid),
+        )
+        store.close()
+        with pytest.raises(StoreError, match="closed"):
+            batch.run()
+        assert seen == []
+        assert batch.checkpoint.stats.triples_added == 0
 
 
 class TestFaultDegradation:

@@ -36,6 +36,14 @@ class TestLoadDump:
         out = capsys.readouterr().out
         assert "loaded 0 new quad(s)" in out
 
+    def test_load_of_an_unreadable_file_exits_2(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        assert main([
+            "store", "load", str(store_dir), str(tmp_path / "missing.nq"),
+        ]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not store_dir.exists()  # nothing was opened
+
 
 class TestInfo:
     def test_info_reports_generation_and_wal(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ sanitizer's mutation-during-iteration tripwire must stay silent.
 import threading
 
 from repro.rdf.terms import Literal, URIRef
-from repro.store import QuadStore, StoreGraph
+from repro.store import QuadStore
 
 EX = "http://example.org/"
 BATCHES = 30
@@ -107,44 +107,67 @@ class TestReaderWriterEquivalence:
         assert concurrent.to_nquads() == sequential.to_nquads()
         assert concurrent.generation == sequential.generation
 
-    def test_buffered_facades_flush_race_free(self):
-        """Two buffered facades over different contexts flush
-        concurrently; each flush is one atomic generation."""
+    def test_writers_per_context_commit_against_pinned_readers(self):
+        """N threads each commit ``WriteBatch``es into their own
+        context while readers pin heads: every commit is one atomic
+        generation, so a pinned view holds whole batches only."""
         store = QuadStore()
-        contexts = [URIRef(f"{EX}g{i}") for i in range(2)]
+        writers = 4
+        contexts = [URIRef(f"{EX}g{i}") for i in range(writers)]
+        done = threading.Event()
+        errors = []
 
         def work(context, lo):
-            graph = StoreGraph(store, context=context, buffered=True)
-            for b in range(lo, BATCHES, 2):
-                for triple in _batch_triples(b):
-                    graph.insert(triple)
-                graph.flush()
+            for b in range(lo, BATCHES, writers):
+                store.commit(
+                    store.batch().add_all(_batch_triples(b), context)
+                )
 
+        def reader():
+            while not done.is_set():
+                view = store.head()
+                seen = sum(1 for _ in view.triples((None, None, None)))
+                if seen != view.generation * PER_BATCH:
+                    errors.append(
+                        f"generation {view.generation} shows "
+                        f"{seen} triples"
+                    )
+                    return
+
+        readers = [threading.Thread(target=reader) for _ in range(2)]
         threads = [
             threading.Thread(target=work, args=(ctx, lo))
             for lo, ctx in enumerate(contexts)
         ]
-        for thread in threads:
+        for thread in readers + threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not any(t.is_alive() for t in readers + threads)
+        assert not errors, errors[:3]
+        assert store.generation == BATCHES
         for lo, context in enumerate(contexts):
             expected = sum(
-                len(_batch_triples(b)) for b in range(lo, BATCHES, 2)
+                len(_batch_triples(b))
+                for b in range(lo, BATCHES, writers)
             )
             assert len(store.graph(context)) == expected
 
 
 class TestInterleavedRemove:
-    """Regression: autocommit ``StoreGraph.remove`` matched the pattern
-    in one lock acquisition and applied the OP_REMOVEs in another, so
-    two racing removers could both claim the same triple. Conservation
+    """Regression: a pattern remove that matched in one lock
+    acquisition and applied the OP_REMOVEs in another let two racing
+    removers both claim the same triple; ``QuadStore.remove`` matches
+    and removes under the commit lock. Conservation
     invariant: each round inserts exactly one triple, so the racers'
     removal counts must sum to exactly one."""
 
     ROUNDS = 100
 
-    def _run_rounds(self, graph, subject, triple):
+    def _run_rounds(self, store, subject, triple):
         """One inserter vs two racing removers, round by round.
 
         Two rendezvous per round: ``go`` releases the race only after
@@ -159,7 +182,7 @@ class TestInterleavedRemove:
         def remover(slot):
             for _ in range(self.ROUNDS):
                 go.wait()
-                removed[slot] += graph.remove((subject, None, None))
+                removed[slot] += store.remove((subject, None, None))
                 done.wait()
 
         threads = [
@@ -170,7 +193,7 @@ class TestInterleavedRemove:
             thread.start()
         inserted = 0
         for _ in range(self.ROUNDS):
-            inserted += graph.insert(triple)
+            inserted += store.insert(triple)
             go.wait()  # both removers race for the single triple
             done.wait()
         for thread in threads:
@@ -180,22 +203,10 @@ class TestInterleavedRemove:
 
     def test_racing_removers_conserve_counts(self):
         store = QuadStore()
-        graph = StoreGraph(store)
         subject = URIRef(EX + "contested")
         triple = (subject, URIRef(EX + "p"), Literal("x"))
-        removed = self._run_rounds(graph, subject, triple)
+        removed = self._run_rounds(store, subject, triple)
         assert sum(removed) == self.ROUNDS
-        assert len(graph) == 0
-
-    def test_buffered_racing_removers_conserve_counts(self):
-        store = QuadStore()
-        graph = StoreGraph(store, buffered=True)
-        subject = URIRef(EX + "contested")
-        triple = (subject, URIRef(EX + "p"), Literal("x"))
-        removed = self._run_rounds(graph, subject, triple)
-        assert sum(removed) == self.ROUNDS
-        assert len(graph) == 0
-        graph.flush()
         assert store.size == 0
 
 

@@ -233,5 +233,26 @@ class TestMisc:
         assert info["quads"] == 1
         assert "wal" not in info  # in-memory store does no file IO
 
+    def test_info_skips_a_snapshot_pruned_after_the_listing(
+        self, tmp_path, monkeypatch
+    ):
+        """Regression: the background checkpointer unlinks superseded
+        snapshots; one that vanished between ``snapshot_files()`` and
+        the ``stat()`` made ``info()`` die with FileNotFoundError."""
+        from repro.store import engine
+
+        store = QuadStore(tmp_path / "s")
+        store.insert(_triple(1))
+        kept = store.checkpoint()
+        listing = engine.snapshot_files(store.directory)
+        gone = store.directory / "snapshot-000000000000.nq"
+        monkeypatch.setattr(
+            engine, "snapshot_files",
+            lambda directory: [(0, gone)] + listing,
+        )
+        info = store.info()
+        assert [s["path"] for s in info["snapshots"]] == [str(kept)]
+        store.close()
+
     def test_store_error_is_value_error(self):
         assert issubclass(StoreError, ValueError)

@@ -7,7 +7,7 @@ from repro.core.batch import BatchAnnotator
 from repro.platform.sparql_push import SparqlPushService
 from repro.rdf.terms import Literal, URIRef
 from repro.sparql.evaluator import Evaluator
-from repro.store import QuadStore, StoreGraph
+from repro.store import QuadStore
 
 EX = "http://example.org/"
 P = URIRef(EX + "p")
@@ -81,7 +81,7 @@ class TestEvaluatorPinning:
 
 
 class TestBatchAnnotatorCommits:
-    def test_watermark_flushes_buffered_target(self):
+    def test_watermark_commits_one_generation_per_batch(self):
         """One checkpoint batch → one generation-stamped commit."""
         from types import SimpleNamespace
 
@@ -111,20 +111,25 @@ class TestBatchAnnotatorCommits:
                 return self._items[pid]
 
         store = QuadStore()
-        target = StoreGraph(store, buffered=True)
-        generations = []
+        generations, counted = [], []
+
+        def on_progress(checkpoint):
+            generations.append(store.generation)
+            counted.append(checkpoint.stats.triples_added)
+
         annotator = BatchAnnotator(
-            FakePlatform(10), target, batch_size=4,
-            on_progress=lambda cp: generations.append(store.generation),
+            FakePlatform(10), store, batch_size=4,
+            on_progress=on_progress,
         )
         stats = annotator.run()
         assert stats.processed == 10
-        # 10 items / batch_size 4 → 3 commits (4 + 4 + 2), each flushed
-        # *before* its progress callback observed the generation
+        # 10 items / batch_size 4 → 3 commits (4 + 4 + 2), each made
+        # — and its effective ops counted — *before* its progress
+        # callback looked
         assert generations == [1, 2, 3]
+        assert counted == [4, 8, 10]
         assert store.generation == 3
-        assert target.pending_ops == 0
-        assert store.size == 10
+        assert stats.triples_added == store.size == 10
 
 
 class TestSparqlPush:

@@ -473,12 +473,27 @@ class TestObsLoadgen:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_profile_flag_samples_the_run(self, tmp_path, capsys):
+        collapsed = tmp_path / "profile.collapsed.txt"
+        assert main([
+            "obs", "loadgen", "--seed", "7", "--ops", "16",
+            "--workers", "2", "--base-contents", "10",
+            f"--profile={collapsed}", "--profile-hz", "200",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "profiler:" in out and "collapsed stacks ->" in out
+        assert collapsed.read_text()
+
+    def test_profile_and_health_verbs_are_gone(self, capsys):
+        # `obs loadgen --profile` / `--slo` are the one way to do both
+        for verb in ("profile", "health"):
+            with pytest.raises(SystemExit) as refused:
+                main(["obs", verb])
+            assert refused.value.code == 2
+        capsys.readouterr()
+
     def test_slo_verb_missing_input_exits_2(self, capsys):
         assert main([
             "obs", "slo", "--input", "/nonexistent/metrics.json",
         ]) == 2
         assert capsys.readouterr().err
-
-    def test_health_smoke(self, capsys):
-        assert main(["obs", "health", "--seed", "7"]) == 0
-        assert "healthy" in capsys.readouterr().out

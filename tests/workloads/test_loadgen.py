@@ -109,6 +109,27 @@ class TestRun:
         # the registry snapshot rides along for offline SLO evaluation
         assert "repro_loadgen_op_seconds" in report.metrics
 
+    def test_store_writes_commit_into_the_scratch_context(self, registry):
+        """The ``store_write`` op is ``QuadStore.insert`` into the
+        scratch context through the group-commit queue; the seed-7
+        schedule (digest and op count pinned) lands one quad per op."""
+        config = LoadConfig(
+            mix="default", seed=7, ops=48, workers=4, base_contents=12
+        )
+        generator = LoadGenerator(config)
+        writes = [
+            op for op in generator.schedule if op.kind == "store_write"
+        ]
+        assert schedule_digest(generator.schedule) == "7bdd35d69dd7cec0"
+        assert len(writes) == 9
+        report = generator.run()
+        assert report.errors == 0, report.error_samples
+        assert report.per_op["store_write"]["count"] == 9
+        store = generator._store
+        scratch = store.graph("http://repro.local/loadgen/scratch")
+        assert len(scratch) == 9
+        assert store.info()["group_commit"]["submissions"] >= 9
+
     def test_report_serializes(self, registry):
         config = LoadConfig(seed=5, ops=8, workers=2, base_contents=8)
         report = LoadGenerator(config).run()
