@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint-tools self-check lint-concurrency lint-effects \
-	sanitize sanitize-store benchmarks bench-store bench-loadgen \
+.PHONY: check test lint-tools self-check lint-concurrency \
+	sanitize benchmarks bench-store bench-loadgen \
 	bench-write-path bench-read-path bench-e2e-selftest slo-smoke
 
 ## The CI gate: tier-1 tests + static analysis + the repo's own lint.
-check: test lint-tools self-check lint-concurrency lint-effects
+check: test lint-tools self-check lint-concurrency
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,18 +33,9 @@ self-check:
 lint-concurrency:
 	$(PYTHON) -m repro lint --concurrency
 
-## EF-rule store-effect lint; warnings fail too so missing
-## Graph-writes contracts can't creep in.
-lint-effects:
-	$(PYTHON) -m repro lint --effects --fail-on warning
-
 ## Run the gold batch workload under the runtime lock sanitizer.
 sanitize:
 	$(PYTHON) -m repro sanitize --contents 60 --workers 4
-
-## Same workload with the store-access sanitizer stacked on top.
-sanitize-store:
-	$(PYTHON) -m repro sanitize --store --contents 60 --workers 4
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -8,10 +8,9 @@ Two guards pin this PR's observability machinery:
   p95/p99 latency ceilings, the upload-to-queryable freshness bound,
   the error-rate budget, and the throughput floor.  A breach fails the
   benchmark with the rendered SLO report in the assertion message.
-* ``bench_profiler_overhead`` — the same run with the sampling
-  profiler attached must stay within 1.10x of the unprofiled
-  wall-clock median: observing the workload may not meaningfully
-  perturb it.
+* ``bench_profiler_overhead`` — a ten times longer run of the same mix
+  with the sampling profiler attached: the share of the run the
+  sampler thread takes from the workload must stay within 1.10x.
 
 Results persist to ``BENCH_loadgen.json`` via :mod:`_harness`; each
 record carries the measured throughput and per-op p95s for the CI
@@ -36,12 +35,12 @@ CONFIG = dict(
 REPEATS = 3
 
 
-def _run_once():
+def _run_once(**overrides):
     """One isolated load run: fresh registry in, report out."""
     fresh = MetricsRegistry()
     previous = set_registry(fresh)
     try:
-        return LoadGenerator(LoadConfig(**CONFIG)).run()
+        return LoadGenerator(LoadConfig(**{**CONFIG, **overrides})).run()
     finally:
         set_registry(previous)
 
@@ -89,31 +88,58 @@ def bench_loadgen_slo(benchmark):
 
 
 OVERHEAD_CEILING = 1.10
-
-
 OVERHEAD_REPEATS = 5
+# ten times CONFIG's ops: ~0.7 s and ~50 sampler ticks per run
+OVERHEAD_OPS = 480
 
 
 def bench_profiler_overhead(benchmark):
-    """Attaching the sampler may not slow the workload past 1.10x."""
-    _run_once()  # warm caches so the first pair is not skewed
-    plain_ms, profiled_ms = [], []
+    """Attaching the sampler may not slow the workload past 1.10x.
+
+    What is gated is the slowdown the sampler accounts for itself:
+    ``1 / (1 - duty_cycle)``, the wall time it spends inside its ticks
+    (holding the interpreter lock the workload wants) over the run's
+    wall time. Both sides of that fraction slow down together when the
+    machine does: over 8 blocks of 5 runs at this length it read
+    1.011-1.017x (PR 21; 1.014-1.018x at 960 ops, 1.015-1.019x at
+    1 920).
+
+    The wall-clock ratio it replaces as the gate — median of 5 profiled
+    runs over median of 5 interleaved plain ones — is still recorded,
+    but two sets of *plain* runs compared that way disagree by more
+    than the 10 % they would gate on a shared 2-core machine, however
+    long the run: 0.933-1.145 at 48 ops (45 ms a run, 6 blocks),
+    0.814-1.031 at 480 ops (0.7 s, 8 blocks), 0.868-1.038 at 960 ops
+    (1.5 s, 8 blocks), 0.881-1.023 at 1 920 ops (3.6 s, 6 blocks);
+    profiled over plain read 0.995-1.119, 0.903-1.055 and 0.915-1.129
+    in the same blocks. That spread, not the profiler, is what failed
+    the 48-op version once at 1.128x."""
+
+    def run_once():
+        return _run_once(ops=OVERHEAD_OPS)
+
+    run_once()  # warm caches so the first pair is not skewed
+    plain_ms, profiled_ms, duty_cycles = [], [], []
     samples = 0
     for _ in range(OVERHEAD_REPEATS):
-        report = _run_once()
+        report = run_once()
         plain_ms.append(report.wall_seconds * 1000.0)
         with SamplingProfiler(hz=67) as profiler:
-            report = _run_once()
+            report = run_once()
         profiled_ms.append(report.wall_seconds * 1000.0)
-        samples += profiler.stats().samples
+        stats = profiler.stats()
+        samples += stats.samples
+        duty_cycles.append(stats.duty_cycle)
 
     plain = statistics.median(plain_ms)
     profiled = statistics.median(profiled_ms)
-    ratio = profiled / max(plain, 1e-6)
+    wall_ratio = profiled / max(plain, 1e-6)
+    ratio = 1.0 / (1.0 - statistics.median(duty_cycles))
 
     benchmark.extra_info["plain_ms"] = round(plain, 1)
     benchmark.extra_info["profiled_ms"] = round(profiled, 1)
     benchmark.extra_info["overhead_ratio"] = round(ratio, 3)
+    benchmark.extra_info["wall_clock_ratio"] = round(wall_ratio, 3)
     record(
         "loadgen",
         profiled_ms,
@@ -122,6 +148,7 @@ def bench_profiler_overhead(benchmark):
             "plain_ms": round(plain, 1),
             "profiled_ms": round(profiled, 1),
             "overhead_ratio": round(ratio, 3),
+            "wall_clock_ratio": round(wall_ratio, 3),
             "profiler_samples": samples,
         },
     )
@@ -129,7 +156,7 @@ def bench_profiler_overhead(benchmark):
     assert ratio <= OVERHEAD_CEILING, (
         f"profiler overhead {ratio:.3f}x exceeds the "
         f"{OVERHEAD_CEILING:.2f}x ceiling "
-        f"({profiled:.0f} ms vs {plain:.0f} ms)"
+        f"(wall clock: {profiled:.0f} ms vs {plain:.0f} ms)"
     )
 
-    benchmark.pedantic(_run_once, rounds=1, iterations=1)
+    benchmark.pedantic(run_once, rounds=1, iterations=1)

@@ -15,15 +15,10 @@ emits nothing). This package is the correctness gate in front of that:
   rewrites behind ``Evaluator(optimize=True)`` and ``repro explain``;
 * :class:`ConcurrencyAnalyzer` — CC-rule lock-discipline analysis over
   the repo's own Python source (``repro lint --concurrency``), with
-  :class:`LockSanitizer` as its runtime complement (``repro sanitize``);
-* :class:`StoreEffectAnalyzer` — EF-rule interprocedural read/write
-  discipline for the quad-store (``repro lint --effects``), with
-  :class:`StoreSanitizer` as its runtime complement
-  (``repro sanitize --store``).
+  :class:`LockSanitizer` as its runtime complement (``repro sanitize``).
 """
 
 from .concurrency import ConcurrencyAnalyzer, analyze_paths
-from .effects import StoreEffectAnalyzer, analyze_effects
 from .d2r_lint import MappingLinter
 from .diagnostics import (
     AnalysisError,
@@ -41,7 +36,6 @@ from .plan import (
 )
 from .rules import CATALOG_VERSION, RULES, Rule, rule
 from .sanitizer import LockSanitizer, SanitizerReport
-from .store_sanitizer import StoreReport, StoreSanitizer
 from .self_check import (
     builtin_queries,
     extract_sparql_strings,
@@ -79,11 +73,7 @@ __all__ = [
     "ShapeChecker",
     "Span",
     "SparqlLinter",
-    "StoreEffectAnalyzer",
-    "StoreReport",
-    "StoreSanitizer",
     "VocabularyIndex",
-    "analyze_effects",
     "analyze_paths",
     "builtin_queries",
     "default_vocabulary",

@@ -1,12 +1,11 @@
-"""Python-source scaffolding shared by the CC and EF analyzers.
+"""Python-source scaffolding of the CC analyzer.
 
-Both :mod:`repro.analysis.concurrency` and :mod:`repro.analysis.effects`
-parse the package's own source with :mod:`ast`; what they need before
-any rule runs is the same: the files below the given paths read and
-parsed (``SP000`` for the ones that cannot be), byte spans for
-diagnostics, per-line ``# <tag>: allow[=RULE,...]`` suppression
-pragmas, dotted names of ``Name``/``Attribute`` chains, and
-import-alias resolution.
+:mod:`repro.analysis.concurrency` parses the package's own source with
+:mod:`ast`; what it needs before any rule runs lives here: the files
+below the given paths read and parsed (``SP000`` for the ones that
+cannot be), byte spans for diagnostics, per-line
+``# cc: allow[=RULE,...]`` suppression pragmas, dotted names of
+``Name``/``Attribute`` chains, and import-alias resolution.
 """
 
 from __future__ import annotations
@@ -55,28 +54,26 @@ def parse_module(
     return tree, ast.get_docstring(tree) or ""
 
 
+#: ``# cc: allow=CC001,CC003``, or bare ``# cc: allow`` for every rule.
+_PRAGMA = re.compile(
+    r"#\s*cc:\s*allow(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
+)
+
+
 class SourceFile:
-    """Line-offset math and pragma lookup for one source file.
+    """Line-offset math and ``# cc: allow`` pragma lookup for one
+    source file (a bare pragma suppresses every rule on its line)."""
 
-    ``pragma_tag`` names the analyzer's comment namespace: ``"cc"``
-    reads ``# cc: allow=CC001,CC003`` (or bare ``# cc: allow``, which
-    suppresses every rule on that line).
-    """
-
-    def __init__(self, text: str, name: str, pragma_tag: str) -> None:
+    def __init__(self, text: str, name: str) -> None:
         self.text = text
         self.name = name
         self.line_starts = [0]
         for line in text.splitlines(keepends=True):
             self.line_starts.append(self.line_starts[-1] + len(line))
-        pragma = re.compile(
-            rf"#\s*{pragma_tag}:\s*allow"
-            r"(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
-        )
         #: ``lineno -> allowed rule ids`` (``None`` = all rules)
         self.pragmas: Dict[int, Optional[Set[str]]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
-            match = pragma.search(line)
+            match = _PRAGMA.search(line)
             if not match:
                 continue
             rules = match.group("rules")
@@ -119,17 +116,13 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 class ImportMap:
     """Resolve local names back to dotted module paths.
 
-    With ``module`` (the dotted name of the file being read) relative
-    imports resolve to absolute paths; without it they keep the module
-    name as written and bare ``from . import x`` forms are skipped.
+    Relative imports keep the module name as written; bare
+    ``from . import x`` forms are skipped.
     """
 
-    def __init__(
-        self, tree: ast.Module, module: Optional[str] = None
-    ) -> None:
+    def __init__(self, tree: ast.Module) -> None:
         self.aliases: Dict[str, str] = {}
         self.modules: Set[str] = set()
-        parts = module.split(".") if module else None
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -139,11 +132,6 @@ class ImportMap:
                     )
             elif isinstance(node, ast.ImportFrom):
                 origin = node.module or ""
-                if node.level and parts is not None:
-                    origin = ".".join(
-                        parts[:len(parts) - node.level]
-                        + ([node.module] if node.module else [])
-                    )
                 if not origin:
                     continue
                 self.modules.add(origin)

@@ -325,7 +325,7 @@ class ConcurrencyAnalyzer:
         if match and match.group(1) in _CONTRACTS:
             contract.contract = match.group(1)
 
-        source = SourceFile(text, name, "cc")
+        source = SourceFile(text, name)
         imports = ImportMap(tree)
 
         def emit(rule_id: str, message: str, node: ast.AST,

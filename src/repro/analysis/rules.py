@@ -22,7 +22,7 @@ class Rule:
     id: str
     title: str
     severity: Severity
-    component: str  # "sparql" | "d2r" | "shape"
+    component: str  # "sparql" | "d2r" | "shape" | "concurrency"
 
 
 _RULES = [
@@ -114,39 +114,12 @@ _RULES = [
          Severity.WARNING, "concurrency"),
     Rule("CC010", "module-level mutable state mutated without a guard "
          "in a threaded module", Severity.WARNING, "concurrency"),
-    # --- Store-effect analyzer ---------------------------------------------
-    Rule("EF001", "direct mutation of Graph index internals "
-         "(_spo/_pos/_osp) outside repro.rdf.graph",
-         Severity.ERROR, "effects"),
-    Rule("EF002", "graph writer called while iterating a live "
-         "triples()/subjects()/__iter__ generator of the same store",
-         Severity.ERROR, "effects"),
-    Rule("EF003", "mutation of a graph obtained from "
-         "Dataset.union_graph() (derived copy; the write is lost)",
-         Severity.ERROR, "effects"),
-    Rule("EF004", "bare statistics read on a write path without a "
-         "freshness/cached() check", Severity.WARNING, "effects"),
-    Rule("EF005", "live reference to a Graph internal index dict "
-         "stored or returned (snapshot escape)",
-         Severity.ERROR, "effects"),
-    Rule("EF006", "module performs graph writes without declaring a "
-         "'Graph-writes:' docstring contract",
-         Severity.WARNING, "effects"),
-    Rule("EF007", "io/clock effect inferred in a module declared "
-         "'Effects: pure'", Severity.ERROR, "effects"),
-    Rule("EF008", "function transitively writes the store in a module "
-         "whose contract is 'Graph-writes: none'",
-         Severity.ERROR, "effects"),
-    Rule("EF009", "Dataset.remove_graph() result ignored (removal "
-         "untracked)", Severity.WARNING, "effects"),
-    Rule("EF010", "inferred effects exceed the function's declared "
-         "'Effects:' summary", Severity.WARNING, "effects"),
 ]
 
 #: Version of the rule catalog, embedded in ``repro lint --json``
 #: envelopes so CI artifact diffs can tell rule-set drift from real
 #: regressions. Bump whenever a rule is added, removed or re-tiered.
-CATALOG_VERSION = "2026.08"
+CATALOG_VERSION = "2026.10"
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _RULES}
 

@@ -11,7 +11,6 @@ Usage::
     python -m repro lint --self-check
     python -m repro lint examples/ benchmarks/
     python -m repro lint --concurrency
-    python -m repro lint --effects --json -
     python -m repro sanitize --workers 4
     python -m repro store info /var/lib/repro/store
     python -m repro store recover /var/lib/repro/store
@@ -137,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="statically analyze SPARQL queries, D2R mappings, dumps "
-             "and (with --concurrency/--effects) the Python source "
-             "itself",
+             "and (with --concurrency) the Python source itself",
     )
     lint.add_argument(
         "files", nargs="*",
@@ -160,11 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--concurrency", action="store_true",
         help="run the CC-rule concurrency analyzer over Python "
-             "sources (positional paths, default: the repro package)",
-    )
-    lint.add_argument(
-        "--effects", action="store_true",
-        help="run the EF-rule store-effect analyzer over Python "
              "sources (positional paths, default: the repro package)",
     )
     lint.add_argument(
@@ -204,12 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--long-hold-ms", type=float, default=250.0,
         dest="long_hold_ms",
         help="flag lock holds longer than this (default: 250 ms)",
-    )
-    sanitize.add_argument(
-        "--store", action="store_true",
-        help="also install the runtime store sanitizer and report "
-             "mutation-during-iteration and Graph-writes contract "
-             "violations",
     )
 
     explain = sub.add_parser(
@@ -669,22 +656,14 @@ def _collect_lint_diagnostics(args) -> "object":
             report.extend(MappingLinter().lint(
                 platform.mapping, platform.db, name="platform-mapping"
             ))
-    source_analyzers = []
     if args.concurrency:
         from .analysis.concurrency import analyze_paths
 
-        source_analyzers.append(analyze_paths)
-    if getattr(args, "effects", False):
-        from .analysis.effects import analyze_effects
-
-        source_analyzers.append(analyze_effects)
-    if source_analyzers:
         targets = [Path(p) for p in args.files]
         if not targets:
             # default: the installed repro package itself
             targets = [Path(__file__).resolve().parent]
-        for analyze in source_analyzers:
-            report.extend(analyze(targets))
+        report.extend(analyze_paths(targets))
     else:
         for path in args.files:
             report.extend(lint_path(Path(path), linter))
@@ -748,10 +727,10 @@ def _cmd_lint(args) -> int:
 
     if not (
         args.files or args.queries or args.mapping
-        or args.self_check or args.concurrency or args.effects
+        or args.self_check or args.concurrency
     ):
         print("error: nothing to lint (give files or --queries/--mapping/"
-              "--self-check/--concurrency/--effects)", file=sys.stderr)
+              "--self-check/--concurrency)", file=sys.stderr)
         return 2
 
     report = _collect_lint_diagnostics(args)
@@ -773,12 +752,6 @@ def _cmd_lint(args) -> int:
     return 1 if report.at_least(fail_on) else 0
 
 
-def _noop_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
-
-
 def _cmd_sanitize(args) -> int:
     from .analysis.sanitizer import LockSanitizer
     from .core import BatchAnnotator
@@ -791,16 +764,7 @@ def _cmd_sanitize(args) -> int:
     sanitizer = LockSanitizer(
         long_hold_threshold=args.long_hold_ms / 1000.0
     )
-    store_sanitizer = None
-    if args.store:
-        from .analysis.store_sanitizer import StoreSanitizer
-
-        store_sanitizer = StoreSanitizer()
-    with sanitizer.installed(), (
-        store_sanitizer.installed()
-        if store_sanitizer is not None
-        else _noop_context()
-    ):
+    with sanitizer.installed():
         platform = _demo_platform(
             args.contents, max(5, args.contents // 20)
         )
@@ -816,13 +780,7 @@ def _cmd_sanitize(args) -> int:
           f"  failed: {stats.failed}")
     print()
     print(report.render())
-    failed = bool(report.inversions)
-    if store_sanitizer is not None:
-        store_report = store_sanitizer.report()
-        print()
-        print(store_report.render())
-        failed = failed or store_report.violations > 0
-    return 1 if failed else 0
+    return 1 if report.inversions else 0
 
 
 def _cmd_explain(args) -> int:

@@ -1,9 +1,5 @@
 """Batch annotation of legacy content (paper §6 / conclusion).
 
-Graph-writes: the caller-supplied target — a graph (one insert per
-triple) or a quad-store (one ``WriteBatch`` commit per checkpoint
-batch) — from the single-threaded drain loop only
-
 "There's a huge amount of content already present in our platform that
 remains to be semantically annotated. Solving this issue requires to
 create and introduce new automatic batch processing mechanisms."
@@ -314,10 +310,9 @@ class BatchAnnotator:
                 # effective ops
                 self._batch.insert(triple)
             elif self.target.insert(triple):
-                # insert() reports newness atomically — the previous
-                # len()-before/len()-after straddle read store
-                # statistics mid-write (the EF004 lint rule) and would
-                # miscount under a concurrent writer
+                # insert() reports newness atomically; a len()-before/
+                # len()-after comparison would miscount under a
+                # concurrent writer
                 stats.triples_added += 1
         stats.processed += 1
         if result.annotations:

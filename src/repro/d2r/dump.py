@@ -1,8 +1,5 @@
 """The ``dump-rdf`` feature: materialize a relational DB as RDF.
 
-Graph-writes: the caller-supplied (or fresh) dump target, atomically
-after the relational scan completes
-
 This is the exact workflow the paper describes (§2.1): rather than running
 D2R as a live SPARQL façade, the platform dumps its relational data to
 N-Triples once and bulk-loads the dump into the triple store next to the

@@ -1,8 +1,5 @@
 """The federated node (paper §6): one home-network device per family.
 
-Graph-writes: fresh per-request profile/content graphs only; no
-shared store
-
 Each node hosts its members' content, exposes WebFinger discovery, a
 FOAF profile graph, ActivityStreams timelines, an OEmbed endpoint and a
 UPnP media server, publishes updates through the PubSubHubbub hub and

@@ -1,8 +1,5 @@
 """Assembling the LOD corpus into a queryable dataset.
 
-Graph-writes: the assembled dataset's graphs, during corpus
-loading only
-
 Mirrors the paper's Virtuoso deployment: the platform's own triples plus
 the imported DBpedia / Geonames / LinkedGeoData dumps, each in its own
 named graph, queried together through the union view.

@@ -1,7 +1,5 @@
 """Synthetic DBpedia graph builder.
 
-Graph-writes: the fresh graph built and returned by this module
-
 Reproduces the structures the annotation pipeline depends on:
 multilingual ``rdfs:label``/``dbpo:abstract``, ontology types,
 ``geo:geometry`` points, ``dbpo:wikiPageRedirects`` (the paper's query

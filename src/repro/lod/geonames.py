@@ -1,7 +1,5 @@
 """Synthetic Geonames graph builder.
 
-Graph-writes: the fresh graph built and returned by this module
-
 City-level features only — exactly what the paper's contextualization
 uses ("the (nearest) city-level resource is returned", §2.2.1). Each
 feature links to its DBpedia counterpart with ``owl:sameAs`` so the

@@ -1,7 +1,5 @@
 """Synthetic LinkedGeoData graph builder.
 
-Graph-writes: the fresh graph built and returned by this module
-
 LinkedGeoData (OpenStreetMap as RDF) supplies the mashup query's
 commercial layer: restaurants with websites, tourism attractions, and
 city nodes typed ``lgdo:City``. Labels reuse the DBpedia language tags so

@@ -1,8 +1,5 @@
 """Ontology (schema) triples for the synthetic LOD world.
 
-Graph-writes: the fresh ontology graph built and returned by this
-module
-
 The class hierarchies and property signatures that RDFS inference
 (:mod:`repro.rdf.inference`) chains over — mirroring the fragments of
 the DBpedia ontology, the LinkedGeoData ontology and FOAF that the

@@ -1,7 +1,6 @@
 """Zero-dependency sampling wall-clock profiler.
 
 Concurrency: thread-safe
-Graph-writes: none
 
 :class:`SamplingProfiler` snapshots every live thread's Python stack
 via :func:`sys._current_frames` from a daemon sampler thread at a

@@ -1,7 +1,6 @@
 """Declarative SLOs evaluated against a metrics snapshot.
 
 Concurrency: single-threaded
-Graph-writes: none
 
 An :class:`SLOSpec` is a named list of :class:`Objective` rows — each
 one binds a metric family from :class:`~repro.obs.metrics.

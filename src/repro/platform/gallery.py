@@ -1,11 +1,5 @@
 """The UGC sharing platform (the paper's TeamLife).
 
-Graph-writes: the fresh graph ``semanticize`` returns, the dataset
-``attach_store`` bulk-loads (one ``sync_dataset``), the thawed head copy
-the inference mode closes before freezing it, and the platform's
-quad-store — one generation-stamped delta commit per flush into the
-default context
-
 Integration point of the substrates:
 
 * content and users live in the Coppermine-style relational DB

@@ -1,7 +1,5 @@
 """sparqlPuSH — proactive notification of RDF store updates.
 
-Graph-writes: none
-
 The paper cites Passant & Mendes' sparqlPuSH [10] as a direct influence:
 "proactive notification of data updates in RDF stores using
 PubSubHubbub". A client registers a SPARQL SELECT as a subscription;
@@ -52,9 +50,8 @@ class SparqlPushService:
     zero-argument *provider* callable. Pass the provider form
     (``SparqlPushService(platform.union_graph)``) when the store hands
     out derived read-only snapshots: each :meth:`notify_update` then
-    re-pulls the current union instead of watching a stale copy —
-    previously callers had to hand-feed new triples into the snapshot,
-    exactly the lost-write pattern the EF003 lint rule rejects.
+    re-pulls the current union instead of watching a stale copy (a
+    snapshot cannot be hand-fed new triples: it refuses writes).
 
     A :class:`repro.store.QuadStore` source works the same way with no
     callable needed: each round pins the store's current head, so all

@@ -1,25 +1,26 @@
 """Indexed in-memory triple store.
 
 Concurrency: single-writer
-Graph-writes: the store itself (every sanctioned mutation entry point)
 
-:class:`Graph` is the storage substrate that stands in for the paper's
-OpenLink Virtuoso installation. It keeps three hash indexes (SPO, POS, OSP)
-so that every triple-pattern shape is answered from the most selective
-index, which is what makes BGP matching in :mod:`repro.sparql` fast enough
-for the benchmark workloads.
+:class:`Graph` keeps three hash indexes (SPO, POS, OSP) so that every
+triple-pattern shape is answered from the most selective index, which is
+what makes BGP matching in :mod:`repro.sparql` fast enough for the
+benchmark workloads.
 
-The concurrency contract (checked by ``repro lint --concurrency``): all
-**mutation** goes through ``Graph._lock`` — concurrent writers are safe —
-but read paths (:meth:`Graph.triples` and the accessors built on it) are
-deliberately lock-free generators and must not run concurrently with a
-writer. This is exactly how the repo uses it today: ``BatchAnnotator``
-fans out annotation work but funnels every ``add`` through its
-single-threaded drain loop, and queries run after the batch completes.
-The planned MVCC store replaces this contract with real snapshots; until
-then the lock makes the *write* side safe and
-:meth:`repro.analysis.stats.GraphStatistics.cached` uses the same lock
-to take a consistent statistics snapshot.
+A :class:`Graph` is the mutable, single-writer *builder* value: dump
+targets, annotation results, LOD fixtures and the quad-store's private
+base graphs are built as one. The concurrency contract (checked by
+``repro lint --concurrency``): all **mutation** goes through
+``Graph._lock`` — concurrent writers are safe — but read paths
+(:meth:`Graph.triples` and the accessors built on it) are deliberately
+lock-free generators and must not run concurrently with a writer;
+:meth:`repro.analysis.stats.GraphStatistics.cached` takes the same lock
+for a consistent statistics snapshot. Reads that are shared — across
+threads, or with code that must not write — go through
+:class:`FrozenGraph` (:func:`freeze`) or the store's pinned
+:class:`~repro.store.engine.SnapshotGraph`, which stand in for the
+paper's OpenLink Virtuoso endpoint: they refuse every mutation and never
+change under a reader.
 """
 
 from __future__ import annotations
@@ -387,9 +388,8 @@ class FrozenGraph(Graph):
     Derived copies (:meth:`Dataset.union_graph`,
     ``Platform.union_graph``) hand these out so a caller cannot write
     into a merged snapshot expecting the change to reach the underlying
-    stores — the silent-lost-write bug the ``EF003`` lint rule catches
-    statically. Use :meth:`Graph.copy` to thaw into a private mutable
-    graph.
+    stores: the write raises instead of being silently lost. Use
+    :meth:`Graph.copy` to thaw into a private mutable graph.
     """
 
     def _refuse(self, op: str) -> None:

@@ -2,9 +2,6 @@
 more elaborated and accurate [...] also relying on inference
 capabilities").
 
-Graph-writes: the caller-supplied graph, extended in place by
-``rdfs_closure``
-
 Implements the core RDFS entailment rules by forward-chaining to a fixed
 point:
 

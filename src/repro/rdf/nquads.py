@@ -1,7 +1,5 @@
 """N-Quads serialization and dataset persistence.
 
-Graph-writes: the caller-supplied dataset being parsed into
-
 The platform "runs locally" (§2.1) — its triple store needs to survive
 restarts. N-Quads extends N-Triples with an optional fourth term naming
 the graph, which maps exactly onto :class:`~repro.rdf.graph.Dataset`:

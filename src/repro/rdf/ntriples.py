@@ -1,7 +1,5 @@
 """N-Triples parser and serializer.
 
-Graph-writes: the target graph of ``load_ntriples`` only
-
 N-Triples is the interchange format the paper relies on: the D2R
 ``dump-rdf`` feature emits the platform's relational data as N-Triples,
 which is then bulk-loaded into the triple store together with the LOD

@@ -1,7 +1,5 @@
 """RDF/XML serialization and parsing.
 
-Graph-writes: the target graph of ``load_rdfxml`` only
-
 RDF/XML was the era's default interchange format (D2R and Virtuoso both
 emit it); the platform's "raw RDF" content views offered it next to
 Turtle. The serializer emits the flat ``rdf:Description`` form; the

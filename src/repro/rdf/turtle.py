@@ -1,7 +1,5 @@
 """Turtle serializer and a pragmatic Turtle parser.
 
-Graph-writes: the target graph of ``load_turtle`` only
-
 Turtle output is what the platform's web interface exposes for "raw RDF"
 views of a resource; the parser accepts the subset the library itself emits
 plus the common shorthand forms (``@prefix``, ``a``, ``;``/``,`` lists,

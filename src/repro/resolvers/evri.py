@@ -1,7 +1,5 @@
 """Evri resolver — typed named-entity resolution with full-text support.
 
-Graph-writes: fresh annotation graphs built per resolution
-
 Evri was a commercial entity-resolution service returning typed entities
 (person / place / organization / concept). The paper extended SMOB's
 resolver framework to it and used it as one of the full-text resolvers

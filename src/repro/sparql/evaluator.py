@@ -1,8 +1,5 @@
 """SPARQL query evaluation over :class:`repro.rdf.Graph`.
 
-Graph-writes: fresh result graphs materialized for CONSTRUCT
-queries
-
 There is one executor. Every query form — SELECT, ASK, CONSTRUCT,
 DESCRIBE, sub-SELECTs and the groups inside ``EXISTS`` — is lowered to
 the algebra of :mod:`repro.sparql.algebra` and the plan is run by

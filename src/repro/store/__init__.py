@@ -1,7 +1,6 @@
 """Pluggable MVCC quad-store: WAL + snapshots + generation-stamped reads.
 
 Concurrency: thread-safe
-Graph-writes: none
 
 The storage engine extracted out of :class:`repro.rdf.graph.Graph`
 (ROADMAP: "durable, concurrent quad-store backend"):
@@ -42,7 +41,6 @@ from .engine import (
     SnapshotGraph,
     StoreError,
     WriteBatch,
-    is_quad_store,
 )
 from .persistence import RecoveryReport, snapshot_files
 from .wal import WalScan, WriteAheadLog, scan_wal
@@ -58,7 +56,6 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "WriteBatch",
-    "is_quad_store",
     "scan_wal",
     "snapshot_files",
 ]

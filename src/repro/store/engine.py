@@ -1,7 +1,6 @@
 """Generation-stamped MVCC quad-store engine.
 
 Concurrency: thread-safe
-Graph-writes: the store's private base and overlay graphs only
 
 :class:`QuadStore` is the storage engine extracted out of
 :class:`repro.rdf.graph.Graph`. It holds quads (triples grouped into an
@@ -11,8 +10,8 @@ add/remove overlay. Readers pin the current state with one attribute
 read and keep it for as long as they like — a
 :class:`SnapshotGraph`/:class:`SnapshotDataset` never changes under a
 reader, so query evaluation cannot observe an in-flight write batch and
-the mutation-during-iteration hazard the store sanitizer polices at
-runtime is retired by construction.
+iterating a pinned view while other threads commit yields exactly the
+pinned generation.
 
 Writers serialize on one commit lock. A commit computes the *effective*
 ops (no-ops are dropped), appends one WAL record
@@ -1379,19 +1378,8 @@ class QuadStore:
         )
 
 
-def is_quad_store(obj: Any) -> bool:
-    """Duck-typed check used by consumers that must not import this
-    package eagerly (the evaluator — see the import-cycle note there)."""
-    return (
-        hasattr(obj, "head")
-        and hasattr(obj, "commit")
-        and hasattr(obj, "dataset_snapshot")
-    )
-
-
 # ---------------------------------------------------------------------
-# state construction helpers (kept free of len()+write straddles so the
-# effects analyzer can see reads and writes in separate functions)
+# state construction helpers
 # ---------------------------------------------------------------------
 def _fold_context(
     scratch: _Working, key: ContextKey, namespaces: NamespaceManager

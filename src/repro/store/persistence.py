@@ -1,7 +1,6 @@
 """Snapshot files and recovery bookkeeping for the quad-store.
 
 Concurrency: single-threaded
-Graph-writes: the freshly loaded private base graphs only
 
 A *snapshot* is the full store content at one generation, written as
 canonical N-Quads (sorted lines, trailing newline) to

@@ -1,7 +1,6 @@
 """Append-only write-ahead log of quad deltas.
 
 Concurrency: single-writer
-Graph-writes: none
 
 The WAL is the durability half of the MVCC quad-store
 (:mod:`repro.store.engine`): every committed generation appends one

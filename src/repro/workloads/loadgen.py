@@ -1,10 +1,6 @@
 """Deterministic mixed-traffic load generator over the full stack.
 
 Concurrency: thread-safe
-Graph-writes: a scratch quad-store context via ``QuadStore.insert``
-(one generation-stamped commit per op, through the group-commit queue),
-and the platform's attached store through
-``Platform.synchronize_store`` (one delta commit per flush)
 
 The ROADMAP's "load-tested SLOs" harness: drive a
 :class:`~repro.platform.gallery.Platform` + :class:`~repro.platform.

@@ -1,11 +1,10 @@
-"""The Python-source driver the CC and EF analyzers share: directory
-walk, read and parse, with ``SP000`` for what cannot be."""
+"""The CC analyzer's Python-source driver: directory walk, read and
+parse, with ``SP000`` for what cannot be."""
 
 from pathlib import Path
 
 from repro.analysis._pysource import parse_module, read_sources
 from repro.analysis.concurrency import analyze_paths
-from repro.analysis.effects import analyze_effects
 
 
 def test_directories_are_walked_sorted_and_unreadable_files_reported(
@@ -43,16 +42,11 @@ def test_parse_module_returns_tree_and_docstring():
     assert diags[0].source == "m.py"
 
 
-def test_each_analyzer_keeps_its_own_parse_error_wording(tmp_path):
+def test_unreadable_path_and_syntax_error_each_yield_one_sp000(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n    pass\n")
     gone = Path("/nonexistent/code.py")
     (cc_read, cc_parse) = analyze_paths([gone, broken])
-    (ef_read, ef_parse) = analyze_effects([gone, broken])
-    assert cc_read.message == ef_read.message
     assert cc_read.message.startswith("cannot read file: ")
     assert cc_parse.message.startswith("cannot parse python source: ")
-    assert ef_parse.message.startswith("cannot parse: ")
-    assert {d.rule for d in (cc_read, cc_parse, ef_read, ef_parse)} == {
-        "SP000"
-    }
+    assert {cc_read.rule, cc_parse.rule} == {"SP000"}

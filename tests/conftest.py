@@ -1,14 +1,12 @@
-"""Shared fixtures: the opt-in runtime sanitizers.
+"""Shared fixtures: the opt-in runtime lock sanitizer.
 
-Two ways to run tests under the runtime sanitizers
-(:class:`repro.analysis.LockSanitizer` and
-:class:`repro.analysis.StoreSanitizer`):
+Two ways to run tests under :class:`repro.analysis.LockSanitizer`:
 
-* request the ``lock_sanitizer`` / ``store_sanitizer`` fixture
-  explicitly (the stress tests do) — the test gets the sanitizer
-  object and the fixture fails the test on any violation at teardown;
+* request the ``lock_sanitizer`` fixture explicitly (the stress tests
+  do) — the test gets the sanitizer object and the fixture fails the
+  test on any lock-order inversion at teardown;
 * set ``REPRO_SANITIZE=1`` in the environment to wrap *every* test in
-  both sanitizers (CI's fault-injection step runs the thread-heavy
+  the sanitizer (CI's fault-injection step runs the thread-heavy
   suites in this mode).
 """
 
@@ -17,7 +15,6 @@ import os
 import pytest
 
 from repro.analysis.sanitizer import LockSanitizer
-from repro.analysis.store_sanitizer import StoreSanitizer
 
 _SANITIZE_ALL = os.environ.get("REPRO_SANITIZE") == "1"
 
@@ -34,50 +31,13 @@ def _run_lock_sanitized():
         )
 
 
-def _run_store_sanitized():
-    sanitizer = StoreSanitizer()
-    with sanitizer.installed():
-        yield sanitizer
-    report = sanitizer.report()
-    if report.violations:
-        pytest.fail(
-            "store-access violation(s) under the sanitizer:\n"
-            + report.render()
-        )
-
-
 @pytest.fixture
 def lock_sanitizer():
     """Run this test under the lock sanitizer; fail on inversions."""
     yield from _run_lock_sanitized()
 
 
-@pytest.fixture
-def store_sanitizer():
-    """Run this test under the store sanitizer; fail on mutation-
-    during-iteration or ``Graph-writes`` contract violations."""
-    yield from _run_store_sanitized()
-
-
 @pytest.fixture(autouse=_SANITIZE_ALL)
 def _sanitize_everything():
-    """With REPRO_SANITIZE=1, every test runs under both sanitizers."""
-    lock = LockSanitizer()
-    store = StoreSanitizer()
-    with lock.installed(), store.installed():
-        yield
-    failures = []
-    lock_report = lock.report()
-    if lock_report.inversions:
-        failures.append(
-            "lock-order inversion(s) under the sanitizer:\n"
-            + lock_report.render()
-        )
-    store_report = store.report()
-    if store_report.violations:
-        failures.append(
-            "store-access violation(s) under the sanitizer:\n"
-            + store_report.render()
-        )
-    if failures:
-        pytest.fail("\n\n".join(failures))
+    """With REPRO_SANITIZE=1, every test runs under the lock sanitizer."""
+    yield from _run_lock_sanitized()

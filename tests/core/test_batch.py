@@ -84,9 +84,8 @@ class FakePlatform:
 class TestTriplesAdded:
     def test_duplicate_annotations_not_double_counted(self):
         # triples_added is computed with Graph.insert()'s atomic
-        # newness answer — the old len()-before/len()-after straddle
-        # (the EF004 lint finding) measured the same thing only by
-        # racing the store's statistics
+        # newness answer — a len()-before/len()-after comparison would
+        # measure the same thing only by racing the store's statistics
         platform = FakePlatform([1, 2, 3])
         target = Graph()
         first = BatchAnnotator(platform, target, workers=1)

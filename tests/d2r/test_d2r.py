@@ -174,8 +174,8 @@ class TestDump:
     def test_failed_dump_leaves_target_untouched(self, gallery_db):
         # the dump is materialized before the store is touched: a
         # MappingError raised after the first table already produced
-        # triples must not leave the target half-populated (the EF002
-        # regression — the old code fed the live generator to add_all)
+        # triples must not leave the target half-populated (feeding
+        # the live generator to add_all would)
         from repro.rdf import Graph
 
         mapping = D2RMapping()

@@ -1,17 +1,34 @@
 """MVCC engine semantics: generations, snapshot isolation, overlays."""
 
+import threading
+
 import pytest
 
+from repro.platform import Capture, Platform
 from repro.rdf import RDF, URIRef
-from repro.rdf.graph import Dataset, FrozenGraphError, Graph
+from repro.rdf.graph import Dataset, FrozenGraphError
 from repro.rdf.terms import Literal
-from repro.store import QuadStore, StoreError, is_quad_store
+from repro.store import QuadStore, StoreError, WriteBatch
+
+from ..rdf.test_graph import leaked_mutations
 
 EX = "http://example.org/"
 
 
 def _triple(i, o="x"):
     return (URIRef(f"{EX}s{i}"), URIRef(EX + "p"), Literal(o))
+
+
+def _small_platform(store):
+    platform = Platform()
+    platform.attach_store(store)
+    platform.register_user("ada", full_name="Ada")
+    for n in range(3):
+        platform.upload(Capture(
+            username="ada", title=f"Mole Antonelliana {n}",
+            tags=("turin",), timestamp=n,
+        ))
+    return platform
 
 
 class TestCommits:
@@ -82,13 +99,92 @@ class TestSnapshotIsolation:
         assert not pinned._contains(*_triple(2))
 
     def test_snapshots_are_frozen(self):
+        """Every graph the store or the platform hands out refuses
+        every mutator — nobody outside holds a writable view."""
+        g1 = URIRef(EX + "g1")
         store = QuadStore()
         store.insert(_triple(1))
-        pinned = store.head()
-        with pytest.raises(FrozenGraphError):
-            pinned.add(_triple(2))
-        with pytest.raises(FrozenGraphError):
-            pinned.remove((None, None, None))
+        store.insert(_triple(2), context=g1)
+        snapshot = store.dataset_snapshot()
+        platform = _small_platform(QuadStore())
+        closing = Platform(inference=True)
+        assert leaked_mutations({
+            "store.head()": store.head(),
+            "store.graph(ctx)": store.graph(g1),
+            "snapshot.default": snapshot.default,
+            "snapshot.graph(ctx)": snapshot.graph(g1),
+            "snapshot.union_graph()": snapshot.union_graph(),
+            "platform.union_graph()": platform.union_graph(),
+            "platform.triple_store().union_graph()":
+                platform.triple_store().union_graph(),
+            "platform.triple_store().default":
+                platform.triple_store().default,
+            "inference platform.union_graph()": closing.union_graph(),
+        }) == []
+        assert store.generation == 2 and store.size == 2
+
+    def test_pinned_iteration_yields_exactly_the_pinned_generation(self):
+        """Iterators started on a pinned view keep yielding that
+        generation's triples while another thread removes all of them,
+        inserts others and forces every context through a fold."""
+        store = QuadStore(overlay_limit=8)
+        platform = _small_platform(store)
+        platform.synchronize_store()
+        # give every context of the generation to pin a live overlay
+        # (two adds, one remove): later small commits copy-on-write it
+        seed = WriteBatch()
+        for context in store.contexts():
+            seed.remove(next(store.graph(context).triples()), context)
+            for n in range(2):
+                seed.insert(_triple(f"seed-{n}"), context)
+        store.commit(seed)
+        assert store.info()["overlay_ops"] == 3 * len(store.contexts())
+
+        union = platform.union_graph()  # nothing pending: pins the head
+        head = store.head()
+        assert union.generation == head.generation == store.generation
+        expected = set(head.triples())
+        assert len(expected) > 100
+        iterators = [head.triples(), union.triples((None, None, None))]
+        seen = [[], []]
+
+        by_context = {}
+        for s, p, o, context in store.quads():  # base first, then adds
+            by_context.setdefault(context, []).append((s, p, o))
+        rounds = []
+        for k in range(2):  # small: the overlays stay, one op deeper
+            batch = WriteBatch()
+            for context, triples in by_context.items():
+                batch.remove(triples.pop(0), context)   # from the base
+                batch.remove(triples.pop(), context)    # from the adds
+                batch.insert(_triple(f"small-{k}"), context)
+            rounds.append(batch)
+        for k in range(6):  # bulk: every context folds
+            batch = WriteBatch()
+            for context, triples in by_context.items():
+                cut = len(triples) // (6 - k)
+                for n, triple in enumerate(triples[:cut]):
+                    batch.remove(triple, context)
+                    batch.insert(_triple(f"bulk-{k}-{n}"), context)
+                del triples[:cut]
+            rounds.append(batch)
+
+        for batch in rounds:
+            for iterator, out in zip(iterators, seen):
+                for _ in range(len(expected) // 12):
+                    out.append(next(iterator))
+            writer = threading.Thread(target=store.commit, args=(batch,))
+            writer.start()
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+        for iterator, out in zip(iterators, seen):
+            out.extend(iterator)
+
+        # the head moved on completely; the pinned views did not
+        assert not expected & set(store.head().triples())
+        assert store.info()["overlay_ops"] == 0
+        for out in seen:
+            assert len(out) == len(expected) and set(out) == expected
 
     def test_dataset_snapshot_pins_named_graphs(self):
         store = QuadStore()
@@ -213,10 +309,6 @@ class TestStatistics:
 
 
 class TestMisc:
-    def test_is_quad_store_duck_typing(self):
-        assert is_quad_store(QuadStore())
-        assert not is_quad_store(Graph())
-        assert not is_quad_store(object())
 
     def test_context_coercion_rejects_garbage(self):
         store = QuadStore()

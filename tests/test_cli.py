@@ -194,6 +194,18 @@ def slow_section():
         time.sleep(0.1)
 """
 
+CC_WARN_ONLY = """\
+import threading
+
+LOCK = threading.Lock()
+
+
+def work():
+    LOCK.acquire()
+    step()
+    LOCK.release()
+"""
+
 
 class TestLintConcurrency:
     def test_clean_file_exits_0(self, tmp_path, capsys):
@@ -274,8 +286,7 @@ class TestLintConcurrency:
         target = tmp_path / "dirty.py"
         target.write_text(CC_DIRTY)
         assert main([
-            "lint", "--concurrency", "--effects", str(target),
-            "--json", "-",
+            "lint", "--concurrency", str(target), "--json", "-",
         ]) == 1
         out = capsys.readouterr().out
         start, end = out.index("{"), out.rindex("}") + 1
@@ -294,56 +305,29 @@ class TestLintConcurrency:
             key(e) for e in payload
         )
 
-
-EF_DIRTY = """\
-def poke(graph):
-    graph._spo.clear()
-"""
-
-EF_WARN_ONLY = """\
-def build(graph):
-    graph.add((1, 2, 3))
-"""
-
-
-class TestLintEffects:
-    def test_clean_file_exits_0(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")
-        assert main(["lint", "--effects", str(target)]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-    def test_dirty_file_exits_1(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text(EF_DIRTY)
-        assert main(["lint", "--effects", str(target)]) == 1
-        assert "EF001" in capsys.readouterr().out
-
-    def test_repro_package_default_target_is_clean(self, capsys):
-        # the checked-in baseline: the package's own store discipline
-        # is clean under its analyzer, warnings included
-        assert main([
-            "lint", "--effects", "--fail-on", "warning",
-        ]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
     def test_fail_on_warning_promotes_exit_code(self, tmp_path, capsys):
         target = tmp_path / "warn.py"
-        target.write_text(EF_WARN_ONLY)
-        # EF006 (missing Graph-writes contract) is a warning: exit 0
-        # under the default policy, 1 under --fail-on warning
-        assert main(["lint", "--effects", str(target)]) == 0
+        target.write_text(CC_WARN_ONLY)
+        # CC006 (manual acquire without try/finally) is a warning:
+        # exit 0 under the default policy, 1 under --fail-on warning
+        assert main(["lint", "--concurrency", str(target)]) == 0
         out = capsys.readouterr().out
-        assert "EF006" in out
+        assert "CC006" in out
         assert main([
-            "lint", "--effects", str(target), "--fail-on", "warning",
+            "lint", "--concurrency", str(target), "--fail-on", "warning",
         ]) == 1
 
     def test_unknown_fail_on_exits_2(self, capsys):
         assert main([
-            "lint", "--effects", "--fail-on", "fatal",
+            "lint", "--concurrency", "--fail-on", "fatal",
         ]) == 2
         assert "unknown severity" in capsys.readouterr().err
+
+    def test_effects_mode_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--effects"])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestSanitize:
@@ -356,14 +340,11 @@ class TestSanitize:
         assert "processed : 10" in out
         assert "inversions" in out
 
-    def test_store_smoke_run_exits_0(self, capsys):
-        assert main([
-            "sanitize", "--store", "--contents", "10",
-            "--workers", "2", "--batch-size", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "iter mutations" in out
-        assert "contract violations: 0" in out
+    def test_store_mode_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sanitize", "--store"])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_invalid_workers_exits_2(self, capsys):
         assert main(["sanitize", "--workers", "0"]) == 2
