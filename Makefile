@@ -56,8 +56,11 @@ bench-loadgen:
 
 ## Write-path guards: upload -> visible through platform.evaluator()
 ## at 800 contents <= 1.5x the same at 100 (one delta commit per
-## mutation, not a rebuild), and evaluator() with nothing pending
-## <= 1 ms (it only pins the store head).
+## mutation, not a rebuild), evaluator() with nothing pending <= 1 ms
+## (it only pins the store head), and an in-memory 8-quad commit into a
+## ~1 000-op overlay <= 3x the same into a ~16-op one (the overlay is
+## thawed, not copied); fold time at 2 000 / 20 000 base quads is
+## recorded ungated.
 bench-write-path:
 	$(PYTHON) -m pytest benchmarks/bench_write_path.py \
 		--benchmark-only -q -k "not scaling"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..rdf.namespace import TL_USER
 from ..sparql.geo import Point, haversine_km
@@ -49,6 +49,24 @@ class ContextPlatform:
     def __init__(self, gazetteer: Optional[Gazetteer] = None) -> None:
         self.gazetteer = gazetteer or Gazetteer()
         self._users: Dict[str, _UserRecord] = {}
+        self._on_fix: Optional[Callable[[str, int], None]] = None
+        self._on_friendship: Optional[Callable[[str, str], None]] = None
+
+    def subscribe(
+        self,
+        on_fix: Callable[[str, int], None],
+        on_friendship: Callable[[str, str], None],
+    ) -> None:
+        """Register the one consumer that derives data from positions
+        and friendships (the sharing platform locates its items by
+        them): ``on_fix(username, timestamp)`` and
+        ``on_friendship(user_a, user_b)`` run after each is recorded,
+        whoever reported it."""
+        if self._on_fix is not None:
+            raise ValueError(
+                "this context platform already feeds a sharing platform"
+            )
+        self._on_fix, self._on_friendship = on_fix, on_friendship
 
     # ------------------------------------------------------------------
     # Registration
@@ -76,6 +94,8 @@ class ContextPlatform:
         """Symmetric friendship."""
         self._record(user_a).friends.add(user_b)
         self._record(user_b).friends.add(user_a)
+        if self._on_friendship is not None:
+            self._on_friendship(user_a, user_b)
 
     def friends_of(self, username: str) -> List[str]:
         """The user's friends, sorted by username."""
@@ -90,6 +110,8 @@ class ContextPlatform:
             self._record(username).positions, (timestamp, point),
             key=_fix_time,
         )
+        if self._on_fix is not None:
+            self._on_fix(username, timestamp)
 
     def add_calendar_entry(
         self, username: str, entry: CalendarEntry

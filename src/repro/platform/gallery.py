@@ -99,6 +99,11 @@ class Platform:
             self.db.execute(statement)
         self.mapping = platform_mapping()
         self.context = context or ContextPlatform()
+        # a fix or friendship re-locates items whether it arrives with
+        # an upload or is reported to the context platform directly
+        self.context.subscribe(
+            self._relocate_around_fix, self._relocate_friends
+        )
         self.location_analyzer = LocationAnalyzer(
             self.corpus, self.context.gazetteer
         )
@@ -169,10 +174,7 @@ class Platform:
             changes["email"] = email
         if not changes:
             return
-        updated = self.db.table("users").update_where(
-            lambda row: row["user_name"] == username, changes
-        )
-        if not updated:
+        if not self.db.table("users").update(username, changes):
             raise KeyError(f"unknown user: {username}")
         # the context record (hence a buddy's foaf:name) keeps the
         # registration name: only the users row changes
@@ -187,9 +189,6 @@ class Platform:
         ]
         self.context.add_friendship(user_a, user_b)
         self._touch(*(("friends", row["id"]) for row in rows))
-        # each one's items may now have the other as a nearby buddy
-        for owner in (user_a, user_b):
-            self._relocate(self._timeline.get(owner, ()))
 
     def users(self) -> List[str]:
         return [row["user_name"] for row in self.db.table("users").scan()]
@@ -263,8 +262,6 @@ class Platform:
             ("annotation", item.pid),
             ("location", item.pid),
         )
-        if capture.point is not None:
-            self._relocate_around_fix(capture.username, capture.timestamp)
         if crosspost_to is not None:
             self.crossposter.post(item, crosspost_to)
         return item
@@ -273,9 +270,7 @@ class Platform:
         if not 0.0 <= rating <= 5.0:
             raise ValueError("rating must be within [0, 5]")
         self.content(pid).rating = rating  # raises for unknown pids
-        self.db.table("pictures").update_where(
-            lambda row: row["pid"] == pid, {"rating": float(rating)}
-        )
+        self.db.table("pictures").update(pid, {"rating": float(rating)})
         self._touch(("pictures", pid))
 
     def content(self, pid: int) -> ContentItem:
@@ -308,25 +303,22 @@ class Platform:
                 " ".join(item.plain_tags + item.context_tags) or None
             )
         if changes:
-            self.db.table("pictures").update_where(
-                lambda row: row["pid"] == pid, changes
-            )
+            self.db.table("pictures").update(pid, changes)
             self._touch(("pictures", pid), ("annotation", pid))
         return item
 
     def delete_content(self, pid: int) -> None:
         """Remove a content item (and its region annotations)."""
         item = self.content(pid)  # raises for unknown pids
+        rids = [region["rid"] for region in self.regions(pid)]
         self._touch(
             ("pictures", pid), ("annotation", pid), ("location", pid),
-            *(("regions", region["rid"]) for region in self.regions(pid)),
+            *(("regions", rid) for rid in rids),
         )
-        self.db.table("regions").delete_where(
-            lambda row: row["pid"] == pid
-        )
-        self.db.table("pictures").delete_where(
-            lambda row: row["pid"] == pid
-        )
+        regions = self.db.table("regions")
+        for rid in rids:
+            regions.delete(rid)
+        self.db.table("pictures").delete(pid)
         del self._items[pid]
         self._annotations.pop(pid, None)
         timeline = self._timeline[item.owner]
@@ -456,6 +448,11 @@ class Platform:
                 bisect_left(timeline, (timestamp,)):
                 bisect_left(timeline, (timestamp + MAX_FIX_AGE + 1,))
             ])
+
+    def _relocate_friends(self, user_a: str, user_b: str) -> None:
+        """Each one's items may now have the other as a nearby buddy."""
+        for owner in (user_a, user_b):
+            self._relocate(self._timeline.get(owner, ()))
 
     def _all_sources(self) -> Iterator[Source]:
         for table_name in self.mapping.table_maps:

@@ -21,6 +21,21 @@ threads, or with code that must not write — go through
 :class:`~repro.store.engine.SnapshotGraph`, which stand in for the
 paper's OpenLink Virtuoso endpoint: they refuse every mutation and never
 change under a reader.
+
+Freeze / thaw ownership rule. :func:`freeze` publishes a builder as a
+:class:`FrozenGraph` at no cost; :func:`thaw` (``FrozenGraph.copy()``)
+goes the other way without re-inserting anything: the child gets
+shallow copies of the three outer index dicts and *shares* every inner
+dict and set with its frozen parent. The child records which inner
+containers it owns (``_owned``, the ``id`` of each one it created or
+copied) and copies a shared one — that one container, on that one path
+— the first time it writes to it. The parent never writes, so nothing
+the child does can reach a reader of the parent, and only the child
+carries bookkeeping; freezing the child drops it, so the next thaw
+shares everything again. A thaw therefore costs O(distinct outer keys)
+at C speed and a write O(size of the containers on its path), which is
+what lets :mod:`repro.store.engine` derive a generation from the last
+one in time proportional to the delta.
 """
 
 from __future__ import annotations
@@ -67,6 +82,61 @@ def _index_remove(index: _Index, a: Term, b: Term, c: Term) -> None:
             del index[a]
 
 
+def _shared_add(
+    index: _Index, owned: Set[int], a: Term, b: Term, c: Term
+) -> None:
+    """:func:`_index_add` on an index whose inner containers may belong
+    to a frozen parent: copy what is not in ``owned`` before writing."""
+    level1 = index.get(a)
+    if level1 is None:
+        level2 = {c}
+        index[a] = level1 = {b: level2}
+        owned.add(id(level1))
+        owned.add(id(level2))
+        return
+    if id(level1) not in owned:
+        index[a] = level1 = level1.copy()
+        owned.add(id(level1))
+    level2 = level1.get(b)
+    if level2 is None:
+        level1[b] = level2 = {c}
+        owned.add(id(level2))
+    elif id(level2) in owned:
+        level2.add(c)
+    else:
+        level1[b] = level2 = level2 | {c}
+        owned.add(id(level2))
+
+
+def _shared_remove(
+    index: _Index, owned: Set[int], a: Term, b: Term, c: Term
+) -> None:
+    """:func:`_index_remove` under the same ownership rule; a container
+    that would end up empty is unlinked, never copied."""
+    level1 = index.get(a)
+    if level1 is None:
+        return
+    level2 = level1.get(b)
+    if level2 is None or c not in level2:
+        return
+    if len(level2) == 1 and len(level1) == 1:
+        owned.discard(id(level2))
+        owned.discard(id(level1))
+        del index[a]
+        return
+    if id(level1) not in owned:
+        index[a] = level1 = level1.copy()
+        owned.add(id(level1))
+    if len(level2) == 1:
+        owned.discard(id(level2))
+        del level1[b]
+    elif id(level2) in owned:
+        level2.discard(c)
+    else:
+        level1[b] = level2 = level2 - {c}
+        owned.add(id(level2))
+
+
 class Graph:
     """A set of RDF triples with pattern-match access.
 
@@ -87,6 +157,9 @@ class Graph:
         self._pos: _Index = {}
         self._osp: _Index = {}
         self._size = 0
+        #: ``id`` of every inner index container this graph may write in
+        #: place; ``None`` = all of them (only a thawed graph shares any)
+        self._owned: Optional[Set[int]] = None
         #: bumped on every mutation; lets cached statistics (the query
         #: planner's cardinality model) detect staleness cheaply.
         self._version = 0
@@ -117,9 +190,15 @@ class Graph:
         with self._lock:
             if self._contains(s, p, o):
                 return False
-            _index_add(self._spo, s, p, o)
-            _index_add(self._pos, p, o, s)
-            _index_add(self._osp, o, s, p)
+            owned = self._owned
+            if owned is None:
+                _index_add(self._spo, s, p, o)
+                _index_add(self._pos, p, o, s)
+                _index_add(self._osp, o, s, p)
+            else:
+                _shared_add(self._spo, owned, s, p, o)
+                _shared_add(self._pos, owned, p, o, s)
+                _shared_add(self._osp, owned, o, s, p)
             self._size += 1
             self._version += 1
         return True
@@ -134,10 +213,16 @@ class Graph:
         """Remove all triples matching ``pattern``; returns count removed."""
         with self._lock:
             matches = list(self.triples(pattern))
+            owned = self._owned
             for s, p, o in matches:
-                _index_remove(self._spo, s, p, o)
-                _index_remove(self._pos, p, o, s)
-                _index_remove(self._osp, o, s, p)
+                if owned is None:
+                    _index_remove(self._spo, s, p, o)
+                    _index_remove(self._pos, p, o, s)
+                    _index_remove(self._osp, o, s, p)
+                else:
+                    _shared_remove(self._spo, owned, s, p, o)
+                    _shared_remove(self._pos, owned, p, o, s)
+                    _shared_remove(self._osp, owned, o, s, p)
             self._size -= len(matches)
             if matches:
                 self._version += 1
@@ -148,6 +233,7 @@ class Graph:
             self._spo.clear()
             self._pos.clear()
             self._osp.clear()
+            self._owned = None  # nothing left that could be shared
             self._size = 0
             self._version += 1
 
@@ -389,7 +475,7 @@ class FrozenGraph(Graph):
     ``Platform.union_graph``) hand these out so a caller cannot write
     into a merged snapshot expecting the change to reach the underlying
     stores: the write raises instead of being silently lost. Use
-    :meth:`Graph.copy` to thaw into a private mutable graph.
+    :meth:`copy` (:func:`thaw`) to get a private mutable graph.
     """
 
     def _refuse(self, op: str) -> None:
@@ -413,6 +499,9 @@ class FrozenGraph(Graph):
     def clear(self) -> None:
         self._refuse("clear")
 
+    def copy(self) -> "Graph":
+        return thaw(self)
+
     def __repr__(self) -> str:
         return (
             f"FrozenGraph({str(self.identifier)!r}, "
@@ -426,13 +515,29 @@ def freeze(graph: Graph) -> FrozenGraph:
     The builder graph must be discarded after freezing (the sanctioned
     build-then-publish idiom: populate a fresh graph, freeze it, hand
     out only the frozen view) — further writes through the builder
-    would be visible in the view.
+    would be visible in the view. The view never writes, so it does not
+    keep a thawed builder's ownership record (module docstring).
     """
     if isinstance(graph, FrozenGraph):
         return graph
     frozen = FrozenGraph.__new__(FrozenGraph)
     frozen.__dict__.update(graph.__dict__)
+    frozen._owned = None
     return frozen
+
+
+def thaw(frozen: FrozenGraph) -> Graph:
+    """A mutable graph equal to ``frozen`` that shares its inner index
+    containers until it writes to them (module docstring): O(distinct
+    subjects + predicates + objects) at C speed, no triple re-inserted.
+    """
+    graph = Graph(frozen.identifier, frozen.namespaces)
+    graph._spo = frozen._spo.copy()
+    graph._pos = frozen._pos.copy()
+    graph._osp = frozen._osp.copy()
+    graph._size = frozen._size
+    graph._owned = set()
+    return graph
 
 
 class Dataset:

@@ -462,6 +462,16 @@ def unescape_literal(text: str) -> str:
     return "".join(out)
 
 
+#: Characters that cannot appear raw inside ``<...>``: the delimiters
+#: and the other IRIREF exclusions, everything up to the space, and lone
+#: surrogates (not encodable to UTF-8 when writing files).
+_IRI_ESCAPE_RE = re.compile(r'[<>"{}|^`\\\x00-\x20\ud800-\udfff]')
+
+
+def _iri_escape(match: "re.Match[str]") -> str:
+    return f"\\u{ord(match.group(0)):04X}"
+
+
 def escape_iri(iri: str) -> str:
     """Escape characters not allowed inside ``<...>`` in N-Triples.
 
@@ -469,18 +479,7 @@ def escape_iri(iri: str) -> str:
     raw); the parser's IRI pattern accepts the resulting
     ``\\uXXXX``/``\\UXXXXXXXX`` sequences, so escaped output
     round-trips."""
-    out = []
-    for ch in iri:
-        code = ord(ch)
-        if (
-            ch in '<>"{}|^`\\'
-            or code <= 0x20
-            or 0xD800 <= code <= 0xDFFF
-        ):
-            out.append(f"\\u{code:04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _IRI_ESCAPE_RE.sub(_iri_escape, iri)
 
 
 def term_from_python(value: Any) -> Term:

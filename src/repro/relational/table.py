@@ -211,62 +211,93 @@ class Table:
         for row in self.rows:
             if predicate(row):
                 removed += 1
-                if self.primary_key is not None:
-                    self._pk_index.pop(row[self.primary_key.name], None)
-                for col_name, index in self._unique_indexes.items():
-                    if row[col_name] is not None:
-                        index.pop(row[col_name], None)
+                self._unindex(row)
             else:
                 keep.append(row)
         self.rows = keep
         return removed
 
+    def delete(self, pk_value: Any) -> bool:
+        """Delete the row with this primary key (no scan: the PK index
+        finds it); False when there is none."""
+        row = self._stored(pk_value)
+        if row is None:
+            return False
+        self._unindex(row)
+        self.rows.remove(row)
+        return True
+
+    def _unindex(self, row: Row) -> None:
+        if self.primary_key is not None:
+            self._pk_index.pop(row[self.primary_key.name], None)
+        for col_name, index in self._unique_indexes.items():
+            if row[col_name] is not None:
+                index.pop(row[col_name], None)
+
     def update_where(self, predicate, changes: Row) -> int:
         """Update rows satisfying ``predicate``; returns count changed."""
+        self._check_changes(changes)
+        count = 0
+        for row in self.rows:
+            if predicate(row):
+                self._update_row(row, changes)
+                count += 1
+        return count
+
+    def update(self, pk_value: Any, changes: Row) -> bool:
+        """Update the row with this primary key (no scan); False when
+        there is none."""
+        self._check_changes(changes)
+        row = self._stored(pk_value)
+        if row is None:
+            return False
+        self._update_row(row, changes)
+        return True
+
+    def _check_changes(self, changes: Row) -> None:
         for name in changes:
             self.column(name)  # validates existence
         if self.primary_key is not None and self.primary_key.name in changes:
             raise IntegrityError("updating primary keys is not supported")
-        count = 0
-        for row in self.rows:
-            if not predicate(row):
-                continue
-            for name, value in changes.items():
-                col = self.column(name)
-                coerced = col.type.coerce(value)
-                if coerced is None and not col.nullable:
+
+    def _update_row(self, row: Row, changes: Row) -> None:
+        for name, value in changes.items():
+            col = self.column(name)
+            coerced = col.type.coerce(value)
+            if coerced is None and not col.nullable:
+                raise IntegrityError(
+                    f"{self.name}.{name} may not be NULL"
+                )
+            if name in self._unique_indexes:
+                index = self._unique_indexes[name]
+                existing = index.get(coerced)
+                if (
+                    coerced is not None
+                    and existing is not None
+                    and existing is not row
+                ):
                     raise IntegrityError(
-                        f"{self.name}.{name} may not be NULL"
+                        f"duplicate value {coerced!r} for unique "
+                        f"column {self.name}.{name}"
                     )
-                if name in self._unique_indexes:
-                    index = self._unique_indexes[name]
-                    existing = index.get(coerced)
-                    if (
-                        coerced is not None
-                        and existing is not None
-                        and existing is not row
-                    ):
-                        raise IntegrityError(
-                            f"duplicate value {coerced!r} for unique "
-                            f"column {self.name}.{name}"
-                        )
-                    if row[name] is not None:
-                        index.pop(row[name], None)
-                    if coerced is not None:
-                        index[coerced] = row
-                row[name] = coerced
-            count += 1
-        return count
+                if row[name] is not None:
+                    index.pop(row[name], None)
+                if coerced is not None:
+                    index[coerced] = row
+            row[name] = coerced
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     def get(self, pk_value: Any) -> Optional[Row]:
         """Primary-key lookup; returns a copy or None."""
+        row = self._stored(pk_value)
+        return dict(row) if row is not None else None
+
+    def _stored(self, pk_value: Any) -> Optional[Row]:
         if self.primary_key is None:
             raise SchemaError(f"table {self.name!r} has no primary key")
-        row = self._pk_index.get(pk_value)
-        return dict(row) if row is not None else None
+        return self._pk_index.get(pk_value)
 
     def scan(self) -> Iterator[Row]:
         """Iterate copies of all rows in insertion order."""

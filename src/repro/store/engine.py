@@ -15,12 +15,20 @@ pinned generation.
 
 Writers serialize on one commit lock. A commit computes the *effective*
 ops (no-ops are dropped), appends one WAL record
-(:mod:`repro.store.wal`), derives the next state by copying only the
-touched overlays (``O(overlay)``, not ``O(store)``), maintains
+(:mod:`repro.store.wal`), derives the next state, maintains
 :class:`repro.analysis.stats.GraphStatistics` incrementally from the
 delta, and publishes the new state with a single atomic reference swap.
-Overlays are folded into a fresh base once they exceed
-``overlay_limit`` so reads stay index-fast.
+Deriving a state copies no triple: the touched context's overlay is
+*thawed* (:func:`repro.rdf.graph.thaw` — the new overlay shares the
+published one's index containers and copies only those the commit
+writes to), so a commit costs ``O(delta)`` Python-level work plus a
+shallow copy of the overlay's outer index dicts, whatever the overlay
+and the store hold. Once an overlay exceeds ``overlay_limit`` it is
+folded so reads stay index-fast — the same way: the *base* is thawed
+and the overlay applied to it, ``O(overlay)`` Python-level work plus a
+shallow copy of the base's outer index dicts, and a context with no
+base yet adopts its overlay as the base. Published graphs are frozen
+and never written again, which is all the sharing needs.
 
 Durability: WAL + periodic :meth:`QuadStore.checkpoint` snapshot files
 (:mod:`repro.store.persistence`); restart replays snapshot + WAL tail.
@@ -69,6 +77,7 @@ from ..rdf.graph import (
     Triple,
     TriplePattern,
     freeze,
+    thaw,
 )
 from ..rdf.namespace import NamespaceManager
 from ..rdf.nquads import Quad, serialize_quad
@@ -290,6 +299,10 @@ class SnapshotGraph(FrozenGraph):
             return True
         return False
 
+    def copy(self) -> Graph:
+        # a view has no indexes of its own to share: materialise it
+        return Graph.copy(self)
+
     def predicate_statistics(self) -> Dict[Term, Tuple[int, int, int]]:
         contexts = self._contexts
         if len(contexts) == 1 and contexts[0].overlay == 0:
@@ -422,28 +435,41 @@ class WriteBatch:
 
 
 class _Working:
-    """Mutable scratch copy of one context during a commit."""
+    """One context while a commit derives its next state.
+
+    Nothing of the published state is copied up front: ``adds`` is the
+    published overlay thawed (it shares that graph's index containers
+    until an op writes to one), ``removes`` *is* the published frozenset
+    until the commit hides or un-hides a base triple.
+    """
 
     __slots__ = ("base", "adds", "removes", "size")
 
     def __init__(self, cs: Optional[_ContextState], key: ContextKey,
                  namespaces: NamespaceManager) -> None:
+        self.removes: Union[frozenset, Set[Triple]]
         if cs is None:
             identifier = key if key is not None else DEFAULT_GRAPH_IRI
             self.base: Graph = freeze(Graph(identifier, namespaces))
             self.adds = Graph(identifier, namespaces)
-            self.removes: Set[Triple] = set()
+            self.removes = frozenset()
             self.size = 0
         else:
             self.base = cs.base
-            self.adds = cs.adds.copy()
-            self.removes = set(cs.removes)
+            self.adds = thaw(cs.adds)
+            self.removes = cs.removes
             self.size = cs.size
 
     def visible(self, triple: Triple) -> bool:
         if triple in self.adds:
             return True
         return triple in self.base and triple not in self.removes
+
+    def own_removes(self) -> Set[Triple]:
+        """``removes`` as a set this commit may write to."""
+        if isinstance(self.removes, frozenset):
+            self.removes = set(self.removes)
+        return self.removes
 
 
 class CheckpointPolicy:
@@ -1085,13 +1111,17 @@ class QuadStore:
     ]:
         """Pure derivation of the next state; ``None`` when no-op."""
         touched: Dict[ContextKey, _Working] = {}
+        # every context there is, listed once per commit: the published
+        # ones, plus any this commit creates
+        keys: List[ContextKey] = list(state.contexts)
 
         def working(key: ContextKey) -> _Working:
             scratch = touched.get(key)
             if scratch is None:
-                scratch = _Working(
-                    state.contexts.get(key), key, self.namespaces
-                )
+                cs = state.contexts.get(key)
+                if cs is None:
+                    keys.append(key)
+                scratch = _Working(cs, key, self.namespaces)
                 touched[key] = scratch
             return scratch
 
@@ -1102,10 +1132,12 @@ class QuadStore:
             cs = state.contexts.get(key)
             return cs is not None and _context_visible(cs, triple)
 
-        def union_visible(triple: Triple) -> bool:
-            keys = set(state.contexts)
-            keys.update(touched)
-            return any(ctx_visible(key, triple) for key in keys)
+        def visible_elsewhere(key: ContextKey, triple: Triple) -> bool:
+            # the union's view of a triple that ``key`` does not show
+            return len(keys) > 1 and any(
+                ctx_visible(other, triple)
+                for other in keys if other != key
+            )
 
         effective: List[Tuple[str, Quad]] = []
         seg_counts: List[int] = []
@@ -1118,15 +1150,14 @@ class QuadStore:
                 if op == OP_ADD:
                     if ctx_visible(key, triple):
                         continue
-                    seen_before = union_visible(triple)
                     scratch = working(key)
                     if triple in scratch.removes:
-                        scratch.removes.discard(triple)
+                        scratch.own_removes().discard(triple)
                     else:
                         scratch.adds.insert(triple)
                     scratch.size += 1
                     effective.append((op, triple + (key,)))
-                    if not seen_before:
+                    if not visible_elsewhere(key, triple):
                         union_added.append(triple)
                         union_delta += 1
                 elif op == OP_REMOVE:
@@ -1136,10 +1167,10 @@ class QuadStore:
                     if triple in scratch.adds:
                         scratch.adds.remove(triple)
                     else:
-                        scratch.removes.add(triple)
+                        scratch.own_removes().add(triple)
                     scratch.size -= 1
                     effective.append((op, triple + (key,)))
-                    if not union_visible(triple):
+                    if not visible_elsewhere(key, triple):
                         union_removed.append(triple)
                         union_delta -= 1
                 else:  # pragma: no cover - WriteBatch only emits +/-
@@ -1155,9 +1186,7 @@ class QuadStore:
                 contexts.pop(key, None)
                 continue
             if len(scratch.adds) + len(scratch.removes) > self.overlay_limit:
-                contexts[key] = _fold_context(
-                    scratch, key, self.namespaces
-                )
+                contexts[key] = _fold_context(scratch)
                 folded += 1
             else:
                 contexts[key] = _ContextState(
@@ -1232,10 +1261,7 @@ class QuadStore:
                 if cs.overlay == 0:
                     contexts[key] = cs
                     continue
-                scratch = _Working(cs, key, self.namespaces)
-                contexts[key] = _fold_context(
-                    scratch, key, self.namespaces
-                )
+                contexts[key] = _fold_context(cs)
                 folded += 1
             # same generation, same content — readers are unaffected
             self._state = _State(
@@ -1382,23 +1408,32 @@ class QuadStore:
 # state construction helpers
 # ---------------------------------------------------------------------
 def _fold_context(
-    scratch: _Working, key: ContextKey, namespaces: NamespaceManager
+    segment: Union[_Working, _ContextState]
 ) -> _ContextState:
-    """Materialize base+overlay into a fresh base with an empty overlay."""
-    identifier = key if key is not None else DEFAULT_GRAPH_IRI
-    fresh = Graph(identifier, namespaces)
-    visible = [
-        triple
-        for triple in scratch.base.triples()
-        if triple not in scratch.removes
-    ]
-    fresh.add_all(visible)
-    fresh.add_all(list(scratch.adds.triples()))
+    """Apply the overlay to the base: same triples, empty overlay.
+
+    The base is thawed, not rebuilt — O(overlay) Python-level work plus
+    a shallow copy of the base's outer index dicts — and the state that
+    pinned the old base keeps reading it unchanged. With no base yet
+    (the first bulk load of a context) the overlay *is* the new base.
+    """
+    if len(segment.base):
+        merged = thaw(segment.base)
+        for triple in segment.removes:
+            merged.remove(triple)
+        merged.add_all(segment.adds.triples())
+    else:
+        merged = segment.adds
+    return _base_only(merged, segment.size)
+
+
+def _base_only(graph: Graph, size: int) -> _ContextState:
+    """A context that is all base: ``graph`` frozen, an empty overlay."""
     return _ContextState(
-        freeze(fresh),
-        Graph(identifier, namespaces),
+        freeze(graph),
+        freeze(Graph(graph.identifier, graph.namespaces)),
         frozenset(),
-        scratch.size,
+        size,
     )
 
 
@@ -1411,12 +1446,7 @@ def _publish_bases(
         size = len(graph)
         if size == 0:
             continue
-        contexts[key] = _ContextState(
-            freeze(graph),
-            Graph(graph.identifier, graph.namespaces),
-            frozenset(),
-            size,
-        )
+        contexts[key] = _base_only(graph, size)
     if len(contexts) <= 1:
         union_size = sum(cs.size for cs in contexts.values())
     else:

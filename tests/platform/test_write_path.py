@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.platform import Capture, Platform
+from repro.platform.vocab import TLV
 from repro.rdf import FOAF, TL_USER
 from repro.rdf.terms import Literal, URIRef
 from repro.sparql import Point
@@ -90,6 +91,11 @@ _mutations = st.one_of(
               st.sampled_from(["Renamed", "Other Name"])),
     st.tuples(st.just("register_user")),
     st.tuples(st.just("add_friendship"), _user, _user),
+    # reported to the context platform directly, not through an upload
+    # or Platform.add_friendship: the items they re-locate must follow
+    st.tuples(st.just("context_fix"), _user, st.sampled_from(TIMES),
+              st.sampled_from([MOLE, NEAR_MOLE, ROME])),
+    st.tuples(st.just("context_friendship"), _user, _user),
 )
 
 
@@ -103,6 +109,14 @@ def _apply(platform: Platform, mutation: tuple) -> None:
         platform.update_user(users[args[0] % len(users)], full_name=args[1])
     elif kind == "add_friendship":
         platform.add_friendship(
+            users[args[0] % len(users)], users[args[1] % len(users)]
+        )
+    elif kind == "context_fix":
+        platform.context.report_position(
+            users[args[0] % len(users)], args[1], args[2]
+        )
+    elif kind == "context_friendship":
+        platform.context.add_friendship(
             users[args[0] % len(users)], users[args[1] % len(users)]
         )
     elif kind == "upload":
@@ -189,6 +203,32 @@ class TestDeltasEqualRebuild:
             TL_USER[name] for name in buddies
         ]
         assert set(store.graph().triples()) == set(platform.semanticize())
+
+    def test_fix_reported_to_the_context_platform_relocates(self):
+        """The same invalidation without an upload carrying the fix:
+        walter's position and the friendship both reach the context
+        platform directly."""
+        platform = _platform()
+        store = QuadStore()
+        platform.attach_store(store)
+        item = platform.upload(Capture(
+            username="oscar", title="Mole", tags=(), timestamp=10_300,
+            point=MOLE,
+        ))
+        platform.synchronize_store()
+        nearby = (item.resource, TLV.nearby, TL_USER["walter"])
+        platform.context.report_position("walter", 10_000, NEAR_MOLE)
+        platform.synchronize_store()
+        assert nearby not in store.graph(), "not friends yet"
+        platform.context.add_friendship("walter", "oscar")
+        platform.synchronize_store()
+        assert nearby in store.graph()
+        assert set(store.graph().triples()) == set(platform.semanticize())
+
+    def test_context_platform_feeds_one_platform(self):
+        platform = _platform()
+        with pytest.raises(ValueError, match="already feeds"):
+            Platform(corpus=platform.corpus, context=platform.context)
 
     def test_shared_triple_leaves_with_its_last_source(self):
         """Walter's ``foaf:nick`` is stated by every item he is a nearby

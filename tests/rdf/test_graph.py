@@ -347,3 +347,140 @@ def test_every_access_path_agrees(triples):
         assert o in set(g.objects(s, p))
         assert s in set(g.subjects(p, o))
         assert p in set(g.predicates(s, o))
+
+
+# ---------------------------------------------------------------------------
+# Structure sharing: thaw(frozen) shares the parent's inner index
+# containers and copies one only when the child first writes to it
+# ---------------------------------------------------------------------------
+
+_PATTERN_SHAPES = [
+    tuple(bool(mask & bit) for bit in (1, 2, 4)) for mask in range(8)
+]
+
+
+def _index_snapshot(graph):
+    """A deep, independent copy of the three indexes."""
+    return [
+        {a: {b: set(cs) for b, cs in level1.items()}
+         for a, level1 in index.items()}
+        for index in (graph._spo, graph._pos, graph._osp)
+    ]
+
+
+def _assert_same_graph(graph, expected):
+    """``graph`` answers like one rebuilt from scratch on ``expected``."""
+    rebuilt = Graph()
+    rebuilt.add_all(expected)
+    assert len(graph) == len(rebuilt) == len(expected)
+    assert _index_snapshot(graph) == _index_snapshot(rebuilt)
+    assert graph.predicate_statistics() == rebuilt.predicate_statistics()
+    probes = set(expected) | {(ex("a"), ex("h"), ex("zz"))}
+    for s, p, o in probes:
+        for bind_s, bind_p, bind_o in _PATTERN_SHAPES:
+            pattern = (
+                s if bind_s else None,
+                p if bind_p else None,
+                o if bind_o else None,
+            )
+            assert sorted(graph.triples(pattern)) == sorted(
+                rebuilt.triples(pattern)
+            ), pattern
+
+
+_writes = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "remove_s"]), _triples),
+    max_size=40,
+)
+
+
+def _apply_writes(graph, model, writes):
+    for op, (s, p, o) in writes:
+        if op == "add":
+            graph.add((s, p, o))
+            model.add((s, p, o))
+        elif op == "remove":
+            graph.remove((s, p, o))
+            model.discard((s, p, o))
+        else:  # a pattern remove: several triples, several containers
+            graph.remove((s, None, None))
+            model.difference_update(
+                [triple for triple in model if triple[0] == s]
+            )
+
+
+class TestThawSharing:
+    @given(st.lists(_triples, max_size=40), _writes)
+    def test_child_equals_rebuild_and_parent_never_changes(
+        self, seed, writes
+    ):
+        from repro.rdf import freeze, thaw
+
+        builder = Graph()
+        builder.add_all(seed)
+        parent = freeze(builder)
+        pinned = _index_snapshot(parent)
+        child = thaw(parent)
+        model = set(seed)
+        _apply_writes(child, model, writes)
+        _assert_same_graph(child, model)
+        assert _index_snapshot(parent) == pinned
+        assert len(parent) == len(set(seed))
+
+    @given(st.lists(_triples, min_size=1, max_size=30),
+           st.lists(_writes, min_size=2, max_size=4))
+    def test_generations_share_again_after_each_freeze(self, seed, rounds):
+        """thaw -> write -> freeze -> thaw ...: every generation keeps
+        its own contents, and no ownership survives a freeze — a
+        container the grandchild copies was never written in place."""
+        from repro.rdf import freeze, thaw
+
+        builder = Graph()
+        builder.add_all(seed)
+        current = freeze(builder)
+        model = set(seed)
+        history = [(current, _index_snapshot(current), set(model))]
+        for writes in rounds:
+            child = thaw(current)
+            assert child._owned == set()
+            _apply_writes(child, model, writes)
+            current = freeze(child)
+            assert current._owned is None
+            history.append((current, _index_snapshot(current), set(model)))
+        for frozen, pinned, contents in history:
+            assert _index_snapshot(frozen) == pinned
+            assert set(frozen.triples()) == contents
+
+    def test_thaw_copies_no_inner_container_until_written(self):
+        from repro.rdf import freeze, thaw
+
+        builder = Graph()
+        builder.add((ex("a"), FOAF.name, Literal("A")))
+        builder.add((ex("a"), FOAF.knows, ex("b")))
+        builder.add((ex("c"), FOAF.name, Literal("C")))
+        parent = freeze(builder)
+        child = thaw(parent)
+        assert child._spo is not parent._spo
+        assert all(
+            child._spo[s] is parent._spo[s] for s in parent._spo
+        )
+        child.add((ex("a"), FOAF.name, Literal("Alice")))
+        # the written path is the child's own now, its siblings are not
+        assert child._spo[ex("a")] is not parent._spo[ex("a")]
+        assert child._spo[ex("a")][FOAF.knows] is (
+            parent._spo[ex("a")][FOAF.knows]
+        )
+        assert child._spo[ex("c")] is parent._spo[ex("c")]
+        assert set(parent.objects(ex("a"), FOAF.name)) == {Literal("A")}
+
+    def test_clear_on_a_thawed_graph_leaves_the_parent(self):
+        from repro.rdf import freeze, thaw
+
+        builder = Graph()
+        builder.add((ex("a"), FOAF.name, Literal("A")))
+        parent = freeze(builder)
+        child = thaw(parent)
+        child.clear()
+        child.add((ex("b"), FOAF.name, Literal("B")))
+        assert set(child.triples()) == {(ex("b"), FOAF.name, Literal("B"))}
+        assert set(parent.triples()) == {(ex("a"), FOAF.name, Literal("A"))}

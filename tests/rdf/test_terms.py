@@ -12,6 +12,7 @@ from repro.rdf.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    escape_iri,
     escape_literal,
     term_from_python,
     unescape_literal,
@@ -177,6 +178,44 @@ class TestEscaping:
     def test_unknown_escape_rejected(self):
         with pytest.raises(ValueError):
             unescape_literal("\\q")
+
+
+def _escape_iri_by_character(iri):
+    """The character walk ``escape_iri`` replaced, kept as reference."""
+    out = []
+    for ch in iri:
+        code = ord(ch)
+        if (
+            ch in '<>"{}|^`\\'
+            or code <= 0x20
+            or 0xD800 <= code <= 0xDFFF
+        ):
+            out.append(f"\\u{code:04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+class TestEscapeIri:
+    def test_every_excluded_character(self):
+        assert escape_iri('a<>"{}|^`\\ \t\x00\ud800\udfffz') == (
+            "a\\u003C\\u003E\\u0022\\u007B\\u007D\\u007C\\u005E"
+            "\\u0060\\u005C\\u0020\\u0009\\u0000\\uD800\\uDFFFz"
+        )
+
+    def test_plain_iri_untouched(self):
+        iri = "http://example.org/é/😀?q=1#frag"
+        assert escape_iri(iri) == iri
+
+    @given(st.text(
+        alphabet=st.one_of(
+            st.characters(),  # everything, surrogates included
+            st.sampled_from('<>"{}|^`\\ \t\n\x7f!~'),
+        ),
+        max_size=40,
+    ))
+    def test_matches_the_character_walk(self, text):
+        assert escape_iri(text) == _escape_iri_by_character(text)
 
 
 class TestTermFromPython:

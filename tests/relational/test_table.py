@@ -219,6 +219,34 @@ class TestDeleteUpdate:
         table.update_where(lambda r: True, {"user_name": "a"})
         assert len(table) == 1
 
+    def test_delete_by_primary_key(self):
+        table = make_users_table()
+        for name in ("a", "b", "c"):
+            table.insert({"user_name": name})
+        assert table.delete(2) is True
+        assert table.delete(2) is False
+        assert [r["user_name"] for r in table.scan()] == ["a", "c"]
+        assert table.get(2) is None
+        # PK and unique value are free again, as after delete_where
+        table.insert({"user_id": 2, "user_name": "b"})
+        assert table.get(2)["user_name"] == "b"
+
+    def test_update_by_primary_key(self):
+        table = make_users_table()
+        table.insert({"user_name": "a", "user_email": "old"})
+        table.insert({"user_name": "b"})
+        assert table.update(1, {"user_email": "new"}) is True
+        assert table.update(99, {"user_email": "new"}) is False
+        assert table.get(1)["user_email"] == "new"
+        assert table.get(2)["user_email"] is None
+        # the same checks update_where makes
+        with pytest.raises(IntegrityError):
+            table.update(1, {"user_id": 5})
+        with pytest.raises(IntegrityError):
+            table.update(2, {"user_name": "a"})
+        table.update(2, {"user_name": "z"})
+        table.insert({"user_name": "b"})  # the old unique value is free
+
 
 @given(st.lists(st.integers(0, 50), unique=True, max_size=30))
 def test_pk_index_consistent_after_inserts(pks):

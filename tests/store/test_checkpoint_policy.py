@@ -97,9 +97,12 @@ class TestAutoCheckpoint:
             tmp_path / "s",
             checkpoint_policy=CheckpointPolicy(ops=5),
         ) as store:
-            for i in range(60):
-                _commit_one(store, i)
-            assert store.wait_for_checkpoints()
+            # two rounds with a settled checkpointer between them: sixty
+            # commits in a row can all land before its first run starts
+            for first in (0, 30):
+                for i in range(first, first + 30):
+                    _commit_one(store, i)
+                assert store.wait_for_checkpoints()
             assert store._checkpointer.stats()["runs"] >= 2
             # every run pruned the snapshots it superseded; at most
             # the newest (plus one written while pruning) remain

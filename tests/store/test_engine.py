@@ -1,5 +1,6 @@
 """MVCC engine semantics: generations, snapshot isolation, overlays."""
 
+import random
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.platform import Capture, Platform
 from repro.rdf import RDF, URIRef
 from repro.rdf.graph import Dataset, FrozenGraphError
+from repro.rdf.nquads import serialize_nquads
 from repro.rdf.terms import Literal
 from repro.store import QuadStore, StoreError, WriteBatch
 
@@ -254,6 +256,101 @@ class TestOverlays:
         assert summary["folded_contexts"] >= 1
         assert store.to_nquads() == before
         assert store.generation == generation  # same data, same gen
+
+
+def _random_commits(seed, count):
+    """``count`` effective batches over two contexts: mostly adds, and
+    removes of quads an earlier batch added."""
+    rng = random.Random(seed)
+    contexts = (None, URIRef(EX + "ctx"))
+    live = []
+    for serial in range(count):
+        batch = WriteBatch()
+        for j in range(rng.randint(1, 6)):
+            quad = (_triple(rng.randrange(40), f"v{serial}-{j}"),
+                    rng.choice(contexts))
+            batch.insert(*quad)
+            live.append(quad)
+        for _ in range(rng.randint(0, 3)):
+            if len(live) > 8:
+                batch.remove(*live.pop(rng.randrange(len(live) - 6)))
+        yield batch
+
+
+class TestSharedGenerations:
+    """A commit thaws the last overlay and a fold thaws the last base:
+    every published generation keeps reading what it pinned."""
+
+    @pytest.mark.parametrize("overlay_limit", [8, 1024])
+    def test_fifty_pinned_generations_keep_their_own_dump(
+        self, overlay_limit
+    ):
+        store = QuadStore(overlay_limit=overlay_limit)
+        pinned = []
+        for batch in _random_commits(7, 50):
+            generation = store.generation
+            assert store.commit(batch) == generation + 1
+            pinned.append((store.dataset_snapshot(), store.to_nquads()))
+        assert len({dump for _, dump in pinned}) == 50
+        for snapshot, dump in pinned:
+            assert serialize_nquads(snapshot) == dump
+            assert len(snapshot.union_graph()) == len(
+                set(snapshot.union_graph().triples())
+            )
+
+    def test_fold_changes_no_dump_and_no_older_snapshot(self):
+        folding = QuadStore(overlay_limit=8)
+        plain = QuadStore(overlay_limit=10 ** 9)
+        before_fold = None
+        for batch in _random_commits(11, 30):
+            overlay = folding.info()["overlay_ops"]
+            snapshot, dump = folding.dataset_snapshot(), folding.to_nquads()
+            folding.commit(batch)
+            plain.commit(batch)
+            assert folding.to_nquads() == plain.to_nquads()
+            if folding.info()["overlay_ops"] < overlay:  # it folded
+                before_fold = (snapshot, dump)
+        assert before_fold is not None
+        snapshot, dump = before_fold
+        assert serialize_nquads(snapshot) == dump
+
+    def test_compact_changes_no_dump_and_no_older_snapshot(self):
+        store = QuadStore()
+        for batch in _random_commits(13, 20):
+            store.commit(batch)
+        store.compact()  # a base to fold the next overlay into
+        for batch in _random_commits(17, 10):
+            store.commit(batch)
+        snapshot, dump = store.dataset_snapshot(), store.to_nquads()
+        old_base = store._state.contexts[None].base
+        assert store.compact()["folded_contexts"] == 2
+        assert store.info()["overlay_ops"] == 0
+        assert store.to_nquads() == dump
+        assert serialize_nquads(snapshot) == dump
+        # the new base is the old one thawed, not a second copy: what
+        # the overlay did not touch is the same container in both
+        new_base = store._state.contexts[None].base
+        assert new_base is not old_base
+        shared = [
+            subject for subject in old_base._spo
+            if new_base._spo.get(subject) is old_base._spo[subject]
+        ]
+        assert shared
+
+    def test_first_bulk_load_becomes_the_base(self):
+        store = QuadStore(overlay_limit=8)
+        batch = WriteBatch().add_all(_triple(i) for i in range(20))
+        store.commit(batch)
+        assert store.info()["overlay_ops"] == 0
+        assert store.size == 20
+        assert set(store.head().triples()) == {
+            _triple(i) for i in range(20)
+        }
+        # and it is a base like any other: the next commits overlay it
+        store.insert(_triple(99))
+        store.remove(_triple(3))
+        assert store.size == 20
+        assert _triple(3) not in store.head()
 
 
 class TestSyncDataset:
