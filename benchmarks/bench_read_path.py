@@ -1,7 +1,7 @@
 """READ PATH — a geo read must not grow with the corpus, nor a commit
 rebuild what reads rely on.
 
-Three machine-independent guards, counts not timings (DESIGN.md, "Read
+Machine-independent guards, counts not timings (DESIGN.md, "Read
 path"):
 
 * ``bench_geo_filter_flat`` — ``bif:st_intersects`` evaluations of one
@@ -10,11 +10,19 @@ path"):
   area, so the album's answer stays the same size: what the filter is
   asked about is what the spatial grid hands it, not every geometry in
   the store (8x before the grid — linear in the corpus).
+* ``bench_social_album_flat`` — the same for the friend-first albums
+  (Q2, Q3), and their index lookups at 1 600 contents must stay <= 60:
+  the filter is put to what the grid has around the monument, and a
+  scan is looked up once per distinct join key, not once per picture
+  of every friend (8.6x and 2 380 / 3 170 lookups before).
 * ``bench_upload_rewrites_its_cells_only`` — the grid a commit carries
   forward rewrites at most as many cells as its delta has geometry
   triples, and no statistics pass over the store runs.
 * ``bench_repeat_plans_nothing`` — a query repeated against an
   unchanged store generation is parsed and planned zero times.
+
+``bench_single_scan_latency`` records, ungated, what a one-pattern
+lookup costs — the fixed price of a step.
 
 Results persist to ``BENCH_read_path.json`` via :mod:`_harness`.
 """
@@ -22,11 +30,14 @@ Results persist to ``BENCH_read_path.json`` via :mod:`_harness`.
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 import time
+from pathlib import Path
 
-from _harness import record
+from _harness import record, timed_samples
 from repro.analysis.plan import QueryPlanner
-from repro.core import geo_album
+from repro.core import geo_album, rated_album, social_album
 from repro.obs import get_registry
 from repro.platform import Platform
 from repro.rdf import GEO
@@ -34,11 +45,15 @@ from repro.sparql import Evaluator
 from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as sparql_functions
 from repro.store import QuadStore
+from repro.store.engine import SnapshotGraph
 from repro.workloads import (
     WorkloadConfig,
     generate_workload,
     populate_platform,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from e2e_speed import REFERENCE_S, SpeedMeter  # noqa: E402
 
 SMALL, LARGE = 200, 1600
 UPLOADS = 20
@@ -74,27 +89,30 @@ def _count_calls(owner, name: str):
     return calls, lambda: setattr(owner, name, original)
 
 
-def _geo_album_filter_evaluations(store: QuadStore):
-    """(filter evaluations, links, seconds) of one Q1 over ``store``."""
-    query = geo_album().query
+def _album_counts(store: QuadStore, query: str):
+    """(filter evaluations, index lookups, links, seconds) of one album
+    query over ``store``."""
     Evaluator(store).evaluate(query)  # statistics + plan out of the way
     # fn_st_intersects looks the geometry test up in its own module, so
     # counting there leaves FUNCTIONS — and with it the probe — alone
-    calls, undo = _count_calls(sparql_functions, "st_intersects")
+    calls, undo_calls = _count_calls(sparql_functions, "st_intersects")
+    lookups, undo_lookups = _count_calls(SnapshotGraph, "triples")
     try:
         began = time.perf_counter()
         links = Evaluator(store).evaluate(query)
         took = time.perf_counter() - began
     finally:
-        undo()
-    return len(calls), len(links), took
+        undo_calls()
+        undo_lookups()
+    return len(calls), len(lookups), len(links), took
 
 
 def bench_geo_filter_flat(benchmark):
     _, _, small = _stack(SMALL)
     _, _, large = _stack(LARGE)
-    at_small, links_small, _ = _geo_album_filter_evaluations(small)
-    at_large, links_large, took = _geo_album_filter_evaluations(large)
+    query = geo_album().query
+    at_small, _, links_small, _ = _album_counts(small, query)
+    at_large, lookups, links_large, took = _album_counts(large, query)
     ratio = at_large / max(1, at_small)
 
     benchmark.extra_info.update({
@@ -109,6 +127,7 @@ def bench_geo_filter_flat(benchmark):
             "section": "geo_filter_flat",
             "contents": [SMALL, LARGE],
             "evaluations": [at_small, at_large],
+            "index_lookups_at_1600": lookups,
             "links": [links_small, links_large],
             "geometries": [
                 small.statistics().geo_points,
@@ -122,9 +141,89 @@ def bench_geo_filter_flat(benchmark):
         f"geo filter evaluations grow with the corpus: {at_large} at "
         f"{LARGE} contents vs {at_small} at {SMALL} ({ratio:.1f}x)"
     )
-    query = geo_album().query
     benchmark.pedantic(
         lambda: Evaluator(large).evaluate(query), rounds=20, iterations=1
+    )
+
+
+def bench_social_album_flat(benchmark):
+    _, workload, small = _stack(SMALL)
+    _, _, large = _stack(LARGE)
+    # (the same users at both sizes) one whose album is never empty
+    friend = next(
+        name for name in workload.usernames
+        if all(
+            len(Evaluator(store).evaluate(
+                social_album(friend_of=name).query))
+            for store in (small, large)
+        )
+    )
+    for name, album in (("Q2", social_album), ("Q3", rated_album)):
+        query = album(friend_of=friend).query
+        at_small, _, links_small, _ = _album_counts(small, query)
+        at_large, lookups, links_large, took = _album_counts(large, query)
+        ratio = at_large / max(1, at_small)
+        record(
+            "read_path",
+            [took * 1000.0],
+            extra={
+                "section": "social_album_flat",
+                "query": name,
+                "contents": [SMALL, LARGE],
+                "evaluations": [at_small, at_large],
+                "index_lookups_at_1600": lookups,
+                "links": [links_small, links_large],
+                "ratio_1600_over_200": round(ratio, 3),
+            },
+        )
+        benchmark.extra_info.update({
+            f"{name}_evaluations": [at_small, at_large],
+            f"{name}_index_lookups_at_1600": lookups,
+        })
+        assert links_small and links_large, "the album must not be empty"
+        assert ratio <= 2.0, (
+            f"{name}: geo filter evaluations grow with the friends' "
+            f"content: {at_large} at {LARGE} contents vs {at_small} at "
+            f"{SMALL} ({ratio:.1f}x)"
+        )
+        assert lookups <= 60, (
+            f"{name}: {lookups} index lookups at {LARGE} contents — one "
+            "per solution again, not one per distinct join key?"
+        )
+    benchmark.pedantic(
+        lambda: Evaluator(large).evaluate(query), rounds=20, iterations=1
+    )
+
+
+def bench_single_scan_latency(benchmark):
+    """What the upload / mixed workloads' check queries cost: one
+    pattern, one incoming solution. Recorded, not gated — the fixed
+    price of a step (a list, a generator or two) must stay visible."""
+    _, _, store = _stack(SMALL)
+    subject = next(iter(store.head().triples((None, GEO.geometry, None))))[0]
+    query = (
+        f"PREFIX geo: <{GEO}>\n"
+        f"SELECT ?v WHERE {{ <{subject}> geo:geometry ?v }}"
+    )
+    evaluator = Evaluator(store)
+    assert len(evaluator.evaluate(query)) == 1
+    meter = SpeedMeter()
+    meter.sample()
+    samples_ms = timed_samples(lambda: evaluator.evaluate(query), 200)
+    meter.sample()
+    speed_index = statistics.mean(meter.samples) / REFERENCE_S
+    entry = record(
+        "read_path",
+        samples_ms,
+        extra={
+            "section": "single_scan",
+            "median_us": round(statistics.median(samples_ms) * 1000.0, 1),
+            "speed_index": round(speed_index, 2),
+        },
+    )
+    benchmark.extra_info.update(entry["extra"])
+    benchmark.pedantic(
+        lambda: evaluator.evaluate(query), rounds=50, iterations=1
     )
 
 

@@ -659,7 +659,7 @@ def _reorder_bgp(
         # "connected" to the variable its filter compares against
         probe = probe_of(scan, running)
         if probe is not None:
-            return ctx.stats.geo_probe_cardinality(probe.radius_km)
+            return _probe_estimate(scan, probe, running, ctx.stats)
         return _scan_estimate(scan, running, ctx)
 
     if len(scans) > 1:
@@ -670,7 +670,7 @@ def _reorder_bgp(
             lambda s: s.variables(),
             ctx,
             kind="triple patterns",
-            defer=_scan_deferred,
+            defer=_smaller_side_first(node, bound, ctx),
         )
         if [s.pattern for s in ordered] != [s.pattern for s in scans]:
             ctx.diag(
@@ -701,18 +701,55 @@ def _reorder_bgp(
                 break
         if not placed:
             leftover.append(expr)
-    tail = _disconnected_tail(attached, bound)
-    if tail is not None:
-        # the filters relating head and tail apply where the two are
-        # paired: after the last scan, i.e. as filters of the BGP
-        head_vars = set().union(*(s.variables() for s in attached[:tail]))
-        last = attached[-1]
-        spanning = [
-            e for e in last.filters if _expr_vars(e) & head_vars
+    return BGPNode(attached, leftover, ordered=True)
+
+
+def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PassContext):
+    """The ``defer`` of a BGP's greedy order: :func:`_scan_deferred`,
+    and — where only a filter relates two groups of scans that share
+    no variable — the group estimated larger waits for the smaller.
+
+    Left to itself the greedy order starts at the cheapest scan and
+    follows shared variables, so the group that scan is in runs first
+    and the other is multiplied in at the end, the filter relating
+    them with it. Smaller side first, the filter attaches to a scan of
+    the larger side, as soon as that binds the variable it compares:
+    the monument's two scans, then the friends' pictures *within
+    300 m*, instead of every friend's picture times the monument.
+    """
+    groups: List[Tuple[Set[str], List[ScanStep]]] = []
+    for scan in node.scans:
+        names, members = set(scan.variables()) - bound, [scan]
+        for group in [g for g in groups if g[0] & names]:
+            groups.remove(group)
+            names |= group[0]
+            members = group[1] + members
+        groups.append((names, members))
+    waits: Dict[int, Set[str]] = {}
+    sizes: List[float] = []
+    for expr in node.pushed + [e for s in node.scans for e in s.filters]:
+        mentioned = _expr_vars(expr)
+        related = [
+            index for index, (names, _) in enumerate(groups)
+            if names & mentioned
         ]
-        last.filters = [e for e in last.filters if e not in spanning]
-        leftover = spanning + leftover
-    return BGPNode(attached, leftover, ordered=True, tail=tail)
+        if len(related) < 2:
+            continue
+        sizes = sizes or [
+            _quick_estimate(BGPNode(members), bound, ctx)
+            for _, members in groups
+        ]
+        related.sort(key=lambda index: (sizes[index], index))
+        for position, index in enumerate(related):
+            for scan in groups[index][1]:
+                waits.setdefault(id(scan), set()).update(
+                    *(groups[i][0] for i in related[:position])
+                )
+    if not waits:
+        return _scan_deferred
+    return lambda scan, running: _scan_deferred(scan, running) or (
+        not waits.get(id(scan), frozenset()) <= running
+    )
 
 
 def _geo_probe(
@@ -721,9 +758,11 @@ def _geo_probe(
     filters: Sequence[Expression],
     ctx: _PassContext,
 ) -> Optional[GeoProbe]:
-    """The grid access path of ``?s geo:geometry ?o`` (both unbound),
+    """The grid access path of ``?s geo:geometry ?o`` (``?o`` unbound),
     if one of ``filters`` is ``bif:st_intersects`` between ``?o`` and a
-    constant or already-bound geometry within a constant radius."""
+    constant or already-bound geometry within a constant radius.
+    ``?s`` may be bound: the executor then joins the solutions with
+    what the grid has around the centre, if that is the smaller side."""
     pattern = scan.pattern
     subject, geometry = pattern.subject, pattern.object
     if (
@@ -732,7 +771,6 @@ def _geo_probe(
         or not isinstance(subject, Variable)
         or not isinstance(geometry, Variable)
         or subject == geometry
-        or str(subject) in bound
         or str(geometry) in bound
     ):
         return None
@@ -766,37 +804,20 @@ def _geo_probe(
     return None
 
 
-def _disconnected_tail(
-    scans: List[ScanStep], bound: Set[str]
-) -> Optional[int]:
-    """Index of the first scan of a disconnected tail, if there is one.
-
-    The smallest ``k >= 1`` such that the scans from ``k`` on use no
-    variable of the scans before ``k`` nor of the incoming solution —
-    a grid probe *uses* its centre variable — and no filter before the
-    last scan relates the two halves (one there prunes the rest of the
-    tail per head row, which evaluating the tail once would give up).
-    A ``bif:contains`` step counts its subject like any scan variable,
-    so a tail never holds one whose subject the head binds.
-    """
-    needs = [
-        s.variables() | (
-            {str(s.probe.center)}
-            if s.probe is not None
-            and isinstance(s.probe.center, Variable) else set()
-        )
-        for s in scans
-    ]
-    for k in range(1, len(scans)):
-        head_vars = set().union(*(s.variables() for s in scans[:k]))
-        if not set(bound).union(*needs[:k]) & set().union(
-            *needs[k:]
-        ) and not any(
-            _expr_vars(expr) & head_vars
-            for scan in scans[k:-1] for expr in scan.filters
-        ):
-            return k
-    return None
+def _probe_estimate(
+    scan: ScanStep, probe: GeoProbe, bound: Set[str],
+    stats: GraphStatistics,
+) -> float:
+    """Estimated matches of a probed scan, its geo filter counted:
+    what one grid probe finds, or — the subject already bound — that
+    share of the geometries the subject has."""
+    near = stats.geo_probe_cardinality(probe.radius_km)
+    if str(scan.pattern.subject) not in bound:
+        return near
+    return (
+        stats.scan_cardinality(scan.pattern, bound)
+        * min(near / max(stats.geo_points, 1), 1.0)
+    )
 
 
 def _scan_deferred(scan: ScanStep, bound: Set[str]) -> bool:
@@ -1087,17 +1108,12 @@ def _estimate(
 ) -> Tuple[float, Set[str]]:
     if isinstance(node, BGPNode):
         rows = in_rows
-        head_rows = 1.0
         running = set(bound)
-        for index, scan in enumerate(node.scans):
-            if index == node.tail:
-                # the tail runs once, whatever the head yields; the
-                # two are multiplied where they are paired
-                head_rows, rows = rows, 1.0
+        for scan in node.scans:
             probe = scan.probe
             if probe is not None:
                 # the probe's estimate already counts its own filter
-                rows *= stats.geo_probe_cardinality(probe.radius_km)
+                rows *= _probe_estimate(scan, probe, running, stats)
             else:
                 rows *= max(
                     stats.scan_cardinality(scan.pattern, running), 0.0
@@ -1107,7 +1123,6 @@ def _estimate(
                     rows *= stats.filter_selectivity(expr)
             scan.est_rows = rows
             running |= scan.variables()
-        rows *= head_rows
         for expr in node.pushed:
             rows *= stats.filter_selectivity(expr)
         node.est_rows = rows

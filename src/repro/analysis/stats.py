@@ -451,31 +451,39 @@ class GraphStatistics:
         self, center: Point, radius_km: float
     ) -> Optional[List[GeoEntry]]:
         """Every indexed geometry that *may* lie within ``radius_km``
-        of ``center``: the entries of the cells the circle's bounding
-        box touches — a superset of the circle (see
+        of ``center``: the entries inside the circle's bounding box — a
+        superset of the circle (see
         :func:`repro.sparql.geo.bounding_box`), which the caller still
-        filters exactly. ``None`` when the circle has no such box; the
+        filters exactly. The cells the box touches are only how they
+        are reached. ``None`` when the circle has no such box; the
         caller then scans.
         """
         box = bounding_box(center, radius_km)
         if box is None:
             return None
-        low_x, low_y = _cell_of(box[0], box[1])
-        high_x, high_y = _cell_of(box[2], box[3])
+        min_lon, min_lat, max_lon, max_lat = box
+        low_x, low_y = _cell_of(min_lon, min_lat)
+        high_x, high_y = _cell_of(max_lon, max_lat)
         grid = self.geo_grid
         if (high_x - low_x + 1) * (high_y - low_y + 1) > len(grid):
             # a wide circle covers more cells than are occupied
-            return [
-                entry
+            cells = (
+                entries
                 for (x, y), entries in grid.items()
                 if low_x <= x <= high_x and low_y <= y <= high_y
-                for entry in entries
-            ]
+            )
+        else:
+            cells = (
+                grid.get((x, y), ())
+                for x in range(low_x, high_x + 1)
+                for y in range(low_y, high_y + 1)
+            )
         return [
             entry
-            for x in range(low_x, high_x + 1)
-            for y in range(low_y, high_y + 1)
-            for entry in grid.get((x, y), ())
+            for entries in cells
+            for entry in entries
+            if min_lon <= entry[2] <= max_lon
+            and min_lat <= entry[3] <= max_lat
         ]
 
     def geo_probe_cardinality(self, radius_km: float) -> float:

@@ -110,9 +110,16 @@ class ScanStep(PlanNode):
     by the reorder pass, lets the executor read the candidates off the
     statistics' spatial grid instead of the triple index; the filters
     apply either way.
+
+    EXPLAIN's run also leaves ``actual_probes`` — index or grid lookups
+    the scan made, one per distinct join key — and, on a probed scan,
+    ``actual_paths``: which access path(s) its solutions took.
     """
 
-    __slots__ = ("pattern", "filters", "probe")
+    __slots__ = (
+        "pattern", "filters", "probe", "actual_probes", "actual_paths",
+        "_variables",
+    )
 
     def __init__(
         self,
@@ -124,9 +131,13 @@ class ScanStep(PlanNode):
         self.pattern = pattern
         self.filters: List[Expression] = list(filters or ())
         self.probe = probe
+        self.actual_probes: Optional[int] = None
+        self.actual_paths: Optional[List[str]] = None
+        # the planner asks once per candidate order it weighs
+        self._variables = frozenset(str(v) for v in pattern.variables())
 
     def variables(self) -> frozenset:
-        return frozenset(str(v) for v in self.pattern.variables())
+        return self._variables
 
     def certain_vars(self) -> frozenset:
         return self.variables()
@@ -157,31 +168,22 @@ class BGPNode(PlanNode):
 
     ``ordered`` says who decides the scan order: true once the reorder
     pass has fixed it (the executor runs ``scans`` as listed), false
-    for a BGP as lowered (the executor picks the next scan per
-    incoming solution, by bound positions).
-
-    ``tail``, set by the reorder pass on an ordered BGP, is the index
-    of the first scan of a *disconnected tail*: the scans from there
-    on share no variable with the scans before them, and every filter
-    relating the two halves is in ``pushed``. The executor evaluates
-    such a tail once per incoming solution instead of once per row of
-    the head, and applies ``pushed`` to each pairing.
+    for a BGP as lowered (the executor picks the order per run of
+    incoming solutions, by bound positions).
     """
 
-    __slots__ = ("scans", "pushed", "ordered", "tail")
+    __slots__ = ("scans", "pushed", "ordered")
 
     def __init__(
         self,
         scans: List[ScanStep],
         pushed: Optional[List[Expression]] = None,
         ordered: bool = False,
-        tail: Optional[int] = None,
     ) -> None:
         super().__init__()
         self.scans = scans
         self.pushed: List[Expression] = list(pushed or ())
         self.ordered = ordered
-        self.tail = tail
 
     def children(self) -> Sequence[PlanNode]:
         return self.scans
@@ -197,8 +199,6 @@ class BGPNode(PlanNode):
 
     def label(self) -> str:
         order = "" if self.ordered else ", order picked at run time"
-        if self.tail is not None:
-            order += f", last {len(self.scans) - self.tail} evaluated once"
         text = f"BGP ({len(self.scans)} scan(s){order})"
         for expr in self.pushed:
             text += f" | FILTER {render_expression(expr)}"
@@ -635,6 +635,15 @@ def render_plan(root: PlanNode) -> str:
     return "\n".join(lines)
 
 
+#: How EXPLAIN words the access path(s) a probed scan's solutions took
+#: (the executor's ``repro_geo_probe_total{path}`` values).
+_PATH_TAKEN = {
+    "grid": "via geo grid",
+    "join": "via geo grid, joined on ?{subject}",
+    "scan": "via index",
+}
+
+
 def _annotation(node: PlanNode) -> str:
     parts = []
     if node.est_rows is not None:
@@ -643,7 +652,15 @@ def _annotation(node: PlanNode) -> str:
         parts.append(f"actual={node.actual_rows}")
     if node.actual_ms is not None:
         parts.append(f"ms={node.actual_ms:.2f}")
-    return ("  [" + " ".join(parts) + "]") if parts else ""
+    text = " ".join(parts)
+    if isinstance(node, ScanStep) and node.actual_probes is not None:
+        text += f" probes={node.actual_probes}"
+        if node.actual_paths:
+            text += "; " + " + ".join(
+                _PATH_TAKEN[path].format(subject=node.pattern.subject)
+                for path in node.actual_paths
+            )
+    return f"  [{text}]" if text else ""
 
 
 def _fmt_rows(value: float) -> str:

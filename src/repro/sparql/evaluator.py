@@ -18,35 +18,47 @@ which plan that is:
   the tests, ``explain(compare=True)`` and the benchmark oracles compare
   the rewritten plan against.
 
-The scans of a BGP run in one of two orders, read off the plan node
+A BGP runs a *step* per scan, and a step runs its scan against the
+whole set of solutions the step before it produced
+(:meth:`Evaluator._scan_step`): the pattern positions a solution binds
+are its join key, the index is asked once per distinct key, and the
+solutions are extended in their order — the rows, and their order, of a
+nested-loop join, without a lookup and a closure per solution per scan.
+A scan sharing no variable with the solutions has one key and is
+looked up once. Steps pass solutions on in chunks of :data:`_CHUNK`, so
+``ASK``, ``LIMIT`` and ``EXISTS`` still stop early.
+
+The steps run in one of two orders, read off the plan node
 (:attr:`BGPNode.ordered`), not off an option:
 
 * *static* — the planner's ``reorder_scans`` pass fixed the order; the
   scans run as listed;
 * *picked at run time* — no pass ordered the BGP (the reference plan, a
   custom pipeline without ``reorder_scans``, every ``EXISTS`` group):
-  for each incoming solution the pattern with the most bound positions
-  goes next, and a ``bif:contains`` constraint waits until its subject
-  is bound (:func:`_runtime_order`).
+  for each run of incoming solutions binding the same variables, the
+  pattern with the most bound positions goes next, and a
+  ``bif:contains`` constraint waits until its subject is bound
+  (:func:`_runtime_order`).
 
-Two facts the reorder pass leaves on an ordered BGP change *how* its
-scans run, never what they yield (DESIGN.md, "Read path"):
-
-* :attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
-  ``bif:st_intersects`` filter reads its candidates off the spatial
-  grid of the graph's statistics (:meth:`Evaluator._geo_candidates`
-  says when) instead of the triple index; every filter still applies;
-* :attr:`BGPNode.tail` — scans sharing no variable with the ones
-  before them are evaluated once per incoming solution and paired with
-  each row of the head (:meth:`Evaluator._exec_tail_once`).
+One fact the reorder pass leaves on an ordered BGP changes *how* a
+step reads, never what it yields (DESIGN.md, "Read path"):
+:attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
+``bif:st_intersects`` filter has the spatial grid of the graph's
+statistics as a second access path. Per distinct centre, the grid's
+candidates are put to the exact filter once; solutions that bind
+neither end are extended by the hits, solutions that bind ``?s`` are
+hash-joined with them when the centre has no more candidates than
+solutions (:meth:`Evaluator._grid_hits`), and everything else — a
+named graph, stale statistics, a deployment's own ``bif:st_intersects``
+— reads the triple index and filters as any scan does.
 
 ``evaluate(text)`` parses a text once per process and, when optimizing
 with the default planner and function registry, plans it once per
 statistics snapshot (:data:`_PARSED`, ``GraphStatistics.plans``). A
 cached plan is shared by every evaluator — and thread — reading that
 generation, so execution never writes on a plan: the per-node
-``actual_rows`` / ``actual_ms`` annotations are EXPLAIN's, which plans
-privately.
+``actual_rows`` / ``actual_ms`` / ``actual_probes`` annotations are
+EXPLAIN's, which plans privately.
 
 Expression errors follow the spec: a FILTER whose expression errors
 rejects the solution; an ORDER BY key that errors sorts lowest.
@@ -59,8 +71,10 @@ still one thread's object)
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry, get_tracer
@@ -121,6 +135,10 @@ _MAGIC_CONTAINS = URIRef("bif:contains")
 #: The filter the statistics' spatial grid can answer for — as long as
 #: it is the builtin one.
 _ST_INTERSECTS = "bif:st_intersects"
+
+#: Solutions a BGP step hands the next at a time — what ``ASK``, ``LIMIT``
+#: and ``EXISTS`` may compute per step beyond the rows they consume.
+_CHUNK = 256
 
 #: Entries kept by the parse cache and by each statistics snapshot's
 #: plan cache; the oldest entry makes room for a new one.
@@ -566,9 +584,17 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def _exec_modifier_inner(self, node: PlanNode) -> List[Row]:
+    def _exec_modifier_inner(
+        self, node: PlanNode, limit: Optional[int] = None
+    ) -> List[Row]:
+        """Rows of a modifier chain; ``limit`` — a LIMIT right above,
+        with nothing but a projection in between — is how many of them
+        are asked for."""
         if isinstance(node, SliceNode):
-            rows = self._exec_modifier(node.child)
+            rows = self._exec_modifier(
+                node.child,
+                None if node.limit is None else node.offset + node.limit,
+            )
             if node.offset:
                 rows = rows[node.offset :]
             if node.limit is not None:
@@ -584,7 +610,7 @@ class Evaluator:
         elif isinstance(node, ProjectNode):
             rows = [
                 {v: row[v] for v in node.variables if v in row}
-                for row in self._exec_modifier(node.child)
+                for row in self._exec_modifier(node.child, limit)
             ]
         elif isinstance(node, OrderNode):
             rows = self._exec_modifier(node.child)
@@ -603,15 +629,16 @@ class Evaluator:
                     self._bind_projection_exprs(node.query, iter(inner))
                 )
         else:
-            rows = list(
-                self._exec_node(node, iter([dict()]), self.graph)
-            )
-            return rows
+            return list(itertools.islice(
+                self._exec_node(node, iter([dict()]), self.graph), limit
+            ))
         if self._annotate:
             node.actual_rows = (node.actual_rows or 0) + len(rows)
         return rows
 
-    def _exec_modifier(self, node: PlanNode) -> List[Row]:
+    def _exec_modifier(
+        self, node: PlanNode, limit: Optional[int] = None
+    ) -> List[Row]:
         if not self._time_plan_nodes or not isinstance(
             node,
             (
@@ -621,9 +648,9 @@ class Evaluator:
         ):
             # non-modifier roots fall through to _exec_node, which
             # does its own per-node timing — no double counting
-            return self._exec_modifier_inner(node)
+            return self._exec_modifier_inner(node, limit)
         began = time.perf_counter()
-        rows = self._exec_modifier_inner(node)
+        rows = self._exec_modifier_inner(node, limit)
         elapsed = time.perf_counter() - began
         if self._annotate:
             node.actual_ms = (node.actual_ms or 0.0) + elapsed * 1000.0
@@ -698,20 +725,26 @@ class Evaluator:
                 solutions = self._exec_node(element, solutions, graph)
             yield from solutions
         elif isinstance(node, BGPNode):
-            scans = node.scans
-            for binding in solutions:
-                if not node.ordered:
-                    scans = _runtime_order(node.scans, binding)
-                elif node.tail is not None and not any(
-                    variable in binding
-                    for scan in scans[node.tail:]
-                    for variable in scan.pattern.variables()
+            # an ordered BGP is one run; one nobody ordered is a run
+            # per stretch of solutions binding the same variables
+            runs = (
+                [(None, solutions)] if node.ordered
+                else itertools.groupby(solutions, key=frozenset)
+            )
+            for bound, run in runs:
+                stream = _chunks(run)
+                for scan in (
+                    node.scans if node.ordered
+                    else _runtime_order(node.scans, bound)
                 ):
-                    yield from self._exec_tail_once(node, binding, graph)
-                    continue
-                yield from self._exec_scans(
-                    scans, node.pushed, 0, binding, graph
-                )
+                    stream = self._scan_step(scan, stream, graph)
+                for chunk in stream:
+                    if not node.pushed:
+                        yield from chunk
+                        continue
+                    for row in chunk:
+                        if self._filters_pass(node.pushed, row, graph):
+                            yield row
         elif isinstance(node, FilterNode):
             for binding in solutions:
                 try:
@@ -810,193 +843,217 @@ class Evaluator:
                 return None
         return merged
 
-    def _exec_scans(
+    def _scan_step(
         self,
-        scans: List[ScanStep],
-        leftover: Sequence[Expression],
-        index: int,
-        binding: Bindings,
+        scan: ScanStep,
+        chunks: Iterator[List[Bindings]],
         graph: Graph,
-    ) -> Iterator[Bindings]:
-        """Match ``scans`` in the order given, from ``index`` on."""
-        if index == len(scans):
-            if self._filters_pass(leftover, binding, graph):
-                yield binding
-            return
-        scan = scans[index]
-        pattern = scan.pattern
+    ) -> Iterator[List[Bindings]]:
+        """Run one scan against a whole solution set, chunk by chunk.
 
-        if pattern.predicate == _MAGIC_CONTAINS:
-            yield from self._exec_magic_scan(
-                scans, leftover, index, binding, graph
-            )
-            return
-        if scan.probe is not None:
-            candidates = self._geo_candidates(scan, binding, graph)
-            if candidates is not None:
-                for subject, geometry, _, _ in candidates:
-                    produced = dict(binding)
-                    produced[pattern.subject] = subject
-                    produced[pattern.object] = geometry
-                    if self._filters_pass(scan.filters, produced, graph):
-                        if self._annotate:
-                            scan.actual_rows = (scan.actual_rows or 0) + 1
-                        yield from self._exec_scans(
-                            scans, leftover, index + 1, produced, graph
-                        )
-                return
+        The positions of the pattern a solution binds are its join
+        key. Solutions are walked in order and each is extended by
+        every match of its key, so the output is in the order a nested
+        loop yields — but a key is looked up once per step, whatever
+        the number of solutions sharing it, and a scan that shares no
+        variable with them has one key. A lone solution (the first
+        scan of a query, an ``EXISTS`` group) skips that bookkeeping.
+        Rows leave in chunks of at most :data:`_CHUNK`, and what one
+        chunk of input produced leaves before the next is read.
 
-        def resolve(position):
-            if isinstance(position, Variable):
-                return binding.get(position)
-            return position
-
-        s = resolve(pattern.subject)
-        p = resolve(pattern.predicate)
-        o = resolve(pattern.object)
-        if isinstance(s, Literal) or isinstance(p, (Literal, BNode)):
-            return
-        for ts, tp, to in graph.triples((s, p, o)):
-            extended: Optional[Bindings] = None
-            conflict = False
-            for position, value in (
-                (pattern.subject, ts),
-                (pattern.predicate, tp),
-                (pattern.object, to),
-            ):
-                if isinstance(position, Variable):
-                    current = (
-                        extended.get(position)
-                        if extended is not None
-                        else binding.get(position)
-                    )
-                    if current is None:
-                        if extended is None:
-                            extended = dict(binding)
-                        extended[position] = value
-                    elif current != value:
-                        conflict = True
-                        break
-            if conflict:
-                continue
-            produced = extended if extended is not None else binding
-            if not self._filters_pass(scan.filters, produced, graph):
-                continue
-            if self._annotate:
-                scan.actual_rows = (scan.actual_rows or 0) + 1
-            yield from self._exec_scans(
-                scans, leftover, index + 1, produced, graph
-            )
-
-    def _exec_tail_once(
-        self, node: BGPNode, binding: Bindings, graph: Graph
-    ) -> Iterator[Bindings]:
-        """Run an ordered BGP whose scans from ``node.tail`` on share no
-        variable with the earlier ones (nor with ``binding``).
-
-        The nested loop would re-run those scans for every row of the
-        head and get the same rows each time; here they run once — when
-        the head yields its first row, so an empty head costs nothing —
-        and each head row is paired with them in the same order. The
-        filters relating the two halves are the BGP's own
-        (``node.pushed``) and apply to each pairing.
+        A probed scan (:attr:`ScanStep.probe`) has a second access
+        path, :meth:`_grid_hits`; which of its solutions take it is
+        decided per chunk, on counted rows.
         """
-        scans = node.scans
-        tail_rows: Optional[List[Bindings]] = None
-        for row in self._exec_scans(
-            scans[:node.tail], (), 0, binding, graph
-        ):
-            if tail_rows is None:
-                tail_rows = list(self._exec_scans(
-                    scans[node.tail:], (), 0, binding, graph
-                ))
-            for extra in tail_rows:
-                merged = {**row, **extra}
-                if self._filters_pass(node.pushed, merged, graph):
-                    yield merged
+        pattern = scan.pattern
+        subject, predicate, obj = positions = (
+            pattern.subject, pattern.predicate, pattern.object
+        )
+        s_var = isinstance(subject, Variable)
+        p_var = isinstance(predicate, Variable)
+        o_var = isinstance(obj, Variable)
+        magic = predicate == _MAGIC_CONTAINS
+        probe = scan.probe
+        stats = None
+        if probe is not None:
+            stats = self._probe_statistics(graph)
+        if stats is not None:
+            center = probe.center
+            # what is left to check on a grid hit: the exact geo
+            # filter has been applied to it already
+            rest = [e for e in scan.filters if e is not probe.filter]
+            hits: Dict[Term, Optional[Tuple[list, dict]]] = {}
+        memo: Dict[Tuple, List[Bindings]] = {}
+        lookups = produced = 0
+        paths: List[str] = []
+        asked = near = None  # the centre last asked about, its hits
+        try:
+            for chunk in chunks:
+                out: List[Bindings] = []
+                # one incoming solution has one key: nothing to share
+                shared = len(chunk) > 1
+                if stats is not None:
+                    lookups += self._grid_hits(
+                        scan, chunk, stats, hits, graph
+                    )
+                    asked = near = None  # (hits may know more now)
+                for row in chunk:
+                    s = row.get(subject) if s_var else subject
+                    o = row.get(obj) if o_var else obj
+                    if stats is not None:
+                        term = (
+                            row.get(center)
+                            if isinstance(center, Variable) else center
+                        )
+                        if term is not asked:
+                            # (the previous row's very term: same hits)
+                            asked, near = term, hits.get(term)
+                    if near is not None and o is None:
+                        filters = rest
+                        if s is None:
+                            path, exts = "grid", near[0]
+                        else:
+                            path, exts = "join", near[1].get(s, ())
+                    else:
+                        path, filters = "scan", scan.filters
+                        key = (
+                            s, row.get(predicate) if p_var else predicate, o
+                        )
+                        exts = memo.get(key) if shared else None
+                        if exts is None:
+                            lookups += 1
+                            exts = (
+                                _contains(key) if magic
+                                else _matches(positions, key, graph)
+                            )
+                            if shared:
+                                exts = _remembering(exts, memo, key)
+                    if probe is not None and path not in paths:
+                        paths.append(path)
+                    for ext in exts:
+                        extended = {**row, **ext} if ext else row
+                        if filters and not self._filters_pass(
+                            filters, extended, graph
+                        ):
+                            continue
+                        out.append(extended)
+                        if len(out) == _CHUNK:
+                            produced += _CHUNK
+                            yield out
+                            out = []
+                if out:
+                    produced += len(out)
+                    yield out
+        finally:
+            # (also when ASK, LIMIT or EXISTS stopped asking)
+            if self._annotate and lookups:  # (none: no solution came)
+                if produced:
+                    scan.actual_rows = (scan.actual_rows or 0) + produced
+                scan.actual_probes = (scan.actual_probes or 0) + lookups
+                scan.actual_paths = sorted(
+                    {*(scan.actual_paths or ()), *paths}
+                )
+            for path in paths:
+                get_registry().counter(
+                    "repro_geo_probe_total",
+                    "Steps of scans with a spatial access path, by the "
+                    "path taken: candidates read off the statistics' "
+                    "grid, grid candidates joined on the bound subject, "
+                    "or the triple index. Counted once per step and "
+                    "path, not per solution.",
+                ).labels(path=path).inc()
 
-    def _geo_candidates(
-        self, scan: ScanStep, binding: Bindings, graph: Graph
-    ) -> Optional[list]:
-        """Spatial-grid entries to try for a probed scan, or ``None``
-        to read the triple index like any other scan.
+    def _probe_statistics(self, graph: Graph):
+        """The statistics whose spatial grid a probed scan may read, or
+        ``None`` to read the triple index like any other scan.
 
         The grid is the one in the statistics cached on ``graph`` and
         is used only when it provably describes what a scan would see:
         ``graph`` is the evaluator's own (not a ``GRAPH`` pattern's
         named graph), the statistics' fingerprint is the graph's
-        current one, ``bif:st_intersects`` is the builtin, neither end
-        of the pattern is already bound, and the centre is a geometry
-        some circle around has a bounding box.
+        current one and ``bif:st_intersects`` is the builtin.
         """
-        pattern = scan.pattern
-        probe = scan.probe
-        candidates = None
-        stats = (
-            getattr(graph, "_stats_cache", None)
-            if graph is self.graph
-            and self.functions.get(_ST_INTERSECTS) is FUNCTIONS[_ST_INTERSECTS]
-            else None
-        )
         if (
-            stats is not None
-            and stats.describes(graph)
-            and pattern.subject not in binding
-            and pattern.object not in binding
+            graph is not self.graph
+            or self.functions.get(_ST_INTERSECTS)
+            is not FUNCTIONS[_ST_INTERSECTS]
         ):
-            center = probe.center
-            if isinstance(center, Variable):
-                center = binding.get(center)
-            if isinstance(center, (Literal, URIRef)):
-                point = try_parse_point(center)
-                if point is not None:
-                    candidates = stats.geo_candidates(
-                        point, probe.radius_km
-                    )
-        get_registry().counter(
-            "repro_geo_probe_total",
-            "Scans with a spatial access path, by the path taken: "
-            "the statistics' grid, or the triple index.",
-        ).labels(path="scan" if candidates is None else "grid").inc()
-        return candidates
+            return None
+        stats = getattr(graph, "_stats_cache", None)
+        if stats is None or not stats.describes(graph):
+            return None
+        return stats
 
-    def _exec_magic_scan(
+    def _grid_hits(
         self,
-        scans: List[ScanStep],
-        leftover: List[Expression],
-        index: int,
-        binding: Bindings,
+        scan: ScanStep,
+        chunk: List[Bindings],
+        stats,
+        hits: Dict[Term, Optional[Tuple[list, dict]]],
         graph: Graph,
-    ) -> Iterator[Bindings]:
-        """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
-        a full-text constraint on an already-bound literal."""
-        from .fulltext import contains as fulltext_contains
+    ) -> int:
+        """Look up, on the spatial grid, the centres ``chunk`` asks a
+        probed scan about; returns how many it looked up.
 
-        scan = scans[index]
-        subject = scan.pattern.subject
-        if isinstance(subject, Variable):
-            subject = binding.get(subject)
-        if subject is None:
-            raise SparqlEvalError(
-                "bif:contains requires its subject to be bound by "
-                "another pattern"
+        A centre is looked up once per step: the grid's candidates in
+        the bounding box of the circle around it, each put to the exact
+        ``bif:st_intersects`` once — through the same expression
+        evaluator as anywhere else — and kept in ``hits`` both as
+        extensions of a solution that binds neither end of the pattern
+        and keyed by subject, for solutions that bind it to be hash
+        joined with. Solutions take the triple index instead where
+        ``hits`` has ``None`` (the centre is no point, or no plain box
+        holds its circle) or nothing: when they bind the subject and
+        the centre has more candidates than this chunk has solutions
+        asking about it, one index lookup each is the cheaper side.
+        """
+        probe = scan.probe
+        subject, geometry = scan.pattern.subject, scan.pattern.object
+        center = probe.center
+        binding: Bindings = {}
+        asking: Dict[Optional[Term], int] = Counter()
+        if isinstance(center, Variable):
+            # (solutions extended off one match share its very terms,
+            # and a run of one term costs no Literal comparison)
+            for term, run in itertools.groupby(
+                row.get(center) for row in chunk
+            ):
+                asking[term] += sum(1 for _ in run)
+        else:
+            asking[center] = len(chunk)
+        joining = subject in chunk[0]
+        exact = (probe.filter,)
+        looked_up = 0
+        for term, rows in asking.items():
+            if term in hits:
+                continue
+            point = (
+                try_parse_point(term)
+                if isinstance(term, (Literal, URIRef)) else None
             )
-        needle = scan.pattern.object
-        if isinstance(needle, Variable):
-            needle = binding.get(needle)
-        if not isinstance(needle, Literal):
-            raise SparqlEvalError(
-                "bif:contains requires a literal search pattern"
+            candidates = (
+                stats.geo_candidates(point, probe.radius_km)
+                if point is not None else None
             )
-        if isinstance(subject, Literal) and fulltext_contains(
-            subject.lexical, needle.lexical
-        ):
-            if self._filters_pass(scan.filters, binding, graph):
-                if self._annotate:
-                    scan.actual_rows = (scan.actual_rows or 0) + 1
-                yield from self._exec_scans(
-                    scans, leftover, index + 1, binding, graph
-                )
+            if candidates is None:
+                hits[term] = None
+                continue
+            if joining and len(candidates) > rows:
+                continue
+            looked_up += 1
+            if isinstance(center, Variable):
+                binding[center] = term
+            everything: List[Bindings] = []
+            by_subject: Dict[Term, List[Bindings]] = {}
+            for found, value, _, _ in candidates:
+                binding[geometry] = value
+                if self._filters_pass(exact, binding, graph):
+                    everything.append({subject: found, geometry: value})
+                    by_subject.setdefault(found, []).append(
+                        {geometry: value}
+                    )
+            hits[term] = everything, by_subject
+        return looked_up
 
     def _filters_pass(
         self,
@@ -1176,6 +1233,76 @@ def _runtime_order(
         ordered.append(best)
         bound.update(best.pattern.variables())
     return ordered
+
+
+def _chunks(rows: Iterator[Bindings]) -> Iterator[List[Bindings]]:
+    """``rows`` in lists of at most :data:`_CHUNK`."""
+    rows = iter(rows)
+    while True:
+        chunk = list(itertools.islice(rows, _CHUNK))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _matches(
+    positions: Tuple[Term, Term, Term], key: Tuple, graph: Graph
+) -> Iterator[Bindings]:
+    """What each triple matching ``key`` binds: the variables of
+    ``positions`` the key leaves open (``None``)."""
+    s, p, _ = key
+    if isinstance(s, Literal) or isinstance(p, (Literal, BNode)):
+        return
+    free = [
+        (index, positions[index])
+        for index in range(3) if key[index] is None
+    ]
+    if len({variable for _, variable in free}) == len(free):
+        for triple in graph.triples(key):
+            yield {variable: triple[index] for index, variable in free}
+    else:
+        # a variable in two open positions: both must match one term
+        for triple in graph.triples(key):
+            ext: Bindings = {}
+            for index, variable in free:
+                if ext.setdefault(variable, triple[index]) != triple[index]:
+                    break
+            else:
+                yield ext
+
+
+def _contains(key: Tuple) -> Iterator[Bindings]:
+    """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
+    a full-text constraint on an already-bound literal."""
+    from .fulltext import contains as fulltext_contains
+
+    subject, _, needle = key
+    if subject is None:
+        raise SparqlEvalError(
+            "bif:contains requires its subject to be bound by "
+            "another pattern"
+        )
+    if not isinstance(needle, Literal):
+        raise SparqlEvalError(
+            "bif:contains requires a literal search pattern"
+        )
+    if isinstance(subject, Literal) and fulltext_contains(
+        subject.lexical, needle.lexical
+    ):
+        yield {}
+
+
+def _remembering(
+    extensions: Iterator[Bindings], memo: Dict[Tuple, List[Bindings]],
+    key: Tuple,
+) -> Iterator[Bindings]:
+    """Pass ``extensions`` on and, once they have all been asked for,
+    file them under ``key`` for the next solution with that key."""
+    seen: List[Bindings] = []
+    for ext in extensions:
+        seen.append(ext)
+        yield ext
+    memo[key] = seen
 
 
 class _Desc:

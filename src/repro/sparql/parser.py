@@ -89,6 +89,15 @@ class Parser:
         #: prefixes resolved via DEFAULT_PREFIXES rather than the
         #: prologue: prefix name → source offset of first use.
         self.fallback_used: Dict[str, int] = {}
+        self._variables: Dict[Variable, Variable] = {}
+
+    def _variable(self, text: str) -> Variable:
+        """One object per name and query. Solution mappings are dicts
+        keyed by variable: looked up with the very key object, a dict
+        answers without calling ``Variable.__eq__`` — once per row and
+        pattern position, it shows."""
+        variable = Variable(text)
+        return self._variables.setdefault(variable, variable)
 
     # ------------------------------------------------------------------
     # Token helpers
@@ -219,7 +228,7 @@ class Parser:
                 token = self._peek()
                 if token.kind == "var":
                     self._next()
-                    variables.append(Variable(token.text))
+                    variables.append(self._variable(token.text))
                 elif self._at_punct("("):
                     self._next()
                     agg = self._parse_projection_expression()
@@ -274,7 +283,7 @@ class Parser:
             return AggregateBinding(
                 function=function,
                 argument=argument,
-                alias=Variable(var_token.text),
+                alias=self._variable(var_token.text),
                 distinct=distinct,
             )
         # plain expression alias: (expr AS ?v) — modeled as SAMPLE-free bind
@@ -290,7 +299,7 @@ class Parser:
         return AggregateBinding(
             function="EXPR",
             argument=expression,
-            alias=Variable(var_token.text),
+            alias=self._variable(var_token.text),
         )
 
     def _parse_solution_modifiers(self, query: SelectQuery) -> None:
@@ -300,7 +309,7 @@ class Parser:
                 token = self._peek()
                 if token.kind == "var":
                     self._next()
-                    query.group_by.append(TermExpr(Variable(token.text)))
+                    query.group_by.append(TermExpr(self._variable(token.text)))
                 elif self._at_punct("("):
                     self._next()
                     query.group_by.append(self._parse_expression())
@@ -329,7 +338,7 @@ class Parser:
                 elif token.kind == "var":
                     self._next()
                     conditions.append(
-                        OrderCondition(TermExpr(Variable(token.text)))
+                        OrderCondition(TermExpr(self._variable(token.text)))
                     )
                 elif self._at_punct("("):
                     self._next()
@@ -397,7 +406,7 @@ class Parser:
                 terms.append(self._expand_pname(token.text, token.pos))
             elif token.kind == "var":
                 self._next()
-                terms.append(Variable(token.text))
+                terms.append(self._variable(token.text))
             else:
                 break
         if not terms:
@@ -441,7 +450,7 @@ class Parser:
                     )
                 self._expect_punct(")")
                 group.elements.append(
-                    BindPattern(expression, Variable(var_token.text))
+                    BindPattern(expression, self._variable(var_token.text))
                 )
             elif token.is_keyword("VALUES"):
                 self._next()
@@ -491,7 +500,7 @@ class Parser:
         single = False
         if token.kind == "var":
             self._next()
-            variables.append(Variable(token.text))
+            variables.append(self._variable(token.text))
             single = True
         else:
             self._expect_punct("(")
@@ -501,7 +510,7 @@ class Parser:
                     raise SparqlSyntaxError(
                         "expected variable in VALUES", var_token.pos
                     )
-                variables.append(Variable(var_token.text))
+                variables.append(self._variable(var_token.text))
             self._expect_punct(")")
         self._expect_punct("{")
         rows: List[Tuple[Optional[Term], ...]] = []
@@ -573,7 +582,7 @@ class Parser:
                 raise SparqlSyntaxError(
                     "variable not allowed here", token.pos
                 )
-            return Variable(token.text)
+            return self._variable(token.text)
         if token.kind == "iri":
             return URIRef(unescape_literal(token.text[1:-1]))
         if token.kind == "pname":

@@ -266,6 +266,7 @@ class LoadReport:
             lines.append(
                 "  read path: geo probes "
                 f"grid={probes.get('grid', 0)} "
+                f"join={probes.get('join', 0)} "
                 f"scan={probes.get('scan', 0)}, plan cache "
                 f"hit={plans.get('hit', 0)} miss={plans.get('miss', 0)}"
             )

@@ -89,6 +89,59 @@ def test_candidates_cover_the_circle(points, center, radius, near):
     if candidates is None:
         return  # no bounding box: the executor scans every geometry
     assert inside <= {(s, o) for s, o, _, _ in candidates}
+    # and they are the box's, not the whole cells the box touches
+    min_lon, min_lat, max_lon, max_lat = bounding_box(center, radius)
+    assert all(
+        min_lon <= lon <= max_lon and min_lat <= lat <= max_lat
+        for _, _, lon, lat in candidates
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.builds(
+        Point,
+        st.sampled_from([-180.0, -179.995, 179.995, 180.0, 7.6934]),
+        st.one_of(
+            st.floats(min_value=89.0, max_value=90.0),
+            st.floats(min_value=-90.0, max_value=-89.0),
+            st.just(45.0692),
+        ),
+    ),
+    radius=st.sampled_from([0.0, 1e-9, 1e-4, 0.3, 1000.0]),
+    offsets=st.lists(
+        st.tuples(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.sampled_from([0.0, 1e-7, 1e-3, 0.5, 15.0]),
+        ),
+        max_size=10,
+    ),
+)
+def test_trimmed_candidates_cover_the_circle_at_the_edges(
+    center, radius, offsets
+):
+    # near the poles, on the antimeridian, radius zero / tiny / 1 000 km:
+    # where a box trimmed too eagerly would lose a match. Points sit on
+    # the centre, a hair off it, and out to ~15 degrees away.
+    points = [center]
+    for dlon, dlat, scale in offsets:
+        lon = center.longitude + dlon * scale
+        lat = center.latitude + dlat * scale
+        if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0:
+            points.append(Point(lon, lat))
+    graph = graph_of(points)
+    candidates = GraphStatistics.collect(graph).geo_candidates(
+        center, radius
+    )
+    if candidates is None:
+        return
+    inside = {
+        (s, o)
+        for s, _, o in graph.triples((None, GEO.geometry, None))
+        if st_intersects(center, o, radius)
+    }
+    assert inside <= {(s, o) for s, o, _, _ in candidates}
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,26 +1,27 @@
 """The read path around the one executor: parse + plan caches, the
-spatial-grid probe's fallbacks, tails evaluated once.
+spatial-grid probe's fallbacks, scans looked up once per distinct key.
 
 The literal rows every plan must produce live in ``executor_cases.py``;
 this file checks *which path* produced them — through the two counters
-``repro.obs`` exposes and the facts EXPLAIN prints — and what must
-switch each mechanism off.
+``repro.obs`` exposes, the facts EXPLAIN prints and counted index
+lookups — and what must switch each mechanism off.
 """
 
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.analysis import GraphStatistics, QueryPlanner
 from repro.analysis.plan import QueryPlanner as PlannerClass
-from repro.analysis.plan import _disconnected_tail
 from repro.obs import MetricsRegistry, set_registry
-from repro.rdf import GEO, Graph, Literal, RDFS
+from repro.rdf import FOAF, GEO, Graph, Literal, RDFS, REV
 from repro.sparql import Evaluator, parse_query
 from repro.sparql import evaluator as evaluator_module
+from repro.sparql import functions as functions_module
 from repro.sparql.algebra import BGPNode, ScanStep, walk
 from repro.sparql.functions import boolean
-from repro.sparql.geo import GeometryError, parse_point
+from repro.sparql.geo import GeometryError, parse_point, try_parse_point
 from repro.store import QuadStore
 
 from .executor_cases import (
@@ -70,6 +71,36 @@ def store_of_cases():
     store = QuadStore()
     store.sync_dataset(build_dataset())
     return store
+
+
+class Lookups(list):
+    """The patterns a graph was asked, and how many triples it was
+    made to yield for them."""
+
+    yielded = 0
+
+
+@contextmanager
+def lookups_of(graph):
+    """What ``graph.triples`` is asked while the block runs."""
+    cls = type(graph)
+    original = cls.triples
+    asked = Lookups()
+
+    def counting(self, pattern=(None, None, None)):
+        if self is not graph:
+            yield from original(self, pattern)
+            return
+        asked.append(pattern)
+        for triple in original(self, pattern):
+            asked.yielded += 1
+            yield triple
+
+    cls.triples = counting
+    try:
+        yield asked
+    finally:
+        cls.triples = original
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +402,7 @@ class TestGeoProbe:
 
 
 # ---------------------------------------------------------------------------
-# tails evaluated once
+# a scan is looked up once per distinct key, not once per solution
 # ---------------------------------------------------------------------------
 
 
@@ -385,18 +416,33 @@ class TestDisconnectedTail:
         return node, explanation.render()
 
     def test_tail_scans_run_once_not_once_per_head_row(self):
-        node, rendered = self.bgp(CASE["tail-spanning-filter-errors"][0])
-        assert node.tail == 2
-        assert "BGP (3 scan(s), last 1 evaluated once)" in rendered
-        head, tail = node.scans[:2], node.scans[2:]
-        assert [s.actual_rows for s in head] == [3, 3]
-        assert [s.actual_rows for s in tail] == [3]  # not 3 x 3
-        # the filter relating the halves sits where they are paired
-        assert len(node.pushed) == 1 and not tail[0].filters
+        # people share no variable with pictures: whatever the number
+        # of pictures, the people are looked up once
+        text, expected = CASE["tail-spanning-filter-errors"]
+        node, rendered = self.bgp(text)
+        assert "BGP (3 scan(s))" in rendered
+        rating, maker, name = node.scans
+        assert name.pattern.predicate == FOAF.name
+        assert [s.actual_probes for s in node.scans] == [1, 3, 1]
+        assert "probes=3" in rendered
+        # the filter relating the two sides applies as the second
+        # side's scan extends a solution: 4 of the 3 x 3 pairings
+        assert len(name.filters) == 1 and not node.pushed
+        assert [s.actual_rows for s in node.scans] == [3, 3, 4]
+        evaluator = Evaluator(store_of_cases())
+        evaluator.evaluate(text)  # planned
+        with lookups_of(evaluator.graph) as asked:
+            assert normalize(evaluator.evaluate(text)) == expected
+        assert [p for p in asked if p[1] == FOAF.name] == [
+            (None, FOAF.name, None)
+        ]
+        assert len(asked) == 1 + 3 + 1
 
     def test_a_probe_keeps_its_centre_in_the_head(self):
         # everything after the monument is variable-disjoint from it,
-        # but the probe reads ?src: no tail may start at the probe
+        # but the probe reads ?src: it runs after the monument, once
+        # per distinct centre, and the 30 pictures are not asked for
+        # one by one
         graph = Graph()
         graph.add((ex("mole"), RDFS.label, Literal("Mole")))
         graph.add((ex("mole"), GEO.geometry, Literal(MOLE)))
@@ -416,30 +462,51 @@ class TestDisconnectedTail:
         assert [s.probe is not None for s in node.scans] == [
             False, False, True, False,
         ]
-        assert node.tail is None
+        probed = node.scans[2]
+        assert probed.actual_probes == 1
+        assert probed.actual_paths == ["grid"]
+        assert "; via geo grid]" in explanation.render()
+        evaluator = Evaluator(graph)
+        with lookups_of(graph) as asked:
+            assert len(evaluator.evaluate(text)) == 8
+        # monument, its geometry, and a comment per grid hit (the
+        # monument itself is one): no geometry but the monument's
+        assert len(asked) == 2 + 9
+        assert [p for p in asked if p[1] == GEO.geometry] == [
+            (ex("mole"), GEO.geometry, None)
+        ]
 
     def test_no_tail_when_a_filter_would_prune_inside_it(self):
-        # a filter relating the halves on the *first* of two tail scans
-        # spares the second scan for the rows it rejects — nested; run
-        # once, the tail would pay that scan for every row
-        query = parse_query("""SELECT * WHERE {
-            ?m rdfs:label "Mole" . ?x geo:geometry ?loc . ?x rev:rating ?r
-            FILTER(?loc != ?m) }""")
-        bgp, spanning = query.where.elements
-        label, geometry, rating = (ScanStep(t) for t in bgp.triples)
-        geometry.filters.append(spanning.expression)
-        assert _disconnected_tail([label, geometry, rating], set()) is None
-        # on the tail's last scan it costs nothing to apply at pairing
-        assert _disconnected_tail([label, rating, geometry], set()) == 1
-        # and a variable of the incoming solution connects everything
-        assert _disconnected_tail([label, rating, geometry], {"x"}) is None
+        # a filter relating the two sides sits on the *first* scan of
+        # the larger one and spares its second scan the pairings it
+        # rejects: 2 landmarks x 3 ratings, 2 survive, both pic1
+        text = """SELECT ?place ?x WHERE {
+            ?place rdfs:comment ?c . ?x rev:rating ?r . ?x foaf:maker ?who
+            FILTER(?r > strlen(?c) - 4) }"""
+        node, _ = self.bgp(text)
+        comment, rating, maker = node.scans
+        assert rating.pattern.predicate == REV.rating
+        assert len(rating.filters) == 1 and not node.pushed
+        assert [s.actual_rows for s in node.scans] == [2, 2, 2]
+        assert maker.actual_probes == 1
+        reference = Evaluator(store_of_cases(), optimize=False)
+        assert len(reference.evaluate(text)) == 2
 
     def test_empty_head_never_evaluates_the_tail(self):
-        node, _ = self.bgp("""SELECT ?p WHERE {
+        text = """SELECT ?p WHERE {
             ?pic rev:rating 99 . ?pic foaf:maker ?who .
-            ?p foaf:name ?name }""")
-        assert node.tail is not None
-        assert all(s.actual_rows is None for s in node.scans[node.tail:])
+            ?p foaf:name ?name }"""
+        node, _ = self.bgp(text)
+        assert node.scans[0].actual_probes == 1
+        assert all(
+            s.actual_rows is None and s.actual_probes is None
+            for s in node.scans[1:]
+        )
+        evaluator = Evaluator(store_of_cases())
+        evaluator.evaluate(text)
+        with lookups_of(evaluator.graph) as asked:
+            assert len(evaluator.evaluate(text)) == 0
+        assert asked == [(None, REV.rating, Literal(99))]
 
     def test_optional_reenters_the_tail_per_row(self):
         text = """SELECT ?name ?pic WHERE {
@@ -450,6 +517,83 @@ class TestDisconnectedTail:
                 store_of_cases(), optimize=optimize
             ).evaluate(text)
             assert len(rows) == 3 * 2
+
+
+# ---------------------------------------------------------------------------
+# ASK, LIMIT and EXISTS stop asking: a step builds a chunk, not the answer
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def big_graph():
+    graph = Graph()
+    for index in range(5000):
+        graph.add((ex(f"s{index}"), RDFS.label, Literal(f"label {index}")))
+        graph.add((ex(f"s{index}"), RDFS.comment, Literal("same")))
+    assert len(graph) == 10_000
+    return graph
+
+
+class TestEarlyExit:
+    CHUNK = evaluator_module._CHUNK
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_ask_reads_one_chunk(self, big_graph, optimize):
+        evaluator = Evaluator(big_graph, optimize=optimize)
+        GraphStatistics.cached(big_graph)
+        with lookups_of(big_graph) as asked:
+            assert evaluator.evaluate("ASK { ?s ?p ?o }") is True
+        assert len(asked) == 1 and asked.yielded <= self.CHUNK
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_limit_without_order_reads_one_chunk_per_step(
+        self, big_graph, optimize
+    ):
+        evaluator = Evaluator(big_graph, optimize=optimize)
+        GraphStatistics.cached(big_graph)
+        with lookups_of(big_graph) as asked:
+            rows = evaluator.evaluate(
+                "SELECT ?s ?c WHERE { ?s rdfs:label ?l . "
+                "?s rdfs:comment ?c } LIMIT 5"
+            )
+        assert len(rows) == 5
+        # the first step filled one chunk, the second looked each of
+        # its solutions up — not the 5 000 there are
+        assert len(asked) <= 1 + self.CHUNK
+        assert asked.yielded <= 2 * self.CHUNK
+        # under ORDER BY every row is needed: nothing to stop
+        with lookups_of(big_graph) as asked:
+            rows = evaluator.evaluate(
+                "SELECT ?s WHERE { ?s rdfs:label ?l } ORDER BY ?l LIMIT 5"
+            )
+        assert len(rows) == 5 and asked.yielded == 5000
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_exists_reads_one_chunk(self, big_graph, optimize):
+        evaluator = Evaluator(big_graph, optimize=optimize)
+        GraphStatistics.cached(big_graph)
+        with lookups_of(big_graph) as asked:
+            rows = evaluator.evaluate(
+                "SELECT ?x WHERE { VALUES ?x { 1 2 } "
+                "FILTER EXISTS { ?s ?p ?o } }"
+            )
+        assert len(rows) == 2
+        assert len(asked) == 2 and asked.yielded <= 2 * self.CHUNK
+
+    def test_a_wide_step_leaves_in_chunks(self, big_graph):
+        # one incoming solution, 10 000 matches: they are not all
+        # built before the first is handed on
+        evaluator = Evaluator(big_graph)
+        stream = evaluator._scan_step(
+            ScanStep(parse_query(
+                "SELECT * WHERE { ?s ?p ?o }"
+            ).where.elements[0].triples[0]),
+            iter([[{}]]), big_graph,
+        )
+        with lookups_of(big_graph) as asked:
+            first = next(stream)
+            assert len(first) == self.CHUNK == asked.yielded
+            assert sum(len(chunk) for chunk in stream) == 10_000 - self.CHUNK
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +655,7 @@ class TestPaperQueries:
         ]
         probe = bgp.scans[2].probe
         assert probe is not None and str(probe.center) == "sourceGEO"
-        assert bgp.tail is None
+        assert bgp.scans[2].actual_paths == ["grid"]
         assert "via geo grid, r=0.3" in rendered
         # the probe is why the type scan sees a handful of resources,
         # not the corpus
@@ -520,15 +664,53 @@ class TestPaperQueries:
     def test_q2_q3_evaluate_the_monument_once(self, platform_store):
         from repro.core import rated_album, social_album
 
+        label = Literal("Mole Antonelliana", lang="it")
+        evaluator = Evaluator(platform_store)
+        stats = platform_store.statistics()
+        in_box = sum(
+            len(stats.geo_candidates(try_parse_point(geometry), 0.3))
+            for geometry in {
+                geometry
+                for monument, _, _ in evaluator.graph.triples(
+                    (None, RDFS.label, label))
+                for _, _, geometry in evaluator.graph.triples(
+                    (monument, GEO.geometry, None))
+            }
+        )
         for album in (social_album, rated_album):
-            (bgp,), rendered = self.bgps(
-                platform_store, album(friend_of="walter").query
+            text = album(friend_of="walter").query
+            (bgp,), rendered = self.bgps(platform_store, text)
+            # the monument first, the friends' pictures joined with
+            # what the grid has around it: the filter sits on their
+            # geometry scan, not on the BGP
+            assert bgp.scans[0].pattern.object == label
+            (probed,) = [s for s in bgp.scans if s.probe is not None]
+            assert str(probed.pattern.subject) == "resource"
+            assert probed.actual_paths == ["join"]
+            assert "via geo grid, joined on ?resource]" in rendered
+            assert not bgp.pushed
+            evaluations = []
+            original = functions_module.st_intersects
+
+            def counting(*args):
+                evaluations.append(args)
+                return original(*args)
+
+            functions_module.st_intersects = counting
+            try:
+                with lookups_of(evaluator.graph) as asked:
+                    assert len(evaluator.evaluate(text)) > 0
+            finally:
+                functions_module.st_intersects = original
+            assert [p for p in asked if p[1] == RDFS.label] == [
+                (None, RDFS.label, label)
+            ]
+            assert 0 < len(evaluations) <= in_box
+            # no friend's picture was asked for its geometry
+            geometries = [p for p in asked if p[1] == GEO.geometry]
+            assert len(geometries) <= 2 and all(
+                p[0] is not None and p[2] is None for p in geometries
             )
-            assert bgp.tail == len(bgp.scans) - 2
-            assert "last 2 evaluated once" in rendered
-            assert [
-                str(f.name) for f in bgp.pushed
-            ] == ["bif:st_intersects"]
 
     def test_rows_match_the_reference(self, platform_store):
         from repro.core import geo_album, rated_album, social_album
