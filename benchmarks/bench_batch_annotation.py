@@ -166,66 +166,3 @@ def bench_batch_fault_degradation(benchmark, latency_platform):
     benchmark.extra_info["degraded_items"] = stats.degraded_items
     benchmark.extra_info["breaker_trips"] = stats.breaker_trips
     benchmark.extra_info["annotated"] = stats.annotated
-
-
-def bench_sanitizer_overhead(benchmark, small_platform):
-    """A *disabled* lock sanitizer must be free: its ``installed()``
-    context patches nothing, so batch annotation inside it must stay
-    within 1.10x of the plain run.  The enabled-mode cost is recorded
-    for the history but not gated — it is a debug/CI tool, not a
-    production default."""
-    from repro.analysis.sanitizer import LockSanitizer
-
-    def timed_run(sanitizer=None):
-        start = time.perf_counter()
-        if sanitizer is None:
-            stats = BatchAnnotator(
-                small_platform, Graph(), batch_size=25, workers=4
-            ).run()
-        else:
-            with sanitizer.installed():
-                stats = BatchAnnotator(
-                    small_platform, Graph(), batch_size=25, workers=4
-                ).run()
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        assert stats.failed == 0
-        return elapsed_ms
-
-    timed_run()  # warm caches before any timed sample
-    rounds = 5
-    plain = [timed_run() for _ in range(rounds)]
-    disabled = [
-        timed_run(LockSanitizer(enabled=False)) for _ in range(rounds)
-    ]
-    enabled = [
-        timed_run(LockSanitizer(long_hold_threshold=None))
-        for _ in range(rounds)
-    ]
-
-    import statistics
-
-    plain_ms = statistics.median(plain)
-    disabled_ms = statistics.median(disabled)
-    enabled_ms = statistics.median(enabled)
-    # small absolute floor keeps the ratio meaningful on very fast runs
-    ratio = disabled_ms / max(plain_ms, 1.0)
-
-    benchmark.extra_info["plain_ms"] = round(plain_ms, 1)
-    benchmark.extra_info["disabled_ms"] = round(disabled_ms, 1)
-    benchmark.extra_info["enabled_ms"] = round(enabled_ms, 1)
-    benchmark.extra_info["disabled_ratio"] = round(ratio, 3)
-    record(
-        "sanitizer_overhead",
-        disabled,
-        extra={
-            "plain_ms": round(plain_ms, 1),
-            "enabled_ms": round(enabled_ms, 1),
-            "disabled_ratio": round(ratio, 3),
-        },
-    )
-    assert ratio <= 1.10, (
-        f"disabled sanitizer costs {ratio:.2f}x over plain "
-        f"({disabled_ms:.0f} ms vs {plain_ms:.0f} ms)"
-    )
-
-    benchmark.pedantic(timed_run, rounds=1, iterations=1)

@@ -8,8 +8,7 @@ planner *is* a static analyzer whose findings double as rewrites:
 ==========  ============================================================
 SP010       constant FILTER expression folded at plan time
 SP011       FILTER pushed down into the BGP binding its variables
-SP012       triple patterns / join elements reordered by selectivity
-SP013       join order forces a cartesian product
+SP012       triple patterns reordered by selectivity
 SP014       provably empty pattern pruned (contradictory FILTERs,
             predicates absent from the data, empty UNION branches)
 SP015       redundant DISTINCT eliminated
@@ -17,10 +16,13 @@ SP016       redundant ORDER BY eliminated
 ==========  ============================================================
 
 Soundness notes (why each rewrite preserves the un-rewritten plan's
-result multiset) are documented on the individual passes. Passes never
-mutate the input AST — plan nodes reference the parser's frozen
-expressions and triple patterns, and rewrites rebuild plan structure
-only.
+result multiset) are documented on the individual passes. A rewritten
+plan differs from the lowering only inside BGPs (scan order, filter
+placement, grid access path) and by what the fold / prune / drop passes
+remove: a group's elements run in the order the query wrote them.
+Passes never mutate the input AST — plan nodes reference the parser's
+frozen expressions and triple patterns, and rewrites rebuild plan
+structure only.
 """
 
 from __future__ import annotations
@@ -445,49 +447,6 @@ def _plan_certainly_empty(node: PlanNode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pass: BGP merging
-# ---------------------------------------------------------------------------
-
-
-def merge_bgps(root: PlanNode, ctx: _PassContext) -> PlanNode:
-    """Merge *adjacent* BGPs into one conjunctive block.
-
-    Adjacent basic graph patterns form a single conjunction (joins of
-    triple patterns commute), so merging them gives the scan reorderer
-    a larger search space. Non-adjacent BGPs are left alone: an
-    intervening OPTIONAL / BIND is order-sensitive, and even a UNION
-    may bind a ``bif:contains`` subject the later BGP depends on. So
-    are neighbours of which only one has had its scans ordered — its
-    per-scan filters are placed for that order and would run too early
-    under the run-time pick the merged BGP would fall back to.
-    """
-
-    def rewrite(node: PlanNode) -> PlanNode:
-        if isinstance(node, JoinNode):
-            elements: List[PlanNode] = []
-            for element in node.elements:
-                element = rewrite(element)
-                if (
-                    isinstance(element, BGPNode)
-                    and elements
-                    and isinstance(elements[-1], BGPNode)
-                    and elements[-1].ordered == element.ordered
-                ):
-                    previous = elements[-1]
-                    elements[-1] = BGPNode(
-                        previous.scans + element.scans,
-                        previous.pushed + element.pushed,
-                        ordered=element.ordered,
-                    )
-                    continue
-                elements.append(element)
-            return JoinNode(elements)
-        return _rewrite_children(node, rewrite)
-
-    return rewrite(root)
-
-
-# ---------------------------------------------------------------------------
 # Pass: FILTER pushdown (SP011)
 # ---------------------------------------------------------------------------
 
@@ -548,28 +507,33 @@ def push_filters(root: PlanNode, ctx: _PassContext) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Pass: selectivity-based reordering (SP012 / SP013)
+# Pass: selectivity-based reordering (SP012)
 # ---------------------------------------------------------------------------
 
 
 def reorder_scans(root: PlanNode, ctx: _PassContext) -> PlanNode:
-    """Order scans (and commutative join elements) by selectivity.
+    """Order the scans of every BGP by selectivity.
 
     Within a BGP, scans are greedily ordered cheapest-first under the
-    accumulating set of bound variables (estimates from
-    :class:`GraphStatistics`, falling back to a bound-position count).
-    ``bif:contains`` is a constraint, not a scan: it is only eligible
-    once its subject is bound. Maximal runs of join-commutative
-    elements (BGP / VALUES / sub-select / UNION / GRAPH) are reordered
-    the same way; OPTIONAL and BIND are order barriers.
+    accumulating set of bound variables — those of the elements written
+    before it included (estimates from :class:`GraphStatistics`,
+    falling back to a bound-position count). ``bif:contains`` is a
+    constraint, not a scan: it is only eligible once its subject is
+    bound. Every other element of a group keeps its written place.
 
-    Sound because joins of those elements commute — only the result
+    Sound because joins of triple patterns commute — only the result
     *order* changes, never the multiset of solutions.
     """
 
     def visit(node: PlanNode, bound: Set[str]) -> PlanNode:
         if isinstance(node, JoinNode):
-            return _reorder_join(node, bound, ctx, visit)
+            elements: List[PlanNode] = []
+            running = set(bound)
+            for element in node.elements:
+                element = visit(element, set(running))
+                running |= element.certain_vars()
+                elements.append(element)
+            return JoinNode(elements)
         if isinstance(node, BGPNode):
             return _reorder_bgp(node, bound, ctx)
         if isinstance(node, LeftJoinNode):
@@ -596,56 +560,6 @@ def reorder_scans(root: PlanNode, ctx: _PassContext) -> PlanNode:
     return visit(root, set())
 
 
-def _reorder_join(
-    node: JoinNode,
-    bound: Set[str],
-    ctx: _PassContext,
-    visit,
-) -> PlanNode:
-    commutative = (
-        BGPNode, ValuesNode, SubSelectNode, UnionNode, GraphNode,
-        EmptyNode,
-    )
-    result: List[PlanNode] = []
-    run: List[PlanNode] = []
-    running_bound = set(bound)
-
-    def flush() -> None:
-        nonlocal run, running_bound
-        if len(run) > 1:
-            ordered = _greedy_order(
-                run,
-                running_bound,
-                lambda e, b: _quick_estimate(e, b, ctx),
-                lambda e: _element_vars(e),
-                ctx,
-                kind="join elements",
-            )
-            if ordered != run:
-                ctx.diag(
-                    "SP012",
-                    f"{len(run)} join elements reordered by "
-                    "estimated selectivity",
-                )
-            run = ordered
-        for element in run:
-            element = visit(element, set(running_bound))
-            running_bound |= element.certain_vars()
-            result.append(element)
-        run = []
-
-    for element in node.elements:
-        if isinstance(element, commutative):
-            run.append(element)
-        else:
-            flush()
-            element = visit(element, set(running_bound))
-            running_bound |= element.certain_vars()
-            result.append(element)
-    flush()
-    return JoinNode(result)
-
-
 def _reorder_bgp(
     node: BGPNode, bound: Set[str], ctx: _PassContext
 ) -> BGPNode:
@@ -668,8 +582,6 @@ def _reorder_bgp(
             set(bound),
             cost,
             lambda s: s.variables(),
-            ctx,
-            kind="triple patterns",
             defer=_smaller_side_first(node, bound, ctx),
         )
         if [s.pattern for s in ordered] != [s.pattern for s in scans]:
@@ -736,8 +648,7 @@ def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PassContext):
         if len(related) < 2:
             continue
         sizes = sizes or [
-            _quick_estimate(BGPNode(members), bound, ctx)
-            for _, members in groups
+            _quick_estimate(members, bound, ctx) for _, members in groups
         ]
         related.sort(key=lambda index: (sizes[index], index))
         for position, index in enumerate(related):
@@ -840,15 +751,12 @@ def _greedy_order(
     bound: Set[str],
     estimate,
     variables_of,
-    ctx: _PassContext,
-    kind: str,
     defer=None,
 ) -> list:
     """Cheapest-first greedy ordering under an accumulating bound set.
 
-    Prefers items connected to already-bound variables; warns (SP013)
-    when it is forced to pick a disconnected item — a cartesian
-    product.
+    Prefers items connected to already-bound variables; picks the
+    cheapest of all eligible items when none is connected.
     """
     remaining = list(items)
     ordered = []
@@ -869,48 +777,14 @@ def _greedy_order(
             if not running or variables_of(item) & running
             or not variables_of(item)
         ]
-        cartesian = not connected
-        candidates = eligible if cartesian else connected
         best = min(
-            candidates, key=lambda item: estimate(item, running)
+            connected or eligible,
+            key=lambda item: estimate(item, running),
         )
-        if cartesian:
-            ctx.diag(
-                "SP013",
-                f"cartesian product: one of the {kind} shares no "
-                "variable with those placed before it",
-            )
         ordered.append(best)
         running |= variables_of(best)
         remaining.remove(best)
     return ordered
-
-
-def _element_vars(element: PlanNode) -> Set[str]:
-    if isinstance(element, BGPNode):
-        return set(element.variables())
-    if isinstance(element, ValuesNode):
-        return {str(v) for v in element.variables}
-    if isinstance(element, SubSelectNode):
-        variables = element.query.variables
-        return {str(v) for v in variables}
-    if isinstance(element, UnionNode):
-        names: Set[str] = set()
-        for branch in element.branches:
-            for child in branch.children() if isinstance(
-                branch, JoinNode
-            ) else ():
-                names |= _element_vars(child)
-        return names
-    if isinstance(element, GraphNode):
-        names = set()
-        if isinstance(element.target, Variable):
-            names.add(str(element.target))
-        if isinstance(element.group, JoinNode):
-            for child in element.group.children():
-                names |= _element_vars(child)
-        return names
-    return set(element.certain_vars())
 
 
 def _scan_estimate(
@@ -933,43 +807,22 @@ def _scan_estimate(
 
 
 def _quick_estimate(
-    element: PlanNode, bound: Set[str], ctx: _PassContext
+    scans: List[ScanStep], bound: Set[str], ctx: _PassContext
 ) -> float:
-    """Rough per-input-solution cost of a join element."""
-    big = float(ctx.stats.total) if ctx.stats else 1e6
-    if isinstance(element, EmptyNode):
-        return 0.0
-    if isinstance(element, ValuesNode):
-        return float(len(element.rows))
-    if isinstance(element, BGPNode):
-        total = 1.0
-        running = set(bound)
-        for scan in _greedy_order(
-            list(element.scans),
-            set(bound),
-            lambda s, b: _scan_estimate(s, b, ctx),
-            lambda s: s.variables(),
-            _PassContext(ctx.stats, ctx.functions, ctx.name),
-            kind="triple patterns",
-            defer=_scan_deferred,
-        ):
-            total *= max(_scan_estimate(scan, running, ctx), 0.001)
-            running |= scan.variables()
-        return total
-    if isinstance(element, UnionNode):
-        return sum(
-            _quick_estimate(b, bound, ctx) for b in element.branches
-        )
-    if isinstance(element, JoinNode):
-        total = 1.0
-        running = set(bound)
-        for child in element.elements:
-            total *= max(_quick_estimate(child, running, ctx), 0.001)
-            running |= child.certain_vars()
-        return total
-    if isinstance(element, GraphNode):
-        return _quick_estimate(element.group, bound, ctx)
-    return big
+    """Rough per-input-solution rows of a group of scans: the product
+    of their estimates in greedy order."""
+    total = 1.0
+    running = set(bound)
+    for scan in _greedy_order(
+        scans,
+        set(bound),
+        lambda s, b: _scan_estimate(s, b, ctx),
+        lambda s: s.variables(),
+        defer=_scan_deferred,
+    ):
+        total *= max(_scan_estimate(scan, running, ctx), 0.001)
+        running |= scan.variables()
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -1251,7 +1104,6 @@ def _rewrite_children(node: PlanNode, rewrite) -> PlanNode:
 DEFAULT_PASSES: Tuple[Tuple[str, Pass], ...] = (
     ("fold_constants", fold_constants),
     ("prune_unsatisfiable", prune_unsatisfiable),
-    ("merge_bgps", merge_bgps),
     ("push_filters", push_filters),
     ("reorder_scans", reorder_scans),
     ("drop_redundant", drop_redundant),

@@ -54,8 +54,6 @@ _RULES = [
          "binding its variables", Severity.INFO, "sparql"),
     Rule("SP012", "triple patterns reordered by estimated selectivity",
          Severity.INFO, "sparql"),
-    Rule("SP013", "join order forces a cartesian product",
-         Severity.WARNING, "sparql"),
     Rule("SP014", "provably empty pattern pruned from the plan",
          Severity.WARNING, "sparql"),
     Rule("SP015", "redundant DISTINCT eliminated",
@@ -119,7 +117,7 @@ _RULES = [
 #: Version of the rule catalog, embedded in ``repro lint --json``
 #: envelopes so CI artifact diffs can tell rule-set drift from real
 #: regressions. Bump whenever a rule is added, removed or re-tiered.
-CATALOG_VERSION = "2026.10"
+CATALOG_VERSION = "2026.11"
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _RULES}
 

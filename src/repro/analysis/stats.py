@@ -218,7 +218,7 @@ class GraphStatistics:
         ``added``/``removed`` are the union-effective triples of one
         committed generation (in op order; an add-then-remove of the
         same triple nets out). ``before``/``after`` only need
-        ``triples(pattern)`` — the MVCC store passes lightweight state
+        ``triples(pattern)`` — the MVCC store passes pinned union
         views. Cost is O(delta): per-predicate triple counts and class
         counts adjust by op, distinct subject/object counts use one
         bounded membership probe per (predicate, candidate) pair, the

@@ -531,14 +531,22 @@ def lower_select(query: SelectQuery) -> PlanNode:
 
 
 def lower_group(group: GroupPattern) -> JoinNode:
-    """Lower a group pattern; FILTERs go last (group-level scoping)."""
+    """Lower a group pattern; FILTERs go last (group-level scoping), so
+    triple blocks only FILTERs separated become one BGP (joins of
+    triple patterns commute)."""
     elements: List[PlanNode] = []
     filters: List[PlanNode] = []
     for element in group.elements:
         if isinstance(element, FilterPattern):
             filters.append(FilterNode(element.expression))
+            continue
+        node = _lower_element(element)
+        if isinstance(node, BGPNode) and elements and isinstance(
+            elements[-1], BGPNode
+        ):
+            elements[-1].scans.extend(node.scans)
         else:
-            elements.append(_lower_element(element))
+            elements.append(node)
     return JoinNode(elements + filters)
 
 
@@ -567,15 +575,16 @@ def _lower_element(element: PatternNode) -> PlanNode:
 def collect_variables(node: PatternNode) -> List[Variable]:
     """In-order distinct variables of a pattern tree (SELECT *)."""
     found: List[Variable] = []
-    seen: set = set()
+
+    def add(variables) -> None:
+        for var in variables:
+            if var not in found:
+                found.append(var)
 
     def visit(element: PatternNode) -> None:
         if isinstance(element, BGP):
             for triple in element.triples:
-                for var in triple.variables():
-                    if var not in seen:
-                        seen.add(var)
-                        found.append(var)
+                add(triple.variables())
         elif isinstance(element, GroupPattern):
             for child in element.elements:
                 visit(child)
@@ -585,22 +594,17 @@ def collect_variables(node: PatternNode) -> List[Variable]:
             for branch in element.branches:
                 visit(branch)
         elif isinstance(element, BindPattern):
-            if element.variable not in seen:
-                seen.add(element.variable)
-                found.append(element.variable)
+            add([element.variable])
         elif isinstance(element, ValuesPattern):
-            for var in element.variables:
-                if var not in seen:
-                    seen.add(var)
-                    found.append(var)
+            add(element.variables)
         elif isinstance(element, SubSelectPattern):
-            inner = element.query.variables or collect_variables(
+            add(element.query.variables or collect_variables(
                 element.query.where
-            )
-            for var in inner:
-                if var not in seen:
-                    seen.add(var)
-                    found.append(var)
+            ))
+        elif isinstance(element, GraphGraphPattern):
+            if isinstance(element.target, Variable):
+                add([element.target])
+            visit(element.group)
 
     visit(node)
     return found

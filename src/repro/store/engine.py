@@ -23,7 +23,7 @@ Deriving a state copies no triple: the touched context's overlay is
 published one's index containers and copies only those the commit
 writes to), so a commit costs ``O(delta)`` Python-level work plus a
 shallow copy of the overlay's outer index dicts, whatever the overlay
-and the store hold. Once an overlay exceeds ``overlay_limit`` it is
+and the store hold. Once an overlay exceeds ``OVERLAY_LIMIT`` it is
 folded so reads stay index-fast — the same way: the *base* is thawed
 and the overlay applied to it, ``O(overlay)`` Python-level work plus a
 shallow copy of the base's outer index dicts, and a context with no
@@ -118,6 +118,10 @@ class _Union:
 
 
 _UNION = _Union()
+
+#: A context's overlay is folded into its base once it holds more than
+#: this many ops (in-memory compaction; no file IO).
+OVERLAY_LIMIT = 1024
 
 #: A context key: ``None`` is the default context.
 ContextKey = Optional[URIRef]
@@ -819,9 +823,6 @@ class QuadStore:
         with any torn tail truncated away (see :attr:`recovery`).
     sync:
         ``fsync`` every WAL record before acknowledging the commit.
-    overlay_limit:
-        Fold a context's overlay into a fresh base once it exceeds this
-        many ops (in-memory compaction; no file IO).
     checkpoint_policy:
         When to checkpoint automatically (see
         :class:`CheckpointPolicy`). The default is explicit-only;
@@ -838,7 +839,6 @@ class QuadStore:
         *,
         name: Optional[str] = None,
         sync: bool = False,
-        overlay_limit: int = 1024,
         namespaces: Optional[NamespaceManager] = None,
         checkpoint_policy: Optional[CheckpointPolicy] = None,
         group_commit: bool = False,
@@ -851,7 +851,6 @@ class QuadStore:
             self.directory.name if self.directory is not None
             else "ephemeral"
         )
-        self.overlay_limit = overlay_limit
         self.checkpoint_policy = checkpoint_policy or CheckpointPolicy()
         if (
             not self.checkpoint_policy.explicit_only
@@ -1073,7 +1072,9 @@ class QuadStore:
             wal_bytes = self._wal.append(new_state.generation, effective)
             wal_seconds = time.perf_counter() - wal_began
             fsync_seconds = self._wal.last_fsync_seconds
-        _maintain_stats(state, new_state, union_added, union_removed)
+        _maintain_stats(
+            self, state, new_state, union_added, union_removed
+        )
         self._state = new_state  # cc: allow=CC001 (commit lock held)
         self._ops_since_checkpoint += len(effective)  # cc: allow=CC001
         if self._checkpointer is not None and self.checkpoint_policy.due(
@@ -1185,7 +1186,7 @@ class QuadStore:
             if scratch.size <= 0:
                 contexts.pop(key, None)
                 continue
-            if len(scratch.adds) + len(scratch.removes) > self.overlay_limit:
+            if len(scratch.adds) + len(scratch.removes) > OVERLAY_LIMIT:
                 contexts[key] = _fold_context(scratch)
                 folded += 1
             else:
@@ -1339,7 +1340,7 @@ class QuadStore:
                 for key, cs in state.contexts.items()
             },
             "overlay_ops": overlay,
-            "overlay_limit": self.overlay_limit,
+            "overlay_limit": OVERLAY_LIMIT,
             "statistics_cached": state.stats is not None,
         }
         if self.directory is not None and self._wal is not None:
@@ -1458,6 +1459,7 @@ def _publish_bases(
 
 
 def _maintain_stats(
+    store: "QuadStore",
     old: _State,
     new: _State,
     union_added: List[Triple],
@@ -1467,34 +1469,13 @@ def _maintain_stats(
     stats = old.stats
     if stats is None or stats.fingerprint != old.generation:
         return  # nothing cached (or stale): rebuilt lazily on demand
-    before = _StateView(old)
-    after = _StateView(new)
     new.stats = stats.apply_delta(
         union_added,
         union_removed,
-        before,
-        after,
+        SnapshotGraph(store, old, _UNION),
+        SnapshotGraph(store, new, _UNION),
         fingerprint=new.generation,
     )
-
-
-class _StateView:
-    """Minimal union-membership probe over a state (for stats deltas)."""
-
-    __slots__ = ("_contexts",)
-
-    def __init__(self, state: _State) -> None:
-        self._contexts = tuple(state.contexts.values())
-
-    def __contains__(self, triple: Triple) -> bool:
-        return any(
-            _context_visible(cs, triple) for cs in self._contexts
-        )
-
-    def triples(
-        self, pattern: TriplePattern = (None, None, None)
-    ) -> Iterator[Triple]:
-        return _union_triples(self._contexts, pattern)
 
 
 # ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.sparql.algebra import (
     DistinctNode,
     EmptyNode,
     FilterNode,
+    JoinNode,
     OrderNode,
     ScanStep,
     walk,
@@ -132,14 +133,6 @@ class TestGoldenDiagnostics:
         )
         first = bgp.scans[0]
         assert "name" in str(first.pattern.predicate)
-        assert_same_rows(graph, text)
-
-    def test_sp013_cartesian_product_flagged(self, graph):
-        text = (
-            "SELECT ?a ?b WHERE { ?a foaf:name ?n . ?b rev:rating ?r }"
-        )
-        planned = plan_query(graph, text)
-        assert "SP013" in rule_ids(planned)
         assert_same_rows(graph, text)
 
     def test_sp014_contradictory_interval_pruned(self, graph):
@@ -248,12 +241,28 @@ class TestPlannerMechanics:
 
         assert [b.ordered for b in bgps(None)] == [True]
         assert [b.ordered for b in bgps(["reorder_scans"])] == [True]
-        for passes in ([], ["merge_bgps", "push_filters"]):
+        for passes in ([], ["push_filters"]):
             (bgp,) = bgps(passes)
             assert not bgp.ordered
             assert "order picked at run time" in bgp.label()
             assert not any(scan.filters for scan in bgp.scans)
         assert "run time" not in bgps(None)[0].label()
+
+    @pytest.mark.parametrize("element", [
+        "VALUES ?u { <http://example.org/u/walter> "
+        "<http://example.org/u/oscar> <http://example.org/u/nobody> }",
+        "{ ?p rev:rating ?r } UNION { ?p foaf:maker ?u }",
+        "GRAPH ?g { ?p foaf:maker ?u }",
+    ], ids=["values", "union", "graph"])
+    def test_group_elements_keep_their_written_place(self, graph, element):
+        # the BGP is the most selective element, and still runs second
+        text = f'SELECT * WHERE {{ {element} ?u foaf:name "walter" }}'
+        planned = plan_query(graph, text)
+        join = next(n for n in walk(planned.plan) if isinstance(n, JoinNode))
+        assert [isinstance(e, BGPNode) for e in join.elements] == [
+            False, True
+        ]
+        assert_same_rows(graph, text)
 
     def test_scan_actual_counts_recorded(self, graph):
         evaluator = Evaluator(graph)

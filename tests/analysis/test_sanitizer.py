@@ -39,10 +39,16 @@ class TestInstallation:
         assert threading.RLock is original_rlock
 
     def test_disabled_sanitizer_is_a_noop(self):
-        original = threading.Lock
+        # nothing patched, so code under it runs exactly as without it
+        original_lock = threading.Lock
+        original_rlock = threading.RLock
         sanitizer = LockSanitizer(enabled=False)
         with sanitizer.installed():
-            assert threading.Lock is original
+            assert threading.Lock is original_lock
+            assert threading.RLock is original_rlock
+            lock, rlock = threading.Lock(), threading.RLock()
+        assert type(lock) is type(original_lock())
+        assert type(rlock) is type(original_rlock())
         assert sanitizer.report().locks_created == 0
 
     def test_locks_made_before_install_are_untouched(self):

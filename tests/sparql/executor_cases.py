@@ -131,6 +131,22 @@ CASES = [
         ),
     ),
     (
+        "graph-select-star",
+        # SELECT * projects the GRAPH variable and what the group binds
+        """SELECT * WHERE { GRAPH ?g { ?x rev:rating 3 } }""",
+        _rows({"g": URIRef(PICTURES).n3(), "x": _PIC2}),
+    ),
+    (
+        "graph-filter-reads-a-later-variable",
+        # ?a is unbound inside the group, where its FILTER runs: the
+        # filter errors for every solution, whatever the neighbour binds
+        """SELECT * WHERE {
+             GRAPH ?g { ?b geo:geometry ?c FILTER(?a = ?a) }
+             ?a foaf:knows ?f
+           }""",
+        [],
+    ),
+    (
         "subselect-values",
         """SELECT ?name ?n WHERE {
              VALUES ?name { "walter" "carmen" "nobody" }

@@ -12,6 +12,7 @@ as multisets:
 * the full-pass plan (statistics collected: the spatial grid is there),
 * the full-pass plan of a planner without statistics (no grid),
 * the zero-pass plan (``optimize=False``),
+* the zero-pass plan of the query with ``SELECT *`` spelled out,
 * for a pure BGP, :func:`brute_force` — every triple tried against
   every pattern, so the executor's one step function is checked against
   something that does not go through it.
@@ -42,6 +43,8 @@ GEOMETRIES = [Literal(text) for text in (
     "POINT(8.2000 45.1000)", "somewhere", "POINT(200 45)",
 )]
 VARIABLES = [Variable(name) for name in "abcd"]
+#: every variable a drawn query can bind (``?g`` only through GRAPH)
+ALL_NAMES = "?a ?b ?c ?d ?g"
 
 
 def n3(term):
@@ -153,18 +156,11 @@ small_bgps = st.lists(patterns, min_size=1, max_size=2).map(bgp_text)
 
 @st.composite
 def closed_groups(draw):
-    """A small BGP, sometimes with a FILTER over its own variables.
-
-    What goes inside UNION branches and GRAPH: the planner may move
-    those past their neighbours, which is only sound (and only then do
-    the zero-pass and full-pass plans agree) when nothing inside reads
-    a variable the group does not bind itself — see ROADMAP.
-    """
-    triples = draw(st.lists(patterns, min_size=1, max_size=2))
-    names = names_of(triples)
-    text = bgp_text(triples)
-    if names and draw(st.booleans()):
-        text += " " + draw(filters_over(names))
+    """A small BGP, sometimes with a FILTER: what goes inside UNION
+    branches and GRAPH."""
+    text = bgp_text(draw(st.lists(patterns, min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        text += " " + draw(filters)
     return text
 
 
@@ -248,6 +244,11 @@ def test_every_plan_yields_the_same_multiset(quad_list, query):
     assert multiset(Evaluator(dataset).evaluate(text)) == reference
     no_statistics = Evaluator(dataset, planner=QueryPlanner(stats=None))
     assert multiset(no_statistics.evaluate(text)) == reference
+    # SELECT * projects every variable in scope: the same rows as
+    # naming every variable the query can bind
+    explicit = text.replace("SELECT *", f"SELECT {ALL_NAMES}", 1)
+    explicit_rows = Evaluator(dataset, optimize=False).evaluate(explicit)
+    assert multiset(explicit_rows) == reference
     if pure_bgp is not None:
         union = set(dataset.union_graph().triples())
         assert multiset(brute_force(union, pure_bgp)) == reference

@@ -10,7 +10,8 @@ from repro.rdf import RDF, URIRef
 from repro.rdf.graph import Dataset, FrozenGraphError
 from repro.rdf.nquads import serialize_nquads
 from repro.rdf.terms import Literal
-from repro.store import QuadStore, StoreError, WriteBatch
+from repro.store import QuadStore, StoreError, WriteBatch, engine
+from repro.store.wal import OP_ADD
 
 from ..rdf.test_graph import leaked_mutations
 
@@ -125,11 +126,14 @@ class TestSnapshotIsolation:
         }) == []
         assert store.generation == 2 and store.size == 2
 
-    def test_pinned_iteration_yields_exactly_the_pinned_generation(self):
+    def test_pinned_iteration_yields_exactly_the_pinned_generation(
+        self, monkeypatch
+    ):
         """Iterators started on a pinned view keep yielding that
         generation's triples while another thread removes all of them,
         inserts others and forces every context through a fold."""
-        store = QuadStore(overlay_limit=8)
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", 8)
+        store = QuadStore()
         platform = _small_platform(store)
         platform.synchronize_store()
         # give every context of the generation to pin a live overlay
@@ -225,8 +229,9 @@ class TestSnapshotIsolation:
 
 
 class TestOverlays:
-    def test_overlay_folds_past_limit(self):
-        store = QuadStore(overlay_limit=8)
+    def test_overlay_folds_past_limit(self, monkeypatch):
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", 8)
+        store = QuadStore()
         for i in range(20):
             store.insert(_triple(i))
         info = store.info()
@@ -234,8 +239,11 @@ class TestOverlays:
         assert info["overlay_ops"] <= 8
         assert store.size == 20
 
-    def test_fold_preserves_contents_and_generation_semantics(self):
-        store = QuadStore(overlay_limit=4)
+    def test_fold_preserves_contents_and_generation_semantics(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", 4)
+        store = QuadStore()
         expected = set()
         for i in range(12):
             store.insert(_triple(i))
@@ -246,7 +254,7 @@ class TestOverlays:
         assert set(store.head().triples((None, None, None))) == expected
 
     def test_compact_folds_without_changing_contents(self):
-        store = QuadStore(overlay_limit=1024)
+        store = QuadStore()
         for i in range(6):
             store.insert(_triple(i))
         store.remove((URIRef(EX + "s0"), None, None))
@@ -281,11 +289,12 @@ class TestSharedGenerations:
     """A commit thaws the last overlay and a fold thaws the last base:
     every published generation keeps reading what it pinned."""
 
-    @pytest.mark.parametrize("overlay_limit", [8, 1024])
+    @pytest.mark.parametrize("limit", [8, 1024])
     def test_fifty_pinned_generations_keep_their_own_dump(
-        self, overlay_limit
+        self, monkeypatch, limit
     ):
-        store = QuadStore(overlay_limit=overlay_limit)
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", limit)
+        store = QuadStore()
         pinned = []
         for batch in _random_commits(7, 50):
             generation = store.generation
@@ -298,16 +307,22 @@ class TestSharedGenerations:
                 set(snapshot.union_graph().triples())
             )
 
-    def test_fold_changes_no_dump_and_no_older_snapshot(self):
-        folding = QuadStore(overlay_limit=8)
-        plain = QuadStore(overlay_limit=10 ** 9)
+    def test_fold_changes_no_dump_and_no_older_snapshot(self, monkeypatch):
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", 8)
+        folding = QuadStore()
+        model = Dataset()  # the same batches, never folded
         before_fold = None
         for batch in _random_commits(11, 30):
             overlay = folding.info()["overlay_ops"]
             snapshot, dump = folding.dataset_snapshot(), folding.to_nquads()
             folding.commit(batch)
-            plain.commit(batch)
-            assert folding.to_nquads() == plain.to_nquads()
+            for op, triple, context in batch.ops:
+                graph = model.graph(context) if context else model.default
+                if op == OP_ADD:
+                    graph.add(triple)
+                else:
+                    graph.remove(triple)
+            assert folding.to_nquads() == serialize_nquads(model)
             if folding.info()["overlay_ops"] < overlay:  # it folded
                 before_fold = (snapshot, dump)
         assert before_fold is not None
@@ -337,8 +352,9 @@ class TestSharedGenerations:
         ]
         assert shared
 
-    def test_first_bulk_load_becomes_the_base(self):
-        store = QuadStore(overlay_limit=8)
+    def test_first_bulk_load_becomes_the_base(self, monkeypatch):
+        monkeypatch.setattr(engine, "OVERLAY_LIMIT", 8)
+        store = QuadStore()
         batch = WriteBatch().add_all(_triple(i) for i in range(20))
         store.commit(batch)
         assert store.info()["overlay_ops"] == 0
