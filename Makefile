@@ -41,7 +41,7 @@ benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 ## Storage-engine guards: snapshot restart must beat WAL replay >= 2x;
-## group commit must beat per-write commits >= 2x for 8 writers; an
+## group commit must average >= 3 submissions per group for 8 writers; an
 ## op-count checkpoint watermark must bound the WAL over 10k commits.
 ## Reader throughput under an active writer is recorded unguarded.
 bench-store:

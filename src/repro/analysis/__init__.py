@@ -28,7 +28,6 @@ from .diagnostics import (
     Span,
 )
 from .plan import (
-    DEFAULT_PASSES,
     Explanation,
     PlannedQuery,
     QueryPlanner,
@@ -56,7 +55,6 @@ __all__ = [
     "CATALOG_VERSION",
     "ConcurrencyAnalyzer",
     "DEFAULT_CARDINALITIES",
-    "DEFAULT_PASSES",
     "Diagnostic",
     "DiagnosticReport",
     "Explanation",

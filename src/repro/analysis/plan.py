@@ -1,34 +1,28 @@
-"""Static query planner: rewrite passes over the SPARQL algebra.
+"""Static query planner: two rewrites over the SPARQL algebra.
 
-The planner lowers a parsed query (:func:`repro.sparql.algebra`) and
-runs a pipeline of *pure* algebra→algebra passes, each of which may also
-emit :class:`~repro.analysis.diagnostics.Diagnostic` records — the
+The planner lowers a parsed query (:func:`repro.sparql.algebra`), pushes
+FILTERs down, orders scans, and annotates estimates. Each rewrite also
+emits a :class:`~repro.analysis.diagnostics.Diagnostic` record — the
 planner *is* a static analyzer whose findings double as rewrites:
 
 ==========  ============================================================
-SP010       constant FILTER expression folded at plan time
 SP011       FILTER pushed down into the BGP binding its variables
 SP012       triple patterns reordered by selectivity
-SP014       provably empty pattern pruned (contradictory FILTERs,
-            predicates absent from the data, empty UNION branches)
-SP015       redundant DISTINCT eliminated
-SP016       redundant ORDER BY eliminated
 ==========  ============================================================
 
 Soundness notes (why each rewrite preserves the un-rewritten plan's
-result multiset) are documented on the individual passes. A rewritten
+result multiset) are documented on the individual rewrites. A rewritten
 plan differs from the lowering only inside BGPs (scan order, filter
-placement, grid access path) and by what the fold / prune / drop passes
-remove: a group's elements run in the order the query wrote them.
-Passes never mutate the input AST — plan nodes reference the parser's
-frozen expressions and triple patterns, and rewrites rebuild plan
-structure only.
+placement, grid access path): a group's elements run in the order the
+query wrote them. Rewrites never mutate the input AST — plan nodes
+reference the parser's frozen expressions and triple patterns, and
+rewrites rebuild plan structure only.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.namespace import GEO
 from ..rdf.terms import Variable
@@ -36,7 +30,6 @@ from ..sparql.algebra import (
     AggregateNode,
     BGPNode,
     DistinctNode,
-    EmptyNode,
     ExtendNode,
     FilterNode,
     GeoProbe,
@@ -74,13 +67,7 @@ from ..sparql.functions import FUNCTIONS
 from ..sparql.geo import Point, bounding_box
 from .diagnostics import Diagnostic
 from .rules import make
-from .sparql_lint import (
-    _expr_vars,
-    _flatten_and,
-    _function_calls,
-    _interval_contradiction,
-    _statically_false,
-)
+from .sparql_lint import _expr_vars, _function_calls
 from .stats import GraphStatistics, _constant_number
 
 #: Magic predicates are constraints, not scans — they bind nothing and
@@ -91,11 +78,11 @@ _MAGIC = "bif:contains"
 _ST_INTERSECTS = "bif:st_intersects"
 
 #: Function names whose value depends on more than their arguments; a
-#: filter calling one of these is never folded or pushed.
+#: filter calling one of these is never pushed.
 _BOUNDNESS_SENSITIVE = frozenset({"BOUND", "COALESCE"})
 
 
-class _PassContext:
+class _PlanContext:
     """Shared state threaded through one planning run."""
 
     def __init__(
@@ -108,171 +95,16 @@ class _PassContext:
         self.functions = functions
         self.name = name
         self.diagnostics: List[Diagnostic] = []
-        self._fold_evaluator = None
 
     def diag(self, rule_id: str, message: str) -> None:
         self.diagnostics.append(
             make(rule_id, message, source=self.name)
         )
 
-    def fold_evaluator(self):
-        """A throwaway evaluator for constant-expression evaluation."""
-        if self._fold_evaluator is None:
-            from ..rdf.graph import Graph
-            from ..sparql.evaluator import Evaluator
-
-            self._fold_evaluator = Evaluator(
-                Graph(), functions=self.functions, optimize=False
-            )
-        return self._fold_evaluator
-
-
-Pass = Callable[[PlanNode, _PassContext], PlanNode]
-
 
 # ---------------------------------------------------------------------------
-# Pass: constant folding (SP010)
+# Rewrite: FILTER pushdown (SP011)
 # ---------------------------------------------------------------------------
-
-
-def fold_constants(root: PlanNode, ctx: _PassContext) -> PlanNode:
-    """Evaluate variable-free (sub)expressions of FILTERs at plan time.
-
-    Sound because every supported function is deterministic: a subtree
-    mentioning no variables evaluates to the same term for every
-    solution. A filter folding to false (or to an error) rejects every
-    solution, so its group becomes :class:`EmptyNode`.
-    """
-
-    def fold_filter(expr: Expression) -> Tuple[Expression, str]:
-        """Returns (expression, verdict): verdict in keep/true/false."""
-        folded, changed = _fold_expression(expr, ctx)
-        if not _expr_vars(folded) and not _contains_exists(folded):
-            verdict = _constant_truth(folded, ctx)
-            if verdict is not None:
-                return folded, "true" if verdict else "false"
-        if changed:
-            return folded, "folded"
-        return expr, "keep"
-
-    def rewrite(node: PlanNode) -> PlanNode:
-        if isinstance(node, JoinNode):
-            elements: List[PlanNode] = []
-            for element in node.elements:
-                element = rewrite(element)
-                if isinstance(element, FilterNode):
-                    folded, verdict = fold_filter(element.expression)
-                    if verdict == "true":
-                        ctx.diag(
-                            "SP010",
-                            "FILTER "
-                            f"{render_expression(element.expression)} "
-                            "is constant true — removed",
-                        )
-                        continue
-                    if verdict == "false":
-                        ctx.diag(
-                            "SP010",
-                            "FILTER "
-                            f"{render_expression(element.expression)} "
-                            "is constant false — group is empty",
-                        )
-                        elements.append(
-                            EmptyNode("constant-false FILTER")
-                        )
-                        continue
-                    if verdict == "folded":
-                        ctx.diag(
-                            "SP010",
-                            "constant subexpression folded in FILTER "
-                            f"{render_expression(element.expression)}",
-                        )
-                        element = FilterNode(folded)
-                elements.append(element)
-            return JoinNode(elements)
-        return _rewrite_children(node, rewrite)
-
-    return rewrite(root)
-
-
-def _fold_expression(
-    expr: Expression, ctx: _PassContext
-) -> Tuple[Expression, bool]:
-    """Bottom-up fold; returns (expression, changed)."""
-    if isinstance(expr, TermExpr) or isinstance(expr, ExistsExpr):
-        return expr, False
-
-    rebuilt, changed = _rebuild_operands(expr, ctx)
-    if (
-        not isinstance(rebuilt, TermExpr)
-        and not _expr_vars(rebuilt)
-        and not _contains_exists(rebuilt)
-        and not any(
-            c.name in _BOUNDNESS_SENSITIVE
-            for c in _function_calls(rebuilt)
-        )
-    ):
-        from ..sparql.errors import ExpressionError, SparqlEvalError
-
-        try:
-            value = ctx.fold_evaluator()._eval_expression(rebuilt, {})
-            return TermExpr(value), True
-        except (ExpressionError, SparqlEvalError):
-            pass  # leave for runtime (same error → filter rejects)
-    return rebuilt, changed
-
-
-def _rebuild_operands(
-    expr: Expression, ctx: _PassContext
-) -> Tuple[Expression, bool]:
-    def fold(sub: Expression) -> Tuple[Expression, bool]:
-        return _fold_expression(sub, ctx)
-
-    if isinstance(expr, (OrExpr, AndExpr)):
-        pairs = [fold(operand) for operand in expr.operands]
-        if any(changed for _, changed in pairs):
-            operands = tuple(e for e, _ in pairs)
-            return type(expr)(operands), True
-        return expr, False
-    if isinstance(expr, (NotExpr, NegExpr)):
-        inner, changed = fold(expr.operand)
-        return (type(expr)(inner), True) if changed else (expr, False)
-    if isinstance(expr, (CompareExpr, ArithExpr)):
-        left, lc = fold(expr.left)
-        right, rc = fold(expr.right)
-        if lc or rc:
-            return type(expr)(expr.op, left, right), True
-        return expr, False
-    if isinstance(expr, InExpr):
-        operand, oc = fold(expr.operand)
-        pairs = [fold(choice) for choice in expr.choices]
-        if oc or any(changed for _, changed in pairs):
-            choices = tuple(e for e, _ in pairs)
-            return InExpr(operand, choices, expr.negated), True
-        return expr, False
-    if isinstance(expr, FunctionCall):
-        pairs = [fold(arg) for arg in expr.args]
-        if any(changed for _, changed in pairs):
-            args = tuple(e for e, _ in pairs)
-            return FunctionCall(expr.name, args), True
-        return expr, False
-    return expr, False
-
-
-def _constant_truth(
-    expr: Expression, ctx: _PassContext
-) -> Optional[bool]:
-    """Effective boolean value of a variable-free expression."""
-    from ..sparql.errors import ExpressionError, SparqlEvalError
-    from ..sparql.functions import ebv
-
-    try:
-        value = ctx.fold_evaluator()._eval_expression(expr, {})
-        return bool(ebv(value))
-    except ExpressionError:
-        return False  # an erroring FILTER rejects every solution
-    except SparqlEvalError:
-        return None  # unknown function: leave for the real evaluator
 
 
 def _contains_exists(expr: Expression) -> bool:
@@ -295,163 +127,7 @@ def _contains_exists(expr: Expression) -> bool:
     return False
 
 
-# ---------------------------------------------------------------------------
-# Pass: unsatisfiable-pattern pruning (SP014)
-# ---------------------------------------------------------------------------
-
-
-def prune_unsatisfiable(root: PlanNode, ctx: _PassContext) -> PlanNode:
-    """Prune patterns that provably yield no solutions.
-
-    * contradictory FILTER conjunctions over one variable
-      (``?x > 5 && ?x < 3``) — reusing the SP007 interval machinery;
-    * scans whose concrete predicate (or ``rdf:type`` class) has zero
-      triples in the statistics snapshot — sound because statistics are
-      collected from the very graph the query will run against;
-    * empty UNION branches are dropped; a join containing an empty
-      element is itself empty; ``OPTIONAL {}``-empty is the identity.
-
-    Aggregation is the one non-monotone modifier: an empty input still
-    produces a row (``COUNT() = 0``), so emptiness is never propagated
-    through :class:`AggregateNode`.
-    """
-
-    def rewrite(node: PlanNode) -> PlanNode:
-        if isinstance(node, JoinNode):
-            elements = [rewrite(e) for e in node.elements]
-            conjuncts: List[Expression] = []
-            for element in elements:
-                if isinstance(element, FilterNode):
-                    conjuncts.extend(_flatten_and(element.expression))
-                elif isinstance(element, BGPNode):
-                    for expr in element.pushed:
-                        conjuncts.extend(_flatten_and(expr))
-                    for scan in element.scans:
-                        for expr in scan.filters:
-                            conjuncts.extend(_flatten_and(expr))
-            for conjunct in conjuncts:
-                if _statically_false(conjunct):
-                    ctx.diag(
-                        "SP014",
-                        "group pruned: FILTER "
-                        f"{render_expression(conjunct)} is always "
-                        "false",
-                    )
-                    return EmptyNode("always-false FILTER")
-            contradiction = _interval_contradiction(conjuncts)
-            if contradiction is not None:
-                ctx.diag(
-                    "SP014",
-                    f"group pruned: contradictory bounds on "
-                    f"?{contradiction}",
-                )
-                return EmptyNode(
-                    f"contradictory bounds on ?{contradiction}"
-                )
-
-            pruned: List[PlanNode] = []
-            for element in elements:
-                if isinstance(element, LeftJoinNode) and isinstance(
-                    element.group, EmptyNode
-                ):
-                    # left join with an empty right side is the identity
-                    continue
-                pruned.append(element)
-            for element in pruned:
-                if isinstance(element, EmptyNode):
-                    return element
-                if isinstance(element, (BGPNode, SubSelectNode)):
-                    empty = _element_emptiness(element, ctx)
-                    if empty is not None:
-                        return empty
-            return JoinNode(pruned)
-
-        if isinstance(node, UnionNode):
-            branches = []
-            for branch in node.branches:
-                branch = rewrite(branch)
-                if isinstance(branch, EmptyNode):
-                    ctx.diag(
-                        "SP014",
-                        "empty UNION branch pruned "
-                        f"({branch.reason})",
-                    )
-                    continue
-                branches.append(branch)
-            if not branches:
-                return EmptyNode("all UNION branches empty")
-            if len(branches) == 1:
-                return branches[0]
-            return UnionNode(branches)
-
-        return _rewrite_children(node, rewrite)
-
-    return rewrite(root)
-
-
-def _element_emptiness(
-    element: PlanNode, ctx: _PassContext
-) -> Optional[EmptyNode]:
-    if isinstance(element, BGPNode):
-        if ctx.stats is None:
-            return None
-        from ..rdf.namespace import RDF
-        from ..rdf.terms import URIRef
-
-        for scan in element.scans:
-            predicate = scan.pattern.predicate
-            if isinstance(predicate, Variable):
-                continue
-            if str(predicate).startswith("bif:"):
-                continue
-            if ctx.stats.predicate_count(predicate) == 0:
-                ctx.diag(
-                    "SP014",
-                    f"pattern pruned: predicate <{predicate}> has no "
-                    "triples in the data",
-                )
-                return EmptyNode(f"no triples for <{predicate}>")
-            if (
-                predicate == RDF.type
-                and isinstance(scan.pattern.object, URIRef)
-                and ctx.stats.class_counts.get(
-                    scan.pattern.object, 0
-                ) == 0
-            ):
-                ctx.diag(
-                    "SP014",
-                    "pattern pruned: class "
-                    f"<{scan.pattern.object}> has no instances",
-                )
-                return EmptyNode(
-                    f"no instances of <{scan.pattern.object}>"
-                )
-        return None
-    if isinstance(element, SubSelectNode):
-        if _plan_certainly_empty(element.plan):
-            return EmptyNode("empty sub-select")
-    return None
-
-
-def _plan_certainly_empty(node: PlanNode) -> bool:
-    """True when a modifier chain provably yields zero rows."""
-    if isinstance(node, EmptyNode):
-        return True
-    if isinstance(node, AggregateNode):
-        return False  # COUNT over nothing still yields one row
-    if isinstance(
-        node, (ProjectNode, DistinctNode, OrderNode, SliceNode)
-    ):
-        return _plan_certainly_empty(node.children()[0])
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Pass: FILTER pushdown (SP011)
-# ---------------------------------------------------------------------------
-
-
-def push_filters(root: PlanNode, ctx: _PassContext) -> PlanNode:
+def push_filters(root: PlanNode, ctx: _PlanContext) -> PlanNode:
     """Move group-level FILTERs into the BGP binding their variables.
 
     Sound when every variable of the filter is *certainly* bound by one
@@ -481,7 +157,7 @@ def push_filters(root: PlanNode, ctx: _PassContext) -> PlanNode:
                     continue
                 variables = _expr_vars(expr)
                 if not variables:
-                    kept.append(element)  # fold_constants' business
+                    kept.append(element)
                     continue
                 target = next(
                     (
@@ -507,11 +183,11 @@ def push_filters(root: PlanNode, ctx: _PassContext) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Pass: selectivity-based reordering (SP012)
+# Rewrite: selectivity-based reordering (SP012)
 # ---------------------------------------------------------------------------
 
 
-def reorder_scans(root: PlanNode, ctx: _PassContext) -> PlanNode:
+def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
     """Order the scans of every BGP by selectivity.
 
     Within a BGP, scans are greedily ordered cheapest-first under the
@@ -561,7 +237,7 @@ def reorder_scans(root: PlanNode, ctx: _PassContext) -> PlanNode:
 
 
 def _reorder_bgp(
-    node: BGPNode, bound: Set[str], ctx: _PassContext
+    node: BGPNode, bound: Set[str], ctx: _PlanContext
 ) -> BGPNode:
     scans = list(node.scans)
 
@@ -616,7 +292,7 @@ def _reorder_bgp(
     return BGPNode(attached, leftover, ordered=True)
 
 
-def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PassContext):
+def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PlanContext):
     """The ``defer`` of a BGP's greedy order: :func:`_scan_deferred`,
     and — where only a filter relates two groups of scans that share
     no variable — the group estimated larger waits for the smaller.
@@ -667,7 +343,7 @@ def _geo_probe(
     scan: ScanStep,
     bound: Set[str],
     filters: Sequence[Expression],
-    ctx: _PassContext,
+    ctx: _PlanContext,
 ) -> Optional[GeoProbe]:
     """The grid access path of ``?s geo:geometry ?o`` (``?o`` unbound),
     if one of ``filters`` is ``bif:st_intersects`` between ``?o`` and a
@@ -788,7 +464,7 @@ def _greedy_order(
 
 
 def _scan_estimate(
-    scan: ScanStep, bound: Set[str], ctx: _PassContext
+    scan: ScanStep, bound: Set[str], ctx: _PlanContext
 ) -> float:
     if ctx.stats is not None:
         return ctx.stats.scan_cardinality(scan.pattern, bound)
@@ -807,7 +483,7 @@ def _scan_estimate(
 
 
 def _quick_estimate(
-    scans: List[ScanStep], bound: Set[str], ctx: _PassContext
+    scans: List[ScanStep], bound: Set[str], ctx: _PlanContext
 ) -> float:
     """Rough per-input-solution rows of a group of scans: the product
     of their estimates in greedy order."""
@@ -826,126 +502,11 @@ def _quick_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Pass: redundant DISTINCT / ORDER elimination (SP015 / SP016)
-# ---------------------------------------------------------------------------
-
-
-def drop_redundant(root: PlanNode, ctx: _PassContext) -> PlanNode:
-    """Drop DISTINCT / ORDER BY modifiers that cannot affect results.
-
-    * duplicate ORDER BY keys: a second key over the same expression
-      can never break a tie the first key left (SP016);
-    * ORDER BY in a sub-select without LIMIT/OFFSET: the outer join
-      consumes the rows as a multiset, so their order is unobservable
-      (SP016);
-    * DISTINCT over a grouped aggregation that projects all the
-      group-by variables: aggregation already emits one row per group
-      (SP015).
-    """
-
-    def rewrite(node: PlanNode, in_subselect: bool) -> PlanNode:
-        if isinstance(node, OrderNode):
-            conditions = []
-            seen_exprs = []
-            for condition in node.conditions:
-                if condition.expression in seen_exprs:
-                    ctx.diag(
-                        "SP016",
-                        "duplicate ORDER BY key "
-                        f"{render_expression(condition.expression)} "
-                        "removed",
-                    )
-                    continue
-                seen_exprs.append(condition.expression)
-                conditions.append(condition)
-            child = rewrite(node.children()[0], in_subselect)
-            if in_subselect:
-                ctx.diag(
-                    "SP016",
-                    "ORDER BY in a sub-select without LIMIT/OFFSET "
-                    "removed (row order is unobservable)",
-                )
-                return child
-            return OrderNode(conditions, child)
-        if isinstance(node, DistinctNode):
-            child = node.children()[0]
-            if _distinct_redundant(child):
-                ctx.diag(
-                    "SP015",
-                    "DISTINCT removed: grouped aggregation already "
-                    "emits unique rows",
-                )
-                return rewrite(child, in_subselect)
-            return DistinctNode(rewrite(child, in_subselect))
-        if isinstance(node, SubSelectNode):
-            no_slice = not any(
-                isinstance(n, SliceNode)
-                for n in _modifier_chain(node.plan)
-            )
-            return SubSelectNode(
-                node.query, rewrite(node.plan, no_slice)
-            )
-        if isinstance(node, SliceNode):
-            # below a LIMIT/OFFSET the row order is observable again
-            return SliceNode(
-                node.limit, node.offset,
-                rewrite(node.children()[0], False),
-            )
-        if isinstance(node, (JoinNode, UnionNode, LeftJoinNode,
-                             GraphNode, ProjectNode, AggregateNode)):
-            return _rewrite_children(
-                node, lambda child: rewrite(child, False)
-                if isinstance(node, (JoinNode, UnionNode, LeftJoinNode,
-                                     GraphNode))
-                else rewrite(child, in_subselect)
-            )
-        return node
-
-    return rewrite(root, False)
-
-
-def _modifier_chain(node: PlanNode) -> List[PlanNode]:
-    chain: List[PlanNode] = []
-    while isinstance(
-        node, (SliceNode, DistinctNode, ProjectNode, OrderNode,
-               AggregateNode)
-    ):
-        chain.append(node)
-        node = node.children()[0]
-    return chain
-
-
-def _distinct_redundant(node: PlanNode) -> bool:
-    """True when the rows under a DISTINCT are already unique."""
-    if not isinstance(node, ProjectNode):
-        return False
-    child = node.child
-    if not isinstance(child, AggregateNode) or not child.grouped:
-        return False
-    query = child.query
-    group_vars: Set[str] = set()
-    for expr in query.group_by:
-        if isinstance(expr, TermExpr) and isinstance(
-            expr.term, Variable
-        ):
-            group_vars.add(str(expr.term))
-        else:
-            return False
-    aliases = {str(agg.alias) for agg in query.aggregates}
-    projected = {str(v) for v in node.variables}
-    # every group key must survive projection, and nothing beyond keys
-    # and aggregate aliases may be projected
-    return group_vars <= projected and projected <= (
-        group_vars | aliases
-    )
-
-
-# ---------------------------------------------------------------------------
 # Cardinality estimation (always runs last)
 # ---------------------------------------------------------------------------
 
 
-def estimate(root: PlanNode, ctx: _PassContext) -> PlanNode:
+def estimate(root: PlanNode, ctx: _PlanContext) -> PlanNode:
     """Annotate every node with estimated output rows (``est_rows``)."""
     if ctx.stats is None:
         return root
@@ -1032,9 +593,6 @@ def _estimate(
         )
         node.est_rows = rows
         return rows, running
-    if isinstance(node, EmptyNode):
-        node.est_rows = 0.0
-        return 0.0, set(bound)
     if isinstance(node, ProjectNode):
         rows, running = _estimate(node.child, in_rows, bound, stats)
         node.est_rows = rows
@@ -1089,27 +647,12 @@ def _rewrite_children(node: PlanNode, rewrite) -> PlanNode:
         return SliceNode(node.limit, node.offset, rewrite(node.child))
     if isinstance(node, AggregateNode):
         return AggregateNode(node.query, rewrite(node.child))
-    if isinstance(node, JoinNode):
-        return JoinNode([rewrite(e) for e in node.elements])
     return node
 
 
 # ---------------------------------------------------------------------------
 # The planner
 # ---------------------------------------------------------------------------
-
-#: The default pass pipeline, in the order that composes best. Every
-#: pass is sound in isolation, so any permutation is also correct —
-#: property-tested in ``tests/analysis/test_plan_property.py``.
-DEFAULT_PASSES: Tuple[Tuple[str, Pass], ...] = (
-    ("fold_constants", fold_constants),
-    ("prune_unsatisfiable", prune_unsatisfiable),
-    ("push_filters", push_filters),
-    ("reorder_scans", reorder_scans),
-    ("drop_redundant", drop_redundant),
-)
-
-PASSES: Dict[str, Pass] = dict(DEFAULT_PASSES)
 
 
 class PlannedQuery:
@@ -1120,51 +663,36 @@ class PlannedQuery:
         query: Query,
         plan: PlanNode,
         diagnostics: List[Diagnostic],
-        passes: List[str],
     ) -> None:
         self.query = query
         self.plan = plan
         self.diagnostics = diagnostics
-        self.passes = passes
 
 
 class QueryPlanner:
-    """Runs the pass pipeline over lowered queries.
+    """Plans lowered queries: FILTER pushdown, then scan order, then
+    estimates.
 
-    ``stats`` feeds the cardinality model (estimates are skipped
-    without it); ``passes`` overrides the pipeline — a sequence of
-    names from :data:`PASSES` or ``(name, fn)`` pairs. The final
-    estimation step always runs.
+    ``stats`` feeds the cardinality model and the scan order (without
+    it, estimates are skipped and scans are ordered by bound positions);
+    ``functions`` is the evaluator's function table.
     """
 
     def __init__(
         self,
         stats: Optional[GraphStatistics] = None,
-        passes: Optional[Sequence] = None,
         functions: Optional[Dict[str, object]] = None,
     ) -> None:
         self.stats = stats
         self.functions = functions
-        if passes is None:
-            self.passes: List[Tuple[str, Pass]] = list(DEFAULT_PASSES)
-        else:
-            self.passes = [
-                (p, PASSES[p]) if isinstance(p, str) else tuple(p)
-                for p in passes
-            ]
 
     def plan(
         self, query: Query, name: Optional[str] = None
     ) -> PlannedQuery:
-        """Lower ``query`` and run the pipeline; the AST is untouched."""
-        ctx = _PassContext(self.stats, self.functions, name)
-        plan = lower_query(query)
-        applied: List[str] = []
-        for pass_name, pass_fn in self.passes:
-            plan = pass_fn(plan, ctx)
-            applied.append(pass_name)
-        plan = estimate(plan, ctx)
-        return PlannedQuery(query, plan, ctx.diagnostics, applied)
+        """Lower ``query`` and rewrite it; the AST is untouched."""
+        ctx = _PlanContext(self.stats, self.functions, name)
+        plan = reorder_scans(push_filters(lower_query(query), ctx), ctx)
+        return PlannedQuery(query, estimate(plan, ctx), ctx.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -1198,9 +726,6 @@ class Explanation:
             self.planned.query, "form", "query"
         )
         lines.append(f"== plan for {title} ==")
-        lines.append(
-            "passes: " + ", ".join(self.planned.passes)
-        )
         if self.generation is not None:
             lines.append(
                 f"pinned store generation: {self.generation}"

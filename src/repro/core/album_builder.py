@@ -199,23 +199,6 @@ class AlbumBuilder:
             linter = SparqlLinter.default()
         return linter.lint(self.sparql(), name=self.name)
 
-    def build(self, strict: bool = False) -> VirtualAlbum:
-        """Compile to a :class:`VirtualAlbum`.
-
-        With ``strict=True`` the compiled query is linted first and
-        :class:`AlbumBuilderError` is raised when error-severity
-        diagnostics are found — a bad criterion fails at build time, not
-        as an empty album at fetch time.
-        """
-        if strict:
-            from ..analysis import Severity
-
-            errors = [
-                d for d in self.lint() if d.severity is Severity.ERROR
-            ]
-            if errors:
-                rendered = "; ".join(d.render() for d in errors)
-                raise AlbumBuilderError(
-                    f"album {self.name!r} failed lint: {rendered}"
-                )
+    def build(self) -> VirtualAlbum:
+        """Compile to a :class:`VirtualAlbum`."""
         return VirtualAlbum(name=self.name, query=self.sparql())

@@ -28,6 +28,7 @@ from ..rdf.namespace import DBPO, FOAF, OWL, RDF, TL_USER
 from ..rdf.terms import Literal, URIRef
 from ..resolvers.sindice import SindiceResolver
 from ..sparql.evaluator import Evaluator
+from ..sparql.geo import Point
 
 #: Category → DBpedia ontology class used in the POI SPARQL query.
 _POI_CATEGORY_CLASSES = {
@@ -145,14 +146,16 @@ class LocationAnalyzer:
         if category_class is None:
             return None
         label = poi.labels.get("en") or next(iter(poi.labels.values()))
+        # the centre is written as a literal, not bif:st_point(lon, lat):
+        # the planner probes the geo grid only around a constant geometry
+        centre = Point(poi.longitude, poi.latitude).to_literal().n3()
         query = f"""
             SELECT DISTINCT ?poi WHERE {{
               ?poi rdfs:label ?label .
               ?poi a <{category_class}> .
               ?poi geo:geometry ?geo .
               FILTER(lcase(str(?label)) = "{label.lower()}") .
-              FILTER(bif:st_intersects(?geo,
-                     bif:st_point({poi.longitude}, {poi.latitude}),
+              FILTER(bif:st_intersects(?geo, {centre},
                      {_POI_MATCH_RADIUS_KM})) .
             }}
         """

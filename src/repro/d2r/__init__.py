@@ -5,7 +5,6 @@ from .dump import (
     dump_ntriples,
     dump_triples,
     lift_row,
-    validate_mapping,
 )
 from .mapping import (
     D2RMapping,
@@ -31,5 +30,4 @@ __all__ = [
     "dump_triples",
     "lift_row",
     "literal_for",
-    "validate_mapping",
 ]

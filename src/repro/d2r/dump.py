@@ -18,40 +18,8 @@ from ..relational.table import Row
 from .mapping import D2RMapping, MappingError, literal_for
 
 
-def validate_mapping(db: Database, mapping: D2RMapping) -> None:
-    """Lint ``mapping`` against ``db``'s schema before dumping.
-
-    Raises :class:`MappingError` carrying the rendered diagnostics when
-    the mapping linter finds error-severity problems.
-    """
-    from ..analysis import MappingLinter, Severity
-
-    errors = [
-        d for d in MappingLinter().lint(mapping, db, name="pre-dump")
-        if d.severity is Severity.ERROR
-    ]
-    if errors:
-        rendered = "; ".join(d.render() for d in errors)
-        raise MappingError(
-            f"mapping failed pre-dump validation: {rendered}"
-        )
-
-
-def dump_triples(
-    db: Database, mapping: D2RMapping, validate: bool = False
-) -> Iterator[Triple]:
-    """Yield every triple produced by applying ``mapping`` to ``db``.
-
-    With ``validate=True`` the mapping is linted first
-    (:func:`validate_mapping`) and nothing is emitted when errors exist;
-    validation happens eagerly, at call time, not on first iteration.
-    """
-    if validate:
-        validate_mapping(db, mapping)
-    return _dump_triples(db, mapping)
-
-
-def _dump_triples(db: Database, mapping: D2RMapping) -> Iterator[Triple]:
+def dump_triples(db: Database, mapping: D2RMapping) -> Iterator[Triple]:
+    """Yield every triple produced by applying ``mapping`` to ``db``."""
     for table_name, table_map in mapping.table_maps.items():
         # validate link targets before emitting anything
         for link in table_map.links:
@@ -129,7 +97,6 @@ def dump_graph(
     db: Database,
     mapping: D2RMapping,
     graph: Optional[Graph] = None,
-    validate: bool = False,
 ) -> Graph:
     """Apply ``mapping`` to ``db`` and collect the triples in a graph.
 
@@ -142,15 +109,13 @@ def dump_graph(
     dump leaves ``graph`` untouched and the lock is held only for the
     bulk load.
     """
-    triples = list(dump_triples(db, mapping, validate=validate))
+    triples = list(dump_triples(db, mapping))
     if graph is None:
         graph = Graph()
     graph.add_all(triples)
     return graph
 
 
-def dump_ntriples(
-    db: Database, mapping: D2RMapping, validate: bool = False
-) -> str:
+def dump_ntriples(db: Database, mapping: D2RMapping) -> str:
     """The D2R ``dump-rdf`` output: a deterministic N-Triples document."""
-    return serialize_ntriples(dump_triples(db, mapping, validate=validate))
+    return serialize_ntriples(dump_triples(db, mapping))

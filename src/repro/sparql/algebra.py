@@ -5,7 +5,7 @@ planner needs: per-node cardinality estimates, statically chosen scan
 orders, filters pushed into the basic graph pattern that owns their
 variables. This module lowers a parsed query into an explicit algebra
 tree of :class:`PlanNode` objects — the only thing the evaluator
-executes. ``Evaluator(optimize=True)`` first lets the pass pipeline in
+executes. ``Evaluator(optimize=True)`` first lets the planner in
 :mod:`repro.analysis.plan` rewrite the tree; ``optimize=False`` runs it
 exactly as lowered here.
 
@@ -16,7 +16,7 @@ structural decision lives in the plan, not the query.
 Every node carries two annotations rendered by ``repro explain``:
 
 * ``est_rows`` — the planner's cardinality estimate (filled by the
-  estimate pass from :class:`repro.analysis.stats.GraphStatistics`);
+  planner's estimate step from :class:`repro.analysis.stats.GraphStatistics`);
 * ``actual_rows`` — the number of solutions the node actually produced
   during execution (filled by the evaluator when EXPLAIN runs the plan;
   a plan ``evaluate()`` runs may be shared and is never written to).
@@ -365,20 +365,6 @@ class GraphNode(PlanNode):
 
     def label(self) -> str:
         return f"Graph {_term_text(self.target)}"
-
-
-class EmptyNode(PlanNode):
-    """A provably-empty pattern: yields no solutions."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        super().__init__()
-        self.reason = reason
-        self.est_rows = 0.0
-
-    def label(self) -> str:
-        return f"Empty ({self.reason})"
 
 
 class ProjectNode(PlanNode):

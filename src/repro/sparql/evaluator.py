@@ -8,10 +8,10 @@ the algebra of :mod:`repro.sparql.algebra` and the plan is run by
 mappings: dicts of variable → term). What ``optimize=`` decides is only
 which plan that is:
 
-* ``optimize=True`` — the plan after the rewrite passes of
-  :mod:`repro.analysis.plan` (folding, pruning, filter pushdown,
-  statistics-driven reordering);
-* ``optimize=False`` — the lowering as written, no pass run: FILTERs
+* ``optimize=True`` — the plan after the rewrites of
+  :mod:`repro.analysis.plan` (filter pushdown, statistics-driven scan
+  order);
+* ``optimize=False`` — the lowering as written, nothing rewritten: FILTERs
   apply after their group's other elements (SPARQL's group-level filter
   scoping), OPTIONAL is a left join, UNION a concatenation, sub-SELECTs
   are evaluated independently and joined back in. This is the reference
@@ -84,7 +84,6 @@ from .algebra import (
     AggregateNode,
     BGPNode,
     DistinctNode,
-    EmptyNode,
     ExtendNode,
     FilterNode,
     GraphNode,
@@ -172,28 +171,19 @@ class Evaluator:
     ``functions`` extends/overrides the builtin function registry — this is
     how deployments register extra ``bif:`` style extensions.
 
-    With ``strict=True`` every query is linted before evaluation
-    (:class:`repro.analysis.SparqlLinter`) and evaluation refuses to run
-    when error-severity diagnostics are found, raising
-    :class:`repro.analysis.AnalysisError`. ``linter`` overrides the
-    default linter instance (e.g. to supply a custom vocabulary).
-
     With ``optimize=True`` (the default) the lowered query is rewritten
     by the static planner (:mod:`repro.analysis.plan`) before it runs;
-    with ``optimize=False`` it runs as lowered, no pass applied — same
+    with ``optimize=False`` it runs as lowered, no rewrite applied — same
     rows, only slower, and the reference the rewritten plan is checked
-    against. ``planner`` overrides the planner instance (e.g. to pin a
-    custom pass pipeline); by default one is built from statistics
-    collected off the live graph and re-collected whenever the graph
-    changes.
+    against. ``planner`` overrides the planner instance (e.g. to pin its
+    statistics); by default one is built from statistics collected off
+    the live graph and re-collected whenever the graph changes.
     """
 
     def __init__(
         self,
         graph,
         functions: Optional[Dict[str, object]] = None,
-        strict: bool = False,
-        linter=None,
         optimize: bool = True,
         planner=None,
     ) -> None:
@@ -219,8 +209,6 @@ class Evaluator:
         self.functions = dict(FUNCTIONS)
         if functions:
             self.functions.update(functions)
-        self.strict = strict
-        self._linter = linter
         self.optimize = optimize
         self._planner = planner
         self._stats = None
@@ -252,8 +240,6 @@ class Evaluator:
             if query is None:
                 query = parse_query(text)
                 _remember(_PARSED, text, query)
-        if self.strict:
-            self._lint(query)
         tracer = get_tracer()
         form = type(query).__name__.replace("Query", "").upper()
         began = time.perf_counter()
@@ -279,21 +265,6 @@ class Evaluator:
             "End-to-end SPARQL evaluation latency.",
         ).labels(form=form).observe(time.perf_counter() - began)
         return result
-
-    def _lint(self, query) -> None:
-        """Strict mode: refuse to evaluate queries with error diagnostics."""
-        # imported lazily — repro.analysis pulls in vocabulary sources
-        # that themselves build evaluators.
-        from ..analysis import AnalysisError, Severity, SparqlLinter
-
-        if self._linter is None:
-            self._linter = SparqlLinter.default()
-        errors = [
-            d for d in self._linter.lint(query)
-            if d.severity is Severity.ERROR
-        ]
-        if errors:
-            raise AnalysisError(errors)
 
     # ------------------------------------------------------------------
     # Planning
@@ -822,8 +793,6 @@ class Evaluator:
                                 node.group, iter([binding]), named_graph
                             )
                             break
-        elif isinstance(node, EmptyNode):
-            return
         else:
             raise SparqlEvalError(
                 f"cannot execute plan node: {node.label()}"

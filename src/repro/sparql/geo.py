@@ -85,16 +85,22 @@ def try_parse_point(value: Union[str, Term, Point]) -> Optional[Point]:
 
 
 def haversine_km(a: Point, b: Point) -> float:
-    """Great-circle distance between two points in kilometers."""
+    """Great-circle distance between two points in kilometers.
+
+    The spherical Vincenty form: well conditioned at every separation,
+    where the haversine's ``asin(sqrt(h))`` loses ~5e-5 km between
+    near-antipodal points (the rounding happens in ``h`` itself).
+    """
     lat1 = math.radians(a.latitude)
     lat2 = math.radians(b.latitude)
-    dlat = lat2 - lat1
     dlon = math.radians(b.longitude - a.longitude)
-    h = (
-        math.sin(dlat / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    sin1, cos1 = math.sin(lat1), math.cos(lat1)
+    sin2, cos2 = math.sin(lat2), math.cos(lat2)
+    sin_dlon, cos_dlon = math.sin(dlon), math.cos(dlon)
+    return EARTH_RADIUS_KM * math.atan2(
+        math.hypot(cos2 * sin_dlon, cos1 * sin2 - sin1 * cos2 * cos_dlon),
+        sin1 * sin2 + cos1 * cos2 * cos_dlon,
     )
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 #: Slack added to a search radius before boxing it, in kilometers: far

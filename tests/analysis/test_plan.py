@@ -1,6 +1,6 @@
-"""Query planner tests: golden diagnostics SP010-SP016 and EXPLAIN.
+"""Query planner tests: golden diagnostics SP011/SP012 and EXPLAIN.
 
-Each rewrite pass must (a) fire on a query shaped to trigger it,
+Each rewrite must (a) fire on a query shaped to trigger it,
 emitting its diagnostic, and (b) leave the result rows identical to the
 naive evaluation path. The EXPLAIN tests pin the report format: every
 algebra node carries an estimated and (after execution) an actual
@@ -25,12 +25,9 @@ from repro.rdf import (
 from repro.sparql import Evaluator, parse_query
 from repro.sparql.algebra import (
     BGPNode,
-    DistinctNode,
-    EmptyNode,
-    FilterNode,
     JoinNode,
-    OrderNode,
     ScanStep,
+    lower_query,
     walk,
 )
 from repro.sparql.geo import Point
@@ -83,26 +80,6 @@ def assert_same_rows(graph, text):
 
 
 class TestGoldenDiagnostics:
-    def test_sp010_constant_filter_folded(self, graph):
-        text = "SELECT ?s WHERE { ?s foaf:name ?n . FILTER(1 < 2) }"
-        planned = plan_query(graph, text)
-        assert "SP010" in rule_ids(planned)
-        # the tautology is gone: no FILTER survives anywhere
-        assert not any(
-            isinstance(n, FilterNode) for n in walk(planned.plan)
-        )
-        assert_same_rows(graph, text)
-
-    def test_sp010_false_filter_empties_plan(self, graph):
-        text = "SELECT ?s WHERE { ?s foaf:name ?n . FILTER(2 < 1) }"
-        planned = plan_query(graph, text)
-        assert "SP010" in rule_ids(planned)
-        assert any(
-            isinstance(n, EmptyNode) for n in walk(planned.plan)
-        )
-        assert rows(graph, text, True) == []
-        assert_same_rows(graph, text)
-
     def test_sp011_filter_pushed_into_bgp(self, graph):
         text = (
             "SELECT ?p WHERE { ?p rev:rating ?r . FILTER(?r >= 4) }"
@@ -135,58 +112,6 @@ class TestGoldenDiagnostics:
         assert "name" in str(first.pattern.predicate)
         assert_same_rows(graph, text)
 
-    def test_sp014_contradictory_interval_pruned(self, graph):
-        text = (
-            "SELECT ?p WHERE { ?p rev:rating ?r . "
-            "FILTER(?r > 5 && ?r < 2) }"
-        )
-        planned = plan_query(graph, text)
-        assert "SP014" in rule_ids(planned)
-        assert rows(graph, text, True) == []
-        assert_same_rows(graph, text)
-
-    def test_sp014_absent_predicate_pruned(self, graph):
-        text = "SELECT ?p WHERE { ?p dcterms:subject ?c }"
-        planned = plan_query(graph, text)
-        assert "SP014" in rule_ids(planned)
-        assert isinstance(planned.plan.children()[0], EmptyNode) or any(
-            isinstance(n, EmptyNode) for n in walk(planned.plan)
-        )
-        assert_same_rows(graph, text)
-
-    def test_sp015_redundant_distinct_dropped(self, graph):
-        text = (
-            "SELECT DISTINCT ?u (COUNT(?p) AS ?n) WHERE { "
-            "?p foaf:maker ?u } GROUP BY ?u"
-        )
-        planned = plan_query(graph, text)
-        assert "SP015" in rule_ids(planned)
-        assert not any(
-            isinstance(n, DistinctNode) for n in walk(planned.plan)
-        )
-        assert_same_rows(graph, text)
-
-    def test_sp016_duplicate_order_key_dropped(self, graph):
-        text = (
-            "SELECT ?p WHERE { ?p rev:rating ?r } ORDER BY ?r ?r"
-        )
-        planned = plan_query(graph, text)
-        assert "SP016" in rule_ids(planned)
-        order = next(
-            n for n in walk(planned.plan) if isinstance(n, OrderNode)
-        )
-        assert len(order.conditions) == 1
-        assert_same_rows(graph, text)
-
-    def test_sp016_subselect_order_without_slice(self, graph):
-        text = (
-            "SELECT ?p WHERE { "
-            "{ SELECT ?p WHERE { ?p rev:rating ?r } ORDER BY ?r } }"
-        )
-        planned = plan_query(graph, text)
-        assert "SP016" in rule_ids(planned)
-        assert_same_rows(graph, text)
-
     def test_subselect_order_with_limit_kept(self, graph):
         # LIMIT makes the inner ORDER BY semantically load-bearing
         text = (
@@ -194,8 +119,6 @@ class TestGoldenDiagnostics:
             "{ SELECT ?p WHERE { ?p rev:rating ?r } "
             "ORDER BY DESC(?r) LIMIT 3 } }"
         )
-        planned = plan_query(graph, text)
-        assert "SP016" not in rule_ids(planned)
         assert_same_rows(graph, text)
 
 
@@ -209,14 +132,6 @@ class TestPlannerMechanics:
         planner.plan(parsed)
         assert parsed == reference
 
-    def test_pass_subset_by_name(self, graph):
-        planner = QueryPlanner(passes=["fold_constants"])
-        planned = planner.plan(parse_query(
-            "SELECT ?s WHERE { ?s foaf:name ?n . FILTER(1 < 2) }"
-        ))
-        assert planned.passes == ["fold_constants"]
-        assert "SP010" in rule_ids(planned)
-
     def test_no_stats_still_plans(self, graph):
         planner = QueryPlanner()
         planned = planner.plan(parse_query(rated_album().query))
@@ -224,29 +139,26 @@ class TestPlannerMechanics:
 
     def test_only_reorder_fixes_the_scan_order(self, graph):
         # what the executor does with a BGP is read off the plan: the
-        # reorder pass marks it ordered, every other pipeline leaves
-        # the scan order to be picked per incoming solution
+        # planner marks it ordered, the bare lowering (what
+        # optimize=False runs) leaves the scan order to be picked per
+        # incoming solution
         text = (
             'SELECT ?p WHERE { ?p rev:rating ?r . ?p foaf:maker ?u . '
             '?u foaf:name "walter" . FILTER(?r >= 4) }'
         )
-
-        def bgps(passes):
-            planned = QueryPlanner(
-                stats=GraphStatistics.collect(graph), passes=passes
-            ).plan(parse_query(text))
-            return [
-                n for n in walk(planned.plan) if isinstance(n, BGPNode)
-            ]
-
-        assert [b.ordered for b in bgps(None)] == [True]
-        assert [b.ordered for b in bgps(["reorder_scans"])] == [True]
-        for passes in ([], ["push_filters"]):
-            (bgp,) = bgps(passes)
-            assert not bgp.ordered
-            assert "order picked at run time" in bgp.label()
-            assert not any(scan.filters for scan in bgp.scans)
-        assert "run time" not in bgps(None)[0].label()
+        (planned,) = [
+            n for n in walk(plan_query(graph, text).plan)
+            if isinstance(n, BGPNode)
+        ]
+        assert planned.ordered
+        assert "run time" not in planned.label()
+        (lowered,) = [
+            n for n in walk(lower_query(parse_query(text)))
+            if isinstance(n, BGPNode)
+        ]
+        assert not lowered.ordered
+        assert "order picked at run time" in lowered.label()
+        assert not any(scan.filters for scan in lowered.scans)
 
     @pytest.mark.parametrize("element", [
         "VALUES ?u { <http://example.org/u/walter> "
@@ -288,7 +200,6 @@ class TestExplain:
         assert "est=" in report
         assert "actual=" in report
         assert "rows:" in report
-        assert "passes:" in report
 
     def test_explain_compare_times_naive(self, graph):
         evaluator = Evaluator(graph)

@@ -1,13 +1,13 @@
 """Property tests: the planner is semantics-preserving by construction.
 
 For workload-generated graphs and the paper's parameterized query
-family, every permutation of the rewrite-pass pipeline must produce the
-same multiset of rows as the naive evaluator, and planning must never
-mutate the parsed AST. Hypothesis drives the graph seed, the query
-parameters and the pass order. A second property drops the "same as
-each other" indirection: over a hand-built dataset, any *subset* of the
-passes in any order — the empty pipeline included — must produce the
-literal rows written next to each query.
+family, the planned query must produce the same multiset of rows as the
+un-rewritten lowering (``optimize=False``), whether the planner's
+statistics were collected fresh or cached on the graph, and planning
+must never mutate the parsed AST. Hypothesis drives the graph seed and
+the query parameters. A second test drops the "same as each other"
+indirection: over a hand-built dataset, every planned query must
+produce the literal rows written next to it.
 """
 
 import pytest
@@ -17,8 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.analysis import DEFAULT_PASSES, GraphStatistics, QueryPlanner
-from repro.analysis.plan import estimate as estimate_pass
+from repro.analysis import GraphStatistics, QueryPlanner
 from repro.core import geo_album, rated_album, social_album
 from repro.platform import Platform
 from repro.sparql import parse_query
@@ -32,6 +31,10 @@ from repro.workloads import (
 from ..sparql.executor_cases import CASES, build_dataset, normalize
 
 _GRAPH_CACHE = {}
+
+#: The two ways a planner gets its statistics: collected off the graph,
+#: or the snapshot cached on it (which also carries the spatial grid).
+STATISTICS = (GraphStatistics.collect, GraphStatistics.cached)
 
 
 def workload_graph(seed, n_contents=25):
@@ -84,48 +87,30 @@ QUERIES = st.one_of(
 @given(
     seed=st.integers(min_value=0, max_value=3),
     text=QUERIES,
-    order=st.permutations(list(DEFAULT_PASSES)),
+    statistics=st.sampled_from(STATISTICS),
 )
-def test_any_pass_order_matches_naive(seed, text, order):
+def test_plan_matches_naive(seed, text, statistics):
     graph = workload_graph(seed)
     naive = multiset(Evaluator(graph, optimize=False).evaluate(text))
-    planner = QueryPlanner(
-        stats=GraphStatistics.collect(graph), passes=order
-    )
+    planner = QueryPlanner(stats=statistics(graph))
+    planned = planner.plan(parse_query(text))
+    assert planned.plan.est_rows is not None
     evaluator = Evaluator(graph, planner=planner)
     optimized = multiset(evaluator.evaluate(text))
     assert optimized == naive
 
 
-PIPELINES = st.lists(
-    st.sampled_from(list(DEFAULT_PASSES)), unique_by=lambda p: p[0]
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(CASES), passes=PIPELINES)
-def test_any_pass_subset_yields_the_literal_rows(case, passes):
-    _, text, expected = case
+def test_plan_yields_the_literal_rows():
     dataset = build_dataset()
-    for optimize in (True, False):
-        # with optimize=False the planner is never consulted
-        evaluator = Evaluator(
-            dataset,
-            optimize=optimize,
-            planner=QueryPlanner(
-                stats=GraphStatistics.collect(dataset.union_graph()),
-                passes=passes,
-            ),
-        )
-        assert normalize(evaluator.evaluate(text)) == expected
-    # the same pipelines over the statistics cached on the evaluator's
-    # own graph: a scan the reorder pass marked is then really answered
-    # from the spatial grid
-    evaluator = Evaluator(dataset)
-    evaluator._planner = QueryPlanner(
-        stats=GraphStatistics.cached(evaluator.graph), passes=passes
-    )
-    assert normalize(evaluator.evaluate(text)) == expected
+    for name, text, expected in CASES:
+        for statistics in STATISTICS:
+            evaluator = Evaluator(dataset)
+            # over the evaluator's own graph, a scan the planner marked
+            # for the spatial grid is really answered from it
+            evaluator._planner = QueryPlanner(
+                stats=statistics(evaluator.graph)
+            )
+            assert normalize(evaluator.evaluate(text)) == expected, name
 
 
 @settings(
@@ -136,27 +121,11 @@ def test_any_pass_subset_yields_the_literal_rows(case, passes):
 @given(
     seed=st.integers(min_value=0, max_value=3),
     text=QUERIES,
-    order=st.permutations(list(DEFAULT_PASSES)),
 )
-def test_planning_never_mutates_ast(seed, text, order):
+def test_planning_never_mutates_ast(seed, text):
     graph = workload_graph(seed)
     parsed = parse_query(text)
     reference = parse_query(text)
-    planner = QueryPlanner(
-        stats=GraphStatistics.collect(graph), passes=order
-    )
+    planner = QueryPlanner(stats=GraphStatistics.collect(graph))
     planner.plan(parsed)
     assert parsed == reference
-
-
-def test_estimate_runs_after_any_permutation():
-    # estimate() is appended by the planner, not part of the permuted
-    # pipeline: a planner built with a single pass still annotates.
-    graph = workload_graph(0)
-    planner = QueryPlanner(
-        stats=GraphStatistics.collect(graph),
-        passes=[DEFAULT_PASSES[0]],
-    )
-    planned = planner.plan(parse_query(geo_album().query))
-    assert planned.plan.est_rows is not None
-    assert estimate_pass is not None

@@ -7,6 +7,7 @@ from repro.core import LocationAnalyzer
 from repro.core.location import COMMERCIAL_CATEGORIES
 from repro.lod import build_lod_corpus, poi_by_key
 from repro.lod.geonames import geonames_uri
+from repro.obs import MetricsRegistry, set_registry
 from repro.rdf import DBPR, FOAF, OWL, RDF, TL_USER
 from repro.sparql import Point
 
@@ -132,6 +133,25 @@ class TestPoiResolution:
         )
         analysis = analyzer.analyze(context, (tag,))
         assert analysis.poi_resource == DBPR.Mole_Antonelliana
+
+    def test_poi_query_probes_the_geo_grid(self, setup):
+        # the centre is a constant geometry, so the geometry scan is
+        # answered from the spatial grid rather than read in full
+        _, analyzer = setup
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            resolved = analyzer.resolve_poi(poi_by_key("Mole_Antonelliana"))
+        finally:
+            set_registry(previous)
+        assert resolved == DBPR.Mole_Antonelliana
+        probes = registry.get("repro_geo_probe_total")
+        paths = {
+            labels["path"]: child.value
+            for labels, child in (probes.children() if probes else ())
+        }
+        assert paths.get("grid", 0) > 0
+        assert "scan" not in paths
 
     def test_station_category_resolved(self, setup):
         _, analyzer = setup

@@ -1,11 +1,11 @@
 """One dataset, one table of queries with their literal answers.
 
-Every plan the one executor can be handed — rewritten by any pass
-pipeline, or not rewritten at all — must produce exactly these rows.
-``tests/sparql/test_evaluator.py`` runs the table under both
-``optimize=`` values and the empty pass list;
-``tests/analysis/test_plan_property.py`` runs it under hypothesis-drawn
-pass subsets and orders.
+Every plan the one executor can be handed — rewritten by the planner,
+with or without statistics, or not rewritten at all — must produce
+exactly these rows. ``tests/sparql/test_evaluator.py`` runs the table
+under both ``optimize=`` values and a planner without statistics;
+``tests/analysis/test_plan_property.py`` runs it under freshly
+collected and cached statistics.
 """
 
 from repro.rdf import Dataset, FOAF, GEO, Literal, RDFS, REV, URIRef

@@ -688,17 +688,18 @@ class TestPaperQueries:
 # literal rows (tests/sparql/executor_cases.py holds queries + answers).
 # ---------------------------------------------------------------------------
 
-def _empty_pipeline(graph):
+def _planned_without_statistics(graph):
     from repro.analysis import QueryPlanner
 
-    return Evaluator(graph, planner=QueryPlanner(passes=[]))
+    # scans ordered by bound positions alone, no estimates
+    return Evaluator(graph, planner=QueryPlanner(stats=None))
 
 
 class TestOneExecutor:
     CONFIGURATIONS = [
         pytest.param(lambda g: Evaluator(g, optimize=True), id="optimized"),
         pytest.param(lambda g: Evaluator(g, optimize=False), id="reference"),
-        pytest.param(_empty_pipeline, id="no-passes"),
+        pytest.param(_planned_without_statistics, id="no-passes"),
     ]
 
     @pytest.mark.parametrize("build", CONFIGURATIONS)

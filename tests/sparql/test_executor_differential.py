@@ -9,10 +9,10 @@ FILTERs including erroring ones, ``[NOT] EXISTS``, GRAPH, a sub-SELECT
 with LIMIT under a total ORDER BY, ``bif:st_intersects``), and compares
 as multisets:
 
-* the full-pass plan (statistics collected: the spatial grid is there),
-* the full-pass plan of a planner without statistics (no grid),
-* the zero-pass plan (``optimize=False``),
-* the zero-pass plan of the query with ``SELECT *`` spelled out,
+* the planned query (statistics collected: the spatial grid is there),
+* the plan of a planner without statistics (no grid),
+* the unrewritten lowering (``optimize=False``),
+* the lowering of the query with ``SELECT *`` spelled out,
 * for a pure BGP, :func:`brute_force` — every triple tried against
   every pattern, so the executor's one step function is checked against
   something that does not go through it.

@@ -380,7 +380,7 @@ class TestGeoProbe:
             id="reference"),
         pytest.param(
             lambda g, f: Evaluator(
-                g, functions=f, planner=QueryPlanner(passes=[])),
+                g, functions=f, planner=QueryPlanner(stats=None)),
             id="no-passes"),
     ])
     def test_a_custom_st_intersects_is_honoured(self, build, registry):
