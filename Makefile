@@ -67,8 +67,10 @@ bench-write-path:
 
 ## Read-path guards, counts not timings: geo-filter evaluations of Q1
 ## at 1 600 contents <= 2x the same at 200 (the spatial grid, not every
-## geometry), a commit rewrites no more grid cells than its delta has
-## geometry triples, a repeated query plans and parses 0 times.
+## geometry), M1 at 1 600 contents <= 80 index lookups and <= 70
+## geo-filter evaluations per query, a commit rewrites no more grid
+## cells than its delta has geometry triples, a repeated query plans
+## and parses 0 times.
 bench-read-path:
 	$(PYTHON) -m pytest benchmarks/bench_read_path.py \
 		--benchmark-only -q

@@ -1,10 +1,15 @@
 """Planner ablation: Q1-Q3 with the static optimizer on vs. off.
 
 Every benchmark first asserts that the optimized and naive paths return
-byte-identical result rows, then times one of the two. At the largest
-workload size the Q3 guard additionally requires the optimized path to
-be at least 2x faster than the naive one — the planner must pay for
-itself where it matters.
+byte-identical result rows, then times one of the two. The Q3 guard
+also counts the ``triples`` calls one query makes on the union graph,
+and requires the naive plan to make at least 10x as many as the
+optimized one at every size — the planner must pay for itself, counted
+rather than timed. Measured (optimized vs naive): 18 vs 355 calls at
+100 contents, 51 vs 3 236 at 1 000, 46-49 vs 15 370 at 5 000 (the
+optimized count moves with the process's string-hash order); the
+naive / optimized wall-time ratio read 7.5-8x, 19-21x and 38-48x there
+and is recorded ungated.
 """
 
 from __future__ import annotations
@@ -56,8 +61,27 @@ def bench_planner_query(benchmark, sized_union_graph, name, album,
     benchmark.extra_info["rows"] = len(result)
 
 
+def _triples_calls(graph, run) -> int:
+    """``graph.triples`` calls made while ``run()`` runs."""
+    cls = type(graph)
+    original = cls.triples
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        if self is graph:
+            calls.append(1)
+        return original(self, *args, **kwargs)
+
+    cls.triples = counting
+    try:
+        run()
+    finally:
+        cls.triples = original
+    return len(calls)
+
+
 def bench_q3_speedup_guard(benchmark, sized_union_graph):
-    """At 5000 contents Q3 must run >= 2x faster optimized."""
+    """Naive Q3 makes >= 10x the index lookups of optimized Q3."""
     size, graph = sized_union_graph
     _prime(graph)
     text = rated_album().query
@@ -83,9 +107,12 @@ def bench_q3_speedup_guard(benchmark, sized_union_graph):
     )
     opt_ms = sorted(opt_samples)[len(opt_samples) // 2]
     naive_ms = sorted(naive_samples)[len(naive_samples) // 2]
+    opt_calls = _triples_calls(graph, lambda: optimized.evaluate(text))
+    naive_calls = _triples_calls(graph, lambda: naive.evaluate(text))
     benchmark.extra_info["contents"] = size
     benchmark.extra_info["optimized_ms"] = round(opt_ms, 2)
     benchmark.extra_info["naive_ms"] = round(naive_ms, 2)
+    benchmark.extra_info["triples_calls"] = [opt_calls, naive_calls]
     record(
         f"planner_q3_n{size}",
         opt_samples,
@@ -93,12 +120,13 @@ def bench_q3_speedup_guard(benchmark, sized_union_graph):
             "contents": size,
             "naive_median_ms": round(naive_ms, 2),
             "speedup": round(naive_ms / max(opt_ms, 1e-9), 2),
+            "triples_calls_optimized": opt_calls,
+            "triples_calls_naive": naive_calls,
         },
     )
-    if size >= 5000:
-        assert naive_ms >= 2.0 * opt_ms, (
-            f"Q3 at {size}: optimized {opt_ms:.1f} ms vs naive "
-            f"{naive_ms:.1f} ms — speedup below the 2x bar"
-        )
+    assert naive_calls >= 10 * opt_calls, (
+        f"Q3 at {size}: optimized {opt_calls} triples() calls vs naive "
+        f"{naive_calls} — below the 10x bar"
+    )
 
     benchmark(lambda: optimized.evaluate(text))

@@ -15,6 +15,14 @@ path"):
   the filter is put to what the grid has around the monument, and a
   scan is looked up once per distinct join key, not once per picture
   of every friend (8.6x and 2 380 / 3 170 lookups before).
+* ``bench_mashup_flat`` — the About mashup (M1) over 12 pictures at 200
+  and 1 600 contents: per query at 1 600, index lookups must stay
+  <= 80 and ``bif:st_intersects`` evaluations <= 70, and the
+  evaluations at 1 600 divided by those at 200 <= 2. Each branch's
+  ``?entType IN (<class>)`` keys its type scan, so the city branch
+  starts from the 7 cities and the attraction branch from the 18
+  attractions (197 lookups and 153 evaluations before, 40 and 33
+  with it).
 * ``bench_upload_rewrites_its_cells_only`` — the grid a commit carries
   forward rewrites at most as many cells as its delta has geometry
   triples, and no statistics pass over the store runs.
@@ -38,6 +46,7 @@ from pathlib import Path
 from _harness import record, timed_samples
 from repro.analysis.plan import QueryPlanner
 from repro.core import geo_album, rated_album, social_album
+from repro.core.mashup import mashup_query
 from repro.obs import get_registry
 from repro.platform import Platform
 from repro.rdf import GEO
@@ -56,6 +65,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 from e2e_speed import REFERENCE_S, SpeedMeter  # noqa: E402
 
 SMALL, LARGE = 200, 1600
+MASHUP_PIDS = 12
 UPLOADS = 20
 SEED = 7
 SCATTER_KM = 1.5  # at SMALL; grows with the corpus to keep its density
@@ -192,6 +202,65 @@ def bench_social_album_flat(benchmark):
         )
     benchmark.pedantic(
         lambda: Evaluator(large).evaluate(query), rounds=20, iterations=1
+    )
+
+
+def bench_mashup_flat(benchmark):
+    per_size = {}
+    for contents in (SMALL, LARGE):
+        platform, _, store = _stack(contents)
+        items = platform.contents()
+        pids = [item.pid for item in items[::len(items) // MASHUP_PIDS]]
+        counts = [
+            _album_counts(store, mashup_query(pid))
+            for pid in pids[:MASHUP_PIDS]
+        ]
+        per_size[contents] = [
+            sum(c[i] for c in counts) / len(counts) for i in range(4)
+        ]
+    evaluations, lookups, rows, took = per_size[LARGE]
+    ratio = evaluations / max(per_size[SMALL][0], 1e-9)
+    record(
+        "read_path",
+        [took * 1000.0],
+        extra={
+            "section": "mashup_flat",
+            "contents": [SMALL, LARGE],
+            "pids": MASHUP_PIDS,
+            "evaluations_per_query": [
+                round(per_size[n][0], 1) for n in (SMALL, LARGE)
+            ],
+            "index_lookups_per_query": [
+                round(per_size[n][1], 1) for n in (SMALL, LARGE)
+            ],
+            "rows_per_query": [
+                round(per_size[n][2], 1) for n in (SMALL, LARGE)
+            ],
+            "ratio_1600_over_200": round(ratio, 3),
+        },
+    )
+    benchmark.extra_info.update({
+        "evaluations_at_1600": round(evaluations, 1),
+        "index_lookups_at_1600": round(lookups, 1),
+        "ratio": round(ratio, 2),
+    })
+    assert rows, "the mashup must not be empty"
+    assert evaluations <= 70, (
+        f"M1: {evaluations:.0f} geo filter evaluations per query at "
+        f"{LARGE} contents — every geometry within 1 km again?"
+    )
+    assert lookups <= 80, (
+        f"M1: {lookups:.0f} index lookups per query at {LARGE} contents "
+        "— the entity-type IN lists no longer key their scans?"
+    )
+    assert ratio <= 2.0, (
+        f"M1: geo filter evaluations grow with the corpus: "
+        f"{evaluations:.0f} at {LARGE} contents vs "
+        f"{per_size[SMALL][0]:.0f} at {SMALL} ({ratio:.1f}x)"
+    )
+    benchmark.pedantic(
+        lambda: Evaluator(store).evaluate(mashup_query(pids[0])),
+        rounds=20, iterations=1,
     )
 
 

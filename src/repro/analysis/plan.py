@@ -13,10 +13,10 @@ SP012       triple patterns reordered by selectivity
 Soundness notes (why each rewrite preserves the un-rewritten plan's
 result multiset) are documented on the individual rewrites. A rewritten
 plan differs from the lowering only inside BGPs (scan order, filter
-placement, grid access path): a group's elements run in the order the
-query wrote them. Rewrites never mutate the input AST — plan nodes
-reference the parser's frozen expressions and triple patterns, and
-rewrites rebuild plan structure only.
+placement, the grid and IN-list access paths): a group's elements run
+in the order the query wrote them. Rewrites never mutate the input
+AST — plan nodes reference the parser's frozen expressions and triple
+patterns, and rewrites rebuild plan structure only.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.namespace import GEO
-from ..rdf.terms import Variable
+from ..rdf.terms import URIRef, Variable
 from ..sparql.algebra import (
     AggregateNode,
     BGPNode,
@@ -37,6 +37,7 @@ from ..sparql.algebra import (
     JoinNode,
     LeftJoinNode,
     OrderNode,
+    Pin,
     PlanNode,
     ProjectNode,
     ScanStep,
@@ -62,6 +63,7 @@ from ..sparql.ast import (
     Query,
     SelectQuery,
     TermExpr,
+    TriplePatternNode,
 )
 from ..sparql.functions import FUNCTIONS
 from ..sparql.geo import Point, bounding_box
@@ -193,9 +195,12 @@ def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
     Within a BGP, scans are greedily ordered cheapest-first under the
     accumulating set of bound variables — those of the elements written
     before it included (estimates from :class:`GraphStatistics`,
-    falling back to a bound-position count). ``bif:contains`` is a
-    constraint, not a scan: it is only eligible once its subject is
-    bound. Every other element of a group keeps its written place.
+    falling back to a bound-position count). A scan that first binds a
+    variable a pushed ``IN`` list of IRIs constrains is costed, and
+    marked, as the lookups of those IRIs (:func:`_bgp_pins`).
+    ``bif:contains`` is a constraint, not a scan: it is only eligible
+    once its subject is bound. Every other element of a group keeps
+    its written place.
 
     Sound because joins of triple patterns commute — only the result
     *order* changes, never the multiset of solutions.
@@ -240,9 +245,22 @@ def _reorder_bgp(
     node: BGPNode, bound: Set[str], ctx: _PlanContext
 ) -> BGPNode:
     scans = list(node.scans)
+    pins = _bgp_pins(node)
 
     def probe_of(scan: ScanStep, running: Set[str]):
         return _geo_probe(scan, running, node.pushed + scan.filters, ctx)
+
+    def pin_of(scan: ScanStep, running: Set[str]):
+        found = pins.get(id(scan))
+        if found is None or str(found[0].variable) in running:
+            return None
+        return found
+
+    def estimate(scan: ScanStep, running: Set[str]) -> float:
+        pinned = pin_of(scan, running)
+        if pinned is None:
+            return _scan_estimate(scan.pattern, running, ctx)
+        return sum(_scan_estimate(p, running, ctx) for p in pinned[1])
 
     def cost(scan: ScanStep, running: Set[str]) -> float:
         # a grid probe competes on its estimate alone: it is not
@@ -250,7 +268,7 @@ def _reorder_bgp(
         probe = probe_of(scan, running)
         if probe is not None:
             return _probe_estimate(scan, probe, running, ctx.stats)
-        return _scan_estimate(scan, running, ctx)
+        return estimate(scan, running)
 
     if len(scans) > 1:
         ordered = _greedy_order(
@@ -258,7 +276,7 @@ def _reorder_bgp(
             set(bound),
             cost,
             lambda s: s.variables(),
-            defer=_smaller_side_first(node, bound, ctx),
+            defer=_smaller_side_first(node, bound, estimate),
         )
         if [s.pattern for s in ordered] != [s.pattern for s in scans]:
             ctx.diag(
@@ -270,9 +288,12 @@ def _reorder_bgp(
     attached: List[ScanStep] = []
     running = set(bound)
     for scan in scans:
-        attached.append(
-            ScanStep(scan.pattern, scan.filters, probe_of(scan, running))
-        )
+        probe = probe_of(scan, running)
+        pinned = None if probe is not None else pin_of(scan, running)
+        attached.append(ScanStep(
+            scan.pattern, scan.filters, probe,
+            None if pinned is None else pinned[0],
+        ))
         running |= scan.variables()
     # attach pushed filters at the earliest scan where all their
     # variables are bound; whatever cannot attach stays on the BGP
@@ -292,10 +313,11 @@ def _reorder_bgp(
     return BGPNode(attached, leftover, ordered=True)
 
 
-def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PlanContext):
+def _smaller_side_first(node: BGPNode, bound: Set[str], estimate):
     """The ``defer`` of a BGP's greedy order: :func:`_scan_deferred`,
     and — where only a filter relates two groups of scans that share
-    no variable — the group estimated larger waits for the smaller.
+    no variable — the group estimated larger (by ``estimate`` per
+    scan) waits for the smaller.
 
     Left to itself the greedy order starts at the cheapest scan and
     follows shared variables, so the group that scan is in runs first
@@ -324,7 +346,8 @@ def _smaller_side_first(node: BGPNode, bound: Set[str], ctx: _PlanContext):
         if len(related) < 2:
             continue
         sizes = sizes or [
-            _quick_estimate(members, bound, ctx) for _, members in groups
+            _quick_estimate(members, bound, estimate)
+            for _, members in groups
         ]
         related.sort(key=lambda index: (sizes[index], index))
         for position, index in enumerate(related):
@@ -464,17 +487,13 @@ def _greedy_order(
 
 
 def _scan_estimate(
-    scan: ScanStep, bound: Set[str], ctx: _PlanContext
+    pattern: TriplePatternNode, bound: Set[str], ctx: _PlanContext
 ) -> float:
     if ctx.stats is not None:
-        return ctx.stats.scan_cardinality(scan.pattern, bound)
+        return ctx.stats.scan_cardinality(pattern, bound)
     # fallback: prefer patterns with more bound positions
     score = 0
-    for position in (
-        scan.pattern.subject,
-        scan.pattern.predicate,
-        scan.pattern.object,
-    ):
+    for position in (pattern.subject, pattern.predicate, pattern.object):
         if not isinstance(position, Variable) or str(
             position
         ) in bound:
@@ -483,7 +502,7 @@ def _scan_estimate(
 
 
 def _quick_estimate(
-    scans: List[ScanStep], bound: Set[str], ctx: _PlanContext
+    scans: List[ScanStep], bound: Set[str], estimate
 ) -> float:
     """Rough per-input-solution rows of a group of scans: the product
     of their estimates in greedy order."""
@@ -492,13 +511,73 @@ def _quick_estimate(
     for scan in _greedy_order(
         scans,
         set(bound),
-        lambda s, b: _scan_estimate(s, b, ctx),
+        estimate,
         lambda s: s.variables(),
         defer=_scan_deferred,
     ):
-        total *= max(_scan_estimate(scan, running, ctx), 0.001)
+        total *= max(estimate(scan, running), 0.001)
         running |= scan.variables()
     return total
+
+
+def _bgp_pins(
+    node: BGPNode,
+) -> Dict[int, Tuple[Pin, List[TriplePatternNode]]]:
+    """The IN-list access path each scan of ``node`` may take, keyed by
+    scan id, with the scan's pattern put to each IRI (for costing): a
+    pushed, not negated ``?v IN (<iri>, …)`` of IRI constants only, ``?v``
+    in one position of the scan, which is no ``bif:contains``. The
+    caller checks that ``?v`` is still unbound and no grid probe wins.
+
+    Sound because ``=`` between an IRI and any other term is term
+    identity: the triples a lookup finds with each IRI in ``?v``'s place
+    are exactly those the filter lets through. Literal choices are left
+    out: ``=`` on literals is value equality (``1 = 1.0``).
+    """
+    choices: Dict[Variable, Pin] = {}
+    for expr in node.pushed:
+        if (
+            isinstance(expr, InExpr)
+            and not expr.negated
+            and expr.choices
+            and isinstance(expr.operand, TermExpr)
+            and isinstance(expr.operand.term, Variable)
+            and all(
+                isinstance(choice, TermExpr)
+                and isinstance(choice.term, URIRef)
+                for choice in expr.choices
+            )
+        ):
+            choices.setdefault(expr.operand.term, Pin(
+                expr, expr.operand.term,
+                tuple(dict.fromkeys(c.term for c in expr.choices)),
+            ))
+    pins: Dict[int, Tuple[Pin, List[TriplePatternNode]]] = {}
+    if not choices:
+        return pins
+    for scan in node.scans:
+        if str(scan.pattern.predicate) == _MAGIC:
+            continue
+        variables = scan.pattern.variables()
+        for variable in variables:
+            pin = choices.get(variable)
+            if pin is not None and variables.count(variable) == 1:
+                pins[id(scan)] = pin, _pinned_patterns(scan.pattern, pin)
+                break
+    return pins
+
+
+def _pinned_patterns(
+    pattern: TriplePatternNode, pin: Pin
+) -> List[TriplePatternNode]:
+    """``pattern`` with the pinned variable put to each of its IRIs."""
+    return [
+        TriplePatternNode(*(
+            iri if term == pin.variable else term
+            for term in (pattern.subject, pattern.predicate, pattern.object)
+        ))
+        for iri in pin.iris
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +603,23 @@ def _estimate(
         rows = in_rows
         running = set(bound)
         for scan in node.scans:
-            probe = scan.probe
+            probe, pin = scan.probe, scan.pin
+            # a probe's or a pin's estimate already counts its filter
+            path = probe or pin
+            counted = None if path is None else path.filter
             if probe is not None:
-                # the probe's estimate already counts its own filter
                 rows *= _probe_estimate(scan, probe, running, stats)
+            elif pin is not None:
+                rows *= sum(
+                    stats.scan_cardinality(pattern, running)
+                    for pattern in _pinned_patterns(scan.pattern, pin)
+                )
             else:
                 rows *= max(
                     stats.scan_cardinality(scan.pattern, running), 0.0
                 )
             for expr in scan.filters:
-                if probe is None or expr is not probe.filter:
+                if expr is not counted:
                     rows *= stats.filter_selectivity(expr)
             scan.est_rows = rows
             running |= scan.variables()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..rdf.terms import Term, Variable
+from ..rdf.terms import Term, URIRef, Variable
 from .ast import (
     AggregateBinding,
     AndExpr,
@@ -102,14 +102,28 @@ class GeoProbe(NamedTuple):
     radius_km: float
 
 
+class Pin(NamedTuple):
+    """An access path for a scan whose one ``variable`` position no
+    earlier scan binds: one of the scan's ``filters`` is ``variable IN
+    (<iri>, …)``, so its solutions can only come from looking each IRI
+    up with the variable already in place."""
+
+    #: the ``IN`` expression (still applied, exactly)
+    filter: InExpr
+    variable: Variable
+    #: the IRIs listed, each once
+    iris: Tuple[URIRef, ...]
+
+
 class ScanStep(PlanNode):
     """One triple-pattern lookup inside a :class:`BGPNode`.
 
     ``filters`` are expressions pushed down by the planner, applied to
     each solution as soon as this scan has extended it. ``probe``, set
     by the reorder pass, lets the executor read the candidates off the
-    statistics' spatial grid instead of the triple index; the filters
-    apply either way.
+    statistics' spatial grid instead of the triple index; ``pin``, also
+    the reorder pass's, lets it look up the listed IRIs instead of
+    enumerating the variable. The filters apply either way.
 
     EXPLAIN's run also leaves ``actual_probes`` — index or grid lookups
     the scan made, one per distinct join key — and, on a probed scan,
@@ -117,8 +131,8 @@ class ScanStep(PlanNode):
     """
 
     __slots__ = (
-        "pattern", "filters", "probe", "actual_probes", "actual_paths",
-        "_variables",
+        "pattern", "filters", "probe", "pin", "actual_probes",
+        "actual_paths", "_variables",
     )
 
     def __init__(
@@ -126,11 +140,13 @@ class ScanStep(PlanNode):
         pattern: TriplePatternNode,
         filters: Optional[List[Expression]] = None,
         probe: Optional[GeoProbe] = None,
+        pin: Optional[Pin] = None,
     ) -> None:
         super().__init__()
         self.pattern = pattern
         self.filters: List[Expression] = list(filters or ())
         self.probe = probe
+        self.pin = pin
         self.actual_probes: Optional[int] = None
         self.actual_paths: Optional[List[str]] = None
         # the planner asks once per candidate order it weighs
@@ -155,6 +171,10 @@ class ScanStep(PlanNode):
             text += f" | FILTER {render_expression(expr)}"
         if self.probe is not None:
             text += f" via geo grid, r={self.probe.radius_km:g}"
+        if self.pin is not None:
+            count = len(self.pin.iris)
+            text += f" via ?{self.pin.variable} ∈ {count} IRI"
+            text += "s" if count > 1 else ""
         return text
 
 

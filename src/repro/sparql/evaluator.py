@@ -40,17 +40,24 @@ The steps run in one of two orders, read off the plan node
   ``bif:contains`` constraint waits until its subject is bound
   (:func:`_runtime_order`).
 
-One fact the reorder pass leaves on an ordered BGP changes *how* a
+Two facts the reorder pass leaves on an ordered BGP change *how* a
 step reads, never what it yields (DESIGN.md, "Read path"):
-:attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
-``bif:st_intersects`` filter has the spatial grid of the graph's
-statistics as a second access path. Per distinct centre, the grid's
-candidates are put to the exact filter once; solutions that bind
-neither end are extended by the hits, solutions that bind ``?s`` are
-hash-joined with them when the centre has no more candidates than
-solutions (:meth:`Evaluator._grid_hits`), and everything else — a
-named graph, stale statistics, a deployment's own ``bif:st_intersects``
-— reads the triple index and filters as any scan does.
+
+* :attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
+  ``bif:st_intersects`` filter has the spatial grid of the graph's
+  statistics as a second access path. Per distinct centre, the grid's
+  candidates are put to the exact filter once; solutions that bind
+  neither end are extended by the hits, solutions that bind ``?s`` are
+  hash-joined with them when the centre has no more candidates than
+  solutions (:meth:`Evaluator._grid_hits`), and everything else — a
+  named graph, stale statistics, a deployment's own
+  ``bif:st_intersects`` — reads the triple index and filters as any
+  scan does.
+* :attr:`ScanStep.pin` — a scan whose variable ``?v`` is filtered by
+  ``?v IN (<iri>, …)`` looks each IRI up with ``?v`` in place, for a
+  solution that leaves ``?v`` unbound (:func:`_pinned`); a solution
+  that binds it takes its plain key. The ``IN`` filter still runs, on
+  the rows the lookups return.
 
 ``evaluate(text)`` parses a text once per process and, when optimizing
 with the default planner and function registry, plans it once per
@@ -90,6 +97,7 @@ from .algebra import (
     JoinNode,
     LeftJoinNode,
     OrderNode,
+    Pin,
     PlanNode,
     ProjectNode,
     ScanStep,
@@ -121,7 +129,7 @@ from .ast import (
     TermExpr,
 )
 from .errors import ExpressionError, SparqlEvalError
-from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv
+from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
 from .geo import try_parse_point
 from .parser import parse_query
 from .results import Row, SelectResult
@@ -832,7 +840,10 @@ class Evaluator:
 
         A probed scan (:attr:`ScanStep.probe`) has a second access
         path, :meth:`_grid_hits`; which of its solutions take it is
-        decided per chunk, on counted rows.
+        decided per chunk, on counted rows. A pinned scan
+        (:attr:`ScanStep.pin`) looks up one key per listed IRI for a
+        solution that leaves the pinned variable open — remembered
+        under that key like any lookup — and counts each as a probe.
         """
         pattern = scan.pattern
         subject, predicate, obj = positions = (
@@ -842,7 +853,7 @@ class Evaluator:
         p_var = isinstance(predicate, Variable)
         o_var = isinstance(obj, Variable)
         magic = predicate == _MAGIC_CONTAINS
-        probe = scan.probe
+        probe, pin = scan.probe, scan.pin
         stats = None
         if probe is not None:
             stats = self._probe_statistics(graph)
@@ -890,11 +901,15 @@ class Evaluator:
                         )
                         exts = memo.get(key) if shared else None
                         if exts is None:
-                            lookups += 1
-                            exts = (
-                                _contains(key) if magic
-                                else _matches(positions, key, graph)
-                            )
+                            if pin is not None and pin.variable not in row:
+                                lookups += len(pin.iris)
+                                exts = _pinned(positions, key, graph, pin)
+                            else:
+                                lookups += 1
+                                exts = (
+                                    _contains(key) if magic
+                                    else _matches(positions, key, graph)
+                                )
                             if shared:
                                 exts = _remembering(exts, memo, key)
                     if probe is not None and path not in paths:
@@ -1106,8 +1121,6 @@ class Evaluator:
                     candidate = self._eval_expression(choice, binding, graph)
                 except ExpressionError:
                     continue
-                from .functions import equals
-
                 if equals(operand, candidate):
                     found = True
                     break
@@ -1238,6 +1251,20 @@ def _matches(
                     break
             else:
                 yield ext
+
+
+def _pinned(
+    positions: Tuple[Term, Term, Term], key: Tuple, graph: Graph, pin: Pin
+) -> Iterator[Bindings]:
+    """:func:`_matches` of ``key`` with the pinned variable's (open)
+    position put to each IRI of ``pin`` in turn; each match binds the
+    variable to that IRI."""
+    at = positions.index(pin.variable)
+    for iri in pin.iris:
+        for ext in _matches(positions, key[:at] + (iri,) + key[at + 1:],
+                            graph):
+            ext[pin.variable] = iri
+            yield ext
 
 
 def _contains(key: Tuple) -> Iterator[Bindings]:

@@ -8,7 +8,9 @@ under both ``optimize=`` values and a planner without statistics;
 collected and cached statistics.
 """
 
-from repro.rdf import Dataset, FOAF, GEO, Literal, RDFS, REV, URIRef
+from repro.rdf import (
+    BNode, Dataset, FOAF, GEO, Literal, RDF, RDFS, REV, URIRef,
+)
 
 EX = "http://example.org/"
 PEOPLE = "http://graphs/people"
@@ -31,28 +33,36 @@ def ex(name):
 
 def build_dataset():
     """Three named graphs: who knows whom, who made which picture
-    (and where), and two places — one with a geometry no geo function
-    can parse."""
+    (and where, and of which type), and two places — one with a
+    geometry no geo function can parse. ``ex:kind`` holds ``ex:Photo``
+    as an IRI, as a literal spelling it and as a blank node labelled
+    with it."""
     ds = Dataset()
     people = ds.graph(PEOPLE)
     for name in ("oscar", "walter", "carmen"):
         people.add((ex(name), FOAF.name, Literal(name)))
     people.add((ex("walter"), FOAF.knows, ex("oscar")))
     pictures = ds.graph(PICTURES)
-    for pic, maker, label, rating in (
-        ("pic1", "walter", "Tramonto sulla Mole", 5),
-        ("pic2", "carmen", "Mole by night", 3),
-        ("pic3", "walter", "Periferia", 4),
+    for pic, maker, label, rating, kind in (
+        ("pic1", "walter", "Tramonto sulla Mole", 5, "Photo"),
+        ("pic2", "carmen", "Mole by night", 3, "Photo"),
+        ("pic3", "walter", "Periferia", 4, "Sketch"),
     ):
         pictures.add((ex(pic), FOAF.maker, ex(maker)))
         pictures.add((ex(pic), RDFS.label, Literal(label)))
         pictures.add((ex(pic), REV.rating, Literal(rating)))
         pictures.add((ex(pic), GEO.geometry, Literal(_TAKEN_AT[pic])))
+        pictures.add((ex(pic), RDF.type, ex(kind)))
+    pictures.add((ex("pic1"), ex("kind"), ex("Photo")))
     places = ds.graph(PLACES)
     places.add((ex("mole"), RDFS.comment, Literal("landmark")))
     places.add((ex("mole"), GEO.geometry, Literal(MOLE)))
+    places.add((ex("mole"), RDF.type, ex("Monument")))
+    places.add((ex("mole"), ex("alias"), ex("mole")))
+    places.add((ex("mole"), ex("kind"), Literal(EX + "Photo")))
     places.add((ex("nowhere"), RDFS.comment, Literal("landmark")))
     places.add((ex("nowhere"), GEO.geometry, Literal("somewhere")))
+    places.add((ex("nowhere"), ex("kind"), BNode(EX + "Photo")))
     return ds
 
 
@@ -78,9 +88,10 @@ def _rows(*rows):
 _OSCAR, _WALTER, _CARMEN = (
     ex(n).n3() for n in ("oscar", "walter", "carmen")
 )
-_PIC1, _PIC2, _PIC3, _MOLE = (
-    ex(n).n3() for n in ("pic1", "pic2", "pic3", "mole")
+_PIC1, _PIC2, _PIC3, _MOLE, _NOWHERE = (
+    ex(n).n3() for n in ("pic1", "pic2", "pic3", "mole", "nowhere")
 )
+_PHOTO, _MONUMENT = ex("Photo").n3(), ex("Monument").n3()
 
 #: (id, query text, expected ``normalize(result)``)
 CASES = [
@@ -300,4 +311,105 @@ CASES = [
             ),
         ),
     ),
+    # -- the IN-list access path: a scan keyed by the listed IRIs ------
+    (
+        "in-two-iris-on-type",
+        # listed twice, ex:Photo is still one IRI: its pictures once
+        f"""SELECT ?x ?t WHERE {{
+             ?x a ?t
+             FILTER(?t IN (<{EX}Photo>, <{EX}Monument>, <{EX}Photo>))
+           }}""",
+        _rows(
+            {"x": _PIC1, "t": _PHOTO}, {"x": _PIC2, "t": _PHOTO},
+            {"x": _MOLE, "t": _MONUMENT},
+        ),
+    ),
+    (
+        "in-predicate-position",
+        f"""SELECT ?x ?r WHERE {{
+             ?x ?p ?r . ?x foaf:maker <{EX}walter>
+             FILTER(?p IN (rev:rating))
+           }}""",
+        _rows(
+            {"x": _PIC1, "r": Literal(5).n3()},
+            {"x": _PIC3, "r": Literal(4).n3()},
+        ),
+    ),
+    (
+        "in-absent-iri",
+        f"""SELECT ?x WHERE {{
+             ?x a ?t FILTER(?t IN (<{EX}Nothing>, <{EX}Sketch>))
+           }}""",
+        _rows({"x": _PIC3}),
+    ),
+    (
+        "in-iri-is-not-its-literal-or-blank-node",
+        f"""SELECT ?x WHERE {{
+             ?x <{EX}kind> ?k FILTER(?k IN (<{EX}Photo>))
+           }}""",
+        _rows({"x": _PIC1}),
+    ),
+    (
+        "not-in-is-not-pinned",
+        f"""SELECT ?x WHERE {{
+             ?x a ?t FILTER(?t NOT IN (<{EX}Photo>))
+           }}""",
+        _rows({"x": _PIC3}, {"x": _MOLE}),
+    ),
+    (
+        "in-literal-choice-is-not-pinned",
+        # "=" on literals is value equality: 5.0 is pic1's rating 5,
+        # which a lookup of the decimal term would not find
+        f"""SELECT ?x WHERE {{
+             ?x rev:rating ?r FILTER(?r IN (5.0, <{EX}Photo>))
+           }}""",
+        _rows({"x": _PIC1}),
+    ),
+    (
+        "in-repeated-variable-is-not-pinned",
+        f"""SELECT ?x WHERE {{
+             ?x ?p ?x FILTER(?x IN (<{EX}mole>, <{EX}pic1>))
+           }}""",
+        _rows({"x": _MOLE}),
+    ),
+    (
+        "in-variable-prebound-by-values",
+        # one incoming solution binds ?t, the other leaves it open
+        f"""SELECT ?x ?t WHERE {{
+             VALUES ?t {{ <{EX}Photo> UNDEF }}
+             ?x a ?t FILTER(?t IN (<{EX}Photo>, <{EX}Monument>))
+           }}""",
+        _rows(
+            {"x": _PIC1, "t": _PHOTO}, {"x": _PIC2, "t": _PHOTO},
+            {"x": _PIC1, "t": _PHOTO}, {"x": _PIC2, "t": _PHOTO},
+            {"x": _MOLE, "t": _MONUMENT},
+        ),
+    ),
+    (
+        "in-variable-prebound-by-optional",
+        # the OPTIONAL types ex:mole and leaves ex:nowhere untyped
+        f"""SELECT ?x ?t ?y WHERE {{
+             ?x rdfs:comment "landmark"
+             OPTIONAL {{ ?x a ?t }}
+             ?y a ?t FILTER(?t IN (<{EX}Photo>, <{EX}Monument>))
+           }}""",
+        _rows(
+            {"x": _MOLE, "t": _MONUMENT, "y": _MOLE},
+            {"x": _NOWHERE, "t": _PHOTO, "y": _PIC1},
+            {"x": _NOWHERE, "t": _PHOTO, "y": _PIC2},
+            {"x": _NOWHERE, "t": _MONUMENT, "y": _MOLE},
+        ),
+    ),
 ]
+
+#: the cases above whose optimized plan looks the listed IRIs up, and
+#: the ones it must not
+PINNED = (
+    "in-two-iris-on-type", "in-predicate-position", "in-absent-iri",
+    "in-iri-is-not-its-literal-or-blank-node",
+    "in-variable-prebound-by-values", "in-variable-prebound-by-optional",
+)
+NOT_PINNED = (
+    "not-in-is-not-pinned", "in-literal-choice-is-not-pinned",
+    "in-repeated-variable-is-not-pinned",
+)

@@ -6,7 +6,8 @@ graphs, a handful of subjects / predicates / objects, some
 ``geo:geometry`` points — a few of them unparseable) and a query over
 it (a BGP with repeated variables and constants, OPTIONAL, UNION,
 FILTERs including erroring ones, ``[NOT] EXISTS``, GRAPH, a sub-SELECT
-with LIMIT under a total ORDER BY, ``bif:st_intersects``), and compares
+with LIMIT under a total ORDER BY, ``bif:st_intersects``, ``IN`` lists
+of IRIs), and compares
 as multisets:
 
 * the planned query (statistics collected: the spatial grid is there),
@@ -135,6 +136,15 @@ def filters_over(names):
         st.builds("FILTER(!bound({}))".format, variables),
         st.builds("FILTER(isIRI({}) || {} < 3)".format,
                   variables, variables),
+        # IRIs only — subjects, a predicate, often one listed twice —
+        # key the scan that binds the variable
+        st.builds(
+            "FILTER({} IN ({}))".format, variables,
+            st.lists(
+                st.sampled_from(SUBJECTS[:2] + PREDICATES[:1]),
+                min_size=1, max_size=3,
+            ).map(lambda iris: ", ".join(map(n3, iris))),
+        ),
         st.builds(
             "FILTER(bif:st_intersects({}, {}, {}))".format,
             variables, geometry_or_variable,

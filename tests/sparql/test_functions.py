@@ -75,6 +75,14 @@ class TestEqualsCompare:
         assert compare("=", URIRef("http://x"), URIRef("http://x"))
         assert compare("!=", URIRef("http://x"), URIRef("http://y"))
 
+    def test_an_iri_equals_no_other_kind_of_term(self):
+        # what lets an IN list of IRIs key a scan: the lookup finds
+        # exactly the terms the filter would let through
+        iri = URIRef("http://x")
+        for other in (Literal("http://x"), BNode("http://x")):
+            assert not equals(other, iri)
+            assert not equals(iri, other)
+
     def test_uri_ordering_raises(self):
         with pytest.raises(ExpressionError):
             compare("<", URIRef("http://a"), URIRef("http://b"))

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import GraphStatistics, QueryPlanner
 from repro.analysis.plan import QueryPlanner as PlannerClass
 from repro.obs import MetricsRegistry, set_registry
-from repro.rdf import FOAF, GEO, Graph, Literal, RDFS, REV
+from repro.rdf import FOAF, GEO, Graph, Literal, RDF, RDFS, REV
 from repro.sparql import Evaluator, parse_query
 from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as functions_module
@@ -27,6 +27,8 @@ from repro.store import QuadStore
 from .executor_cases import (
     CASES,
     MOLE,
+    NOT_PINNED,
+    PINNED,
     build_dataset,
     ex,
     normalize,
@@ -402,6 +404,64 @@ class TestGeoProbe:
 
 
 # ---------------------------------------------------------------------------
+# an IN list of IRIs keys the scan that first binds its variable
+# ---------------------------------------------------------------------------
+
+
+def pinned_scans(explanation):
+    return [
+        node for node in walk(explanation.planned.plan)
+        if isinstance(node, ScanStep) and node.pin is not None
+    ]
+
+
+class TestPin:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_the_listed_iris_key_the_scan(self, name):
+        text, expected = CASE[name]
+        explanation = Evaluator(store_of_cases()).explain(text)
+        (scan,) = pinned_scans(explanation)
+        # the filter stays on the scan, and still runs
+        assert scan.pin.filter in scan.filters
+        count = len(scan.pin.iris)
+        assert (
+            f"via ?{scan.pin.variable} ∈ {count} IRI" in explanation.render()
+        )
+        assert explanation.row_count == len(expected)
+
+    @pytest.mark.parametrize("name", NOT_PINNED)
+    def test_other_filters_key_nothing(self, name):
+        explanation = Evaluator(store_of_cases()).explain(CASE[name][0])
+        assert pinned_scans(explanation) == []
+        assert "∈" not in explanation.render()
+
+    def test_each_listed_iri_is_one_lookup(self):
+        text, expected = CASE["in-two-iris-on-type"]
+        store = store_of_cases()
+        (scan,) = pinned_scans(Evaluator(store).explain(text))
+        assert scan.actual_probes == 2
+        evaluator = Evaluator(store)
+        with lookups_of(evaluator.graph) as asked:
+            assert normalize(evaluator.evaluate(text)) == expected
+        assert asked == [
+            (None, RDF.type, ex("Photo")), (None, RDF.type, ex("Monument")),
+        ]
+
+    def test_a_solution_binding_the_variable_takes_its_own_key(self):
+        text, expected = CASE["in-variable-prebound-by-values"]
+        evaluator = Evaluator(store_of_cases())
+        evaluator.evaluate(text)  # planned
+        with lookups_of(evaluator.graph) as asked:
+            assert normalize(evaluator.evaluate(text)) == expected
+        # ?t = ex:Photo, then the solution leaving ?t open: never the
+        # whole of rdf:type
+        assert asked == [
+            (None, RDF.type, ex("Photo")),
+            (None, RDF.type, ex("Photo")), (None, RDF.type, ex("Monument")),
+        ]
+
+
+# ---------------------------------------------------------------------------
 # a scan is looked up once per distinct key, not once per solution
 # ---------------------------------------------------------------------------
 
@@ -711,6 +771,21 @@ class TestPaperQueries:
             assert len(geometries) <= 2 and all(
                 p[0] is not None and p[2] is None for p in geometries
             )
+
+    def test_m1_keys_each_branch_on_its_entity_type(self, platform_store):
+        from repro.core.mashup import mashup_query
+
+        bgps, rendered = self.bgps(platform_store, mashup_query(3))
+        pinned = [s for bgp in bgps for s in bgp.scans if s.pin is not None]
+        assert [
+            (str(s.pin.variable), s.pattern.predicate, len(s.pin.iris))
+            for s in pinned
+        ] == [("entType", RDF.type, 1)] * 4
+        assert rendered.count("via ?entType ∈ 1 IRI") == 4
+        # the city branch starts from the cities, not from every place
+        city = bgps[0].scans
+        assert city[1].pin is not None
+        assert city[1].actual_probes == 1
 
     def test_rows_match_the_reference(self, platform_store):
         from repro.core import geo_album, rated_album, social_album
