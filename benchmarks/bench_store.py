@@ -3,13 +3,16 @@
 Two numbers pin the storage engine's reason to exist:
 
 * ``bench_snapshot_restart_speedup`` — restarting from a snapshot must
-  be at least 2x faster than replaying an equivalent WAL.  The WAL
-  records *history* — an update-churn workload (re-annotation batches
-  that retract the previous annotations before asserting new ones)
-  writes many more delta ops than the live set it converges to, while
-  a snapshot holds the live set only.  Compaction's write
-  amplification is only worth paying if the recovery path cashes that
-  cheque; this guard asserts the ratio.
+  replay nothing, while the equivalent WAL-only store replays at least
+  10x as many ops as the snapshot holds quads.  The WAL records
+  *history* — an update-churn workload (re-annotation batches that
+  retract the previous annotations before asserting new ones) writes
+  many more delta ops than the live set it converges to, while a
+  snapshot holds the live set only: 7 800 ops replayed against 200
+  snapshot quads (39x).  The gate reads the two stores'
+  ``RecoveryReport`` counts, which do not depend on the machine; the
+  replay / restart time ratio (155 ms / 3.7 ms ≈ 41x on an x86-64
+  Linux host under CPython 3.11) is recorded ungated.
 * ``bench_reader_throughput_with_writer`` — snapshot reads are
   lock-free, so read throughput should *not* collapse while a writer
   commits batches.  Recorded for the history (machine-dependent), not
@@ -73,10 +76,10 @@ def bench_snapshot_restart_speedup(benchmark, tmp_path):
         with QuadStore(directory) as store:
             assert store.generation >= generation
             assert store.size == LIVE_QUADS
-            return store.generation
+            return store.recovery
 
-    open_store(wal_dir)  # warm the page cache before timing
-    open_store(snap_dir)
+    wal_report = open_store(wal_dir)  # also warms the page cache
+    snap_report = open_store(snap_dir)
     replay = timed_samples(lambda: open_store(wal_dir), repeats=5)
     snapshot = timed_samples(lambda: open_store(snap_dir), repeats=5)
 
@@ -87,6 +90,8 @@ def bench_snapshot_restart_speedup(benchmark, tmp_path):
     benchmark.extra_info["wal_replay_ms"] = round(replay_ms, 1)
     benchmark.extra_info["snapshot_ms"] = round(snapshot_ms, 1)
     benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["ops_replayed"] = wal_report.ops_replayed
+    benchmark.extra_info["snapshot_quads"] = snap_report.snapshot_quads
     record(
         "store",
         snapshot,
@@ -97,11 +102,17 @@ def bench_snapshot_restart_speedup(benchmark, tmp_path):
             "wal_replay_ms": round(replay_ms, 1),
             "snapshot_restart_ms": round(snapshot_ms, 1),
             "speedup": round(speedup, 2),
+            "wal_ops_replayed": wal_report.ops_replayed,
+            "snapshot_quads": snap_report.snapshot_quads,
+            "snapshot_ops_replayed": snap_report.ops_replayed,
         },
     )
-    assert speedup >= 2.0, (
-        f"snapshot restart is only {speedup:.2f}x faster than WAL "
-        f"replay ({snapshot_ms:.0f} ms vs {replay_ms:.0f} ms)"
+    assert snap_report.ops_replayed == 0, (
+        f"the snapshotted store replayed {snap_report.ops_replayed} ops"
+    )
+    assert wal_report.ops_replayed >= 10 * snap_report.snapshot_quads, (
+        f"WAL replay read only {wal_report.ops_replayed} ops against "
+        f"{snap_report.snapshot_quads} snapshot quads"
     )
 
     benchmark.pedantic(

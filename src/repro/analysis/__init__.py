@@ -11,8 +11,8 @@ emits nothing). This package is the correctness gate in front of that:
 * :class:`ShapeChecker` — domain/range/cardinality validation of graphs;
 * :func:`self_check` — all of the above over the paper's own artifacts
   (``repro lint --self-check``);
-* :class:`QueryPlanner` — static algebra analysis and selectivity-driven
-  rewrites behind ``Evaluator(optimize=True)`` and ``repro explain``;
+* :class:`QueryPlanner` — FILTER pushdown and cardinality-driven scan
+  order behind ``Evaluator(optimize=True)`` and ``repro explain``;
 * :class:`ConcurrencyAnalyzer` — CC-rule lock-discipline analysis over
   the repo's own Python source (``repro lint --concurrency``), with
   :class:`LockSanitizer` as its runtime complement (``repro sanitize``).

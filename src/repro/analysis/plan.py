@@ -1,14 +1,13 @@
 """Static query planner: two rewrites over the SPARQL algebra.
 
 The planner lowers a parsed query (:func:`repro.sparql.algebra`), pushes
-FILTERs down, orders scans, and annotates estimates. Each rewrite also
-emits a :class:`~repro.analysis.diagnostics.Diagnostic` record — the
-planner *is* a static analyzer whose findings double as rewrites:
-
-==========  ============================================================
-SP011       FILTER pushed down into the BGP binding its variables
-SP012       triple patterns reordered by selectivity
-==========  ============================================================
+FILTERs down into the BGP binding their variables
+(:func:`push_filters`) and orders each BGP's scans by estimated
+cardinality (:func:`reorder_scans`). The scan order is the one
+cardinality model: with statistics, each scan it places records the
+running product of the costs it was ordered by (``ScanStep.est_rows``,
+and the last one's on ``BGPNode.est_rows``), which is what EXPLAIN
+shows.
 
 Soundness notes (why each rewrite preserves the un-rewritten plan's
 result multiset) are documented on the individual rewrites. A rewritten
@@ -30,7 +29,6 @@ from ..sparql.algebra import (
     AggregateNode,
     BGPNode,
     DistinctNode,
-    ExtendNode,
     FilterNode,
     GeoProbe,
     GraphNode,
@@ -44,9 +42,7 @@ from ..sparql.algebra import (
     SliceNode,
     SubSelectNode,
     UnionNode,
-    ValuesNode,
     lower_query,
-    render_expression,
     render_plan,
 )
 from ..sparql.ast import (
@@ -67,8 +63,6 @@ from ..sparql.ast import (
 )
 from ..sparql.functions import FUNCTIONS
 from ..sparql.geo import Point, bounding_box
-from .diagnostics import Diagnostic
-from .rules import make
 from .sparql_lint import _expr_vars, _function_calls
 from .stats import GraphStatistics, _constant_number
 
@@ -84,28 +78,8 @@ _ST_INTERSECTS = "bif:st_intersects"
 _BOUNDNESS_SENSITIVE = frozenset({"BOUND", "COALESCE"})
 
 
-class _PlanContext:
-    """Shared state threaded through one planning run."""
-
-    def __init__(
-        self,
-        stats: Optional[GraphStatistics],
-        functions: Optional[Dict[str, object]],
-        name: Optional[str],
-    ) -> None:
-        self.stats = stats
-        self.functions = functions
-        self.name = name
-        self.diagnostics: List[Diagnostic] = []
-
-    def diag(self, rule_id: str, message: str) -> None:
-        self.diagnostics.append(
-            make(rule_id, message, source=self.name)
-        )
-
-
 # ---------------------------------------------------------------------------
-# Rewrite: FILTER pushdown (SP011)
+# Rewrite: FILTER pushdown
 # ---------------------------------------------------------------------------
 
 
@@ -129,7 +103,7 @@ def _contains_exists(expr: Expression) -> bool:
     return False
 
 
-def push_filters(root: PlanNode, ctx: _PlanContext) -> PlanNode:
+def push_filters(root: PlanNode) -> PlanNode:
     """Move group-level FILTERs into the BGP binding their variables.
 
     Sound when every variable of the filter is *certainly* bound by one
@@ -172,12 +146,6 @@ def push_filters(root: PlanNode, ctx: _PlanContext) -> PlanNode:
                     kept.append(element)
                     continue
                 target.pushed.append(expr)
-                ctx.diag(
-                    "SP011",
-                    f"FILTER {render_expression(expr)} pushed into "
-                    "the graph pattern binding "
-                    + ", ".join(f"?{v}" for v in sorted(variables)),
-                )
             return JoinNode(kept)
         return _rewrite_children(node, rewrite)
 
@@ -185,12 +153,12 @@ def push_filters(root: PlanNode, ctx: _PlanContext) -> PlanNode:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite: selectivity-based reordering (SP012)
+# Rewrite: cardinality-based scan order
 # ---------------------------------------------------------------------------
 
 
-def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
-    """Order the scans of every BGP by selectivity.
+def reorder_scans(root: PlanNode, planner: "QueryPlanner") -> PlanNode:
+    """Order the scans of every BGP by estimated cardinality.
 
     Within a BGP, scans are greedily ordered cheapest-first under the
     accumulating set of bound variables — those of the elements written
@@ -200,7 +168,10 @@ def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
     marked, as the lookups of those IRIs (:func:`_bgp_pins`).
     ``bif:contains`` is a constraint, not a scan: it is only eligible
     once its subject is bound. Every other element of a group keeps
-    its written place.
+    its written place. With statistics, every scan records the
+    estimated rows per incoming solution once it has run — the running
+    product of the costs the order was decided on — as ``est_rows``,
+    and its BGP the last scan's.
 
     Sound because joins of triple patterns commute — only the result
     *order* changes, never the multiset of solutions.
@@ -216,7 +187,7 @@ def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
                 elements.append(element)
             return JoinNode(elements)
         if isinstance(node, BGPNode):
-            return _reorder_bgp(node, bound, ctx)
+            return _reorder_bgp(node, bound, planner)
         if isinstance(node, LeftJoinNode):
             return LeftJoinNode(visit(node.group, set(bound)))
         if isinstance(node, UnionNode):
@@ -242,13 +213,16 @@ def reorder_scans(root: PlanNode, ctx: _PlanContext) -> PlanNode:
 
 
 def _reorder_bgp(
-    node: BGPNode, bound: Set[str], ctx: _PlanContext
+    node: BGPNode, bound: Set[str], planner: "QueryPlanner"
 ) -> BGPNode:
     scans = list(node.scans)
     pins = _bgp_pins(node)
+    stats = planner.stats
 
     def probe_of(scan: ScanStep, running: Set[str]):
-        return _geo_probe(scan, running, node.pushed + scan.filters, ctx)
+        return _geo_probe(
+            scan, running, node.pushed + scan.filters, planner
+        )
 
     def pin_of(scan: ScanStep, running: Set[str]):
         found = pins.get(id(scan))
@@ -256,44 +230,43 @@ def _reorder_bgp(
             return None
         return found
 
-    def estimate(scan: ScanStep, running: Set[str]) -> float:
+    def scan_cost(scan: ScanStep, running: Set[str]) -> float:
         pinned = pin_of(scan, running)
         if pinned is None:
-            return _scan_estimate(scan.pattern, running, ctx)
-        return sum(_scan_estimate(p, running, ctx) for p in pinned[1])
+            return _scan_estimate(scan.pattern, running, stats)
+        return sum(_scan_estimate(p, running, stats) for p in pinned[1])
 
     def cost(scan: ScanStep, running: Set[str]) -> float:
         # a grid probe competes on its estimate alone: it is not
         # "connected" to the variable its filter compares against
         probe = probe_of(scan, running)
         if probe is not None:
-            return _probe_estimate(scan, probe, running, ctx.stats)
-        return estimate(scan, running)
+            return _probe_estimate(scan, probe, running, stats)
+        return scan_cost(scan, running)
 
     if len(scans) > 1:
-        ordered = _greedy_order(
+        scans = _greedy_order(
             scans,
             set(bound),
             cost,
             lambda s: s.variables(),
-            defer=_smaller_side_first(node, bound, estimate),
+            defer=_smaller_side_first(node, bound, scan_cost),
         )
-        if [s.pattern for s in ordered] != [s.pattern for s in scans]:
-            ctx.diag(
-                "SP012",
-                f"{len(scans)} triple patterns reordered by "
-                "estimated selectivity",
-            )
-        scans = ordered
     attached: List[ScanStep] = []
     running = set(bound)
+    rows = 1.0
     for scan in scans:
         probe = probe_of(scan, running)
         pinned = None if probe is not None else pin_of(scan, running)
-        attached.append(ScanStep(
+        step = ScanStep(
             scan.pattern, scan.filters, probe,
             None if pinned is None else pinned[0],
-        ))
+        )
+        if stats is not None:
+            # without statistics, cost is a bound-position score
+            rows *= cost(scan, running)
+            step.est_rows = rows
+        attached.append(step)
         running |= scan.variables()
     # attach pushed filters at the earliest scan where all their
     # variables are bound; whatever cannot attach stays on the BGP
@@ -310,7 +283,10 @@ def _reorder_bgp(
                 break
         if not placed:
             leftover.append(expr)
-    return BGPNode(attached, leftover, ordered=True)
+    result = BGPNode(attached, leftover, ordered=True)
+    if stats is not None:
+        result.est_rows = rows
+    return result
 
 
 def _smaller_side_first(node: BGPNode, bound: Set[str], estimate):
@@ -366,7 +342,7 @@ def _geo_probe(
     scan: ScanStep,
     bound: Set[str],
     filters: Sequence[Expression],
-    ctx: _PlanContext,
+    planner: "QueryPlanner",
 ) -> Optional[GeoProbe]:
     """The grid access path of ``?s geo:geometry ?o`` (``?o`` unbound),
     if one of ``filters`` is ``bif:st_intersects`` between ``?o`` and a
@@ -377,14 +353,15 @@ def _geo_probe(
     subject, geometry = pattern.subject, pattern.object
     if (
         pattern.predicate != GEO.geometry
-        or ctx.stats is None
+        or planner.stats is None
         or not isinstance(subject, Variable)
         or not isinstance(geometry, Variable)
         or subject == geometry
         or str(geometry) in bound
     ):
         return None
-    if ctx.functions is not None and ctx.functions.get(
+    functions = planner.functions
+    if functions is not None and functions.get(
         _ST_INTERSECTS
     ) is not FUNCTIONS[_ST_INTERSECTS]:
         return None  # a deployment's own bif:st_intersects decides
@@ -487,10 +464,12 @@ def _greedy_order(
 
 
 def _scan_estimate(
-    pattern: TriplePatternNode, bound: Set[str], ctx: _PlanContext
+    pattern: TriplePatternNode,
+    bound: Set[str],
+    stats: Optional[GraphStatistics],
 ) -> float:
-    if ctx.stats is not None:
-        return ctx.stats.scan_cardinality(pattern, bound)
+    if stats is not None:
+        return stats.scan_cardinality(pattern, bound)
     # fallback: prefer patterns with more bound positions
     score = 0
     for position in (pattern.subject, pattern.predicate, pattern.object):
@@ -580,139 +559,6 @@ def _pinned_patterns(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Cardinality estimation (always runs last)
-# ---------------------------------------------------------------------------
-
-
-def estimate(root: PlanNode, ctx: _PlanContext) -> PlanNode:
-    """Annotate every node with estimated output rows (``est_rows``)."""
-    if ctx.stats is None:
-        return root
-    _estimate(root, 1.0, set(), ctx.stats)
-    return root
-
-
-def _estimate(
-    node: PlanNode,
-    in_rows: float,
-    bound: Set[str],
-    stats: GraphStatistics,
-) -> Tuple[float, Set[str]]:
-    if isinstance(node, BGPNode):
-        rows = in_rows
-        running = set(bound)
-        for scan in node.scans:
-            probe, pin = scan.probe, scan.pin
-            # a probe's or a pin's estimate already counts its filter
-            path = probe or pin
-            counted = None if path is None else path.filter
-            if probe is not None:
-                rows *= _probe_estimate(scan, probe, running, stats)
-            elif pin is not None:
-                rows *= sum(
-                    stats.scan_cardinality(pattern, running)
-                    for pattern in _pinned_patterns(scan.pattern, pin)
-                )
-            else:
-                rows *= max(
-                    stats.scan_cardinality(scan.pattern, running), 0.0
-                )
-            for expr in scan.filters:
-                if expr is not counted:
-                    rows *= stats.filter_selectivity(expr)
-            scan.est_rows = rows
-            running |= scan.variables()
-        for expr in node.pushed:
-            rows *= stats.filter_selectivity(expr)
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, JoinNode):
-        rows = in_rows
-        running = set(bound)
-        for element in node.elements:
-            rows, running = _estimate(element, rows, running, stats)
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, FilterNode):
-        rows = in_rows * stats.filter_selectivity(node.expression)
-        node.est_rows = rows
-        return rows, set(bound)
-    if isinstance(node, LeftJoinNode):
-        inner, _ = _estimate(node.group, in_rows, set(bound), stats)
-        rows = max(in_rows, inner)
-        node.est_rows = rows
-        return rows, set(bound)
-    if isinstance(node, UnionNode):
-        rows = 0.0
-        certain: Optional[Set[str]] = None
-        for branch in node.branches:
-            branch_rows, branch_bound = _estimate(
-                branch, in_rows, set(bound), stats
-            )
-            rows += branch_rows
-            certain = (
-                branch_bound if certain is None
-                else certain & branch_bound
-            )
-        node.est_rows = rows
-        return rows, set(bound) | (certain or set())
-    if isinstance(node, ExtendNode):
-        node.est_rows = in_rows
-        return in_rows, set(bound) | {str(node.variable)}
-    if isinstance(node, ValuesNode):
-        rows = in_rows * max(1, len(node.rows))
-        node.est_rows = rows
-        return rows, set(bound) | {str(v) for v in node.variables}
-    if isinstance(node, SubSelectNode):
-        inner, _ = _estimate(node.plan, 1.0, set(), stats)
-        rows = in_rows * max(inner, 0.0)
-        node.est_rows = rows
-        projected = {str(v) for v in node.query.variables}
-        return rows, set(bound) | projected
-    if isinstance(node, GraphNode):
-        inner_bound = set(bound)
-        if isinstance(node.target, Variable):
-            inner_bound.add(str(node.target))
-        rows, running = _estimate(
-            node.group, in_rows, inner_bound, stats
-        )
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, ProjectNode):
-        rows, running = _estimate(node.child, in_rows, bound, stats)
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, DistinctNode):
-        rows, running = _estimate(node.child, in_rows, bound, stats)
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, OrderNode):
-        rows, running = _estimate(node.child, in_rows, bound, stats)
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, SliceNode):
-        rows, running = _estimate(node.child, in_rows, bound, stats)
-        rows = max(rows - node.offset, 0.0)
-        if node.limit is not None:
-            rows = min(rows, float(node.limit))
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, AggregateNode):
-        rows, running = _estimate(node.child, in_rows, bound, stats)
-        if node.grouped:
-            if node.query.group_by:
-                rows = max(1.0, rows * 0.5)
-            else:
-                rows = 1.0
-        node.est_rows = rows
-        return rows, running
-    if isinstance(node, ScanStep):  # pragma: no cover - via BGPNode
-        return in_rows, set(bound)
-    node.est_rows = in_rows
-    return in_rows, set(bound)
-
-
 def _rewrite_children(node: PlanNode, rewrite) -> PlanNode:
     """Rebuild a non-join node with rewritten children."""
     if isinstance(node, LeftJoinNode):
@@ -744,23 +590,16 @@ def _rewrite_children(node: PlanNode, rewrite) -> PlanNode:
 class PlannedQuery:
     """The outcome of planning one query."""
 
-    def __init__(
-        self,
-        query: Query,
-        plan: PlanNode,
-        diagnostics: List[Diagnostic],
-    ) -> None:
+    def __init__(self, query: Query, plan: PlanNode) -> None:
         self.query = query
         self.plan = plan
-        self.diagnostics = diagnostics
 
 
 class QueryPlanner:
-    """Plans lowered queries: FILTER pushdown, then scan order, then
-    estimates.
+    """Plans lowered queries: FILTER pushdown, then scan order.
 
-    ``stats`` feeds the cardinality model and the scan order (without
-    it, estimates are skipped and scans are ordered by bound positions);
+    ``stats`` feeds the scan order's cardinality estimates (without it,
+    scans are ordered by bound positions and carry no estimate);
     ``functions`` is the evaluator's function table.
     """
 
@@ -772,13 +611,10 @@ class QueryPlanner:
         self.stats = stats
         self.functions = functions
 
-    def plan(
-        self, query: Query, name: Optional[str] = None
-    ) -> PlannedQuery:
+    def plan(self, query: Query) -> PlannedQuery:
         """Lower ``query`` and rewrite it; the AST is untouched."""
-        ctx = _PlanContext(self.stats, self.functions, name)
-        plan = reorder_scans(push_filters(lower_query(query), ctx), ctx)
-        return PlannedQuery(query, estimate(plan, ctx), ctx.diagnostics)
+        plan = reorder_scans(push_filters(lower_query(query)), self)
+        return PlannedQuery(query, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -816,12 +652,6 @@ class Explanation:
             lines.append(
                 f"pinned store generation: {self.generation}"
             )
-        if self.planned.diagnostics:
-            lines.append("rewrites:")
-            for diag in self.planned.diagnostics:
-                lines.append(f"  {diag.rule}: {diag.message}")
-        else:
-            lines.append("rewrites: (none)")
         lines.append("plan:")
         for line in render_plan(self.planned.plan).splitlines():
             lines.append("  " + line)
@@ -856,7 +686,7 @@ def explain(
 
     if isinstance(query, str):
         query = parse_query(query)
-    planned = evaluator._plan(query, name=name)
+    planned = evaluator._plan(query)
     row_count = None
     optimized_ms = None
     naive_ms = None

@@ -47,11 +47,6 @@ _RULES = [
          Severity.ERROR, "sparql"),
     Rule("SP009", "variable occurs exactly once (possible typo)",
          Severity.INFO, "sparql"),
-    # --- Query planner (repro.analysis.plan) -------------------------------
-    Rule("SP011", "FILTER pushed down into the basic graph pattern "
-         "binding its variables", Severity.INFO, "sparql"),
-    Rule("SP012", "triple patterns reordered by estimated selectivity",
-         Severity.INFO, "sparql"),
     # --- D2R mapping linter ------------------------------------------------
     Rule("DM001", "URI pattern placeholder is not a column of the table",
          Severity.ERROR, "d2r"),
@@ -109,7 +104,7 @@ _RULES = [
 #: Version of the rule catalog, embedded in ``repro lint --json``
 #: envelopes so CI artifact diffs can tell rule-set drift from real
 #: regressions. Bump whenever a rule is added, removed or re-tiered.
-CATALOG_VERSION = "2026.12"
+CATALOG_VERSION = "2026.13"
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _RULES}
 

@@ -4,19 +4,21 @@
 :class:`~repro.rdf.Graph`: per-predicate triple counts and distinct
 subject/object counts (via ``Graph.predicate_statistics``), per-class
 instance counts from ``rdf:type``, and the bounding box of every
-``geo:geometry`` WKT point so that ``bif:st_intersects(?a, ?b, r)``
-filters get a spatial selectivity estimate (circle area over data
-bounding-box area). The same pass files every such point into a
-fixed-cell spatial grid (:attr:`GraphStatistics.geo_grid`) — the access
-path the executor probes instead of scanning all geometries when a
-``bif:st_intersects`` filter constrains them (what ``rdf_geo_fill``
-gives the paper's Virtuoso).
+``geo:geometry`` WKT point. The same pass files every such point into
+a fixed-cell spatial grid (:attr:`GraphStatistics.geo_grid`) — the
+access path the executor probes instead of scanning all geometries when
+a ``bif:st_intersects`` filter constrains them (what ``rdf_geo_fill``
+gives the paper's Virtuoso); one probe's matches are estimated from the
+grid's occupancy.
 
 The estimation formulas are the classic System-R style ones: a triple
 pattern with a concrete predicate starts from that predicate's triple
 count and is divided by the distinct-subject (resp. distinct-object)
 count for each additionally bound position; ``rdf:type`` with a
-concrete class uses the exact class count.
+concrete class uses the exact class count. These are the only
+cardinalities the planner has: the scan order is decided on them, and
+EXPLAIN shows the estimates it used. Filters are not given a
+selectivity.
 """
 
 from __future__ import annotations
@@ -30,26 +32,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..obs import get_registry
 from ..rdf.graph import Graph
 from ..rdf.namespace import GEO, RDF
-from ..rdf.terms import BNode, Term, Variable
-from ..sparql.ast import (
-    AndExpr,
-    CompareExpr,
-    Expression,
-    FunctionCall,
-    InExpr,
-    NotExpr,
-    OrExpr,
-    TriplePatternNode,
-)
+from ..rdf.terms import BNode, Literal, Term, Variable
+from ..sparql.ast import Expression, TermExpr, TriplePatternNode
 from ..sparql.geo import Point, bounding_box, try_parse_point
-
-#: Fallback selectivities for filter shapes we cannot model better.
-_EQ_SELECTIVITY = 0.1
-_RANGE_SELECTIVITY = 0.33
-_DEFAULT_SELECTIVITY = 0.5
-
-#: ~1 degree of latitude in kilometers (longitude scaled by cos(lat)).
-_KM_PER_DEGREE = 111.195
 
 #: Edge of one spatial-grid cell in degrees: ~1.1 km of latitude, ~0.8 km
 #: of longitude at 45°N. The paper's radii are 0.2–1 km, so a probe
@@ -351,10 +336,6 @@ class GraphStatistics:
     # ------------------------------------------------------------------
     # Scan cardinality
     # ------------------------------------------------------------------
-    def predicate_count(self, predicate: Term) -> int:
-        entry = self.predicates.get(predicate)
-        return entry[0] if entry else 0
-
     def scan_cardinality(
         self,
         pattern: TriplePatternNode,
@@ -421,30 +402,6 @@ class GraphStatistics:
         return max(estimate, 0.001)
 
     # ------------------------------------------------------------------
-    # Filter selectivity
-    # ------------------------------------------------------------------
-    def spatial_selectivity(self, radius_km: float) -> float:
-        """Fraction of geo points within ``radius_km`` of a fixed point.
-
-        Ratio of the search-circle area to the data bounding-box area,
-        clamped to (0, 1]. With no or degenerate bbox, falls back to the
-        generic range selectivity.
-        """
-        if self.bbox is None:
-            return _RANGE_SELECTIVITY
-        min_lon, min_lat, max_lon, max_lat = self.bbox
-        mid_lat = math.radians((min_lat + max_lat) / 2.0)
-        width_km = (
-            (max_lon - min_lon) * _KM_PER_DEGREE * math.cos(mid_lat)
-        )
-        height_km = (max_lat - min_lat) * _KM_PER_DEGREE
-        area = width_km * height_km
-        if area <= 0.0:
-            return _RANGE_SELECTIVITY
-        circle = math.pi * radius_km * radius_km
-        return max(min(circle / area, 1.0), 1e-6)
-
-    # ------------------------------------------------------------------
     # Spatial grid
     # ------------------------------------------------------------------
     def geo_candidates(
@@ -493,9 +450,9 @@ class GraphStatistics:
         most the occupied ones) × mean points per occupied cell × the
         share of a box its inscribed circle fills. Read off the grid's
         own occupancy because user content clusters around a handful
-        of places: :meth:`spatial_selectivity` spreads the points
-        evenly over the data's bounding box and is off by orders of
-        magnitude for the paper's sub-kilometer radii.
+        of places: spreading the points evenly over the data's bounding
+        box is off by orders of magnitude for the paper's
+        sub-kilometer radii.
         """
         if not self.geo_grid or self.bbox is None:
             return 0.001
@@ -513,42 +470,6 @@ class GraphStatistics:
         )
         per_cell = self.geo_points / len(self.geo_grid)
         return max(covered * per_cell * math.pi / 4.0, 0.001)
-
-    def filter_selectivity(self, expr: Expression) -> float:
-        """Heuristic fraction of solutions an expression lets through."""
-        if isinstance(expr, AndExpr):
-            product = 1.0
-            for operand in expr.operands:
-                product *= self.filter_selectivity(operand)
-            return product
-        if isinstance(expr, OrExpr):
-            miss = 1.0
-            for operand in expr.operands:
-                miss *= 1.0 - self.filter_selectivity(operand)
-            return 1.0 - miss
-        if isinstance(expr, NotExpr):
-            return 1.0 - self.filter_selectivity(expr.operand)
-        if isinstance(expr, CompareExpr):
-            if expr.op == "=":
-                return _EQ_SELECTIVITY
-            if expr.op == "!=":
-                return 1.0 - _EQ_SELECTIVITY
-            return _RANGE_SELECTIVITY
-        if isinstance(expr, InExpr):
-            hit = min(1.0, _EQ_SELECTIVITY * max(1, len(expr.choices)))
-            return 1.0 - hit if expr.negated else hit
-        if isinstance(expr, FunctionCall):
-            if expr.name == "bif:st_intersects":
-                radius = _constant_number(
-                    expr.args[2] if len(expr.args) == 3 else None
-                )
-                if radius is not None:
-                    return self.spatial_selectivity(radius)
-                return self.spatial_selectivity(0.0)
-            if expr.name in ("REGEX", "CONTAINS", "STRSTARTS",
-                             "STRENDS", "LANGMATCHES"):
-                return _RANGE_SELECTIVITY
-        return _DEFAULT_SELECTIVITY
 
 
 def _graph_fingerprint(graph) -> Optional[object]:
@@ -604,12 +525,7 @@ def _has(graph, pattern) -> int:
     return 0
 
 
-def _constant_number(expr: Optional[Expression]) -> Optional[float]:
-    from ..rdf.terms import Literal
-    from ..sparql.ast import TermExpr
-
-    if expr is None:
-        return None
+def _constant_number(expr: Expression) -> Optional[float]:
     if isinstance(expr, TermExpr) and isinstance(expr.term, Literal):
         if expr.term.is_numeric:
             return float(expr.term.value)

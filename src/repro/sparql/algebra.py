@@ -1,7 +1,7 @@
 """Explicit query algebra: the plan the optimizer rewrites.
 
 The parser's AST (:mod:`repro.sparql.ast`) has no room for the facts a
-planner needs: per-node cardinality estimates, statically chosen scan
+planner needs: per-scan cardinality estimates, statically chosen scan
 orders, filters pushed into the basic graph pattern that owns their
 variables. This module lowers a parsed query into an explicit algebra
 tree of :class:`PlanNode` objects — the only thing the evaluator
@@ -13,13 +13,17 @@ Lowering never mutates the AST — plan nodes hold references to the
 parser's (immutable) triple patterns and expressions, and every
 structural decision lives in the plan, not the query.
 
-Every node carries two annotations rendered by ``repro explain``:
+``repro explain`` renders two annotations:
 
-* ``est_rows`` — the planner's cardinality estimate (filled by the
-  planner's estimate step from :class:`repro.analysis.stats.GraphStatistics`);
-* ``actual_rows`` — the number of solutions the node actually produced
-  during execution (filled by the evaluator when EXPLAIN runs the plan;
-  a plan ``evaluate()`` runs may be shared and is never written to).
+* ``est_rows`` — on a :class:`ScanStep` and its :class:`BGPNode` only:
+  the rows per incoming solution the planner's scan order estimated
+  once that scan has run (the running product of the costs it ordered
+  the scans by, from :class:`repro.analysis.stats.GraphStatistics`;
+  unset without statistics);
+* ``actual_rows`` — on every node, the number of solutions it actually
+  produced during execution (filled by the evaluator when EXPLAIN runs
+  the plan; a plan ``evaluate()`` runs may be shared and is never
+  written to).
 """
 
 from __future__ import annotations
@@ -69,10 +73,9 @@ class PlanNode:
     group-graph-pattern semantics the evaluator implements.
     """
 
-    __slots__ = ("est_rows", "actual_rows", "actual_ms")
+    __slots__ = ("actual_rows", "actual_ms")
 
     def __init__(self) -> None:
-        self.est_rows: Optional[float] = None
         self.actual_rows: Optional[int] = None
         # inclusive wall time spent producing this node's solutions,
         # in milliseconds — filled, like actual_rows, only by EXPLAIN
@@ -131,7 +134,7 @@ class ScanStep(PlanNode):
     """
 
     __slots__ = (
-        "pattern", "filters", "probe", "pin", "actual_probes",
+        "pattern", "filters", "probe", "pin", "est_rows", "actual_probes",
         "actual_paths", "_variables",
     )
 
@@ -147,6 +150,7 @@ class ScanStep(PlanNode):
         self.filters: List[Expression] = list(filters or ())
         self.probe = probe
         self.pin = pin
+        self.est_rows: Optional[float] = None
         self.actual_probes: Optional[int] = None
         self.actual_paths: Optional[List[str]] = None
         # the planner asks once per candidate order it weighs
@@ -192,7 +196,7 @@ class BGPNode(PlanNode):
     incoming solutions, by bound positions).
     """
 
-    __slots__ = ("scans", "pushed", "ordered")
+    __slots__ = ("scans", "pushed", "ordered", "est_rows")
 
     def __init__(
         self,
@@ -204,6 +208,7 @@ class BGPNode(PlanNode):
         self.scans = scans
         self.pushed: List[Expression] = list(pushed or ())
         self.ordered = ordered
+        self.est_rows: Optional[float] = None
 
     def children(self) -> Sequence[PlanNode]:
         return self.scans
@@ -656,8 +661,9 @@ _PATH_TAKEN = {
 
 def _annotation(node: PlanNode) -> str:
     parts = []
-    if node.est_rows is not None:
-        parts.append(f"est={_fmt_rows(node.est_rows)}")
+    est_rows = getattr(node, "est_rows", None)
+    if est_rows is not None:
+        parts.append(f"est={_fmt_rows(est_rows)}")
     if node.actual_rows is not None:
         parts.append(f"actual={node.actual_rows}")
     if node.actual_ms is not None:

@@ -129,6 +129,7 @@ from .ast import (
     TermExpr,
 )
 from .errors import ExpressionError, SparqlEvalError
+from .fulltext import contains as fulltext_contains
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
 from .geo import try_parse_point
 from .parser import parse_query
@@ -349,7 +350,7 @@ class Evaluator:
                 "last use.",
             ).set(age)
 
-    def _plan(self, query, name: Optional[str] = None):
+    def _plan(self, query):
         """Lower and rewrite ``query`` with the static planner."""
         from ..analysis.plan import QueryPlanner
 
@@ -358,7 +359,7 @@ class Evaluator:
             planner = QueryPlanner(
                 stats=self._statistics(), functions=self.functions
             )
-        return planner.plan(query, name=name)
+        return planner.plan(query)
 
     def explain(
         self,
@@ -477,16 +478,15 @@ class Evaluator:
         raise SparqlEvalError(f"unknown aggregate {agg.function}")
 
     def _order_key(self, cond, row: Bindings) -> Tuple:
+        # an unbound or erroring key sorts lowest: first ascending,
+        # last descending (SPARQL 1.1 §15.1)
         try:
-            term = self._eval_expression(cond.expression, row)
-            key = term._sort_key()
-            error = False
+            key = (1, self._eval_expression(cond.expression, row)._sort_key())
         except ExpressionError:
-            key = ()
-            error = True
+            key = (0, ())
         if cond.descending:
-            return (_Desc((error, key)),)
-        return ((error, key),)
+            return (_Desc(key),)
+        return (key,)
 
     # ------------------------------------------------------------------
     # ASK / CONSTRUCT / DESCRIBE
@@ -1270,8 +1270,6 @@ def _pinned(
 def _contains(key: Tuple) -> Iterator[Bindings]:
     """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
     a full-text constraint on an already-bound literal."""
-    from .fulltext import contains as fulltext_contains
-
     subject, _, needle = key
     if subject is None:
         raise SparqlEvalError(

@@ -12,6 +12,7 @@ Two consumers:
 
 from __future__ import annotations
 
+import bisect
 import re
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -143,8 +144,6 @@ class FullTextIndex:
             return set()
         if self._prefix_cache is None:
             self._prefix_cache = sorted(self._postings)
-        import bisect
-
         tokens = self._prefix_cache
         start = bisect.bisect_left(tokens, prefix)
         result: Set[Term] = set()

@@ -1,10 +1,12 @@
-"""Query planner tests: golden diagnostics SP011/SP012 and EXPLAIN.
+"""Query planner tests: the two rewrites, the estimates, and EXPLAIN.
 
-Each rewrite must (a) fire on a query shaped to trigger it,
-emitting its diagnostic, and (b) leave the result rows identical to the
-naive evaluation path. The EXPLAIN tests pin the report format: every
-algebra node carries an estimated and (after execution) an actual
-cardinality.
+Each rewrite must (a) fire on a query shaped to trigger it — the filter
+lands on a scan, the selective scan goes first — and (b) leave the
+result rows identical to the naive evaluation path. Every scan of a
+plan made with statistics carries the running product of the costs the
+scan order was decided on. The EXPLAIN tests pin the report format:
+scans and BGPs carry an estimated and (after execution) every node an
+actual cardinality.
 """
 
 import pytest
@@ -25,11 +27,13 @@ from repro.rdf import (
 from repro.sparql import Evaluator, parse_query
 from repro.sparql.algebra import (
     BGPNode,
+    FilterNode,
     JoinNode,
     ScanStep,
     lower_query,
     walk,
 )
+from repro.sparql.ast import TriplePatternNode
 from repro.sparql.geo import Point
 
 MOLE_POS = Point(7.6934, 45.0692)
@@ -58,13 +62,9 @@ def graph():
     return g
 
 
-def plan_query(graph, text, name=None):
+def plan_query(graph, text):
     planner = QueryPlanner(stats=GraphStatistics.collect(graph))
-    return planner.plan(parse_query(text), name=name)
-
-
-def rule_ids(planned):
-    return {d.rule for d in planned.diagnostics}
+    return planner.plan(parse_query(text))
 
 
 def rows(graph, text, optimize):
@@ -85,15 +85,12 @@ class TestGoldenDiagnostics:
             "SELECT ?p WHERE { ?p rev:rating ?r . FILTER(?r >= 4) }"
         )
         planned = plan_query(graph, text)
-        assert "SP011" in rule_ids(planned)
-        # the filter now lives inside the BGP (on a scan or as pushed)
-        held = []
-        for node in walk(planned.plan):
-            if isinstance(node, BGPNode):
-                held.extend(node.pushed)
-                for scan in node.scans:
-                    held.extend(scan.filters)
-        assert held, "pushed filter must be attached inside the BGP"
+        # the group-level filter is gone: it runs on the scan binding ?r
+        assert not any(
+            isinstance(node, FilterNode) for node in walk(planned.plan)
+        )
+        (scan,) = [n for n in walk(planned.plan) if isinstance(n, ScanStep)]
+        assert [e.op for e in scan.filters] == [">="]
         assert_same_rows(graph, text)
 
     def test_sp012_scans_reordered(self, graph):
@@ -104,12 +101,12 @@ class TestGoldenDiagnostics:
             '?u foaf:name "walter" }'
         )
         planned = plan_query(graph, text)
-        assert "SP012" in rule_ids(planned)
         bgp = next(
             n for n in walk(planned.plan) if isinstance(n, BGPNode)
         )
-        first = bgp.scans[0]
-        assert "name" in str(first.pattern.predicate)
+        assert [str(s.pattern.predicate) for s in bgp.scans] == [
+            str(FOAF.name), str(FOAF.maker), str(REV.rating)
+        ]
         assert_same_rows(graph, text)
 
     def test_subselect_order_with_limit_kept(self, graph):
@@ -120,6 +117,66 @@ class TestGoldenDiagnostics:
             "ORDER BY DESC(?r) LIMIT 3 } }"
         )
         assert_same_rows(graph, text)
+
+
+def cost_of(scan, bound, stats):
+    """What the scan order charges ``scan`` once ``bound`` is bound."""
+    pattern = scan.pattern
+    if scan.probe is not None:
+        assert str(pattern.subject) not in bound
+        return stats.geo_probe_cardinality(scan.probe.radius_km)
+    if scan.pin is not None:
+        return sum(
+            stats.scan_cardinality(TriplePatternNode(*(
+                iri if term == scan.pin.variable else term
+                for term in (pattern.subject, pattern.predicate,
+                             pattern.object)
+            )), bound)
+            for iri in scan.pin.iris
+        )
+    return stats.scan_cardinality(pattern, bound)
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("text, path", [
+        (
+            'SELECT ?p WHERE { ?p foaf:maker ?u . ?p geo:geometry ?loc '
+            f'FILTER(bif:st_intersects(?loc, "{MOLE_POS.to_literal()}", '
+            '0.3)) }',
+            "probe",
+        ),
+        (
+            "SELECT ?x WHERE { ?x geo:geometry ?g . ?x a ?t "
+            "FILTER(?t IN (sioct:MicroblogPost)) }",
+            "pin",
+        ),
+    ], ids=["probe", "pin"])
+    def test_estimates_are_the_running_product_of_the_order_costs(
+        self, graph, text, path
+    ):
+        stats = GraphStatistics.collect(graph)
+        planned = QueryPlanner(stats=stats).plan(parse_query(text))
+        (bgp,) = [n for n in walk(planned.plan) if isinstance(n, BGPNode)]
+        # the access path wins the order: it runs first
+        assert getattr(bgp.scans[0], path) is not None
+        rows, bound = 1.0, set()
+        for scan in bgp.scans:
+            rows *= cost_of(scan, bound, stats)
+            assert scan.est_rows == pytest.approx(rows)
+            bound |= scan.variables()
+        assert bgp.est_rows == pytest.approx(rows)
+        # only scans and their BGP carry an estimate
+        assert not any(
+            hasattr(node, "est_rows") for node in walk(planned.plan)
+            if not isinstance(node, (ScanStep, BGPNode))
+        )
+
+    def test_no_statistics_no_estimates(self, graph):
+        planned = QueryPlanner().plan(parse_query(rated_album().query))
+        assert all(
+            getattr(node, "est_rows", None) is None
+            for node in walk(planned.plan)
+        )
 
 
 class TestPlannerMechanics:

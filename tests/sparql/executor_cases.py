@@ -311,6 +311,29 @@ CASES = [
             ),
         ),
     ),
+    # -- ORDER BY: an unbound key sorts lowest -------------------------
+    (
+        "order-by-unbound-first",
+        # the places have no rating: they come before every value
+        """SELECT ?x ?r WHERE {
+             ?x geo:geometry ?loc OPTIONAL { ?x rev:rating ?r }
+           } ORDER BY ?r LIMIT 3""",
+        _rows(
+            {"x": _MOLE}, {"x": _NOWHERE},
+            {"x": _PIC2, "r": Literal(3).n3()},
+        ),
+    ),
+    (
+        "order-by-desc-unbound-last",
+        """SELECT ?x ?r WHERE {
+             ?x geo:geometry ?loc OPTIONAL { ?x rev:rating ?r }
+           } ORDER BY DESC(?r) LIMIT 3""",
+        _rows(
+            {"x": _PIC1, "r": Literal(5).n3()},
+            {"x": _PIC3, "r": Literal(4).n3()},
+            {"x": _PIC2, "r": Literal(3).n3()},
+        ),
+    ),
     # -- the IN-list access path: a scan keyed by the listed IRIs ------
     (
         "in-two-iris-on-type",

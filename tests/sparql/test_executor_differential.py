@@ -17,6 +17,9 @@ as multisets:
 * for a pure BGP, :func:`brute_force` — every triple tried against
   every pattern, so the executor's one step function is checked against
   something that does not go through it.
+
+A second test draws ``BGP OPTIONAL { BGP }`` and holds both plans to
+:func:`left_join` of the two brute-force solution sets.
 """
 
 import pytest
@@ -74,6 +77,20 @@ def brute_force(triples, patterns):
                 else:
                     extended.append(merged)
         rows = extended
+    return rows
+
+
+def left_join(outer, inner):
+    """``outer OPTIONAL { inner }`` with no filter: each outer row merged
+    with every compatible inner row, or kept alone when none is."""
+    rows = []
+    for row in outer:
+        merged = [
+            {**row, **other} for other in inner
+            if all(row.get(name, value) == value
+                   for name, value in other.items())
+        ]
+        rows.extend(merged or [row])
     return rows
 
 
@@ -225,6 +242,20 @@ def queries(draw):
     )
 
 
+@st.composite
+def optional_queries(draw):
+    """(query text, outer patterns, inner patterns) of ``BGP OPTIONAL
+    { BGP }``: up to three outer patterns, so the OPTIONAL sees several
+    solutions sharing a join key."""
+    outer = draw(st.lists(patterns, min_size=1, max_size=3))
+    inner = draw(st.lists(patterns, min_size=1, max_size=2))
+    text = (
+        f"PREFIX geo: <{GEO}>\nSELECT * WHERE {{ {bgp_text(outer)} "
+        f"OPTIONAL {{ {bgp_text(inner)} }} }}"
+    )
+    return text, outer, inner
+
+
 def build(quad_list):
     dataset = Dataset()
     for name in GRAPHS:
@@ -264,6 +295,23 @@ def test_every_plan_yields_the_same_multiset(quad_list, query):
         assert multiset(brute_force(union, pure_bgp)) == reference
 
 
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(quad_list=quads, query=optional_queries())
+def test_optional_is_a_left_join(quad_list, query):
+    text, outer, inner = query
+    dataset = build(quad_list)
+    union = set(dataset.union_graph().triples())
+    expected = multiset(left_join(
+        brute_force(union, outer), brute_force(union, inner)
+    ))
+    for evaluator in (Evaluator(dataset), Evaluator(dataset, optimize=False)):
+        assert multiset(evaluator.evaluate(text)) == expected
+
+
 def test_the_oracle_itself():
     s0, s1 = SUBJECTS[:2]
     p0 = PREDICATES[0]
@@ -278,3 +326,13 @@ def test_the_oracle_itself():
         brute_force(triples, [(a, p0, b), (b, p0, b)])
     ) == multiset([{a: s0, b: s1}, {a: s1, b: s1}])
     assert brute_force(triples, [(a, PREDICATES[1], b)]) == []
+    # two outer rows share ?b = s1 and each merges with the inner row
+    # that agrees on it; the row with ?b = 1 has no partner: kept alone
+    c = VARIABLES[2]
+    outer = brute_force(triples, [(a, p0, b)])
+    inner = brute_force(triples, [(b, p0, c)])
+    assert multiset(left_join(outer, inner)) == multiset([
+        {a: s0, b: s1, c: s1}, {a: s1, b: s1, c: s1},
+        {a: s0, b: Literal(1)},
+    ])
+    assert left_join([{a: s0}], []) == [{a: s0}]

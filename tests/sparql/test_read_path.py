@@ -57,13 +57,13 @@ def counts(registry, family, label):
 
 @pytest.fixture
 def planned(monkeypatch):
-    """Names passed to ``QueryPlanner.plan`` while the test runs."""
+    """Queries passed to ``QueryPlanner.plan`` while the test runs."""
     calls = []
     original = PlannerClass.plan
 
-    def counting(self, query, name=None):
-        calls.append(name)
-        return original(self, query, name=name)
+    def counting(self, query):
+        calls.append(query)
+        return original(self, query)
 
     monkeypatch.setattr(PlannerClass, "plan", counting)
     return calls
