@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check test lint-tools self-check lint-concurrency \
-	sanitize benchmarks bench-store bench-loadgen \
+	sanitize benchmarks bench-ladder bench-store bench-loadgen \
 	bench-write-path bench-read-path bench-e2e-selftest slo-smoke
 
 ## The CI gate: tier-1 tests + static analysis + the repo's own lint.
@@ -40,10 +40,23 @@ sanitize:
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-## Storage-engine guards: snapshot restart must beat WAL replay >= 2x;
-## group commit must average >= 3 submissions per group for 8 writers; an
-## op-count checkpoint watermark must bound the WAL over 10k commits.
-## Reader throughput under an active writer is recorded unguarded.
+## The corpus-size ladder (100 / 1 000 / 10 000 contents), counts not
+## timings: Q1, Q2, Q3 and M1 filter evaluations and index lookups, and
+## upload -> queryable lookups, grow with exponent <= 0.33; Q2/Q3 <= 60
+## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; Q3 as
+## lowered >= 10x the planned lookups; an upload is 1 generation of 3
+## contributions; an idle evaluator() looks up, contributes and commits
+## nothing; batch annotation is 1 annotate call per item; a fully-bound
+## lookup finds 1 triple. Rows and timings printed ungated (~45 s, ~20 s
+## of it building the three stacks).
+bench-ladder:
+	$(PYTHON) -m pytest benchmarks/bench_ladder.py --benchmark-only -q -s
+
+## Storage-engine guards: a snapshot restart replays 0 ops, a WAL-only
+## one >= 10x the snapshot's quads; group commit must average >= 3
+## submissions per group for 8 writers; an op-count checkpoint watermark
+## must bound the WAL over 10k commits. Timings, and reader throughput
+## under an active writer, are recorded ungated.
 bench-store:
 	$(PYTHON) -m pytest benchmarks/bench_store.py \
 		benchmarks/bench_group_commit.py --benchmark-only -q
@@ -54,23 +67,18 @@ bench-loadgen:
 	$(PYTHON) -m pytest benchmarks/bench_loadgen.py \
 		--benchmark-only -q
 
-## Write-path guards: upload -> visible through platform.evaluator()
-## at 800 contents <= 1.5x the same at 100 (one delta commit per
-## mutation, not a rebuild), evaluator() with nothing pending <= 1 ms
-## (it only pins the store head), and an in-memory 8-quad commit into a
-## ~1 000-op overlay <= 3x the same into a ~16-op one (the overlay is
-## thawed, not copied); fold time at 2 000 / 20 000 base quads is
-## recorded ungated.
+## Write-path guard: an in-memory 8-quad commit into a ~1 000-op
+## overlay <= 3x the same into a ~16-op one (the overlay is thawed, not
+## copied); fold time at 2 000 / 20 000 base quads is recorded ungated.
+## Upload -> queryable is a rung of bench-ladder.
 bench-write-path:
 	$(PYTHON) -m pytest benchmarks/bench_write_path.py \
-		--benchmark-only -q -k "not scaling"
+		--benchmark-only -q
 
-## Read-path guards, counts not timings: geo-filter evaluations of Q1
-## at 1 600 contents <= 2x the same at 200 (the spatial grid, not every
-## geometry), M1 at 1 600 contents <= 80 index lookups and <= 70
-## geo-filter evaluations per query, a commit rewrites no more grid
-## cells than its delta has geometry triples, a repeated query plans
-## and parses 0 times.
+## Read-path guards, counts not timings: a commit rewrites no more grid
+## cells than its delta has geometry triples, a repeated query plans and
+## parses 0 times; one-scan latency is recorded ungated. How Q1-Q3 and
+## M1 grow with the corpus is guarded by bench-ladder.
 bench-read-path:
 	$(PYTHON) -m pytest benchmarks/bench_read_path.py \
 		--benchmark-only -q

@@ -1,7 +1,7 @@
 """Shared benchmark-result harness.
 
-Guard benchmarks that hand-time their critical sections (the Q3 planner
-speedup, the parallel batch speedup, the tracing-overhead gate) persist
+Guard benchmarks that hand-time or count their critical sections (the
+corpus-size ladder, the parallel batch run, the tracing-overhead gate) persist
 their numbers through :func:`record`: one ``BENCH_<name>.json`` file per
 benchmark holding the run history as a JSON array.  Each record carries
 the latency summary (median/p95/min/max over the timed samples) plus
@@ -15,6 +15,10 @@ working directory; set ``REPRO_BENCH_DIR`` to redirect it.
 These records are a CI artifact, not a comparison: two commits are
 compared with ``python3 benchmarks/e2e/run.py --compare`` (paired
 alternating runs, speed-normalised, spread-aware verdicts).
+
+Guards count rather than time where a count exists: :func:`counted`
+counts the calls a block makes to one function, and :func:`metered`
+brackets an ungated timing with the end-to-end benchmark's speed meter.
 """
 
 from __future__ import annotations
@@ -25,10 +29,16 @@ import platform as _platform
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from e2e_speed import REFERENCE_S, SpeedMeter  # noqa: E402
 
 __all__ = [
+    "counted",
+    "metered",
     "percentile",
     "record",
     "results_dir",
@@ -60,6 +70,38 @@ def timed_samples(
         fn()
         samples.append((time.perf_counter() - start) * 1000.0)
     return samples
+
+
+@contextmanager
+def counted(
+    owner: object, name: str, calls: Optional[List[int]] = None
+) -> Iterator[List[int]]:
+    """Count the calls to ``owner.<name>`` (a module function or a class
+    method) made while the block runs; yields the list that grows by
+    one entry per call (``calls``, to count several into one)."""
+    original = getattr(owner, name)
+    calls = [] if calls is None else calls
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, original)
+
+
+def metered(fn: Callable[[], object]) -> Tuple[object, float]:
+    """``(fn(), speed index)``: ``fn`` bracketed by two long passes of
+    the end-to-end benchmark's speed meter (1.0 = its quiet reference
+    sandbox, so a timing divided by the index reads at that speed)."""
+    meter = SpeedMeter()
+    meter.sample(long=True)
+    result = fn()
+    meter.sample(long=True)
+    return result, round(statistics.mean(meter.samples) / REFERENCE_S, 2)
 
 
 def record(

@@ -1,33 +1,20 @@
-"""WRITE PATH — upload -> queryable must not grow with the corpus.
+"""WRITE PATH — a commit must cost what it touches.
 
-A mutation is flushed as one delta commit (DESIGN.md, "Write path"), so
-what an upload costs until ``platform.evaluator()`` shows it — one
-annotation, one location analysis, one ~20-quad commit — is the same
-on a platform of 100 contents and on one of 800. Two machine-independent
-guards:
+A mutation is flushed as one delta commit (DESIGN.md, "Write path");
+that an upload stays one generation of three contributions, and what it
+looks up flat, as the corpus grows is guarded by ``bench_ladder.py``,
+with ``platform.evaluator()`` with nothing pending (no lookup, no
+commit). This file holds the store-side guard:
 
-* ``bench_upload_visible_flat`` — median upload -> visible at 800
-  contents divided by the median at 100 must stay <= 1.5 (it was ~8x
-  while every read rebuilt and re-diffed the whole platform graph). The
-  two platforms take their uploads in alternation, so a noisy neighbour
-  slows both sides of the ratio.
-* ``bench_evaluator_idle`` — ``platform.evaluator()`` with nothing
-  pending only pins the store head: <= 1 ms at 800 contents.
 * ``bench_commit_flat_in_overlay`` — a commit thaws the context's
   overlay instead of copying it (DESIGN.md, "Compaction policy"), so
   the median in-memory 8-quad commit into a context whose overlay holds
   ~1 000 ops divided by the same with ~16 ops must stay <= 3 (it was
-  ~30x while every commit re-inserted the whole overlay), again taken
-  in alternation. ``bench_fold_cost`` records, ungated, what folding a
-  ~1 000-op overlay costs at 2 000 and at 20 000 base quads — the fold
-  thaws the base, so the two should be close.
-
-``bench_upload_visible_scaling`` (100 / 1 000 / 10 000 contents,
-ungated, not part of ``make bench-write-path``: the largest size takes
-half a minute to populate) produces the WRITE PATH table of
-EXPERIMENTS.md — timings as measured, next to the machine-speed index
-of the end-to-end benchmark's meter so they can be read against its
-reference sandbox.
+  ~30x while every commit re-inserted the whole overlay). The two
+  stores take their commits in alternation, so a noisy neighbour slows
+  both sides of the ratio. ``bench_fold_cost`` records, ungated, what
+  folding a ~1 000-op overlay costs at 2 000 and at 20 000 base quads —
+  the fold thaws the base, so the two should be close.
 
 Results persist to ``BENCH_write_path.json`` via :mod:`_harness`.
 """
@@ -35,131 +22,11 @@ Results persist to ``BENCH_write_path.json`` via :mod:`_harness`.
 from __future__ import annotations
 
 import statistics
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from _harness import percentile, record
-from repro.platform import Platform
+from _harness import metered, record
 from repro.rdf import Literal, URIRef
 from repro.store import QuadStore, WriteBatch
-from repro.workloads import (
-    WorkloadConfig,
-    generate_workload,
-    populate_platform,
-)
-
-sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
-from e2e_speed import REFERENCE_S, SpeedMeter  # noqa: E402
-
-SMALL, LARGE = 100, 800
-UPLOADS = 40
-SEED = 7
-
-_CHECK = (
-    "PREFIX comm: <http://comm.semanticweb.org/core.owl#> "
-    "SELECT ?v WHERE {{ <{picture}> comm:image-data ?v }}"
-)
-
-
-def _stack(contents: int):
-    """A populated platform attached to a store, and the captures to
-    upload next (the timeline continuing where the corpus stopped)."""
-    base = generate_workload(WorkloadConfig(
-        n_users=10, n_contents=contents, seed=SEED,
-    ))
-    platform = Platform()
-    populate_platform(platform, base)
-    platform.attach_store(QuadStore(name=f"write-path-{contents}"))
-    extra = generate_workload(WorkloadConfig(
-        n_users=10, n_contents=UPLOADS, seed=SEED + 1,
-        start_timestamp=base.captures[-1].timestamp,
-    ))
-    return platform, extra.captures
-
-
-def _upload_visible_ms(platform: Platform, capture) -> float:
-    began = time.perf_counter()
-    item = platform.upload(capture)
-    evaluator = platform.evaluator()
-    took = time.perf_counter() - began
-    rows = evaluator.evaluate(_CHECK.format(picture=item.resource))
-    assert [row["v"].lexical for row in rows] == [item.media_url]
-    return took * 1000.0
-
-
-def _idle_evaluator_ms(platform: Platform, calls: int):
-    """Samples of ``platform.evaluator()`` with nothing pending."""
-    generation = platform.evaluator().generation
-    samples_ms = []
-    for _ in range(calls):
-        began = time.perf_counter()
-        evaluator = platform.evaluator()
-        samples_ms.append((time.perf_counter() - began) * 1000.0)
-        assert evaluator.generation == generation
-    return samples_ms
-
-
-def bench_upload_visible_flat(benchmark):
-    small, small_captures = _stack(SMALL)
-    large, large_captures = _stack(LARGE)
-    small_ms, large_ms = [], []
-    for a, b in zip(small_captures, large_captures):
-        small_ms.append(_upload_visible_ms(small, a))
-        large_ms.append(_upload_visible_ms(large, b))
-    at_small = statistics.median(small_ms)
-    at_large = statistics.median(large_ms)
-    ratio = at_large / at_small
-
-    benchmark.extra_info["ms_at_100"] = round(at_small, 2)
-    benchmark.extra_info["ms_at_800"] = round(at_large, 2)
-    benchmark.extra_info["ratio"] = round(ratio, 2)
-    record(
-        "write_path",
-        large_ms,
-        extra={
-            "section": "upload_visible",
-            "contents": [SMALL, LARGE],
-            "median_ms_at_100": round(at_small, 3),
-            "median_ms_at_800": round(at_large, 3),
-            "ratio_800_over_100": round(ratio, 3),
-        },
-    )
-    assert ratio <= 1.5, (
-        f"upload -> visible grows with the corpus: {at_large:.2f} ms at "
-        f"{LARGE} contents vs {at_small:.2f} ms at {SMALL} ({ratio:.2f}x)"
-    )
-
-    extra = iter(generate_workload(WorkloadConfig(
-        n_users=10, n_contents=UPLOADS, seed=SEED + 2,
-        start_timestamp=large_captures[-1].timestamp,
-    )).captures)
-    benchmark.pedantic(
-        lambda: _upload_visible_ms(large, next(extra)),
-        rounds=UPLOADS, iterations=1,
-    )
-
-
-def bench_evaluator_idle(benchmark):
-    platform, _ = _stack(LARGE)
-    samples_ms = _idle_evaluator_ms(platform, 200)
-    median = statistics.median(samples_ms)
-
-    benchmark.extra_info["idle_evaluator_ms"] = round(median, 4)
-    record(
-        "write_path",
-        samples_ms,
-        extra={"section": "evaluator_idle", "contents": LARGE},
-    )
-    assert median <= 1.0, (
-        f"platform.evaluator() with nothing pending took {median:.3f} ms "
-        f"at {LARGE} contents; it should only pin the store head"
-    )
-
-    benchmark.pedantic(platform.evaluator, rounds=50, iterations=1)
-
 
 _NS = "http://example.org/bench/"
 _CONTEXT = URIRef(_NS + "scratch")
@@ -263,12 +130,9 @@ def _fold_ms(base: int, folds: int = 6):
 
 
 def bench_fold_cost(benchmark):
-    meter = SpeedMeter()
-    meter.sample(long=True)
-    small_ms = _fold_ms(2_000)
-    large_ms = _fold_ms(20_000)
-    meter.sample(long=True)
-    speed_index = statistics.mean(meter.samples) / REFERENCE_S
+    (small_ms, large_ms), speed_index = metered(
+        lambda: (_fold_ms(2_000), _fold_ms(20_000))
+    )
     at_small = statistics.median(small_ms)
     at_large = statistics.median(large_ms)
 
@@ -282,37 +146,9 @@ def bench_fold_cost(benchmark):
             "median_ms_at_2000": round(at_small, 3),
             "median_ms_at_20000": round(at_large, 3),
             "ratio_20000_over_2000": round(at_large / at_small, 3),
-            "speed_index": round(speed_index, 2),
+            "speed_index": speed_index,
         },
     )
     benchmark.extra_info.update(entry["extra"])
     store = _store_with(20_000, 1_000)
     benchmark.pedantic(store.compact, rounds=1, iterations=1)
-
-
-@pytest.mark.parametrize("contents", [100, 1_000, 10_000])
-def bench_upload_visible_scaling(benchmark, contents):
-    platform, captures = _stack(contents)
-    meter = SpeedMeter()
-    meter.sample(long=True)
-    samples_ms = [_upload_visible_ms(platform, c) for c in captures]
-    meter.sample(long=True)
-    idle_ms = _idle_evaluator_ms(platform, 50)
-    speed_index = statistics.mean(meter.samples) / REFERENCE_S
-
-    entry = record(
-        "write_path",
-        samples_ms,
-        extra={
-            "section": "scaling",
-            "contents": contents,
-            "uploads": len(samples_ms),
-            "mean_ms": round(statistics.mean(samples_ms), 3),
-            "p90_ms": round(percentile(samples_ms, 0.9), 3),
-            "idle_evaluator_ms": round(statistics.median(idle_ms), 4),
-            "speed_index": round(speed_index, 2),
-        },
-    )
-    benchmark.extra_info.update(entry["extra"])
-    benchmark.extra_info["median_ms"] = entry["median_ms"]
-    benchmark.pedantic(platform.evaluator, rounds=20, iterations=1)

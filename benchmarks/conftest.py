@@ -1,47 +1,84 @@
-"""Shared benchmark fixtures.
+"""Shared benchmark fixtures and the corpus-size ladder.
 
-Platforms are built once per size and cached for the whole benchmark
-session; the timed sections are the queries/pipelines themselves.
+Every benchmark whose cost may grow with the corpus runs on the stacks
+of :data:`LADDER`: a platform populated with that many synthetic
+uploads and attached to a :class:`~repro.store.QuadStore`. Each stack
+is built once and shared by the whole benchmark session; the timed
+sections are the queries/pipelines themselves.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Dict, List, NamedTuple
 
 import pytest
 
 from repro.core import build_default_annotator
 from repro.lod import build_lod_corpus
-from repro.platform import Platform
+from repro.platform import Capture, Platform
+from repro.store import QuadStore
 from repro.workloads import (
+    Workload,
     WorkloadConfig,
     generate_workload,
     populate_platform,
 )
 
-#: Content-population sizes the scaling benchmarks sweep.
-SIZES = (100, 1000, 5000)
+#: The corpus sizes (contents) every size-dependent benchmark runs at.
+LADDER = (100, 1_000, 10_000)
+SEED = 7
+#: Content scatter at 200 contents. It grows with the corpus to keep
+#: its density, so a fixed radius around a monument holds about as many
+#: contents at every size.
+SCATTER_KM = 1.5
 
-_platform_cache = {}
+
+class Stack(NamedTuple):
+    platform: Platform
+    workload: Workload
+    store: QuadStore
+
+    def next_captures(self, count: int) -> List[Capture]:
+        """``count`` captures to upload next: the corpus timeline,
+        continued with another seed."""
+        return generate_workload(WorkloadConfig(
+            n_users=10, n_contents=count, seed=SEED + 1,
+            start_timestamp=self.workload.captures[-1].timestamp,
+        )).captures
 
 
-def build_platform(n_contents: int, cities=("Turin",), seed=42) -> Platform:
-    """A semanticized platform with ``n_contents`` synthetic uploads."""
-    key = (n_contents, tuple(cities), seed)
-    if key not in _platform_cache:
+class Stacks(dict):
+    """The stack of each corpus size, built on first use."""
+
+    def __missing__(self, contents: int) -> Stack:
+        workload = generate_workload(WorkloadConfig(
+            n_users=10, n_contents=contents, seed=SEED,
+            scatter_km=SCATTER_KM * math.sqrt(contents / 200),
+        ))
         platform = Platform()
-        workload = generate_workload(
-            WorkloadConfig(
-                n_users=max(10, n_contents // 50),
-                n_contents=n_contents,
-                cities=cities,
-                seed=seed,
-            )
-        )
         populate_platform(platform, workload)
-        # force the LODification + store bootstrap out of the timed
-        # region
-        platform.union_graph()
-        _platform_cache[key] = platform
-    return _platform_cache[key]
+        store = QuadStore(name=f"ladder-{contents}")
+        platform.attach_store(store)
+        self[contents] = Stack(platform, workload, store)
+        return self[contents]
+
+
+@pytest.fixture(scope="session")
+def stacks() -> Stacks:
+    """One set of stacks for the whole benchmark session."""
+    return Stacks()
+
+
+@pytest.fixture(scope="session")
+def ladder(stacks) -> Dict[int, Stack]:
+    """Every stack of :data:`LADDER`, by size."""
+    return {contents: stacks[contents] for contents in LADDER}
+
+
+@pytest.fixture(scope="session")
+def small_stack(stacks) -> Stack:
+    return stacks[LADDER[0]]
 
 
 @pytest.fixture(scope="session")
@@ -54,24 +91,12 @@ def annotator(corpus):
     return build_default_annotator(corpus)
 
 
-@pytest.fixture(scope="session", params=SIZES)
-def sized_platform(request):
-    """One semanticized platform per size in :data:`SIZES`."""
-    return request.param, build_platform(request.param)
+@pytest.fixture(scope="session", params=LADDER, ids=lambda n: f"n{n}")
+def sized_platform(request, stacks):
+    """``(size, platform)`` for every size of :data:`LADDER`."""
+    return request.param, stacks[request.param].platform
 
 
 @pytest.fixture(scope="session")
-def small_platform():
-    return build_platform(100)
-
-
-@pytest.fixture(scope="session", params=SIZES, ids=lambda n: f"n{n}")
-def sized_union_graph(request):
-    """``(size, union graph)`` built once per size.
-
-    Sharing one graph object means the planner's statistics snapshot
-    (cached on the graph) is collected once and reused by every
-    evaluator, mirroring a long-lived deployment.
-    """
-    platform = build_platform(request.param)
-    return request.param, platform.union_graph()
+def small_platform(small_stack):
+    return small_stack.platform

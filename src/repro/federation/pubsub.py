@@ -86,9 +86,13 @@ class Hub:
 
     # ------------------------------------------------------------------
     def publish(self, topic: str, payload: Any) -> int:
-        """Fan out to all verified subscribers; returns delivery count."""
+        """Fan out to all verified subscribers; returns delivery count.
+
+        Delivers to the subscribers of the moment of the call: a callback
+        that unsubscribes (itself or another) takes effect from the next
+        publish, and skips nobody in this one."""
         delivered = 0
-        for subscription in self._subscriptions.get(topic, []):
+        for subscription in list(self._subscriptions.get(topic, [])):
             subscription.callback(topic, payload)
             self.delivery_log.append((topic, subscription.subscriber_id))
             delivered += 1

@@ -124,7 +124,11 @@ class SparqlPushService:
         deliveries."""
         deliveries: Dict[str, int] = {}
         graph = self.graph  # one provider pull for the whole round
-        for sub_id, registration in self._registrations.items():
+        # a listener may unregister from its callback: walk a snapshot,
+        # and skip what was removed before its turn
+        for sub_id, registration in list(self._registrations.items()):
+            if self._registrations.get(sub_id) is not registration:
+                continue
             result = Evaluator(graph).evaluate(registration.query)
             assert isinstance(result, SelectResult)
             rows_by_key = {_row_key(r): r for r in result}

@@ -155,6 +155,23 @@ class TestPubSub:
         hub.publish("t", {})
         assert hub.delivery_log == [("t", "s1")]
 
+    def test_unsubscribe_during_delivery_skips_nobody(self):
+        hub = Hub()
+        received = []
+
+        def leave(topic, payload):
+            received.append("a")
+            hub.unsubscribe("a", topic)
+
+        hub.subscribe("a", "t", leave, verify=lambda c: c)
+        hub.subscribe("b", "t", lambda t, p: received.append("b"),
+                      verify=lambda c: c)
+        assert hub.publish("t", {}) == 2
+        assert received == ["a", "b"]
+        # the unsubscribe holds from the next publish on
+        assert hub.publish("t", {}) == 1
+        assert received == ["a", "b", "b"]
+
 
 class TestSalmon:
     def test_sign_and_verify(self):

@@ -129,6 +129,27 @@ class TestNotification:
         assert posts in deliveries
         assert makers not in deliveries
 
+    def test_unregister_from_callback(self, service):
+        push, graph = service
+        posts = push.register(QUERY)
+        makers = push.register("SELECT ?p WHERE { ?p foaf:maker ?u }")
+        received = []
+
+        def leave(topic, payload):
+            received.append(topic)
+            push.unregister(posts)
+            push.unregister(makers)  # before its turn in this round
+
+        push.listen(posts, "pa", leave)
+        push.listen(makers, "ma", lambda t, p: received.append(t))
+        graph.add((ex("pic2"), RDF.type, SIOCT.MicroblogPost))
+        graph.add((ex("pic2"), FOAF.maker, ex("walter")))
+
+        assert push.notify_update() == {posts: 1}
+        assert received == [f"sparqlpush:{posts}"]
+        graph.add((ex("pic3"), RDF.type, SIOCT.MicroblogPost))
+        assert push.notify_update() == {}
+
 
 class TestPlatformIntegration:
     def test_new_upload_notifies_virtual_album_watchers(self):
