@@ -3,7 +3,8 @@ export PYTHONPATH := src
 
 .PHONY: check test lint-tools self-check lint-concurrency \
 	sanitize benchmarks bench-ladder bench-store bench-loadgen \
-	bench-write-path bench-read-path bench-e2e-selftest slo-smoke
+	bench-write-path bench-read-path bench-e2e-selftest bench-compare \
+	slo-smoke
 
 ## The CI gate: tier-1 tests + static analysis + the repo's own lint.
 check: test lint-tools self-check lint-concurrency
@@ -47,8 +48,10 @@ benchmarks:
 ## lowered >= 10x the planned lookups; an upload is 1 generation of 3
 ## contributions; an idle evaluator() looks up, contributes and commits
 ## nothing; batch annotation is 1 annotate call per item; a fully-bound
-## lookup finds 1 triple. Rows and timings printed ungated (~45 s, ~20 s
-## of it building the three stacks).
+## lookup finds 1 triple; a checkpoint of a durable copy of the store
+## after 100 commits of 8 quads serializes no more quads than those 800
+## ops. Rows, timings and the checkpoint's commit-lock hold are printed
+## ungated (~60 s, ~20 s of it building the three stacks).
 bench-ladder:
 	$(PYTHON) -m pytest benchmarks/bench_ladder.py --benchmark-only -q -s
 
@@ -88,6 +91,35 @@ bench-read-path:
 ## declared metric printed with a unit, exact counters repeatable.
 bench-e2e-selftest:
 	$(PYTHON) -m pytest benchmarks/e2e
+
+## The working tree against BASE (a git ref, default HEAD) on the
+## end-to-end benchmark: PAIRS pairs of runs of WORKLOAD (empty = every
+## workload) at seed 7 for 10 s, the side that runs first alternating
+## from pair to pair, then run.py --compare prints ok / worse /
+## unresolved per metric. BASE is exported with git archive into a
+## temporary directory, removed on exit; the run records stay in
+## bench-results/compare-*.jsonl.
+BASE ?= HEAD
+WORKLOAD ?=
+PAIRS ?= 10
+bench-compare:
+	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+	git archive "$(BASE)" | tar -x -C "$$base"; \
+	out="$(CURDIR)/bench-results/compare-$(or $(WORKLOAD),all)"; \
+	mkdir -p bench-results; rm -f "$$out-base.jsonl" "$$out-head.jsonl"; \
+	run="benchmarks/e2e/run.py $(if $(WORKLOAD),--workload $(WORKLOAD)) \
+		--seed 7 --seconds 10 --trace 0"; \
+	for pair in $$(seq $(PAIRS)); do \
+		for side in $$(if [ $$((pair % 2)) = 1 ]; then echo base head; \
+				else echo head base; fi); do \
+			echo "pair $$pair/$(PAIRS): $$side"; \
+			if [ $$side = base ]; then dir="$$base"; else dir=.; fi; \
+			(cd "$$dir" && PYTHONPATH= $(PYTHON) $$run \
+				--out "$$out-$$side.jsonl" >/dev/null); \
+		done; \
+	done; \
+	$(PYTHON) benchmarks/e2e/run.py --compare \
+		"$$out-base.jsonl" "$$out-head.jsonl"
 
 ## One small SLO-checked load run straight through the CLI — the same
 ## invocation the slo-smoke CI job gates on.

@@ -17,7 +17,8 @@ counts only, never a time:
 The rungs: a fully-bound index lookup (STORE); the virtual albums Q1,
 Q2 and Q3 (§2.3); the About mashup M1 (§4.1); Q3 without the planner's
 rewrites; batch annotation (§6); ``platform.evaluator()`` with nothing
-pending; upload -> queryable, last, because it adds to the stacks.
+pending; a checkpoint of a durable copy of the store after 100 small
+commits; upload -> queryable, last, because it adds to the stacks.
 Rows and timings are recorded ungated, next to the end-to-end
 benchmark's speed index, in ``BENCH_ladder.json`` via :mod:`_harness`;
 each rung also prints one line per value with its growth exponent.
@@ -38,12 +39,15 @@ from repro.core import BatchAnnotator, geo_album, rated_album, social_album
 from repro.core.annotator import SemanticAnnotator
 from repro.core.mashup import mashup_query, run_mashup
 from repro.platform import Platform
-from repro.rdf import Graph
+from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import Evaluator
 from repro.sparql import functions as sparql_functions
 from repro.sparql.geo import Point, haversine_km
-from repro.store import QuadStore
+from repro.store import QuadStore, WriteBatch
+from repro.store import engine as store_engine
+from repro.store import wal as store_wal
 from repro.store.engine import SnapshotGraph
+from repro.store.persistence import snapshot_path
 
 #: Largest growth exponent a guarded count may show over the ladder:
 #: a count may grow 4.6x over 100x the corpus (2x over 8x).
@@ -54,6 +58,9 @@ RADII = (0.2, 0.3, 1.0, 5.0)
 MASHUP_PIDS = 12
 MOLE = Point(7.6934, 45.0692)
 UPLOADS = 20
+#: Commits of 8 quads between a durable copy's load and its checkpoint.
+COMMITS = 100
+_DELTA_NS = "http://example.org/checkpoint/"
 
 _CHECK = (
     "PREFIX comm: <http://comm.semanticweb.org/core.owl#> "
@@ -385,6 +392,85 @@ def bench_idle_evaluator(benchmark, ladder):
 
     _climb(benchmark, ladder, "idle evaluator", measure,
            timed=_top(ladder).platform.evaluator)
+
+
+class _HeldFor:
+    """Stands in for a store's commit lock and times how long each
+    acquisition holds it."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.held = []
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+        self.began = time.perf_counter()
+
+    def __exit__(self, *exc_info) -> None:
+        self.held.append(time.perf_counter() - self.began)
+        self.lock.release()
+
+
+def _checkpoint_batch(index: int) -> WriteBatch:
+    batch = WriteBatch()
+    for j in range(8):
+        batch.insert((URIRef(f"{_DELTA_NS}s{index}"),
+                      URIRef(f"{_DELTA_NS}p{j}"), Literal(str(index))),
+                     URIRef(_DELTA_NS))
+    return batch
+
+
+def bench_checkpoint(benchmark, ladder, tmp_path_factory):
+    """A checkpoint costs its delta: a durable copy of each stack's
+    store takes 100 commits of 8 quads, then one checkpoint, which
+    serializes no more quads than the delta has ops (the snapshot is the
+    last one merged with the sealed WAL). How long the checkpoint holds
+    the commit lock is recorded ungated."""
+    smallest = min(ladder)
+    kept = {}
+
+    def measure(contents, stack):
+        directory = tmp_path_factory.mktemp(f"durable-{contents}")
+        snapshot_path(directory, stack.store.generation).write_text(
+            stack.store.to_nquads(), encoding="utf-8")
+        store = QuadStore(directory)
+        ops = sum(store.apply(_checkpoint_batch(i).ops)[1]
+                  for i in range(COMMITS))
+        serialized = []
+        store._commit_lock = lock = _HeldFor(store._commit_lock)
+        with counted(store_engine, "serialize_quad", serialized), \
+                counted(store_wal, "serialize_quad", serialized):
+            began = time.perf_counter()
+            store.checkpoint()
+            took = time.perf_counter() - began
+        store._commit_lock = lock.lock
+        if contents == smallest:
+            kept[contents] = store  # what the timed rounds checkpoint
+        else:
+            store.close()
+        assert len(serialized) <= ops, (
+            f"a checkpoint at {contents} contents ({store.size} quads) "
+            f"serialized {len(serialized)} quads for a delta of {ops} ops"
+        )
+        return {
+            "quads": store.size,
+            "delta_ops": ops,
+            "serialized": len(serialized),
+            "lock_ms": round(sum(lock.held) * 1000.0, 3),
+            "ms": round(took * 1000.0, 1),
+        }
+
+    def commit_and_checkpoint(index: int) -> None:
+        kept[smallest].commit(_checkpoint_batch(index))
+        kept[smallest].checkpoint()
+
+    commits = itertools.count(COMMITS)
+    try:
+        _climb(benchmark, ladder, "checkpoint", measure,
+               timed=lambda: commit_and_checkpoint(next(commits)))
+    finally:
+        for store in kept.values():
+            store.close()
 
 
 def bench_upload_queryable(benchmark, ladder):

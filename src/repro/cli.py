@@ -254,22 +254,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_info = store_sub.add_parser(
         "info",
-        help="print generation, sizes, WAL/snapshot state, checkpoint "
-             "policy, group-commit stats and the recovery outcome of "
-             "opening the store",
+        help="print generation, sizes, WAL state (sealed segments "
+             "included), snapshots, checkpoint policy, group-commit "
+             "stats and the recovery outcome of opening the store",
     )
     store_info.add_argument("directory", help="store directory")
     _store_policy_flags(store_info)
     store_compact = store_sub.add_parser(
         "compact",
-        help="fold overlays, write a fresh snapshot, reset the WAL "
-             "and prune old snapshot files",
+        help="fold overlays, seal the WAL, merge it into a fresh "
+             "snapshot and prune old snapshot files",
     )
     store_compact.add_argument("directory", help="store directory")
     store_recover = store_sub.add_parser(
         "recover",
-        help="replay snapshot + WAL, truncate any torn tail, and "
-             "report what was restored (the last committed generation)",
+        help="replay snapshot + sealed segments + WAL, truncate any "
+             "torn tail, and report what was restored (the last "
+             "committed generation); refuses a gap in the generations",
     )
     store_recover.add_argument("directory", help="store directory")
     store_load = store_sub.add_parser(
@@ -831,6 +832,17 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_store(args) -> int:
+    from .store import StoreError
+
+    try:
+        return _store_command(args)
+    except StoreError as exc:
+        # e.g. a generation gap: recovery refuses to open the directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _store_command(args) -> int:
     import json
 
     from .store import CheckpointPolicy, QuadStore
@@ -860,7 +872,8 @@ def _cmd_store(args) -> int:
 
     if args.store_command == "recover":
         # opening the store *is* the recovery: newest readable snapshot
-        # + committed WAL tail, with any torn trailing record truncated
+        # + sealed WAL segments + committed WAL tail, with any torn
+        # trailing record truncated
         with QuadStore(args.directory) as store:
             report = store.recovery
             if report is not None:

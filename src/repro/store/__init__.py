@@ -15,11 +15,12 @@ The storage engine extracted out of :class:`repro.rdf.graph.Graph`
   record (``insert``/``remove`` are one-op conveniences,
   ``sync_dataset`` the bulk loader over the same path).
 * :class:`WriteAheadLog` / snapshot files — durability; opening a store
-  directory *is* crash recovery (newest snapshot + WAL tail, torn tail
-  truncated).
+  directory *is* crash recovery (newest snapshot + sealed WAL segments +
+  WAL tail, torn tail truncated, a generation gap refused).
 * :class:`CheckpointPolicy` — opt-in automatic checkpointing: WAL-byte
   and op-count watermarks evaluated after each commit trigger a
-  background snapshot + WAL reset, bounding restart replay without
+  background checkpoint (seal the WAL, merge it into the next
+  snapshot off the commit lock), bounding restart replay without
   explicit ``compact()`` calls (the default stays explicit-only).
 * :class:`GroupCommitQueue` — opt-in group commit
   (``QuadStore(..., group_commit=True)``): concurrent writers coalesce

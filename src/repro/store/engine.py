@@ -31,8 +31,11 @@ base yet adopts its overlay as the base. Published graphs are frozen
 and never written again, which is all the sharing needs.
 
 Durability: WAL + periodic :meth:`QuadStore.checkpoint` snapshot files
-(:mod:`repro.store.persistence`); restart replays snapshot + WAL tail.
-An in-memory store (``directory=None``) skips all file IO.
+(:mod:`repro.store.persistence`); restart replays snapshot + sealed WAL
+segments + WAL tail. A checkpoint holds the commit lock only to seal
+the WAL; it builds the next snapshot off the lock from the previous one
+and the sealed segments, so its cost is the delta, not the store. An
+in-memory store (``directory=None``) skips all file IO.
 
 Throughput machinery around that write path:
 
@@ -87,11 +90,22 @@ from .persistence import (
     WAL_FILENAME,
     RecoveryReport,
     load_snapshot,
+    merge_snapshot,
     prune_snapshots,
+    sealed_segments,
     snapshot_files,
+    snapshot_generation,
     write_snapshot,
 )
-from .wal import OP_ADD, OP_REMOVE, WriteAheadLog, scan_wal, truncate_wal
+from .wal import (
+    OP_ADD,
+    OP_REMOVE,
+    WalScan,
+    WriteAheadLog,
+    scan_wal,
+    segment_delta,
+    truncate_wal,
+)
 
 __all__ = [
     "CheckpointPolicy",
@@ -619,8 +633,9 @@ class _Checkpointer:
                     # superseded snapshots would otherwise accumulate
                     # one per watermark trip; keep only the one just
                     # written
-                    written = int(path.stem.split("-")[1])
-                    prune_snapshots(self._store.directory, written)
+                    prune_snapshots(
+                        self._store.directory, snapshot_generation(path)
+                    )
                 except Exception as exc:
                     # disk full / closed WAL: record, stay alive — the
                     # next commit past the watermark re-requests a
@@ -819,8 +834,9 @@ class QuadStore:
     directory:
         Where the WAL and snapshot files live; ``None`` keeps the store
         purely in memory (no durability, same MVCC semantics). Opening
-        a directory *is* recovery: newest readable snapshot + WAL tail,
-        with any torn tail truncated away (see :attr:`recovery`).
+        a directory *is* recovery: newest readable snapshot + sealed WAL
+        segments + WAL tail, with any torn tail truncated away (see
+        :attr:`recovery`).
     sync:
         ``fsync`` every WAL record before acknowledging the commit.
     checkpoint_policy:
@@ -860,10 +876,17 @@ class QuadStore:
                 "checkpoint-policy watermarks require a durable store "
                 "(directory=...); an in-memory store has no WAL to bound"
             )
+        #: serialises checkpoints; always taken before the commit lock
+        self._checkpoint_lock = threading.Lock()
         self._commit_lock = threading.Lock()
         #: effective ops committed since the last checkpoint (guarded
         #: by the commit lock; reset by ``checkpoint``).
         self._ops_since_checkpoint = 0
+        #: ``(generation, path)`` of the snapshot the next checkpoint
+        #: merges into: the one this store last wrote or recovered from
+        #: (``(0, None)``: the empty store). Guarded by the checkpoint
+        #: lock.
+        self._base: Tuple[int, Optional[Path]] = (0, None)
         self._wal: Optional[WriteAheadLog] = None
         self.recovery: Optional[RecoveryReport] = None
         if self.directory is not None:
@@ -897,7 +920,14 @@ class QuadStore:
 
     # -- recovery -------------------------------------------------------
     def _bootstrap(self) -> _State:
-        """Load newest readable snapshot, replay the WAL tail, repair."""
+        """Load the newest readable snapshot, replay the sealed WAL
+        segments and then the live WAL, repair a torn tail.
+
+        Refuses (``StoreError``) to open on a gap in the generations —
+        a record that does not follow the one before it, e.g. when the
+        only snapshot holding the generations in between is unreadable
+        — or on a damaged sealed segment; then nothing is truncated or
+        deleted."""
         report = RecoveryReport(directory=str(self.directory))
         bases: Dict[ContextKey, Graph] = {}
         for generation, path in reversed(snapshot_files(self.directory)):
@@ -909,21 +939,46 @@ class QuadStore:
             report.snapshot_path = str(path)
             report.snapshot_generation = generation
             report.snapshot_quads = count
+            self._base = (generation, path)
             break
+        scans: List[Tuple[Path, WalScan]] = [
+            (path, scan_wal(path))
+            for _, path in sealed_segments(self.directory)
+        ]
+        for path, scan in scans:
+            if scan.torn_bytes:
+                raise StoreError(
+                    f"store {self.directory}: sealed WAL segment "
+                    f"{path.name} is damaged at byte {scan.valid_bytes} "
+                    f"({scan.torn_reason}); refusing to open"
+                )
         wal_path = self.directory / WAL_FILENAME
-        scan = scan_wal(wal_path)
+        scans.append((wal_path, scan_wal(wal_path)))
         generation = report.snapshot_generation
-        for batch in scan.batches:
+        for batch in (batch for _, scan in scans for batch in scan.batches):
             if batch.generation <= report.snapshot_generation:
                 continue  # already folded into the snapshot
+            if batch.generation != generation + 1:
+                raise StoreError(
+                    f"store {self.directory}: recovery reached generation "
+                    f"{generation} (snapshot generation "
+                    f"{report.snapshot_generation}) but the next logged "
+                    f"record is generation {batch.generation}; the "
+                    f"generations in between are lost, so the store "
+                    f"refuses to open (nothing was truncated or deleted)"
+                )
             self._replay_batch(bases, batch.ops)
             report.ops_replayed += len(batch.ops)
             report.batches_replayed += 1
             generation = batch.generation
+        scan = scans[-1][1]
         if scan.torn_bytes:
             report.torn_bytes = scan.torn_bytes
             report.torn_reason = scan.torn_reason
             truncate_wal(wal_path, scan.valid_bytes)
+        # a checkpoint that died before its rename: never a snapshot
+        for stale in self.directory.glob("snapshot-*.nq.tmp"):
+            stale.unlink()
         report.generation = generation
         self.recovery = report
         return _publish_bases(bases, generation)
@@ -1076,10 +1131,10 @@ class QuadStore:
             self, state, new_state, union_added, union_removed
         )
         self._state = new_state  # cc: allow=CC001 (commit lock held)
-        self._ops_since_checkpoint += len(effective)  # cc: allow=CC001
+        self._ops_since_checkpoint += len(effective)
         if self._checkpointer is not None and self.checkpoint_policy.due(
             self._wal.tail_bytes if self._wal is not None else 0,
-            self._ops_since_checkpoint,  # cc: allow=CC001 (lock held)
+            self._ops_since_checkpoint,
         ):
             # one condition notify; the snapshot IO runs on the
             # checkpointer thread after this commit releases the lock
@@ -1204,12 +1259,17 @@ class QuadStore:
 
     # -- durability operations ------------------------------------------
     def checkpoint(self) -> Path:
-        """Write a snapshot of the head and reset the WAL.
+        """Write a snapshot of the head; returns its path.
 
-        Commits are blocked for the duration so no committed batch can
-        fall between the snapshot and the log reset; the snapshot write
-        is atomic (tmp + fsync + rename), and the WAL is only reset
-        *after* the snapshot is safely in place."""
+        Holds the commit lock only to seal the WAL at the head
+        generation G (:meth:`WriteAheadLog.seal`) and read G's quad
+        count. The snapshot is then built off the lock — the previous
+        snapshot merged with the sealed segments' delta, never a
+        serialization of the store — and written atomically; the sealed
+        segments are deleted only after it is in place. A line count
+        that differs from G's quad count, or a missing previous
+        snapshot, raises and leaves the segments for the next
+        checkpoint. Checkpoints are serialised by their own lock."""
         if self.directory is None or self._wal is None:
             raise StoreError(
                 "checkpoint() requires a durable store (directory=...)"
@@ -1217,36 +1277,45 @@ class QuadStore:
         with get_tracer().span(
             "store.checkpoint", {"store": self.name}
         ):
-            with self._commit_lock:
-                state = self._state
-                lines = [
-                    serialize_quad((s, p, o, key))
-                    for key, cs in state.contexts.items()
-                    for s, p, o in _context_triples(
-                        cs, (None, None, None)
-                    )
-                ]
-                # File IO under the commit lock is deliberate — see the
-                # docstring; writers are paused, readers unaffected.
-                # The clock reads bracketing it are nanosecond-cheap.
-                snap_began = time.perf_counter()  # cc: allow=CC003
-                path = write_snapshot(
-                    self.directory, state.generation, lines
-                )
-                snap_took = (
-                    time.perf_counter() - snap_began  # cc: allow=CC003
-                )
-                # bounded file op on our own WAL handle; commits must
-                # stay blocked until the log matching the snapshot is
-                # empty
-                self._wal.reset()  # cc: allow=CC003
-                self._ops_since_checkpoint = 0
-            _emit("repro_store_checkpoints_total", store=self.name)
-            if snap_took:
-                _emit(
-                    "repro_store_snapshot_write_seconds", snap_took,
-                    store=self.name,
-                )
+            with self._checkpoint_lock:
+                with self._commit_lock:
+                    state = self._seal_locked()
+                quads = sum(cs.size for cs in state.contexts.values())
+                path = self._write_merged(state.generation, quads)
+        _emit("repro_store_checkpoints_total", store=self.name)
+        return path
+
+    def _seal_locked(self) -> _State:
+        # callers hold self._commit_lock: no commit lands between
+        # pinning the head and sealing the log at its generation
+        state = self._state  # cc: allow=CC001
+        self._wal.seal(state.generation)
+        self._ops_since_checkpoint = 0
+        return state
+
+    def _write_merged(self, generation: int, quads: int) -> Path:
+        """Write snapshot ``generation`` from the base snapshot and the
+        sealed segments up to it; then delete those segments (the
+        checkpoint lock is held)."""
+        base_generation, base = self._base
+        segments = [
+            path for sealed, path in sealed_segments(self.directory)
+            if sealed <= generation
+        ]
+        began = time.perf_counter()
+        added, removed = segment_delta(segments, base_generation, generation)
+        path = write_snapshot(
+            self.directory, generation,
+            _counted(merge_snapshot(base, added, removed), quads,
+                     generation),
+        )
+        _emit(
+            "repro_store_snapshot_write_seconds",
+            time.perf_counter() - began, store=self.name,
+        )
+        self._base = (generation, path)
+        for segment in segments:
+            segment.unlink()
         return path
 
     def compact(self) -> dict:
@@ -1279,8 +1348,9 @@ class QuadStore:
             path = self.checkpoint()
             summary["snapshot"] = str(path)
             summary["pruned"] = [
-                str(p)
-                for p in prune_snapshots(self.directory, self.generation)
+                str(p) for p in prune_snapshots(
+                    self.directory, snapshot_generation(path)
+                )
             ]
         if folded:
             _emit(
@@ -1349,19 +1419,9 @@ class QuadStore:
                 "bytes": self._wal.size(),
                 "records_this_session": self._wal.records,
                 "sync": self._wal.sync,
+                "sealed": _listing(sealed_segments(self.directory)),
             }
-            data["snapshots"] = snapshots = []
-            for generation, path in snapshot_files(self.directory):
-                try:
-                    size = path.stat().st_size
-                except FileNotFoundError:
-                    # pruned by the background checkpointer since the
-                    # listing: superseded, not part of the store now
-                    continue
-                snapshots.append({
-                    "generation": generation, "path": str(path),
-                    "bytes": size,
-                })
+            data["snapshots"] = _listing(snapshot_files(self.directory))
         data["checkpoint_policy"] = self.checkpoint_policy.as_dict()
         if self._checkpointer is not None:
             data["auto_checkpoint"] = self._checkpointer.stats()
@@ -1384,7 +1444,7 @@ class QuadStore:
 
     def close(self) -> None:
         # stop the checkpointer first: it may be mid-checkpoint and
-        # needs the WAL alive to reset it
+        # needs the WAL alive to seal it
         if self._checkpointer is not None:
             self._checkpointer.close()
             self._checkpointer = None
@@ -1403,6 +1463,39 @@ class QuadStore:
             f"QuadStore({self.name!r}, generation={self.generation}, "
             f"quads={self.size})"
         )
+
+
+def _counted(
+    chunks: Iterator[List[str]], quads: int, generation: int
+) -> Iterator[List[str]]:
+    """``chunks`` of lines, checked to hold exactly ``quads`` lines once
+    exhausted — before the snapshot that consumes them is renamed into
+    place."""
+    written = 0
+    for chunk in chunks:
+        written += len(chunk)
+        yield chunk
+    if written != quads:
+        raise StoreError(
+            f"snapshot {generation} merged to {written} lines, but the "
+            f"store held {quads} quads at that generation"
+        )
+
+
+def _listing(files: List[Tuple[int, Path]]) -> List[dict]:
+    """``{generation, path, bytes}`` of each numbered store file; one
+    deleted since the listing (a superseded snapshot pruned, a segment
+    merged by the background checkpointer) is left out."""
+    found = []
+    for generation, path in files:
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            continue
+        found.append({
+            "generation": generation, "path": str(path), "bytes": size,
+        })
+    return found
 
 
 # ---------------------------------------------------------------------

@@ -1,27 +1,44 @@
-"""Snapshot files and recovery bookkeeping for the quad-store.
+"""Snapshot files, sealed WAL segments and recovery bookkeeping.
 
 Concurrency: single-threaded
 
 A *snapshot* is the full store content at one generation, written as
 canonical N-Quads (sorted lines, trailing newline) to
 ``snapshot-<generation, 9 digits>.nq``. Snapshots are written atomically
-— serialized to a temp file, flushed, ``fsync``-ed, renamed into place,
+— streamed to a temp file, flushed, ``fsync``-ed, renamed into place,
 then the *parent directory* is ``fsync``-ed — so a crash mid-checkpoint
 leaves the previous snapshot intact, and a power loss after the rename
 cannot un-rename it (the rename itself lives in the directory entry,
 which only the directory fsync makes durable).
-Restart cost is therefore ``O(snapshot + WAL tail)`` instead of
-``O(entire history)``: the engine loads the newest readable snapshot and
-replays only the WAL records with a later generation.
+
+A checkpoint never serializes the store: it *seals* the live WAL
+(``wal.log`` renamed to ``wal.log.<generation, 9 digits>``) and builds
+the next snapshot from the previous one plus the sealed segments'
+op lines (:func:`merge_snapshot`). A canonical line stands for exactly
+one quad, so the previous snapshot's lines minus the removed ones,
+merged with the sorted added ones, *are* the canonical N-Quads of the
+sealed generation. Restart cost is ``O(snapshot + segments + WAL
+tail)``: the engine loads the newest readable snapshot and replays the
+sealed segments in ascending order, then ``wal.log``, skipping records
+the snapshot already holds.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..rdf.graph import Graph
 from ..rdf.namespace import NamespaceManager
@@ -33,16 +50,24 @@ __all__ = [
     "RecoveryReport",
     "fsync_directory",
     "load_snapshot",
+    "merge_snapshot",
     "prune_snapshots",
+    "sealed_segments",
+    "segment_path",
     "snapshot_files",
+    "snapshot_generation",
     "snapshot_path",
     "write_snapshot",
 ]
 
-#: The single WAL file inside a store directory.
+#: The live WAL file inside a store directory.
 WAL_FILENAME = "wal.log"
 
+#: Bytes of the base snapshot a checkpoint's merge reads at a time.
+MERGE_CHUNK_BYTES = 1 << 18
+
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{9})\.nq$")
+_SEGMENT_RE = re.compile(r"^wal\.log\.(\d{9})$")
 
 #: Identifier given to the default-context base graph.
 DEFAULT_GRAPH_IRI = URIRef("urn:graph:default")
@@ -71,35 +96,105 @@ def snapshot_path(directory: Path, generation: int) -> Path:
     return directory / f"snapshot-{generation:09d}.nq"
 
 
-def snapshot_files(directory: Path) -> List[Tuple[int, Path]]:
-    """All snapshot files in ``directory``, ascending by generation."""
+def snapshot_generation(path: Path) -> int:
+    """The generation a snapshot file's name carries."""
+    match = _SNAPSHOT_RE.match(path.name)
+    if match is None:
+        raise ValueError(f"{path.name} is not a snapshot file name")
+    return int(match.group(1))
+
+
+def segment_path(directory: Path, generation: int) -> Path:
+    """Where the WAL sealed at ``generation`` lives."""
+    return directory / f"{WAL_FILENAME}.{generation:09d}"
+
+
+def _numbered(
+    directory: Path, pattern: "re.Pattern[str]"
+) -> List[Tuple[int, Path]]:
     found: List[Tuple[int, Path]] = []
     if not directory.is_dir():
         return found
     for entry in directory.iterdir():
-        match = _SNAPSHOT_RE.match(entry.name)
+        match = pattern.match(entry.name)
         if match is not None:
             found.append((int(match.group(1)), entry))
     found.sort()
     return found
 
 
-def write_snapshot(
-    directory: Path, generation: int, lines: Iterable[str]
-) -> Path:
-    """Atomically write canonical N-Quads ``lines`` for ``generation``.
+def snapshot_files(directory: Path) -> List[Tuple[int, Path]]:
+    """All snapshot files in ``directory``, ascending by generation."""
+    return _numbered(directory, _SNAPSHOT_RE)
 
-    ``lines`` are statement strings without newlines; they are sorted
-    here so equal store contents always produce byte-identical files.
+
+def sealed_segments(directory: Path) -> List[Tuple[int, Path]]:
+    """All sealed WAL segments in ``directory``, ascending by the
+    generation they were sealed at."""
+    return _numbered(directory, _SEGMENT_RE)
+
+
+def merge_snapshot(
+    base: Optional[Path],
+    added: AbstractSet[str],
+    removed: AbstractSet[str],
+) -> Iterator[List[str]]:
+    """The canonical lines of ``base`` without ``removed``, merged with
+    ``added``: streamed in sorted order, in chunks of about
+    :data:`MERGE_CHUNK_BYTES` of the base.
+
+    Every line ends in a newline. ``base`` is a snapshot file (``None``
+    for the empty store); ``added`` must be disjoint from it and
+    ``removed`` a subset of it, which the caller checks by counting the
+    lines that come out. Only the delta and one chunk are held in
+    memory, and no Python code runs per line but the removal filter's
+    comprehension: a checkpoint runs beside commits and shares the
+    interpreter with them.
+    """
+    adds = sorted(added)
+    taken = 0
+    if base is not None:
+        with open(base, "r", encoding="utf-8") as handle:
+            while True:
+                chunk = handle.readlines(MERGE_CHUNK_BYTES)
+                if not chunk:
+                    break
+                if removed:
+                    chunk = [line for line in chunk if line not in removed]
+                    if not chunk:
+                        continue
+                # the adds that sort before the chunk's last line belong
+                # in it: two sorted runs, which the sort merges in C
+                cut = bisect.bisect_right(adds, chunk[-1], taken)
+                if cut > taken:
+                    chunk += adds[taken:cut]
+                    chunk.sort()
+                    taken = cut
+                yield chunk
+    yield adds[taken:]
+
+
+def write_snapshot(
+    directory: Path, generation: int, chunks: Iterable[List[str]]
+) -> Path:
+    """Atomically write canonical N-Quads for ``generation``.
+
+    ``chunks`` are lists of newline-terminated statements, together in
+    sorted order, so equal store contents always produce byte-identical
+    files; they are streamed to the temp file as they come. If producing
+    them raises, the temp file is removed and no snapshot appears.
     """
     final = snapshot_path(directory, generation)
     tmp = directory / (final.name + ".tmp")
-    ordered = sorted(lines)
-    text = "\n".join(ordered) + ("\n" if ordered else "")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            for chunk in chunks:
+                handle.writelines(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, final)
     # the rename is only durable once the directory entry is flushed
     fsync_directory(directory)

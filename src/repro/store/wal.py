@@ -22,17 +22,24 @@ uncommitted or CRC-failing record: everything after that point is a
 *torn tail* (a crash mid-append) and is reported so the engine can
 truncate it away — a partially written batch is never half-applied.
 
-The engine serializes ``append``/``reset`` calls under its commit lock;
-this module takes no locks of its own. The file handle is opened once
-at construction (never under a lock) and ``reset`` truncates in place
-through the same handle.
+A checkpoint *seals* the log (:meth:`WriteAheadLog.seal`): the live
+``wal.log`` is renamed to ``wal.log.<generation, 9 digits>`` and a fresh
+one opened, so commits continue into the new file while the sealed
+segment is folded into the next snapshot (:func:`segment_delta` reads
+its op lines without parsing them into terms). A sealed segment is
+complete by construction — it was fsync-ed before the rename — so
+recovery treats a torn sealed segment as damage, not as a crash tail.
 
-Durability guarantee: ``reset`` and :func:`truncate_wal` fsync the
-truncated file *and then the parent directory*, so a power loss after
-either cannot resurrect the discarded bytes — without the directory
-fsync the filesystem may replay the metadata journal without the
-truncate and recovery would re-apply ops that a checkpoint already
-folded into a snapshot (or re-trust a torn tail that was already cut).
+The engine serializes ``append``/``seal`` calls under its commit lock;
+this module takes no locks of its own. ``seal`` does the only file
+opens after construction: one per checkpoint, for the fresh log.
+
+Durability guarantee: ``seal`` and :func:`truncate_wal` fsync the log
+*and then the parent directory*, so a power loss after either cannot
+undo the rename or the truncate — without the directory fsync the
+filesystem may replay the metadata journal without it, and recovery
+would re-trust a torn tail that was already cut, or find post-seal
+records under the sealed segment's name.
 """
 
 from __future__ import annotations
@@ -42,11 +49,11 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, List, Optional, Sequence, Set, Tuple, Union
 
 from ..rdf.nquads import Quad, parse_nquads_line, serialize_quad
 from ..rdf.ntriples import NTriplesError
-from .persistence import fsync_directory
+from .persistence import fsync_directory, segment_path
 
 __all__ = [
     "OP_ADD",
@@ -56,6 +63,7 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "scan_wal",
+    "segment_delta",
     "truncate_wal",
 ]
 
@@ -69,10 +77,14 @@ WalOp = Tuple[str, Quad]
 
 @dataclass
 class WalBatch:
-    """One committed record: a generation and its ordered quad ops."""
+    """One committed record: a generation and its ordered quad ops.
+
+    With ``scan_wal(..., parse=False)`` each op carries the canonical
+    N-Quads line of its quad (no newline) instead of the parsed quad.
+    """
 
     generation: int
-    ops: List[WalOp]
+    ops: List[Tuple[str, Any]]
 
 
 @dataclass
@@ -98,11 +110,13 @@ def _crc_line(digest: int, line: str) -> int:
     return zlib.crc32(line.encode("utf-8"), digest)
 
 
-def scan_wal(path: Union[str, Path]) -> WalScan:
-    """Parse every committed record of ``path``; tolerate a torn tail.
+def scan_wal(path: Union[str, Path], *, parse: bool = True) -> WalScan:
+    """Read every committed record of ``path``; tolerate a torn tail.
 
     Never raises on bad content: corruption anywhere marks the rest of
-    the file torn (with a reason) rather than failing recovery.
+    the file torn (with a reason) rather than failing recovery. With
+    ``parse=False`` the op quads stay canonical lines (CRC-checked, not
+    parsed into terms).
     """
     path = Path(path)
     scan = WalScan()
@@ -174,11 +188,13 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
                 or op_line[1] != " "
             ):
                 return fail("malformed op line")
-            try:
-                quad = parse_nquads_line(op_line[2:], lineno=j + 1)
-            except (NTriplesError, ValueError):
-                return fail("unparseable op quad")
-            digest = _crc_line(digest, op_line)
+            quad: Any = op_line[2:]
+            if parse:
+                try:
+                    quad = parse_nquads_line(quad, lineno=j + 1)
+                except (NTriplesError, ValueError):
+                    return fail("unparseable op quad")
+            digest = zlib.crc32(op_raw.rstrip(b"\r"), digest)
             ops.append((op_line[0], quad))
             j += 1
 
@@ -224,12 +240,50 @@ def truncate_wal(path: Union[str, Path], valid_bytes: int) -> int:
     return size - valid_bytes
 
 
+def segment_delta(
+    segments: Sequence[Path], after: int, upto: int
+) -> Tuple[Set[str], Set[str]]:
+    """The net line-level delta of the records in generations
+    ``(after, upto]`` of the sealed ``segments`` (ascending).
+
+    Returns ``(added, removed)``: newline-terminated canonical lines. A
+    ``+`` then ``-`` of the same line (or the reverse) cancels, so
+    ``added`` holds lines the snapshot at ``after`` lacks and ``removed``
+    lines it holds. Raises ``ValueError`` on a damaged segment.
+    """
+    added: Set[str] = set()
+    removed: Set[str] = set()
+    for path in segments:
+        scan = scan_wal(path, parse=False)
+        if scan.torn_bytes:
+            raise ValueError(
+                f"sealed WAL segment {path.name} is damaged at byte "
+                f"{scan.valid_bytes}: {scan.torn_reason}"
+            )
+        for batch in scan.batches:
+            if not after < batch.generation <= upto:
+                continue
+            for op, text in batch.ops:
+                line = text + "\n"
+                if op == OP_ADD:
+                    if line in removed:
+                        removed.discard(line)
+                    else:
+                        added.add(line)
+                elif line in added:
+                    added.discard(line)
+                else:
+                    removed.add(line)
+    return added, removed
+
+
 class WriteAheadLog:
     """Single-writer append handle over one WAL file.
 
-    The engine calls :meth:`append` under its commit lock; the handle
-    is opened eagerly here (at store construction, outside any lock)
-    and reused for every append and reset. With ``sync=True`` every
+    The engine calls :meth:`append` and :meth:`seal` under its commit
+    lock; the handle is opened eagerly here (at store construction,
+    outside any lock) and reused for every append until a seal opens
+    the next one. With ``sync=True`` every
     record is ``fsync``-ed before the commit is acknowledged —
     crash-durable at the cost of one disk flush per batch; the default
     flushes to the OS only (survives process death, not power loss).
@@ -247,8 +301,8 @@ class WriteAheadLog:
         #: importing the metrics registry.
         self.last_fsync_seconds = 0.0
         self._handle: Optional[IO[bytes]] = open(self.path, "ab")
-        #: bytes in the log since the last reset — what a restart would
-        #: have to replay; maintained in memory so the engine's
+        #: bytes in the live log since the last seal — what a restart
+        #: would have to replay; maintained in memory so the engine's
         #: checkpoint policy never stats the file on the commit path.
         self.tail_bytes = self._handle.tell()
         if self._handle.tell() > 0:
@@ -291,24 +345,33 @@ class WriteAheadLog:
         self.tail_bytes += len(payload)
         return len(payload)
 
-    def reset(self) -> None:
-        """Empty the log (after its content was folded into a snapshot).
+    def seal(self, generation: int) -> Path:
+        """Close the live log as the segment of ``generation`` (the
+        head) and continue in a fresh one; returns the segment's path.
 
-        Truncates through the already-open handle — no file open happens
-        here, so the engine may call this under its commit lock. The
-        truncate is always fsync-ed (file, then parent directory) even
-        for ``sync=False`` logs: a resurrected pre-checkpoint tail
-        under freshly appended post-checkpoint records would corrupt
-        the log, and resets are rare (one per checkpoint).
+        Flushes and fsyncs the log whatever ``sync`` says, renames it to
+        ``wal.log.<generation>``, opens a fresh ``wal.log`` and fsyncs
+        the directory: once this returns, every record up to
+        ``generation`` is in the sealed segment and nothing after it.
+        If that segment already exists — a store reopened after a seal
+        with no commit since — the live log holds no record and stays.
         """
         if self._handle is None:
             raise ValueError(f"WAL {self.path} is closed")
         self._handle.flush()
-        self._handle.truncate(0)
-        self._handle.seek(0)
         os.fsync(self._handle.fileno())
-        fsync_directory(self.path.parent)
+        sealed = segment_path(self.path.parent, generation)
+        if not sealed.exists():
+            self._handle.close()
+            try:
+                os.replace(self.path, sealed)
+            finally:
+                # the fresh log, or the same one again if the rename
+                # failed: the store keeps accepting commits either way
+                self._handle = open(self.path, "ab")
+            fsync_directory(self.path.parent)
         self.tail_bytes = 0
+        return sealed
 
     def size(self) -> int:
         """Current on-disk size of the log file."""

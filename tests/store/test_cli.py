@@ -46,6 +46,30 @@ class TestLoadDump:
 
 
 class TestInfo:
+    def test_info_lists_sealed_segments(self, tmp_path, capsys, monkeypatch):
+        import repro.store.engine as engine
+
+        with QuadStore(tmp_path) as store:
+            store.insert((URIRef(EX + "a"), URIRef(EX + "p"), Literal("1")))
+
+            def broken(directory, generation, lines):
+                raise OSError("disk full")
+
+            # a checkpoint that failed after sealing the log
+            monkeypatch.setattr(engine, "write_snapshot", broken)
+            try:
+                store.checkpoint()
+            except OSError:
+                pass
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["store", "info", str(tmp_path)]) == 0
+        sealed = json.loads(capsys.readouterr().out)["wal"]["sealed"]
+        assert [s["generation"] for s in sealed] == [1]
+        assert sealed[0]["bytes"] == (
+            tmp_path / f"{WAL_FILENAME}.000000001"
+        ).stat().st_size > 0
+
     def test_info_reports_generation_and_wal(self, tmp_path, capsys):
         _seed(tmp_path, tmp_path / "data.nq")
         capsys.readouterr()
@@ -105,3 +129,22 @@ class TestRecover:
         assert "state:             clean" in out
         assert "generation: 1" in out
         assert "quads: 2" in out
+
+    def test_generation_gap_is_an_error(self, tmp_path, capsys):
+        """A store whose WAL resumes past its only (damaged) snapshot
+        is refused: ``recover`` and ``info`` exit 2 and change nothing."""
+        with QuadStore(tmp_path) as store:
+            for name in ("a", "b"):
+                store.insert((URIRef(EX + name), URIRef(EX + "p"),
+                              Literal(name)))
+            snapshot = store.checkpoint()
+            store.insert((URIRef(EX + "c"), URIRef(EX + "p"), Literal("c")))
+        snapshot.write_text("<not nquads\n", encoding="utf-8")
+        wal = (tmp_path / WAL_FILENAME).read_bytes()
+        for command in ("recover", "info"):
+            assert main(["store", command, str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "generation 3" in captured.err
+        assert (tmp_path / WAL_FILENAME).read_bytes() == wal

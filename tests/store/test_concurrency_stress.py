@@ -211,14 +211,17 @@ class TestInterleavedRemove:
 
 
 class TestWritePathMachineryUnderStress:
-    """Group commit + background checkpointer running together while
-    readers pin snapshots — the lock sanitizer (REPRO_SANITIZE=1 or the
-    fixture) must observe no inversion between the commit lock, the
-    queue mutex and the checkpointer condition."""
+    """Group commit + background and explicit checkpoints running
+    together while readers pin snapshots — the lock sanitizer
+    (REPRO_SANITIZE=1 or the fixture) must observe no inversion between
+    the checkpoint lock, the commit lock, the queue mutex and the
+    checkpointer condition, and no checkpoint may fail."""
 
     def test_group_commit_with_auto_checkpoint_and_readers(
         self, tmp_path, lock_sanitizer
     ):
+        import sys
+
         from repro.store import CheckpointPolicy
 
         store = QuadStore(
@@ -228,7 +231,23 @@ class TestWritePathMachineryUnderStress:
         )
         stop = threading.Event()
         errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._run(store, stop, errors)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert store.wait_for_checkpoints()
+        assert store._checkpointer.stats()["failures"] == 0
+        assert store.size == 4 * BATCHES * PER_BATCH
+        dump = store.to_nquads()
+        store.close()
+        with QuadStore(tmp_path / "s") as reopened:
+            assert reopened.to_nquads() == dump
 
+    @staticmethod
+    def _run(store, stop, errors):
         def writer(t):
             for b in range(BATCHES):
                 for triple in _batch_triples(f"{t}_{b}"):
@@ -243,21 +262,23 @@ class TestWritePathMachineryUnderStress:
                 view = store.head()
                 sum(1 for _ in view.triples((None, None, None)))
 
-        readers = [threading.Thread(target=reader) for _ in range(2)]
+        def checkpointer():
+            while not stop.is_set():
+                try:
+                    store.checkpoint()
+                except Exception as exc:  # reported by the assertion
+                    errors.append(f"explicit checkpoint: {exc!r}")
+
+        others = [threading.Thread(target=reader) for _ in range(2)]
+        others.append(threading.Thread(target=checkpointer))
         writers = [
             threading.Thread(target=writer, args=(t,)) for t in range(4)
         ]
-        for thread in readers + writers:
+        for thread in others + writers:
             thread.start()
         for thread in writers:
-            thread.join()
+            thread.join(60.0)
         stop.set()
-        for thread in readers:
-            thread.join()
-        assert not errors
-        assert store.wait_for_checkpoints()
-        assert store.size == 4 * BATCHES * PER_BATCH
-        dump = store.to_nquads()
-        store.close()
-        with QuadStore(tmp_path / "s") as reopened:
-            assert reopened.to_nquads() == dump
+        for thread in others + writers:
+            thread.join(60.0)
+            assert not thread.is_alive()

@@ -242,3 +242,260 @@ class TestDirectoryFsync:
         assert len(calls) >= 2 * checkpoints
         with QuadStore(tmp_path) as store:
             assert store.to_nquads() == dump
+
+
+class TestGenerationGap:
+    def test_refuses_to_open_across_a_lost_snapshot(self, tmp_path):
+        """Regression: with its only snapshot damaged, a store whose WAL
+        resumed after a checkpoint opened at the last generation holding
+        just the post-checkpoint quads — a state that never existed —
+        and accepted writes on top of it."""
+        from repro.store import StoreError
+
+        with QuadStore(tmp_path) as store:
+            for i in range(5):
+                store.insert(_triple(i))
+            store.checkpoint()
+            for i in range(5, 8):
+                store.insert(_triple(i))
+        (snapshot,) = [p for _, p in snapshot_files(tmp_path)]
+        snapshot.write_text("<not nquads\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        try:
+            QuadStore(tmp_path)
+        except StoreError as exc:
+            message = str(exc)
+        else:  # pragma: no cover - the regression
+            raise AssertionError("opened across a generation gap")
+        assert "generation 6" in message
+        assert "snapshot generation 0" in message
+        # nothing was truncated or deleted
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_damaged_sealed_segment_refuses_to_open(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.store.engine as engine
+        from repro.store import StoreError
+        from repro.store.persistence import sealed_segments
+
+        with QuadStore(tmp_path) as store:
+            store.insert(_triple(1))
+            # the checkpoint fails after the seal: the segment stays
+            monkeypatch.setattr(engine, "write_snapshot", _raise_disk_full)
+            try:
+                store.checkpoint()
+            except OSError:
+                pass
+            monkeypatch.undo()
+            store.insert(_triple(2))
+        ((_, segment),) = sealed_segments(tmp_path)
+        segment.write_bytes(segment.read_bytes()[:-5])
+        try:
+            QuadStore(tmp_path)
+        except StoreError as exc:
+            assert segment.name in str(exc)
+        else:  # pragma: no cover
+            raise AssertionError("opened over a damaged sealed segment")
+
+
+def _raise_disk_full(directory, generation, lines):
+    raise OSError("disk full")
+
+
+class TestCheckpointCrashStates:
+    """The on-disk states a checkpoint passes through, each captured by
+    copying the live directory without ``close()`` (a crash at that
+    point): every one reopens on the last acknowledged generation with
+    byte-identical content, and checkpoints on from there."""
+
+    @staticmethod
+    def _crash_during_checkpoint(tmp_path, monkeypatch, after_rename):
+        """Checkpoint a store with a snapshot and a WAL tail; copy its
+        directory right before (or after) the new snapshot's rename.
+        Returns ``(copy, generation, dump)`` at the moment of the copy."""
+        import repro.store.engine as engine
+
+        live = tmp_path / "live"
+        copy = tmp_path / "copy"
+        store = QuadStore(live)
+        for i in range(4):
+            store.insert(_triple(i))
+        store.checkpoint()
+        store.remove((URIRef(f"{EX}s1"), None, None))
+        store.insert(_triple(9))
+        real = engine.write_snapshot
+
+        def crashing(directory, generation, lines):
+            if not after_rename:
+                shutil.copytree(live, copy)
+            path = real(directory, generation, lines)
+            if after_rename:
+                shutil.copytree(live, copy)
+            return path
+
+        monkeypatch.setattr(engine, "write_snapshot", crashing)
+        expected = (store.generation, store.to_nquads())
+        store.checkpoint()
+        monkeypatch.undo()
+        store.close()
+        return (copy,) + expected
+
+    @staticmethod
+    def _reopens_exactly(copy, generation, dump):
+        with QuadStore(copy) as store:
+            assert store.generation == generation
+            assert store.to_nquads() == dump
+            # nothing committed since the crash: the segment sealed at
+            # this generation is merged, not overwritten by the empty log
+            assert store.checkpoint().read_text(encoding="utf-8") == dump
+            store.insert(_triple(20))
+            dump = store.to_nquads()
+            store.checkpoint()
+        with QuadStore(copy) as store:
+            assert store.generation == generation + 1
+            assert store.to_nquads() == dump
+            assert store.recovery.ops_replayed == 0
+
+    def test_after_the_seal_before_the_rename(self, tmp_path, monkeypatch):
+        from repro.store.persistence import sealed_segments
+
+        copy, generation, dump = self._crash_during_checkpoint(
+            tmp_path, monkeypatch, after_rename=False
+        )
+        assert [g for g, _ in sealed_segments(copy)] == [generation]
+        assert [g for g, _ in snapshot_files(copy)] == [4]
+        self._reopens_exactly(copy, generation, dump)
+
+    def test_after_the_rename_before_the_unlink(self, tmp_path, monkeypatch):
+        from repro.store.persistence import sealed_segments
+
+        copy, generation, dump = self._crash_during_checkpoint(
+            tmp_path, monkeypatch, after_rename=True
+        )
+        assert [g for g, _ in sealed_segments(copy)] == [generation]
+        assert [g for g, _ in snapshot_files(copy)] == [4, generation]
+        self._reopens_exactly(copy, generation, dump)
+
+    def test_leftover_tmp_snapshot(self, tmp_path, monkeypatch):
+        copy, generation, dump = self._crash_during_checkpoint(
+            tmp_path, monkeypatch, after_rename=False
+        )
+        # the checkpoint died mid-write: half a snapshot under .tmp
+        tmp = copy / f"snapshot-{generation:09d}.nq.tmp"
+        tmp.write_text(dump[: len(dump) // 2], encoding="utf-8")
+        with QuadStore(copy) as store:
+            assert not tmp.exists()
+        self._reopens_exactly(copy, generation, dump)
+
+
+class TestCheckpointMerge:
+    def test_snapshot_is_the_canonical_dump(self, tmp_path):
+        """Inserts, removes and re-inserts across several checkpoints:
+        each snapshot file holds exactly ``to_nquads()`` of its
+        generation."""
+        g = URIRef(EX + "g")
+        with QuadStore(tmp_path) as store:
+            for round_ in range(3):
+                batch = store.batch()
+                for i in range(6):
+                    batch.insert(_triple(i, o=str(round_ % 2)), g)
+                    batch.insert(_triple(i, o="lit\nline"))
+                batch.remove(_triple(round_, o=str(1 - round_ % 2)), g)
+                store.commit(batch)
+                store.remove((URIRef(f"{EX}s{round_ + 2}"), None, None))
+                store.insert(_triple(round_ + 2, o="lit\nline"))
+                path = store.checkpoint()
+                assert path.read_text(encoding="utf-8") == store.to_nquads()
+
+    def test_checkpoint_serializes_no_quad(self, tmp_path, monkeypatch):
+        import repro.rdf.nquads as nquads
+        import repro.store.engine as engine
+
+        with QuadStore(tmp_path) as store:
+            for i in range(10):
+                store.insert(_triple(i))
+            calls = []
+            real = nquads.serialize_quad
+
+            def counting(quad):
+                calls.append(quad)
+                return real(quad)
+
+            monkeypatch.setattr(engine, "serialize_quad", counting)
+            store.checkpoint()
+        assert calls == []
+
+    def test_line_count_mismatch_raises_and_keeps_the_segments(
+        self, tmp_path
+    ):
+        from repro.store import StoreError
+        from repro.store.persistence import sealed_segments
+
+        with QuadStore(tmp_path) as store:
+            store.insert(_triple(1))
+            base = store.checkpoint()
+            # a base that does not hold what generation 1 held
+            base.write_text(base.read_text() + base.read_text().replace(
+                "s1", "s0"), encoding="utf-8")
+            store.insert(_triple(2))
+            try:
+                store.checkpoint()
+            except StoreError as exc:
+                assert "3 lines" in str(exc) and "2 quads" in str(exc)
+            else:  # pragma: no cover
+                raise AssertionError("a miscounted snapshot was written")
+            assert [g for g, _ in snapshot_files(tmp_path)] == [1]
+            assert [g for g, _ in sealed_segments(tmp_path)] == [2]
+            assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_base_raises(self, tmp_path):
+        with QuadStore(tmp_path) as store:
+            store.insert(_triple(1))
+            base = store.checkpoint()
+            base.unlink()
+            store.insert(_triple(2))
+            try:
+                store.checkpoint()
+            except OSError:
+                pass
+            else:  # pragma: no cover
+                raise AssertionError("checkpoint without its base")
+            assert snapshot_files(tmp_path) == []
+
+    def test_commits_proceed_during_a_checkpoint(self, tmp_path, monkeypatch):
+        """The snapshot is written off the commit lock: a commit made
+        while it is being written returns before it finishes."""
+        import threading
+
+        import repro.store.engine as engine
+
+        store = QuadStore(tmp_path)
+        store.insert(_triple(1))
+        entered = threading.Event()
+        committed = threading.Event()
+        failures = []
+        real = engine.write_snapshot
+
+        def waiting(directory, generation, lines):
+            entered.set()
+            if not committed.wait(5.0):
+                failures.append("the commit waited for the checkpoint")
+            return real(directory, generation, lines)
+
+        monkeypatch.setattr(engine, "write_snapshot", waiting)
+        checkpointing = threading.Thread(target=store.checkpoint)
+        checkpointing.start()
+        assert entered.wait(5.0)
+        store.insert(_triple(2))
+        committed.set()
+        checkpointing.join()
+        assert failures == []
+        ((generation, path),) = snapshot_files(tmp_path)
+        assert generation == 1
+        assert path.read_text(encoding="utf-8").count("\n") == 1
+        dump = store.to_nquads()
+        store.close()
+        with QuadStore(tmp_path) as reopened:
+            assert reopened.generation == 2
+            assert reopened.to_nquads() == dump
