@@ -44,8 +44,10 @@ benchmarks:
 ## The corpus-size ladder (100 / 1 000 / 10 000 contents), counts not
 ## timings: Q1, Q2, Q3 and M1 filter evaluations and index lookups, and
 ## upload -> queryable lookups, grow with exponent <= 0.33; Q2/Q3 <= 60
-## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; Q3 as
-## lowered >= 10x the planned lookups; an upload is 1 generation of 3
+## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; 12
+## fresh M1 texts and 20 fresh Q2 texts, each after a commit, are parsed
+## and planned once (1 / 1 each); Q3 as lowered >= 10x the planned
+## lookups; an upload is 1 generation of 3
 ## contributions; an idle evaluator() looks up, contributes and commits
 ## nothing; batch annotation is 1 annotate call per item; a fully-bound
 ## lookup finds 1 triple; a checkpoint of a durable copy of the store

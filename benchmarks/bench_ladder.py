@@ -15,7 +15,8 @@ counts only, never a time:
   or an exact value at every rung.
 
 The rungs: a fully-bound index lookup (STORE); the virtual albums Q1,
-Q2 and Q3 (§2.3); the About mashup M1 (§4.1); Q3 without the planner's
+Q2 and Q3 (§2.3); the About mashup M1 (§4.1); M1 and Q2 texts never
+seen before, each after a commit (M1 fresh); Q3 without the planner's
 rewrites; batch annotation (§6); ``platform.evaluator()`` with nothing
 pending; a checkpoint of a durable copy of the store after 100 small
 commits; upload -> queryable, last, because it adds to the stacks.
@@ -35,14 +36,17 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Sequence
 
 from _harness import counted, metered, record, timed_samples
+from repro.analysis.plan import QueryPlanner
 from repro.core import BatchAnnotator, geo_album, rated_album, social_album
 from repro.core.annotator import SemanticAnnotator
 from repro.core.mashup import mashup_query, run_mashup
 from repro.platform import Platform
 from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import Evaluator
+from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as sparql_functions
 from repro.sparql.geo import Point, haversine_km
+from repro.sparql.parser import parse_query
 from repro.store import QuadStore, WriteBatch
 from repro.store import engine as store_engine
 from repro.store import wal as store_wal
@@ -56,6 +60,9 @@ FLAT = ("evaluations", "lookups")
 PROBES = 1_000
 RADII = (0.2, 0.3, 1.0, 5.0)
 MASHUP_PIDS = 12
+#: Friend names Q2 is asked for by the fresh-text rung: the users, then
+#: names no user has.
+FRIENDS = 20
 MOLE = Point(7.6934, 45.0692)
 UPLOADS = 20
 #: Commits of 8 quads between a durable copy's load and its checkpoint.
@@ -294,6 +301,96 @@ def bench_mashup(benchmark, ladder):
     _climb(benchmark, ladder, "M1", measure, flat=FLAT,
            caps={"lookups": 80, "evaluations": 70},
            timed=lambda: Evaluator(top.store).evaluate(query))
+
+
+@contextmanager
+def _cold_caches():
+    """The prepared-query caches emptied for the block (they are
+    process-wide, and a shape prepared at one rung would be found at
+    the next), then put back."""
+    saved = evaluator_module._TEXTS, evaluator_module._SHAPES
+    evaluator_module._TEXTS, evaluator_module._SHAPES = {}, {}
+    try:
+        yield
+    finally:
+        evaluator_module._TEXTS, evaluator_module._SHAPES = saved
+
+
+def _fresh_texts(store: QuadStore, texts: Sequence[str]):
+    """``(parses, plans, median ms)`` of ``texts`` run one by one, each
+    after a commit of its own, on cold caches; each must return the
+    rows of its literal text planned on that generation."""
+    scratch = URIRef(_DELTA_NS + "fresh")
+    parsed = [parse_query(text) for text in texts]
+    samples = []
+    with _cold_caches(), \
+            counted(evaluator_module, "parse_query") as parses, \
+            counted(QueryPlanner, "plan") as plans:
+        for index, text in enumerate(texts):
+            store.insert((scratch, scratch, Literal(index)), scratch)
+            began = time.perf_counter()
+            rows = Evaluator(store).evaluate(text)
+            samples.append((time.perf_counter() - began) * 1000.0)
+            planner = QueryPlanner(stats=store.statistics())
+            expected = Evaluator(store, planner=planner).evaluate(
+                parsed[index])
+            assert list(rows) == list(expected), text
+    store.remove((scratch, None, None), scratch)
+    # (less the plans of the check)
+    return (len(parses), len(plans) - len(texts),
+            round(statistics.median(samples), 3))
+
+
+def bench_fresh_texts(benchmark, ladder):
+    """M1 FRESH: 12 mashups of pictures never asked about and Q2 for 20
+    friend names, each after a commit, are parsed once and planned once
+    per query at every size — a shape's plan is bound to each text's
+    constants and kept across commits that leave its counts alone
+    (parsing and planning every text would read 12 / 12 and 20 / 20).
+    Parse, plan and execution times of M1 are printed ungated."""
+
+    def measure(contents, stack):
+        store = stack.store
+        items = stack.platform.contents()
+        pids = [item.pid for item in items[1::len(items) // MASHUP_PIDS]]
+        friends = list(stack.workload.usernames)
+        friends += [f"nobody{n}" for n in range(FRIENDS - len(friends))]
+        m1 = _fresh_texts(
+            store, [mashup_query(p) for p in pids[:MASHUP_PIDS]]
+        )
+        q2 = _fresh_texts(store, [
+            social_album(friend_of=friend).query for friend in friends
+        ])
+        assert (m1[:2], q2[:2]) == ((1, 1), (1, 1)), (
+            f"at {contents} contents, 12 fresh M1 texts were parsed / "
+            f"planned {m1[:2]} times, 20 fresh Q2 texts {q2[:2]} times "
+            "(1 / 1 each)"
+        )
+        text = mashup_query(pids[0])
+        parsed = parse_query(text)
+        planner = QueryPlanner(stats=store.statistics())
+        Evaluator(store).evaluate(text)
+
+        def median(fn) -> float:
+            return round(statistics.median(timed_samples(fn)), 3)
+
+        return {
+            "m1_parses": m1[0], "m1_plans": m1[1], "q2_parses": q2[0],
+            "q2_plans": q2[1],
+            "m1_fresh_ms": m1[2],
+            "q2_fresh_ms": q2[2],
+            "m1_parse_ms": median(lambda: parse_query(text)),
+            "m1_plan_ms": median(lambda: planner.plan(parsed)),
+            "m1_repeat_ms": median(
+                lambda: Evaluator(store).evaluate(text)),
+        }
+
+    top = _top(ladder)
+    texts = itertools.cycle(
+        mashup_query(item.pid) for item in top.platform.contents()[:50]
+    )
+    _climb(benchmark, ladder, "M1 fresh", measure,
+           timed=lambda: Evaluator(top.store).evaluate(next(texts)))
 
 
 def bench_unoptimized_q3(benchmark, ladder):

@@ -18,7 +18,9 @@ count for each additionally bound position; ``rdf:type`` with a
 concrete class uses the exact class count. These are the only
 cardinalities the planner has: the scan order is decided on them, and
 EXPLAIN shows the estimates it used. Filters are not given a
-selectivity.
+selectivity. The counts a plan's order was decided on are its
+:meth:`GraphStatistics.footprint`; a later snapshot keeps the plan while
+they :meth:`~GraphStatistics.fits`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..obs import get_registry
 from ..rdf.graph import Graph
 from ..rdf.namespace import GEO, RDF
 from ..rdf.terms import BNode, Literal, Term, Variable
+from ..sparql.algebra import PlanNode, ScanStep, walk
 from ..sparql.ast import Expression, TermExpr, TriplePatternNode
 from ..sparql.geo import Point, bounding_box, try_parse_point
 
@@ -45,6 +48,12 @@ GEO_CELL_DEGREES = 0.01
 #: One indexed geometry: (subject, geometry term, longitude, latitude).
 GeoEntry = Tuple[Term, Term, float, float]
 GeoCell = Tuple[int, int]
+
+#: How far a count a plan was ordered on may move, as a factor either
+#: way, before a later snapshot plans the query again
+#: (:meth:`GraphStatistics.fits`). A count that appears or disappears
+#: always counts as moved.
+PLAN_DRIFT = 2.0
 
 #: Serializes :meth:`GraphStatistics.cached` rebuilds so concurrent
 #: readers of a stale graph cannot each launch a full collection pass.
@@ -89,12 +98,6 @@ class GraphStatistics:
         self.geo_grid: Dict[GeoCell, Tuple[GeoEntry, ...]] = (
             geo_grid if geo_grid is not None else {}
         )
-        #: Rewritten plans of queries run against this snapshot, by
-        #: query text — owned (bounded, locked) by the evaluator. They
-        #: live here because a plan is only valid for the statistics
-        #: it was pruned and ordered with: a new fingerprint is a new
-        #: ``GraphStatistics`` object, which starts with no plans.
-        self.plans: Dict[str, object] = {}
         #: ``Graph._version`` at collection time (staleness detection);
         #: an always-stale sentinel when the graph has no version.
         self.fingerprint: object = None
@@ -402,6 +405,67 @@ class GraphStatistics:
         return max(estimate, 0.001)
 
     # ------------------------------------------------------------------
+    # Plan drift
+    # ------------------------------------------------------------------
+    def footprint(self, plan: PlanNode) -> Dict[tuple, Optional[tuple]]:
+        """The counts the scan order of ``plan`` was decided on: per
+        scan (and per IRI of a pinned scan's ``IN`` list) its
+        predicate's ``(triples, distinct s, distinct o)`` — or the
+        totals a variable predicate is estimated from — and the class
+        count of a constant ``rdf:type`` object; with a grid probe, the
+        points and the occupied cells. ``None`` for a predicate or a
+        class this snapshot does not have."""
+        read: Dict[tuple, Optional[tuple]] = {}
+        for node in walk(plan):
+            if not isinstance(node, ScanStep):
+                continue
+            patterns = [node.pattern]
+            if node.pin is not None:
+                patterns += [
+                    _put(node.pattern, node.pin.variable, iri)
+                    for iri in node.pin.iris
+                ]
+            for pattern in patterns:
+                key = _count_key(pattern)
+                read[key] = self._count(key)
+                if pattern.predicate == RDF.type and not isinstance(
+                    pattern.object, Variable
+                ):
+                    key = ("class", pattern.object)
+                    read[key] = self._count(key)
+            if node.probe is not None:
+                read[("geo",)] = self._count(("geo",))
+        return read
+
+    def fits(self, footprint: Dict[tuple, Optional[tuple]]) -> bool:
+        """True while every count of ``footprint`` (read off an older
+        snapshot) is within :data:`PLAN_DRIFT` of this one's. A plan
+        that still fits is kept: it may be slower than a new one, never
+        wrong — every access path it picked checks at execution that it
+        still applies."""
+        for key, then in footprint.items():
+            now = self._count(key)
+            if then is None or now is None:
+                if then is not now:
+                    return False
+                continue
+            for old, new in zip(then, now, strict=True):
+                if old > new * PLAN_DRIFT or new > old * PLAN_DRIFT:
+                    return False
+        return True
+
+    def _count(self, key: tuple) -> Optional[tuple]:
+        kind = key[0]
+        if kind == "predicate":
+            return self.predicates.get(key[1])
+        if kind == "class":
+            count = self.class_counts.get(key[1])
+            return None if count is None else (count,)
+        if kind == "geo":
+            return self.geo_points, len(self.geo_grid)
+        return self.total, len(self.predicates)
+
+    # ------------------------------------------------------------------
     # Spatial grid
     # ------------------------------------------------------------------
     def geo_candidates(
@@ -485,6 +549,25 @@ def _graph_fingerprint(graph) -> Optional[object]:
     if version is not None:
         return version
     return getattr(graph, "generation", None)
+
+
+def _count_key(pattern: TriplePatternNode) -> tuple:
+    """What :meth:`GraphStatistics.scan_cardinality` reads for
+    ``pattern``'s predicate: its own counts, or for a variable the
+    totals."""
+    if isinstance(pattern.predicate, Variable):
+        return ("total",)
+    return ("predicate", pattern.predicate)
+
+
+def _put(
+    pattern: TriplePatternNode, variable: Variable, term: Term
+) -> TriplePatternNode:
+    """``pattern`` with ``term`` in place of ``variable``."""
+    return TriplePatternNode(*(
+        term if position == variable else position
+        for position in (pattern.subject, pattern.predicate, pattern.object)
+    ))
 
 
 def _geo_entry(subject: Term, geometry: Term) -> Optional[GeoEntry]:

@@ -59,34 +59,50 @@ step reads, never what it yields (DESIGN.md, "Read path"):
   that binds it takes its plain key. The ``IN`` filter still runs, on
   the rows the lookups return.
 
-``evaluate(text)`` parses a text once per process and, when optimizing
-with the default planner and function registry, plans it once per
-statistics snapshot (:data:`_PARSED`, ``GraphStatistics.plans``). A
-cached plan is shared by every evaluator — and thread — reading that
-generation, so execution never writes on a plan: the per-node
-``actual_rows`` / ``actual_ms`` / ``actual_probes`` annotations are
-EXPLAIN's, which plans privately.
+``evaluate(text)``, optimizing with the default planner and function
+registry, prepares a text through three caches (DESIGN.md, "Read
+path"). The exact text finds its plan in :data:`_TEXTS` with one
+lookup. A new text is cut into its *shape* — its IRI and string
+constants lifted into numbered slots in one regex pass — and its
+constants: the shape is parsed once (:data:`_SHAPES`) and planned once
+per set of values in the slots the planner reads, and the constants
+are bound into that plan by copying only the nodes on the way to a
+slot. A plan records the counts it was ordered on and is kept by a
+later statistics snapshot while none of them has moved by more than
+``GraphStatistics.fits`` allows; a stale plan is slow, never wrong.
+``optimize=False`` and a private planner or function table parse the
+literal text and share no plan. A cached plan is shared by every
+evaluator — and thread — so execution never writes on a plan: the
+per-node ``actual_rows`` / ``actual_ms`` / ``actual_probes``
+annotations are EXPLAIN's, which plans privately.
 
 Expression errors follow the spec: a FILTER whose expression errors
 rejects the solution; an ORDER BY key that errors sorts lowest.
 
 Concurrency: thread-safe
-(the module's shared state — the parse cache and the per-snapshot plan
-caches — is only written under ``_CACHE_LOCK``; one ``Evaluator`` is
-still one thread's object)
+(the module's shared state — the prepared-query caches — is only
+written under ``_CACHE_LOCK``, except the statistics a plan last fitted,
+one reference a racing reader at worst checks again; one ``Evaluator``
+is still one thread's object)
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 import threading
 import time
 from collections import Counter
+from dataclasses import is_dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry, get_tracer
 from ..rdf.graph import Dataset, Graph
-from ..rdf.terms import BNode, Literal, Term, URIRef, Variable
+from ..rdf.namespace import RDF
+from ..rdf.terms import (
+    BNode, Literal, Term, URIRef, Variable, unescape_literal,
+)
 from .algebra import (
     AggregateNode,
     BGPNode,
@@ -127,13 +143,15 @@ from .ast import (
     OrExpr,
     SelectQuery,
     TermExpr,
+    TriplePatternNode,
 )
-from .errors import ExpressionError, SparqlEvalError
+from .errors import ExpressionError, SparqlEvalError, SparqlSyntaxError
 from .fulltext import contains as fulltext_contains
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
 from .geo import try_parse_point
 from .parser import parse_query
 from .results import Row, SelectResult
+from .tokenizer import unquote_string
 
 Bindings = Dict[Variable, Term]
 
@@ -148,23 +166,387 @@ _ST_INTERSECTS = "bif:st_intersects"
 #: and ``EXISTS`` may compute per step beyond the rows they consume.
 _CHUNK = 256
 
-#: Entries kept by the parse cache and by each statistics snapshot's
-#: plan cache; the oldest entry makes room for a new one.
+#: Entries kept by each prepared-query cache — exact texts, shapes, and
+#: the plans of one shape; the oldest entry makes room for a new one.
 _CACHE_LIMIT = 256
 
-#: Guards every write to :data:`_PARSED` and to a ``GraphStatistics.plans``.
+#: Guards every write to the prepared-query caches and their entries.
 _CACHE_LOCK = threading.Lock()
 
-#: Query text -> parsed query. The AST is never mutated after parsing
-#: and never handed to callers of ``evaluate(text)``, so it is shared.
-_PARSED: Dict[str, object] = {}
+#: Query shape -> its :class:`_Shape`, or ``None`` for a shape whose
+#: slots did not all parse as terms (its texts are then their own,
+#: slotless, shapes).
+_SHAPES: Dict[str, Optional[_Shape]] = {}
+
+#: Exact query text -> ``(shape, constants, prepared, query, plan)``:
+#: the front cache, what a repeated text costs is this lookup.
+_TEXTS: Dict[str, tuple] = {}
+
+#: Sentinel IRI / string a lifted constant is replaced by in its shape
+#: (numbered per slot); a text that already holds it is not lifted.
+_SLOT = "urn:x-repro-slot:"
+
+# The tokenizer's own patterns, so lifting cuts a text where it does.
+_IRI = r'<[^<>"{}|^`\\\x00-\x20]*>'
+_STRING = (
+    r'"""(?:[^"\\]|\\.|"(?!""))*"""'
+    r"|'''(?:[^'\\]|\\.|'(?!''))*'''"
+    r'|"(?:[^"\\\n]|\\.)*"'
+    r"|'(?:[^'\\\n]|\\.)*'"
+)
+#: Whitespace and comments; a comment runs to the end of its line, so
+#: there is one way to match a gap (no backtracking blow-up).
+_GAP = r"(?:\s|\#[^\n]*(?![^\n]))*"
+_PNAME = r"[A-Za-z_][A-Za-z0-9_.\-]*?:[A-Za-z0-9_.\-]*"
+
+#: The ``PREFIX`` / ``BASE`` declarations a text starts with: left as
+#: written (a namespace is no constant of the query).
+_PROLOGUE_RE = re.compile(
+    rf"(?:{_GAP}(?i:PREFIX){_GAP}(?:{_PNAME}){_GAP}{_IRI}"
+    rf"|{_GAP}(?i:BASE){_GAP}{_IRI})*"
+)
+
+#: One pass over the rest: the IRIs and strings it lifts into slots,
+#: and what it leaves as written — comments, datatypes and typed
+#: literals, function IRIs. Numbers are never lifted: radii and limits
+#: are what the planner reads. (The lookahead lets the scan skip every
+#: character no match can start at.)
+_LIFT_RE = re.compile(
+    r"(?=[#<\"'^])(?:(?P<keep>\#[^\n]*"
+    rf"|\^\^{_GAP}(?:{_IRI}|{_PNAME})"
+    rf"|(?:{_STRING}){_GAP}\^\^{_GAP}(?:{_IRI}|{_PNAME})"
+    rf"|{_IRI}(?={_GAP}\())"
+    rf"|(?P<iri>{_IRI})"
+    rf"|(?P<string>{_STRING})"
+    rf"(?:{_GAP}(?P<lang>@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?)"
+)
 
 
-def _remember(cache: Dict[str, object], key: str, value: object) -> None:
+def _remember(cache: Dict, key, value) -> None:
     with _CACHE_LOCK:
         if key not in cache and len(cache) >= _CACHE_LIMIT:
             del cache[next(iter(cache))]
         cache[key] = value
+
+
+def _count_plan(outcome: str) -> None:
+    get_registry().counter(
+        "repro_plan_cache_total",
+        "Plans of query texts by where they came from: hit (the exact "
+        "text again), bound (a new text of a cached shape, its "
+        "constants bound into the shape's plan), stale (planned again: "
+        "a count the plan was ordered on drifted), miss (a new shape, "
+        "or new values in a slot the planner reads).",
+    ).labels(outcome=outcome).inc()
+
+
+def _lift(text: str) -> Optional[Tuple[str, Tuple[Term, ...]]]:
+    """``text``'s shape and the constants lifted out of it, in slot
+    order; ``None`` when it cannot be lifted (it already holds the
+    sentinel, or a constant is malformed — the parser reports that)."""
+    if _SLOT in text:
+        return None
+    constants: List[Term] = []
+
+    def lift(match) -> str:
+        iri = match["iri"]
+        if iri is not None:
+            value = iri[1:-1]
+            constants.append(URIRef(
+                unescape_literal(value) if "\\" in value else value
+            ))
+            return f"<{_SLOT}{len(constants) - 1}>"
+        string = match["string"]
+        if string is None:
+            return match[0]
+        lexical = unquote_string(string)
+        if "\\" in lexical:
+            lexical = unescape_literal(lexical)
+        lang = match["lang"]
+        constants.append(
+            Literal(lexical, lang=lang[1:]) if lang else Literal(lexical)
+        )
+        return f'"{_SLOT}{len(constants) - 1}"'
+
+    head = _PROLOGUE_RE.match(text)  # (it matches at least "")
+    prologue = head.end() if head else 0
+    try:
+        shape = text[:prologue] + _LIFT_RE.sub(lift, text[prologue:])
+    except ValueError:
+        return None
+    return shape, tuple(constants)
+
+
+def _shape_of(text: str) -> Tuple[_Shape, Tuple[Term, ...]]:
+    """The shape of ``text`` — parsed once per shape — and the constants
+    of ``text`` to bind into it. A text whose shape is unusable is its
+    own shape, with no slots."""
+    lifted = _lift(text)
+    if lifted is not None:
+        shape_text, constants = lifted
+        try:
+            shape = _SHAPES[shape_text]
+        except KeyError:
+            shape = _Shape.parse(shape_text, constants)
+            _remember(_SHAPES, shape_text, shape)
+        # (a text that is its own shape may have been filed under the
+        # very key: it has no slots)
+        if shape is not None and shape.size == len(constants):
+            return shape, constants
+    shape = _SHAPES.get(text)
+    if shape is None or shape.size:
+        shape = _Shape(parse_query(text), ())
+        _remember(_SHAPES, text, shape)
+    return shape, ()
+
+
+def _literal_query(text: str):
+    """``parse_query(text)``: the parsed shape when ``text`` is a shape
+    without slots, else parsed here — what neither the reference plan
+    nor a private planner takes from the prepared-query caches."""
+    shape = _SHAPES.get(text)
+    if shape is not None and not shape.size:
+        return shape.query
+    return parse_query(text)
+
+
+class _Shape:
+    """A query text with its IRI and string constants lifted into
+    numbered slots, parsed once, and its plans — one per set of values
+    in the slots the planner reads (:attr:`keyed`)."""
+
+    __slots__ = ("query", "size", "keyed", "key_sites", "free", "plans")
+
+    def __init__(self, query, sentinels: Sequence[Term], sites=None) -> None:
+        self.query = query
+        self.size = len(sentinels)
+        slot_of = {term: slot for slot, term in enumerate(sentinels)}
+        #: the slots whose values the planner reads: a pattern's
+        #: predicate, the object of ``rdf:type`` (the class count) and
+        #: the choices of an ``IN`` list (the pin)
+        self.keyed = _read_slots(query, slot_of)
+        #: where those sit in :attr:`query` (``sites``: where all do)
+        self.key_sites = _pruned(sites, set(self.keyed))
+        #: sentinel -> slot of the slots a plan leaves for binding
+        self.free = {
+            term: slot for term, slot in slot_of.items()
+            if slot not in self.keyed
+        }
+        self.plans: Dict[Tuple[Term, ...], _Prepared] = {}
+
+    @classmethod
+    def parse(
+        cls, shape_text: str, constants: Sequence[Term]
+    ) -> Optional[_Shape]:
+        """The shape of ``constants``' text, or ``None`` when it does not
+        parse or a slot did not come out as one whole term (which the
+        text itself then shows)."""
+        sentinels = [
+            URIRef(f"{_SLOT}{slot}") if isinstance(constant, URIRef)
+            else Literal(f"{_SLOT}{slot}")
+            for slot, constant in enumerate(constants)
+        ]
+        try:
+            query = parse_query(shape_text)
+        except (SparqlSyntaxError, ValueError):
+            return None
+        sites = _sites(
+            query, {term: slot for slot, term in enumerate(sentinels)}
+        )
+        if _slot_numbers(sites) != set(range(len(sentinels))):
+            return None
+        return cls(query, sentinels, sites)
+
+
+class _Prepared:
+    """A plan of a shape, made with the values of its keyed slots in
+    place and sentinels in the others (:meth:`bind` puts a text's
+    constants there), and the counts it was ordered on."""
+
+    __slots__ = ("query", "plan", "sites", "footprint", "stats")
+
+    def __init__(self, query, plan: PlanNode, free, stats) -> None:
+        self.query = query
+        self.plan = plan
+        #: where the free slots sit: in the query (not its WHERE group,
+        #: which only the plan runs) and in the plan
+        self.sites = (
+            _sites(query, free, shallow=True), _sites(plan, free)
+        )
+        self.footprint = stats.footprint(plan)
+        #: the latest statistics the plan is known to fit
+        self.stats = stats
+
+    def fits(self, stats) -> bool:
+        """True while ``stats`` has moved no count the plan was ordered
+        on by more than the drift factor (``GraphStatistics.fits``)."""
+        if stats is self.stats:
+            return True
+        if not stats.fits(self.footprint):
+            return False
+        # one reference stored: a racing reader at worst checks again
+        self.stats = stats
+        return True
+
+    def bind(self, constants: Sequence[Term]) -> Tuple[object, PlanNode]:
+        """The query and plan with ``constants`` in their slots: only the
+        nodes on the way to a slot are copied, the rest is shared."""
+        query_sites, plan_sites = self.sites
+        memo: Dict[int, object] = {}
+        return (
+            self.query if query_sites is None
+            else _bind(self.query, query_sites, constants, memo),
+            self.plan if plan_sites is None
+            else _bind(self.plan, plan_sites, constants, memo),
+        )
+
+
+_QUERY_FORMS = (SelectQuery, AskQuery, ConstructQuery, DescribeQuery)
+
+
+@functools.lru_cache(maxsize=None)
+def _kind(cls: type):
+    """How the walks below take an object of ``cls`` apart, and how
+    :func:`_bind` copies it: ``"term"`` (a possible sentinel),
+    ``"list"``, ``"tuple"``, ``"object"`` (a dataclass of the AST), the
+    names of a plan node's slots, or ``None`` for a leaf."""
+    if issubclass(cls, (URIRef, Literal)):
+        return "term"
+    if issubclass(cls, PlanNode):
+        return tuple(
+            name for base in cls.__mro__
+            for name in getattr(base, "__slots__", ())
+        )
+    if issubclass(cls, list):
+        return "list"
+    if issubclass(cls, tuple):
+        return "tuple"
+    if is_dataclass(cls):
+        return "object"
+    return None
+
+
+def _fields(obj, kind, shallow: bool = False):
+    """The ``(field, value)`` pairs of a non-leaf ``obj`` of ``kind``;
+    ``shallow`` leaves out a query form's ``where`` group."""
+    if kind == "list" or kind == "tuple":
+        return enumerate(obj)
+    if kind == "object":
+        if shallow and isinstance(obj, _QUERY_FORMS):
+            return [(n, v) for n, v in vars(obj).items() if n != "where"]
+        return vars(obj).items()
+    return [(name, getattr(obj, name)) for name in kind]
+
+
+def _sites(obj, slot_of: Dict[Term, int], shallow: bool = False):
+    """Where the sentinels of ``slot_of`` sit in ``obj``: the slot when
+    ``obj`` is one, ``None`` when it holds none, else ``(kind, ((field,
+    site), …))`` over the fields that do. A query a plan node holds is
+    walked ``shallow``: execution reads its plan, not its WHERE group."""
+    kind = _kind(type(obj))
+    if kind is None:
+        return None
+    if kind == "term":
+        return slot_of.get(obj)
+    inner = kind.__class__ is tuple  # a plan node
+    parts = []
+    for field, value in _fields(obj, kind, shallow):
+        site = _sites(value, slot_of, inner)
+        if site is not None:
+            parts.append((field, site))
+    return (kind, tuple(parts)) if parts else None
+
+
+def _pruned(site, slots: set):
+    """``site`` cut down to the ``slots`` named."""
+    if site is None or isinstance(site, int):
+        return site if site in slots else None
+    kind, parts = site
+    kept = tuple(
+        (field, inner) for field, inner in (
+            (field, _pruned(inner, slots)) for field, inner in parts
+        ) if inner is not None
+    )
+    return (kind, kept) if kept else None
+
+
+def _slot_numbers(site) -> set:
+    """The slots a site tree of :func:`_sites` reaches."""
+    if site is None:
+        return set()
+    if isinstance(site, int):
+        return {site}
+    return set().union(*(_slot_numbers(inner) for _, inner in site[1]))
+
+
+def _bind(obj, site, constants: Sequence[Term], memo: Dict[int, object]):
+    """``obj`` with ``constants[slot]`` at every slot ``site`` names:
+    each object on the way there copied once (``memo``, so what the
+    plan shares — a probe's filter and the scan's — stays shared),
+    everything else the very object."""
+    if site.__class__ is int:
+        return constants[site]
+    new = memo.get(id(obj))
+    if new is not None:
+        return new
+    kind, parts = site
+    if kind == "list" or kind == "tuple":
+        items = list(obj)
+        for index, inner in parts:
+            items[index] = _bind(obj[index], inner, constants, memo)
+        if kind == "list":
+            new = items
+        elif hasattr(obj, "_fields"):
+            new = type(obj)._make(items)
+        else:
+            new = tuple(items)
+    else:
+        new = object.__new__(type(obj))
+        if kind == "object":
+            new.__dict__.update(obj.__dict__)
+        else:
+            for name in kind:
+                object.__setattr__(new, name, getattr(obj, name))
+        for name, inner in parts:
+            object.__setattr__(
+                new, name, _bind(getattr(obj, name), inner, constants, memo)
+            )
+    memo[id(obj)] = new
+    return new
+
+
+def _read_slots(query, slot_of: Dict[Term, int]) -> Tuple[int, ...]:
+    """The slots of ``query``'s WHERE group whose values the planner
+    reads: a triple pattern's predicate (its counts), the object of an
+    ``rdf:type`` pattern or of one with a slot for its predicate (the
+    class count), and a choice of an ``IN`` list (the pin's IRIs)."""
+    found: set = set()
+
+    def slot(term) -> Optional[int]:
+        if isinstance(term, (URIRef, Literal)):
+            return slot_of.get(term)
+        return None
+
+    def visit(obj) -> None:
+        kind = _kind(type(obj))
+        if kind is None or kind == "term":
+            return
+        if isinstance(obj, TriplePatternNode):
+            predicate = slot(obj.predicate)
+            found.add(predicate)
+            if predicate is not None or obj.predicate == RDF.type:
+                found.add(slot(obj.object))
+        elif isinstance(obj, InExpr):
+            found.update(
+                slot(choice.term) for choice in obj.choices
+                if isinstance(choice, TermExpr)
+            )
+        for _, value in _fields(obj, kind):
+            visit(value)
+
+    visit(query.where)
+    found.discard(None)
+    return tuple(sorted(found))
 
 
 class Evaluator:
@@ -242,23 +624,26 @@ class Evaluator:
         Returns a :class:`SelectResult` for SELECT, ``bool`` for ASK and a
         :class:`~repro.rdf.Graph` for CONSTRUCT/DESCRIBE.
         """
-        text = None
+        began = time.perf_counter()
+        plan: Optional[PlanNode] = None
         if isinstance(query, str):
-            text = query
-            query = _PARSED.get(text)
-            if query is None:
-                query = parse_query(text)
-                _remember(_PARSED, text, query)
+            if self._shares_plans():
+                query, plan = self._prepared(query)
+            else:
+                query = _literal_query(query)
         tracer = get_tracer()
         form = type(query).__name__.replace("Query", "").upper()
-        began = time.perf_counter()
         with tracer.span("sparql.evaluate", {"form": form}):
             previous_timing = self._time_plan_nodes
             if tracer.enabled:
                 self._time_plan_nodes = True
             try:
-                # (an object that is no query at all fails to lower)
-                plan = self._executable_plan(query, text)
+                if plan is None:
+                    # (an object that is no query at all fails to lower)
+                    plan = (
+                        self._plan(query).plan if self.optimize
+                        else lower_query(query)
+                    )
                 if isinstance(query, SelectQuery):
                     result = self._eval_select(query, plan)
                 elif isinstance(query, AskQuery):
@@ -278,37 +663,55 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _executable_plan(
-        self, query, text: Optional[str] = None
-    ) -> PlanNode:
-        """The plan :meth:`evaluate` runs: rewritten by the planner when
-        optimizing, otherwise the lowering with no pass applied.
+    def _shares_plans(self) -> bool:
+        """Plans are shared only between evaluators that plan alike:
+        optimizing, with the default planner and function table."""
+        return (
+            self.optimize
+            and self._planner is None
+            and self.functions == FUNCTIONS
+        )
 
-        A query that came in as ``text`` is planned once per statistics
-        snapshot; the plan found there may be running on other threads,
-        so it is executed but never written to.
+    def _prepared(self, text: str) -> Tuple[object, PlanNode]:
+        """The query and plan of ``text``, through the prepared-query
+        caches: the exact text's bound plan while it fits the
+        statistics (``hit``); else the plan of its shape for the values
+        of the keyed slots, with the text's constants bound into it
+        (``bound``), made again when it no longer fits (``stale``) or
+        made for the first time (``miss``).
+
+        A plan found here may be running on other threads, so it is
+        executed but never written to.
         """
-        if not self.optimize:
-            return lower_query(query)
-        if (
-            text is None
-            or self._planner is not None
-            or self.functions != FUNCTIONS
-        ):
-            # plans are shared through the statistics snapshot only
-            # between evaluators that plan alike
-            return self._plan(query).plan
-        plans = self._statistics().plans
-        plan = plans.get(text)
-        get_registry().counter(
-            "repro_plan_cache_total",
-            "Rewritten plans taken from (hit) or added to (miss) the "
-            "statistics snapshot's plan cache.",
-        ).labels(outcome="miss" if plan is None else "hit").inc()
-        if plan is None:
-            plan = self._plan(query).plan
-            _remember(plans, text, plan)
-        return plan
+        stats = self._statistics()
+        front = _TEXTS.get(text)
+        if front is not None:
+            shape, constants, prepared, query, plan = front
+            if prepared.fits(stats):
+                _count_plan("hit")
+                return query, plan
+        else:
+            shape, constants = _shape_of(text)
+        key = tuple(constants[slot] for slot in shape.keyed)
+        prepared = shape.plans.get(key)
+        if prepared is None:
+            outcome = "miss"
+        elif prepared.fits(stats):
+            outcome = "bound"
+        else:
+            outcome, prepared = "stale", None
+        if prepared is None:
+            query = shape.query
+            if shape.key_sites is not None:
+                query = _bind(query, shape.key_sites, constants, {})
+            prepared = _Prepared(
+                query, self._plan(query).plan, shape.free, stats
+            )
+            _remember(shape.plans, key, prepared)
+        query, plan = prepared.bind(constants)
+        _remember(_TEXTS, text, (shape, constants, prepared, query, plan))
+        _count_plan(outcome)
+        return query, plan
 
     def _exists_plan(self, group: GroupPattern) -> PlanNode:
         """The plan of an ``EXISTS`` group, lowered once per evaluator.

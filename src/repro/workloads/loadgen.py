@@ -263,12 +263,17 @@ class LoadReport:
         probes = self._counts("repro_geo_probe_total", "path")
         plans = self._counts("repro_plan_cache_total", "outcome")
         if probes or plans:
+            # where the plans came from, each outcome's share of them
+            total = max(sum(plans.values()), 1)
             lines.append(
                 "  read path: geo probes "
                 f"grid={probes.get('grid', 0)} "
                 f"join={probes.get('join', 0)} "
-                f"scan={probes.get('scan', 0)}, plan cache "
-                f"hit={plans.get('hit', 0)} miss={plans.get('miss', 0)}"
+                f"scan={probes.get('scan', 0)}, plan cache " + " ".join(
+                    f"{outcome}={plans.get(outcome, 0)} "
+                    f"({plans.get(outcome, 0) / total:.0%})"
+                    for outcome in ("hit", "bound", "stale", "miss")
+                )
             )
         for sample in self.error_samples:
             lines.append(f"  error: {sample}")
