@@ -12,11 +12,11 @@ geo-located near it. Results can be filtered by the user's own position
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..rdf.namespace import DCTERMS, GEO, GN, RDFS
-from ..rdf.terms import Literal, Term, URIRef
-from ..sparql.fulltext import FullTextIndex, tokenize_text
+from ..rdf.terms import Term, URIRef
+from ..sparql.fulltext import FullTextIndex, literal_triples, tokenize_text
 from ..sparql.geo import Point, haversine_km, try_parse_point
 from .models import ContentItem
 
@@ -68,15 +68,60 @@ class Suggestion:
     score: float
 
 
+#: The predicates whose literals the label index holds, and the two of
+#: them a suggestion displays, by preference (lower first).
+LABEL_PREDICATES = (RDFS.label, GN.name, GN.alternateName)
+_DISPLAY_RANK = {RDFS.label: 0, GN.name: 1}
+
+
+class _Entry(NamedTuple):
+    """What a suggestion shows and scores for one labelled subject."""
+
+    label: str
+    tokens: Tuple[str, ...]
+
+
 class SearchInterface:
-    """Semantic search over the platform's union graph."""
+    """Semantic search over the platform's union graph.
+
+    Construction reads the literals of :data:`LABEL_PREDICATES` (one
+    ``triples((None, p, None))`` walk each) into a token index and one
+    :class:`_Entry` per subject with a displayed label: that label and
+    its tokens. The display label is a literal ``rdfs:label``, else a
+    literal ``gn:name``; among several of the preferred predicate, the
+    smallest by ``(language tag or "", lexical form)`` — the same label
+    in every process. ``gn:alternateName`` is searched, never shown.
+
+    :meth:`suggest` answers from that index and those entries alone, so
+    it answers for the graph as it was at construction even when
+    ``union_graph`` is a mutable graph changed since; only the
+    geo-ranking by ``user_point`` and :meth:`content_for_resource` read
+    the graph. Nothing is written after ``__init__``: threads share an
+    interface without a lock, and a rebuilt one is published by
+    reference.
+    """
 
     def __init__(self, union_graph, contents: Sequence[ContentItem]) -> None:
         self.graph = union_graph
         self.contents = list(contents)
-        self._label_index = FullTextIndex.from_graph(
-            union_graph, predicates=[RDFS.label, GN.name, GN.alternateName]
-        )
+        self._label_index = FullTextIndex()
+        # per subject, its best (rank, language, lexical form, tokens)
+        best: Dict[Term, Tuple[int, str, str, List[str]]] = {}
+        for subject, predicate, label in literal_triples(
+            union_graph, LABEL_PREDICATES
+        ):
+            tokens = self._label_index.add(subject, predicate, label.lexical)
+            rank = _DISPLAY_RANK.get(predicate)
+            if rank is None:
+                continue
+            candidate = (rank, label.lang or "", label.lexical, tokens)
+            if subject not in best or candidate < best[subject]:
+                best[subject] = candidate
+        self._entries: Dict[Term, _Entry] = {
+            subject: _Entry(lexical, tuple(tokens))
+            for subject, (_, _, lexical, tokens) in best.items()
+        }
+        self._label_index.tokens()  # sorted now: a keystroke only reads
 
     # ------------------------------------------------------------------
     # Incremental suggestion (the AJAX candidates list)
@@ -89,31 +134,28 @@ class SearchInterface:
     ) -> List[Suggestion]:
         """LOD resources whose label starts matching the typed prefix,
         optionally ranked by distance to the user."""
-        subjects = self._label_index.search_prefix(prefix, limit=200)
-        suggestions: List[Suggestion] = []
-        for subject in subjects:
-            label = self._display_label(subject)
-            if label is None:
+        lowered = prefix.lower()
+        ranked = []
+        for subject in self._label_index.search_prefix(prefix, limit=200):
+            entry = self._entries.get(subject)
+            if entry is None:
                 continue
-            score = self._prefix_score(prefix, label)
+            score = self._prefix_score(lowered, entry.tokens)
             if user_point is not None:
                 distance = self._distance_to(subject, user_point)
                 if distance is not None:
                     score += max(0.0, 1.0 - min(distance, 1000.0) / 1000.0)
-            suggestions.append(Suggestion(subject, label, round(score, 4)))
-        suggestions.sort(key=lambda s: (-s.score, str(s.resource)))
-        return suggestions[:limit]
-
-    def _display_label(self, subject: Term) -> Optional[str]:
-        label = self.graph.value(subject, RDFS.label)
-        if label is None:
-            label = self.graph.value(subject, GN.name)
-        return label.lexical if isinstance(label, Literal) else None
+            ranked.append((-round(score, 4), str(subject), subject, entry))
+        ranked.sort()
+        return [
+            Suggestion(subject, entry.label, -negated)
+            for negated, _, subject, entry in ranked[:limit]
+        ]
 
     @staticmethod
-    def _prefix_score(prefix: str, label: str) -> float:
-        tokens = tokenize_text(label)
-        lowered = prefix.lower()
+    def _prefix_score(lowered: str, tokens: Sequence[str]) -> float:
+        """How well a label (its ``tokens``) matches the lower-cased
+        prefix: its first word, another word, or only a search hit."""
         if not tokens:
             return 0.0
         if tokens[0].startswith(lowered):

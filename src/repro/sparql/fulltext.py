@@ -13,11 +13,12 @@ Two consumers:
 from __future__ import annotations
 
 import bisect
+import itertools
 import re
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..rdf.graph import Graph
+from ..rdf.graph import Graph, Triple
 from ..rdf.terms import Literal, Term
 
 _WORD_RE = re.compile(r"[\w']+", re.UNICODE)
@@ -82,14 +83,17 @@ def contains(text: str, pattern: str) -> bool:
 class FullTextIndex:
     """Inverted index mapping word tokens to (subject, predicate) pairs.
 
-    Indexes every literal object in a graph. Lookups return the subjects
-    whose literals contain the query tokens; :meth:`search_prefix`
-    supports the mobile interface's search-as-you-type behaviour.
+    Indexes the literal objects of a graph (all of them, or those of
+    some predicates). Lookups return the subjects whose literals contain
+    the query tokens; :meth:`search_prefix` supports the mobile
+    interface's search-as-you-type behaviour. Once nothing is added any
+    more and :meth:`tokens` has sorted the tokens, searching writes
+    nothing, so any number of threads may search it without a lock.
     """
 
     def __init__(self) -> None:
         self._postings: Dict[str, Set[Tuple[Term, Term]]] = defaultdict(set)
-        self._prefix_cache: Optional[List[str]] = None
+        self._sorted_tokens: Optional[List[str]] = None
 
     @classmethod
     def from_graph(
@@ -100,22 +104,24 @@ class FullTextIndex:
         """Build an index over ``graph`` literals.
 
         ``predicates`` restricts indexing to the given predicates (e.g.
-        only ``rdfs:label``); by default every literal is indexed.
+        only ``rdfs:label``) and reads only their triples, one
+        ``graph.triples((None, p, None))`` walk per predicate; by default
+        every triple is read and every literal indexed. The index is a
+        copy: later changes to ``graph`` do not reach it.
         """
         index = cls()
-        wanted = set(predicates) if predicates is not None else None
-        for s, p, o in graph:
-            if not isinstance(o, Literal):
-                continue
-            if wanted is not None and p not in wanted:
-                continue
+        for s, p, o in literal_triples(graph, predicates):
             index.add(s, p, o.lexical)
         return index
 
-    def add(self, subject: Term, predicate: Term, text: str) -> None:
-        for token in tokenize_text(text):
+    def add(self, subject: Term, predicate: Term, text: str) -> List[str]:
+        """Index ``text`` under ``(subject, predicate)``; returns its
+        tokens."""
+        tokens = tokenize_text(text)
+        for token in tokens:
             self._postings[token].add((subject, predicate))
-        self._prefix_cache = None
+        self._sorted_tokens = None
+        return tokens
 
     def __len__(self) -> int:
         return len(self._postings)
@@ -142,9 +148,7 @@ class FullTextIndex:
         prefix = prefix.lower()
         if not prefix:
             return set()
-        if self._prefix_cache is None:
-            self._prefix_cache = sorted(self._postings)
-        tokens = self._prefix_cache
+        tokens = self.tokens()
         start = bisect.bisect_left(tokens, prefix)
         result: Set[Term] = set()
         for idx in range(start, len(tokens)):
@@ -157,5 +161,25 @@ class FullTextIndex:
         return result
 
     def tokens(self) -> List[str]:
-        """All indexed tokens (sorted)."""
-        return sorted(self._postings)
+        """All indexed tokens, sorted once after the last :meth:`add`
+        and shared with :meth:`search_prefix` (do not modify the list)."""
+        if self._sorted_tokens is None:
+            self._sorted_tokens = sorted(self._postings)
+        return self._sorted_tokens
+
+
+def literal_triples(
+    graph: Graph, predicates: Optional[Iterable[Term]] = None
+) -> Iterator[Tuple[Term, Term, Literal]]:
+    """The triples of ``graph`` with a literal object: those of each of
+    ``predicates`` in turn (each read once however often it is named),
+    or of the whole graph when ``predicates`` is ``None``."""
+    if predicates is None:
+        triples: Iterable[Triple] = graph
+    else:
+        triples = itertools.chain.from_iterable(
+            graph.triples((None, p, None)) for p in dict.fromkeys(predicates)
+        )
+    for s, p, o in triples:
+        if isinstance(o, Literal):
+            yield s, p, o
