@@ -283,7 +283,7 @@ def _reorder_bgp(
                 break
         if not placed:
             leftover.append(expr)
-    result = BGPNode(attached, leftover, ordered=True)
+    result = BGPNode(attached, leftover)
     if stats is not None:
         result.est_rows = rows
     return result
@@ -699,14 +699,14 @@ def explain(
         evaluator._time_plan_nodes = evaluator._annotate = True
         try:
             start = time.perf_counter()
-            rows = evaluator._exec_modifier(planned.plan)
+            rows = list(evaluator._solutions(planned.plan))
             optimized_ms = (time.perf_counter() - start) * 1000.0
         finally:
             evaluator._time_plan_nodes, evaluator._annotate = previous
         row_count = len(rows)
         if compare:
             start = time.perf_counter()
-            evaluator._exec_modifier(lower_query(query))
+            list(evaluator._solutions(lower_query(query)))
             naive_ms = (time.perf_counter() - start) * 1000.0
     return Explanation(
         planned,

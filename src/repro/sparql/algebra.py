@@ -64,6 +64,10 @@ from .ast import (
 )
 from .errors import SparqlEvalError
 
+#: Virtuoso's full-text magic predicate: a constraint in triple position
+#: on a literal another pattern binds.
+CONTAINS = URIRef("bif:contains")
+
 
 class PlanNode:
     """Base class of all algebra nodes.
@@ -183,31 +187,28 @@ class ScanStep(PlanNode):
 
 
 class BGPNode(PlanNode):
-    """A basic graph pattern: an ordered list of scans.
+    """A basic graph pattern: a list of scans, run in the order listed.
+
+    The order is the planner's cost order once ``reorder_scans`` has
+    run; a BGP as lowered (the reference plan, every ``EXISTS`` group)
+    keeps the written order, ``bif:contains`` constraints last.
 
     ``pushed`` holds filters assigned to this BGP by the pushdown pass
     but not yet attached to a specific scan (the reorder pass attaches
     them at the earliest position where their variables are bound; the
     executor applies any leftovers after the final scan).
-
-    ``ordered`` says who decides the scan order: true once the reorder
-    pass has fixed it (the executor runs ``scans`` as listed), false
-    for a BGP as lowered (the executor picks the order per run of
-    incoming solutions, by bound positions).
     """
 
-    __slots__ = ("scans", "pushed", "ordered", "est_rows")
+    __slots__ = ("scans", "pushed", "est_rows")
 
     def __init__(
         self,
         scans: List[ScanStep],
         pushed: Optional[List[Expression]] = None,
-        ordered: bool = False,
     ) -> None:
         super().__init__()
         self.scans = scans
         self.pushed: List[Expression] = list(pushed or ())
-        self.ordered = ordered
         self.est_rows: Optional[float] = None
 
     def children(self) -> Sequence[PlanNode]:
@@ -223,8 +224,7 @@ class BGPNode(PlanNode):
         return self.variables()
 
     def label(self) -> str:
-        order = "" if self.ordered else ", order picked at run time"
-        text = f"BGP ({len(self.scans)} scan(s){order})"
+        text = f"BGP ({len(self.scans)} scan(s))"
         for expr in self.pushed:
             text += f" | FILTER {render_expression(expr)}"
         return text
@@ -515,7 +515,9 @@ def lower_query(query: Query) -> PlanNode:
     """Lower any query form; non-SELECT forms plan their WHERE group."""
     if isinstance(query, SelectQuery):
         return lower_select(query)
-    if isinstance(query, (AskQuery, ConstructQuery)):
+    if isinstance(query, ConstructQuery):
+        return _sliced(query, lower_group(query.where))
+    if isinstance(query, AskQuery):
         return lower_group(query.where)
     if isinstance(query, DescribeQuery):
         if query.where is None:
@@ -536,15 +538,22 @@ def lower_select(query: SelectQuery) -> PlanNode:
     )
     if query.distinct or query.reduced:
         node = DistinctNode(node)
+    return _sliced(query, node)
+
+
+def _sliced(query, node: PlanNode) -> PlanNode:
+    """``node`` under the query's LIMIT / OFFSET, if it has one."""
     if query.offset or query.limit is not None:
-        node = SliceNode(query.limit, query.offset, node)
+        return SliceNode(query.limit, query.offset, node)
     return node
 
 
 def lower_group(group: GroupPattern) -> JoinNode:
     """Lower a group pattern; FILTERs go last (group-level scoping), so
     triple blocks only FILTERs separated become one BGP (joins of
-    triple patterns commute)."""
+    triple patterns commute). A BGP's scans keep the written order,
+    except that ``bif:contains`` constraints go after the others: a
+    constraint binds nothing, and it needs its subject bound."""
     elements: List[PlanNode] = []
     filters: List[PlanNode] = []
     for element in group.elements:
@@ -558,6 +567,9 @@ def lower_group(group: GroupPattern) -> JoinNode:
             elements[-1].scans.extend(node.scans)
         else:
             elements.append(node)
+    for node in elements:
+        if isinstance(node, BGPNode):
+            node.scans.sort(key=lambda s: s.pattern.predicate == CONTAINS)
     return JoinNode(elements + filters)
 
 

@@ -3,10 +3,12 @@
 There is one executor. Every query form — SELECT, ASK, CONSTRUCT,
 DESCRIBE, sub-SELECTs and the groups inside ``EXISTS`` — is lowered to
 the algebra of :mod:`repro.sparql.algebra` and the plan is run by
-:meth:`Evaluator._exec_modifier` (solution modifiers, materialized) over
-:meth:`Evaluator._exec_node` (graph patterns, streaming solution
-mappings: dicts of variable → term). What ``optimize=`` decides is only
-which plan that is:
+:meth:`Evaluator._exec_node`: every node, graph pattern or solution
+modifier, consumes a stream of solution mappings (dicts of variable →
+term) and yields one. Only ORDER BY and GROUP BY / aggregates hold
+their input; DISTINCT keys each row on its terms, and a LIMIT stops
+pulling — through DISTINCT and projection down to the scans — once it
+has its rows. What ``optimize=`` decides is only which plan that is:
 
 * ``optimize=True`` — the plan after the rewrites of
   :mod:`repro.analysis.plan` (filter pushdown, statistics-driven scan
@@ -28,19 +30,12 @@ A scan sharing no variable with the solutions has one key and is
 looked up once. Steps pass solutions on in chunks of :data:`_CHUNK`, so
 ``ASK``, ``LIMIT`` and ``EXISTS`` still stop early.
 
-The steps run in one of two orders, read off the plan node
-(:attr:`BGPNode.ordered`), not off an option:
+The scans run in the order the plan lists them. The planner's
+``reorder_scans`` is the one place a scan order is chosen; a BGP it
+did not order (the reference plan, every ``EXISTS`` group) runs as
+written, its ``bif:contains`` constraints placed last by the lowering.
 
-* *static* — the planner's ``reorder_scans`` pass fixed the order; the
-  scans run as listed;
-* *picked at run time* — no pass ordered the BGP (the reference plan, a
-  custom pipeline without ``reorder_scans``, every ``EXISTS`` group):
-  for each run of incoming solutions binding the same variables, the
-  pattern with the most bound positions goes next, and a
-  ``bif:contains`` constraint waits until its subject is bound
-  (:func:`_runtime_order`).
-
-Two facts the reorder pass leaves on an ordered BGP change *how* a
+Two facts the reorder pass leaves on the BGPs it orders change *how* a
 step reads, never what it yields (DESIGN.md, "Read path"):
 
 * :attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
@@ -104,6 +99,7 @@ from ..rdf.terms import (
     BNode, Literal, Term, URIRef, Variable, unescape_literal,
 )
 from .algebra import (
+    CONTAINS,
     AggregateNode,
     BGPNode,
     DistinctNode,
@@ -150,13 +146,10 @@ from .fulltext import contains as fulltext_contains
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
 from .geo import try_parse_point
 from .parser import parse_query
-from .results import Row, SelectResult
+from .results import SelectResult
 from .tokenizer import unquote_string
 
 Bindings = Dict[Variable, Term]
-
-#: Virtuoso magic predicate for full-text matching in triple position.
-_MAGIC_CONTAINS = URIRef("bif:contains")
 
 #: The filter the statistics' spatial grid can answer for — as long as
 #: it is the builtin one.
@@ -604,11 +597,11 @@ class Evaluator:
         self._planner = planner
         self._stats = None
         self._exists_plans: Dict[int, Tuple[GroupPattern, PlanNode]] = {}
-        # when true, _exec_node/_exec_modifier measure the inclusive
-        # wall time of each plan node and emit plan-node spans; EXPLAIN
-        # turns it on for its run, and an enabled tracer turns it on
-        # for every evaluation. Off by default: per-solution clock
-        # reads are measurable on hot queries.
+        # when true, _exec_node measures the inclusive wall time of
+        # each plan node and emits plan-node spans; EXPLAIN turns it on
+        # for its run, and an enabled tracer turns it on for every
+        # evaluation. Off by default: per-solution clock reads are
+        # measurable on hot queries.
         self._time_plan_nodes = False
         # when true (EXPLAIN only, together with the timing above, on
         # a plan it made for itself) the run also leaves actual_rows /
@@ -717,7 +710,7 @@ class Evaluator:
         """The plan of an ``EXISTS`` group, lowered once per evaluator.
 
         No pass rewrites it — the group runs under whatever the outer
-        solution has bound, which only the run-time scan order sees.
+        solution has bound — so its scans run as written.
         """
         cached = self._exists_plans.get(id(group))
         if cached is None:
@@ -790,7 +783,7 @@ class Evaluator:
     def _eval_select(
         self, query: SelectQuery, plan: PlanNode
     ) -> SelectResult:
-        rows = self._exec_modifier(plan)
+        rows = list(self._solutions(plan))
         variables = query.variables or collect_variables(query.where)
         return SelectResult(variables, rows)
 
@@ -894,12 +887,12 @@ class Evaluator:
     # ------------------------------------------------------------------
     # ASK / CONSTRUCT / DESCRIBE
     # ------------------------------------------------------------------
-    def _where_solutions(self, plan: PlanNode) -> Iterator[Bindings]:
-        """Solutions of a query's WHERE group."""
+    def _solutions(self, plan: PlanNode) -> Iterator[Bindings]:
+        """Solutions of a query's plan, run on the default graph."""
         return self._exec_node(plan, iter([dict()]), self.graph)
 
     def _eval_ask(self, plan: PlanNode) -> bool:
-        for _ in self._where_solutions(plan):
+        for _ in self._solutions(plan):
             return True
         return False
 
@@ -907,12 +900,7 @@ class Evaluator:
         self, query: ConstructQuery, plan: PlanNode
     ) -> Graph:
         result = Graph()
-        materialized = list(self._where_solutions(plan))
-        if query.offset:
-            materialized = materialized[query.offset :]
-        if query.limit is not None:
-            materialized = materialized[: query.limit]
-        for index, row in enumerate(materialized):
+        for index, row in enumerate(self._solutions(plan)):
             bnode_map: Dict[BNode, BNode] = {}
             for pattern in query.template:
                 triple = []
@@ -949,7 +937,7 @@ class Evaluator:
         result = Graph()
         targets: List[Term] = []
         if query.where is not None:
-            for row in self._where_solutions(plan):
+            for row in self._solutions(plan):
                 for term in query.terms:
                     if isinstance(term, Variable):
                         bound = row.get(term)
@@ -966,83 +954,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def _exec_modifier_inner(
-        self, node: PlanNode, limit: Optional[int] = None
-    ) -> List[Row]:
-        """Rows of a modifier chain; ``limit`` — a LIMIT right above,
-        with nothing but a projection in between — is how many of them
-        are asked for."""
-        if isinstance(node, SliceNode):
-            rows = self._exec_modifier(
-                node.child,
-                None if node.limit is None else node.offset + node.limit,
-            )
-            if node.offset:
-                rows = rows[node.offset :]
-            if node.limit is not None:
-                rows = rows[: node.limit]
-        elif isinstance(node, DistinctNode):
-            seen = set()
-            rows = []
-            for row in self._exec_modifier(node.child):
-                key = tuple(sorted((str(k), v) for k, v in row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-        elif isinstance(node, ProjectNode):
-            rows = [
-                {v: row[v] for v in node.variables if v in row}
-                for row in self._exec_modifier(node.child, limit)
-            ]
-        elif isinstance(node, OrderNode):
-            rows = self._exec_modifier(node.child)
-            rows.sort(
-                key=lambda row: tuple(
-                    self._order_key(cond, row)
-                    for cond in node.conditions
-                )
-            )
-        elif isinstance(node, AggregateNode):
-            inner = self._exec_modifier(node.child)
-            if node.grouped:
-                rows = list(self._aggregate(node.query, iter(inner)))
-            else:
-                rows = list(
-                    self._bind_projection_exprs(node.query, iter(inner))
-                )
-        else:
-            return list(itertools.islice(
-                self._exec_node(node, iter([dict()]), self.graph), limit
-            ))
-        if self._annotate:
-            node.actual_rows = (node.actual_rows or 0) + len(rows)
-        return rows
-
-    def _exec_modifier(
-        self, node: PlanNode, limit: Optional[int] = None
-    ) -> List[Row]:
-        if not self._time_plan_nodes or not isinstance(
-            node,
-            (
-                SliceNode, DistinctNode, ProjectNode, OrderNode,
-                AggregateNode,
-            ),
-        ):
-            # non-modifier roots fall through to _exec_node, which
-            # does its own per-node timing — no double counting
-            return self._exec_modifier_inner(node, limit)
-        began = time.perf_counter()
-        rows = self._exec_modifier_inner(node, limit)
-        elapsed = time.perf_counter() - began
-        if self._annotate:
-            node.actual_ms = (node.actual_ms or 0.0) + elapsed * 1000.0
-        get_tracer().record_span(
-            f"plan.{type(node).__name__}",
-            elapsed,
-            {"rows": len(rows)},
-        )
-        return rows
-
     def _exec_node(
         self,
         node: PlanNode,
@@ -1107,26 +1018,16 @@ class Evaluator:
                 solutions = self._exec_node(element, solutions, graph)
             yield from solutions
         elif isinstance(node, BGPNode):
-            # an ordered BGP is one run; one nobody ordered is a run
-            # per stretch of solutions binding the same variables
-            runs = (
-                [(None, solutions)] if node.ordered
-                else itertools.groupby(solutions, key=frozenset)
-            )
-            for bound, run in runs:
-                stream = _chunks(run)
-                for scan in (
-                    node.scans if node.ordered
-                    else _runtime_order(node.scans, bound)
-                ):
-                    stream = self._scan_step(scan, stream, graph)
-                for chunk in stream:
-                    if not node.pushed:
-                        yield from chunk
-                        continue
-                    for row in chunk:
-                        if self._filters_pass(node.pushed, row, graph):
-                            yield row
+            stream = _chunks(solutions)
+            for scan in node.scans:
+                stream = self._scan_step(scan, stream, graph)
+            for chunk in stream:
+                if not node.pushed:
+                    yield from chunk
+                    continue
+                for row in chunk:
+                    if self._filters_pass(node.pushed, row, graph):
+                        yield row
         elif isinstance(node, FilterNode):
             for binding in solutions:
                 try:
@@ -1176,7 +1077,7 @@ class Evaluator:
                     if merged is not None:
                         yield merged
         elif isinstance(node, SubSelectNode):
-            inner_rows = self._exec_modifier(node.plan)
+            inner_rows = list(self._solutions(node.plan))
             for binding in solutions:
                 for row in inner_rows:
                     merged = self._merge_row(binding, row.items())
@@ -1204,6 +1105,38 @@ class Evaluator:
                                 node.group, iter([binding]), named_graph
                             )
                             break
+        # the solution modifiers come last: they run once per query or
+        # sub-select, the pattern nodes above once per LeftJoin, Union,
+        # GRAPH or EXISTS row
+        elif isinstance(node, SliceNode):
+            stop = None if node.limit is None else node.offset + node.limit
+            yield from itertools.islice(
+                self._exec_node(node.child, solutions, graph),
+                node.offset, stop,
+            )
+        elif isinstance(node, DistinctNode):
+            seen = set()
+            for row in self._exec_node(node.child, solutions, graph):
+                key = frozenset(row.items())
+                if key not in seen:
+                    seen.add(key)
+                    yield row
+        elif isinstance(node, ProjectNode):
+            variables = node.variables
+            for row in self._exec_node(node.child, solutions, graph):
+                yield {v: row[v] for v in variables if v in row}
+        elif isinstance(node, OrderNode):
+            rows = list(self._exec_node(node.child, solutions, graph))
+            rows.sort(key=lambda row: tuple(
+                self._order_key(cond, row) for cond in node.conditions
+            ))
+            yield from rows
+        elif isinstance(node, AggregateNode):
+            rows = self._exec_node(node.child, solutions, graph)
+            if node.grouped:
+                yield from self._aggregate(node.query, rows)
+            else:
+                yield from self._bind_projection_exprs(node.query, rows)
         else:
             raise SparqlEvalError(
                 f"cannot execute plan node: {node.label()}"
@@ -1255,7 +1188,7 @@ class Evaluator:
         s_var = isinstance(subject, Variable)
         p_var = isinstance(predicate, Variable)
         o_var = isinstance(obj, Variable)
-        magic = predicate == _MAGIC_CONTAINS
+        magic = predicate == CONTAINS
         probe, pin = scan.probe, scan.pin
         stats = None
         if probe is not None:
@@ -1582,42 +1515,6 @@ class Evaluator:
             raise SparqlEvalError(f"unknown function: {call.name}")
         args = [self._eval_expression(a, binding, graph) for a in call.args]
         return implementation(args)
-
-
-def _runtime_order(
-    scans: List[ScanStep], binding: Bindings
-) -> List[ScanStep]:
-    """Scan order for a BGP no planner pass has ordered.
-
-    Greedy: the pattern with the most positions bound so far goes next
-    (ties keep the written order), and a ``bif:contains`` constraint is
-    held back until its subject is bound. A scan binds all of its
-    variables whatever triple it matches, so the whole order follows
-    from the incoming ``binding`` alone.
-    """
-    bound = set(binding)
-
-    def score(scan: ScanStep) -> int:
-        pattern = scan.pattern
-        if pattern.predicate == _MAGIC_CONTAINS:
-            subject = pattern.subject
-            ready = not isinstance(subject, Variable) or subject in bound
-            return 4 if ready else -5
-        return sum(
-            not isinstance(position, Variable) or position in bound
-            for position in (
-                pattern.subject, pattern.predicate, pattern.object
-            )
-        )
-
-    remaining = list(scans)
-    ordered: List[ScanStep] = []
-    while remaining:
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best)
-        bound.update(best.pattern.variables())
-    return ordered
 
 
 def _chunks(rows: Iterator[Bindings]) -> Iterator[List[Bindings]]:

@@ -195,27 +195,37 @@ class TestPlannerMechanics:
         assert planned.plan is not None
 
     def test_only_reorder_fixes_the_scan_order(self, graph):
-        # what the executor does with a BGP is read off the plan: the
-        # planner marks it ordered, the bare lowering (what
-        # optimize=False runs) leaves the scan order to be picked per
-        # incoming solution
+        # the executor runs a BGP's scans as listed: the planner lists
+        # them in cost order, the bare lowering (what optimize=False
+        # runs) as written — but for bif:contains, a constraint that
+        # binds nothing, which goes last
         text = (
-            'SELECT ?p WHERE { ?p rev:rating ?r . ?p foaf:maker ?u . '
-            '?u foaf:name "walter" . FILTER(?r >= 4) }'
+            'SELECT ?p WHERE { ?l bif:contains "walter" . '
+            '?p rev:rating ?r . ?p foaf:maker ?u . ?u foaf:name ?l '
+            'FILTER(?r >= 4) }'
         )
+        planned_plan = plan_query(graph, text).plan
+        lowered_plan = lower_query(parse_query(text))
         (planned,) = [
-            n for n in walk(plan_query(graph, text).plan)
-            if isinstance(n, BGPNode)
+            n for n in walk(planned_plan) if isinstance(n, BGPNode)
         ]
-        assert planned.ordered
-        assert "run time" not in planned.label()
         (lowered,) = [
-            n for n in walk(lower_query(parse_query(text)))
-            if isinstance(n, BGPNode)
+            n for n in walk(lowered_plan) if isinstance(n, BGPNode)
         ]
-        assert not lowered.ordered
-        assert "order picked at run time" in lowered.label()
+        contains = "bif:contains"
+        assert [str(s.pattern.predicate) for s in lowered.scans] == [
+            str(REV.rating), str(FOAF.maker), str(FOAF.name), contains,
+        ]
         assert not any(scan.filters for scan in lowered.scans)
+        # the two names (2 rows) before the twelve makers and ratings,
+        # the constraint as soon as ?l is bound
+        assert [str(s.pattern.predicate) for s in planned.scans] == [
+            str(FOAF.name), contains, str(FOAF.maker), str(REV.rating),
+        ]
+        assert planned.scans[0].est_rows == 2
+        for plan in (planned_plan, lowered_plan):
+            assert not any("run time" in n.label() for n in walk(plan))
+        assert_same_rows(graph, text)
 
     @pytest.mark.parametrize("element", [
         "VALUES ?u { <http://example.org/u/walter> "

@@ -334,6 +334,68 @@ CASES = [
             {"x": _PIC2, "r": Literal(3).n3()},
         ),
     ),
+    # -- solution modifiers: DISTINCT keys on terms, slices count ------
+    (
+        "distinct-keys-on-terms",
+        # an IRI, a literal and a blank node spelled alike: three rows
+        f"""SELECT DISTINCT ?k WHERE {{ ?x <{EX}kind> ?k }}""",
+        _rows(
+            {"k": _PHOTO}, {"k": Literal(EX + "Photo").n3()},
+            {"k": BNode(EX + "Photo").n3()},
+        ),
+    ),
+    (
+        "distinct-over-unbound",
+        # both places leave ?r unbound: one empty row for the two
+        """SELECT DISTINCT ?r WHERE {
+             ?x geo:geometry ?loc OPTIONAL { ?x rev:rating ?r }
+           }""",
+        _rows(
+            {}, *({"r": Literal(r).n3()} for r in (5, 3, 4)),
+        ),
+    ),
+    (
+        "order-desc-offset-limit",
+        """SELECT ?x ?r WHERE { ?x rev:rating ?r }
+           ORDER BY DESC(?r) OFFSET 1 LIMIT 1""",
+        _rows({"x": _PIC3, "r": Literal(4).n3()}),
+    ),
+    (
+        "limit-zero",
+        """SELECT ?x WHERE { ?x rev:rating ?r } LIMIT 0""",
+        [],
+    ),
+    (
+        "offset-past-the-end",
+        """SELECT ?x WHERE { ?x rev:rating ?r } OFFSET 3""",
+        [],
+    ),
+    (
+        "union-of-distinct-limited-sub-selects",
+        # M1's shape: each branch keeps its first distinct row — walter
+        # made both pictures rated 4 or more, both near ones are photos
+        f"""SELECT ?who ?t WHERE {{
+             {{ SELECT DISTINCT ?who WHERE {{
+                  ?pic foaf:maker ?who . ?pic rev:rating ?r
+                  FILTER(?r >= 4) }} LIMIT 1 }}
+             UNION
+             {{ SELECT DISTINCT ?t WHERE {{
+                  ?pic a ?t . ?pic foaf:maker ?who .
+                  ?pic geo:geometry ?loc
+                  FILTER(bif:st_intersects(?loc, "{MOLE}", 0.3)) }}
+                LIMIT 1 }}
+           }}""",
+        _rows({"who": _WALTER}, {"t": _PHOTO}),
+    ),
+    (
+        "construct-offset-limit",
+        # VALUES fixes the order the solutions come in
+        f"""CONSTRUCT {{ ?x rev:rating ?r }} WHERE {{
+             VALUES ?x {{ <{EX}pic1> <{EX}pic2> <{EX}pic3> }}
+             ?x rev:rating ?r
+           }} OFFSET 1 LIMIT 1""",
+        [(_PIC2, REV.rating.n3(), Literal(3).n3())],
+    ),
     # -- the IN-list access path: a scan keyed by the listed IRIs ------
     (
         "in-two-iris-on-type",

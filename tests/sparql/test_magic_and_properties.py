@@ -61,22 +61,35 @@ class TestMagicContains:
         )
         assert len(result) == 0
 
+    #: the same group as the WHERE clause, and inside an EXISTS that no
+    #: planner orders — each planned and run as lowered
+    SHAPES = [
+        (shape, optimize)
+        for shape in (
+            "SELECT * WHERE {{ {} }}",
+            "SELECT ?m WHERE {{ ?m rdfs:label ?any "
+            "FILTER EXISTS {{ {} }} }}",
+        )
+        for optimize in (True, False)
+    ]
+
     def test_unbound_subject_rejected(self, labeled_graph):
-        with pytest.raises(SparqlEvalError):
-            query(
-                labeled_graph,
-                'SELECT ?l WHERE { ?l bif:contains "mole" . }',
-            )
+        for shape, optimize in self.SHAPES:
+            text = shape.format('?l bif:contains "mole" .')
+            with pytest.raises(SparqlEvalError):
+                query(labeled_graph, text, optimize=optimize)
 
     def test_deferred_after_binding_pattern(self, labeled_graph):
         # the magic pattern appears FIRST but must evaluate after the
         # label pattern binds ?l
-        result = query(
-            labeled_graph,
-            'SELECT ?m WHERE { ?l bif:contains "eiffel" . '
-            "?m rdfs:label ?l . }",
-        )
-        assert [r["m"] for r in result] == [ex("tower")]
+        for shape, optimize in self.SHAPES:
+            text = shape.format(
+                '?l bif:contains "eiffel" . ?m rdfs:label ?l .'
+            )
+            result = query(labeled_graph, text, optimize=optimize)
+            assert [r["m"] for r in result] == [ex("tower")], (
+                text, optimize
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -629,16 +629,24 @@ class TestEarlyExit:
     ):
         evaluator = Evaluator(big_graph, optimize=optimize)
         GraphStatistics.cached(big_graph)
+        where = "WHERE { ?s rdfs:label ?l . ?s rdfs:comment ?c } LIMIT 5"
+        for text in (
+            f"SELECT ?s ?c {where}",
+            # every row is distinct: DISTINCT passes the limit on
+            f"SELECT DISTINCT ?s ?c {where}",
+            f"CONSTRUCT {{ ?s rdfs:comment ?c }} {where}",
+        ):
+            with lookups_of(big_graph) as asked:
+                result = evaluator.evaluate(text)
+            assert len(result) == 5, text
+            # the first step filled one chunk, the second looked each
+            # of its solutions up — not the 5 000 there are
+            assert len(asked) <= 1 + self.CHUNK, text
+            assert asked.yielded <= 2 * self.CHUNK, text
+        # one distinct value: DISTINCT looks for a second one to the end
         with lookups_of(big_graph) as asked:
-            rows = evaluator.evaluate(
-                "SELECT ?s ?c WHERE { ?s rdfs:label ?l . "
-                "?s rdfs:comment ?c } LIMIT 5"
-            )
-        assert len(rows) == 5
-        # the first step filled one chunk, the second looked each of
-        # its solutions up — not the 5 000 there are
-        assert len(asked) <= 1 + self.CHUNK
-        assert asked.yielded <= 2 * self.CHUNK
+            rows = evaluator.evaluate(f"SELECT DISTINCT ?c {where}")
+        assert len(rows) == 1 and asked.yielded == 10_000
         # under ORDER BY every row is needed: nothing to stop
         with lookups_of(big_graph) as asked:
             rows = evaluator.evaluate(
