@@ -47,9 +47,11 @@ benchmarks:
 ## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; 12
 ## fresh M1 texts and 20 fresh Q2 texts, each after a commit, are parsed
 ## and planned once (1 / 1 each); Q3 as lowered >= 10x the planned
-## lookups; the search index build reads exactly the label triples and
-## a warm suggest looks up 0 (candidates per prefix and build/suggest
-## times printed ungated); an upload is 1 generation of 3
+## lookups; the search index build reads exactly the label triples, an
+## interface on the head after an upload reads 0 (its commit carried the
+## index, re-indexing 1 label triple at every size) and a warm suggest
+## looks up 0 (candidates per prefix and build/suggest times printed
+## ungated); an upload is 1 generation of 3
 ## contributions; an idle evaluator() looks up, contributes and commits
 ## nothing; batch annotation is 1 annotate call per item; a fully-bound
 ## lookup finds 1 triple; a checkpoint of a durable copy of the store

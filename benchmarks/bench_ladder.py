@@ -43,7 +43,7 @@ from repro.core import BatchAnnotator, geo_album, rated_album, social_album
 from repro.core.annotator import SemanticAnnotator
 from repro.core.mashup import mashup_query, run_mashup
 from repro.platform import Platform, SearchInterface
-from repro.platform.search import LABEL_PREDICATES
+from repro.platform.search import LABEL_PREDICATES, LabelIndex
 from repro.rdf import Graph, Literal, URIRef
 from repro.sparql import Evaluator
 from repro.sparql import evaluator as evaluator_module
@@ -447,26 +447,85 @@ def _triples_yielded():
         SnapshotGraph.triples = original
 
 
+@contextmanager
+def _reindexed():
+    """Counts the label triples the commits of the block re-index: the
+    literal label triples of each delta ``LabelIndex.apply_delta`` is
+    handed, plus the triples it reads from the graph."""
+    original = LabelIndex.apply_delta
+    read = []
+
+    def counting(self, added, removed, *args, **kwargs):
+        read.extend(
+            1 for _, p, o in itertools.chain(added, removed)
+            if p in LABEL_PREDICATES and isinstance(o, Literal)
+        )
+        with _triples_yielded() as triples:
+            view = original(self, added, removed, *args, **kwargs)
+        read.extend(triples)
+        return view
+
+    LabelIndex.apply_delta = counting
+    try:
+        yield read
+    finally:
+        LabelIndex.apply_delta = original
+
+
+def _next_generation(stack):
+    """``(triples read to build an interface on the head after one
+    upload commit, label triples that commit re-indexed)``; the upload
+    is deleted again afterwards, so later rungs see the same corpus."""
+    platform = stack.platform
+    with _reindexed() as reindexed:
+        item = platform.upload(stack.next_captures(1)[0])
+        platform.evaluator()  # one commit, carrying the label index
+    union, contents = platform.union_graph(), platform.contents()
+    with _triples_yielded() as read:
+        search = SearchInterface(union, contents)
+    entry = search.labels.entries.get(item.resource)
+    assert entry is not None and entry.label == item.title, (
+        f"the upload {item.title!r} is not in the next head's index"
+    )
+    platform.delete_content(item.pid)
+    platform.evaluator()
+    return len(read), len(reindexed)
+
+
 def bench_search(benchmark, ladder):
-    """SEARCH (Figures 2–3): building the label index reads the label
-    triples and nothing else, and a keystroke is answered from the index
-    alone: 0 graph lookups per warm ``suggest`` over the end-to-end
-    benchmark's eight prefixes. The candidates a prefix scores are
-    printed ungated: ``search_prefix`` stops at the first token that
-    brings them to 200, and at 10⁴ contents one token ("mole") names
-    about 950 content items. Build and suggest times are printed
-    ungated."""
+    """SEARCH (Figures 2–3): the label index is collected from the label
+    triples and nothing else, once — a commit carries it to the next
+    generation, re-indexing only the label triples it adds or removes
+    (an upload's title: 1, flat in the corpus), so building an interface
+    on the head after an upload reads 0 triples — and a keystroke is answered
+    from the index alone: 0 graph lookups per warm ``suggest`` over the
+    end-to-end benchmark's eight prefixes. The candidates a prefix
+    scores are printed ungated: ``search_prefix`` stops at the first
+    token that brings them to 200, and at 10⁴ contents one token
+    ("mole") names about 950 content items. Build and suggest times are
+    printed ungated."""
+    built = {}
 
     def measure(contents, stack):
         union = stack.platform.union_graph()
         labels = sum(1 for _, p, _ in union if p in LABEL_PREDICATES)
+        # a collection, whatever the session cached: what the first
+        # interface on a store pays
         with _triples_yielded() as read:
             began = time.perf_counter()
-            search = SearchInterface(union, stack.platform.contents())
+            LabelIndex.collect(union)
             build_ms = (time.perf_counter() - began) * 1000.0
         assert len(read) == labels, (
             f"the search index at {contents} contents read {len(read)} "
             f"triples for {labels} label triples"
+        )
+        search = built[contents] = SearchInterface(
+            union, stack.platform.contents()
+        )
+        next_reads, reindexed = _next_generation(stack)
+        assert next_reads == 0, (
+            f"an interface on the head after an upload at {contents} "
+            f"contents read {next_reads} triples (0 expected)"
         )
         for prefix in SEARCH_PREFIXES:
             search.suggest(prefix)
@@ -478,7 +537,7 @@ def bench_search(benchmark, ladder):
             f"suggestions at {contents} contents (0 expected)"
         )
         candidates = [
-            len(search._label_index.search_prefix(prefix, limit=200))
+            len(search.labels.index.search_prefix(prefix, limit=200))
             for prefix in SEARCH_PREFIXES
         ]
         samples = timed_samples(
@@ -486,6 +545,8 @@ def bench_search(benchmark, ladder):
         return {
             "label_triples": labels,
             "build_reads": len(read),
+            "next_build_reads": next_reads,
+            "reindexed": reindexed,
             "lookups": len(lookups),
             "candidates_max": max(candidates),
             "build_ms": round(build_ms, 2),
@@ -494,12 +555,9 @@ def bench_search(benchmark, ladder):
                 1),
         }
 
-    top = _top(ladder)
-    search = SearchInterface(top.platform.union_graph(),
-                             top.platform.contents())
     prefixes = itertools.cycle(SEARCH_PREFIXES)
-    _climb(benchmark, ladder, "SEARCH", measure,
-           timed=lambda: search.suggest(next(prefixes)))
+    _climb(benchmark, ladder, "SEARCH", measure, flat=("reindexed",),
+           timed=lambda: built[max(ladder)].suggest(next(prefixes)))
 
 
 def bench_batch_throughput(benchmark, ladder):

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..rdf.namespace import GEO
 from ..rdf.terms import URIRef, Variable
 from ..sparql.algebra import (
+    CONTAINS,
     AggregateNode,
     BGPNode,
     DistinctNode,
@@ -66,9 +67,6 @@ from ..sparql.geo import Point, bounding_box
 from .sparql_lint import _expr_vars, _function_calls
 from .stats import GraphStatistics, _constant_number
 
-#: Magic predicates are constraints, not scans — they bind nothing and
-#: require their subject bound before they run.
-_MAGIC = "bif:contains"
 
 #: The geo filter the spatial grid is an access path for.
 _ST_INTERSECTS = "bif:st_intersects"
@@ -411,10 +409,7 @@ def _scan_deferred(scan: ScanStep, bound: Set[str]) -> bool:
     """True when a scan may not run yet (magic predicate, subject
     unbound)."""
     pattern = scan.pattern
-    if (
-        not isinstance(pattern.predicate, Variable)
-        and str(pattern.predicate) == _MAGIC
-    ):
+    if pattern.predicate == CONTAINS:
         subject = pattern.subject
         return isinstance(subject, Variable) and str(
             subject
@@ -535,7 +530,7 @@ def _bgp_pins(
     if not choices:
         return pins
     for scan in node.scans:
-        if str(scan.pattern.predicate) == _MAGIC:
+        if scan.pattern.predicate == CONTAINS:
             continue
         variables = scan.pattern.variables()
         for variable in variables:

@@ -26,7 +26,6 @@ they :meth:`~GraphStatistics.fits`.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Set, Tuple
@@ -38,6 +37,7 @@ from ..rdf.terms import BNode, Literal, Term, Variable
 from ..sparql.algebra import PlanNode, ScanStep, walk
 from ..sparql.ast import Expression, TermExpr, TriplePatternNode
 from ..sparql.geo import Point, bounding_box, try_parse_point
+from ..store.engine import cached_view, current_view, view_fingerprint
 
 #: Edge of one spatial-grid cell in degrees: ~1.1 km of latitude, ~0.8 km
 #: of longitude at 45°N. The paper's radii are 0.2–1 km, so a probe
@@ -55,22 +55,18 @@ GeoCell = Tuple[int, int]
 #: always counts as moved.
 PLAN_DRIFT = 2.0
 
-#: Serializes :meth:`GraphStatistics.cached` rebuilds so concurrent
-#: readers of a stale graph cannot each launch a full collection pass.
-_REBUILD_LOCK = threading.Lock()
-
 
 class GraphStatistics:
     """Cardinality statistics collected from a graph.
 
     ``fingerprint`` records the graph's change fingerprint at
-    collection time so callers can cheaply detect staleness and
-    re-collect: ``Graph._version`` for mutable graphs, or the MVCC
-    store's ``generation`` counter for generation-pinned snapshots
-    (:class:`repro.store.SnapshotGraph`), which is what lets
-    :meth:`cached` serve snapshot statistics without ever rebuilding.
-    Graph-like objects with neither get a fresh sentinel object that
-    never compares equal to anything observed later — *always stale*.
+    collection time (:func:`repro.store.engine.view_fingerprint`):
+    ``Graph._version`` for mutable graphs, or the MVCC store's
+    ``generation`` counter for generation-pinned snapshots
+    (:class:`repro.store.SnapshotGraph`), which a commit that carries
+    the statistics (:meth:`apply_delta`) stamps on them. Graph-like
+    objects with neither get a fresh sentinel object that never
+    compares equal to anything observed later — *always stale*.
     (The old fallback of ``len(graph)`` let a same-size mutation —
     remove one triple, add another — serve stale planner statistics.)
     """
@@ -109,11 +105,6 @@ class GraphStatistics:
         """Seconds since this snapshot was collected."""
         return max(time.time() - self.collected_at, 0.0)
 
-    def describes(self, graph) -> bool:
-        """True while ``graph`` is in the state this snapshot counted."""
-        version = _graph_fingerprint(graph)
-        return version is not None and self.fingerprint == version
-
     @classmethod
     def collect(cls, graph: Graph) -> "GraphStatistics":
         # Hold the graph's write lock (when it has one) for the whole
@@ -150,7 +141,7 @@ class GraphStatistics:
                 sum(len(entries) for entries in grid.values()),
                 grid,
             )
-            version = _graph_fingerprint(graph)
+            version = view_fingerprint(graph)
         # no fingerprint source -> a unique sentinel: never equal to any
         # later observation, so the snapshot can never be served stale.
         stats.fingerprint = version if version is not None else object()
@@ -165,30 +156,18 @@ class GraphStatistics:
 
     @classmethod
     def cached(cls, graph: Graph) -> "GraphStatistics":
-        """Version-checked statistics for ``graph``, cached on it.
+        """The statistics of ``graph`` through the one derived-view cache
+        (:func:`repro.store.engine.cached_view`): carried by every commit
+        on a store's union view, collected again on any other graph once
+        its fingerprint moves."""
+        return cached_view(graph, cls)
 
-        The fast path is lock-free: read the cached snapshot and accept
-        it when its fingerprint matches the graph's current version.
-        Rebuilds are serialized by a module-level lock so N concurrent
-        readers of a freshly-mutated graph trigger one collection pass,
-        not N — the interleaving the concurrency analyzer flagged when
-        the evaluator open-coded this check.
-        """
-        stats = getattr(graph, "_stats_cache", None)
-        if stats is not None and stats.describes(graph):
-            return stats
-        with _REBUILD_LOCK:
-            # double-check: another reader may have rebuilt while we
-            # waited on the lock
-            stats = getattr(graph, "_stats_cache", None)
-            if stats is not None and stats.describes(graph):
-                return stats
-            stats = cls.collect(graph)
-            try:
-                graph._stats_cache = stats
-            except AttributeError:  # pragma: no cover - exotic graphs
-                pass
-            return stats
+    @classmethod
+    def current(cls, graph: Graph) -> Optional["GraphStatistics"]:
+        """The statistics cached for ``graph`` while they describe it,
+        else ``None``; never collects
+        (:func:`repro.store.engine.current_view`)."""
+        return current_view(graph, cls)
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -534,21 +513,6 @@ class GraphStatistics:
         )
         per_cell = self.geo_points / len(self.geo_grid)
         return max(covered * per_cell * math.pi / 4.0, 0.001)
-
-
-def _graph_fingerprint(graph) -> Optional[object]:
-    """The graph's change fingerprint, if it exposes one.
-
-    Mutable :class:`~repro.rdf.graph.Graph` instances expose
-    ``_version`` (bumped per mutation); MVCC store snapshots expose
-    ``generation`` instead (pinned, so it doubles as the statistics
-    fingerprint). ``None`` means no cheap staleness signal exists and
-    the caller must treat cached statistics as always stale.
-    """
-    version = getattr(graph, "_version", None)
-    if version is not None:
-        return version
-    return getattr(graph, "generation", None)
 
 
 def _count_key(pattern: TriplePatternNode) -> tuple:

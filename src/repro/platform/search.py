@@ -12,12 +12,23 @@ geo-located near it. Results can be filtered by the user's own position
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..rdf.namespace import DCTERMS, GEO, GN, RDFS
-from ..rdf.terms import Term, URIRef
+from ..rdf.terms import Literal, Term, URIRef
 from ..sparql.fulltext import FullTextIndex, literal_triples, tokenize_text
 from ..sparql.geo import Point, haversine_km, try_parse_point
+from ..store.engine import cached_view
 from .models import ContentItem
 
 #: The paper's debounce interval.
@@ -71,57 +82,177 @@ class Suggestion:
 #: The predicates whose literals the label index holds, and the two of
 #: them a suggestion displays, by preference (lower first).
 LABEL_PREDICATES = (RDFS.label, GN.name, GN.alternateName)
+_LABELLED = frozenset(LABEL_PREDICATES)
 _DISPLAY_RANK = {RDFS.label: 0, GN.name: 1}
 
 
 class _Entry(NamedTuple):
-    """What a suggestion shows and scores for one labelled subject."""
+    """What a suggestion shows and scores for one labelled subject.
 
+    Entries order as the display rule does: the subject's entry is the
+    smallest of its display labels' — by predicate rank, then language
+    tag or "", then lexical form (the tokens follow from that)."""
+
+    rank: int
+    lang: str
     label: str
     tokens: Tuple[str, ...]
+
+
+class LabelIndex:
+    """The search box's label index over one graph: a token index of the
+    literals of :data:`LABEL_PREDICATES` (:attr:`index`) and one
+    :class:`_Entry` per subject with a displayed label (:attr:`entries`).
+
+    The display label is a literal ``rdfs:label``, else a literal
+    ``gn:name``; among several of the preferred predicate, the smallest
+    by ``(language tag or "", lexical form)`` — the same label in every
+    process. ``gn:alternateName`` is searched, never shown.
+
+    A derived view (:mod:`repro.store.engine`): :meth:`collect` reads the
+    label triples of a graph, :meth:`apply_delta` carries an index across
+    one store commit. Never written once built, so threads share one
+    without a lock.
+    """
+
+    __slots__ = ("index", "entries")
+
+    def __init__(
+        self, index: FullTextIndex, entries: Dict[Term, _Entry]
+    ) -> None:
+        self.index = index
+        self.entries = entries
+
+    @classmethod
+    def collect(cls, graph) -> "LabelIndex":
+        """The index of ``graph``: one ``triples((None, p, None))`` walk
+        per label predicate, nothing else read."""
+        index = FullTextIndex()
+        entries: Dict[Term, _Entry] = {}
+        for subject, predicate, label in literal_triples(
+            graph, LABEL_PREDICATES
+        ):
+            tokens = index.add(subject, predicate, label.lexical)
+            entry = _entry(predicate, label, tokens)
+            if entry is not None and (
+                subject not in entries or entry < entries[subject]
+            ):
+                entries[subject] = entry
+        index.tokens()  # sorted now: a keystroke only reads
+        return cls(index, entries)
+
+    def apply_delta(
+        self, added, removed, before, after, fingerprint: object = None
+    ) -> "LabelIndex":
+        """The index of ``after`` = ``before`` + one commit's
+        union-effective ``added``/``removed`` triples; ``self`` when the
+        delta holds no literal label triple.
+
+        Only the touched ``(subject, predicate)`` pairs and subjects are
+        derived again, and ``before`` is never read: what it held that
+        ``after`` lacks is in ``removed``. A pair that only gained
+        literals gains their tokens, and a subject that lost no display
+        label keeps the smaller of its entry and the new labels' — no
+        graph read, the case of an upload. A pair that lost a literal
+        keeps a token only if one of its literals in ``after`` still
+        carries it, and a subject that lost a display label is given
+        the smallest of its labels in ``after``. Posting sets, sorted
+        tokens and entries the commit does not touch are shared with
+        this index. A view of a store state is that state's by
+        construction, so the ``fingerprint`` is not kept."""
+        # per touched pair: (literals gained, literals lost)
+        delta: Dict[Tuple[Term, Term], Tuple[list, list]] = {}
+        for side, triples in enumerate((added, removed)):
+            for s, p, o in triples:
+                if p in _LABELLED and isinstance(o, Literal):
+                    delta.setdefault((s, p), ([], []))[side].append(o)
+        if not delta:
+            return self
+        retokenized: Dict[Tuple[Term, Term], Tuple[Set[str], Set[str]]] = {}
+        shown: Dict[Term, bool] = {}  # subject -> lost a display label
+        for pair, (gained, lost) in delta.items():
+            if lost:
+                retokenized[pair] = (
+                    _tokens(lost), _tokens(_labels(after, *pair))
+                )
+            else:
+                retokenized[pair] = (set(), _tokens(gained))
+            if pair[1] in _DISPLAY_RANK:
+                shown[pair[0]] = shown.get(pair[0], False) or bool(lost)
+        entries = self.entries
+        if shown:
+            entries = dict(entries)
+            for subject, lost_one in shown.items():
+                if lost_one:
+                    best = None
+                    candidates = [
+                        (p, label)
+                        for p in _DISPLAY_RANK
+                        for label in _labels(after, subject, p)
+                    ]
+                else:
+                    best = entries.get(subject)
+                    candidates = [
+                        (p, label)
+                        for p in _DISPLAY_RANK
+                        for label in delta.get((subject, p), ([], []))[0]
+                    ]
+                for p, label in candidates:
+                    entry = _entry(p, label, tokenize_text(label.lexical))
+                    if best is None or entry < best:
+                        best = entry
+                if best is None:
+                    entries.pop(subject, None)
+                else:
+                    entries[subject] = best
+        return LabelIndex(self.index.revised(retokenized), entries)
+
+
+def _entry(
+    predicate: Term, label: Literal, tokens: List[str]
+) -> Optional[_Entry]:
+    """How ``label`` competes for display; ``None`` for a predicate
+    that is never shown."""
+    rank = _DISPLAY_RANK.get(predicate)
+    if rank is None:
+        return None
+    return _Entry(rank, label.lang or "", label.lexical, tuple(tokens))
+
+
+def _labels(graph, subject: Term, predicate: Term) -> Iterator[Literal]:
+    for _, _, label in graph.triples((subject, predicate, None)):
+        if isinstance(label, Literal):
+            yield label
+
+
+def _tokens(labels: Iterable[Literal]) -> Set[str]:
+    """Every token of ``labels``."""
+    return {
+        token for label in labels for token in tokenize_text(label.lexical)
+    }
 
 
 class SearchInterface:
     """Semantic search over the platform's union graph.
 
-    Construction reads the literals of :data:`LABEL_PREDICATES` (one
-    ``triples((None, p, None))`` walk each) into a token index and one
-    :class:`_Entry` per subject with a displayed label: that label and
-    its tokens. The display label is a literal ``rdfs:label``, else a
-    literal ``gn:name``; among several of the preferred predicate, the
-    smallest by ``(language tag or "", lexical form)`` — the same label
-    in every process. ``gn:alternateName`` is searched, never shown.
+    Construction takes the :class:`LabelIndex` of ``union_graph`` from
+    the derived-view cache (:func:`repro.store.engine.cached_view`): on
+    a store's union view it was collected once and carried by every
+    commit since, so building an interface on a new head reads nothing
+    from the graph; any other graph is indexed again once it changed.
 
-    :meth:`suggest` answers from that index and those entries alone, so
-    it answers for the graph as it was at construction even when
-    ``union_graph`` is a mutable graph changed since; only the
-    geo-ranking by ``user_point`` and :meth:`content_for_resource` read
-    the graph. Nothing is written after ``__init__``: threads share an
-    interface without a lock, and a rebuilt one is published by
-    reference.
+    :meth:`suggest` answers from that index alone, so it answers for the
+    graph as it was at construction even when ``union_graph`` is a
+    mutable graph changed since; only the geo-ranking by
+    ``user_point`` and :meth:`content_for_resource` read the graph.
+    Nothing is written after ``__init__``: threads share an interface
+    without a lock, and a new one is published by reference.
     """
 
     def __init__(self, union_graph, contents: Sequence[ContentItem]) -> None:
         self.graph = union_graph
         self.contents = list(contents)
-        self._label_index = FullTextIndex()
-        # per subject, its best (rank, language, lexical form, tokens)
-        best: Dict[Term, Tuple[int, str, str, List[str]]] = {}
-        for subject, predicate, label in literal_triples(
-            union_graph, LABEL_PREDICATES
-        ):
-            tokens = self._label_index.add(subject, predicate, label.lexical)
-            rank = _DISPLAY_RANK.get(predicate)
-            if rank is None:
-                continue
-            candidate = (rank, label.lang or "", label.lexical, tokens)
-            if subject not in best or candidate < best[subject]:
-                best[subject] = candidate
-        self._entries: Dict[Term, _Entry] = {
-            subject: _Entry(lexical, tuple(tokens))
-            for subject, (_, _, lexical, tokens) in best.items()
-        }
-        self._label_index.tokens()  # sorted now: a keystroke only reads
+        self.labels: LabelIndex = cached_view(union_graph, LabelIndex)
 
     # ------------------------------------------------------------------
     # Incremental suggestion (the AJAX candidates list)
@@ -136,8 +267,9 @@ class SearchInterface:
         optionally ranked by distance to the user."""
         lowered = prefix.lower()
         ranked = []
-        for subject in self._label_index.search_prefix(prefix, limit=200):
-            entry = self._entries.get(subject)
+        labels = self.labels
+        for subject in labels.index.search_prefix(prefix, limit=200):
+            entry = labels.entries.get(subject)
             if entry is None:
                 continue
             score = self._prefix_score(lowered, entry.tokens)

@@ -222,6 +222,15 @@ def _remember(cache: Dict, key, value) -> None:
         cache[key] = value
 
 
+@functools.cache
+def _statistics_class() -> type:
+    """:class:`repro.analysis.stats.GraphStatistics`, imported on first
+    use: importing sparql does not import the analysis layer."""
+    from ..analysis.stats import GraphStatistics
+
+    return GraphStatistics
+
+
 def _count_plan(outcome: str) -> None:
     get_registry().counter(
         "repro_plan_cache_total",
@@ -721,17 +730,11 @@ class Evaluator:
         return cached[1]
 
     def _statistics(self):
-        """Graph statistics, re-collected whenever the graph changes.
-
-        The snapshot is cached on the graph itself so every evaluator
-        over the same store shares one collection pass; the
-        version-check/rebuild dance lives in
-        :meth:`GraphStatistics.cached`, which serializes concurrent
-        rebuilds instead of letting every racing evaluator re-scan.
-        """
-        from ..analysis.stats import GraphStatistics
-
-        stats = GraphStatistics.cached(self.graph)
+        """Graph statistics through the derived-view cache
+        (:meth:`GraphStatistics.cached`): every evaluator over the same
+        store generation shares them, and a commit carries them to the
+        next one."""
+        stats = _statistics_class().cached(self.graph)
         self._stats = stats
         self._observe_stats_age(stats)
         return stats
@@ -1287,11 +1290,12 @@ class Evaluator:
         """The statistics whose spatial grid a probed scan may read, or
         ``None`` to read the triple index like any other scan.
 
-        The grid is the one in the statistics cached on ``graph`` and
+        The grid is the one in the statistics cached for ``graph`` and
         is used only when it provably describes what a scan would see:
         ``graph`` is the evaluator's own (not a ``GRAPH`` pattern's
-        named graph), the statistics' fingerprint is the graph's
-        current one and ``bif:st_intersects`` is the builtin.
+        named graph), the cache holds statistics that still describe it
+        (none are collected here) and ``bif:st_intersects`` is the
+        builtin.
         """
         if (
             graph is not self.graph
@@ -1299,10 +1303,7 @@ class Evaluator:
             is not FUNCTIONS[_ST_INTERSECTS]
         ):
             return None
-        stats = getattr(graph, "_stats_cache", None)
-        if stats is None or not stats.describes(graph):
-            return None
-        return stats
+        return _statistics_class().current(graph)
 
     def _grid_hits(
         self,

@@ -160,6 +160,50 @@ class FullTextIndex:
                 break
         return result
 
+    def revised(
+        self,
+        retokenized: Dict[Tuple[Term, Term], Tuple[Set[str], Set[str]]],
+    ) -> "FullTextIndex":
+        """This index with each ``(subject, predicate)`` of
+        ``retokenized`` moved from its old tokens to its new ones
+        (``{pair: (old, new)}``), as a new index; this one is left as it
+        was. The new index shares every posting set no pair touches, and
+        the sorted tokens when no token comes or goes; ``self`` when
+        nothing moves."""
+        touched: Dict[str, Set[Tuple[Term, Term]]] = {}
+
+        def members(token: str) -> Set[Tuple[Term, Term]]:
+            found = touched.get(token)
+            if found is None:
+                found = touched[token] = set(self._postings.get(token, ()))
+            return found
+
+        for pair, (old, new) in retokenized.items():
+            for token in old - new:
+                members(token).discard(pair)
+            for token in new - old:
+                members(token).add(pair)
+        if not touched:
+            return self
+        postings = defaultdict(set, self._postings)
+        tokens = self.tokens()
+        for token, found in touched.items():
+            if found:
+                if token not in postings:
+                    if tokens is self._sorted_tokens:
+                        tokens = list(tokens)
+                    bisect.insort(tokens, token)
+                postings[token] = found
+            elif token in postings:
+                if tokens is self._sorted_tokens:
+                    tokens = list(tokens)
+                del postings[token]
+                del tokens[bisect.bisect_left(tokens, token)]
+        index = FullTextIndex()
+        index._postings = postings
+        index._sorted_tokens = tokens
+        return index
+
     def tokens(self) -> List[str]:
         """All indexed tokens, sorted once after the last :meth:`add`
         and shared with :meth:`search_prefix` (do not modify the list)."""

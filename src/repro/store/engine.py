@@ -15,9 +15,9 @@ pinned generation.
 
 Writers serialize on one commit lock. A commit computes the *effective*
 ops (no-ops are dropped), appends one WAL record
-(:mod:`repro.store.wal`), derives the next state, maintains
-:class:`repro.analysis.stats.GraphStatistics` incrementally from the
-delta, and publishes the new state with a single atomic reference swap.
+(:mod:`repro.store.wal`), derives the next state, carries every derived
+view the last state holds across the delta (see *Derived views* below),
+and publishes the new state with a single atomic reference swap.
 Deriving a state copies no triple: the touched context's overlay is
 *thawed* (:func:`repro.rdf.graph.thaw` — the new overlay shares the
 published one's index containers and copies only those the commit
@@ -115,6 +115,9 @@ __all__ = [
     "SnapshotGraph",
     "StoreError",
     "WriteBatch",
+    "cached_view",
+    "current_view",
+    "view_fingerprint",
 ]
 
 
@@ -193,26 +196,28 @@ class _ContextState:
 
 
 class _State:
-    """One published store state; everything but ``stats`` is fixed.
+    """One published store state; everything but ``views`` is fixed.
 
-    ``stats`` starts ``None`` and is filled in at most once (lazily on
-    first use, or eagerly by incremental maintenance at commit) — an
-    idempotent publication, so no lock guards it.
+    ``views`` maps a view kind to its view of this state's union (module
+    docstring). The map is never changed in place, only replaced: by the
+    commit that derives the state, before publishing it, or by
+    :func:`cached_view` under ``_COLLECT_LOCK`` when a view is first
+    collected here. A reader's one attribute read sees a whole map.
     """
 
-    __slots__ = ("generation", "contexts", "union_size", "stats")
+    __slots__ = ("generation", "contexts", "union_size", "views")
 
     def __init__(
         self,
         generation: int,
         contexts: Dict[ContextKey, _ContextState],
         union_size: int,
-        stats: Any = None,
+        views: Optional[Dict[type, Any]] = None,
     ) -> None:
         self.generation = generation
         self.contexts = contexts
         self.union_size = union_size
-        self.stats = stats
+        self.views: Dict[type, Any] = views if views is not None else {}
 
 
 def _context_visible(cs: _ContextState, triple: Triple) -> bool:
@@ -266,9 +271,9 @@ class SnapshotGraph(FrozenGraph):
     never touch this one. Mutation raises
     :class:`~repro.rdf.graph.FrozenGraphError` (inherited).
 
-    Deliberately has no ``_version`` attribute and no lock: staleness
-    for cached statistics is keyed on :attr:`generation` (see
-    ``repro.analysis.stats``), and an immutable view needs no guard.
+    Deliberately has no ``_version`` attribute and no lock: a cached
+    view is keyed on :attr:`generation` (:func:`cached_view`; the union
+    view shares its state's), and an immutable view needs no guard.
     """
 
     def __init__(
@@ -339,22 +344,6 @@ class SnapshotGraph(FrozenGraph):
             p: (count, len(subjects), len(objects))
             for p, (count, subjects, objects) in gathered.items()
         }
-
-    # -- statistics cache, shared across snapshots of one state --------
-    @property
-    def _stats_cache(self):
-        if self._scope is _UNION:
-            return self._state.stats
-        return self.__dict__.get("_local_stats_cache")
-
-    @_stats_cache.setter
-    def _stats_cache(self, stats: Any) -> None:
-        if self._scope is _UNION:
-            # idempotent publication: every writer derived this from the
-            # same immutable state, so last-write-wins is safe
-            self._state.stats = stats
-        else:
-            self.__dict__["_local_stats_cache"] = stats
 
     def __repr__(self) -> str:
         return (
@@ -1127,7 +1116,7 @@ class QuadStore:
             wal_bytes = self._wal.append(new_state.generation, effective)
             wal_seconds = time.perf_counter() - wal_began
             fsync_seconds = self._wal.last_fsync_seconds
-        _maintain_stats(
+        _maintain_views(
             self, state, new_state, union_added, union_removed
         )
         self._state = new_state  # cc: allow=CC001 (commit lock held)
@@ -1252,7 +1241,7 @@ class QuadStore:
                     scratch.size,
                 )
         new_state = _State(
-            generation, contexts, state.union_size + union_delta, None
+            generation, contexts, state.union_size + union_delta
         )
         return (new_state, effective, seg_counts,
                 union_added, union_removed, folded)
@@ -1335,7 +1324,7 @@ class QuadStore:
                 folded += 1
             # same generation, same content — readers are unaffected
             self._state = _State(
-                state.generation, contexts, state.union_size, state.stats
+                state.generation, contexts, state.union_size, state.views
             )
         summary = {
             "store": self.name,
@@ -1411,7 +1400,7 @@ class QuadStore:
             },
             "overlay_ops": overlay,
             "overlay_limit": OVERLAY_LIMIT,
-            "statistics_cached": state.stats is not None,
+            "views": sorted(kind.__name__ for kind in state.views),
         }
         if self.directory is not None and self._wal is not None:
             data["wal"] = {
@@ -1548,27 +1537,89 @@ def _publish_bases(
         for cs in contexts.values():
             union.update(cs.base.triples())
         union_size = len(union)
-    return _State(generation, contexts, union_size, None)
+    return _State(generation, contexts, union_size)
 
 
-def _maintain_stats(
+def _maintain_views(
     store: "QuadStore",
     old: _State,
     new: _State,
     union_added: List[Triple],
     union_removed: List[Triple],
 ) -> None:
-    """Carry planner statistics across a commit incrementally."""
-    stats = old.stats
-    if stats is None or stats.fingerprint != old.generation:
-        return  # nothing cached (or stale): rebuilt lazily on demand
-    new.stats = stats.apply_delta(
-        union_added,
-        union_removed,
-        SnapshotGraph(store, old, _UNION),
-        SnapshotGraph(store, new, _UNION),
-        fingerprint=new.generation,
-    )
+    """Carry every view ``old`` holds across a commit (module docstring);
+    a kind not collected yet is collected on first use."""
+    views = old.views
+    if not views:
+        return
+    before = SnapshotGraph(store, old, _UNION)
+    after = SnapshotGraph(store, new, _UNION)
+    new.views = {
+        kind: view.apply_delta(
+            union_added, union_removed, before, after,
+            fingerprint=new.generation,
+        )
+        for kind, view in views.items()
+    }
+
+
+# ---------------------------------------------------------------------
+# derived views: the one cache (module docstring)
+# ---------------------------------------------------------------------
+#: Serializes from-scratch collections, so N readers of a graph with no
+#: current view start one collection pass, not N.
+_COLLECT_LOCK = threading.Lock()
+
+
+def view_fingerprint(graph: Any) -> Optional[object]:
+    """What a view of ``graph`` is cached against: a mutable graph's
+    ``_version`` (bumped per mutation), else a pinned view's
+    ``generation``. ``None``: the graph exposes no change signal, and a
+    view of it is never served from a cache."""
+    version = getattr(graph, "_version", None)
+    if version is not None:
+        return version
+    return getattr(graph, "generation", None)
+
+
+def current_view(graph: Any, kind: type) -> Any:
+    """The ``kind`` view cached for ``graph`` while it still describes
+    ``graph``, else ``None``; never collects."""
+    if isinstance(graph, SnapshotGraph) and graph._scope is _UNION:
+        return graph._state.views.get(kind)
+    cached = getattr(graph, "_views", {}).get(kind)
+    if cached is None:
+        return None
+    fingerprint, view = cached
+    return view if fingerprint == view_fingerprint(graph) else None
+
+
+def cached_view(graph: Any, kind: type) -> Any:
+    """The ``kind`` view of ``graph``: the cached one while it describes
+    ``graph`` (:func:`current_view`), else ``kind.collect(graph)``, kept
+    for the next caller. Lock-free when cached; collections are
+    serialized and checked again under the lock."""
+    view = current_view(graph, kind)
+    if view is not None:
+        return view
+    with _COLLECT_LOCK:
+        view = current_view(graph, kind)
+        if view is not None:
+            return view
+        if isinstance(graph, SnapshotGraph) and graph._scope is _UNION:
+            state = graph._state
+            view = kind.collect(graph)
+            state.views = {**state.views, kind: view}
+            return view
+        # read before collecting: a write racing the collection leaves
+        # the view marked stale, never a stale view marked current
+        fingerprint = view_fingerprint(graph)
+        view = kind.collect(graph)
+        if fingerprint is not None:
+            graph._views = {
+                **getattr(graph, "_views", {}), kind: (fingerprint, view)
+            }
+        return view
 
 
 # ---------------------------------------------------------------------

@@ -325,7 +325,7 @@ class LoadGenerator:
         self._platform = platform
         self._store = store
         self._web = WebInterface(platform)
-        self._search = SearchInterface(
+        self._search = SearchInterface(  # cc: allow=CC001 (no worker yet)
             platform.union_graph(), platform.contents()
         )
         # uploads arrive from the same user population, continuing the
@@ -359,13 +359,14 @@ class LoadGenerator:
                 return
             self._pending_uploads = []
             self._platform.synchronize_store()
-            search = SearchInterface(
+            # published under the lock, so a sync of an older generation
+            # cannot land after a newer one; the interface takes the
+            # label index the commit carried, reading nothing
+            self._search = SearchInterface(
                 self._platform.union_graph(),
                 self._platform.contents(),
             )
-        # publish the rebuilt index (atomic reference store), then
         # verify + observe freshness outside the lock on a pinned head
-        self._search = search
         synced_at = time.perf_counter()
         head = self._store.head()
         histogram = get_registry().histogram(
@@ -384,9 +385,10 @@ class LoadGenerator:
             histogram.observe(synced_at - uploaded_at)
 
     def _op_search(self, arg: str) -> None:
-        suggestions = self._search.suggest(arg, limit=10)
+        search = self._search  # cc: allow=CC001 (atomic reference read)
+        suggestions = search.suggest(arg, limit=10)
         # prefixes are chosen to hit the world's labels; an empty
-        # result set would mean the index rebuild went missing
+        # result set would mean the label index went missing
         if not suggestions:
             raise RuntimeError(f"no suggestions for prefix {arg!r}")
 

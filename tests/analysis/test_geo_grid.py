@@ -20,6 +20,7 @@ from repro.sparql.geo import (
     st_intersects,
 )
 from repro.store import QuadStore
+from repro.store.engine import current_view
 
 EX = "http://example.org/"
 
@@ -236,8 +237,13 @@ def normalized(stats):
     }
 
 
+def carried_stats(store):
+    """The statistics the store's head carries (none collected)."""
+    return current_view(store.head(), GraphStatistics)
+
+
 def assert_carried_equals_collected(store):
-    carried = store._state.stats
+    carried = carried_stats(store)
     assert carried is not None and carried.fingerprint == store.generation
     fresh = GraphStatistics.collect(store.head())
     assert normalized(carried) == normalized(fresh)
@@ -271,15 +277,15 @@ def test_a_geometry_in_two_contexts_is_one_entry_until_both_are_gone():
     store.statistics()
     store.insert(triple, _CONTEXTS[1])
     store.insert(triple, _CONTEXTS[2])
-    assert store._state.stats.geo_points == 1
+    assert carried_stats(store).geo_points == 1
     assert_carried_equals_collected(store)
     store.remove(triple, _CONTEXTS[1])
-    assert store._state.stats.geo_points == 1
+    assert carried_stats(store).geo_points == 1
     assert_carried_equals_collected(store)
     store.remove(triple, _CONTEXTS[2])
-    assert store._state.stats.geo_points == 0
-    assert store._state.stats.geo_grid == {}
-    assert store._state.stats.bbox is None
+    assert carried_stats(store).geo_points == 0
+    assert carried_stats(store).geo_grid == {}
+    assert carried_stats(store).bbox is None
 
 
 def test_removing_a_boundary_point_recomputes_the_bbox_from_the_grid():
@@ -289,7 +295,7 @@ def test_removing_a_boundary_point_recomputes_the_bbox_from_the_grid():
     store.statistics()
     store.remove((ex(4), GEO.geometry, _GEOMETRIES[4]))  # northernmost
     assert_carried_equals_collected(store)
-    assert store._state.stats.bbox[3] == 48.8584
+    assert carried_stats(store).bbox[3] == 48.8584
 
 
 def test_a_commit_rewrites_only_the_cells_it_touches():
@@ -298,7 +304,7 @@ def test_a_commit_rewrites_only_the_cells_it_touches():
         store.insert((ex(index), GEO.geometry, geometry))
     before = store.statistics()
     store.insert((ex("new"), GEO.geometry, Literal("POINT(7.6931 45.0691)")))
-    after = store._state.stats
+    after = carried_stats(store)
     rewritten = [
         cell for cell, entries in after.geo_grid.items()
         if entries is not before.geo_grid.get(cell)
@@ -307,4 +313,4 @@ def test_a_commit_rewrites_only_the_cells_it_touches():
     assert len(after.geo_grid[rewritten[0]]) == 3
     # a commit without a geometry triple shares the whole grid
     store.insert((ex("new"), RDFS.label, Literal("new")))
-    assert store._state.stats.geo_grid is after.geo_grid
+    assert carried_stats(store).geo_grid is after.geo_grid

@@ -224,7 +224,7 @@ def test_suggest_equals_the_per_candidate_algorithm(corpus):
 def test_a_single_label_is_the_one_graph_value_gave(corpus):
     graph, search = corpus
     several = 0
-    for subject, entry in search._entries.items():
+    for subject, entry in search.labels.entries.items():
         literals = [o for o in graph.objects(subject, RDFS.label)
                     if isinstance(o, Literal)]
         if len(literals) == 1:

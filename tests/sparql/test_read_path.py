@@ -23,6 +23,7 @@ from repro.sparql.algebra import BGPNode, ScanStep, walk
 from repro.sparql.functions import boolean
 from repro.sparql.geo import GeometryError, parse_point, try_parse_point
 from repro.store import QuadStore
+from repro.store.engine import current_view
 
 from .executor_cases import (
     CASES,
@@ -282,7 +283,8 @@ def test_unoptimized_evaluator_uses_no_probe_no_tail_no_cached_plan(
         assert normalize(evaluator.evaluate(text)) == expected
         assert normalize(evaluator.evaluate(text)) == expected
     assert planned == []
-    assert store._state.stats is None  # never even collected
+    # never even collected
+    assert current_view(store.head(), GraphStatistics) is None
     assert registry.get("repro_geo_probe_total") is None
     assert registry.get("repro_plan_cache_total") is None
 

@@ -1,6 +1,8 @@
 """Load generator: deterministic schedules, config validation, and a
 small end-to-end run reporting out of the metrics registry."""
 
+import threading
+
 import pytest
 
 from repro.obs import MetricsRegistry, set_registry
@@ -138,3 +140,53 @@ class TestRun:
         assert data["completed"] == 8
         text = report.render()
         assert "load run:" in text and "op/s" in text
+
+
+class _PausingLock:
+    """Stands in for the platform lock: the ``paused`` thread stops
+    right after its first release until ``resume`` is set."""
+
+    def __init__(self, lock) -> None:
+        self.lock = lock
+        self.paused = None
+        self.released = threading.Event()
+        self.resume = threading.Event()
+
+    def __enter__(self) -> None:
+        self.lock.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.lock.release()
+        if threading.current_thread() is self.paused \
+                and not self.released.is_set():
+            self.released.set()
+            self.resume.wait(timeout=30)
+
+
+class TestSync:
+    def test_a_sync_finishing_late_keeps_the_newer_interface(
+        self, registry
+    ):
+        """Sync A drains an upload and commits; before A goes on past
+        the platform lock, sync B drains a later upload and commits. The
+        interface kept is B's, on the newest generation, whichever sync
+        returns last."""
+        config = LoadConfig(seed=7, ops=8, workers=2, base_contents=8,
+                            sync_every=2)
+        generator = LoadGenerator(config).setup()
+        gate = generator._platform_lock = _PausingLock(
+            generator._platform_lock
+        )
+        generator._op_upload("u0")
+        late = threading.Thread(target=generator._sync_store)
+        gate.paused = late
+        late.start()
+        assert gate.released.wait(timeout=30)
+        generator._op_upload("u1")
+        generator._sync_store()
+        newest = generator._store.generation
+        gate.resume.set()
+        late.join(timeout=30)
+        assert not late.is_alive()
+        assert generator._search.graph.generation == newest
+        assert generator._search.suggest("mole")
