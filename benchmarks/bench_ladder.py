@@ -15,7 +15,11 @@ counts only, never a time:
   or an exact value at every rung.
 
 The rungs: a fully-bound index lookup (STORE); the virtual albums Q1,
-Q2 and Q3 (§2.3); the About mashup M1 (§4.1); M1 and Q2 texts never
+Q2 and Q3 (§2.3) and the About mashup M1 (§4.1), their evaluations
+and lookups counted on the first ask after a commit (a grid probe is
+answered once per generation: a second ask makes no evaluation
+answering one, ``warm_probe_evaluations``, and Q1–Q3 none at all,
+``warm_evaluations``); M1 and Q2 texts never
 seen before, each after a commit (M1 fresh); Q3 without the planner's
 rewrites; the search box's label index and suggestions (SEARCH,
 Figures 2–3); batch annotation (§6); ``platform.evaluator()`` with
@@ -60,6 +64,12 @@ from repro.store.persistence import snapshot_path
 #: a count may grow 4.6x over 100x the corpus (2x over 8x).
 GROWTH = 0.33
 FLAT = ("evaluations", "lookups")
+#: A second ask on one generation finds every grid probe answered:
+#: it evaluates nothing answering one — and Q1–Q3 nothing at all (an
+#: M1 branch whose type scan has fewer rows than the grid candidates,
+#: the city one, still checks each row's geometry on the index path).
+WARM_PROBES = {"warm_probe_evaluations": 0}
+WARM = {"warm_evaluations": 0, **WARM_PROBES}
 PROBES = 1_000
 RADII = (0.2, 0.3, 1.0, 5.0)
 MASHUP_PIDS = 12
@@ -94,11 +104,13 @@ def _exponent(table: Table, name: str) -> float:
 
 def _climb(benchmark, ladder, rung: str, measure: Callable,
            timed: Callable, flat: Sequence[str] = (),
-           caps: Dict[str, float] = {}) -> None:
+           caps: Dict[str, float] = {},
+           exact: Dict[str, float] = {}) -> None:
     """Run ``measure(contents, stack) -> {name: value}`` on every stack
     between two passes of the speed meter; record and print every value
-    with its growth exponent; guard the ``flat`` exponents and the
-    ``caps`` at the top rung; then time ``timed`` with pytest-benchmark."""
+    with its growth exponent; guard the ``flat`` exponents, the ``caps``
+    at the top rung and the ``exact`` values at every rung; then time
+    ``timed`` with pytest-benchmark."""
     table, speed_index = metered(
         lambda: {n: measure(n, ladder[n]) for n in sorted(ladder)}
     )
@@ -128,29 +140,73 @@ def _climb(benchmark, ladder, rung: str, measure: Callable,
             f"{rung}: {table[sizes[-1]][name]:g} {name} at {sizes[-1]} "
             f"contents, over the cap of {cap}"
         )
+    for name, value in exact.items():
+        assert extra[name] == [value] * len(sizes), (
+            f"{rung}: {name} is {extra[name]} at {sizes} contents, "
+            f"not {value}"
+        )
     benchmark.pedantic(timed, rounds=20, iterations=1)
 
 
 def _query_counts(store: QuadStore, query: str, repeats: int = 5,
                   **options):
-    """``({evaluations, lookups, rows, ms}, result)`` of ``query`` over
-    ``store``: the filter evaluations and index lookups of one run with
-    statistics and plan warmed, and the median time of ``repeats``."""
+    """``({evaluations, warm_evaluations, warm_probe_evaluations,
+    lookups, rows, ms}, result)`` of ``query`` over ``store``: the
+    filter evaluations and index lookups of the first run after a
+    commit, with the plan warmed and no grid probe answered on the new
+    generation yet; the evaluations of a second run on that generation,
+    all of them and those made answering grid probes; and the median
+    time of ``repeats``."""
     Evaluator(store, **options).evaluate(query)
+    _fresh_generation(store)
     # st_intersects is looked up in its own module at every call, so
     # counting there leaves the function table — and the probe — alone
     with counted(sparql_functions, "st_intersects") as evaluations, \
             counted(SnapshotGraph, "triples") as lookups:
         result = Evaluator(store, **options).evaluate(query)
+    with counted(sparql_functions, "st_intersects") as warm, \
+            _made_inside(Evaluator, "_grid_hits", warm) as in_probes:
+        Evaluator(store, **options).evaluate(query)
     samples = timed_samples(
         lambda: Evaluator(store, **options).evaluate(query), repeats
     )
     return {
         "evaluations": len(evaluations),
+        "warm_evaluations": len(warm),
+        "warm_probe_evaluations": sum(in_probes),
         "lookups": len(lookups),
         "rows": len(result),
         "ms": round(statistics.median(samples), 3),
     }, result
+
+
+@contextmanager
+def _made_inside(owner, name: str, calls: list):
+    """Per call of ``owner.<name>`` while the block runs, how many
+    entries ``calls`` gained during it."""
+    original = getattr(owner, name)
+    made: list = []
+
+    def measuring(*args, **kwargs):
+        before = len(calls)
+        try:
+            return original(*args, **kwargs)
+        finally:
+            made.append(len(calls) - before)
+
+    setattr(owner, name, measuring)
+    try:
+        yield made
+    finally:
+        setattr(owner, name, original)
+
+
+def _fresh_generation(store: QuadStore) -> None:
+    """Two commits that leave the triples as they were: the head is a
+    new generation whose statistics have answered no grid probe."""
+    scratch = URIRef(_DELTA_NS + "generation")
+    store.insert((scratch, scratch, scratch), scratch)
+    store.remove((scratch, None, None), scratch)
 
 
 def _top(ladder):
@@ -208,7 +264,7 @@ def bench_geo_album(benchmark, ladder):
         return counts
 
     store = _top(ladder).store
-    _climb(benchmark, ladder, "Q1", measure, flat=FLAT,
+    _climb(benchmark, ladder, "Q1", measure, flat=FLAT, exact=WARM,
            timed=lambda: Evaluator(store).evaluate(query))
 
 
@@ -241,7 +297,7 @@ def bench_social_album(benchmark, ladder):
         return _query_counts(stack.store, query)[0]
 
     store = _top(ladder).store
-    _climb(benchmark, ladder, "Q2", measure, flat=FLAT,
+    _climb(benchmark, ladder, "Q2", measure, flat=FLAT, exact=WARM,
            caps={"lookups": 60},
            timed=lambda: Evaluator(store).evaluate(query))
 
@@ -259,7 +315,7 @@ def bench_rated_album(benchmark, ladder):
         return counts
 
     store = _top(ladder).store
-    _climb(benchmark, ladder, "Q3", measure, flat=FLAT,
+    _climb(benchmark, ladder, "Q3", measure, flat=FLAT, exact=WARM,
            caps={"lookups": 60},
            timed=lambda: Evaluator(store).evaluate(query))
 
@@ -301,7 +357,7 @@ def bench_mashup(benchmark, ladder):
 
     top = _top(ladder)
     query = mashup_query(_pid_near_mole(top.platform))
-    _climb(benchmark, ladder, "M1", measure, flat=FLAT,
+    _climb(benchmark, ladder, "M1", measure, flat=FLAT, exact=WARM_PROBES,
            caps={"lookups": 80, "evaluations": 70},
            timed=lambda: Evaluator(top.store).evaluate(query))
 

@@ -94,6 +94,25 @@ class GraphStatistics:
         self.geo_grid: Dict[GeoCell, Tuple[GeoEntry, ...]] = (
             geo_grid if geo_grid is not None else {}
         )
+        #: Grid probes answered on this snapshot, filled by the
+        #: executor (``Evaluator._grid_hits``): ``(centre term,
+        #: radius_km, geometry is the filter's first argument)`` ->
+        #: ``(candidate count, exact hits)``. The count is ``None``
+        #: when the centre has no box to probe; the hits — the
+        #: ``(subject, geometry)`` pairs of the candidates that pass
+        #: the exact ``bif:st_intersects``, in grid order — are
+        #: ``None`` until a step takes the grid or join path for that
+        #: centre. Never the candidate list itself. Every snapshot,
+        #: :meth:`apply_delta`'s included, starts empty, so an entry
+        #: always describes this grid. A value is a pure function of
+        #: the snapshot and its key: readers racing on a key write
+        #: equal values, so the memo is filled without a lock (at
+        #: worst a count-only entry lands over one with hits, and the
+        #: next grid step computes them again).
+        self.probe_memo: Dict[
+            Tuple[Term, float, bool],
+            Tuple[Optional[int], Optional[Tuple[Tuple[Term, Term], ...]]],
+        ] = {}
         #: ``Graph._version`` at collection time (staleness detection);
         #: an always-stale sentinel when the graph has no version.
         self.fingerprint: object = None

@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right, insort_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
+from weakref import WeakMethod
 
 from ..rdf.namespace import TL_USER
 from ..sparql.geo import Point, haversine_km
@@ -28,6 +29,12 @@ MAX_FIX_AGE = 3600
 
 #: Sort key of a ``(timestamp, point)`` fix.
 _fix_time = itemgetter(0)
+
+
+def _live(subscriber: Optional[WeakMethod]) -> Optional[Callable]:
+    """The subscribed method, or ``None`` if there is no subscriber
+    or it has been collected."""
+    return None if subscriber is None else subscriber()
 
 
 @dataclass
@@ -49,8 +56,9 @@ class ContextPlatform:
     def __init__(self, gazetteer: Optional[Gazetteer] = None) -> None:
         self.gazetteer = gazetteer or Gazetteer()
         self._users: Dict[str, _UserRecord] = {}
-        self._on_fix: Optional[Callable[[str, int], None]] = None
-        self._on_friendship: Optional[Callable[[str, str], None]] = None
+        #: the subscriber's bound methods, held weakly (:meth:`subscribe`)
+        self._on_fix: Optional[WeakMethod] = None
+        self._on_friendship: Optional[WeakMethod] = None
 
     def subscribe(
         self,
@@ -61,12 +69,18 @@ class ContextPlatform:
         and friendships (the sharing platform locates its items by
         them): ``on_fix(username, timestamp)`` and
         ``on_friendship(user_a, user_b)`` run after each is recorded,
-        whoever reported it."""
-        if self._on_fix is not None:
+        whoever reported it.
+
+        Both are bound methods of the consumer and are held weakly: the
+        context platform does not keep its consumer alive (nor form a
+        reference cycle with it), and once the consumer is gone its
+        place is free again."""
+        if _live(self._on_fix) is not None:
             raise ValueError(
                 "this context platform already feeds a sharing platform"
             )
-        self._on_fix, self._on_friendship = on_fix, on_friendship
+        self._on_fix = WeakMethod(on_fix)
+        self._on_friendship = WeakMethod(on_friendship)
 
     # ------------------------------------------------------------------
     # Registration
@@ -94,8 +108,9 @@ class ContextPlatform:
         """Symmetric friendship."""
         self._record(user_a).friends.add(user_b)
         self._record(user_b).friends.add(user_a)
-        if self._on_friendship is not None:
-            self._on_friendship(user_a, user_b)
+        on_friendship = _live(self._on_friendship)
+        if on_friendship is not None:
+            on_friendship(user_a, user_b)
 
     def friends_of(self, username: str) -> List[str]:
         """The user's friends, sorted by username."""
@@ -110,8 +125,9 @@ class ContextPlatform:
             self._record(username).positions, (timestamp, point),
             key=_fix_time,
         )
-        if self._on_fix is not None:
-            self._on_fix(username, timestamp)
+        on_fix = _live(self._on_fix)
+        if on_fix is not None:
+            on_fix(username, timestamp)
 
     def add_calendar_entry(
         self, username: str, entry: CalendarEntry

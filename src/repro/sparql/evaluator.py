@@ -41,7 +41,9 @@ step reads, never what it yields (DESIGN.md, "Read path"):
 * :attr:`ScanStep.probe` — ``?s geo:geometry ?o`` under a
   ``bif:st_intersects`` filter has the spatial grid of the graph's
   statistics as a second access path. Per distinct centre, the grid's
-  candidates are put to the exact filter once; solutions that bind
+  candidates are put to the exact filter once per statistics snapshot
+  — once per store generation — and the hits kept on it
+  (``GraphStatistics.probe_memo``); solutions that bind
   neither end are extended by the hits, solutions that bind ``?s`` are
   hash-joined with them when the centre has no more candidates than
   solutions (:meth:`Evaluator._grid_hits`), and everything else — a
@@ -77,8 +79,9 @@ rejects the solution; an ORDER BY key that errors sorts lowest.
 Concurrency: thread-safe
 (the module's shared state — the prepared-query caches — is only
 written under ``_CACHE_LOCK``, except the statistics a plan last fitted,
-one reference a racing reader at worst checks again; one ``Evaluator``
-is still one thread's object)
+one reference a racing reader at worst checks again; a statistics
+snapshot's probe memo is written without a lock, each value a pure
+function of its key; one ``Evaluator`` is still one thread's object)
 """
 
 from __future__ import annotations
@@ -1327,6 +1330,14 @@ class Evaluator:
         holds its circle) or nothing: when they bind the subject and
         the centre has more candidates than this chunk has solutions
         asking about it, one index lookup each is the cheaper side.
+
+        What a probe finds depends on the statistics snapshot and the
+        probe alone, so it is answered once per snapshot — once per
+        store generation — in :attr:`GraphStatistics.probe_memo`: the
+        candidate count the join decision reads, and the exact hits
+        once a step has taken the grid or join path for the centre. A
+        later step rebuilds its solutions from the remembered pairs
+        and evaluates nothing.
         """
         probe = scan.probe
         subject, geometry = scan.pattern.subject, scan.pattern.object
@@ -1344,35 +1355,58 @@ class Evaluator:
             asking[center] = len(chunk)
         joining = subject in chunk[0]
         exact = (probe.filter,)
+        first = probe.filter.args[0]
+        memo = stats.probe_memo
+        shape = (
+            probe.radius_km,
+            isinstance(first, TermExpr) and first.term == geometry,
+        )
         looked_up = 0
         for term, rows in asking.items():
             if term in hits:
                 continue
-            point = (
-                try_parse_point(term)
-                if isinstance(term, (Literal, URIRef)) else None
-            )
-            candidates = (
-                stats.geo_candidates(point, probe.radius_km)
-                if point is not None else None
-            )
-            if candidates is None:
+            key = (term, *shape)
+            known = memo.get(key)
+            candidates = None
+            if known is None:  # not asked on this snapshot yet
+                point = (
+                    try_parse_point(term)
+                    if isinstance(term, (Literal, URIRef)) else None
+                )
+                candidates = (
+                    stats.geo_candidates(point, probe.radius_km)
+                    if point is not None else None
+                )
+                count = None if candidates is None else len(candidates)
+                pairs = None
+                memo.setdefault(key, (count, pairs))
+            else:
+                count, pairs = known
+            if count is None:
                 hits[term] = None
                 continue
-            if joining and len(candidates) > rows:
+            if joining and count > rows:
                 continue
             looked_up += 1
-            if isinstance(center, Variable):
-                binding[center] = term
+            if pairs is None:
+                if candidates is None:
+                    candidates = stats.geo_candidates(
+                        try_parse_point(term), probe.radius_km
+                    )
+                if isinstance(center, Variable):
+                    binding[center] = term
+                passed = []
+                for found, value, _, _ in candidates:
+                    binding[geometry] = value
+                    if self._filters_pass(exact, binding, graph):
+                        passed.append((found, value))
+                pairs = tuple(passed)
+                memo[key] = count, pairs
             everything: List[Bindings] = []
             by_subject: Dict[Term, List[Bindings]] = {}
-            for found, value, _, _ in candidates:
-                binding[geometry] = value
-                if self._filters_pass(exact, binding, graph):
-                    everything.append({subject: found, geometry: value})
-                    by_subject.setdefault(found, []).append(
-                        {geometry: value}
-                    )
+            for found, value in pairs:
+                everything.append({subject: found, geometry: value})
+                by_subject.setdefault(found, []).append({geometry: value})
             hits[term] = everything, by_subject
         return looked_up
 

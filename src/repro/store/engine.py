@@ -713,8 +713,7 @@ class GroupCommitQueue:
     reverse), so the lock order stays acyclic.
     """
 
-    def __init__(self, store: "QuadStore") -> None:
-        self._store = store
+    def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._pending: List[_Submission] = []
         self._busy = False  # a leader is flushing (guarded by mutex)
@@ -724,9 +723,15 @@ class GroupCommitQueue:
         self._batched = 0
         self._largest_group = 0
 
-    def submit(self, ops: Sequence[BatchOp]) -> Tuple[int, int]:
-        """Commit ``ops`` through the queue; returns
+    def submit(
+        self, store: "QuadStore", ops: Sequence[BatchOp]
+    ) -> Tuple[int, int]:
+        """Commit ``ops`` to ``store`` through the queue; returns
         ``(generation, effective op count)`` like ``QuadStore.apply``.
+
+        The store is passed in, not kept: a queue is the store's and
+        holding it back would make the pair a reference cycle, left to
+        the cycle collector when the store is dropped.
         """
         sub = _Submission(list(ops))
         began = time.perf_counter()
@@ -743,11 +748,11 @@ class GroupCommitQueue:
         waited = time.perf_counter() - began
         if sub.lead:
             try:
-                with self._store._commit_lock:
+                with store._commit_lock:
                     with self._mutex:
                         drained = self._pending
                         self._pending = []
-                    self._commit_group(drained)
+                    self._commit_group(store, drained)
             finally:
                 with self._mutex:
                     if self._pending:
@@ -758,7 +763,7 @@ class GroupCommitQueue:
                         self._busy = False
         elapsed = time.perf_counter() - began
         role = "leader" if sub.lead else "follower"
-        labels = {"store": self._store.name, "role": role}
+        labels = {"store": store.name, "role": role}
         _emit("repro_store_flush_seconds", elapsed, **labels)
         _emit("repro_store_group_wait_seconds", waited, **labels)
         # parents to the *submitting* thread's active span, so a
@@ -768,7 +773,7 @@ class GroupCommitQueue:
             "store.group_commit",
             elapsed,
             attributes={
-                "store": self._store.name,
+                "store": store.name,
                 "role": role,
                 "generation": sub.generation,
                 "error": sub.error is not None,
@@ -778,11 +783,13 @@ class GroupCommitQueue:
             raise sub.error
         return sub.generation, sub.effective
 
-    def _commit_group(self, group: List[_Submission]) -> None:
+    def _commit_group(
+        self, store: "QuadStore", group: List[_Submission]
+    ) -> None:
         # commit lock held; ``group`` always contains the leader's own
         # submission (promotion happens before the next drain)
         try:
-            generation, counts = self._store._apply_segments_locked(
+            generation, counts = store._apply_segments_locked(
                 [sub.ops for sub in group]
             )
         except BaseException as exc:
@@ -796,7 +803,7 @@ class GroupCommitQueue:
             self._batched += len(group) - 1
             if len(group) > self._largest_group:
                 self._largest_group = len(group)
-        name = self._store.name
+        name = store.name
         _emit("repro_store_group_commit_groups_total", store=name)
         if len(group) > 1:
             _emit(
@@ -897,7 +904,7 @@ class QuadStore:
             )
         else:
             self._state = _State(0, {}, 0, None)
-        self._group = GroupCommitQueue(self) if group_commit else None
+        self._group = GroupCommitQueue() if group_commit else None
         self._checkpointer = (
             _Checkpointer(self)
             if not self.checkpoint_policy.explicit_only
@@ -1055,7 +1062,7 @@ class QuadStore:
         if not ops:
             return self._state.generation, 0  # cc: allow=CC001
         if self._group is not None:
-            return self._group.submit(ops)
+            return self._group.submit(self, ops)
         with self._commit_lock:
             return self._apply_locked(ops)
 

@@ -7,6 +7,9 @@ platform, and the whole store equals one a fresh platform attaches
 after replaying the same mutations without ever flushing.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -229,6 +232,37 @@ class TestDeltasEqualRebuild:
         platform = _platform()
         with pytest.raises(ValueError, match="already feeds"):
             Platform(corpus=platform.corpus, context=platform.context)
+        # ... while it lives: the subscription does not keep it alive
+        corpus, context = platform.corpus, platform.context
+        del platform
+        successor = Platform(corpus=corpus, context=context)
+        assert context._on_fix() == successor._relocate_around_fix
+
+    def test_a_dropped_stack_is_freed_without_the_cycle_collector(self):
+        """A platform, its context platform and a group-commit store
+        hold no reference cycle: dropping them frees every object at
+        once, not at the next generation-2 collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            platform = _platform()
+            store = QuadStore(group_commit=True)
+            platform.attach_store(store)
+            platform.upload(Capture(
+                username="oscar", title="Mole", tags=(), timestamp=10_300,
+                point=MOLE,
+            ))
+            platform.context.report_position("walter", 10_000, NEAR_MOLE)
+            assert platform.evaluator().evaluate("ASK { ?s ?p ?o }")
+            dropped = [
+                weakref.ref(thing) for thing in (
+                    platform, platform.context, store, store._group,
+                )
+            ]
+            del platform, store
+            assert [ref() for ref in dropped] == [None] * len(dropped)
+        finally:
+            gc.enable()
 
     def test_shared_triple_leaves_with_its_last_source(self):
         """Walter's ``foaf:nick`` is stated by every item he is a nearby

@@ -753,30 +753,24 @@ class TestPaperQueries:
         from repro.core import rated_album, social_album
 
         label = Literal("Mole Antonelliana", lang="it")
-        evaluator = Evaluator(platform_store)
         stats = platform_store.statistics()
+        head = platform_store.head()
         in_box = sum(
             len(stats.geo_candidates(try_parse_point(geometry), 0.3))
             for geometry in {
                 geometry
-                for monument, _, _ in evaluator.graph.triples(
+                for monument, _, _ in head.triples(
                     (None, RDFS.label, label))
-                for _, _, geometry in evaluator.graph.triples(
+                for _, _, geometry in head.triples(
                     (monument, GEO.geometry, None))
             }
         )
-        for album in (social_album, rated_album):
-            text = album(friend_of="walter").query
-            (bgp,), rendered = self.bgps(platform_store, text)
-            # the monument first, the friends' pictures joined with
-            # what the grid has around it: the filter sits on their
-            # geometry scan, not on the BGP
-            assert bgp.scans[0].pattern.object == label
-            (probed,) = [s for s in bgp.scans if s.probe is not None]
-            assert str(probed.pattern.subject) == "resource"
-            assert probed.actual_paths == ["join"]
-            assert "via geo grid, joined on ?resource]" in rendered
-            assert not bgp.pushed
+        scratch = ex("scratch")
+
+        def ask(text):
+            """``(rows, st_intersects calls, lookups)`` of one ask on
+            the store's head."""
+            evaluator = Evaluator(platform_store)
             evaluations = []
             original = functions_module.st_intersects
 
@@ -787,13 +781,36 @@ class TestPaperQueries:
             functions_module.st_intersects = counting
             try:
                 with lookups_of(evaluator.graph) as asked:
-                    assert len(evaluator.evaluate(text)) > 0
+                    rows = evaluator.evaluate(text).rows
             finally:
                 functions_module.st_intersects = original
+            return rows, len(evaluations), asked
+
+        for album in (social_album, rated_album):
+            text = album(friend_of="walter").query
+            # a fresh generation (same triples): its statistics have
+            # answered no grid probe yet
+            platform_store.insert((scratch, scratch, scratch))
+            platform_store.remove((scratch, None, None))
+            rows, evaluations, asked = ask(text)
+            assert rows
+            assert 0 < evaluations <= in_box
+            # the same generation again: the probe is answered
+            again, repeated, _ = ask(text)
+            assert again == rows and repeated == 0
+            (bgp,), rendered = self.bgps(platform_store, text)
+            # the monument first, the friends' pictures joined with
+            # what the grid has around it: the filter sits on their
+            # geometry scan, not on the BGP
+            assert bgp.scans[0].pattern.object == label
+            (probed,) = [s for s in bgp.scans if s.probe is not None]
+            assert str(probed.pattern.subject) == "resource"
+            assert probed.actual_paths == ["join"]
+            assert "via geo grid, joined on ?resource]" in rendered
+            assert not bgp.pushed
             assert [p for p in asked if p[1] == RDFS.label] == [
                 (None, RDFS.label, label)
             ]
-            assert 0 < len(evaluations) <= in_box
             # no friend's picture was asked for its geometry
             geometries = [p for p in asked if p[1] == GEO.geometry]
             assert len(geometries) <= 2 and all(
