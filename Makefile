@@ -53,13 +53,16 @@ benchmarks:
 ## interface on the head after an upload reads 0 (its commit carried the
 ## index, re-indexing 1 label triple at every size) and a warm suggest
 ## looks up 0 (candidates per prefix and build/suggest times printed
-## ungated); an upload is 1 generation of 3
-## contributions; an idle evaluator() looks up, contributes and commits
-## nothing; batch annotation is 1 annotate call per item; a fully-bound
-## lookup finds 1 triple; a checkpoint of a durable copy of the store
-## after 100 commits of 8 quads serializes no more quads than those 800
-## ops. Rows, timings and the checkpoint's commit-lock hold are printed
-## ungated (~60 s, ~20 s of it building the three stacks).
+## ungated); an upload is 1 generation of 3 contributions, reads the
+## Geonames graph 0 times and probes the carried statistics at most
+## once per distinct (s, p) / (p, o) pair of its delta (LOD reads and
+## resolver time printed ungated); an idle evaluator() looks up,
+## contributes and commits nothing; batch annotation is 1 annotate call
+## per item; a fully-bound lookup finds 1 triple; a checkpoint of a
+## durable copy of the store after 100 commits of 8 quads serializes no
+## more quads than those 800 ops. Rows, timings and the checkpoint's
+## commit-lock hold are printed ungated (~60 s, ~20 s of it building the
+## three stacks).
 bench-ladder:
 	$(PYTHON) -m pytest benchmarks/bench_ladder.py --benchmark-only -q -s
 

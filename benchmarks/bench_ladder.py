@@ -42,13 +42,16 @@ from typing import Callable, Dict, Sequence
 
 from _harness import counted, metered, record, timed_samples
 from e2e_workloads import SEARCH_PREFIXES
+from repro.analysis import stats as stats_module
 from repro.analysis.plan import QueryPlanner
+from repro.analysis.stats import GraphStatistics
 from repro.core import BatchAnnotator, geo_album, rated_album, social_album
 from repro.core.annotator import SemanticAnnotator
 from repro.core.mashup import mashup_query, run_mashup
 from repro.platform import Platform, SearchInterface
 from repro.platform.search import LABEL_PREDICATES, LabelIndex
 from repro.rdf import Graph, Literal, URIRef
+from repro.resolvers import SemanticBroker
 from repro.sparql import Evaluator
 from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as sparql_functions
@@ -761,11 +764,65 @@ def bench_checkpoint(benchmark, ladder, tmp_path_factory):
             store.close()
 
 
+@contextmanager
+def _upload_layers(corpus):
+    """Attributes one upload: yields ``(layers, probes)``, ``layers``
+    holding the lookups made on each LOD graph of ``corpus``
+    (``"corpus"``, by graph), the distinct (s, p) plus (p, o) pairs of
+    the deltas the planner statistics were carried over (``"pairs"``)
+    and the seconds spent in the resolver broker (``"resolve_s"``);
+    ``probes`` is the statistics' membership probes, a call list."""
+    graphs = {
+        id(corpus.dbpedia): "dbpedia",
+        id(corpus.geonames): "geonames",
+        id(corpus.linkedgeodata): "linkedgeodata",
+    }
+    layers = {"corpus": Counter(), "pairs": 0, "resolve_s": 0.0}
+    triples = Graph.triples
+    apply_delta = GraphStatistics.apply_delta
+    resolve = SemanticBroker.resolve
+
+    def reading(self, *args, **kwargs):
+        if id(self) in graphs:
+            layers["corpus"][graphs[id(self)]] += 1
+        return triples(self, *args, **kwargs)
+
+    def carrying(self, added, removed, *args, **kwargs):
+        delta = list(added) + list(removed)
+        layers["pairs"] += len({(s, p) for s, p, _ in delta}) + len(
+            {(p, o) for _, p, o in delta}
+        )
+        return apply_delta(self, added, removed, *args, **kwargs)
+
+    def resolving(self, *args, **kwargs):
+        began = time.perf_counter()
+        try:
+            return resolve(self, *args, **kwargs)
+        finally:
+            layers["resolve_s"] += time.perf_counter() - began
+
+    Graph.triples = reading
+    GraphStatistics.apply_delta = carrying
+    SemanticBroker.resolve = resolving
+    try:
+        with counted(stats_module, "_has") as probes:
+            yield layers, probes
+    finally:
+        Graph.triples = triples
+        GraphStatistics.apply_delta = apply_delta
+        SemanticBroker.resolve = resolve
+
+
 def bench_upload_queryable(benchmark, ladder):
     """Upload -> queryable: a mutation is flushed as one delta commit,
     so an upload is one generation from three contributions (its row,
     annotation and location) at every size, and what it looks up does
-    not grow with the corpus."""
+    not grow with the corpus. Attributed per upload: lookups on the LOD
+    graphs (the Geonames resolver answers from its name table: 0 on
+    Geonames at every size), the planner statistics' membership probes
+    (one per distinct (s, p) / (p, o) pair of the delta at most: the
+    delta answers the other side) and the resolver broker's time
+    (printed, not gated; measured under the counters)."""
 
     def measure(contents, stack):
         platform, store = stack.platform, stack.store
@@ -773,9 +830,11 @@ def bench_upload_queryable(benchmark, ladder):
         # planner statistics forward, and that is counted too
         store.statistics()
         lookups, samples_ms = [], []
+        corpus_reads, geonames_reads, probed, resolve_ms = [], [], [], []
         for capture in stack.next_captures(UPLOADS):
             generation = store.generation
-            with _write_path_counts() as (looked_up, contributions, _):
+            with _write_path_counts() as (looked_up, contributions, _), \
+                    _upload_layers(platform.corpus) as (layers, probes):
                 began = time.perf_counter()
                 item = platform.upload(capture)
                 evaluator = platform.evaluator()
@@ -785,17 +844,31 @@ def bench_upload_queryable(benchmark, ladder):
                 f"an upload at {contents} contents made %d generation(s) "
                 "from %d contributions" % made
             )
+            assert len(probes) <= layers["pairs"], (
+                f"an upload at {contents} contents probed {len(probes)} "
+                f"times for a delta of {layers['pairs']} (s, p) / (p, o) "
+                "pairs"
+            )
             lookups.append(len(looked_up))
+            corpus_reads.append(sum(layers["corpus"].values()))
+            geonames_reads.append(layers["corpus"]["geonames"])
+            probed.append(len(probes))
+            resolve_ms.append(layers["resolve_s"] * 1000.0)
             rows = evaluator.evaluate(_CHECK.format(picture=item.resource))
             assert [row["v"].lexical for row in rows] == [item.media_url]
         return {
             "lookups": statistics.mean(lookups),
             "lookups_max": max(lookups),
+            "corpus_reads": statistics.mean(corpus_reads),
+            "geonames_reads": max(geonames_reads),
+            "stats_probes": statistics.mean(probed),
+            "resolve_ms": round(statistics.median(resolve_ms), 3),
             "ms": round(statistics.median(samples_ms), 3),
         }
 
     top = _top(ladder)
     captures = iter(top.next_captures(UPLOADS))
     _climb(benchmark, ladder, "upload", measure, flat=("lookups",),
+           exact={"geonames_reads": 0},
            timed=lambda: (top.platform.upload(next(captures)),
                           top.platform.evaluator()))

@@ -207,10 +207,12 @@ class GraphStatistics:
         ``triples(pattern)`` — the MVCC store passes pinned union
         views. Cost is O(delta): per-predicate triple counts and class
         counts adjust by op, distinct subject/object counts use one
-        bounded membership probe per (predicate, candidate) pair, the
-        spatial grid rewrites only the cells a geometry triple of the
-        delta falls in (every other cell is shared with this snapshot),
-        and the geo bounding box is only recomputed — from the grid,
+        bounded membership probe per side of a (predicate, candidate)
+        pair that the delta leaves open (a triple added and not removed
+        is in ``after``, one removed and not added was in ``before``),
+        the spatial grid rewrites only the cells a geometry triple of
+        the delta falls in (every other cell is shared with this
+        snapshot), and the geo bounding box is only recomputed — from the grid,
         not the graph — when a removed point sat on the current
         boundary. This is what replaces the full rebuild (and its
         ``repro_graph_stats_rebuilds_total`` tick) on every store
@@ -244,13 +246,14 @@ class GraphStatistics:
                 predicates[predicate] = found
             return found
 
+        rdf_type, geometry = RDF.type, GEO.geometry
         for s, p, o in added:
             entry(p)[0] += 1
             subject_candidates.setdefault(p, set()).add(s)
             object_candidates.setdefault(p, set()).add(o)
-            if p == RDF.type:
+            if p == rdf_type:
                 class_counts[o] = class_counts.get(o, 0) + 1
-            elif p == GEO.geometry:
+            elif p == geometry:
                 geo = _geo_entry(s, o)
                 if geo is not None:
                     cell_entries(geo).append(geo)
@@ -267,9 +270,9 @@ class GraphStatistics:
             entry(p)[0] -= 1
             subject_candidates.setdefault(p, set()).add(s)
             object_candidates.setdefault(p, set()).add(o)
-            if p == RDF.type:
+            if p == rdf_type:
                 class_counts[o] = class_counts.get(o, 0) - 1
-            elif p == GEO.geometry:
+            elif p == geometry:
                 geo = _geo_entry(s, o)
                 if geo is not None:
                     entries = cell_entries(geo)
@@ -282,21 +285,35 @@ class GraphStatistics:
                     ):
                         bbox_stale = True
 
+        # the sides the delta answers: union-effective ops alternate per
+        # triple, so a triple added and not removed is in ``after`` and
+        # one removed and not added was in ``before``; only the rest is
+        # probed
+        in_after = set(added).difference(removed)
+        in_before = set(removed).difference(added)
+        after_sp = {(s, p) for s, p, _ in in_after}
+        after_po = {(p, o) for _, p, o in in_after}
+        before_sp = {(s, p) for s, p, _ in in_before}
+        before_po = {(p, o) for _, p, o in in_before}
         for p, candidates in subject_candidates.items():
             counts = predicates.get(p)
             if counts is None:
                 continue
             for s in candidates:
-                counts[1] += _has(after, (s, p, None)) - _has(
-                    before, (s, p, None)
+                counts[1] += (
+                    1 if (s, p) in after_sp else _has(after, (s, p, None))
+                ) - (
+                    1 if (s, p) in before_sp else _has(before, (s, p, None))
                 )
         for p, candidates in object_candidates.items():
             counts = predicates.get(p)
             if counts is None:
                 continue
             for o in candidates:
-                counts[2] += _has(after, (None, p, o)) - _has(
-                    before, (None, p, o)
+                counts[2] += (
+                    1 if (p, o) in after_po else _has(after, (None, p, o))
+                ) - (
+                    1 if (p, o) in before_po else _has(before, (None, p, o))
                 )
 
         grid = self.geo_grid

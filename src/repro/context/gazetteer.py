@@ -29,21 +29,27 @@ class Gazetteer:
     ) -> None:
         self.cities = list(CITIES if cities is None else cities)
         self.pois = list(POIS if pois is None else pois)
+        # each place's Point, built (and range-checked) once
+        self._located_cities: List[Tuple[CityInfo, Point]] = [
+            (city, Point(city.longitude, city.latitude))
+            for city in self.cities
+        ]
+        self._located_pois: List[Tuple[PoiInfo, Point]] = [
+            (poi, Point(poi.longitude, poi.latitude)) for poi in self.pois
+        ]
 
     # ------------------------------------------------------------------
     def nearest_city(self, point: Point) -> Tuple[CityInfo, float]:
-        """The nearest city and its distance in km."""
-        if not self.cities:
+        """The nearest city and its distance in km (the first listed of
+        equidistant cities)."""
+        best: Optional[Tuple[CityInfo, float]] = None
+        for city, at in self._located_cities:
+            distance = haversine_km(point, at)
+            if best is None or distance < best[1]:
+                best = (city, distance)
+        if best is None:
             raise ValueError("gazetteer has no cities")
-        best = min(
-            self.cities,
-            key=lambda city: haversine_km(
-                point, Point(city.longitude, city.latitude)
-            ),
-        )
-        return best, haversine_km(
-            point, Point(best.longitude, best.latitude)
-        )
+        return best
 
     def reverse_geocode(self, point: Point) -> CivicAddress:
         """GPS → civil address (street resolved from the nearest POI when
@@ -70,15 +76,14 @@ class Gazetteer:
         max_distance_km: float = 1.0,
         exclude_commercial: bool = False,
     ) -> Optional[PoiInfo]:
-        """The nearest POI within ``max_distance_km`` (None if nothing)."""
+        """The nearest POI within ``max_distance_km`` (None if nothing;
+        the last listed of equidistant POIs)."""
         best: Optional[PoiInfo] = None
         best_distance = max_distance_km
-        for poi in self.pois:
+        for poi, at in self._located_pois:
             if exclude_commercial and poi.commercial:
                 continue
-            distance = haversine_km(
-                point, Point(poi.longitude, poi.latitude)
-            )
+            distance = haversine_km(point, at)
             if distance <= best_distance:
                 best = poi
                 best_distance = distance
@@ -97,12 +102,10 @@ class Gazetteer:
         content to a POI.
         """
         hits: List[Tuple[PoiInfo, float]] = []
-        for poi in self.pois:
+        for poi, at in self._located_pois:
             if category is not None and poi.category != category:
                 continue
-            distance = haversine_km(
-                point, Point(poi.longitude, poi.latitude)
-            )
+            distance = haversine_km(point, at)
             if distance <= radius_km:
                 hits.append((poi, distance))
         hits.sort(key=lambda item: item[1])

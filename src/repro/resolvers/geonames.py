@@ -4,16 +4,25 @@ Returns city-level features matching a word against ``gn:name`` or any
 ``gn:alternateName`` (so "Torino" finds the feature whose canonical name
 is "Turin"). Population is the popularity proxy, mirroring the real
 Geonames search ranking.
+
+The graph is read once, in ``__init__``, into a name table: lowered name
+→ the matching features' ``(resource, label, score)``, best first. The
+corpus is immutable by convention (:func:`repro.lod.build_lod_corpus`),
+and the table is never written after ``__init__``, so worker threads
+share one resolver without a lock.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..rdf.graph import Graph
 from ..rdf.namespace import GN
-from ..rdf.terms import Literal
+from ..rdf.terms import Literal, Term
 from .base import Candidate, Resolver
+
+#: One table entry: (feature, display label, score).
+NameEntry = Tuple[Term, str, float]
 
 
 class GeonamesResolver(Resolver):
@@ -30,49 +39,46 @@ class GeonamesResolver(Resolver):
                 self._max_population = max(
                     self._max_population, int(obj.value)
                 )
+        table: Dict[str, List[NameEntry]] = {}
+        for feature in set(geonames.subjects(GN.featureClass, GN.P)):
+            # each lowered name once, with its first spelling: the label
+            # when the feature has no literal gn:name
+            spellings: Dict[str, str] = {}
+            for predicate in (GN.name, GN.alternateName):
+                for _, _, obj in geonames.triples((feature, predicate, None)):
+                    if isinstance(obj, Literal):
+                        spellings.setdefault(obj.lexical.lower(), obj.lexical)
+            population = geonames.value(feature, GN.population)
+            popularity = 0.0
+            if isinstance(population, Literal) and population.is_numeric:
+                popularity = int(population.value) / self._max_population
+            score = round(min(1.0, 0.85 + 0.15 * popularity), 4)
+            canonical = geonames.value(feature, GN.name)
+            for key, spelling in spellings.items():
+                label = (
+                    canonical.lexical
+                    if isinstance(canonical, Literal) else spelling
+                )
+                table.setdefault(key, []).append((feature, label, score))
+        self._names: Dict[str, Tuple[NameEntry, ...]] = {
+            key: tuple(sorted(entries, key=lambda e: (-e[2], str(e[0]))))
+            for key, entries in table.items()
+        }
 
     def resolve_term(
         self, word: str, language: Optional[str] = None
     ) -> List[Candidate]:
-        lowered = word.lower()
-        candidates: List[Candidate] = []
-        for feature in set(self.graph.subjects(GN.featureClass, GN.P)):
-            names = [
-                obj.lexical
-                for _, _, obj in self.graph.triples((feature, GN.name, None))
-                if isinstance(obj, Literal)
-            ]
-            names += [
-                obj.lexical
-                for _, _, obj in self.graph.triples(
-                    (feature, GN.alternateName, None)
-                )
-                if isinstance(obj, Literal)
-            ]
-            matching = [n for n in names if n.lower() == lowered]
-            if not matching:
-                continue
-            population = self.graph.value(feature, GN.population)
-            popularity = 0.0
-            if isinstance(population, Literal) and population.is_numeric:
-                popularity = int(population.value) / self._max_population
-            canonical = self.graph.value(feature, GN.name)
-            label = (
-                canonical.lexical
-                if isinstance(canonical, Literal)
-                else matching[0]
+        return [
+            Candidate(
+                resource=feature,
+                label=label,
+                score=score,
+                resolver=self.name,
+                word=word,
+                entity_type="place",
+                language=language,
             )
-            score = round(min(1.0, 0.85 + 0.15 * popularity), 4)
-            candidates.append(
-                Candidate(
-                    resource=feature,
-                    label=label,
-                    score=score,
-                    resolver=self.name,
-                    word=word,
-                    entity_type="place",
-                    language=language,
-                )
-            )
-        candidates.sort(key=lambda c: (-c.score, str(c.resource)))
-        return candidates[: self.max_candidates]
+            for feature, label, score in self._names.get(
+                word.lower(), ()
+            )[: self.max_candidates]
+        ]

@@ -1,4 +1,5 @@
-"""Derived views carried by store commits: the search label index.
+"""Derived views carried by store commits: the search label index and
+the planner statistics.
 
 A view of a store's union is collected once and then carried by every
 commit in O(delta) (``repro.store.engine.cached_view``). The property
@@ -7,17 +8,18 @@ carried index is the index a from-scratch ``LabelIndex.collect`` over
 the new head builds — the same postings, sorted tokens and entries, and
 so the same suggestions. A commit that touches no label keeps the index
 object, and an interface pinned to an older generation keeps answering
-for it.
+for it. The same holds for the statistics: the carried triple, class
+and per-predicate counts are those ``GraphStatistics.collect`` counts.
 """
 
 import sys
 import threading
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import GraphStatistics
 from repro.platform.search import LabelIndex, SearchInterface
-from repro.rdf import GN, Literal, RDFS, URIRef
+from repro.rdf import GN, Literal, RDF, RDFS, URIRef
 from repro.store import QuadStore, SnapshotGraph
 from repro.store.engine import cached_view, current_view
 
@@ -115,6 +117,69 @@ def test_label_index_carried_through_commits_equals_a_fresh_collect(commits):
                 batch.remove(triple, context)
         store.commit(batch)
         assert_carried_equals_collected(store)
+
+
+#: Subjects share predicates, objects are shared by subjects, and
+#: ``rdf:type`` feeds the class counts.
+STAT_PREDICATES = [RDF.type, ex("p"), ex("q")]
+STAT_OBJECTS = [ex("C"), ex("D"), Literal("x"), ex("a")]
+STAT_OPS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(STAT_PREDICATES),
+        st.sampled_from(STAT_OBJECTS),
+        CONTEXTS,
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def assert_statistics_equal_a_collect(store):
+    head = store.head()
+    view = current_view(head, GraphStatistics)
+    assert view is not None, "the head carries no statistics"
+    fresh = GraphStatistics.collect(head)
+    assert view.total == fresh.total
+    assert view.predicates == fresh.predicates
+    assert view.class_counts == fresh.class_counts
+
+
+T = (True, "a", RDF.type, ex("C"), None)
+TR = (False,) + T[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(commits=st.lists(STAT_OPS, min_size=1, max_size=8))
+# a triple added and removed in one batch (and the reverse)
+@example(commits=[[T, TR], [T], [TR, T]])
+# the same triple in two contexts, then gone from one, then both
+@example(commits=[[T, T[:4] + (ex("lod"),)], [TR], [TR[:4] + (ex("lod"),)]])
+# a subject shared across predicates, one predicate removed
+@example(commits=[
+    [T, (True, "a", ex("p"), ex("C"), None)],
+    [(False, "a", ex("p"), ex("C"), None)],
+])
+# removes of triples the store does not hold
+@example(commits=[[TR, (False, "b", ex("q"), Literal("x"), ex("ugc"))]])
+def test_statistics_carried_through_commits_equal_a_fresh_collect(commits):
+    store = QuadStore()
+    # every predicate keeps a triple, so its distinct counts stay
+    # visible when the drawn ones come and go
+    store.commit(store.batch().add_all([
+        (ex("seed"), predicate, ex("C")) for predicate in STAT_PREDICATES
+    ]))
+    cached_view(store.head(), GraphStatistics)
+    for ops in commits:
+        batch = store.batch()
+        for add, subject, predicate, obj, context in ops:
+            triple = (ex(subject), predicate, obj)
+            if add:
+                batch.insert(triple, context)
+            else:
+                batch.remove(triple, context)
+        store.commit(batch)
+        assert_statistics_equal_a_collect(store)
 
 
 def test_removing_the_displayed_label_shows_the_next():
