@@ -45,7 +45,7 @@ benchmarks:
 ## timings: Q1, Q2, Q3 and M1 filter evaluations and index lookups (on
 ## the first ask after a commit), and upload -> queryable lookups, grow
 ## with exponent <= 0.33; a second ask on the same generation makes 0
-## evaluations answering grid probes (Q1-Q3: 0 at all); Q2/Q3 <= 60
+## evaluations (Q1-Q3 and M1; context segment reads printed); Q2/Q3 <= 60
 ## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; 12
 ## fresh M1 texts and 20 fresh Q2 texts, each after a commit, are parsed
 ## and planned once (1 / 1 each); Q3 as lowered >= 10x the planned

@@ -15,10 +15,11 @@ counts only, never a time:
   or an exact value at every rung.
 
 The rungs: a fully-bound index lookup (STORE); the virtual albums Q1,
-Q2 and Q3 (§2.3) and the About mashup M1 (§4.1), their evaluations
-and lookups counted on the first ask after a commit (a grid probe is
-answered once per generation: a second ask makes no evaluation
-answering one, ``warm_probe_evaluations``, and Q1–Q3 none at all,
+Q2 and Q3 (§2.3) and the About mashup M1 (§4.1), their evaluations,
+lookups and context segment reads counted on the first ask after a
+commit (a grid probe is answered once per generation, and so is each
+geometry a probed scan tests on the index path: a second ask makes no
+evaluation answering one, ``warm_probe_evaluations``, and none at all,
 ``warm_evaluations``); M1 and Q2 texts never
 seen before, each after a commit (M1 fresh); Q3 without the planner's
 rewrites; the search box's label index and suggestions (SEARCH,
@@ -67,12 +68,11 @@ from repro.store.persistence import snapshot_path
 #: a count may grow 4.6x over 100x the corpus (2x over 8x).
 GROWTH = 0.33
 FLAT = ("evaluations", "lookups")
-#: A second ask on one generation finds every grid probe answered:
-#: it evaluates nothing answering one — and Q1–Q3 nothing at all (an
-#: M1 branch whose type scan has fewer rows than the grid candidates,
-#: the city one, still checks each row's geometry on the index path).
-WARM_PROBES = {"warm_probe_evaluations": 0}
-WARM = {"warm_evaluations": 0, **WARM_PROBES}
+#: A second ask on one generation finds every grid probe answered and
+#: every geometry the index path tested (an M1 branch whose type scan
+#: has fewer rows than the grid candidates) known: it evaluates
+#: nothing, answering a probe or at all.
+WARM = {"warm_evaluations": 0, "warm_probe_evaluations": 0}
 PROBES = 1_000
 RADII = (0.2, 0.3, 1.0, 5.0)
 MASHUP_PIDS = 12
@@ -154,18 +154,21 @@ def _climb(benchmark, ladder, rung: str, measure: Callable,
 def _query_counts(store: QuadStore, query: str, repeats: int = 5,
                   **options):
     """``({evaluations, warm_evaluations, warm_probe_evaluations,
-    lookups, rows, ms}, result)`` of ``query`` over ``store``: the
-    filter evaluations and index lookups of the first run after a
-    commit, with the plan warmed and no grid probe answered on the new
-    generation yet; the evaluations of a second run on that generation,
-    all of them and those made answering grid probes; and the median
-    time of ``repeats``."""
+    lookups, segment_reads, rows, ms}, result)`` of ``query`` over
+    ``store``: the filter evaluations, index lookups and reads of a
+    context's segments (ungated) of the first run after a commit, with
+    the plan warmed and no grid probe answered on the new generation
+    yet; the evaluations of a second run on that generation, all of
+    them and those made answering grid probes; and the median time of
+    ``repeats``."""
     Evaluator(store, **options).evaluate(query)
     _fresh_generation(store)
     # st_intersects is looked up in its own module at every call, so
-    # counting there leaves the function table — and the probe — alone
+    # counting there leaves the function table — and the probe — alone;
+    # a segment is a frozen Graph, whose triples SnapshotGraph overrides
     with counted(sparql_functions, "st_intersects") as evaluations, \
-            counted(SnapshotGraph, "triples") as lookups:
+            counted(SnapshotGraph, "triples") as lookups, \
+            counted(Graph, "triples") as segment_reads:
         result = Evaluator(store, **options).evaluate(query)
     with counted(sparql_functions, "st_intersects") as warm, \
             _made_inside(Evaluator, "_grid_hits", warm) as in_probes:
@@ -178,6 +181,7 @@ def _query_counts(store: QuadStore, query: str, repeats: int = 5,
         "warm_evaluations": len(warm),
         "warm_probe_evaluations": sum(in_probes),
         "lookups": len(lookups),
+        "segment_reads": len(segment_reads),
         "rows": len(result),
         "ms": round(statistics.median(samples), 3),
     }, result
@@ -360,7 +364,7 @@ def bench_mashup(benchmark, ladder):
 
     top = _top(ladder)
     query = mashup_query(_pid_near_mole(top.platform))
-    _climb(benchmark, ladder, "M1", measure, flat=FLAT, exact=WARM_PROBES,
+    _climb(benchmark, ladder, "M1", measure, flat=FLAT, exact=WARM,
            caps={"lookups": 80, "evaluations": 70},
            timed=lambda: Evaluator(top.store).evaluate(query))
 

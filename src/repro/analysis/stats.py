@@ -113,6 +113,15 @@ class GraphStatistics:
             Tuple[Term, float, bool],
             Tuple[Optional[int], Optional[Tuple[Tuple[Term, Term], ...]]],
         ] = {}
+        #: The exact filter's outcome per geometry a probed scan read
+        #: off the triple index for a bound subject instead of joining
+        #: the grid (its centre has more candidates than solutions
+        #: asking), filled by
+        #: ``Evaluator._tested``: ``(centre term, radius_km, geometry
+        #: is the filter's first argument, geometry term)`` -> passed.
+        #: Only geometries a step tested, never a candidate list; same
+        #: lifetime and lock-free rule as :attr:`probe_memo`.
+        self.probe_outcomes: Dict[Tuple[Term, float, bool, Term], bool] = {}
         #: ``Graph._version`` at collection time (staleness detection);
         #: an always-stale sentinel when the graph has no version.
         self.fingerprint: object = None

@@ -115,7 +115,8 @@ class Pin(NamedTuple):
     (<iri>, …)``, so its solutions can only come from looking each IRI
     up with the variable already in place."""
 
-    #: the ``IN`` expression (still applied, exactly)
+    #: the ``IN`` expression (applied to a solution that binds
+    #: ``variable``; a lookup's rows satisfy it by construction)
     filter: InExpr
     variable: Variable
     #: the IRIs listed, each once
@@ -130,7 +131,8 @@ class ScanStep(PlanNode):
     by the reorder pass, lets the executor read the candidates off the
     statistics' spatial grid instead of the triple index; ``pin``, also
     the reorder pass's, lets it look up the listed IRIs instead of
-    enumerating the variable. The filters apply either way.
+    enumerating the variable. The filters apply either way (the pin's
+    own holds on its lookups' rows by construction).
 
     EXPLAIN's run also leaves ``actual_probes`` — index or grid lookups
     the scan made, one per distinct join key — and, on a probed scan,

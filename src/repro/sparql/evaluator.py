@@ -46,15 +46,17 @@ step reads, never what it yields (DESIGN.md, "Read path"):
   (``GraphStatistics.probe_memo``); solutions that bind
   neither end are extended by the hits, solutions that bind ``?s`` are
   hash-joined with them when the centre has no more candidates than
-  solutions (:meth:`Evaluator._grid_hits`), and everything else — a
-  named graph, stale statistics, a deployment's own
-  ``bif:st_intersects`` — reads the triple index and filters as any
-  scan does.
+  solutions (:meth:`Evaluator._grid_hits`), and the rest read the
+  triple index — each geometry they find put to the exact filter once
+  per snapshot too (``GraphStatistics.probe_outcomes``). A named
+  graph, stale statistics or a deployment's own ``bif:st_intersects``
+  reads the triple index and filters as any scan does.
 * :attr:`ScanStep.pin` — a scan whose variable ``?v`` is filtered by
   ``?v IN (<iri>, …)`` looks each IRI up with ``?v`` in place, for a
-  solution that leaves ``?v`` unbound (:func:`_pinned`); a solution
-  that binds it takes its plain key. The ``IN`` filter still runs, on
-  the rows the lookups return.
+  solution that leaves ``?v`` unbound (:func:`_pinned`), and the
+  ``IN`` filter is not run on what those lookups return: it holds by
+  construction. A solution that binds ``?v`` takes its plain key and
+  the filter runs.
 
 ``evaluate(text)``, optimizing with the default planner and function
 registry, prepares a text through three caches (DESIGN.md, "Read
@@ -1182,10 +1184,15 @@ class Evaluator:
 
         A probed scan (:attr:`ScanStep.probe`) has a second access
         path, :meth:`_grid_hits`; which of its solutions take it is
-        decided per chunk, on counted rows. A pinned scan
-        (:attr:`ScanStep.pin`) looks up one key per listed IRI for a
-        solution that leaves the pinned variable open — remembered
-        under that key like any lookup — and counts each as a probe.
+        decided per chunk, on counted rows. A solution that reads the
+        triple index instead — its subject and centre bound, its
+        geometry open — has the exact filter answered per geometry once
+        per statistics snapshot (:meth:`_tested`). A pinned scan (:attr:`ScanStep.pin`)
+        looks up one key per listed IRI for a solution that leaves the
+        pinned variable open — remembered under that key like any
+        lookup — and counts each as a probe; the rows those lookups
+        return skip the ``IN`` filter, which holds by construction.
+        A scan with neither does no per-row work for them.
         """
         pattern = scan.pattern
         subject, predicate, obj = positions = (
@@ -1196,14 +1203,23 @@ class Evaluator:
         o_var = isinstance(obj, Variable)
         magic = predicate == CONTAINS
         probe, pin = scan.probe, scan.pin
+        special = probe if probe is not None else pin
         stats = None
+        if special is not None:
+            # what is left to check on a grid hit, a tested geometry or
+            # a pinned lookup's row: the exact geo filter has been
+            # applied to it already, the IN filter holds by construction
+            rest = [e for e in scan.filters if e is not special.filter]
         if probe is not None:
             stats = self._probe_statistics(graph)
         if stats is not None:
             center = probe.center
-            # what is left to check on a grid hit: the exact geo
-            # filter has been applied to it already
-            rest = [e for e in scan.filters if e is not probe.filter]
+            # what the memo keys hold besides the centre
+            first = probe.filter.args[0]
+            shape = (
+                probe.radius_km,
+                isinstance(first, TermExpr) and first.term == obj,
+            )
             hits: Dict[Term, Optional[Tuple[list, dict]]] = {}
         memo: Dict[Tuple, List[Bindings]] = {}
         lookups = produced = 0
@@ -1216,7 +1232,7 @@ class Evaluator:
                 shared = len(chunk) > 1
                 if stats is not None:
                     lookups += self._grid_hits(
-                        scan, chunk, stats, hits, graph
+                        scan, chunk, stats, shape, hits, graph
                     )
                     asked = near = None  # (hits may know more now)
                 for row in chunk:
@@ -1254,8 +1270,24 @@ class Evaluator:
                                 )
                             if shared:
                                 exts = _remembering(exts, memo, key)
-                    if probe is not None and path not in paths:
-                        paths.append(path)
+                    if special is not None:
+                        if probe is not None:
+                            if path not in paths:
+                                paths.append(path)
+                            if (
+                                path == "scan" and stats is not None
+                                and s is not None and o is None
+                                and asked is not None
+                            ):
+                                # the index path: each geometry tested
+                                # once per generation
+                                filters = rest
+                                exts = self._tested(
+                                    exts, row, stats.probe_outcomes,
+                                    (asked, *shape), obj, probe, graph,
+                                )
+                        elif pin.variable not in row:
+                            filters = rest
                     for ext in exts:
                         extended = {**row, **ext} if ext else row
                         if filters and not self._filters_pass(
@@ -1308,11 +1340,42 @@ class Evaluator:
             return None
         return _statistics_class().current(graph)
 
+    def _tested(
+        self,
+        exts: Iterator[Bindings],
+        row: Bindings,
+        outcomes: Dict[Tuple, bool],
+        probe_key: Tuple,
+        geometry: Variable,
+        probe,
+        graph: Graph,
+    ) -> Iterator[Bindings]:
+        """The index path's ``exts`` whose geometry passes the probe's
+        exact filter around the centre ``probe_key`` names.
+
+        The outcome is a function of the statistics snapshot and its
+        key alone, so each geometry is tested once per snapshot — once
+        per store generation — and kept in
+        :attr:`GraphStatistics.probe_outcomes`; a repeated ask of the
+        same centre evaluates nothing.
+        """
+        exact = (probe.filter,)
+        for ext in exts:
+            key = (*probe_key, ext[geometry])
+            passed = outcomes.get(key)
+            if passed is None:
+                passed = outcomes[key] = self._filters_pass(
+                    exact, {**row, **ext}, graph
+                )
+            if passed:
+                yield ext
+
     def _grid_hits(
         self,
         scan: ScanStep,
         chunk: List[Bindings],
         stats,
+        shape: Tuple[float, bool],
         hits: Dict[Term, Optional[Tuple[list, dict]]],
         graph: Graph,
     ) -> int:
@@ -1355,12 +1418,7 @@ class Evaluator:
             asking[center] = len(chunk)
         joining = subject in chunk[0]
         exact = (probe.filter,)
-        first = probe.filter.args[0]
         memo = stats.probe_memo
-        shape = (
-            probe.radius_km,
-            isinstance(first, TermExpr) and first.term == geometry,
-        )
         looked_up = 0
         for term, rows in asking.items():
             if term in hits:

@@ -4,10 +4,13 @@ A probed scan (``?s geo:geometry ?o`` under ``bif:st_intersects``)
 keeps what a probe found on the statistics snapshot it read
 (``GraphStatistics.probe_memo``): per (centre, radius, argument order)
 the candidate count the join decision reads and the exact hits. A
-commit publishes a new snapshot with an empty memo, so the property
-that holds the memo up is "same generation, same grid": after any
-commit, every query gives the rows it gives on a cold memo, on a warm
-one and as the unrewritten reference plan (``optimize=False``).
+solution that reads the triple index instead — its subject bound, the
+centre holding more candidates than solutions ask — has the exact
+filter's outcome kept per geometry (``GraphStatistics.probe_outcomes``).
+A commit publishes a new snapshot with both empty, so the property
+that holds them up is "same generation, same grid": after any commit,
+every query gives the rows it gives on a cold memo, on a warm one and
+as the unrewritten reference plan (``optimize=False``).
 """
 
 import math
@@ -25,7 +28,8 @@ from repro.rdf import (
 from repro.rdf.namespace import TL_PID
 from repro.sparql import Evaluator
 from repro.sparql import functions as functions_module
-from repro.sparql.functions import boolean
+from repro.sparql.errors import ExpressionError
+from repro.sparql.functions import FUNCTIONS, boolean, ebv
 from repro.sparql.geo import (
     EARTH_RADIUS_KM, Point, st_intersects, try_parse_point,
 )
@@ -53,6 +57,11 @@ DISTANCES = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0001, 2.5)
 #: Subjects of the join-path query: more than a probe has candidates.
 TAGGED = 40
 DECOYS = 200
+#: Where a crowded store puts its decoys' geometries: so many around
+#: each centre that a probed scan whose subject a few solutions bind
+#: (M1's branches, the drawn ``dbpo:Place`` BGPs) reads the triple
+#: index instead of the grid.
+CROWD_KM = (0.05, 0.15, 0.25, 0.4, 0.7, 0.95)
 
 
 def ex(name):
@@ -86,9 +95,13 @@ def destination(centre, km, bearing_deg):
     return Point(math.degrees(lon2), math.degrees(lat2))
 
 
-def base_store():
+def base_store(crowded=False):
     """A store holding what Q1–Q3 and M1 read, its statistics
-    collected so every later commit carries them."""
+    collected so every later commit carries them. ``crowded`` gives
+    the decoys geometries around every centre, and M1's places and a
+    second picture one each near picture 0: each of M1's probed scans
+    — all four branches have a row — and a drawn
+    BGP's joined on ``dbpo:Place``, then takes the index path."""
     store = QuadStore()
     mole = ex("mole")
     triples = [
@@ -132,6 +145,19 @@ def base_store():
         ]
     for i in range(DECOYS):
         triples.append((ex(f"decoy{i}"), ex("tag"), ex(f"tag{i}")))
+        if crowded:
+            triples.append((ex(f"decoy{i}"), GEO.geometry, destination(
+                CENTRES[i % len(CENTRES)], CROWD_KM[i % len(CROWD_KM)],
+                i * 37 % 360,
+            ).to_literal()))
+    if crowded:
+        triples += [
+            (subject, GEO.geometry,
+             destination(TAKEN, 0.15, 90 * i).to_literal())
+            for i, subject in enumerate(
+                [ex(place) for place in PLACES] + [picture(1)]
+            )
+        ]
     store.commit(store.batch().add_all(triples))
     GraphStatistics.cached(store.head())
     return store
@@ -150,8 +176,9 @@ def memo_of(store):
 def drawn_bgp(centre, radius, geometry_first, variable_centre, joined):
     """``?s geo:geometry ?o`` under ``bif:st_intersects`` around one
     of :data:`CENTRES`: a constant centre or one a scan binds, either
-    argument order, optionally with ``?s`` bound first (the join
-    path)."""
+    argument order, optionally with ``?s`` bound first — by the 46
+    tagged subjects (the join path) or, ``joined == "place"``, by the
+    three places (the index path in a crowded store)."""
     where = []
     if variable_centre:
         where.append(
@@ -161,7 +188,9 @@ def drawn_bgp(centre, radius, geometry_first, variable_centre, joined):
         term = "?c"
     else:
         term = centre.to_literal().n3()
-    if joined:
+    if joined == "place":
+        where.append(f"?s a <{DBPO.Place}> .")
+    elif joined:
         where.append(f"?s <{ex('tag')}> <{ex('near')}> .")
     where.append("?s geo:geometry ?o .")
     args = ("?o", term) if geometry_first else (term, "?o")
@@ -185,19 +214,28 @@ def paper_queries():
     ]
 
 
+JOINS = (False, True, "place")
+
 BGPS = st.builds(
     drawn_bgp,
     st.sampled_from(CENTRES),
     st.sampled_from(RADII),
     st.booleans(),
     st.booleans(),
-    st.booleans(),
+    st.sampled_from(JOINS),
 )
 
 
+def forget(store):
+    """Forget what the head's statistics have answered: the next ask
+    is the first of a fresh generation."""
+    stats = statistics_of(store)
+    stats.probe_memo.clear()
+    stats.probe_outcomes.clear()
+
+
 def assert_cold_warm_reference(store, text):
-    memo = memo_of(store)
-    memo.clear()  # the first ask of a fresh generation
+    forget(store)
     cold = Evaluator(store).evaluate(text)
     warm = Evaluator(store).evaluate(text)
     assert list(warm) == list(cold), text
@@ -219,9 +257,22 @@ def paths_taken(run):
     return {labels["path"] for labels, _ in family.children()}
 
 
+def recomputed(centre, radius, geometry_first, geometry):
+    """``bif:st_intersects`` of ``geometry`` and ``centre`` in the
+    probe's argument order, an error counted as false."""
+    ends = [geometry, centre] if geometry_first else [centre, geometry]
+    try:
+        return ebv(FUNCTIONS["bif:st_intersects"]([*ends, Literal(radius)]))
+    except ExpressionError:
+        return False
+
+
 def assert_memo_is_exact(stats):
     """Every memo entry is the candidate count and the exact hits among
-    the grid's candidates, in grid order — never the candidates."""
+    the grid's candidates, in grid order — never the candidates — and
+    every outcome the index path kept is the exact filter's."""
+    for key, passed in stats.probe_outcomes.items():
+        assert passed is recomputed(*key), key
     for (centre, radius, _), (count, pairs) in stats.probe_memo.items():
         point = try_parse_point(centre)
         candidates = (
@@ -256,9 +307,10 @@ GEOMETRY_OPS = st.lists(
 @given(
     commits=st.lists(GEOMETRY_OPS, min_size=1, max_size=5),
     bgps=st.lists(BGPS, min_size=1, max_size=4),
+    crowded=st.booleans(),
 )
-def test_rows_are_the_same_cold_warm_and_unrewritten(commits, bgps):
-    store = base_store()
+def test_rows_are_the_same_cold_warm_and_unrewritten(commits, bgps, crowded):
+    store = base_store(crowded)
     queries = paper_queries() + bgps
     for ops in commits:
         batch = store.batch()
@@ -273,6 +325,7 @@ def test_rows_are_the_same_cold_warm_and_unrewritten(commits, bgps):
         if store.commit(batch) != head.generation:
             # a new generation starts with nothing answered
             assert memo_of(store) == {}
+            assert statistics_of(store).probe_outcomes == {}
         # in order, the queries sharing what the first asks left
         first = [Evaluator(store).evaluate(text) for text in queries]
         for text, rows in zip(queries, first):
@@ -284,24 +337,32 @@ def test_rows_are_the_same_cold_warm_and_unrewritten(commits, bgps):
         # M1 as the About screen asks it: its LIMIT 5 picks the same
         # rows warm as cold
         m1 = mashup_query(0)
-        memo_of(store).clear()
+        forget(store)
         cold = Evaluator(store).evaluate(m1)
         assert list(Evaluator(store).evaluate(m1)) == list(cold)
 
 
+def run_every_drawn_bgp(store):
+    for centre in CENTRES:
+        for radius in RADII:
+            for first in (True, False):
+                for variable in (True, False):
+                    for joined in JOINS:
+                        assert_cold_warm_reference(store, drawn_bgp(
+                            centre, radius, first, variable, joined,
+                        ))
+
+
 def test_the_drawn_queries_take_every_path():
     store = base_store()
-
-    def run():
-        for centre in CENTRES:
-            for radius in RADII:
-                for flags in range(8):
-                    assert_cold_warm_reference(store, drawn_bgp(
-                        centre, radius, bool(flags & 1), bool(flags & 2),
-                        bool(flags & 4),
-                    ))
-
-    assert {"grid", "join"} <= paths_taken(run)
+    assert {"grid", "join"} <= paths_taken(
+        lambda: run_every_drawn_bgp(store)
+    )
+    # in a crowded store the places' geometries are read off the index
+    crowded = base_store(crowded=True)
+    assert "scan" in paths_taken(lambda: run_every_drawn_bgp(crowded))
+    assert statistics_of(crowded).probe_outcomes
+    assert_memo_is_exact(statistics_of(crowded))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +403,40 @@ def test_a_repeat_on_the_same_generation_evaluates_nothing(monkeypatch):
     assert calls
 
 
+def test_a_repeated_m1_on_the_index_path_evaluates_nothing(monkeypatch):
+    store = base_store(crowded=True)
+    text = mashup_query(0)
+    # every branch reads the places' geometries off the triple index:
+    # the picture has more candidates around it than a branch has rows
+    assert paths_taken(lambda: Evaluator(store).evaluate(text)) == {"scan"}
+    forget(store)
+    calls = []
+    original = functions_module.st_intersects
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(functions_module, "st_intersects", counting)
+    rows = Evaluator(store).evaluate(text)
+    assert {row["entType"] for row in rows} == {
+        LGDO.City, LGDO.Restaurant, LGDO.Tourism, SIOCT.MicroblogPost,
+    }
+    first = len(calls)
+    assert first
+    # the same generation: every outcome is known
+    assert list(Evaluator(store).evaluate(text)) == list(rows)
+    assert len(calls) == first
+    stats = statistics_of(store)
+    assert stats.probe_outcomes
+    # a commit anywhere: a new snapshot, tested again
+    store.insert((ex("elsewhere"), RDFS.label, Literal("elsewhere")))
+    assert statistics_of(store).probe_outcomes == {}
+    assert list(Evaluator(store).evaluate(text)) == list(rows)
+    assert len(calls) == 2 * first
+    assert_memo_is_exact(stats)
+
+
 def test_a_deployments_own_st_intersects_bypasses_probe_and_memo():
     store = base_store()
     text = drawn_bgp(MOLE, 0.2, True, False, False)
@@ -370,7 +465,14 @@ def test_a_deployments_own_st_intersects_bypasses_probe_and_memo():
 
 
 def test_four_readers_on_one_pinned_generation():
-    store = base_store()
+    # the plain store takes the grid and join paths; in the crowded one
+    # M1 and the place-joined BGPs test geometries on the index path
+    for crowded in (False, True):
+        stats = assert_four_readers_agree(base_store(crowded))
+        assert stats.probe_outcomes or not crowded
+
+
+def assert_four_readers_agree(store):
     for i, centre in enumerate(CENTRES):
         store.insert(
             (picture(i + 1), GEO.geometry,
@@ -378,11 +480,11 @@ def test_four_readers_on_one_pinned_generation():
         )
     head = store.head()
     stats = current_view(head, GraphStatistics)
-    texts = paper_queries() + [
+    texts = paper_queries() + [mashup_query(0)] + [
         drawn_bgp(centre, radius, first, variable, joined)
         for centre in CENTRES for radius in RADII
         for first in (True, False) for variable in (True, False)
-        for joined in (True, False)
+        for joined in JOINS
     ]
     expected = [
         normalize(Evaluator(head, optimize=False).evaluate(text))
@@ -417,3 +519,4 @@ def test_four_readers_on_one_pinned_generation():
     assert current_view(head, GraphStatistics) is stats and stats.probe_memo
     assert memo_of(store) is not stats.probe_memo
     assert_memo_is_exact(stats)
+    return stats

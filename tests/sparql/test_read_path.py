@@ -435,6 +435,20 @@ def pinned_scans(explanation):
     ]
 
 
+def comparisons(monkeypatch):
+    """The ``(operand, choice)`` pairs ``IN`` filters compare from now
+    on."""
+    compared = []
+    original = evaluator_module.equals
+
+    def counting(left, right):
+        compared.append((left, right))
+        return original(left, right)
+
+    monkeypatch.setattr(evaluator_module, "equals", counting)
+    return compared
+
+
 class TestPin:
     @pytest.mark.parametrize("name", PINNED)
     def test_the_listed_iris_key_the_scan(self, name):
@@ -466,6 +480,54 @@ class TestPin:
         assert asked == [
             (None, RDF.type, ex("Photo")), (None, RDF.type, ex("Monument")),
         ]
+
+    def test_a_pinned_lookup_runs_no_in_comparison(self, monkeypatch):
+        text, expected = CASE["in-two-iris-on-type"]
+        compared = comparisons(monkeypatch)
+        assert normalize(Evaluator(store_of_cases()).evaluate(text)) == (
+            expected
+        )
+        # every row's ?t is the IRI its lookup put in place
+        assert compared == []
+
+    def test_a_values_row_still_runs_the_in_filter(self, monkeypatch):
+        # ex:pic3 is an ex:Sketch: the lookup a VALUES row keys finds
+        # it, and only the IN filter drops it
+        text = f"""SELECT ?x ?t WHERE {{
+             VALUES ?t {{ {ex("Sketch").n3()} {ex("Photo").n3()} UNDEF }}
+             ?x a ?t
+             FILTER(?t IN ({ex("Photo").n3()}, {ex("Monument").n3()}))
+           }}"""
+        store = store_of_cases()
+        assert len(pinned_scans(Evaluator(store).explain(text))) == 1
+        reference = Evaluator(store, optimize=False).evaluate(text)
+        compared = comparisons(monkeypatch)
+        rows = Evaluator(store).evaluate(text)
+        assert normalize(rows) == normalize(reference)
+        assert sorted((str(r["x"]), str(r["t"])) for r in rows) == sorted(
+            (str(ex(x)), str(ex(t))) for x, t in (
+                ("pic1", "Photo"), ("pic2", "Photo"),  # the listed row
+                ("pic1", "Photo"), ("pic2", "Photo"),  # the open row
+                ("mole", "Monument"),
+            )
+        )
+        # only the matches of the two VALUES rows that bind ?t: ex:pic3
+        # (ex:Sketch against both choices), ex:pic1 and ex:pic2
+        # (ex:Photo against the first)
+        assert sorted(str(left) for left, _ in compared) == [
+            str(ex("Photo")), str(ex("Photo")),
+            str(ex("Sketch")), str(ex("Sketch")),
+        ]
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_rows_equal_the_reference(self, name):
+        text, expected = CASE[name]
+        store = store_of_cases()
+        rows = normalize(Evaluator(store).evaluate(text))
+        assert rows == expected
+        assert rows == normalize(
+            Evaluator(store, optimize=False).evaluate(text)
+        )
 
     def test_a_solution_binding_the_variable_takes_its_own_key(self):
         text, expected = CASE["in-variable-prebound-by-values"]

@@ -15,12 +15,14 @@ and per-predicate counts are those ``GraphStatistics.collect`` counts.
 import sys
 import threading
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import GraphStatistics
 from repro.platform.search import LabelIndex, SearchInterface
 from repro.rdf import GN, Literal, RDF, RDFS, URIRef
 from repro.store import QuadStore, SnapshotGraph
+from repro.store import engine
 from repro.store.engine import cached_view, current_view
 
 EX = "http://example.org/"
@@ -180,6 +182,68 @@ def test_statistics_carried_through_commits_equal_a_fresh_collect(commits):
                 batch.remove(triple, context)
         store.commit(batch)
         assert_statistics_equal_a_collect(store)
+
+
+#: Small enough that a drawn commit folds a context's overlay.
+FOLD_LIMIT = 4
+#: Five adds into ``lod``: a fold past :data:`FOLD_LIMIT`, leaving
+#: ``q``'s one ``lod`` triple in the base — for a later remove to hide.
+FOLDED = [(True, "a", ex("q"), ex("D"), ex("lod"))] + [
+    (True, s, ex("p"), ex(o), ex("lod")) for s in "bc" for o in "CD"
+]
+HIDE_Q = [(False, "a", ex("q"), ex("D"), ex("lod"))]
+
+
+def shapes():
+    """Every bound/unbound pattern over the drawn terms."""
+    subjects = [None] + [ex(name) for name in "abc"]
+    for s in subjects:
+        for p in [None] + STAT_PREDICATES:
+            for o in [None] + STAT_OBJECTS:
+                yield s, p, o
+
+
+def matching(triples, pattern):
+    return sorted(
+        triple for triple in triples
+        if all(want is None or want == got
+               for want, got in zip(pattern, triple))
+    )
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(commits=st.lists(STAT_OPS, min_size=1, max_size=8))
+@example(commits=[FOLDED, HIDE_Q])
+@example(commits=[[T, T[:4] + (ex("lod"),)], [TR], [TR[:4] + (ex("lod"),)]])
+@example(commits=[FOLDED, [(True, "a", ex("q"), ex("D"), None)], HIDE_Q])
+def test_union_lookups_equal_a_brute_force_union(monkeypatch, commits):
+    monkeypatch.setattr(engine, "OVERLAY_LIMIT", FOLD_LIMIT)
+    store = QuadStore()
+    visible = {}  # context -> its visible triples
+    for ops in commits:
+        batch = store.batch()
+        for add, subject, predicate, obj, context in ops:
+            triple = (ex(subject), predicate, obj)
+            held = visible.setdefault(context, set())
+            if add:
+                batch.insert(triple, context)
+                held.add(triple)
+            else:
+                batch.remove(triple, context)
+                held.discard(triple)
+        store.commit(batch)
+        head = store.head()
+        union = set().union(*visible.values())
+        for pattern in shapes():
+            # each visible triple once, from whichever contexts hold it
+            assert sorted(head.triples(pattern)) == matching(
+                union, pattern
+            ), pattern
+            for context, triples in visible.items():
+                assert sorted(store.graph(context).triples(pattern)) == (
+                    matching(triples, pattern)
+                ), (context, pattern)
 
 
 def test_removing_the_displayed_label_shows_the_next():
