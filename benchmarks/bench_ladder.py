@@ -10,7 +10,8 @@ contributions recomputed, commits, ``annotate`` calls — and guards
 counts only, never a time:
 
 * the growth exponent of a count, ``log(count at 10⁴ / count at 10²) /
-  2``, stays <= :data:`GROWTH` (0 is flat, 1 linear in the corpus);
+  2``, stays <= :data:`GROWTH` (0 is flat, 1 linear in the corpus), or
+  <= :data:`LEVEL` for the work of one interactive page or keystroke;
 * where the code promises a number, the number: a cap at the top rung
   or an exact value at every rung.
 
@@ -22,8 +23,9 @@ geometry a probed scan tests on the index path: a second ask makes no
 evaluation answering one, ``warm_probe_evaluations``, and none at all,
 ``warm_evaluations``); M1 and Q2 texts never
 seen before, each after a commit (M1 fresh); Q3 without the planner's
-rewrites; the search box's label index and suggestions (SEARCH,
-Figures 2–3); batch annotation (§6); ``platform.evaluator()`` with
+rewrites; a page of the web interface's content browsing (BROWSE, §3);
+the search box's label index and suggestions (SEARCH, Figures 2–3);
+batch annotation (§6); ``platform.evaluator()`` with
 nothing pending; a checkpoint of a durable copy of the store after 100
 small commits; upload -> queryable, last, because it adds to the stacks.
 Rows and timings are recorded ungated, next to the end-to-end
@@ -49,7 +51,8 @@ from repro.analysis.stats import GraphStatistics
 from repro.core import BatchAnnotator, geo_album, rated_album, social_album
 from repro.core.annotator import SemanticAnnotator
 from repro.core.mashup import mashup_query, run_mashup
-from repro.platform import Platform, SearchInterface
+from repro.platform import Platform, SearchInterface, WebInterface
+from repro.platform.models import ContentItem
 from repro.platform.search import LABEL_PREDICATES, LabelIndex
 from repro.rdf import Graph, Literal, URIRef
 from repro.resolvers import SemanticBroker
@@ -67,6 +70,9 @@ from repro.store.persistence import snapshot_path
 #: Largest growth exponent a guarded count may show over the ladder:
 #: a count may grow 4.6x over 100x the corpus (2x over 8x).
 GROWTH = 0.33
+#: Largest growth exponent of the work one browse page or one keystroke
+#: does: 1.6x over 100x the corpus.
+LEVEL = 0.1
 FLAT = ("evaluations", "lookups")
 #: A second ask on one generation finds every grid probe answered and
 #: every geometry the index path tested (an M1 branch whose type scan
@@ -107,11 +113,13 @@ def _exponent(table: Table, name: str) -> float:
 
 def _climb(benchmark, ladder, rung: str, measure: Callable,
            timed: Callable, flat: Sequence[str] = (),
+           level: Sequence[str] = (),
            caps: Dict[str, float] = {},
            exact: Dict[str, float] = {}) -> None:
     """Run ``measure(contents, stack) -> {name: value}`` on every stack
     between two passes of the speed meter; record and print every value
-    with its growth exponent; guard the ``flat`` exponents, the ``caps``
+    with its growth exponent; guard the ``flat`` exponents (<=
+    :data:`GROWTH`), the ``level`` ones (<= :data:`LEVEL`), the ``caps``
     at the top rung and the ``exact`` values at every rung; then time
     ``timed`` with pytest-benchmark."""
     table, speed_index = metered(
@@ -133,11 +141,13 @@ def _climb(benchmark, ladder, rung: str, measure: Callable,
         values = " -> ".join(f"{table[n][name]:g}" for n in sizes)
         print(f"\n{rung:>14} {name:<20} {values}  "
               f"(exponent {exponents[name]:.2f})", end="")
-    for name in flat:
-        assert exponents[name] <= GROWTH, (
-            f"{rung}: {name} grows with the corpus, {extra[name]} at "
-            f"{sizes} contents (exponent {exponents[name]:.2f} > {GROWTH})"
-        )
+    for names, bound in ((flat, GROWTH), (level, LEVEL)):
+        for name in names:
+            assert exponents[name] <= bound, (
+                f"{rung}: {name} grows with the corpus, {extra[name]} at "
+                f"{sizes} contents (exponent {exponents[name]:.2f} > "
+                f"{bound})"
+            )
     for name, cap in caps.items():
         assert table[sizes[-1]][name] <= cap, (
             f"{rung}: {table[sizes[-1]][name]:g} {name} at {sizes[-1]} "
@@ -555,6 +565,75 @@ def _next_generation(stack):
     return len(read), len(reindexed)
 
 
+@contextmanager
+def _items_visited():
+    """Collects the ids of the content items whose fields are read while
+    the block runs."""
+    visited = set()
+
+    def reading(self, name):
+        visited.add(id(self))
+        return object.__getattribute__(self, name)
+
+    ContentItem.__getattribute__ = reading
+    try:
+        yield visited
+    finally:
+        del ContentItem.__getattribute__
+
+
+def bench_browse(benchmark, ladder):
+    """BROWSE (§3, content browsing): the items one page of 10 visits —
+    whose fields ``browse`` reads, plus those it returns — newest first
+    and top-rated (page 3 each) and one owner's newest page, level with
+    the corpus: a page is a slice of an ordered view, not a sort of every
+    content. Page times are printed ungated."""
+    webs = {}
+
+    def measure(contents, stack):
+        web = webs[contents] = WebInterface(stack.platform)
+        pages = {
+            "newest_items": {"page": 3},
+            "top_rated_items": {"page": 3, "order": "top-rated"},
+            "owner_items": {"owner": stack.workload.usernames[0]},
+        }
+        row = {}
+        for name, request in pages.items():
+            with _items_visited() as visited:
+                page = web.browse(**request)
+            visited.update(id(item) for item in page.items)
+            assert len(page.items) == min(10, page.total), (name, page)
+            row[name] = len(visited)
+        samples = timed_samples(
+            lambda: [web.browse(**request) for request in pages.values()],
+            5)
+        row["browse_us"] = round(
+            statistics.median(samples) * 1000.0 / len(pages), 1)
+        return row
+
+    _climb(benchmark, ladder, "BROWSE", measure,
+           level=("newest_items", "top_rated_items", "owner_items"),
+           timed=lambda: webs[max(ladder)].browse(page=3))
+
+
+@contextmanager
+def _scored():
+    """Counts the candidates ``SearchInterface.suggest`` scores while the
+    block runs; yields the list that grows by one entry per score."""
+    original = SearchInterface._prefix_score
+    calls = []
+
+    def scoring(lowered, tokens):
+        calls.append(1)
+        return original(lowered, tokens)
+
+    SearchInterface._prefix_score = staticmethod(scoring)
+    try:
+        yield calls
+    finally:
+        SearchInterface._prefix_score = staticmethod(original)
+
+
 def bench_search(benchmark, ladder):
     """SEARCH (Figures 2–3): the label index is collected from the label
     triples and nothing else, once — a commit carries it to the next
@@ -562,11 +641,13 @@ def bench_search(benchmark, ladder):
     (an upload's title: 1, flat in the corpus), so building an interface
     on the head after an upload reads 0 triples — and a keystroke is answered
     from the index alone: 0 graph lookups per warm ``suggest`` over the
-    end-to-end benchmark's eight prefixes. The candidates a prefix
-    scores are printed ungated: ``search_prefix`` stops at the first
-    token that brings them to 200, and at 10⁴ contents one token
-    ("mole") names about 950 content items. Build and suggest times are
-    printed ungated."""
+    end-to-end benchmark's eight prefixes. A prefix's candidates are
+    printed ungated: the walk stops at the first token that brings them
+    to 200, and at 10⁴ contents one token ("mole") names about 950
+    content items. The candidates a keystroke scores stay level with the
+    corpus: ``suggest`` scores the first class and reads the others in
+    ``str`` order only until the top 10 is decided. Build and suggest
+    times are printed ungated."""
     built = {}
 
     def measure(contents, stack):
@@ -592,7 +673,8 @@ def bench_search(benchmark, ladder):
         )
         for prefix in SEARCH_PREFIXES:
             search.suggest(prefix)
-        with counted(SnapshotGraph, "triples") as lookups:
+        with counted(SnapshotGraph, "triples") as lookups, \
+                _scored() as scored:
             for prefix in SEARCH_PREFIXES:
                 search.suggest(prefix)
         assert not lookups, (
@@ -612,6 +694,7 @@ def bench_search(benchmark, ladder):
             "reindexed": reindexed,
             "lookups": len(lookups),
             "candidates_max": max(candidates),
+            "scored_per_keystroke": len(scored) / len(SEARCH_PREFIXES),
             "build_ms": round(build_ms, 2),
             "suggest_us": round(
                 statistics.median(samples) * 1000.0 / len(SEARCH_PREFIXES),
@@ -620,6 +703,7 @@ def bench_search(benchmark, ladder):
 
     prefixes = itertools.cycle(SEARCH_PREFIXES)
     _climb(benchmark, ladder, "SEARCH", measure, flat=("reindexed",),
+           level=("scored_per_keystroke",),
            timed=lambda: built[max(ladder)].suggest(next(prefixes)))
 
 

@@ -21,6 +21,7 @@ Integration point of the substrates:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..context.provider import MAX_FIX_AGE, ContextPlatform
@@ -73,6 +74,37 @@ _SCHEMA = [
 ]
 
 
+#: The browse orders, each by a key kept sorted ascending: newest first
+#: is ``(timestamp, -pid, item)`` read from the end — an upload is
+#: usually the newest, so it appends — and top-rated is ``(-rating, pid,
+#: item)`` read from the front, where an unrated upload also appends.
+ORDERS = ("newest", "top-rated")
+
+
+class ContentOrder(Sequence):
+    """The contents of one browse order (all, or one owner's), read
+    from the platform's sorted keys, not copied: a slice reads only its
+    own items."""
+
+    __slots__ = ("_keys", "_from_end")
+
+    def __init__(self, keys: List[tuple], from_end: bool) -> None:
+        self._keys = keys
+        self._from_end = from_end
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self._keys))[index]]
+        return self._keys[~index if self._from_end else index][-1]
+
+
+def _remove(keys: List[tuple], key: tuple) -> None:
+    del keys[bisect_left(keys, key)]
+
+
 #: What contributes triples to the platform graph: one relational row
 #: ``(table name, primary key)``, or one item's annotation / location
 #: analysis ``("annotation" | "location", pid)``.
@@ -113,11 +145,15 @@ class Platform:
             annotator = build_default_annotator(self.corpus)
         self.annotator = annotator
         self.crossposter = crossposter or default_crossposter()
+        #: by pid; uploads take increasing pids, so also in pid order
         self._items: Dict[int, ContentItem] = {}
         self._annotations: Dict[int, AnnotationResult] = {}
-        #: per owner, the sorted ``(timestamp, pid)`` of their items —
-        #: what a new position fix or friendship has to re-locate
-        self._timeline: Dict[str, List[Tuple[int, int]]] = {}
+        #: the sorted keys of each browse order (:data:`ORDERS`), over
+        #: every owner (``None``) and per owner; an owner's newest keys
+        #: are also what a new position fix or friendship re-locates
+        self._orders: Dict[str, Dict[Optional[str], List[tuple]]] = {
+            order: {None: []} for order in ORDERS
+        }
         # the write path (meaningful only while a store is attached):
         # each source's triples as last committed, how many sources
         # contribute each triple, and the sources touched since then
@@ -253,10 +289,8 @@ class Platform:
             rating=0.0,
         )
         self._items[item.pid] = item
-        insort(
-            self._timeline.setdefault(item.owner, []),
-            (item.timestamp, item.pid),
-        )
+        for order in ORDERS:
+            self._order_keys(item, order, insort)
         self._touch(
             ("pictures", item.pid),
             ("annotation", item.pid),
@@ -269,7 +303,10 @@ class Platform:
     def rate(self, pid: int, rating: float) -> None:
         if not 0.0 <= rating <= 5.0:
             raise ValueError("rating must be within [0, 5]")
-        self.content(pid).rating = rating  # raises for unknown pids
+        item = self.content(pid)  # raises for unknown pids
+        self._order_keys(item, "top-rated", _remove)
+        item.rating = rating
+        self._order_keys(item, "top-rated", insort)
         self.db.table("pictures").update(pid, {"rating": float(rating)})
         self._touch(("pictures", pid))
 
@@ -321,8 +358,19 @@ class Platform:
         self.db.table("pictures").delete(pid)
         del self._items[pid]
         self._annotations.pop(pid, None)
-        timeline = self._timeline[item.owner]
-        del timeline[bisect_left(timeline, (item.timestamp, pid))]
+        for order in ORDERS:
+            self._order_keys(item, order, _remove)
+
+    def _order_keys(self, item: ContentItem, order: str, change) -> None:
+        """``change(keys, key)`` — insert or remove — ``item``'s key of
+        ``order`` in that order's keys over every owner and its owner's."""
+        if order == "newest":
+            key = (item.timestamp, -item.pid, item)
+        else:
+            key = (-item.rating, item.pid, item)
+        scopes = self._orders[order]
+        for scope in (None, item.owner):
+            change(scopes.setdefault(scope, []), key)
 
     # ------------------------------------------------------------------
     # Graphical region annotations (paper §1.1: "in the case of
@@ -364,7 +412,18 @@ class Platform:
         return result.dicts()
 
     def contents(self) -> List[ContentItem]:
-        return [self._items[pid] for pid in sorted(self._items)]
+        """Every content, in pid order."""
+        return list(self._items.values())
+
+    def ordered(
+        self, order: str = "newest", owner: Optional[str] = None
+    ) -> ContentOrder:
+        """The contents (``owner``'s only, when given) newest first,
+        ``(-timestamp, pid)``, or top-rated first, ``(-rating, pid)``."""
+        if order not in ORDERS:
+            raise ValueError(f"unknown order: {order!r}")
+        keys = self._orders[order].get(owner, [])
+        return ContentOrder(keys, from_end=order == "newest")
 
     # ------------------------------------------------------------------
     # LODification (§2)
@@ -432,10 +491,10 @@ class Platform:
         if self._store is not None:  # else the bootstrap covers it
             self._pending.update(dict.fromkeys(sources))
 
-    def _relocate(self, entries) -> None:
+    def _relocate(self, keys) -> None:
         """Re-run location analysis (never annotation) for the items of
-        some ``(timestamp, pid)`` timeline entries."""
-        self._touch(*(("location", pid) for _, pid in entries))
+        some newest-order keys."""
+        self._touch(*(("location", item.pid) for *_, item in keys))
 
     def _relocate_around_fix(self, username: str, timestamp: int) -> None:
         """A position fix of ``username`` at ``timestamp`` can change
@@ -443,7 +502,7 @@ class Platform:
         MAX_FIX_AGE]``, and only for items of the user (their location)
         or of a friend (the user as a nearby buddy)."""
         for owner in (username, *self.context.friends_of(username)):
-            timeline = self._timeline.get(owner, ())
+            timeline = self._orders["newest"].get(owner, ())
             self._relocate(timeline[
                 bisect_left(timeline, (timestamp,)):
                 bisect_left(timeline, (timestamp + MAX_FIX_AGE + 1,))
@@ -452,7 +511,7 @@ class Platform:
     def _relocate_friends(self, user_a: str, user_b: str) -> None:
         """Each one's items may now have the other as a nearby buddy."""
         for owner in (user_a, user_b):
-            self._relocate(self._timeline.get(owner, ()))
+            self._relocate(self._orders["newest"].get(owner, ()))
 
     def _all_sources(self) -> Iterator[Source]:
         for table_name in self.mapping.table_maps:

@@ -11,6 +11,9 @@ geo-located near it. Results can be filtered by the user's own position
 
 from __future__ import annotations
 
+import bisect
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -84,6 +87,9 @@ class Suggestion:
 LABEL_PREDICATES = (RDFS.label, GN.name, GN.alternateName)
 _LABELLED = frozenset(LABEL_PREDICATES)
 _DISPLAY_RANK = {RDFS.label: 0, GN.name: 1}
+#: A keystroke's candidates: the subjects of the label tokens the prefix
+#: starts, up to the first token that brings them to this many.
+CANDIDATES = 200
 
 
 class _Entry(NamedTuple):
@@ -101,8 +107,10 @@ class _Entry(NamedTuple):
 
 class LabelIndex:
     """The search box's label index over one graph: a token index of the
-    literals of :data:`LABEL_PREDICATES` (:attr:`index`) and one
-    :class:`_Entry` per subject with a displayed label (:attr:`entries`).
+    literals of :data:`LABEL_PREDICATES` (:attr:`index`, each token's
+    subjects in ``str`` order among them), one :class:`_Entry` per
+    subject with a displayed label (:attr:`entries`) and, per token, the
+    subjects whose displayed label it starts (:attr:`first`).
 
     The display label is a literal ``rdfs:label``, else a literal
     ``gn:name``; among several of the preferred predicate, the smallest
@@ -115,13 +123,17 @@ class LabelIndex:
     without a lock.
     """
 
-    __slots__ = ("index", "entries")
+    __slots__ = ("index", "entries", "first")
 
     def __init__(
-        self, index: FullTextIndex, entries: Dict[Term, _Entry]
+        self,
+        index: FullTextIndex,
+        entries: Dict[Term, _Entry],
+        first: Dict[str, Tuple[Term, ...]],
     ) -> None:
         self.index = index
         self.entries = entries
+        self.first = first
 
     @classmethod
     def collect(cls, graph) -> "LabelIndex":
@@ -139,7 +151,14 @@ class LabelIndex:
             ):
                 entries[subject] = entry
         index.tokens()  # sorted now: a keystroke only reads
-        return cls(index, entries)
+        first: Dict[str, List[Term]] = defaultdict(list)
+        for subject, entry in entries.items():
+            if entry.tokens:
+                first[entry.tokens[0]].append(subject)
+        return cls(index, entries, {
+            token: tuple(sorted(subjects, key=str))
+            for token, subjects in first.items()
+        })
 
     def apply_delta(
         self, added, removed, before, after, fingerprint: object = None
@@ -156,10 +175,11 @@ class LabelIndex:
         graph read, the case of an upload. A pair that lost a literal
         keeps a token only if one of its literals in ``after`` still
         carries it, and a subject that lost a display label is given
-        the smallest of its labels in ``after``. Posting sets, sorted
-        tokens and entries the commit does not touch are shared with
-        this index. A view of a store state is that state's by
-        construction, so the ``fingerprint`` is not kept."""
+        the smallest of its labels in ``after``. Posting sets, subject
+        orders, sorted tokens, entries and first-token groups the commit
+        does not touch are shared with this index. A view of a store
+        state is that state's by construction, so the ``fingerprint`` is
+        not kept."""
         # per touched pair: (literals gained, literals lost)
         delta: Dict[Tuple[Term, Term], Tuple[list, list]] = {}
         for side, triples in enumerate((added, removed)):
@@ -179,9 +199,9 @@ class LabelIndex:
                 retokenized[pair] = (set(), _tokens(gained))
             if pair[1] in _DISPLAY_RANK:
                 shown[pair[0]] = shown.get(pair[0], False) or bool(lost)
-        entries = self.entries
+        entries, first = self.entries, self.first
         if shown:
-            entries = dict(entries)
+            entries, first = dict(entries), dict(first)
             for subject, lost_one in shown.items():
                 if lost_one:
                     best = None
@@ -201,11 +221,62 @@ class LabelIndex:
                     entry = _entry(p, label, tokenize_text(label.lexical))
                     if best is None or entry < best:
                         best = entry
+                _regroup(first, subject, self.entries.get(subject), best)
                 if best is None:
                     entries.pop(subject, None)
                 else:
                     entries[subject] = best
-        return LabelIndex(self.index.revised(retokenized), entries)
+        return LabelIndex(self.index.revised(retokenized), entries, first)
+
+    def leading(self, prefix: str, walked: List[str]) -> Iterator[Term]:
+        """The candidates of the ``walked`` tokens
+        (:meth:`FullTextIndex.prefix_walk`) whose displayed label's first
+        token starts with ``prefix``."""
+        last = walked[-1]
+        for token in self.index.prefixed(prefix):
+            for subject in self.first.get(token, ()):
+                # past the last walked token, only another token of the
+                # subject's labels can have made it a candidate
+                if token <= last or any(
+                    self.index.holds(other, subject) for other in walked
+                ):
+                    yield subject
+
+    def ordered(self, walked: List[str]) -> Iterator[Term]:
+        """The candidates of the ``walked`` tokens that have an entry,
+        once each, in ``str`` order, read only as far as the caller
+        asks."""
+        seen: Set[Term] = set()
+        for subject in heapq.merge(
+            *(self.index.subjects(token) for token in walked), key=str
+        ):
+            if subject not in seen and subject in self.entries:
+                seen.add(subject)
+                yield subject
+
+
+def _regroup(
+    first: Dict[str, Tuple[Term, ...]],
+    subject: Term,
+    old: Optional[_Entry],
+    new: Optional[_Entry],
+) -> None:
+    """Move ``subject`` between the groups of :attr:`LabelIndex.first`
+    when its entry's first token changes from ``old``'s to ``new``'s."""
+    was = old.tokens[0] if old is not None and old.tokens else None
+    now = new.tokens[0] if new is not None and new.tokens else None
+    if was == now:
+        return
+    if was is not None:
+        rest = tuple(other for other in first[was] if other != subject)
+        if rest:
+            first[was] = rest
+        else:
+            del first[was]
+    if now is not None:
+        group = list(first.get(now, ()))
+        bisect.insort(group, subject, key=str)
+        first[now] = tuple(group)
 
 
 def _entry(
@@ -264,25 +335,74 @@ class SearchInterface:
         limit: int = 10,
     ) -> List[Suggestion]:
         """LOD resources whose label starts matching the typed prefix,
-        optionally ranked by distance to the user."""
+        optionally ranked by distance to the user.
+
+        A top-k over the candidates of :meth:`FullTextIndex.prefix_walk`
+        (DESIGN.md, "Suggest is a top-k"): a score falls in a class by
+        the displayed label's tokens (:meth:`_prefix_score`: above 2,
+        1.0, 0.5, 0.0) and ``user_point`` adds at most 1. The first
+        class is scored in full; the others are read in ``str`` order,
+        a class only while fewer than ``limit`` rows score above its
+        highest possible score, and without ``user_point`` only as many
+        of its rows as the top ``limit`` still lacks.
+        """
         lowered = prefix.lower()
-        ranked = []
+        if not lowered:
+            return []
         labels = self.labels
-        for subject in labels.index.search_prefix(prefix, limit=200):
-            entry = labels.entries.get(subject)
-            if entry is None:
-                continue
+        walked = labels.index.prefix_walk(lowered, CANDIDATES)
+        if not walked:
+            return []
+        entries = labels.entries
+        rows = []
+        for subject in labels.leading(lowered, walked):
+            entry = entries[subject]
             score = self._prefix_score(lowered, entry.tokens)
-            if user_point is not None:
-                distance = self._distance_to(subject, user_point)
-                if distance is not None:
-                    score += max(0.0, 1.0 - min(distance, 1000.0) / 1000.0)
-            ranked.append((-round(score, 4), str(subject), subject, entry))
-        ranked.sort()
+            rows.append(self._row(subject, entry, score, user_point))
+        rest = labels.ordered(walked)
+        bonus = 0.0 if user_point is None else 1.0
+        met: Dict[float, List[Tuple[Term, _Entry]]] = {
+            1.0: [], 0.5: [], 0.0: []
+        }
+        for fixed, found in met.items():
+            above = sum(1 for row in rows if -row[0] > fixed + bonus)
+            if above >= limit:
+                break
+            while user_point is not None or len(found) < limit - above:
+                subject = next(rest, None)
+                if subject is None:
+                    break
+                entry = entries[subject]
+                score = self._prefix_score(lowered, entry.tokens)
+                if score in met:  # the first class is scored above
+                    met[score].append((subject, entry))
+            if user_point is None:
+                found = found[:limit - above]
+            rows.extend(
+                self._row(subject, entry, fixed, user_point)
+                for subject, entry in found
+            )
+        rows.sort()
         return [
             Suggestion(subject, entry.label, -negated)
-            for negated, _, subject, entry in ranked[:limit]
+            for negated, _, subject, entry in rows[:limit]
         ]
+
+    def _row(
+        self,
+        subject: Term,
+        entry: _Entry,
+        score: float,
+        user_point: Optional[Point],
+    ) -> Tuple[float, str, Term, _Entry]:
+        """A candidate's sort key: ``score``, plus its nearness to
+        ``user_point`` when given, rounded and negated, then
+        ``str(subject)``."""
+        if user_point is not None:
+            distance = self._distance_to(subject, user_point)
+            if distance is not None:
+                score += max(0.0, 1.0 - min(distance, 1000.0) / 1000.0)
+        return (-round(score, 4), str(subject), subject, entry)
 
     @staticmethod
     def _prefix_score(lowered: str, tokens: Sequence[str]) -> float:
@@ -292,8 +412,9 @@ class SearchInterface:
             return 0.0
         if tokens[0].startswith(lowered):
             return 2.0 + len(lowered) / max(1, len(tokens[0]))
-        if any(t.startswith(lowered) for t in tokens):
-            return 1.0
+        for token in tokens:
+            if token.startswith(lowered):
+                return 1.0
         return 0.5
 
     def _distance_to(

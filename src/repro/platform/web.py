@@ -221,18 +221,11 @@ class WebInterface:
         owner: Optional[str] = None,
         order: str = "newest",
     ) -> Page:
-        """Paginated content listing, newest first by default."""
+        """Paginated content listing, newest first by default: a slice
+        of the platform's ordered view (:meth:`Platform.ordered`)."""
         if page < 1 or page_size < 1:
             raise ValueError("page and page_size must be >= 1")
-        items = self.platform.contents()
-        if owner is not None:
-            items = [i for i in items if i.owner == owner]
-        if order == "newest":
-            items.sort(key=lambda i: (-i.timestamp, i.pid))
-        elif order == "top-rated":
-            items.sort(key=lambda i: (-i.rating, i.pid))
-        else:
-            raise ValueError(f"unknown order: {order!r}")
+        items = self.platform.ordered(order, owner)
         start = (page - 1) * page_size
         return Page(
             items=items[start : start + page_size],

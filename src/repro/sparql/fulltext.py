@@ -16,6 +16,7 @@ import bisect
 import itertools
 import re
 from collections import defaultdict
+from collections.abc import Sequence
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.graph import Graph, Triple
@@ -87,13 +88,16 @@ class FullTextIndex:
     some predicates). Lookups return the subjects whose literals contain
     the query tokens; :meth:`search_prefix` supports the mobile
     interface's search-as-you-type behaviour. Once nothing is added any
-    more and :meth:`tokens` has sorted the tokens, searching writes
+    more and :meth:`tokens` has sorted the index, searching writes
     nothing, so any number of threads may search it without a lock.
     """
 
     def __init__(self) -> None:
         self._postings: Dict[str, Set[Tuple[Term, Term]]] = defaultdict(set)
         self._sorted_tokens: Optional[List[str]] = None
+        #: per token, its subjects once each in ``str`` order; sorted
+        #: with the tokens
+        self._subjects: Dict[str, Tuple[Term, ...]] = {}
 
     @classmethod
     def from_graph(
@@ -143,22 +147,65 @@ class FullTextIndex:
         """Subjects with any indexed token starting with ``prefix``.
 
         This is the AJAX search-box primitive (Figure 2/3 of the paper):
-        the last keystroke's partial word matches by prefix.
+        the last keystroke's partial word matches by prefix. The tokens
+        are walked in sorted order and the walk ends with the first one
+        that brings the subjects to ``limit`` (:meth:`prefix_walk`).
         """
         prefix = prefix.lower()
         if not prefix:
             return set()
+        return set(itertools.chain.from_iterable(
+            self._subjects[token]
+            for token in self.prefix_walk(prefix, limit)
+        ))
+
+    def prefixed(self, prefix: str) -> Iterator[str]:
+        """The indexed tokens starting with the lower-case ``prefix``,
+        in sorted order."""
         tokens = self.tokens()
-        start = bisect.bisect_left(tokens, prefix)
-        result: Set[Term] = set()
-        for idx in range(start, len(tokens)):
-            token = tokens[idx]
-            if not token.startswith(prefix):
+        for idx in range(bisect.bisect_left(tokens, prefix), len(tokens)):
+            if not tokens[idx].startswith(prefix):
+                return
+            yield tokens[idx]
+
+    def prefix_walk(self, prefix: str, limit: int) -> List[str]:
+        """The tokens :meth:`search_prefix` takes the subjects of: those
+        starting with the lower-case ``prefix``, in sorted order, up to
+        and including the first that brings their subjects to ``limit``.
+
+        The union is not built while the walked tokens' subject counts
+        sum to less than ``limit`` (it cannot have reached it), and a
+        token with ``limit`` subjects of its own ends the walk without
+        being added to it, so no subject of a token that large is
+        copied however large its posting is."""
+        walked: List[str] = []
+        union: Optional[Set[Term]] = None
+        total = 0
+        for token in self.prefixed(prefix):
+            walked.append(token)
+            subjects = self._subjects[token]
+            if union is None:
+                total += len(subjects)
+                if total < limit:
+                    continue
+                union = set(itertools.chain.from_iterable(
+                    self._subjects[t] for t in walked[:-1]
+                ))
+            if len(subjects) >= limit:
                 break
-            result.update(s for s, _ in self._postings[token])
-            if len(result) >= limit:
+            union.update(subjects)
+            if len(union) >= limit:
                 break
-        return result
+        return walked
+
+    def subjects(self, token: str) -> Tuple[Term, ...]:
+        """The subjects of ``token``, once each, in ``str`` order."""
+        self.tokens()
+        return self._subjects.get(token, ())
+
+    def holds(self, token: str, subject: Term) -> bool:
+        """Whether ``token`` is one of ``subject``'s indexed tokens."""
+        return _place(self.subjects(token), subject)[1]
 
     def revised(
         self,
@@ -167,10 +214,14 @@ class FullTextIndex:
         """This index with each ``(subject, predicate)`` of
         ``retokenized`` moved from its old tokens to its new ones
         (``{pair: (old, new)}``), as a new index; this one is left as it
-        was. The new index shares every posting set no pair touches, and
-        the sorted tokens when no token comes or goes; ``self`` when
-        nothing moves."""
+        was. The new index shares every posting set and subject tuple no
+        pair touches, and the sorted tokens when no token comes or goes;
+        ``self`` when nothing moves. A token that only gained pairs
+        gains their subjects by bisection; one that lost a pair has its
+        subjects sorted again."""
         touched: Dict[str, Set[Tuple[Term, Term]]] = {}
+        gained: Dict[str, List[Term]] = defaultdict(list)
+        lost: Set[str] = set()
 
         def members(token: str) -> Set[Tuple[Term, Term]]:
             found = touched.get(token)
@@ -181,12 +232,15 @@ class FullTextIndex:
         for pair, (old, new) in retokenized.items():
             for token in old - new:
                 members(token).discard(pair)
+                lost.add(token)
             for token in new - old:
                 members(token).add(pair)
+                gained[token].append(pair[0])
         if not touched:
             return self
         postings = defaultdict(set, self._postings)
         tokens = self.tokens()
+        subjects = dict(self._subjects)
         for token, found in touched.items():
             if found:
                 if token not in postings:
@@ -194,22 +248,62 @@ class FullTextIndex:
                         tokens = list(tokens)
                     bisect.insort(tokens, token)
                 postings[token] = found
+                if token in lost:
+                    subjects[token] = _in_str_order(found)
+                else:
+                    subjects[token] = _joined(
+                        self._subjects.get(token, ()), gained[token]
+                    )
             elif token in postings:
                 if tokens is self._sorted_tokens:
                     tokens = list(tokens)
                 del postings[token]
+                del subjects[token]
                 del tokens[bisect.bisect_left(tokens, token)]
         index = FullTextIndex()
         index._postings = postings
         index._sorted_tokens = tokens
+        index._subjects = subjects
         return index
 
     def tokens(self) -> List[str]:
         """All indexed tokens, sorted once after the last :meth:`add`
-        and shared with :meth:`search_prefix` (do not modify the list)."""
+        (with each token's subjects, :meth:`subjects`) and shared with
+        :meth:`search_prefix` (do not modify the list)."""
         if self._sorted_tokens is None:
+            self._subjects = {
+                token: _in_str_order(pairs)
+                for token, pairs in self._postings.items()
+            }
             self._sorted_tokens = sorted(self._postings)
         return self._sorted_tokens
+
+
+def _in_str_order(pairs: Iterable[Tuple[Term, Term]]) -> Tuple[Term, ...]:
+    """The subjects of ``(subject, predicate)`` pairs, once each, in
+    ``str`` order."""
+    return tuple(sorted({subject for subject, _ in pairs}, key=str))
+
+
+def _place(order: Sequence[Term], subject: Term) -> Tuple[int, bool]:
+    """Where ``subject`` belongs in ``order`` (subjects in ``str``
+    order), and whether it is there."""
+    key = str(subject)
+    low = bisect.bisect_left(order, key, key=str)
+    return low, subject in order[
+        low:bisect.bisect_right(order, key, low, key=str)
+    ]
+
+
+def _joined(order: Tuple[Term, ...], subjects: List[Term]) -> Tuple[Term, ...]:
+    """``order`` (subjects in ``str`` order) with those of ``subjects``
+    it lacks inserted in place."""
+    joined = list(order)
+    for subject in subjects:
+        at, there = _place(joined, subject)
+        if not there:
+            joined.insert(at, subject)
+    return tuple(joined)
 
 
 def literal_triples(

@@ -408,7 +408,7 @@ class LoadGenerator:
     def _op_browse(self, arg: str) -> None:
         page_size = 10
         with self._platform_lock:
-            total = len(self._platform.contents())
+            total = len(self._platform.ordered())
             pages = max(1, -(-total // page_size))
             page = min(int(arg[1:]), pages)
             self._web.browse(page=page, page_size=page_size)

@@ -4,13 +4,16 @@
   ``P`` and indexes what a walk of every triple filtered to ``P`` would;
 * ``SearchInterface.suggest`` scores from the entries built at
   construction and returns what the per-candidate algorithm it replaced
-  returns — every candidate's label looked up in the graph and
-  re-tokenized — with the display label chosen by the fixed rule;
+  returns — every candidate scored, its label looked up in the graph and
+  re-tokenized — with the display label chosen by the fixed rule, for
+  every limit, on an index carried through commits;
 * an interface answers for the graph as it was when it was built, the
   same labels in every process, and is shared by threads while a
   rebuilt one is published beside it.
 """
 
+import bisect
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platform import Platform, SearchInterface
-from repro.platform.search import LABEL_PREDICATES
+from repro.platform.search import LABEL_PREDICATES, LabelIndex
 from repro.rdf import DBPR, GEO, GN, RDFS, Graph, Literal, URIRef
 from repro.sparql import Point
 from repro.sparql.fulltext import FullTextIndex, tokenize_text
@@ -158,20 +161,33 @@ def _label_score(prefix, label):
 
 
 class _Reference:
-    """Suggestions as computed before the entries: candidates from an
-    index over a full walk, each candidate's label looked up in the
-    graph and re-tokenized, its geometry looked up for the geo rank."""
+    """Suggestions as computed before the entries and the top-k: the
+    candidates of postings over a full walk, cut token by token, and
+    every candidate scored, its label looked up in the graph and
+    re-tokenized, its geometry looked up for the geo rank."""
 
     def __init__(self, graph):
         self.graph = graph
-        self.index = FullTextIndex()
-        self.index._postings.update(
-            _walked_postings(graph, set(LABEL_PREDICATES)))
+        self.postings = _walked_postings(graph, set(LABEL_PREDICATES))
+        self.tokens = sorted(self.postings)
         self.labels = {}
+
+    def candidates(self, prefix):
+        """The subjects of the tokens starting with ``prefix``, in
+        sorted order, up to the first that brings them to 200."""
+        lowered = prefix.lower()
+        result = set()
+        for token in self.tokens[bisect.bisect_left(self.tokens, lowered):]:
+            if not lowered or not token.startswith(lowered):
+                break
+            result.update(s for s, _ in self.postings[token])
+            if len(result) >= 200:
+                break
+        return result
 
     def suggest(self, prefix, user_point=None):
         suggestions = []
-        for subject in self.index.search_prefix(prefix, limit=200):
+        for subject in self.candidates(prefix):
             if subject not in self.labels:
                 self.labels[subject] = _display_label(self.graph, subject)
             label = self.labels[subject]
@@ -197,28 +213,91 @@ def _platform(contents: int, seed: int = 7) -> Platform:
     return platform
 
 
+def assert_carried_equals_collected(graph, labels):
+    """``labels``, carried through commits, holds what a collect of
+    ``graph`` builds: postings, tokens, each token's subjects in ``str``
+    order, entries and first-token groups."""
+    fresh = LabelIndex.collect(graph)
+    assert dict(labels.index._postings) == dict(fresh.index._postings)
+    assert labels.index.tokens() == fresh.index.tokens()
+    assert labels.index._subjects == fresh.index._subjects
+    assert labels.entries == fresh.entries
+    assert labels.first == fresh.first
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    platform = _platform(600)
+    """600 contents on a store whose label index was collected at 500
+    and carried since through commits of uploads, title edits, ratings
+    and deletes."""
+    workload = generate_workload(WorkloadConfig(
+        n_users=10, n_contents=600, seed=7))
+    first, later = workload.captures[:500], workload.captures[500:]
+    platform = Platform()
+    populate_platform(platform, dataclasses.replace(workload, captures=first))
+    platform.attach_store(QuadStore())
+    collected = SearchInterface(platform.union_graph(), []).labels
+    for n, capture in enumerate(later):
+        item = platform.upload(capture)
+        if n % 7 == 0:
+            platform.edit_content(item.pid - 300, title=f"Mole {n}")
+        if n % 11 == 0:
+            platform.rate(item.pid - 200, 4.0)
+        if n % 13 == 0:
+            platform.delete_content(item.pid - 400)
+        if n % 10 == 9:
+            platform.evaluator()  # one commit, carrying the index
     graph = platform.union_graph()
-    return graph, SearchInterface(graph, platform.contents())
+    search = SearchInterface(graph, platform.contents())
+    assert search.labels is not collected, "the index was not carried"
+    return graph, search
+
+
+def test_the_carried_index_equals_a_fresh_collect(corpus):
+    graph, search = corpus
+    assert_carried_equals_collected(graph, search.labels)
 
 
 def test_suggest_equals_the_per_candidate_algorithm(corpus):
     graph, search = corpus
     reference = _Reference(graph)
     prefixes = sorted({
-        token[:n] for token in reference.index.tokens()
-        for n in (1, 2, 3)
+        token[:n] for token in reference.tokens for n in (1, 2, 3)
     })
     assert len(prefixes) > 200
+    cut = 0
     for prefix in prefixes:
+        candidates = reference.candidates(prefix)
+        assert search.labels.index.search_prefix(prefix, 200) == candidates
+        cut += len(candidates) >= 200
         for point in (None, MOLE):
             expected = reference.suggest(prefix, point)
-            for limit in (10, 200):
+            for limit in (1, 3, 10, 200):
                 got = [(s.resource, s.label, s.score)
                        for s in search.suggest(prefix, point, limit=limit)]
                 assert got == expected[:limit], (prefix, point, limit)
+    assert cut, "no prefix reaches the 200-candidate cut"
+
+
+def test_a_candidate_past_the_cut_ranks_by_its_first_token():
+    """The walk ends at a token of 200 subjects ("maa"); a subject whose
+    shown label starts past it ("mab") is still a candidate, of the first
+    class, when another of its labels has a walked token; one without
+    such a label is not a candidate."""
+    graph = Graph()
+    for n in range(200):
+        graph.add((ex(f"s{n:03}"), RDFS.label, Literal(f"Big maa {n}")))
+    graph.add((ex("past"), RDFS.label, Literal("Mab")))
+    graph.add((ex("past"), GN.alternateName, Literal("maa")))
+    graph.add((ex("out"), RDFS.label, Literal("Mac")))
+    search = SearchInterface(graph, [])
+    expected = _Reference(graph).suggest("ma")
+    assert len(expected) == 201
+    assert expected[0][:2] == (ex("past"), "Mab")
+    for limit in (1, 3, 10, 200):
+        got = [(s.resource, s.label, s.score)
+               for s in search.suggest("ma", limit=limit)]
+        assert got == expected[:limit], limit
 
 
 def test_a_single_label_is_the_one_graph_value_gave(corpus):
@@ -308,9 +387,17 @@ def test_turin_label_comes_from_the_smallest_language_tag():
 
 def test_suggest_from_threads_while_a_rebuild_is_published():
     platform = _platform(100)
-    graph, contents = platform.union_graph(), platform.contents()
-    holder = {"search": SearchInterface(graph, contents)}
+    store = QuadStore()
+    platform.attach_store(store)
+    contents = platform.contents()
+    first = SearchInterface(platform.union_graph(), contents)
+    holder = {"search": first}
     expected = {p: holder["search"].suggest(p) for p in PREFIXES}
+    # in and out by turns: each commit carries the index, moving a
+    # subject in the "mole" token's order and the "zz" first-token
+    # group, behind every suggestion the readers expect
+    late = (URIRef("http://zzz.example.org/late"), RDFS.label,
+            Literal("Zz mole"))
     done = threading.Event()
     failures = []
 
@@ -325,8 +412,10 @@ def test_suggest_from_threads_while_a_rebuild_is_published():
 
     def publisher() -> None:
         while not done.is_set():
+            if store.remove(late) == 0:
+                store.insert(late)
             # as the load generator publishes: build, then one store
-            holder["search"] = SearchInterface(graph, contents)
+            holder["search"] = SearchInterface(store.head(), contents)
 
     readers = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
     swapping = threading.Thread(target=publisher)
@@ -344,3 +433,4 @@ def test_suggest_from_threads_while_a_rebuild_is_published():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in [*readers, swapping])
     assert failures == []
+    assert holder["search"].labels is not first.labels, "nothing published"

@@ -1,5 +1,8 @@
 """Full-text matching and inverted index tests."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.rdf import FOAF, Graph, Literal, RDFS, URIRef
 from repro.sparql.fulltext import (
     FullTextIndex,
@@ -129,3 +132,45 @@ class TestFullTextIndex:
         idx = FullTextIndex()
         idx.add(ex("a"), RDFS.label, "zebra apple")
         assert idx.tokens() == ["apple", "zebra"]
+
+
+def _cut_token_by_token(index, prefix, limit):
+    """``search_prefix`` as first written: the subjects of the tokens
+    starting with ``prefix``, added token by token in sorted order until
+    there are ``limit``."""
+    result = set()
+    for token in index.tokens():
+        if token.startswith(prefix):
+            result.update(s for s, _ in index._postings[token])
+            if len(result) >= limit:
+                break
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(
+        st.tuples(st.sampled_from(["ma", "mab", "mac", "mad", "mb", "x"]),
+                  st.integers(0, 30), st.sampled_from(["p", "q"])),
+        max_size=80,
+    ),
+    prefix=st.sampled_from(["m", "ma", "mac", "x", "z"]),
+    limit=st.integers(1, 40),
+)
+# the union lands on the limit at "mab", so "mac" is not walked
+@example(labels=[("ma", 1, "p"), ("ma", 2, "p"), ("mab", 2, "p"),
+                 ("mab", 3, "p"), ("mac", 4, "p")], prefix="m", limit=3)
+# "mab" alone holds the limit: it ends the walk without a union copy
+@example(labels=[("ma", 1, "p"), *(("mab", n, "q") for n in range(2, 6)),
+                 ("mac", 9, "p")], prefix="m", limit=3)
+def test_prefix_search_stops_at_the_token_that_reaches_the_limit(
+        labels, prefix, limit):
+    """The walk's shortcuts (no union while the subject counts sum below
+    the limit, a token as large as the limit not copied) cut where the
+    token-by-token union does — also when subjects repeat across tokens
+    and when the union lands exactly on the limit."""
+    index = FullTextIndex()
+    for token, subject, predicate in labels:
+        index.add(ex(f"s{subject}"), ex(predicate), token)
+    assert index.search_prefix(prefix, limit) == (
+        _cut_token_by_token(index, prefix, limit))

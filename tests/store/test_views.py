@@ -5,8 +5,9 @@ A view of a store's union is collected once and then carried by every
 commit in O(delta) (``repro.store.engine.cached_view``). The property
 that holds the label index up: after any sequence of commits, the
 carried index is the index a from-scratch ``LabelIndex.collect`` over
-the new head builds — the same postings, sorted tokens and entries, and
-so the same suggestions. A commit that touches no label keeps the index
+the new head builds — the same postings, sorted tokens, per-token
+subject orders, entries and first-token groups, and so the same
+suggestions. A commit that touches no label keeps the index
 object, and an interface pinned to an older generation keeps answering
 for it. The same holds for the statistics: the carried triple, class
 and per-predicate counts are those ``GraphStatistics.collect`` counts.
@@ -54,7 +55,9 @@ def assert_carried_equals_collected(store):
     assert dict(view.index._postings) == dict(fresh.index._postings)
     assert all(view.index._postings.values()), "an emptied posting kept"
     assert view.index.tokens() == fresh.index.tokens()
+    assert view.index._subjects == fresh.index._subjects
     assert view.entries == fresh.entries
+    assert view.first == fresh.first
     # the interface of the head takes the carried index; the reference
     # one indexes a plain copy of the head from scratch
     search = SearchInterface(head, [])
