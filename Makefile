@@ -45,7 +45,8 @@ benchmarks:
 ## timings: Q1, Q2, Q3 and M1 filter evaluations and index lookups (on
 ## the first ask after a commit), and upload -> queryable lookups, grow
 ## with exponent <= 0.33; a second ask on the same generation makes 0
-## evaluations (Q1-Q3 and M1; context segment reads printed); Q2/Q3 <= 60
+## evaluations (Q1-Q3 and M1; context segment reads and the first
+## ask's time printed); Q2/Q3 <= 60
 ## and M1 <= 80 lookups / <= 70 evaluations per query at 10 000; 12
 ## fresh M1 texts and 20 fresh Q2 texts, each after a commit, are parsed
 ## and planned once (1 / 1 each); Q3 as lowered >= 10x the planned
@@ -109,12 +110,17 @@ bench-e2e-selftest:
 ## from pair to pair, then run.py --compare prints ok / worse /
 ## unresolved per metric. BASE is exported with git archive into a
 ## temporary directory, removed on exit; the run records stay in
-## bench-results/compare-*.jsonl.
+## bench-results/compare-*.jsonl. Both sides compile from source: no
+## bytecode is written, and each side reads compiled modules from its
+## own empty PYTHONPYCACHEPREFIX, never from a __pycache__ the working
+## tree holds.
 BASE ?= HEAD
 WORKLOAD ?=
 PAIRS ?= 10
 bench-compare:
-	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+	@set -e; base=$$(mktemp -d); caches=$$(mktemp -d); \
+	trap 'rm -rf "$$base" "$$caches"' EXIT; \
+	mkdir "$$caches/base" "$$caches/head"; \
 	git archive "$(BASE)" | tar -x -C "$$base"; \
 	out="$(CURDIR)/bench-results/compare-$(or $(WORKLOAD),all)"; \
 	mkdir -p bench-results; rm -f "$$out-base.jsonl" "$$out-head.jsonl"; \
@@ -125,7 +131,8 @@ bench-compare:
 				else echo head base; fi); do \
 			echo "pair $$pair/$(PAIRS): $$side"; \
 			if [ $$side = base ]; then dir="$$base"; else dir=.; fi; \
-			(cd "$$dir" && PYTHONPATH= $(PYTHON) $$run \
+			(cd "$$dir" && PYTHONPATH= PYTHONDONTWRITEBYTECODE=1 \
+				PYTHONPYCACHEPREFIX="$$caches/$$side" $(PYTHON) $$run \
 				--out "$$out-$$side.jsonl" >/dev/null); \
 		done; \
 	done; \

@@ -116,9 +116,10 @@ class GraphStatistics:
         #: The exact filter's outcome per geometry a probed scan read
         #: off the triple index for a bound subject instead of joining
         #: the grid (its centre has more candidates than solutions
-        #: asking), filled by
-        #: ``Evaluator._tested``: ``(centre term, radius_km, geometry
-        #: is the filter's first argument, geometry term)`` -> passed.
+        #: asking), filled by the executor
+        #: (``repro.sparql.evaluator._tested``): ``(centre term,
+        #: radius_km, geometry is the filter's first argument, geometry
+        #: term)`` -> passed.
         #: Only geometries a step tested, never a candidate list; same
         #: lifetime and lock-free rule as :attr:`probe_memo`.
         self.probe_outcomes: Dict[Tuple[Term, float, bool, Term], bool] = {}

@@ -785,7 +785,7 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    from .analysis.self_check import builtin_queries
+    from .analysis import builtin_queries
     from .sparql import Evaluator
     from .sparql.parser import SparqlSyntaxError
 

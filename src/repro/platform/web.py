@@ -29,10 +29,40 @@ from .identity import OpenIdError, RelyingParty
 from .models import ContentItem
 
 
+#: The web request counter, by route and status.
+_REQUESTS = "repro_web_requests_total"
+
+
+class _RouteMetrics:
+    """One route's request counter and latency histogram as resolved in
+    one registry: the counter family, its ``status="ok"`` child and the
+    histogram's child."""
+
+    __slots__ = ("requests", "ok", "seconds")
+
+    def __init__(self, registry, route: str) -> None:
+        self.requests = registry.counter(
+            _REQUESTS, "Web interface requests by route and status.",
+        )
+        self.ok = self.requests.labels(route=route, status="ok")
+        self.seconds = registry.histogram(
+            "repro_web_request_seconds",
+            "Web interface request latency by route.",
+        ).labels(route=route)
+
+
 def _traced(route: str):
     """Per-request instrumentation for a :class:`WebInterface` method:
     a ``web.<route>`` span plus request counter and latency histogram
-    labelled by route."""
+    labelled by route.
+
+    The metric children are resolved once and again whenever the
+    current registry does not hold the counter family they came from
+    (:func:`get_registry` returned another registry, or it was
+    cleared); a failed request's ``status="error"`` child is looked up
+    when it happens."""
+    # (a racing first request at worst resolves the same children twice)
+    resolved: List[Optional[_RouteMetrics]] = [None]
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -47,16 +77,21 @@ def _traced(route: str):
                     raise
                 finally:
                     registry = get_registry()
-                    registry.counter(
-                        "repro_web_requests_total",
-                        "Web interface requests by route and status.",
-                    ).labels(route=route, status=status).inc()
-                    registry.histogram(
-                        "repro_web_request_seconds",
-                        "Web interface request latency by route.",
-                    ).labels(route=route).observe(
-                        time.perf_counter() - began
-                    )
+                    metrics = resolved[0]
+                    if (
+                        metrics is None
+                        or registry.get(_REQUESTS) is not metrics.requests
+                    ):
+                        metrics = resolved[0] = _RouteMetrics(
+                            registry, route
+                        )
+                    (
+                        metrics.ok if status == "ok"
+                        else metrics.requests.labels(
+                            route=route, status=status
+                        )
+                    ).inc()
+                    metrics.seconds.observe(time.perf_counter() - began)
 
         return wrapper
 

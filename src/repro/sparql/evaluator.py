@@ -148,8 +148,9 @@ from .ast import (
 )
 from .errors import ExpressionError, SparqlEvalError, SparqlSyntaxError
 from .fulltext import contains as fulltext_contains
+from . import functions as sparql_functions
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
-from .geo import try_parse_point
+from .geo import Point, try_parse_point
 from .parser import parse_query
 from .results import SelectResult
 from .tokenizer import unquote_string
@@ -1187,7 +1188,7 @@ class Evaluator:
         decided per chunk, on counted rows. A solution that reads the
         triple index instead — its subject and centre bound, its
         geometry open — has the exact filter answered per geometry once
-        per statistics snapshot (:meth:`_tested`). A pinned scan (:attr:`ScanStep.pin`)
+        per statistics snapshot (:func:`_tested`). A pinned scan (:attr:`ScanStep.pin`)
         looks up one key per listed IRI for a solution that leaves the
         pinned variable open — remembered under that key like any
         lookup — and counts each as a probe; the rows those lookups
@@ -1232,7 +1233,7 @@ class Evaluator:
                 shared = len(chunk) > 1
                 if stats is not None:
                     lookups += self._grid_hits(
-                        scan, chunk, stats, shape, hits, graph
+                        scan, chunk, stats, shape, hits
                     )
                     asked = near = None  # (hits may know more now)
                 for row in chunk:
@@ -1282,9 +1283,9 @@ class Evaluator:
                                 # the index path: each geometry tested
                                 # once per generation
                                 filters = rest
-                                exts = self._tested(
-                                    exts, row, stats.probe_outcomes,
-                                    (asked, *shape), obj, probe, graph,
+                                exts = _tested(
+                                    exts, stats.probe_outcomes,
+                                    (asked, *shape), obj,
                                 )
                         elif pin.variable not in row:
                             filters = rest
@@ -1340,36 +1341,6 @@ class Evaluator:
             return None
         return _statistics_class().current(graph)
 
-    def _tested(
-        self,
-        exts: Iterator[Bindings],
-        row: Bindings,
-        outcomes: Dict[Tuple, bool],
-        probe_key: Tuple,
-        geometry: Variable,
-        probe,
-        graph: Graph,
-    ) -> Iterator[Bindings]:
-        """The index path's ``exts`` whose geometry passes the probe's
-        exact filter around the centre ``probe_key`` names.
-
-        The outcome is a function of the statistics snapshot and its
-        key alone, so each geometry is tested once per snapshot — once
-        per store generation — and kept in
-        :attr:`GraphStatistics.probe_outcomes`; a repeated ask of the
-        same centre evaluates nothing.
-        """
-        exact = (probe.filter,)
-        for ext in exts:
-            key = (*probe_key, ext[geometry])
-            passed = outcomes.get(key)
-            if passed is None:
-                passed = outcomes[key] = self._filters_pass(
-                    exact, {**row, **ext}, graph
-                )
-            if passed:
-                yield ext
-
     def _grid_hits(
         self,
         scan: ScanStep,
@@ -1377,15 +1348,14 @@ class Evaluator:
         stats,
         shape: Tuple[float, bool],
         hits: Dict[Term, Optional[Tuple[list, dict]]],
-        graph: Graph,
     ) -> int:
         """Look up, on the spatial grid, the centres ``chunk`` asks a
         probed scan about; returns how many it looked up.
 
         A centre is looked up once per step: the grid's candidates in
         the bounding box of the circle around it, each put to the exact
-        ``bif:st_intersects`` once — through the same expression
-        evaluator as anywhere else — and kept in ``hits`` both as
+        ``bif:st_intersects`` once — on parsed points
+        (:func:`_intersects`) — and kept in ``hits`` both as
         extensions of a solution that binds neither end of the pattern
         and keyed by subject, for solutions that bind it to be hash
         joined with. Solutions take the triple index instead where
@@ -1405,7 +1375,6 @@ class Evaluator:
         probe = scan.probe
         subject, geometry = scan.pattern.subject, scan.pattern.object
         center = probe.center
-        binding: Bindings = {}
         asking: Dict[Optional[Term], int] = Counter()
         if isinstance(center, Variable):
             # (solutions extended off one match share its very terms,
@@ -1417,7 +1386,6 @@ class Evaluator:
         else:
             asking[center] = len(chunk)
         joining = subject in chunk[0]
-        exact = (probe.filter,)
         memo = stats.probe_memo
         looked_up = 0
         for term, rows in asking.items():
@@ -1425,12 +1393,9 @@ class Evaluator:
                 continue
             key = (term, *shape)
             known = memo.get(key)
-            candidates = None
+            candidates = point = None
             if known is None:  # not asked on this snapshot yet
-                point = (
-                    try_parse_point(term)
-                    if isinstance(term, (Literal, URIRef)) else None
-                )
+                point = _point_of(term)
                 candidates = (
                     stats.geo_candidates(point, probe.radius_km)
                     if point is not None else None
@@ -1448,17 +1413,13 @@ class Evaluator:
             looked_up += 1
             if pairs is None:
                 if candidates is None:
-                    candidates = stats.geo_candidates(
-                        try_parse_point(term), probe.radius_km
-                    )
-                if isinstance(center, Variable):
-                    binding[center] = term
-                passed = []
-                for found, value, _, _ in candidates:
-                    binding[geometry] = value
-                    if self._filters_pass(exact, binding, graph):
-                        passed.append((found, value))
-                pairs = tuple(passed)
+                    # (counted on an earlier step: the centre is a point)
+                    point = _point_of(term)
+                    candidates = stats.geo_candidates(point, probe.radius_km)
+                pairs = tuple(
+                    (found, value) for found, value, _, _ in candidates
+                    if _intersects(point, value, *shape)
+                )
                 memo[key] = count, pairs
             everything: List[Bindings] = []
             by_subject: Dict[Term, List[Bindings]] = {}
@@ -1677,6 +1638,65 @@ def _contains(key: Tuple) -> Iterator[Bindings]:
         subject.lexical, needle.lexical
     ):
         yield {}
+
+
+def _point_of(term: Optional[Term]) -> Optional[Point]:
+    """``term`` as ``bif:st_intersects`` reads a geometry: the point of
+    a literal's lexical form or an IRI's text; ``None`` where the
+    builtin raises :class:`ExpressionError` — any other term, or a text
+    that is no WKT point."""
+    if isinstance(term, (Literal, URIRef)):
+        return try_parse_point(term)
+    return None
+
+
+def _intersects(
+    centre: Optional[Point], geometry: Term, radius_km: float,
+    geometry_first: bool,
+) -> bool:
+    """A probe's exact filter on parsed points: the builtin
+    ``bif:st_intersects(geometry, centre, radius_km)`` — its first two
+    arguments swapped unless ``geometry_first`` — false wherever the
+    builtin raises (no centre point, or a geometry that is none). The
+    distance test is :func:`repro.sparql.geo.st_intersects`, looked up
+    in :mod:`.functions` as the builtin does, so counting it there
+    counts every exact test."""
+    point = _point_of(geometry)
+    if centre is None or point is None:
+        return False
+    if geometry_first:
+        return sparql_functions.st_intersects(point, centre, radius_km)
+    return sparql_functions.st_intersects(centre, point, radius_km)
+
+
+def _tested(
+    exts: Iterator[Bindings],
+    outcomes: Dict[Tuple, bool],
+    probe_key: Tuple[Term, float, bool],
+    geometry: Variable,
+) -> Iterator[Bindings]:
+    """The index path's ``exts`` whose geometry passes a probe's exact
+    filter around the centre ``probe_key`` names (with its radius and
+    argument order).
+
+    The outcome is a function of the statistics snapshot and its key
+    alone, so each geometry is tested once per snapshot — once per
+    store generation — and kept in
+    :attr:`GraphStatistics.probe_outcomes`; a repeated ask of the same
+    centre evaluates nothing.
+    """
+    centre, radius_km, geometry_first = probe_key
+    point = _point_of(centre)
+    for ext in exts:
+        value = ext[geometry]
+        key = (*probe_key, value)
+        passed = outcomes.get(key)
+        if passed is None:
+            passed = outcomes[key] = _intersects(
+                point, value, radius_km, geometry_first
+            )
+        if passed:
+            yield ext
 
 
 def _remembering(

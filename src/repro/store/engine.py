@@ -232,19 +232,25 @@ def _union_triples(
     """Matches of ``pattern`` over several contexts, each triple once.
 
     The one walk over context segments (a whole-context walk passes one
-    context and an open pattern). A segment whose index holds no triple
-    with the pattern's bound predicate is not read. A triple can only
+    context and an open pattern). A segment whose own index holds no
+    triple with the pattern's bound subject — or, the subject open, its
+    bound object — or its bound predicate is not read. A triple can only
     repeat *across* contexts, and most patterns are answered by one of
     them (platform predicates live in the default context, LOD ones in
     theirs): a match is looked up in the earlier contexts that answered
     this pattern at all — usually none — which keeps the read lazy and
     builds no per-call set.
     """
-    predicate = pattern[1]
+    subject, predicate, obj = pattern
     answered: List[_ContextState] = []
     for cs in contexts:
         matched = False
         for graph, hidden in cs.parts:
+            if subject is not None:
+                if subject not in graph._spo:
+                    continue
+            elif obj is not None and obj not in graph._osp:
+                continue
             if predicate is not None and predicate not in graph._pos:
                 continue
             for triple in graph.triples(pattern):

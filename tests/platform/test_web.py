@@ -11,6 +11,7 @@ from repro.platform import (
     WebInterface,
     is_mobile_user_agent,
 )
+from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.rdf import URIRef
 from repro.sparql import Point
 
@@ -189,6 +190,67 @@ class TestBrowsing:
     def test_empty_page(self, web):
         page = web.browse(page=99, page_size=10)
         assert page.items == []
+
+
+def requests_of(registry):
+    """``{(route, status): count}`` and ``{route: observations}`` of the
+    web request metrics ``registry`` holds."""
+    counts, seconds = {}, {}
+    family = registry.get("repro_web_requests_total")
+    for labels, child in family.children() if family else ():
+        counts[labels["route"], labels["status"]] = child.value
+    family = registry.get("repro_web_request_seconds")
+    for labels, child in family.children() if family else ():
+        seconds[labels["route"]] = child.count
+    return counts, seconds
+
+
+class TestRequestMetrics:
+    def test_each_registry_counts_the_requests_made_while_current(
+        self, web
+    ):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_registry(first)
+        try:
+            web.browse(page=1, page_size=10)
+            with pytest.raises(ValueError):
+                web.browse(page=0)
+            set_registry(second)
+            web.browse(page=2, page_size=10)
+            web.friends_of("walter")
+            set_registry(first)
+            web.browse(page=3, page_size=10)
+            assert get_registry() is first
+        finally:
+            set_registry(previous)
+        assert requests_of(first) == (
+            {("browse", "ok"): 2, ("browse", "error"): 1},
+            {"browse": 3},
+        )
+        assert requests_of(second) == (
+            {("browse", "ok"): 1, ("friends", "ok"): 1},
+            {"browse": 1, "friends": 1},
+        )
+        # a cleared registry counts again from the next request
+        first.clear()
+        previous = set_registry(first)
+        try:
+            web.browse(page=1, page_size=10)
+        finally:
+            set_registry(previous)
+        assert requests_of(first) == ({("browse", "ok"): 1}, {"browse": 1})
+        # the same families, help texts and label names as before
+        for registry in (first, second):
+            snapshot = registry.snapshot()
+            assert set(snapshot) == {
+                "repro_web_requests_total", "repro_web_request_seconds",
+            }
+            assert registry.get("repro_web_requests_total").help == (
+                "Web interface requests by route and status."
+            )
+            assert registry.get("repro_web_request_seconds").help == (
+                "Web interface request latency by route."
+            )
 
 
 class TestEditing:

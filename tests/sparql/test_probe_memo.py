@@ -273,7 +273,7 @@ def assert_memo_is_exact(stats):
     every outcome the index path kept is the exact filter's."""
     for key, passed in stats.probe_outcomes.items():
         assert passed is recomputed(*key), key
-    for (centre, radius, _), (count, pairs) in stats.probe_memo.items():
+    for (centre, radius, first), (count, pairs) in stats.probe_memo.items():
         point = try_parse_point(centre)
         candidates = (
             stats.geo_candidates(point, radius) if point else None
@@ -283,7 +283,7 @@ def assert_memo_is_exact(stats):
             assert pairs == tuple(
                 (subject, geometry)
                 for subject, geometry, _, _ in candidates
-                if st_intersects(geometry, centre, radius)
+                if recomputed(centre, radius, first, geometry)
             )
 
 
@@ -340,6 +340,140 @@ def test_rows_are_the_same_cold_warm_and_unrewritten(commits, bgps, crowded):
         forget(store)
         cold = Evaluator(store).evaluate(m1)
         assert list(Evaluator(store).evaluate(m1)) == list(cold)
+
+
+#: The radii the drawn BGPs, Q1–Q3 (0.3 km) and M1's branches ask.
+EDGE_RADII = (0.0, 0.2, 0.3, 1.0)
+#: How far past a radius an edge geometry lands, in kilometres: the
+#: exact test's own tolerance either way, and on the circle.
+EDGE_OFFSETS = (-1e-9, 0.0, 1e-9)
+#: Geometries no point parses from: a polygon, a plain string, an IRI.
+NOT_POINTS = (
+    Literal("POLYGON((7.69 45.06, 7.70 45.06, 7.70 45.07, 7.69 45.06))"),
+    Literal("at the Mole"),
+    ex("somewhere"),
+)
+
+
+def edge_point(centre, radius, offset, bearing):
+    """A WKT point ``radius + offset`` km from ``centre``, written with
+    every digit (``Point.wkt`` rounds to 6 decimals, ~0.1 m)."""
+    point = destination(centre, max(radius + offset, 0.0), bearing)
+    return Literal(f"POINT({point.longitude!r} {point.latitude!r})")
+
+
+def order_deciding_point(centre, radius):
+    """A WKT point on the circle of ``radius`` km around ``centre``, to
+    within the exact test's tolerance, that ``bif:st_intersects`` keeps
+    in one argument order and drops in the other: the spherical
+    distance rounds differently either way (by ~1e-13 km), so near the
+    circle the order decides."""
+    for bearing in range(0, 360, 7):
+        start = destination(centre, radius + 1e-9, bearing)
+        for step in range(-2000, 2000):
+            point = Point(start.longitude + step * 1e-15, start.latitude)
+            if st_intersects(point, centre, radius) != st_intersects(
+                centre, point, radius
+            ):
+                return Literal(f"POINT({point.longitude!r} "
+                               f"{point.latitude!r})")
+    raise AssertionError(f"no order-deciding point {radius} km around "
+                         f"{centre}")
+
+
+EDGE_GEOMETRIES = st.one_of(
+    st.builds(
+        edge_point,
+        st.sampled_from(CENTRES),
+        st.sampled_from(EDGE_RADII),
+        st.sampled_from(EDGE_OFFSETS),
+        st.sampled_from((0, 45, 90, 180, 270)),
+    ),
+    st.sampled_from(NOT_POINTS),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    added=st.lists(
+        st.tuples(st.sampled_from(subjects()), EDGE_GEOMETRIES),
+        min_size=1, max_size=8,
+    ),
+    bgps=st.lists(BGPS, min_size=1, max_size=4),
+)
+def test_edge_and_non_point_geometries_test_as_the_filter_does(
+    added, bgps
+):
+    """Geometries on a probed circle to within the exact test's
+    tolerance, in both argument orders, and geometries that are no
+    point — on the centres' own subjects too — in a crowded store,
+    where M1 and the place-joined BGPs test them on the index path."""
+    store = base_store(crowded=True)
+    store.commit(store.batch().add_all(
+        (subject, GEO.geometry, geometry) for subject, geometry in added
+    ))
+    for text in paper_queries() + bgps:
+        forget(store)
+        rows = Evaluator(store).evaluate(text)
+        reference = Evaluator(store, optimize=False).evaluate(text)
+        assert normalize(rows) == normalize(reference), text
+        assert list(Evaluator(store).evaluate(text)) == list(rows), text
+    assert_memo_is_exact(statistics_of(store))
+
+
+#: Where M1's branches (centre first) and Q1–Q3 (geometry first) put
+#: a point the argument order decides: subject, centre, radius.
+ORDER_DECIDED = (
+    (ex("city"), TAKEN, 1.0),
+    (ex("restaurant"), TAKEN, 0.3),
+    (ex("tourism"), TAKEN, 1.0),
+    (picture(2), TAKEN, 0.2),
+    (picture(3), MOLE, 0.3),
+    (picture(4), ANNEX, 0.3),
+)
+
+
+def test_the_argument_order_decides_as_in_the_filter():
+    for crowded in (False, True):
+        store = base_store(crowded)
+        store.commit(store.batch().add_all(
+            (subject, GEO.geometry, order_deciding_point(centre, radius))
+            for subject, centre, radius in ORDER_DECIDED
+        ))
+        queries = paper_queries() + [
+            drawn_bgp(centre, radius, first, False, False)
+            for _, centre, radius in ORDER_DECIDED
+            for first in (True, False)
+        ]
+        for text in queries:
+            forget(store)
+            rows = Evaluator(store).evaluate(text)
+            reference = Evaluator(store, optimize=False).evaluate(text)
+            assert normalize(rows) == normalize(reference), text
+        assert_memo_is_exact(statistics_of(store))
+
+
+def test_edge_geometries_take_the_grid_and_the_index_path():
+    store = base_store(crowded=True)
+    store.commit(store.batch().add_all(
+        (subject, GEO.geometry, edge_point(centre, radius, offset, 90))
+        for subject, centre in zip(subjects(), CENTRES * 4)
+        for radius in EDGE_RADII for offset in EDGE_OFFSETS
+    ))
+    store.commit(store.batch().add_all(
+        (subject, GEO.geometry, geometry)
+        for subject in subjects() for geometry in NOT_POINTS
+    ))
+    assert paths_taken(
+        lambda: run_every_drawn_bgp(store)
+    ) == {"grid", "join", "scan"}
+    stats = statistics_of(store)
+    tested = {key[3] for key in stats.probe_outcomes}
+    # the index path tested geometries that are no point, and found
+    # edge points on both sides of a circle
+    assert set(NOT_POINTS) <= tested
+    assert {True, False} <= set(stats.probe_outcomes.values())
+    assert_memo_is_exact(stats)
 
 
 def run_every_drawn_bgp(store):

@@ -195,6 +195,14 @@ FOLDED = [(True, "a", ex("q"), ex("D"), ex("lod"))] + [
     (True, s, ex("p"), ex(o), ex("lod")) for s in "bc" for o in "CD"
 ]
 HIDE_Q = [(False, "a", ex("q"), ex("D"), ex("lod"))]
+#: Six adds into ``lod``, folded: ``b`` and ``c`` in its base, the
+#: literal ``x`` the object of one base triple only.
+BASE_BC = [
+    (True, s, ex("p"), ex(o), ex("lod")) for s in "bc" for o in "CD"
+] + [
+    (True, "b", ex("q"), ex("a"), ex("lod")),
+    (True, "c", ex("q"), Literal("x"), ex("lod")),
+]
 
 
 def shapes():
@@ -220,6 +228,17 @@ def matching(triples, pattern):
 @example(commits=[FOLDED, HIDE_Q])
 @example(commits=[[T, T[:4] + (ex("lod"),)], [TR], [TR[:4] + (ex("lod"),)]])
 @example(commits=[FOLDED, [(True, "a", ex("q"), ex("D"), None)], HIDE_Q])
+# a subject only in a hidden base triple of lod, and in the default
+# context's overlay
+@example(commits=[
+    FOLDED, HIDE_Q, [(True, "a", ex("p"), Literal("x"), None)],
+])
+# a subject only in lod's overlay over its base
+@example(commits=[BASE_BC, [(True, "a", ex("q"), ex("C"), ex("lod"))]])
+# an object only in lod's overlay over its base
+@example(commits=[FOLDED, [(True, "b", ex("q"), Literal("x"), ex("lod"))]])
+# an object only in a hidden base triple
+@example(commits=[BASE_BC, [(False, "c", ex("q"), Literal("x"), ex("lod"))]])
 def test_union_lookups_equal_a_brute_force_union(monkeypatch, commits):
     monkeypatch.setattr(engine, "OVERLAY_LIMIT", FOLD_LIMIT)
     store = QuadStore()
