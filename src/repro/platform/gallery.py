@@ -405,11 +405,13 @@ class Platform:
         return row["rid"]
 
     def regions(self, pid: int) -> List[dict]:
-        """The region annotations of a picture, in creation order."""
-        result = self.db.execute(
-            f"SELECT * FROM regions WHERE pid = {int(pid)} ORDER BY rid"
-        )
-        return result.dicts()
+        """The region annotations of a picture, in creation order: rows
+        are appended under a growing autoincrement ``rid``."""
+        pid = int(pid)
+        return [
+            dict(row) for row in self.db.table("regions").rows
+            if row["pid"] == pid
+        ]
 
     def contents(self) -> List[ContentItem]:
         """Every content, in pid order."""

@@ -3,10 +3,11 @@
 The paper's platform stores content, users and their relationships in a
 MySQL database behind a Coppermine photo gallery; :mod:`repro.d2r` lifts
 that schema to RDF. This package provides the relational layer: typed
-tables with PK/unique/FK constraints and a SQL subset front end.
+tables with PK/unique/FK constraints, snapshot transactions, and
+``CREATE TABLE`` text for declaring the schema.
 """
 
-from .database import Database, ResultSet
+from .database import Database
 from .errors import (
     IntegrityError,
     RelationalError,
@@ -14,7 +15,6 @@ from .errors import (
     SqlSyntaxError,
     TypeMismatchError,
 )
-from .sql import parse_sql
 from .table import Column, ColumnType, Row, Table
 
 __all__ = [
@@ -23,11 +23,9 @@ __all__ = [
     "Database",
     "IntegrityError",
     "RelationalError",
-    "ResultSet",
     "Row",
     "SchemaError",
     "SqlSyntaxError",
     "Table",
     "TypeMismatchError",
-    "parse_sql",
 ]

@@ -1,77 +1,22 @@
-"""The database: table registry plus SQL execution.
+"""The database: a registry of tables, foreign keys and transactions.
 
-:meth:`Database.execute` runs one parsed/textual SQL statement; SELECTs
-return a :class:`ResultSet`. Joins are evaluated left-to-right; inner
-equi-joins use a hash join on the ON columns, LEFT JOINs preserve
-unmatched left rows with NULLs.
+Rows go in through :meth:`Database.insert`, which checks foreign keys;
+they are read, updated and deleted on the :class:`~.table.Table` itself.
+:meth:`Database.execute` runs ``CREATE TABLE`` text, the form the
+platform's schema is written in.
 """
 
 from __future__ import annotations
 
-import re
-from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
-)
+from typing import Any, Dict, Iterable, Optional
 
-from .errors import IntegrityError, SchemaError, SqlSyntaxError
-from .sql import (
-    And,
-    ColumnRef,
-    Comparison,
-    CreateTable,
-    Delete,
-    InList,
-    Insert,
-    IsNull,
-    JoinClause,
-    Not,
-    Or,
-    Select,
-    Update,
-    Value,
-    parse_sql,
-)
-from .table import Column, ColumnType, Row, Table
-
-#: A joined row environment: alias → row dict.
-Env = Dict[str, Row]
-
-
-class ResultSet:
-    """Materialized SELECT output: ordered column names + row tuples."""
-
-    def __init__(self, columns: List[str], rows: List[Tuple]) -> None:
-        self.columns = columns
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return iter(self.rows)
-
-    def __getitem__(self, index: int) -> Tuple:
-        return self.rows[index]
-
-    def dicts(self) -> List[Dict[str, Any]]:
-        """Rows as dictionaries keyed by output column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def scalar(self) -> Any:
-        """The single value of a single-row, single-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise ValueError(
-                f"scalar() needs exactly one row and column, have "
-                f"{len(self.rows)}x{len(self.columns)}"
-            )
-        return self.rows[0][0]
-
-    def __repr__(self) -> str:
-        return f"ResultSet(columns={self.columns}, rows={len(self.rows)})"
+from .errors import IntegrityError, SchemaError
+from .sql import parse_create_table
+from .table import Column, Row, Table
 
 
 class Database:
-    """A named collection of tables with a SQL front end."""
+    """A named collection of tables."""
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
@@ -132,8 +77,8 @@ class Database:
         """Snapshot-based transaction scope::
 
             with db.transaction():
-                db.execute("INSERT ...")
-                db.execute("UPDATE ...")  # an exception rolls both back
+                db.insert("pictures", ...)
+                db.table("users").update(...)  # an exception rolls both back
 
         Commits on clean exit, restores every table (and drops tables
         created inside the scope) on exception.
@@ -141,267 +86,12 @@ class Database:
         return _Transaction(self)
 
     # ------------------------------------------------------------------
-    # SQL execution
+    # DDL
     # ------------------------------------------------------------------
-    def execute(self, statement) -> Optional[ResultSet]:
-        """Execute SQL text or a parsed statement."""
-        if isinstance(statement, str):
-            statement = parse_sql(statement)
-        if isinstance(statement, CreateTable):
-            self._execute_create(statement)
-            return None
-        if isinstance(statement, Insert):
-            self._execute_insert(statement)
-            return None
-        if isinstance(statement, Select):
-            return self._execute_select(statement)
-        if isinstance(statement, Update):
-            table = self.table(statement.table)
-            predicate = self._row_predicate(statement.where, table.name)
-            table.update_where(predicate, dict(statement.changes))
-            return None
-        if isinstance(statement, Delete):
-            table = self.table(statement.table)
-            predicate = self._row_predicate(statement.where, table.name)
-            table.delete_where(predicate)
-            return None
-        raise SqlSyntaxError(f"unsupported statement: {statement!r}")
-
-    def _execute_create(self, statement: CreateTable) -> None:
-        columns = [
-            Column(
-                name=definition.name,
-                type=ColumnType.from_sql(definition.type_name),
-                primary_key=definition.primary_key,
-                nullable=not (definition.not_null or definition.primary_key),
-                unique=definition.unique,
-                autoincrement=definition.autoincrement,
-                default=definition.default,
-                references=definition.references,
-            )
-            for definition in statement.columns
-        ]
-        self.create_table(statement.table, columns)
-
-    def _execute_insert(self, statement: Insert) -> None:
-        table = self.table(statement.table)
-        columns = statement.columns or table.column_names
-        for row_values in statement.rows:
-            if len(row_values) != len(columns):
-                raise SqlSyntaxError(
-                    f"INSERT arity mismatch: {len(columns)} columns, "
-                    f"{len(row_values)} values"
-                )
-            self.insert(statement.table, **dict(zip(columns, row_values)))
-
-    # ------------------------------------------------------------------
-    # SELECT evaluation
-    # ------------------------------------------------------------------
-    def _execute_select(self, statement: Select) -> ResultSet:
-        base = self.table(statement.table)
-        envs: List[Env] = [
-            {statement.alias: row} for row in base.scan()
-        ]
-        for join in statement.joins:
-            envs = self._apply_join(envs, join)
-        if statement.where is not None:
-            predicate = self._env_predicate(statement.where)
-            envs = [env for env in envs if predicate(env)]
-        if statement.order_by:
-            for ref, descending in reversed(statement.order_by):
-                envs.sort(
-                    key=lambda env, r=ref: _sort_key(
-                        self._lookup(env, r)
-                    ),
-                    reverse=descending,
-                )
-
-        columns, extractor = self._projection(statement, envs)
-        if any(item.count for item in statement.items):
-            count_item = next(i for i in statement.items if i.count)
-            if count_item.ref is None:
-                count = len(envs)
-            else:
-                count = sum(
-                    1
-                    for env in envs
-                    if self._lookup(env, count_item.ref) is not None
-                )
-            rows: List[Tuple] = [(count,)]
-            columns = [count_item.alias or "count"]
-        else:
-            rows = [extractor(env) for env in envs]
-            if statement.distinct:
-                seen = set()
-                unique: List[Tuple] = []
-                for row in rows:
-                    if row not in seen:
-                        seen.add(row)
-                        unique.append(row)
-                rows = unique
-        if statement.offset:
-            rows = rows[statement.offset :]
-        if statement.limit is not None:
-            rows = rows[: statement.limit]
-        return ResultSet(columns, rows)
-
-    def _apply_join(self, envs: List[Env], join: JoinClause) -> List[Env]:
-        right_table = self.table(join.table)
-        right_rows = list(right_table.scan())
-        # determine which side of ON belongs to the joined table
-        if join.left.table == join.alias:
-            probe_ref, build_ref = join.right, join.left
-        else:
-            probe_ref, build_ref = join.left, join.right
-        if build_ref.table not in (None, join.alias) or not \
-                right_table.has_column(build_ref.column):
-            raise SchemaError(
-                f"ON clause column {build_ref} does not belong to "
-                f"joined table {join.alias!r}"
-            )
-        index: Dict[Any, List[Row]] = {}
-        for row in right_rows:
-            index.setdefault(row[build_ref.column], []).append(row)
-        joined: List[Env] = []
-        for env in envs:
-            key = self._lookup(env, probe_ref)
-            matches = index.get(key, []) if key is not None else []
-            if matches:
-                for row in matches:
-                    extended = dict(env)
-                    extended[join.alias] = row
-                    joined.append(extended)
-            elif join.outer:
-                extended = dict(env)
-                extended[join.alias] = {
-                    name: None for name in right_table.column_names
-                }
-                joined.append(extended)
-        return joined
-
-    def _projection(
-        self, statement: Select, envs: List[Env]
-    ) -> Tuple[List[str], Callable[[Env], Tuple]]:
-        aliases = [statement.alias] + [j.alias for j in statement.joins]
-        columns: List[str] = []
-        refs: List[ColumnRef] = []
-        for item in statement.items:
-            if item.star:
-                qualified = item.ref is not None
-                targets = [item.ref.table] if qualified else aliases
-                for alias in targets:
-                    table = self._table_for_alias(statement, alias)
-                    for name in table.column_names:
-                        refs.append(ColumnRef(name, alias))
-                        columns.append(
-                            name if qualified or len(aliases) == 1
-                            else f"{alias}.{name}"
-                        )
-            elif item.count:
-                continue
-            else:
-                assert item.ref is not None
-                refs.append(self._resolve_ref(statement, item.ref))
-                columns.append(item.alias or item.ref.column)
-
-        def extract(env: Env) -> Tuple:
-            return tuple(self._lookup(env, ref) for ref in refs)
-
-        return columns, extract
-
-    def _resolve_ref(self, statement: Select, ref: ColumnRef) -> ColumnRef:
-        """Resolve an unqualified column to its table alias eagerly so
-        ambiguity is detected even on empty results."""
-        if ref.table is not None:
-            self._table_for_alias(statement, ref.table).column(ref.column)
-            return ref
-        aliases = [statement.alias] + [j.alias for j in statement.joins]
-        owners = [
-            alias
-            for alias in aliases
-            if self._table_for_alias(statement, alias).has_column(ref.column)
-        ]
-        if not owners:
-            raise SchemaError(f"unknown column: {ref.column!r}")
-        if len(owners) > 1:
-            raise SchemaError(f"ambiguous column: {ref.column!r}")
-        return ColumnRef(ref.column, owners[0])
-
-    def _table_for_alias(self, statement: Select, alias: str) -> Table:
-        if alias == statement.alias:
-            return self.table(statement.table)
-        for join in statement.joins:
-            if join.alias == alias:
-                return self.table(join.table)
-        raise SchemaError(f"unknown table alias: {alias!r}")
-
-    def _lookup(self, env: Env, ref: ColumnRef) -> Any:
-        if ref.table is not None:
-            if ref.table not in env:
-                raise SchemaError(f"unknown table alias: {ref.table!r}")
-            row = env[ref.table]
-            if ref.column not in row:
-                raise SchemaError(
-                    f"no column {ref.column!r} in {ref.table!r}"
-                )
-            return row[ref.column]
-        hits = [row for row in env.values() if ref.column in row]
-        if not hits:
-            raise SchemaError(f"unknown column: {ref.column!r}")
-        if len(hits) > 1:
-            raise SchemaError(f"ambiguous column: {ref.column!r}")
-        return hits[0][ref.column]
-
-    # ------------------------------------------------------------------
-    # Condition evaluation
-    # ------------------------------------------------------------------
-    def _env_predicate(self, condition) -> Callable[[Env], bool]:
-        def evaluate(env: Env) -> bool:
-            return self._eval_condition(condition, env)
-
-        return evaluate
-
-    def _row_predicate(
-        self, condition, alias: str
-    ) -> Callable[[Row], bool]:
-        if condition is None:
-            return lambda row: True
-
-        def evaluate(row: Row) -> bool:
-            return self._eval_condition(condition, {alias: row})
-
-        return evaluate
-
-    def _eval_condition(self, condition, env: Env) -> bool:
-        if isinstance(condition, And):
-            return all(
-                self._eval_condition(op, env) for op in condition.operands
-            )
-        if isinstance(condition, Or):
-            return any(
-                self._eval_condition(op, env) for op in condition.operands
-            )
-        if isinstance(condition, Not):
-            return not self._eval_condition(condition.operand, env)
-        if isinstance(condition, Comparison):
-            left = self._operand_value(condition.left, env)
-            right = self._operand_value(condition.right, env)
-            return _compare(condition.op, left, right)
-        if isinstance(condition, InList):
-            value = self._operand_value(condition.operand, env)
-            found = any(value == choice.value for choice in condition.choices)
-            return found != condition.negated
-        if isinstance(condition, IsNull):
-            value = self._lookup(env, condition.operand)
-            return (value is None) != condition.negated
-        raise SqlSyntaxError(f"unknown condition: {condition!r}")
-
-    def _operand_value(self, operand, env: Env) -> Any:
-        if isinstance(operand, ColumnRef):
-            return self._lookup(env, operand)
-        if isinstance(operand, Value):
-            return operand.value
-        raise SqlSyntaxError(f"unknown operand: {operand!r}")
+    def execute(self, text: str) -> None:
+        """Create the table one ``CREATE TABLE`` statement declares."""
+        name, columns = parse_create_table(text)
+        self.create_table(name, columns)
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={sorted(self.tables)})"
@@ -434,46 +124,3 @@ class _Transaction:
             if name in self.db.tables:
                 self.db.tables[name].restore(state)
         return False  # re-raise
-
-
-def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "LIKE":
-        if left is None or right is None:
-            return False
-        pattern = (
-            re.escape(str(right)).replace("%", ".*").replace("_", ".")
-        )
-        # re.escape escapes % and _ as themselves (no backslash needed in
-        # modern Python, but be defensive about both forms)
-        pattern = pattern.replace(r"\%", ".*").replace(r"\_", ".")
-        return re.fullmatch(pattern, str(left), re.IGNORECASE) is not None
-    if left is None or right is None:
-        # SQL three-valued logic collapsed to False for NULL comparisons
-        return False
-    try:
-        if op == "=":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise SqlSyntaxError(f"unknown operator: {op}")
-
-
-def _sort_key(value: Any) -> Tuple:
-    # None sorts first, then by type bucket to avoid TypeError
-    if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))

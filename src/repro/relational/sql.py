@@ -1,32 +1,26 @@
-"""SQL subset: tokenizer, AST and parser.
+"""SQL DDL: ``CREATE TABLE`` text to a table name and its columns.
 
-Covers the statements the Coppermine-style platform schema needs:
-
-* ``CREATE TABLE`` with column constraints (PRIMARY KEY, AUTOINCREMENT,
-  NOT NULL, UNIQUE, DEFAULT, REFERENCES),
-* ``INSERT INTO ... VALUES`` (multi-row),
-* ``SELECT`` with qualified columns, aliases, INNER/LEFT JOIN ... ON,
-  WHERE (AND/OR/NOT, comparisons, LIKE, IN, IS [NOT] NULL), ORDER BY,
-  LIMIT/OFFSET,
-* ``UPDATE ... SET ... WHERE`` and ``DELETE FROM ... WHERE``.
+The platform states its Coppermine-style schema as ``CREATE TABLE``
+statements (:data:`repro.platform.gallery._SCHEMA`) with column
+constraints: PRIMARY KEY, AUTOINCREMENT, NOT NULL, UNIQUE, DEFAULT and
+REFERENCES. Rows go in and out through the table API
+(:meth:`~repro.relational.database.Database.insert`,
+:class:`~repro.relational.table.Table`); there is no query language.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Iterator, List, Optional, Tuple
 
 from .errors import SqlSyntaxError
+from .table import Column, ColumnType
 
 _KEYWORDS = frozenset(
     {
-        "CREATE", "TABLE", "INSERT", "INTO", "VALUES", "SELECT", "FROM",
-        "WHERE", "AND", "OR", "NOT", "NULL", "IS", "IN", "LIKE", "JOIN",
-        "INNER", "LEFT", "OUTER", "ON", "AS", "ORDER", "BY", "ASC", "DESC",
-        "LIMIT", "OFFSET", "UPDATE", "SET", "DELETE", "PRIMARY", "KEY",
-        "UNIQUE", "DEFAULT", "REFERENCES", "AUTOINCREMENT", "TRUE", "FALSE",
-        "DISTINCT", "COUNT",
+        "CREATE", "TABLE", "NOT", "NULL", "PRIMARY", "KEY", "UNIQUE",
+        "DEFAULT", "REFERENCES", "AUTOINCREMENT", "TRUE", "FALSE",
     }
 )
 
@@ -35,8 +29,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+|--[^\n]*)
   | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
   | (?P<string>'(?:[^']|'')*')
-  | (?P<op><=|>=|<>|!=|[=<>])
-  | (?P<punct>[(),.;*])
+  | (?P<punct>[(),;])
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     """,
     re.VERBOSE,
@@ -45,13 +38,13 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class SqlToken:
-    kind: str  # keyword | name | number | string | op | punct | eof
+    kind: str  # keyword | name | number | string | punct | eof
     text: str
     pos: int
 
 
-def tokenize_sql(text: str) -> List[SqlToken]:
-    tokens: List[SqlToken] = []
+def tokenize_sql(text: str) -> Iterator[SqlToken]:
+    """The tokens of ``text``, read as they are asked for, then ``eof``."""
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
@@ -66,193 +59,56 @@ def tokenize_sql(text: str) -> List[SqlToken]:
         if kind == "ws":
             continue
         if kind == "name" and value.upper() in _KEYWORDS:
-            tokens.append(SqlToken("keyword", value.upper(), start))
+            yield SqlToken("keyword", value.upper(), start)
         else:
-            tokens.append(SqlToken(kind, value, start))
-    tokens.append(SqlToken("eof", "", len(text)))
-    return tokens
+            yield SqlToken(kind, value, start)
+    yield SqlToken("eof", "", len(text))
 
 
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
+class _DdlParser:
+    """Reads one token ahead, so a statement that is not ``CREATE
+    TABLE`` is refused before the rest of its text is tokenized."""
 
-
-@dataclass(frozen=True)
-class ColumnRef:
-    """Possibly-qualified column reference (``table.column`` or ``column``)."""
-
-    column: str
-    table: Optional[str] = None
-
-    def __str__(self) -> str:
-        return f"{self.table}.{self.column}" if self.table else self.column
-
-
-@dataclass(frozen=True)
-class Value:
-    """A literal constant."""
-
-    value: Any
-
-
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # = != < > <= >= LIKE
-    left: Union[ColumnRef, Value]
-    right: Union[ColumnRef, Value]
-
-
-@dataclass(frozen=True)
-class InList:
-    operand: Union[ColumnRef, Value]
-    choices: Tuple[Value, ...]
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class IsNull:
-    operand: ColumnRef
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class And:
-    operands: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    operands: Tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: Any
-
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type_name: str
-    primary_key: bool = False
-    not_null: bool = False
-    unique: bool = False
-    autoincrement: bool = False
-    default: Any = None
-    references: Optional[Tuple[str, str]] = None
-
-
-@dataclass
-class CreateTable:
-    table: str
-    columns: List[ColumnDef]
-
-
-@dataclass
-class Insert:
-    table: str
-    columns: List[str]
-    rows: List[List[Any]]
-
-
-@dataclass(frozen=True)
-class JoinClause:
-    table: str
-    alias: str
-    left: ColumnRef
-    right: ColumnRef
-    outer: bool = False  # LEFT [OUTER] JOIN
-
-
-@dataclass(frozen=True)
-class SelectItem:
-    """Projection item: ``expr [AS alias]`` or ``*`` / ``t.*``."""
-
-    ref: Optional[ColumnRef]  # None for bare *
-    alias: Optional[str] = None
-    star: bool = False
-    count: bool = False  # COUNT(*) / COUNT(col)
-
-
-@dataclass
-class Select:
-    items: List[SelectItem]
-    table: str
-    alias: str
-    joins: List[JoinClause] = field(default_factory=list)
-    where: Optional[Any] = None
-    order_by: List[Tuple[ColumnRef, bool]] = field(default_factory=list)
-    limit: Optional[int] = None
-    offset: int = 0
-    distinct: bool = False
-
-
-@dataclass
-class Update:
-    table: str
-    changes: List[Tuple[str, Any]]
-    where: Optional[Any] = None
-
-
-@dataclass
-class Delete:
-    table: str
-    where: Optional[Any] = None
-
-
-Statement = Union[CreateTable, Insert, Select, Update, Delete]
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-
-class SqlParser:
     def __init__(self, text: str) -> None:
-        self.tokens = tokenize_sql(text)
-        self.pos = 0
+        self._tokens = tokenize_sql(text)
+        self._token = next(self._tokens)
 
-    def _peek(self, ahead: int = 0) -> SqlToken:
-        idx = self.pos + ahead
-        return self.tokens[idx if idx < len(self.tokens) else -1]
+    def _peek(self) -> SqlToken:
+        return self._token
 
     def _next(self) -> SqlToken:
-        token = self._peek()
+        token = self._token
         if token.kind != "eof":
-            self.pos += 1
+            self._token = next(self._tokens)
         return token
 
-    def _accept_keyword(self, *names: str) -> Optional[SqlToken]:
+    def _accept_keyword(self, name: str) -> bool:
         token = self._peek()
-        if token.kind == "keyword" and token.text in names:
-            self.pos += 1
-            return token
-        return None
+        if token.kind == "keyword" and token.text == name:
+            self._next()
+            return True
+        return False
 
-    def _expect_keyword(self, *names: str) -> SqlToken:
+    def _expect_keyword(self, name: str) -> None:
         token = self._next()
-        if token.kind != "keyword" or token.text not in names:
+        if token.kind != "keyword" or token.text != name:
             raise SqlSyntaxError(
-                f"expected {'/'.join(names)}, got {token.text!r} "
-                f"at offset {token.pos}"
-            )
-        return token
-
-    def _expect_punct(self, text: str) -> None:
-        token = self._next()
-        if token.kind not in ("punct", "op") or token.text != text:
-            raise SqlSyntaxError(
-                f"expected {text!r}, got {token.text!r} at offset {token.pos}"
+                f"expected {name}, got {token.text!r} at offset {token.pos}"
             )
 
     def _accept_punct(self, text: str) -> bool:
         token = self._peek()
-        if token.kind in ("punct", "op") and token.text == text:
-            self.pos += 1
+        if token.kind == "punct" and token.text == text:
+            self._next()
             return True
         return False
+
+    def _expect_punct(self, text: str) -> None:
+        token = self._next()
+        if token.kind != "punct" or token.text != text:
+            raise SqlSyntaxError(
+                f"expected {text!r}, got {token.text!r} at offset {token.pos}"
+            )
 
     def _expect_name(self) -> str:
         token = self._next()
@@ -264,49 +120,31 @@ class SqlParser:
         return token.text
 
     # ------------------------------------------------------------------
-    def parse(self) -> Statement:
+    def parse(self) -> Tuple[str, List[Column]]:
         token = self._peek()
-        if token.kind != "keyword":
-            raise SqlSyntaxError(f"expected statement, got {token.text!r}")
-        if token.text == "CREATE":
-            statement = self._parse_create()
-        elif token.text == "INSERT":
-            statement = self._parse_insert()
-        elif token.text == "SELECT":
-            statement = self._parse_select()
-        elif token.text == "UPDATE":
-            statement = self._parse_update()
-        elif token.text == "DELETE":
-            statement = self._parse_delete()
-        else:
-            raise SqlSyntaxError(f"unsupported statement: {token.text}")
+        if token.kind != "keyword" or token.text != "CREATE":
+            raise SqlSyntaxError(f"unsupported statement: {token.text!r}")
+        self._next()
+        self._expect_keyword("TABLE")
+        table = self._expect_name()
+        self._expect_punct("(")
+        columns = [self._parse_column_def()]
+        while self._accept_punct(","):
+            columns.append(self._parse_column_def())
+        self._expect_punct(")")
         self._accept_punct(";")
         tail = self._peek()
         if tail.kind != "eof":
             raise SqlSyntaxError(f"trailing input: {tail.text!r}")
-        return statement
+        return table, columns
 
-    def _parse_create(self) -> CreateTable:
-        self._expect_keyword("CREATE")
-        self._expect_keyword("TABLE")
-        table = self._expect_name()
-        self._expect_punct("(")
-        columns: List[ColumnDef] = []
-        while True:
-            columns.append(self._parse_column_def())
-            if not self._accept_punct(","):
-                break
-        self._expect_punct(")")
-        return CreateTable(table, columns)
-
-    def _parse_column_def(self) -> ColumnDef:
+    def _parse_column_def(self) -> Column:
         name = self._expect_name()
         type_token = self._next()
         if type_token.kind != "name":
             raise SqlSyntaxError(
                 f"expected column type, got {type_token.text!r}"
             )
-        type_name = type_token.text
         # consume optional (n) length spec
         if self._accept_punct("("):
             self._next()
@@ -335,11 +173,11 @@ class SqlParser:
                 references = (ref_table, ref_column)
             else:
                 break
-        return ColumnDef(
+        return Column(
             name=name,
-            type_name=type_name,
+            type=ColumnType.from_sql(type_token.text),
             primary_key=primary_key,
-            not_null=not_null,
+            nullable=not (not_null or primary_key),
             unique=unique,
             autoincrement=autoincrement,
             default=default,
@@ -363,234 +201,8 @@ class SqlParser:
             return False
         raise SqlSyntaxError(f"expected literal, got {token.text!r}")
 
-    def _parse_insert(self) -> Insert:
-        self._expect_keyword("INSERT")
-        self._expect_keyword("INTO")
-        table = self._expect_name()
-        columns: List[str] = []
-        if self._accept_punct("("):
-            while True:
-                columns.append(self._expect_name())
-                if not self._accept_punct(","):
-                    break
-            self._expect_punct(")")
-        self._expect_keyword("VALUES")
-        rows: List[List[Any]] = []
-        while True:
-            self._expect_punct("(")
-            row: List[Any] = []
-            while True:
-                row.append(self._parse_literal())
-                if not self._accept_punct(","):
-                    break
-            self._expect_punct(")")
-            rows.append(row)
-            if not self._accept_punct(","):
-                break
-        return Insert(table, columns, rows)
 
-    def _parse_select(self) -> Select:
-        self._expect_keyword("SELECT")
-        distinct = bool(self._accept_keyword("DISTINCT"))
-        items: List[SelectItem] = []
-        while True:
-            items.append(self._parse_select_item())
-            if not self._accept_punct(","):
-                break
-        self._expect_keyword("FROM")
-        table = self._expect_name()
-        alias = table
-        if self._accept_keyword("AS"):
-            alias = self._expect_name()
-        elif self._peek().kind == "name":
-            alias = self._expect_name()
-        joins: List[JoinClause] = []
-        while True:
-            outer = False
-            if self._accept_keyword("LEFT"):
-                self._accept_keyword("OUTER")
-                self._expect_keyword("JOIN")
-                outer = True
-            elif self._accept_keyword("INNER"):
-                self._expect_keyword("JOIN")
-            elif self._accept_keyword("JOIN"):
-                pass
-            else:
-                break
-            join_table = self._expect_name()
-            join_alias = join_table
-            if self._accept_keyword("AS"):
-                join_alias = self._expect_name()
-            elif self._peek().kind == "name":
-                join_alias = self._expect_name()
-            self._expect_keyword("ON")
-            left = self._parse_column_ref()
-            self._expect_punct("=")
-            right = self._parse_column_ref()
-            joins.append(JoinClause(join_table, join_alias, left, right,
-                                    outer))
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_condition()
-        order_by: List[Tuple[ColumnRef, bool]] = []
-        if self._accept_keyword("ORDER"):
-            self._expect_keyword("BY")
-            while True:
-                ref = self._parse_column_ref()
-                descending = False
-                if self._accept_keyword("DESC"):
-                    descending = True
-                else:
-                    self._accept_keyword("ASC")
-                order_by.append((ref, descending))
-                if not self._accept_punct(","):
-                    break
-        limit: Optional[int] = None
-        offset = 0
-        if self._accept_keyword("LIMIT"):
-            limit = int(self._parse_literal())
-        if self._accept_keyword("OFFSET"):
-            offset = int(self._parse_literal())
-        return Select(
-            items=items,
-            table=table,
-            alias=alias,
-            joins=joins,
-            where=where,
-            order_by=order_by,
-            limit=limit,
-            offset=offset,
-            distinct=distinct,
-        )
-
-    def _parse_select_item(self) -> SelectItem:
-        if self._accept_punct("*"):
-            return SelectItem(ref=None, star=True)
-        if self._accept_keyword("COUNT"):
-            self._expect_punct("(")
-            if self._accept_punct("*"):
-                ref = None
-            else:
-                ref = self._parse_column_ref()
-            self._expect_punct(")")
-            alias = None
-            if self._accept_keyword("AS"):
-                alias = self._expect_name()
-            return SelectItem(ref=ref, alias=alias, count=True)
-        ref = self._parse_column_ref()
-        if ref.table is not None and ref.column == "*":
-            return SelectItem(ref=ref, star=True)
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_name()
-        return SelectItem(ref=ref, alias=alias)
-
-    def _parse_column_ref(self) -> ColumnRef:
-        first = self._expect_name()
-        if self._accept_punct("."):
-            if self._accept_punct("*"):
-                return ColumnRef("*", first)
-            return ColumnRef(self._expect_name(), first)
-        return ColumnRef(first)
-
-    def _parse_update(self) -> Update:
-        self._expect_keyword("UPDATE")
-        table = self._expect_name()
-        self._expect_keyword("SET")
-        changes: List[Tuple[str, Any]] = []
-        while True:
-            name = self._expect_name()
-            self._expect_punct("=")
-            changes.append((name, self._parse_literal()))
-            if not self._accept_punct(","):
-                break
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_condition()
-        return Update(table, changes, where)
-
-    def _parse_delete(self) -> Delete:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_name()
-        where = None
-        if self._accept_keyword("WHERE"):
-            where = self._parse_condition()
-        return Delete(table, where)
-
-    # ------------------------------------------------------------------
-    # Conditions
-    # ------------------------------------------------------------------
-    def _parse_condition(self) -> Any:
-        return self._parse_or_condition()
-
-    def _parse_or_condition(self) -> Any:
-        operands = [self._parse_and_condition()]
-        while self._accept_keyword("OR"):
-            operands.append(self._parse_and_condition())
-        return operands[0] if len(operands) == 1 else Or(tuple(operands))
-
-    def _parse_and_condition(self) -> Any:
-        operands = [self._parse_not_condition()]
-        while self._accept_keyword("AND"):
-            operands.append(self._parse_not_condition())
-        return operands[0] if len(operands) == 1 else And(tuple(operands))
-
-    def _parse_not_condition(self) -> Any:
-        if self._accept_keyword("NOT"):
-            return Not(self._parse_not_condition())
-        return self._parse_predicate()
-
-    def _parse_predicate(self) -> Any:
-        if self._accept_punct("("):
-            condition = self._parse_condition()
-            self._expect_punct(")")
-            return condition
-        left = self._parse_operand()
-        token = self._peek()
-        if token.kind == "op":
-            self._next()
-            op = "!=" if token.text == "<>" else token.text
-            right = self._parse_operand()
-            return Comparison(op, left, right)
-        if token.kind == "keyword" and token.text == "LIKE":
-            self._next()
-            right = self._parse_operand()
-            return Comparison("LIKE", left, right)
-        if token.kind == "keyword" and token.text == "IS":
-            self._next()
-            negated = bool(self._accept_keyword("NOT"))
-            self._expect_keyword("NULL")
-            if not isinstance(left, ColumnRef):
-                raise SqlSyntaxError("IS NULL requires a column")
-            return IsNull(left, negated)
-        if token.kind == "keyword" and token.text in ("IN", "NOT"):
-            negated = False
-            if token.text == "NOT":
-                self._next()
-                self._expect_keyword("IN")
-                negated = True
-            else:
-                self._next()
-            self._expect_punct("(")
-            choices: List[Value] = []
-            while True:
-                choices.append(Value(self._parse_literal()))
-                if not self._accept_punct(","):
-                    break
-            self._expect_punct(")")
-            return InList(left, tuple(choices), negated)
-        raise SqlSyntaxError(
-            f"expected predicate operator, got {token.text!r}"
-        )
-
-    def _parse_operand(self) -> Union[ColumnRef, Value]:
-        token = self._peek()
-        if token.kind == "name":
-            return self._parse_column_ref()
-        return Value(self._parse_literal())
-
-
-def parse_sql(text: str) -> Statement:
-    """Parse a single SQL statement."""
-    return SqlParser(text).parse()
+def parse_create_table(text: str) -> Tuple[str, List[Column]]:
+    """The table name and columns of one ``CREATE TABLE`` statement;
+    any other statement raises :class:`SqlSyntaxError`."""
+    return _DdlParser(text).parse()

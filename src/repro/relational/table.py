@@ -204,63 +204,29 @@ class Table:
                     )
         return dict(row)
 
-    def delete_where(self, predicate) -> int:
-        """Delete rows satisfying ``predicate(row)``; returns count."""
-        keep: List[Row] = []
-        removed = 0
-        for row in self.rows:
-            if predicate(row):
-                removed += 1
-                self._unindex(row)
-            else:
-                keep.append(row)
-        self.rows = keep
-        return removed
-
     def delete(self, pk_value: Any) -> bool:
         """Delete the row with this primary key (no scan: the PK index
         finds it); False when there is none."""
         row = self._stored(pk_value)
         if row is None:
             return False
-        self._unindex(row)
-        self.rows.remove(row)
-        return True
-
-    def _unindex(self, row: Row) -> None:
-        if self.primary_key is not None:
-            self._pk_index.pop(row[self.primary_key.name], None)
+        self._pk_index.pop(pk_value)
         for col_name, index in self._unique_indexes.items():
             if row[col_name] is not None:
                 index.pop(row[col_name], None)
-
-    def update_where(self, predicate, changes: Row) -> int:
-        """Update rows satisfying ``predicate``; returns count changed."""
-        self._check_changes(changes)
-        count = 0
-        for row in self.rows:
-            if predicate(row):
-                self._update_row(row, changes)
-                count += 1
-        return count
+        self.rows.remove(row)
+        return True
 
     def update(self, pk_value: Any, changes: Row) -> bool:
         """Update the row with this primary key (no scan); False when
         there is none."""
-        self._check_changes(changes)
-        row = self._stored(pk_value)
-        if row is None:
-            return False
-        self._update_row(row, changes)
-        return True
-
-    def _check_changes(self, changes: Row) -> None:
         for name in changes:
             self.column(name)  # validates existence
         if self.primary_key is not None and self.primary_key.name in changes:
             raise IntegrityError("updating primary keys is not supported")
-
-    def _update_row(self, row: Row, changes: Row) -> None:
+        row = self._stored(pk_value)
+        if row is None:
+            return False
         for name, value in changes.items():
             col = self.column(name)
             coerced = col.type.coerce(value)
@@ -285,6 +251,7 @@ class Table:
                 if coerced is not None:
                     index[coerced] = row
             row[name] = coerced
+        return True
 
     # ------------------------------------------------------------------
     # Access

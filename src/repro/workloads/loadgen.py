@@ -9,8 +9,10 @@ the paper's interactive traffic — uploads that get annotated and
 flushed to the store, incremental-search suggestions (§4), the three virtual-album
 SPARQL queries, the About mashup, content browsing, and raw store
 writes through the group-commit path — from several worker threads at
-once, and report per-operation latency distributions out of the
-:mod:`repro.obs` registry.
+once, and report per-operation latency distributions. Each worker keeps
+its ops' elapsed times; the report's percentiles are exact nearest-rank
+order statistics of those samples (the ``repro_loadgen_op_seconds``
+histogram is still observed, for ``--save-metrics`` and ``--slo``).
 
 Determinism: the *operation schedule* (which ops, their arguments,
 their open-loop arrival offsets) is a pure function of
@@ -41,16 +43,16 @@ long an upload waits for its ``sync_every`` batch to fill.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.albums import geo_album, rated_album, social_album
 from ..core.mashup import run_mashup
 from ..obs import get_registry
-from ..obs.slo import quantile_from_series
 from ..platform.gallery import Platform
 from ..platform.models import Capture
 from ..platform.search import SearchInterface
@@ -307,6 +309,9 @@ class LoadGenerator:
         self._pending_uploads: List[Tuple[Any, float]] = []
         self._errors: List[str] = []
         self._errors_lock = threading.Lock()
+        # upload-to-queryable staleness per synced upload, in seconds
+        self._freshness: List[float] = []
+        self._freshness_lock = threading.Lock()
         self._completed = 0
 
     # -- environment -----------------------------------------------------
@@ -373,6 +378,7 @@ class LoadGenerator:
             "repro_loadgen_freshness_seconds",
             "Upload-to-queryable staleness per synced upload",
         ).labels(mix=self.config.mix)
+        staleness: List[float] = []
         for item, uploaded_at in drained:
             visible = any(
                 True for _ in head.triples((item.resource, None, None))
@@ -383,6 +389,9 @@ class LoadGenerator:
                     f"(store generation {head.generation})"
                 )
             histogram.observe(synced_at - uploaded_at)
+            staleness.append(synced_at - uploaded_at)
+        with self._freshness_lock:
+            self._freshness.extend(staleness)
 
     def _op_search(self, arg: str) -> None:
         search = self._search  # cc: allow=CC001 (atomic reference read)
@@ -437,7 +446,11 @@ class LoadGenerator:
             self._cursor += 1
         return op
 
-    def _worker(self, run_began: float) -> None:
+    def _worker(
+        self, run_began: float, samples: Dict[str, List[float]]
+    ) -> None:
+        """Run ops until the schedule is drained, appending each op's
+        elapsed seconds to this worker's own ``samples``."""
         config = self.config
         registry = get_registry()
         latency = registry.histogram(
@@ -467,18 +480,22 @@ class LoadGenerator:
                     self._errors.append(detail)
             elapsed = time.perf_counter() - began
             latency.labels(op=op.kind).observe(elapsed)
+            samples.setdefault(op.kind, []).append(elapsed)
             outcomes.labels(op=op.kind, status=status).inc()
 
     def run(self) -> LoadReport:
-        """Execute the schedule and report from the metrics registry."""
+        """Execute the schedule and report its latency samples."""
         if self._platform is None:
             self.setup()
         workers = min(self.config.workers, len(self.schedule))
         run_began = time.perf_counter()
+        samples: List[Dict[str, List[float]]] = [
+            {} for _ in range(workers)
+        ]
         threads = [
             threading.Thread(
                 target=self._worker,
-                args=(run_began,),
+                args=(run_began, samples[i]),
                 name=f"loadgen-{i}",
             )
             for i in range(workers)
@@ -496,24 +513,25 @@ class LoadGenerator:
                 )
         wall = time.perf_counter() - run_began
         self._completed = len(self.schedule)
-        return self._report(wall)
+        latencies: Dict[str, List[float]] = {}
+        for worker_samples in samples:
+            for kind, elapsed in worker_samples.items():
+                latencies.setdefault(kind, []).extend(elapsed)
+        return self._report(wall, latencies)
 
     # -- reporting -------------------------------------------------------
-    def _report(self, wall: float) -> LoadReport:
+    def _report(
+        self, wall: float, latencies: Dict[str, List[float]]
+    ) -> LoadReport:
         snapshot = get_registry().snapshot()
-        per_op: Dict[str, Dict[str, float]] = {}
-        family = snapshot.get("repro_loadgen_op_seconds", {})
-        for entry in family.get("series", []):
-            op = entry.get("labels", {}).get("op", "?")
-            per_op[op] = _distribution([entry])
-        freshness: Dict[str, float] = {}
-        fresh_family = snapshot.get("repro_loadgen_freshness_seconds", {})
-        fresh_series = [
-            entry for entry in fresh_family.get("series", [])
-            if entry.get("labels", {}).get("mix") == self.config.mix
-        ]
-        if fresh_series:
-            freshness = _distribution(fresh_series)
+        per_op = {
+            kind: _distribution(elapsed)
+            for kind, elapsed in latencies.items()
+        }
+        with self._freshness_lock:
+            freshness = (
+                _distribution(self._freshness) if self._freshness else {}
+            )
         return LoadReport(
             config=self.config,
             digest=schedule_digest(self.schedule),
@@ -527,18 +545,17 @@ class LoadGenerator:
         )
 
 
-def _distribution(series: List[Mapping[str, Any]]) -> Dict[str, float]:
-    count = sum(int(entry.get("count", 0)) for entry in series)
-    total = sum(float(entry.get("sum", 0.0)) for entry in series)
-    maximum = max(
-        (float(entry.get("max", 0.0)) for entry in series), default=0.0
-    )
+def _distribution(seconds: Sequence[float]) -> Dict[str, float]:
+    """Count, mean, max and exact nearest-rank p50/p95/p99 (in ms) of a
+    non-empty sample of durations in seconds."""
+    ordered = sorted(seconds)
+    count = len(ordered)
     row = {
         "count": float(count),
-        "mean_ms": (total / count * 1000.0) if count else 0.0,
-        "max_ms": maximum * 1000.0,
+        "mean_ms": sum(ordered) / count * 1000.0,
+        "max_ms": ordered[-1] * 1000.0,
     }
     for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-        estimate, _ = quantile_from_series(list(series), q)
-        row[f"{label}_ms"] = (estimate or 0.0) * 1000.0
+        rank = max(math.ceil(q * count), 1)
+        row[f"{label}_ms"] = ordered[rank - 1] * 1000.0
     return row

@@ -47,13 +47,14 @@ def gallery_db():
              rating REAL
            )"""
     )
-    db.execute("INSERT INTO users (user_name) VALUES ('oscar'), ('walter')")
-    db.execute(
-        "INSERT INTO pictures (owner_id, title, keywords, rating) VALUES "
-        "(1, 'Mole by night', 'mole turin night', 4.5), "
-        "(2, 'Colosseum', 'coliseum rome', 5.0), "
-        "(2, NULL, NULL, NULL)"
-    )
+    db.insert("users", user_name="oscar")
+    db.insert("users", user_name="walter")
+    db.insert("pictures", owner_id=1, title="Mole by night",
+              keywords="mole turin night", rating=4.5)
+    db.insert("pictures", owner_id=2, title="Colosseum",
+              keywords="coliseum rome", rating=5.0)
+    db.insert("pictures", owner_id=2, title=None, keywords=None,
+              rating=None)
     return db
 
 
@@ -141,10 +142,8 @@ class TestDump:
         assert keywords == {"mole", "turin", "night"}
 
     def test_keyword_dedup(self, gallery_db, gallery_mapping):
-        gallery_db.execute(
-            "INSERT INTO pictures (owner_id, title, keywords) VALUES "
-            "(1, 'dup', 'x x  x')"
-        )
+        gallery_db.insert("pictures", owner_id=1, title="dup",
+                          keywords="x x  x")
         g = dump_graph(gallery_db, gallery_mapping)
         keywords = list(g.objects(TL_PID["4"], KEYWORD))
         assert len(keywords) == 1
@@ -206,7 +205,7 @@ class TestDump:
         db.execute("CREATE TABLE pictures (pid INTEGER PRIMARY KEY, "
                    "owner_id INTEGER, title TEXT, keywords TEXT, "
                    "rating REAL)")
-        db.execute("INSERT INTO pictures (pid, owner_id) VALUES (1, 99)")
+        db.insert("pictures", pid=1, owner_id=99)
         g = dump_graph(db, gallery_mapping)
         assert list(g.objects(TL_PID["1"], FOAF.maker)) == []
 

@@ -335,3 +335,19 @@ class TestRegionAnnotations:
         web.annotate_region(session, 1, 0.1, 0.2, 0.3, 0.4)
         web.delete_content(session, 1)
         assert len(web.platform.db.table("regions")) == 0
+
+    def test_regions_of_interleaved_pictures(self, web):
+        platform = web.platform
+        rids = {1: [], 3: []}
+        for pid in (1, 3, 1, 3, 1):
+            rids[pid].append(platform.annotate_region(
+                pid, 0.1, 0.1, 0.2, 0.2, note=f"on {pid}"
+            ))
+        for pid in (1, 3):
+            regions = platform.regions(pid)
+            assert [r["rid"] for r in regions] == sorted(rids[pid])
+            assert {r["pid"] for r in regions} == {pid}
+        platform.delete_content(1)
+        assert platform.regions(1) == []
+        assert [r["rid"] for r in platform.regions(3)] == rids[3]
+        assert len(platform.db.table("regions")) == len(rids[3])

@@ -1,15 +1,14 @@
-"""SQL front-end tests: parsing + execution through Database.execute."""
+"""SQL DDL tests: ``CREATE TABLE`` text through Database.execute."""
 
 import pytest
 
 from repro.relational import (
+    ColumnType,
     Database,
     IntegrityError,
     SchemaError,
     SqlSyntaxError,
-    parse_sql,
 )
-from repro.relational.sql import Select
 
 
 @pytest.fixture
@@ -33,22 +32,23 @@ def gallery():
              ctime INTEGER
            )"""
     )
-    db.execute(
-        "INSERT INTO users (user_name, user_email) VALUES "
-        "('oscar', 'oscar@example.org'), ('walter', NULL), ('carmen', NULL)"
-    )
-    db.execute(
-        "INSERT INTO pictures (owner_id, title, keywords, rating, ctime) "
-        "VALUES (1, 'Mole by night', 'mole turin night', 4.5, 100), "
-        "(2, 'Piazza Castello', 'piazza turin', 3.0, 200), "
-        "(2, 'Colosseum trip', 'coliseum rome', 5.0, 300)"
-    )
+    db.insert("users", user_name="oscar", user_email="oscar@example.org")
     return db
 
 
 class TestCreateInsert:
     def test_tables_created(self, gallery):
         assert set(gallery.tables) == {"users", "pictures"}
+        assert "pictures" in repr(gallery)
+        users = gallery.table("users")
+        assert users.column_names == ["user_id", "user_name", "user_email"]
+        assert users.primary_key.name == "user_id"
+        assert users.primary_key.autoincrement
+        name = users.column("user_name")
+        assert name.type is ColumnType.TEXT
+        assert name.unique and not name.nullable
+        owner = gallery.table("pictures").column("owner_id")
+        assert owner.references == ("users", "user_id")
 
     def test_duplicate_table_rejected(self, gallery):
         with pytest.raises(SchemaError):
@@ -56,9 +56,7 @@ class TestCreateInsert:
 
     def test_fk_enforced(self, gallery):
         with pytest.raises(IntegrityError):
-            gallery.execute(
-                "INSERT INTO pictures (owner_id, title) VALUES (99, 'x')"
-            )
+            gallery.insert("pictures", owner_id=99, title="x")
 
     def test_fk_to_unknown_table_rejected(self):
         db = Database()
@@ -67,211 +65,35 @@ class TestCreateInsert:
                 "CREATE TABLE t (x INT REFERENCES nope(id))"
             )
 
-    def test_insert_arity_mismatch(self, gallery):
-        with pytest.raises(SqlSyntaxError):
-            gallery.execute(
-                "INSERT INTO users (user_name) VALUES ('a', 'b')"
-            )
-
-    def test_string_escape(self, gallery):
-        gallery.execute(
-            "INSERT INTO users (user_name) VALUES ('O''Brien')"
+    def test_string_escape(self):
+        db = Database()
+        db.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, "
+            "name TEXT DEFAULT 'O''Brien', score REAL DEFAULT -1.5)"
         )
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_name LIKE 'O''%'"
-        )
-        assert result.rows == [("O'Brien",)]
-
-
-class TestSelect:
-    def test_select_star(self, gallery):
-        result = gallery.execute("SELECT * FROM users")
-        assert result.columns == ["user_id", "user_name", "user_email"]
-        assert len(result) == 3
-
-    def test_select_columns(self, gallery):
-        result = gallery.execute(
-            "SELECT title, rating FROM pictures ORDER BY rating DESC"
-        )
-        assert result.rows[0] == ("Colosseum trip", 5.0)
-
-    def test_where_comparison(self, gallery):
-        result = gallery.execute(
-            "SELECT pid FROM pictures WHERE rating >= 4.0"
-        )
-        assert len(result) == 2
-
-    def test_where_and_or(self, gallery):
-        result = gallery.execute(
-            "SELECT pid FROM pictures WHERE rating > 4 OR "
-            "(owner_id = 2 AND rating >= 3)"
-        )
-        assert len(result) == 3
-
-    def test_where_not(self, gallery):
-        result = gallery.execute(
-            "SELECT pid FROM pictures WHERE NOT owner_id = 2"
-        )
-        assert len(result) == 1
-
-    def test_like(self, gallery):
-        result = gallery.execute(
-            "SELECT title FROM pictures WHERE keywords LIKE '%turin%'"
-        )
-        assert len(result) == 2
-
-    def test_like_underscore(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_name LIKE '_scar'"
-        )
-        assert result.rows == [("oscar",)]
-
-    def test_in_list(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_id IN (1, 3)"
-        )
-        assert {r[0] for r in result} == {"oscar", "carmen"}
-
-    def test_not_in_list(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_id NOT IN (1, 3)"
-        )
-        assert result.rows == [("walter",)]
-
-    def test_is_null(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_email IS NULL "
-            "ORDER BY user_name"
-        )
-        assert [r[0] for r in result] == ["carmen", "walter"]
-
-    def test_is_not_null(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_email IS NOT NULL"
-        )
-        assert result.rows == [("oscar",)]
-
-    def test_null_comparison_is_false(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name FROM users WHERE user_email = 'x'"
-        )
-        assert len(result) == 0
-
-    def test_order_by_multi(self, gallery):
-        result = gallery.execute(
-            "SELECT owner_id, rating FROM pictures "
-            "ORDER BY owner_id ASC, rating DESC"
-        )
-        assert result.rows == [(1, 4.5), (2, 5.0), (2, 3.0)]
-
-    def test_limit_offset(self, gallery):
-        result = gallery.execute(
-            "SELECT pid FROM pictures ORDER BY pid LIMIT 1 OFFSET 1"
-        )
-        assert result.rows == [(2,)]
-
-    def test_distinct(self, gallery):
-        result = gallery.execute("SELECT DISTINCT owner_id FROM pictures")
-        assert len(result) == 2
-
-    def test_count_star(self, gallery):
-        result = gallery.execute("SELECT COUNT(*) FROM pictures")
-        assert result.scalar() == 3
-
-    def test_count_column_skips_null(self, gallery):
-        result = gallery.execute("SELECT COUNT(user_email) FROM users")
-        assert result.scalar() == 1
-
-    def test_alias_in_projection(self, gallery):
-        result = gallery.execute(
-            "SELECT user_name AS name FROM users WHERE user_id = 1"
-        )
-        assert result.columns == ["name"]
-        assert result.dicts() == [{"name": "oscar"}]
-
-
-class TestJoins:
-    def test_inner_join(self, gallery):
-        result = gallery.execute(
-            "SELECT users.user_name, pictures.title FROM pictures "
-            "JOIN users ON pictures.owner_id = users.user_id "
-            "ORDER BY pictures.pid"
-        )
-        assert result.rows[0] == ("oscar", "Mole by night")
-        assert len(result) == 3
-
-    def test_join_with_aliases(self, gallery):
-        result = gallery.execute(
-            "SELECT u.user_name FROM pictures p "
-            "JOIN users u ON p.owner_id = u.user_id WHERE p.rating = 5.0"
-        )
-        assert result.rows == [("walter",)]
-
-    def test_left_join_keeps_unmatched(self, gallery):
-        result = gallery.execute(
-            "SELECT u.user_name, p.pid FROM users u "
-            "LEFT JOIN pictures p ON u.user_id = p.owner_id "
-            "WHERE p.pid IS NULL"
-        )
-        assert result.rows == [("carmen", None)]
-
-    def test_join_qualified_star(self, gallery):
-        result = gallery.execute(
-            "SELECT u.* FROM users u "
-            "JOIN pictures p ON u.user_id = p.owner_id WHERE p.pid = 1"
-        )
-        assert result.columns == ["user_id", "user_name", "user_email"]
-
-    def test_ambiguous_column_rejected(self, gallery):
-        gallery.execute(
-            "CREATE TABLE tags (pid INTEGER, title TEXT)"
-        )
-        with pytest.raises(SchemaError):
-            gallery.execute(
-                "SELECT title FROM pictures p JOIN tags t ON p.pid = t.pid"
-            )
-
-
-class TestUpdateDelete:
-    def test_update(self, gallery):
-        gallery.execute(
-            "UPDATE pictures SET rating = 1.0 WHERE owner_id = 2"
-        )
-        result = gallery.execute(
-            "SELECT COUNT(*) FROM pictures WHERE rating = 1.0"
-        )
-        assert result.scalar() == 2
-
-    def test_delete(self, gallery):
-        gallery.execute("DELETE FROM pictures WHERE rating < 4")
-        assert len(gallery.table("pictures")) == 2
-
-    def test_delete_all(self, gallery):
-        gallery.execute("DELETE FROM pictures")
-        assert len(gallery.table("pictures")) == 0
+        row = db.insert("t")
+        assert row["name"] == "O'Brien"
+        assert row["score"] == -1.5
 
 
 class TestParser:
-    def test_parse_select_ast(self):
-        statement = parse_sql(
-            "SELECT a, b FROM t WHERE a = 1 ORDER BY b DESC LIMIT 5"
-        )
-        assert isinstance(statement, Select)
-        assert statement.limit == 5
-        assert statement.order_by[0][1] is True
-
     def test_trailing_garbage(self):
         with pytest.raises(SqlSyntaxError):
-            parse_sql("SELECT a FROM t nonsense extra")
+            Database().execute("CREATE TABLE t (a INT) nonsense extra")
 
     def test_unsupported_statement(self):
         with pytest.raises(SqlSyntaxError):
-            parse_sql("DROP TABLE t")
+            Database().execute("DROP TABLE t")
+
+    def test_select_rejected(self, gallery):
+        with pytest.raises(SqlSyntaxError, match="unsupported statement"):
+            gallery.execute("SELECT * FROM users")
 
     def test_bad_character(self):
         with pytest.raises(SqlSyntaxError):
-            parse_sql("SELECT @ FROM t")
+            Database().execute("CREATE TABLE t (a @ INT)")
 
     def test_semicolon_accepted(self):
-        statement = parse_sql("SELECT a FROM t;")
-        assert isinstance(statement, Select)
+        db = Database()
+        db.execute("CREATE TABLE t (a INT);")
+        assert db.table("t").column_names == ["a"]

@@ -167,57 +167,51 @@ class TestAccess:
 
 
 class TestDeleteUpdate:
-    def test_delete_where(self):
-        table = make_users_table()
-        for name in ("a", "b", "c"):
-            table.insert({"user_name": name})
-        removed = table.delete_where(lambda r: r["user_name"] != "b")
-        assert removed == 2
-        assert len(table) == 1
-
     def test_delete_frees_pk(self):
         table = make_users_table()
         table.insert({"user_id": 1, "user_name": "a"})
-        table.delete_where(lambda r: True)
+        table.delete(1)
         table.insert({"user_id": 1, "user_name": "b"})  # no IntegrityError
         assert table.get(1)["user_name"] == "b"
 
     def test_delete_frees_unique(self):
         table = make_users_table()
         table.insert({"user_name": "a"})
-        table.delete_where(lambda r: True)
+        table.delete(1)
         table.insert({"user_name": "a"})
         assert len(table) == 1
-
-    def test_update_where(self):
-        table = make_users_table()
-        table.insert({"user_name": "a", "user_email": "old"})
-        count = table.update_where(
-            lambda r: r["user_name"] == "a", {"user_email": "new"}
-        )
-        assert count == 1
-        assert table.get(1)["user_email"] == "new"
 
     def test_update_pk_rejected(self):
         table = make_users_table()
         table.insert({"user_name": "a"})
         with pytest.raises(IntegrityError):
-            table.update_where(lambda r: True, {"user_id": 5})
+            table.update(1, {"user_id": 5})
 
     def test_update_unique_conflict(self):
         table = make_users_table()
         table.insert({"user_name": "a"})
         table.insert({"user_name": "b"})
         with pytest.raises(IntegrityError):
-            table.update_where(
-                lambda r: r["user_name"] == "b", {"user_name": "a"}
-            )
+            table.update(2, {"user_name": "a"})
 
     def test_update_unique_same_row_ok(self):
         table = make_users_table()
         table.insert({"user_name": "a"})
-        table.update_where(lambda r: True, {"user_name": "a"})
+        table.update(1, {"user_name": "a"})
         assert len(table) == 1
+
+    def test_update_to_null(self):
+        table = make_users_table()
+        table.insert({"user_name": "a", "user_email": "a@example.org"})
+        table.update(1, {"user_email": None})
+        assert table.get(1)["user_email"] is None
+
+    def test_not_null_update_rejected(self):
+        table = make_users_table()
+        table.insert({"user_name": "a"})
+        with pytest.raises(IntegrityError):
+            table.update(1, {"user_name": None})
+        assert table.get(1)["user_name"] == "a"
 
     def test_delete_by_primary_key(self):
         table = make_users_table()
@@ -227,7 +221,7 @@ class TestDeleteUpdate:
         assert table.delete(2) is False
         assert [r["user_name"] for r in table.scan()] == ["a", "c"]
         assert table.get(2) is None
-        # PK and unique value are free again, as after delete_where
+        # PK and unique value are free again
         table.insert({"user_id": 2, "user_name": "b"})
         assert table.get(2)["user_name"] == "b"
 
@@ -239,7 +233,7 @@ class TestDeleteUpdate:
         assert table.update(99, {"user_email": "new"}) is False
         assert table.get(1)["user_email"] == "new"
         assert table.get(2)["user_email"] is None
-        # the same checks update_where makes
+        # the PK and unique checks
         with pytest.raises(IntegrityError):
             table.update(1, {"user_id": 5})
         with pytest.raises(IntegrityError):

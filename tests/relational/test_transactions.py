@@ -12,14 +12,19 @@ def db():
         "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT "
         "UNIQUE)"
     )
-    database.execute("INSERT INTO t (v) VALUES ('one'), ('two')")
+    database.insert("t", v="one")
+    database.insert("t", v="two")
     return database
+
+
+def values(db):
+    return [row["v"] for row in db.table("t").scan()]
 
 
 class TestCommit:
     def test_clean_exit_commits(self, db):
         with db.transaction():
-            db.execute("INSERT INTO t (v) VALUES ('three')")
+            db.insert("t", v="three")
         assert len(db.table("t")) == 3
 
 
@@ -27,26 +32,23 @@ class TestRollback:
     def test_insert_rolled_back(self, db):
         with pytest.raises(RuntimeError):
             with db.transaction():
-                db.execute("INSERT INTO t (v) VALUES ('three')")
+                db.insert("t", v="three")
                 raise RuntimeError("abort")
         assert len(db.table("t")) == 2
-        assert db.execute(
-            "SELECT COUNT(*) FROM t WHERE v = 'three'"
-        ).scalar() == 0
+        assert "three" not in values(db)
 
     def test_update_and_delete_rolled_back(self, db):
         with pytest.raises(ValueError):
             with db.transaction():
-                db.execute("UPDATE t SET v = 'changed' WHERE id = 1")
-                db.execute("DELETE FROM t WHERE id = 2")
+                db.table("t").update(1, {"v": "changed"})
+                db.table("t").delete(2)
                 raise ValueError("abort")
-        rows = db.execute("SELECT v FROM t ORDER BY id").rows
-        assert rows == [("one",), ("two",)]
+        assert values(db) == ["one", "two"]
 
     def test_autoincrement_restored(self, db):
         with pytest.raises(RuntimeError):
             with db.transaction():
-                db.execute("INSERT INTO t (v) VALUES ('x')")  # id 3
+                db.insert("t", v="x")  # id 3
                 raise RuntimeError("abort")
         row = db.insert("t", v="after")
         assert row["id"] == 3  # counter rolled back too
@@ -54,7 +56,7 @@ class TestRollback:
     def test_unique_index_restored(self, db):
         with pytest.raises(RuntimeError):
             with db.transaction():
-                db.execute("DELETE FROM t WHERE v = 'one'")
+                db.table("t").delete(1)  # v = 'one'
                 raise RuntimeError("abort")
         # 'one' is back, so re-inserting it must violate uniqueness
         with pytest.raises(IntegrityError):
@@ -73,22 +75,18 @@ class TestRollback:
     def test_integrity_error_inside_transaction(self, db):
         with pytest.raises(IntegrityError):
             with db.transaction():
-                db.execute("INSERT INTO t (v) VALUES ('new')")
-                db.execute("INSERT INTO t (v) VALUES ('one')")  # dup
+                db.insert("t", v="new")
+                db.insert("t", v="one")  # dup
         # the whole scope rolled back, including the first insert
         assert len(db.table("t")) == 2
 
     def test_nested_scopes(self, db):
         with db.transaction():
-            db.execute("INSERT INTO t (v) VALUES ('outer')")
+            db.insert("t", v="outer")
             with pytest.raises(RuntimeError):
                 with db.transaction():
-                    db.execute("INSERT INTO t (v) VALUES ('inner')")
+                    db.insert("t", v="inner")
                     raise RuntimeError("abort inner")
             # inner rolled back, outer insert survives
-            assert db.execute(
-                "SELECT COUNT(*) FROM t WHERE v = 'inner'"
-            ).scalar() == 0
-        assert db.execute(
-            "SELECT COUNT(*) FROM t WHERE v = 'outer'"
-        ).scalar() == 1
+            assert "inner" not in values(db)
+        assert values(db).count("outer") == 1

@@ -105,9 +105,12 @@ class TestRun:
             assert row["count"] >= 1
             assert row["p95_ms"] >= row["p50_ms"] >= 0
             assert row["max_ms"] > 0
-        # uploads happened and were verified queryable after sync
-        if "upload" in kinds:
-            assert report.freshness.get("count", 0) >= 1
+        # every op's latency and every upload's staleness is kept: the
+        # workers' samples merge, and concurrent syncs lose none
+        schedule = build_schedule(config)
+        assert sum(row["count"] for row in report.per_op.values()) == 32
+        uploads = sum(1 for op in schedule if op.kind == "upload")
+        assert uploads and report.freshness["count"] == uploads
         # the registry snapshot rides along for offline SLO evaluation
         assert "repro_loadgen_op_seconds" in report.metrics
 
@@ -140,6 +143,47 @@ class TestRun:
         assert data["completed"] == 8
         text = report.render()
         assert "load run:" in text and "op/s" in text
+
+
+class _Clock:
+    """Stands in for the ``time`` module of the load generator: it moves
+    only when an op runs, by that op's scripted latency."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+class TestPercentiles:
+    def test_exact_median_inside_one_bucket(self, registry, monkeypatch):
+        """The seed-7 schedule's nine album ops take 101..109 ms, all in
+        one histogram bucket (100-215 ms); the report gives their exact
+        nearest-rank order statistics, not a value interpolated inside
+        the bucket (104.5 ms for the median)."""
+        from repro.workloads import loadgen
+
+        clock = _Clock()
+        monkeypatch.setattr(loadgen, "time", clock)
+        generator = LoadGenerator(LoadConfig(seed=7, ops=40, workers=1))
+        generator._platform = object()  # no stack: ops are scripted
+        albums = iter([0.104, 0.101, 0.109, 0.107, 0.102, 0.108, 0.103,
+                       0.106, 0.105])
+
+        def execute(op):
+            clock.now += next(albums) if op.kind == "album" else 0.001
+
+        monkeypatch.setattr(generator, "_execute", execute)
+        row = generator.run().per_op["album"]
+        assert row["count"] == 9
+        assert row["p50_ms"] == pytest.approx(105.0)
+        assert row["p95_ms"] == pytest.approx(109.0)
+        assert row["mean_ms"] == pytest.approx(105.0)
+        assert row["max_ms"] == pytest.approx(109.0)
 
 
 class _PausingLock:
