@@ -140,7 +140,22 @@ bench-compare:
 		"$$out-base.jsonl" "$$out-head.jsonl"
 
 ## One small SLO-checked load run straight through the CLI — the same
-## invocation the slo-smoke CI job gates on.
+## invocation the slo-smoke CI job gates on — then `repro obs slo
+## --input` re-judges the run's saved report and its --save-metrics
+## bundle: each verdict table must equal the run's own.
+SLO_TABLE = awk '/^SLO report: /{on=1} on && !/^(SLO report: |  )/{on=0} on'
 slo-smoke:
+	@set -e; out=slo-artifacts; mkdir -p $$out; status=0; \
 	$(PYTHON) -m repro obs loadgen --mix default --seed 7 \
-		--ops 48 --workers 4 --slo
+		--ops 48 --workers 4 --slo --report $$out/load-report.json \
+		--save-metrics $$out/loadgen-metrics.json \
+		> $$out/loadgen-output.txt || status=$$?; \
+	cat $$out/loadgen-output.txt; \
+	[ $$status = 0 ] || exit $$status; \
+	$(SLO_TABLE) $$out/loadgen-output.txt > $$out/verdict.txt; \
+	[ -s $$out/verdict.txt ]; \
+	for input in load-report.json loadgen-metrics.json; do \
+		$(PYTHON) -m repro obs slo --input $$out/$$input \
+			| $(SLO_TABLE) | diff $$out/verdict.txt -; \
+	done; \
+	echo "obs slo --input: same verdict on the saved report and bundle"

@@ -26,8 +26,8 @@ from repro.obs import MetricsRegistry, SamplingProfiler, set_registry
 from repro.obs.slo import default_slo, evaluate_slo
 from repro.workloads import LoadConfig, LoadGenerator
 
-# 48 ops at seed 7 draws every op kind of the default mix, so every
-# objective of the default SLO spec has data to judge
+# the run the `slo-smoke` CLI job makes; evaluate_slo raises SLOError
+# if a schedule here stops drawing an op the default spec judges
 CONFIG = dict(
     mix="default", seed=7, ops=48, workers=4,
     base_contents=15, sync_every=3,
@@ -53,10 +53,7 @@ def bench_loadgen_slo(benchmark):
     for _ in range(REPEATS):
         report = _run_once()
         walls_ms.append(report.wall_seconds * 1000.0)
-        slo = evaluate_slo(
-            default_slo(), report.metrics,
-            wall_seconds=report.wall_seconds,
-        )
+        slo = evaluate_slo(default_slo(), report.to_dict())
         assert report.errors == 0, report.error_samples
         assert slo.passed, "SLO breach:\n" + slo.render()
 

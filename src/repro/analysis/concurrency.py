@@ -309,6 +309,7 @@ class ConcurrencyAnalyzer:
                     f"cycle; acquire locks in one global order",
                     span=edge.span,
                     source=edge.source,
+                    line=edge.lineno,
                 ))
         return diags
 
@@ -341,7 +342,7 @@ class ConcurrencyAnalyzer:
             if span is None:
                 span = source.span(node)
             facts.diagnostics.append(make(
-                rule_id, message, span=span, source=name,
+                rule_id, message, span=span, source=name, line=line,
             ))
 
         # module-level locks and mutable globals

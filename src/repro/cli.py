@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
              "stats and the recovery outcome of opening the store",
     )
     store_info.add_argument("directory", help="store directory")
-    _store_policy_flags(store_info)
     store_compact = store_sub.add_parser(
         "compact",
         help="fold overlays, seal the WAL, merge it into a fresh "
@@ -340,12 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_loadgen.add_argument(
         "--slo", nargs="?", const="", default=None, metavar="SPEC",
-        help="evaluate SLOs after the run (default spec, or a JSON "
-             "spec file); exits 1 on breach",
+        help="judge the run's load report against SLOs (default spec, "
+             "or a JSON spec file); exits 1 on breach, 2 before the "
+             "run when the spec is bad or the schedule draws no op "
+             "an objective needs",
     )
     obs_loadgen.add_argument(
         "--report", metavar="FILE",
-        help="write the SLO report (or load report) as JSON",
+        help="write the load report as JSON (with --slo, the verdict "
+             "under \"slo\")",
     )
     obs_loadgen.add_argument(
         "--save-metrics", metavar="FILE",
@@ -365,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs_slo = obs_sub.add_parser(
         "slo",
-        help="judge a saved metrics snapshot against an SLO spec and "
+        help="judge a saved load report against an SLO spec and "
              "emit a structured pass/fail report (exit 1 on breach)",
     )
     obs_slo.add_argument(
         "--input", required=True, metavar="FILE",
-        help="metrics JSON ('repro obs loadgen --save-metrics' output "
-             "or a raw registry snapshot)",
+        help="a 'repro obs loadgen --report' file or a "
+             "'--save-metrics' bundle",
     )
     obs_slo.add_argument(
         "--spec", metavar="FILE",
@@ -844,23 +846,40 @@ def _cmd_store(args) -> int:
 
 def _store_command(args) -> int:
     import json
+    from pathlib import Path
 
     from .store import CheckpointPolicy, QuadStore
+    from .store.persistence import (
+        WAL_FILENAME,
+        sealed_segments,
+        snapshot_files,
+    )
+
+    directory = Path(args.directory)
+    if args.store_command != "load" and not (
+        (directory / WAL_FILENAME).is_file()
+        or snapshot_files(directory) or sealed_segments(directory)
+    ):
+        # opening a QuadStore would create an empty one at a typo
+        print(f"error: no store at {directory} (no {WAL_FILENAME} "
+              f"and no snapshot)", file=sys.stderr)
+        return 2
 
     def policy_kwargs() -> dict:
         kwargs: dict = {}
-        ops = getattr(args, "checkpoint_ops", None)
-        wal_bytes = getattr(args, "checkpoint_wal_bytes", None)
-        if ops is not None or wal_bytes is not None:
+        if args.checkpoint_ops is not None or (
+            args.checkpoint_wal_bytes is not None
+        ):
             kwargs["checkpoint_policy"] = CheckpointPolicy(
-                ops=ops, wal_bytes=wal_bytes
+                ops=args.checkpoint_ops,
+                wal_bytes=args.checkpoint_wal_bytes,
             )
-        if getattr(args, "group_commit", False):
+        if args.group_commit:
             kwargs["group_commit"] = True
         return kwargs
 
     if args.store_command == "info":
-        with QuadStore(args.directory, **policy_kwargs()) as store:
+        with QuadStore(args.directory) as store:
             print(json.dumps(store.info(), indent=2, sort_keys=True))
         return 0
 
@@ -940,6 +959,7 @@ def _cmd_obs_loadgen(args) -> int:
     from .obs import (
         MetricsRegistry,
         SamplingProfiler,
+        SLOError,
         SLOSpec,
         default_slo,
         evaluate_slo,
@@ -973,6 +993,23 @@ def _cmd_obs_loadgen(args) -> int:
         print(render_schedule(schedule))
         print(f"schedule digest: {schedule_digest(schedule)}")
         return 0
+    spec = None
+    if args.slo is not None:
+        try:
+            spec = SLOSpec.load(args.slo) if args.slo else default_slo()
+        except SLOError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        missing = spec.ops() - {op.kind for op in schedule}
+        if missing:
+            print(
+                f"error: SLO spec {spec.name!r} needs op(s) the "
+                f"schedule (mix={config.mix} seed={config.seed} "
+                f"ops={config.ops}) never draws: "
+                f"{', '.join(sorted(missing))}",
+                file=sys.stderr,
+            )
+            return 2
 
     profile_path = None
     if args.profile is not None:
@@ -1018,19 +1055,22 @@ def _cmd_obs_loadgen(args) -> int:
         })
         print(f"metrics snapshot -> {args.save_metrics}")
 
-    if args.slo is None:
-        if args.report:
-            _write_json(args.report, report.to_dict())
-            print(f"load report -> {args.report}")
-        return 0
-    spec = SLOSpec.load(args.slo) if args.slo else default_slo()
-    slo_report = evaluate_slo(spec, report.metrics, report.wall_seconds)
-    print()
-    print(slo_report.render())
+    payload = report.to_dict()
+    status = 0
+    if spec is not None:
+        try:
+            verdict = evaluate_slo(spec, payload)
+        except SLOError as exc:  # e.g. no upload of the run was synced
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print()
+        print(verdict.render())
+        payload["slo"] = verdict.to_dict()
+        status = 0 if verdict.passed else 1
     if args.report:
-        _write_json(args.report, slo_report.to_dict())
-        print(f"SLO report -> {args.report}")
-    return 0 if slo_report.passed else 1
+        _write_json(args.report, payload)
+        print(f"load report -> {args.report}")
+    return status
 
 
 def _cmd_obs_slo(args) -> int:
@@ -1044,18 +1084,20 @@ def _cmd_obs_slo(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
-    if "metrics" in payload:  # a --save-metrics bundle
-        snapshot = payload["metrics"]
-        wall = payload.get("meta", {}).get("wall_seconds")
-    else:  # a raw registry snapshot
-        snapshot = payload
-        wall = None
+    # a --save-metrics bundle carries the load report as its "meta"
+    load_report = (
+        payload.get("meta", payload) if isinstance(payload, dict) else None
+    )
+    if not isinstance(load_report, dict) or "per_op" not in load_report:
+        print(f"error: {args.input} is not a load report",
+              file=sys.stderr)
+        return 2
     try:
         spec = SLOSpec.load(args.spec) if args.spec else default_slo()
+        report = evaluate_slo(spec, load_report)
     except SLOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = evaluate_slo(spec, snapshot, wall)
     print(report.render())
     if args.report:
         _write_json(args.report, report.to_dict())

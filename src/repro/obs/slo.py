@@ -1,32 +1,40 @@
-"""Declarative SLOs evaluated against a metrics snapshot.
+"""Declarative SLOs judged on a load run's report.
 
 Concurrency: single-threaded
 
-An :class:`SLOSpec` is a named list of :class:`Objective` rows — each
-one binds a metric family from :class:`~repro.obs.metrics.
-MetricsRegistry` to a target:
+An :class:`SLOSpec` is a named list of :class:`Objective` rows, each
+binding one figure of the load report
+(:meth:`~repro.workloads.loadgen.LoadReport.to_dict`) to a target:
 
-* ``latency`` / ``freshness`` — a quantile of a histogram family must
-  stay at or below a threshold (seconds);
-* ``error_rate`` — the ``status="error"`` share of a counter family
-  must stay at or below a ratio;
-* ``throughput`` — a histogram family's observation count divided by
-  the run's wall-clock seconds must stay at or *above* a floor.
+* ``latency`` — the ``p50``/``p95``/``p99``/``max`` of one op's row in
+  ``per_op`` (the objective's ``op``) must stay at or below a
+  threshold (seconds);
+* ``freshness`` — the same quantile of the report's upload-to-queryable
+  ``freshness`` row must stay at or below a threshold (seconds);
+* ``error_rate`` — ``errors / completed`` must stay at or below a
+  ratio;
+* ``throughput`` — ``throughput_ops_per_s`` must stay at or *above* a
+  floor.
 
-Evaluation (:func:`evaluate_slo`) runs over the plain-JSON
-``registry.snapshot()`` structure, never the live registry, so the
-same code judges an in-process load run and a ``--save-metrics`` file
-loaded back hours later in CI. The verdict is an :class:`SLOReport`:
-one :class:`ObjectiveResult` per objective with the observed value,
-the target, the **burn** ratio (observed/target — how much of the
-objective's budget the run consumed; >1.0 is a breach) and a pass/fail
-flag, plus the overall verdict and a JSON form CI uploads as an
-artifact.
+The report's percentiles are exact nearest-rank order statistics of
+every op's elapsed time, so the SLO table and the report table print
+the same figure; a quantile the report does not hold (anything but
+0.5, 0.95, 0.99 and 1.0) is refused when the spec loads. Evaluation
+(:func:`evaluate_slo`) runs over the plain-JSON report, so the same
+code judges an in-process load run and a ``--report`` file or
+``--save-metrics`` bundle loaded back hours later in CI. The verdict
+is an :class:`SLOReport`: one :class:`ObjectiveResult` per objective
+with the observed value, the target, the **burn** ratio
+(observed/target: how much of the objective's budget the run
+consumed; >1.0 is a breach) and a pass/fail flag, plus the overall
+verdict and a JSON form CI uploads as an artifact.
 
-Objectives with no matching series *fail* (``no data``) rather than
-vacuously pass — a load run that never exercised an op, or a renamed
-metric, must not look healthy. :func:`default_slo` is the spec the
-``repro obs loadgen --slo`` smoke run and ``bench_loadgen`` guard
+A report that holds no sample for an objective cannot be judged: an
+op the run never drew, or no upload for a freshness objective, raises
+:class:`SLOError` rather than pass or breach. :meth:`SLOSpec.ops`
+names the ops a spec needs, so ``repro obs loadgen --slo`` checks a
+schedule draws them before it runs. :func:`default_slo` is the spec
+the ``repro obs loadgen --slo`` smoke run and ``bench_loadgen`` guard
 enforce; custom specs load from JSON via :meth:`SLOSpec.load`.
 """
 
@@ -34,9 +42,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, Tuple, Union
 
 __all__ = [
     "Objective",
@@ -46,11 +54,13 @@ __all__ = [
     "SLOSpec",
     "default_slo",
     "evaluate_slo",
-    "quantile_from_series",
 ]
 
 #: Objective kinds and the comparison direction they imply.
 _KINDS = ("latency", "freshness", "error_rate", "throughput")
+
+#: The quantiles a load report holds, by the name of their column.
+_QUANTILES = {0.5: "p50", 0.95: "p95", 0.99: "p99", 1.0: "max"}
 
 
 class SLOError(ValueError):
@@ -59,14 +69,13 @@ class SLOError(ValueError):
 
 @dataclass(frozen=True)
 class Objective:
-    """One service-level objective over one metric family."""
+    """One service-level objective over one figure of the load report."""
 
     name: str
     kind: str                   # latency|freshness|error_rate|throughput
-    metric: str                 # metric family name in the snapshot
     threshold: float            # seconds / ratio / ops-per-second floor
+    op: str = ""                # latency only: the op kind judged
     quantile: float = 0.95      # latency + freshness only
-    labels: Mapping[str, str] = field(default_factory=dict)
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -75,15 +84,24 @@ class Objective:
                 f"unknown objective kind {self.kind!r} "
                 f"(allowed: {', '.join(_KINDS)})"
             )
-        if not 0.0 <= self.quantile <= 1.0:
-            raise SLOError("objective quantile must be within [0, 1]")
+        if self.quantile not in _QUANTILES:
+            raise SLOError(
+                f"objective {self.name!r}: quantile {self.quantile:g} "
+                f"is not in the load report (allowed: "
+                f"{', '.join(f'{q:g}' for q in _QUANTILES)})"
+            )
         if self.threshold < 0:
             raise SLOError("objective threshold must be >= 0")
+        if (self.kind == "latency") != bool(self.op):
+            raise SLOError(
+                f"objective {self.name!r}: a latency objective names "
+                f"an op, and only a latency objective does"
+            )
 
     def target_text(self) -> str:
         if self.kind in ("latency", "freshness"):
             return (
-                f"p{round(self.quantile * 100)} <= "
+                f"{_QUANTILES[self.quantile]} <= "
                 f"{self.threshold * 1000.0:g} ms"
             )
         if self.kind == "error_rate":
@@ -91,33 +109,32 @@ class Objective:
         return f">= {self.threshold:g} op/s"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "metric": self.metric,
-            "threshold": self.threshold,
-            "quantile": self.quantile,
-            "labels": dict(self.labels),
-            "description": self.description,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Objective":
+        if not isinstance(data, Mapping):
+            raise SLOError(f"objective {data!r} is not a JSON object")
+        unknown = set(data) - {entry.name for entry in fields(Objective)}
+        if unknown:
+            raise SLOError(
+                f"objective {data.get('name')!r} has unknown field(s) "
+                f"{', '.join(sorted(unknown))}"
+            )
         try:
-            return Objective(
+            values = dict(
                 name=str(data["name"]),
                 kind=str(data["kind"]),
-                metric=str(data["metric"]),
                 threshold=float(data["threshold"]),
+                op=str(data.get("op", "")),
                 quantile=float(data.get("quantile", 0.95)),
-                labels={
-                    str(k): str(v)
-                    for k, v in dict(data.get("labels", {})).items()
-                },
                 description=str(data.get("description", "")),
             )
         except KeyError as exc:
             raise SLOError(f"objective missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SLOError(f"objective {data['name']!r}: {exc}") from None
+        return Objective(**values)
 
 
 @dataclass(frozen=True)
@@ -138,6 +155,16 @@ class SLOSpec:
                 )
             seen.add(objective.name)
 
+    def ops(self) -> FrozenSet[str]:
+        """The op kinds a run must draw for every objective to have
+        data: each latency objective's op, and ``upload`` when a
+        freshness objective is present."""
+        return frozenset(
+            "upload" if objective.kind == "freshness" else objective.op
+            for objective in self.objectives
+            if objective.kind in ("latency", "freshness")
+        )
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -146,7 +173,9 @@ class SLOSpec:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "SLOSpec":
-        objectives = data.get("objectives")
+        objectives = (
+            data.get("objectives") if isinstance(data, Mapping) else None
+        )
         if not isinstance(objectives, list):
             raise SLOError("SLO spec needs an 'objectives' array")
         return SLOSpec(
@@ -170,34 +199,32 @@ class ObjectiveResult:
     """The judged outcome of one objective."""
 
     objective: Objective
-    observed: Optional[float]   # None when no data matched
+    observed: float
     ok: bool
-    burn: Optional[float]       # observed budget share; > 1.0 breaches
+    burn: float                 # observed budget share; > 1.0 breaches
     samples: int
-    detail: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.objective.name,
             "kind": self.objective.kind,
-            "metric": self.objective.metric,
+            "op": self.objective.op,
             "target": self.objective.threshold,
             "target_text": self.objective.target_text(),
             "observed": self.observed,
             "ok": self.ok,
             "burn": self.burn,
             "samples": self.samples,
-            "detail": self.detail,
         }
 
 
 @dataclass
 class SLOReport:
-    """Structured pass/fail verdict over one metrics snapshot."""
+    """Structured pass/fail verdict over one load report."""
 
     spec_name: str
     results: List[ObjectiveResult]
-    wall_seconds: Optional[float] = None
+    wall_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -231,214 +258,84 @@ class SLOReport:
             f"{'burn':>6} {'n':>6}  verdict"
         )
         lines.append(header)
-        ordered = sorted(
-            self.results,
-            key=lambda r: -(r.burn if r.burn is not None else math.inf),
-        )
-        for result in ordered:
+        for result in sorted(self.results, key=lambda r: -r.burn):
             objective = result.objective
-            if result.observed is None:
-                observed = "-"
-            elif objective.kind in ("latency", "freshness"):
+            if objective.kind in ("latency", "freshness"):
                 observed = f"{result.observed * 1000.0:.1f} ms"
             elif objective.kind == "error_rate":
                 observed = f"{result.observed:.2%}"
             else:
                 observed = f"{result.observed:.1f} op/s"
-            burn = f"{result.burn:.2f}" if result.burn is not None else "-"
-            verdict = "ok" if result.ok else "BREACH"
-            if result.detail and not result.ok:
-                verdict += f" ({result.detail})"
             lines.append(
                 f"  {objective.name:<22} {objective.target_text():<22} "
-                f"{observed:>12} {burn:>6} {result.samples:>6}  {verdict}"
+                f"{observed:>12} {result.burn:>6.2f} "
+                f"{result.samples:>6}  {'ok' if result.ok else 'BREACH'}"
             )
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# snapshot arithmetic
-# ----------------------------------------------------------------------
-def _parse_edge(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    return float(text)
+def _share(part: float, whole: float) -> float:
+    """``part / whole``, infinite for a positive part of nothing."""
+    if whole > 0:
+        return part / whole
+    return math.inf if part > 0 else 0.0
 
 
-def _labels_match(
-    wanted: Mapping[str, str], labels: Mapping[str, str]
-) -> bool:
-    return all(labels.get(key) == value for key, value in wanted.items())
-
-
-def _merge_histogram_series(
-    series: List[Mapping[str, Any]],
-) -> Tuple[List[Tuple[float, int]], int, float]:
-    """Sum matching histogram children into one (edges, count, max)."""
-    merged: Dict[float, int] = {}
-    count = 0
-    maximum = 0.0
-    for entry in series:
-        count += int(entry.get("count", 0))
-        maximum = max(maximum, float(entry.get("max", 0.0)))
-        for edge_text, bucket_count in entry.get("buckets", {}).items():
-            edge = _parse_edge(edge_text)
-            merged[edge] = merged.get(edge, 0) + int(bucket_count)
-    return sorted(merged.items()), count, maximum
-
-
-def quantile_from_series(
-    series: List[Mapping[str, Any]], q: float
-) -> Tuple[Optional[float], int]:
-    """Bucket-interpolated quantile over snapshot histogram children.
-
-    Mirrors :meth:`HistogramChild.quantile` (including the exact-max
-    behavior at ``q == 1.0``) but runs on the JSON snapshot structure.
-    Returns ``(estimate, total samples)``; the estimate is ``None``
-    when no samples matched.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise SLOError("quantile must be within [0, 1]")
-    buckets, total, maximum = _merge_histogram_series(series)
-    if total == 0:
-        return None, 0
-    if q == 1.0:
-        return maximum, total
-    rank = q * total
-    cumulative = 0
-    previous_edge = 0.0
-    for index, (edge, bucket_count) in enumerate(buckets):
-        previous = cumulative
-        cumulative += bucket_count
-        if cumulative >= rank and bucket_count:
-            lower = previous_edge
-            upper = maximum if math.isinf(edge) else edge
-            upper = max(min(upper, maximum), lower)
-            fraction = (rank - previous) / bucket_count
-            return lower + (upper - lower) * fraction, total
-        if not math.isinf(edge):
-            previous_edge = edge
-    return maximum, total
-
-
-def _histogram_series(
-    snapshot: Mapping[str, Any], objective: Objective
-) -> Tuple[Optional[List[Mapping[str, Any]]], str]:
-    family = snapshot.get(objective.metric)
-    if family is None:
-        return None, f"metric {objective.metric!r} absent"
-    if family.get("type") != "histogram":
-        return None, f"metric {objective.metric!r} is not a histogram"
-    matched = [
-        entry for entry in family.get("series", [])
-        if _labels_match(objective.labels, entry.get("labels", {}))
-    ]
-    if not matched:
-        return None, "no series matched the label filter"
-    return matched, ""
-
-
-def _evaluate_quantile(
-    snapshot: Mapping[str, Any], objective: Objective
-) -> ObjectiveResult:
-    matched, problem = _histogram_series(snapshot, objective)
-    if matched is None:
-        return ObjectiveResult(objective, None, False, None, 0, problem)
-    observed, samples = quantile_from_series(matched, objective.quantile)
-    if observed is None:
-        return ObjectiveResult(
-            objective, None, False, None, 0, "no data"
+def _row(
+    report: Mapping[str, Any], objective: Objective
+) -> Mapping[str, float]:
+    """The report row a latency or freshness objective reads."""
+    if objective.kind == "freshness":
+        row = report["freshness"]
+        if not row.get("count"):
+            raise SLOError(
+                f"objective {objective.name!r}: the report holds no "
+                f"synced upload to judge freshness on"
+            )
+        return row
+    row = report["per_op"].get(objective.op)
+    if row is None:
+        raise SLOError(
+            f"objective {objective.name!r}: the report holds no "
+            f"{objective.op!r} op (it drew "
+            f"{', '.join(sorted(report['per_op'])) or 'none'})"
         )
-    burn = (
-        observed / objective.threshold if objective.threshold > 0
-        else math.inf
-    )
-    return ObjectiveResult(
-        objective, observed, observed <= objective.threshold,
-        burn, samples,
-    )
-
-
-def _evaluate_error_rate(
-    snapshot: Mapping[str, Any], objective: Objective
-) -> ObjectiveResult:
-    family = snapshot.get(objective.metric)
-    if family is None:
-        return ObjectiveResult(
-            objective, None, False, None, 0,
-            f"metric {objective.metric!r} absent",
-        )
-    total = 0.0
-    errors = 0.0
-    for entry in family.get("series", []):
-        labels = entry.get("labels", {})
-        if not _labels_match(objective.labels, labels):
-            continue
-        value = float(entry.get("value", 0.0))
-        total += value
-        if labels.get("status") == "error":
-            errors += value
-    if total == 0:
-        return ObjectiveResult(objective, None, False, None, 0, "no data")
-    observed = errors / total
-    burn = (
-        observed / objective.threshold if objective.threshold > 0
-        else (math.inf if observed else 0.0)
-    )
-    return ObjectiveResult(
-        objective, observed, observed <= objective.threshold,
-        burn, int(total),
-    )
-
-
-def _evaluate_throughput(
-    snapshot: Mapping[str, Any],
-    objective: Objective,
-    wall_seconds: Optional[float],
-) -> ObjectiveResult:
-    matched, problem = _histogram_series(snapshot, objective)
-    if matched is None:
-        return ObjectiveResult(objective, None, False, None, 0, problem)
-    samples = sum(int(entry.get("count", 0)) for entry in matched)
-    if wall_seconds is None or wall_seconds <= 0:
-        return ObjectiveResult(
-            objective, None, False, None, samples,
-            "wall-clock seconds unknown",
-        )
-    observed = samples / wall_seconds
-    burn = (
-        objective.threshold / observed if observed > 0 else math.inf
-    )
-    return ObjectiveResult(
-        objective, observed, observed >= objective.threshold,
-        burn, samples,
-    )
+    return row
 
 
 def evaluate_slo(
-    spec: SLOSpec,
-    snapshot: Mapping[str, Any],
-    wall_seconds: Optional[float] = None,
+    spec: SLOSpec, report: Mapping[str, Any]
 ) -> SLOReport:
-    """Judge every objective of ``spec`` against ``snapshot``.
+    """Judge every objective of ``spec`` against a load ``report``.
 
-    ``snapshot`` is the structure :meth:`MetricsRegistry.snapshot`
-    returns (or the same loaded back from JSON); ``wall_seconds`` is
-    required for ``throughput`` objectives to have a denominator.
+    ``report`` is :meth:`LoadReport.to_dict` (or the same loaded back
+    from JSON). Raises :class:`SLOError` when the report holds no
+    sample for an objective.
     """
+    completed = int(report["completed"])
     results: List[ObjectiveResult] = []
     for objective in spec.objectives:
         if objective.kind in ("latency", "freshness"):
-            results.append(_evaluate_quantile(snapshot, objective))
+            row = _row(report, objective)
+            column = f"{_QUANTILES[objective.quantile]}_ms"
+            observed = row[column] / 1000.0
+            ok = observed <= objective.threshold
+            burn = _share(observed, objective.threshold)
+            samples = int(row["count"])
         elif objective.kind == "error_rate":
-            results.append(_evaluate_error_rate(snapshot, objective))
+            observed = _share(int(report["errors"]), completed)
+            ok = observed <= objective.threshold
+            burn = _share(observed, objective.threshold)
+            samples = completed
         else:
-            results.append(
-                _evaluate_throughput(snapshot, objective, wall_seconds)
-            )
-    return SLOReport(spec.name, results, wall_seconds)
+            observed = float(report["throughput_ops_per_s"])
+            ok = observed >= objective.threshold
+            burn = _share(objective.threshold, observed)
+            samples = completed
+        results.append(
+            ObjectiveResult(objective, observed, ok, burn, samples)
+        )
+    return SLOReport(spec.name, results, float(report["wall_seconds"]))
 
 
 def default_slo() -> SLOSpec:
@@ -454,56 +351,47 @@ def default_slo() -> SLOSpec:
         name="loadgen-default",
         objectives=(
             Objective(
-                name="search_p95", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "search"}, quantile=0.95, threshold=0.50,
+                name="search_p95", kind="latency", op="search",
+                quantile=0.95, threshold=0.50,
                 description="incremental search suggestion latency",
             ),
             Objective(
-                name="browse_p95", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "browse"}, quantile=0.95, threshold=0.50,
+                name="browse_p95", kind="latency", op="browse",
+                quantile=0.95, threshold=0.50,
                 description="web pagination latency",
             ),
             Objective(
-                name="album_p95", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "album"}, quantile=0.95, threshold=2.0,
+                name="album_p95", kind="latency", op="album",
+                quantile=0.95, threshold=2.0,
                 description="virtual-album SPARQL latency",
             ),
             Objective(
-                name="mashup_p95", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "mashup"}, quantile=0.95, threshold=4.0,
+                name="mashup_p95", kind="latency", op="mashup",
+                quantile=0.95, threshold=4.0,
                 description="About-mashup SPARQL latency",
             ),
             Objective(
-                name="store_write_p99", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "store_write"}, quantile=0.99,
-                threshold=0.25,
+                name="store_write_p99", kind="latency", op="store_write",
+                quantile=0.99, threshold=0.25,
                 description="QuadStore.insert autocommit write latency",
             ),
             Objective(
-                name="upload_p95", kind="latency",
-                metric="repro_loadgen_op_seconds",
-                labels={"op": "upload"}, quantile=0.95, threshold=10.0,
+                name="upload_p95", kind="latency", op="upload",
+                quantile=0.95, threshold=10.0,
                 description="upload + annotate + store sync latency",
             ),
             Objective(
                 name="freshness_p95", kind="freshness",
-                metric="repro_loadgen_freshness_seconds",
                 quantile=0.95, threshold=15.0,
                 description="upload-to-queryable staleness window",
             ),
             Objective(
-                name="error_rate", kind="error_rate",
-                metric="repro_loadgen_ops_total", threshold=0.01,
+                name="error_rate", kind="error_rate", threshold=0.01,
                 description="failed operations across the whole mix",
             ),
             Objective(
                 name="throughput_floor", kind="throughput",
-                metric="repro_loadgen_op_seconds", threshold=2.0,
+                threshold=2.0,
                 description="overall completed ops per second",
             ),
         ),

@@ -11,8 +11,8 @@ SPARQL queries, the About mashup, content browsing, and raw store
 writes through the group-commit path — from several worker threads at
 once, and report per-operation latency distributions. Each worker keeps
 its ops' elapsed times; the report's percentiles are exact nearest-rank
-order statistics of those samples (the ``repro_loadgen_op_seconds``
-histogram is still observed, for ``--save-metrics`` and ``--slo``).
+order statistics of those samples, and :mod:`repro.obs.slo` judges its
+objectives on the same figures (:meth:`LoadReport.to_dict`).
 
 Determinism: the *operation schedule* (which ops, their arguments,
 their open-loop arrival offsets) is a pure function of
@@ -32,8 +32,8 @@ stay outside lock scopes (CC003).
 Freshness is measured end to end: an upload records its start time,
 every ``sync_every``-th upload triggers ``synchronize_store`` plus a
 search-index rebuild, and each drained upload is verified visible in
-the store head before its upload-to-queryable staleness is observed
-into ``repro_loadgen_freshness_seconds``. ``synchronize_store`` is the
+the store head before its upload-to-queryable staleness is kept for
+the report's ``freshness`` row. ``synchronize_store`` is the
 platform's flush: it annotates and locates the uploads since the last
 one and commits their triples as a single delta — O(those uploads),
 not O(corpus) — so the staleness measured here is dominated by how
@@ -374,10 +374,6 @@ class LoadGenerator:
         # verify + observe freshness outside the lock on a pinned head
         synced_at = time.perf_counter()
         head = self._store.head()
-        histogram = get_registry().histogram(
-            "repro_loadgen_freshness_seconds",
-            "Upload-to-queryable staleness per synced upload",
-        ).labels(mix=self.config.mix)
         staleness: List[float] = []
         for item, uploaded_at in drained:
             visible = any(
@@ -388,7 +384,6 @@ class LoadGenerator:
                     f"upload pid={item.pid} not queryable after sync "
                     f"(store generation {head.generation})"
                 )
-            histogram.observe(synced_at - uploaded_at)
             staleness.append(synced_at - uploaded_at)
         with self._freshness_lock:
             self._freshness.extend(staleness)
@@ -452,15 +447,6 @@ class LoadGenerator:
         """Run ops until the schedule is drained, appending each op's
         elapsed seconds to this worker's own ``samples``."""
         config = self.config
-        registry = get_registry()
-        latency = registry.histogram(
-            "repro_loadgen_op_seconds",
-            "Load-generator operation latency by op kind",
-        )
-        outcomes = registry.counter(
-            "repro_loadgen_ops_total",
-            "Load-generator operations by op kind and status",
-        )
         while True:
             op = self._next_op()
             if op is None:
@@ -470,18 +456,14 @@ class LoadGenerator:
                 if delay > 0:
                     time.sleep(delay)
             began = time.perf_counter()
-            status = "ok"
             try:
                 self._execute(op)
             except Exception as exc:
-                status = "error"
                 detail = f"{op.kind} {op.arg}: {type(exc).__name__}: {exc}"
                 with self._errors_lock:
                     self._errors.append(detail)
             elapsed = time.perf_counter() - began
-            latency.labels(op=op.kind).observe(elapsed)
             samples.setdefault(op.kind, []).append(elapsed)
-            outcomes.labels(op=op.kind, status=status).inc()
 
     def run(self) -> LoadReport:
         """Execute the schedule and report its latency samples."""

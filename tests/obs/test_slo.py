@@ -1,48 +1,80 @@
-"""SLO spec parsing and snapshot evaluation."""
+"""SLO spec parsing and load-report evaluation."""
 
 import json
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.obs.slo import (
     Objective,
     SLOError,
     SLOSpec,
     default_slo,
     evaluate_slo,
-    quantile_from_series,
 )
 
 
-def _latency_objective(threshold=0.5, quantile=0.95, labels=None):
+def _latency_objective(threshold=0.5, quantile=0.95, op="search"):
     return Objective(
-        name="lat", kind="latency", metric="op_seconds",
-        threshold=threshold, quantile=quantile, labels=labels or {},
+        name="lat", kind="latency", op=op,
+        threshold=threshold, quantile=quantile,
     )
 
 
-def _snapshot_with_latencies(values, labels=None):
-    registry = MetricsRegistry()
-    child = registry.histogram(
-        "op_seconds", "op latency"
-    ).labels(**(labels or {}))
-    for value in values:
-        child.observe(value)
-    return registry.snapshot()
+def _row(p50, p95, p99, top, count):
+    """A ``per_op``/``freshness`` row as the load report writes it."""
+    return {
+        "count": float(count), "mean_ms": p50, "p50_ms": p50,
+        "p95_ms": p95, "p99_ms": p99, "max_ms": top,
+    }
+
+
+def _report(per_op=None, freshness=None, completed=50, errors=0,
+            wall_seconds=2.0):
+    """A minimal ``LoadReport.to_dict()``."""
+    return {
+        "wall_seconds": wall_seconds,
+        "completed": completed,
+        "errors": errors,
+        "throughput_ops_per_s": completed / wall_seconds,
+        "per_op": per_op if per_op is not None else {
+            "search": _row(1.0, 10.0, 20.0, 30.0, 20),
+        },
+        "freshness": freshness if freshness is not None else {},
+    }
 
 
 class TestSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SLOError):
-            Objective(name="x", kind="nope", metric="m", threshold=1.0)
+            Objective(name="x", kind="nope", threshold=1.0)
 
     def test_quantile_bounds_enforced(self):
         with pytest.raises(SLOError):
             Objective(
-                name="x", kind="latency", metric="m",
+                name="x", kind="latency", op="search",
                 threshold=1.0, quantile=1.5,
             )
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.9, 0.999])
+    def test_quantile_the_report_lacks_is_refused(self, quantile):
+        with pytest.raises(SLOError, match="not in the load report"):
+            _latency_objective(quantile=quantile)
+
+    @pytest.mark.parametrize("quantile", [0.5, 0.95, 0.99, 1.0])
+    def test_report_quantiles_are_accepted(self, quantile):
+        assert _latency_objective(quantile=quantile).quantile == quantile
+
+    def test_latency_needs_an_op_and_only_latency_names_one(self):
+        with pytest.raises(SLOError, match="names an op"):
+            Objective(name="x", kind="latency", threshold=1.0)
+        with pytest.raises(SLOError, match="names an op"):
+            Objective(
+                name="x", kind="freshness", op="upload", threshold=1.0
+            )
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(SLOError):
+            _latency_objective(threshold=-1.0)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(SLOError):
@@ -69,124 +101,149 @@ class TestSpec:
             SLOSpec.load(path)
         with pytest.raises(SLOError):
             SLOSpec.load(tmp_path / "absent.json")
+        for text in (
+            '["not", "an", "object"]',
+            '{"objectives": ["not an object"]}',
+            '{"objectives": [{"name": "x", "kind": "throughput", '
+            '"threshold": "fast"}]}',
+            '{"objectives": [{"name": "x", "kind": "latency", '
+            '"op": "search", "threshold": 1, "quantile": null}]}',
+        ):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SLOError):
+                SLOSpec.load(path)
 
+    def test_load_refuses_a_spec_quantile_the_report_lacks(self, tmp_path):
+        data = default_slo().to_dict()
+        data["objectives"][0]["quantile"] = 0.9
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SLOError, match="quantile 0.9"):
+            SLOSpec.load(path)
 
-class TestQuantileFromSeries:
-    def test_matches_live_histogram_quantile(self):
-        registry = MetricsRegistry()
-        child = registry.histogram("h", "x").labels()
-        values = [0.0002, 0.003, 0.04, 0.5, 2.0]
-        for value in values:
-            child.observe(value)
-        snapshot = registry.snapshot()
-        series = snapshot["h"]["series"]
-        for q in (0.5, 0.95, 1.0):
-            estimate, samples = quantile_from_series(series, q)
-            assert samples == len(values)
-            assert estimate == pytest.approx(child.quantile(q))
+    def test_load_refuses_unknown_fields(self, tmp_path):
+        # the snapshot-era fields are gone; a spec naming them fails
+        data = {"objectives": [{
+            "name": "x", "kind": "latency", "threshold": 1.0,
+            "metric": "repro_op_seconds", "labels": {"op": "search"},
+        }]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SLOError, match="labels, metric"):
+            SLOSpec.load(path)
 
-    def test_q1_is_max_across_merged_series(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h", "x")
-        histogram.labels(op="a").observe(0.1)
-        histogram.labels(op="b").observe(7.0)
-        series = registry.snapshot()["h"]["series"]
-        estimate, samples = quantile_from_series(series, 1.0)
-        assert samples == 2
-        assert estimate == 7.0
+    def test_objective_has_six_fields(self):
+        assert list(Objective.__dataclass_fields__) == [
+            "name", "kind", "threshold", "op", "quantile", "description",
+        ]
 
-    def test_empty_series_returns_none(self):
-        assert quantile_from_series([], 0.95) == (None, 0)
+    def test_ops_the_spec_needs(self):
+        assert default_slo().ops() == {
+            "search", "browse", "album", "mashup", "store_write",
+            "upload",
+        }
+        freshness = Objective(
+            name="f", kind="freshness", threshold=1.0
+        )
+        assert SLOSpec("s", (freshness,)).ops() == {"upload"}
 
 
 class TestEvaluate:
+    def test_latency_reads_the_report_quantile(self):
+        report = _report()
+        for quantile, expected_ms in (
+            (0.5, 1.0), (0.95, 10.0), (0.99, 20.0), (1.0, 30.0),
+        ):
+            spec = SLOSpec("s", (_latency_objective(quantile=quantile),))
+            (result,) = evaluate_slo(spec, report).results
+            assert result.observed == pytest.approx(expected_ms / 1000.0)
+            assert result.samples == 20
+
     def test_latency_pass_and_fail(self):
-        snapshot = _snapshot_with_latencies([0.01] * 20)
+        report = _report()
         spec = SLOSpec("s", (_latency_objective(threshold=0.5),))
-        report = evaluate_slo(spec, snapshot)
-        assert report.passed
-        (result,) = report.results
+        verdict = evaluate_slo(spec, report)
+        assert verdict.passed
+        (result,) = verdict.results
         assert result.ok and result.burn < 1.0 and result.samples == 20
 
         tight = SLOSpec("s", (_latency_objective(threshold=0.001),))
-        report = evaluate_slo(tight, snapshot)
-        assert not report.passed
-        assert report.breaches[0].burn > 1.0
+        verdict = evaluate_slo(tight, report)
+        assert not verdict.passed
+        assert verdict.breaches[0].burn > 1.0
 
-    def test_label_filter_selects_series(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("op_seconds", "x")
-        histogram.labels(op="fast").observe(0.001)
-        histogram.labels(op="slow").observe(9.0)
-        snapshot = registry.snapshot()
-        spec = SLOSpec("s", (
-            _latency_objective(threshold=0.5, labels={"op": "fast"}),
-        ))
-        assert evaluate_slo(spec, snapshot).passed
-        spec = SLOSpec("s", (
-            _latency_objective(threshold=0.5, labels={"op": "slow"}),
-        ))
-        assert not evaluate_slo(spec, snapshot).passed
+    def test_op_selects_its_row(self):
+        report = _report(per_op={
+            "fast": _row(1.0, 1.0, 1.0, 1.0, 3),
+            "slow": _row(9000.0, 9000.0, 9000.0, 9000.0, 3),
+        })
+        fast = SLOSpec("s", (_latency_objective(op="fast"),))
+        assert evaluate_slo(fast, report).passed
+        slow = SLOSpec("s", (_latency_objective(op="slow"),))
+        assert not evaluate_slo(slow, report).passed
 
     def test_missing_data_fails_with_detail(self):
-        spec = SLOSpec("s", (_latency_objective(),))
-        report = evaluate_slo(spec, {})
-        assert not report.passed
-        assert "absent" in report.results[0].detail
-        # present family, no matching labels
-        snapshot = _snapshot_with_latencies([0.1], labels={"op": "a"})
-        spec = SLOSpec("s", (
-            _latency_objective(labels={"op": "other"}),
-        ))
-        report = evaluate_slo(spec, snapshot)
-        assert not report.passed
-        assert "no series" in report.results[0].detail
+        # a report with no sample for an objective is not judged at all:
+        # neither a vacuous pass nor a breach
+        spec = SLOSpec("s", (_latency_objective(op="mashup"),))
+        with pytest.raises(SLOError, match="no 'mashup' op"):
+            evaluate_slo(spec, _report())
+        freshness = Objective(name="f", kind="freshness", threshold=1.0)
+        with pytest.raises(SLOError, match="no synced upload"):
+            evaluate_slo(SLOSpec("s", (freshness,)), _report())
 
-    def test_error_rate(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("ops_total", "x")
-        counter.labels(op="a", status="ok").inc(98)
-        counter.labels(op="a", status="error").inc(2)
-        snapshot = registry.snapshot()
+    def test_freshness_reads_the_freshness_row(self):
         objective = Objective(
-            name="err", kind="error_rate", metric="ops_total",
-            threshold=0.05,
-        )
-        report = evaluate_slo(SLOSpec("s", (objective,)), snapshot)
-        (result,) = report.results
-        assert result.ok
-        assert result.observed == pytest.approx(0.02)
-        tight = Objective(
-            name="err", kind="error_rate", metric="ops_total",
-            threshold=0.01,
-        )
-        assert not evaluate_slo(SLOSpec("s", (tight,)), snapshot).passed
-
-    def test_throughput_needs_wall_seconds(self):
-        snapshot = _snapshot_with_latencies([0.01] * 50)
-        objective = Objective(
-            name="tput", kind="throughput", metric="op_seconds",
-            threshold=10.0,
+            name="fresh", kind="freshness", quantile=0.99, threshold=0.5,
         )
         spec = SLOSpec("s", (objective,))
-        report = evaluate_slo(spec, snapshot, wall_seconds=2.0)
-        (result,) = report.results
+        report = _report(freshness=_row(40.0, 80.0, 120.0, 130.0, 4))
+        (result,) = evaluate_slo(spec, report).results
+        assert result.ok
+        assert result.observed == pytest.approx(0.12)
+        assert result.samples == 4
+
+    def test_error_rate(self):
+        objective = Objective(
+            name="err", kind="error_rate", threshold=0.05,
+        )
+        report = _report(completed=100, errors=2)
+        (result,) = evaluate_slo(SLOSpec("s", (objective,)), report).results
+        assert result.ok
+        assert result.observed == pytest.approx(0.02)
+        assert result.samples == 100
+        tight = Objective(name="err", kind="error_rate", threshold=0.01)
+        assert not evaluate_slo(SLOSpec("s", (tight,)), report).passed
+        # a zero budget is breached by any error, met by none
+        zero = SLOSpec("s", (
+            Objective(name="err", kind="error_rate", threshold=0.0),
+        ))
+        assert not evaluate_slo(zero, report).passed
+        assert evaluate_slo(zero, _report(errors=0)).passed
+
+    def test_throughput_reads_the_report(self):
+        objective = Objective(
+            name="tput", kind="throughput", threshold=10.0,
+        )
+        spec = SLOSpec("s", (objective,))
+        verdict = evaluate_slo(spec, _report(completed=50, wall_seconds=2.0))
+        (result,) = verdict.results
         assert result.ok and result.observed == pytest.approx(25.0)
-        assert not evaluate_slo(spec, snapshot, wall_seconds=10.0).passed
-        # unknown wall-clock cannot vacuously pass
-        report = evaluate_slo(spec, snapshot, wall_seconds=None)
-        assert not report.passed
-        assert "wall-clock" in report.results[0].detail
+        assert result.burn == pytest.approx(0.4)
+        assert verdict.wall_seconds == 2.0
+        slow = _report(completed=50, wall_seconds=10.0)
+        assert not evaluate_slo(spec, slow).passed
 
     def test_report_serializes_and_renders(self):
-        snapshot = _snapshot_with_latencies([0.01] * 10)
         spec = SLOSpec("s", (_latency_objective(threshold=0.001),))
-        report = evaluate_slo(spec, snapshot, wall_seconds=1.0)
-        data = json.loads(report.to_json())
+        verdict = evaluate_slo(spec, _report())
+        data = json.loads(verdict.to_json())
         assert data["passed"] is False
         assert data["objectives"][0]["name"] == "lat"
-        text = report.render()
+        assert data["objectives"][0]["op"] == "search"
+        text = verdict.render()
         assert "FAIL" in text and "BREACH" in text
+        assert "10.0 ms" in text
 
     def test_default_spec_is_wellformed(self):
         spec = default_slo()

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.rdf.terms import Literal, URIRef
 from repro.store import QuadStore
@@ -148,3 +150,40 @@ class TestRecover:
             assert captured.err.startswith("error: ")
             assert "generation 3" in captured.err
         assert (tmp_path / WAL_FILENAME).read_bytes() == wal
+
+
+class TestMissingStore:
+    def test_read_commands_refuse_a_missing_store(self, tmp_path, capsys):
+        """``info``/``compact``/``recover``/``dump`` open only a store
+        that exists: a typo exits 2 and creates nothing."""
+        missing = tmp_path / "typo"
+        for command in ("info", "compact", "recover", "dump"):
+            assert main(["store", command, str(missing)]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: no store at ")
+            assert not missing.exists()
+
+    def test_an_empty_directory_is_no_store(self, tmp_path, capsys):
+        for command in ("info", "compact", "recover", "dump"):
+            assert main(["store", command, str(tmp_path)]) == 2, command
+            assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_still_creates_a_store(self, tmp_path, capsys):
+        directory = tmp_path / "fresh"
+        _seed(directory, tmp_path / "data.nq")
+        capsys.readouterr()
+        assert main(["store", "info", str(directory)]) == 0
+        assert json.loads(capsys.readouterr().out)["quads"] == 2
+
+    def test_info_takes_no_write_policy_flags(self, tmp_path, capsys):
+        _seed(tmp_path, tmp_path / "data.nq")
+        for flag in (
+            ["--checkpoint-ops", "4"], ["--checkpoint-wal-bytes", "64"],
+            ["--group-commit"],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                main(["store", "info", str(tmp_path), *flag])
+            assert refused.value.code == 2
+        capsys.readouterr()

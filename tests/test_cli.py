@@ -206,6 +206,50 @@ def work():
     LOCK.release()
 """
 
+CC_LINES = """\
+import threading
+
+
+class Box:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._items = {}
+
+    def put(self, key, value):
+        with self._lock:
+            self._items[key] = value
+
+    def peek(self, key):
+        return self._items.get(key)
+
+
+class Transfer:
+    def __init__(self):
+        self._accounts = threading.Lock()
+        self._audit = threading.Lock()
+
+    def debit(self):
+        with self._accounts:
+            with self._audit:
+                pass
+
+    def log(self):
+        with self._audit:
+            with self._accounts:
+                pass
+
+
+def guard(data):
+    lock = threading.Lock()
+    with lock:
+        data.append(1)
+"""
+
+
+def _line_of(text, needle, start=0):
+    """The 1-based line of the first ``needle`` at or after ``start``."""
+    return text.count("\n", 0, text.index(needle, start)) + 1
+
 
 class TestLintConcurrency:
     def test_clean_file_exits_0(self, tmp_path, capsys):
@@ -304,6 +348,34 @@ class TestLintConcurrency:
         assert [key(e) for e in payload] == sorted(
             key(e) for e in payload
         )
+
+    def test_diagnostics_name_source_lines(self, tmp_path, capsys):
+        target = tmp_path / "lines.py"
+        target.write_text(CC_LINES)
+        expected = {
+            "CC001": {_line_of(CC_LINES, "return self._items")},
+            "CC002": {
+                _line_of(CC_LINES, "with self._audit:",
+                         CC_LINES.index("def debit")),
+                _line_of(CC_LINES, "with self._accounts:",
+                         CC_LINES.index("def log")),
+            },
+            "CC005": {
+                _line_of(CC_LINES, "threading.Lock()",
+                         CC_LINES.index("def guard")),
+            },
+        }
+        assert main([
+            "lint", "--concurrency", str(target), "--json", "-",
+        ]) == 1
+        out = capsys.readouterr().out
+        start, end = out.index("{"), out.rindex("}") + 1
+        payload = json.loads(out[start:end])["diagnostics"]
+        for rule, lines in expected.items():
+            entries = [e for e in payload if e["rule"] == rule]
+            assert {e["line"] for e in entries} == lines, rule
+            for line in lines:
+                assert f"{target}:{line}: " in out[:start], rule
 
     def test_fail_on_warning_promotes_exit_code(self, tmp_path, capsys):
         target = tmp_path / "warn.py"
@@ -428,19 +500,104 @@ class TestObsLoadgen:
 
     def test_run_with_slo_and_artifacts(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
-        report = tmp_path / "slo.json"
+        report = tmp_path / "report.json"
         assert main([
             "obs", "loadgen", "--mix", "default", "--seed", "7",
-            "--ops", "32", "--workers", "2", "--base-contents", "10",
+            "--ops", "48", "--workers", "2", "--base-contents", "10",
             "--slo", "--report", str(report),
             "--save-metrics", str(metrics),
         ]) == 0
         out = capsys.readouterr().out
         assert "load run:" in out and "SLO" in out
         saved = json.loads(report.read_text())
-        assert saved["passed"] is True
+        assert saved["slo"]["passed"] is True
+        # the --report file is the load report, the verdict beside it
         bundle = json.loads(metrics.read_text())
-        assert "repro_loadgen_op_seconds" in bundle["metrics"]
+        assert {k: v for k, v in saved.items() if k != "slo"} == (
+            bundle["meta"]
+        )
+        assert set(saved["per_op"]) == {
+            "upload", "search", "album", "mashup", "browse", "store_write",
+        }
+
+    def test_slo_reads_the_report_figures(self, tmp_path, capsys):
+        """Each latency and freshness objective reads the report's own
+        value for its op and quantile: both tables print the same
+        digits, and ``obs slo --input`` re-judges the saved report and
+        the saved bundle to the same verdict table."""
+        report = tmp_path / "report.json"
+        metrics = tmp_path / "metrics.json"
+        status = main([
+            "obs", "loadgen", "--mix", "default", "--seed", "7",
+            "--ops", "48", "--workers", "4", "--slo",
+            "--report", str(report), "--save-metrics", str(metrics),
+        ])
+        out = capsys.readouterr().out
+        saved = json.loads(report.read_text())
+        assert status == (0 if saved["slo"]["passed"] else 1)
+        load_table, slo_table = out.split("\nSLO report: ")
+        columns = {"p50": 3, "p95": 4, "p99": 5, "max": 6}
+        load_rows = {
+            line.split()[0]: line.split()
+            for line in load_table.splitlines() if line.startswith("  ")
+        }
+        slo_rows = {
+            line.split()[0]: line.split()
+            for line in slo_table.splitlines() if line.startswith("  ")
+        }
+        judged = 0
+        for objective in saved["slo"]["objectives"]:
+            if objective["kind"] not in ("latency", "freshness"):
+                continue
+            column = objective["target_text"].split()[0]
+            if objective["kind"] == "latency":
+                row = saved["per_op"][objective["op"]]
+                printed = load_rows[objective["op"]][columns[column]]
+                assert printed == slo_rows[objective["name"]][5] + "ms"
+            else:
+                row = saved["freshness"]
+            assert objective["observed"] * 1000.0 == pytest.approx(
+                row[f"{column}_ms"], rel=1e-12
+            )
+            assert objective["samples"] == row["count"]
+            judged += 1
+        assert judged == 7
+
+        table = "SLO report: " + slo_table.split("\nload report -> ")[0]
+        for saved_file in (report, metrics):
+            assert main(["obs", "slo", "--input", str(saved_file)]) == (
+                status
+            )
+            assert capsys.readouterr().out.rstrip("\n") == table
+
+    def test_uncovered_spec_exits_2_before_the_run(self, capsys):
+        assert main([
+            "obs", "loadgen", "--seed", "7", "--ops", "24", "--slo",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "load run:" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert "mashup, store_write" in captured.err
+
+    def test_bad_slo_spec_exits_2_before_the_run(self, tmp_path, capsys):
+        assert main([
+            "obs", "loadgen", "--ops", "8",
+            "--slo", str(tmp_path / "missing.json"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "load run:" not in captured.out
+        assert captured.err.startswith("error: cannot load SLO spec")
+
+    def test_report_without_slo_is_the_load_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main([
+            "obs", "loadgen", "--seed", "7", "--ops", "16",
+            "--workers", "2", "--base-contents", "10",
+            "--report", str(report),
+        ]) == 0
+        assert "load report ->" in capsys.readouterr().out
+        saved = json.loads(report.read_text())
+        assert "per_op" in saved and "slo" not in saved
 
     def test_slo_verb_reads_saved_bundle(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
@@ -457,7 +614,7 @@ class TestObsLoadgen:
     def test_profile_flag_samples_the_run(self, tmp_path, capsys):
         collapsed = tmp_path / "profile.collapsed.txt"
         assert main([
-            "obs", "loadgen", "--seed", "7", "--ops", "16",
+            "obs", "loadgen", "--seed", "7", "--ops", "200",
             "--workers", "2", "--base-contents", "10",
             f"--profile={collapsed}", "--profile-hz", "200",
         ]) == 0
@@ -478,3 +635,11 @@ class TestObsLoadgen:
             "obs", "slo", "--input", "/nonexistent/metrics.json",
         ]) == 2
         assert capsys.readouterr().err
+
+    def test_slo_verb_refuses_what_is_not_a_load_report(
+        self, tmp_path, capsys
+    ):
+        snapshot = tmp_path / "snapshot.json"
+        snapshot.write_text('{"repro_plan_cache_total": {}}')
+        assert main(["obs", "slo", "--input", str(snapshot)]) == 2
+        assert "is not a load report" in capsys.readouterr().err

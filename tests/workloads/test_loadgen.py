@@ -111,8 +111,13 @@ class TestRun:
         assert sum(row["count"] for row in report.per_op.values()) == 32
         uploads = sum(1 for op in schedule if op.kind == "upload")
         assert uploads and report.freshness["count"] == uploads
-        # the registry snapshot rides along for offline SLO evaluation
-        assert "repro_loadgen_op_seconds" in report.metrics
+        # the SLO judges the report itself: every scheduled op kind has
+        # a row with each quantile an objective may name
+        for row in report.to_dict()["per_op"].values():
+            assert {"p50_ms", "p95_ms", "p99_ms", "max_ms"} <= set(row)
+        assert not any(
+            name.startswith("repro_loadgen_") for name in report.metrics
+        )
 
     def test_store_writes_commit_into_the_scratch_context(self, registry):
         """The ``store_write`` op is ``QuadStore.insert`` into the
