@@ -2,14 +2,16 @@
 
 The retrieval surface of the system is declarative — SPARQL queries,
 D2R table maps, RDF vocabulary — and a typo in any of them fails
-*silently* (the forgiving prefix fallback resolves misspelled prefixes,
+*silently* (the forgiving prefix fallback resolves undeclared prefixes,
 an unknown predicate just matches zero triples, a bad mapping column
-emits nothing). This package is the correctness gate in front of that:
+emits nothing). This package is the correctness gate in front of that.
+Every rule of the catalog (:data:`RULES`) has a live violation that it
+alone catches; what a test or the runtime already catches has no rule.
 
-* :class:`SparqlLinter` — multi-rule lint over the parsed AST;
-* :class:`MappingLinter` — D2R table maps vs. the relational schema;
-* :class:`ShapeChecker` — domain/range/cardinality validation of graphs;
-* :func:`self_check` — all of the above over the paper's own artifacts
+* :class:`SparqlLinter` — SP002–SP009 over the parsed AST;
+* :class:`MappingLinter` — DM002 and DM006: D2R table maps vs. the
+  relational schema;
+* :func:`self_check` — both over the paper's own artifacts
   (``repro lint --self-check``);
 * :class:`QueryPlanner` — FILTER pushdown and cardinality-driven scan
   order behind ``Evaluator(optimize=True)`` and ``repro explain``;
@@ -19,7 +21,9 @@ emits nothing). This package is the correctness gate in front of that:
 
 The names below are imported from their submodules on first use
 (PEP 562): the executor's first :class:`GraphStatistics` lookup imports
-:mod:`.stats` alone, not the linters and the concurrency analyzer.
+:mod:`.stats` alone, and planning a query adds :mod:`.plan` — no linter
+and not the concurrency analyzer (the planner and the SPARQL linter
+share the expression walks of :mod:`repro.sparql.ast`).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ if TYPE_CHECKING:
         lint_path,
         self_check,
     )
-    from .shapes import DEFAULT_CARDINALITIES, ShapeChecker
     from .sparql_lint import SparqlLinter
     from .stats import GraphStatistics
     from .vocabulary import (
@@ -84,8 +87,6 @@ _EXPORTS: Dict[str, str] = {
     "extract_sparql_strings": "self_check",
     "lint_path": "self_check",
     "self_check": "self_check",
-    "DEFAULT_CARDINALITIES": "shapes",
-    "ShapeChecker": "shapes",
     "SparqlLinter": "sparql_lint",
     "GraphStatistics": "stats",
     "SUGGESTION_THRESHOLD": "vocabulary",

@@ -2,8 +2,7 @@
 
 :mod:`repro.analysis.concurrency` parses the package's own source with
 :mod:`ast`; what it needs before any rule runs lives here: the files
-below the given paths read and parsed (``SP000`` for the ones that
-cannot be), byte spans for diagnostics, per-line
+below the given paths read, byte spans for diagnostics, per-line
 ``# cc: allow[=RULE,...]`` suppression pragmas, dotted names of
 ``Name``/``Attribute`` chains, and import-alias resolution.
 """
@@ -15,43 +14,19 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .diagnostics import Diagnostic, Span
-from .rules import make
+from .diagnostics import Span
 
 
-def read_sources(
-    paths: Iterable[Path], diags: List[Diagnostic]
-) -> Iterator[Tuple[str, str]]:
+def read_sources(paths: Iterable[Path]) -> Iterator[Tuple[str, str]]:
     """``(name, text)`` of every path; a directory stands for the
-    ``*.py`` files below it, sorted. A file that cannot be read is
-    reported into ``diags`` as ``SP000`` and skipped."""
+    ``*.py`` files below it, sorted. A file that cannot be read raises
+    its ``OSError``."""
     for path in paths:
         path = Path(path)
         if path.is_dir():
-            yield from read_sources(sorted(path.rglob("*.py")), diags)
+            yield from read_sources(sorted(path.rglob("*.py")))
             continue
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            diags.append(make(
-                "SP000", f"cannot read file: {exc}", source=str(path)
-            ))
-            continue
-        yield str(path), text
-
-
-def parse_module(
-    text: str, name: str, complaint: str, diags: List[Diagnostic]
-) -> Tuple[Optional[ast.Module], str]:
-    """The parsed module and its docstring (``""`` without one); a
-    syntax error is reported into ``diags`` as ``SP000 <complaint>: …``
-    and gives ``(None, "")``."""
-    try:
-        tree = ast.parse(text)
-    except SyntaxError as exc:
-        diags.append(make("SP000", f"{complaint}: {exc}", source=name))
-        return None, ""
-    return tree, ast.get_docstring(tree) or ""
+        yield str(path), path.read_text(encoding="utf-8")
 
 
 #: ``# cc: allow=CC001,CC003``, or bare ``# cc: allow`` for every rule.
@@ -122,11 +97,9 @@ class ImportMap:
 
     def __init__(self, tree: ast.Module) -> None:
         self.aliases: Dict[str, str] = {}
-        self.modules: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    self.modules.add(alias.name)
                     self.aliases[alias.asname or alias.name] = (
                         alias.name
                     )
@@ -134,7 +107,6 @@ class ImportMap:
                 origin = node.module or ""
                 if not origin:
                     continue
-                self.modules.add(origin)
                 for alias in node.names:
                     self.aliases[alias.asname or alias.name] = (
                         f"{origin}.{alias.name}"
@@ -148,11 +120,3 @@ class ImportMap:
         if resolved is None:
             return dotted
         return f"{resolved}.{rest}" if rest else resolved
-
-    @property
-    def threaded(self) -> bool:
-        """Does the module import threading machinery at all?"""
-        return any(
-            m == "threading" or m.startswith("concurrent")
-            for m in self.modules
-        )

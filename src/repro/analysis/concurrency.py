@@ -28,21 +28,14 @@ Checked properties (see :mod:`repro.analysis.rules` for severities):
   *injected* attributes (``self._clock()``, ``self.on_progress(...)``:
   anything assigned from a constructor parameter is caller-supplied
   code of unknown cost and lock appetite).
-* **CC004** — a lambda / nested function submitted to an executor that
-  captures a local mutated in the enclosing scope: the closure reads
-  shared state from worker threads without a guard.
 * **CC005** — ``threading.Lock()`` created inside a regular function
   or method: a fresh lock per call guards nothing.
 * **CC006** — manual ``lock.acquire()`` not immediately followed by a
   ``try/finally`` that releases it.
-* **CC007** — nested ``with`` acquisition of the same non-reentrant
-  ``threading.Lock`` attribute (guaranteed self-deadlock).
 * **CC008** — a mutable class-body attribute (list/dict/set literal)
   mutated through ``self``: shared across every instance.
 * **CC009** — ``Condition.wait()`` outside a ``while`` predicate loop
   (wakeups are spurious by contract).
-* **CC010** — module-level mutable containers mutated inside functions
-  of a module that imports ``threading``/``concurrent.futures``.
 
 Suppressions are explicit and reviewable:
 
@@ -50,7 +43,7 @@ Suppressions are explicit and reviewable:
   comment suppresses the named rules on that line;
 * a module docstring line ``Concurrency: <contract>`` declares the
   module's concurrency contract. ``single-threaded`` and ``immutable``
-  disable the shared-state rules (CC001/CC004/CC008/CC010) for the
+  disable the shared-state rules (CC001/CC008) for the
   whole module; ``single-writer`` keeps guarded-write checking but
   accepts lock-free *reads* (the :class:`repro.rdf.graph.Graph`
   contract); ``thread-safe`` (the default) checks everything.
@@ -83,7 +76,6 @@ from ._pysource import (
     ImportMap,
     SourceFile,
     dotted_name,
-    parse_module,
     read_sources,
 )
 from .diagnostics import Diagnostic, Span
@@ -111,7 +103,7 @@ _CONTRACTS = (
 
 #: Rules that check shared mutable state (disabled by a
 #: ``single-threaded`` / ``immutable`` module contract).
-_SHARED_STATE_RULES = ("CC001", "CC004", "CC008", "CC010")
+_SHARED_STATE_RULES = ("CC001", "CC008")
 
 _CONTRACT_RE = re.compile(
     r"^\s*Concurrency:\s*([a-z-]+)", re.MULTILINE
@@ -140,10 +132,6 @@ _MUTATING_METHODS = {
     "clear", "add", "discard", "update", "setdefault",
     "move_to_end", "appendleft", "popleft", "sort", "reverse",
 }
-
-_LOCK_CTORS = {"Lock": "lock", "RLock": "rlock"}
-_CONDITION_CTORS = {"Condition"}
-_EXECUTOR_CTORS = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 
 _CONSTRUCTORS = {"__init__", "__new__", "__post_init__", "__del__"}
 
@@ -232,15 +220,13 @@ def _mutable_literal(node: ast.AST) -> bool:
 def _lock_ctor_kind(
     call: ast.Call, imports: ImportMap
 ) -> Optional[str]:
-    """``"lock"`` / ``"rlock"`` / ``"condition"`` if ``call`` creates
-    one, else ``None``."""
+    """``"lock"`` (a ``Lock`` or an ``RLock``) / ``"condition"`` if
+    ``call`` creates one, else ``None``."""
     resolved = imports.resolve(dotted_name(call.func))
-    if resolved in ("threading.Lock", "threading.RLock",
-                    "threading.Condition"):
-        short = resolved.rsplit(".", 1)[1]
-        if short in _CONDITION_CTORS:
-            return "condition"
-        return _LOCK_CTORS[short]
+    if resolved in ("threading.Lock", "threading.RLock"):
+        return "lock"
+    if resolved == "threading.Condition":
+        return "condition"
     return None
 
 
@@ -279,7 +265,7 @@ class ConcurrencyAnalyzer:
     ) -> List[Diagnostic]:
         """Per-file rules over every path, then cross-file CC002."""
         diags: List[Diagnostic] = []
-        for name, text in read_sources(paths, diags):
+        for name, text in read_sources(paths):
             diags.extend(self.analyze_source(text, name))
         diags.extend(self.order_graph_diagnostics())
         return diags
@@ -317,12 +303,8 @@ class ConcurrencyAnalyzer:
     def _analyze_file(self, text: str, name: str) -> _FileFacts:
         contract = ModuleContract(name)
         facts = _FileFacts(name=name, contract=contract)
-        tree, docstring = parse_module(
-            text, name, "cannot parse python source", facts.diagnostics
-        )
-        if tree is None:
-            return facts
-        match = _CONTRACT_RE.search(docstring)
+        tree = ast.parse(text, name)
+        match = _CONTRACT_RE.search(ast.get_docstring(tree) or "")
         if match and match.group(1) in _CONTRACTS:
             contract.contract = match.group(1)
 
@@ -345,28 +327,21 @@ class ConcurrencyAnalyzer:
                 rule_id, message, span=span, source=name, line=line,
             ))
 
-        # module-level locks and mutable globals
-        module_locks: Dict[str, str] = {}
-        module_mutables: Set[str] = set()
+        # module-level locks
+        module_locks: Set[str] = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                if isinstance(node.value, ast.Call):
-                    kind = _lock_ctor_kind(node.value, imports)
-                    if kind is not None:
-                        module_locks[target.id] = kind
-                        continue
-                if _mutable_literal(node.value):
-                    module_mutables.add(target.id)
+                if isinstance(target, ast.Name) and isinstance(
+                    node.value, ast.Call
+                ) and _lock_ctor_kind(node.value, imports) is not None:
+                    module_locks.add(target.id)
 
         checker = _FunctionChecker(
             source=source,
             imports=imports,
             emit=emit,
             module_locks=module_locks,
-            module_mutables=module_mutables,
             module_name=Path(name).stem,
             edges=facts.edges,
             contract=contract,
@@ -379,7 +354,7 @@ class ConcurrencyAnalyzer:
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 checker.check_function(
-                    node, cls=None, class_locks={},
+                    node, cls=None, class_locks=set(),
                     injected=set(), class_mutables=set(),
                     conditions=set(),
                 )
@@ -451,17 +426,15 @@ class _FunctionChecker:
     """Walks classes and functions tracking the held-lock context."""
 
     def __init__(self, source, imports, emit, module_locks,
-                 module_mutables, module_name, edges, contract):
+                 module_name, edges, contract):
         self.source = source
         self.imports = imports
         self.emit = emit
         self.module_locks = module_locks
-        self.module_mutables = module_mutables
         self.module_name = module_name
         self.edges = edges
         self.contract = contract
         self._accesses: List[Tuple[str, _Access]] = []
-        self._class_lock_kinds: Dict[Tuple[str, str], str] = {}
 
     # -- classes --------------------------------------------------------
     def check_class(self, cls: ast.ClassDef) -> None:
@@ -469,7 +442,7 @@ class _FunctionChecker:
             n for n in cls.body
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-        class_locks: Dict[str, str] = {}
+        class_locks: Set[str] = set()
         conditions: Set[str] = set()
         injected: Set[str] = set()
         class_mutables: Set[str] = set()
@@ -515,16 +488,13 @@ class _FunctionChecker:
                             conditions.add(attr)
                             continue
                         if kind is not None:
-                            class_locks[attr] = kind
+                            class_locks.add(attr)
                             continue
                     if params and any(
                         isinstance(n, ast.Name) and n.id in params
                         for n in ast.walk(node.value)
                     ):
                         injected.add(attr)
-
-        for attr, kind in class_locks.items():
-            self._class_lock_kinds[(cls.name, attr)] = kind
 
         for method in methods:
             self.check_function(
@@ -538,68 +508,29 @@ class _FunctionChecker:
                        class_mutables, conditions) -> None:
         in_ctor = cls is not None and func.name in _CONSTRUCTORS
         local_threads: Set[str] = set()
-        local_executors: Set[str] = set()
         local_conditions: Set[str] = set(conditions)
-        nested_defs: Dict[str, ast.AST] = {}
-        local_writes: Set[str] = set()
 
-        # pre-pass: local classification (threads, executors, nested
-        # defs, written locals) — order-insensitive on purpose
+        # pre-pass: local threads and conditions — order-insensitive
+        # on purpose
         for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                resolved = None
-                if isinstance(value, ast.Call):
-                    resolved = self.imports.resolve(
-                        dotted_name(value.func)
-                    )
-                for target in node.targets:
-                    if not isinstance(target, ast.Name):
-                        if isinstance(target, ast.Subscript) and (
-                            isinstance(target.value, ast.Name)
-                        ):
-                            local_writes.add(target.value.id)
-                        continue
-                    local_writes.add(target.id)
-                    if resolved == "threading.Thread":
-                        local_threads.add(target.id)
-                    elif resolved is not None and resolved.rsplit(
-                        ".", 1
-                    )[-1] in _EXECUTOR_CTORS:
-                        local_executors.add(target.id)
-                    elif resolved == "threading.Condition":
-                        local_conditions.add(target.id)
-            elif isinstance(node, ast.AugAssign):
-                if isinstance(node.target, ast.Name):
-                    local_writes.add(node.target.id)
-            elif isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and node is not func:
-                nested_defs[node.name] = node
-            elif isinstance(node, ast.withitem):
-                ctx = node.context_expr
-                if isinstance(ctx, ast.Call):
-                    resolved = self.imports.resolve(
-                        dotted_name(ctx.func)
-                    )
-                    if (
-                        resolved is not None
-                        and resolved.rsplit(".", 1)[-1]
-                        in _EXECUTOR_CTORS
-                        and node.optional_vars is not None
-                        and isinstance(
-                            node.optional_vars, ast.Name
-                        )
-                    ):
-                        local_executors.add(node.optional_vars.id)
+            if not isinstance(node, ast.Assign):
+                continue
+            if not isinstance(node.value, ast.Call):
+                continue
+            resolved = self.imports.resolve(dotted_name(node.value.func))
+            for target in node.targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                if resolved == "threading.Thread":
+                    local_threads.add(target.id)
+                elif resolved == "threading.Condition":
+                    local_conditions.add(target.id)
 
         ctx = _WalkContext(
             checker=self, cls=cls, func=func, in_ctor=in_ctor,
             class_locks=class_locks, injected=injected,
             class_mutables=class_mutables,
             conditions=local_conditions, threads=local_threads,
-            executors=local_executors, nested_defs=nested_defs,
-            local_writes=local_writes,
         )
         ctx.walk_body(func.body, held=())
 
@@ -658,31 +589,23 @@ class _WalkContext:
     cls: Optional[str]
     func: ast.AST
     in_ctor: bool
-    class_locks: Dict[str, str]
+    class_locks: Set[str]
     injected: Set[str]
     class_mutables: Set[str]
     conditions: Set[str]
     threads: Set[str]
-    executors: Set[str]
-    nested_defs: Dict[str, ast.AST]
-    local_writes: Set[str]
     loop_depth: int = 0
 
     # -- lock identity --------------------------------------------------
-    def lock_key(self, expr: ast.AST) -> Optional[Tuple[str, str]]:
-        """``(key, kind)`` when ``expr`` denotes a known lock."""
+    def lock_key(self, expr: ast.AST) -> Optional[str]:
+        """The lock's identity when ``expr`` denotes a known lock."""
         attr = _is_self_attr(expr)
         if attr is not None and attr in self.class_locks:
-            return (
-                f"{self.cls}.{attr}", self.class_locks[attr]
-            )
+            return f"{self.cls}.{attr}"
         if isinstance(expr, ast.Name) and (
             expr.id in self.checker.module_locks
         ):
-            return (
-                f"{self.checker.module_name}:{expr.id}",
-                self.checker.module_locks[expr.id],
-            )
+            return f"{self.checker.module_name}:{expr.id}"
         return None
 
     # -- statement walking ----------------------------------------------
@@ -699,18 +622,10 @@ class _WalkContext:
         ):
             new_held = held
             for item in stmt.items:
-                key = self.lock_key(item.context_expr)
-                if key is None:
+                name = self.lock_key(item.context_expr)
+                if name is None:
                     self.walk_expr(item.context_expr, new_held)
                     continue
-                name, kind = key
-                if name in new_held and kind == "lock":
-                    self.checker.emit(
-                        "CC007",
-                        f"re-acquiring non-reentrant lock {name!r} "
-                        f"already held on this path",
-                        item.context_expr,
-                    )
                 for holder in new_held:
                     if holder != name:
                         self.checker.edges.append(LockOrderEdge(
@@ -724,7 +639,7 @@ class _WalkContext:
             self.walk_body(stmt.body, new_held)
             return
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs run later; analyzed at submit sites
+            return  # nested defs run later
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             self.loop_depth += 1
             body_is_loop = isinstance(stmt, ast.While)
@@ -761,7 +676,7 @@ class _WalkContext:
             return
         if isinstance(stmt, ast.AugAssign):
             self.walk_expr(stmt.value, held)
-            self.walk_target(stmt.target, held, aug=True)
+            self.walk_target(stmt.target, held)
             return
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
@@ -820,10 +735,10 @@ class _WalkContext:
         return False
 
     # -- targets (writes) ------------------------------------------------
-    def walk_target(self, target, held, aug: bool = False) -> None:
+    def walk_target(self, target, held) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self.walk_target(element, held, aug=aug)
+                self.walk_target(element, held)
             return
         attr = _is_self_attr(target)
         if attr is not None:
@@ -835,13 +750,7 @@ class _WalkContext:
                 self.record_self_access(
                     target.value, inner, held, is_write=True
                 )
-            elif isinstance(target.value, ast.Name):
-                self.check_global_mutation(target.value, held)
             self.walk_expr(target.slice, held)
-            return
-        if isinstance(target, ast.Name):
-            if aug:
-                self.check_global_mutation(target, held)
             return
         if isinstance(target, ast.Attribute):
             # attribute write on something other than self: walk the
@@ -908,20 +817,6 @@ class _WalkContext:
                 node,
             )
 
-    def check_global_mutation(self, name_node, held) -> None:
-        if name_node.id not in self.checker.module_mutables:
-            return
-        if held:
-            return
-        if not self.checker.imports.threaded:
-            return
-        self.checker.emit(
-            "CC010",
-            f"module-level mutable {name_node.id!r} mutated without "
-            f"holding a lock in a module that uses threads",
-            name_node,
-        )
-
     # -- calls -----------------------------------------------------------
     def check_call(self, call: ast.Call, held,
                    in_while: bool = False) -> None:
@@ -931,7 +826,7 @@ class _WalkContext:
 
         # CC005: lock construction inside a regular function
         kind = _lock_ctor_kind(call, self.checker.imports)
-        if kind in ("lock", "rlock") and not self.in_ctor:
+        if kind == "lock" and not self.in_ctor:
             self.checker.emit(
                 "CC005",
                 "lock created per-call guards nothing — create it "
@@ -950,8 +845,6 @@ class _WalkContext:
                 self.record_self_access(
                     receiver, attr, held, is_write=True
                 )
-            elif isinstance(receiver, ast.Name):
-                self.check_global_mutation(receiver, held)
 
         # CC009: condition wait outside a while loop
         if isinstance(func, ast.Attribute) and func.attr == "wait":
@@ -971,63 +864,9 @@ class _WalkContext:
                     call,
                 )
 
-        # CC004: closures submitted to executors
-        if isinstance(func, ast.Attribute) and func.attr in (
-            "submit", "map"
-        ):
-            receiver = func.value
-            is_executor = (
-                isinstance(receiver, ast.Name)
-                and receiver.id in self.executors
-            )
-            if is_executor and call.args:
-                self.check_submitted_closure(call.args[0])
-
         # CC003: blocking work while a lock is held
         if held:
             self.check_blocking(call, resolved)
-
-    def check_submitted_closure(self, target: ast.AST) -> None:
-        closure: Optional[ast.AST] = None
-        if isinstance(target, ast.Lambda):
-            closure = target
-        elif isinstance(target, ast.Name) and (
-            target.id in self.nested_defs
-        ):
-            closure = self.nested_defs[target.id]
-        if closure is None:
-            return
-        body = (
-            closure.body if isinstance(closure, ast.Lambda)
-            else closure
-        )
-        params = set()
-        args = closure.args
-        for a in (args.posonlyargs + args.args + args.kwonlyargs):
-            params.add(a.arg)
-        captured_mutated = set()
-        for node in ast.walk(
-            body if isinstance(body, ast.AST) else closure
-        ):
-            if isinstance(node, ast.Name) and isinstance(
-                node.ctx, ast.Load
-            ):
-                name = node.id
-                if name in params:
-                    continue
-                if name in self.local_writes and (
-                    name not in self.executors
-                ):
-                    captured_mutated.add(name)
-        if captured_mutated:
-            names = ", ".join(sorted(captured_mutated))
-            self.checker.emit(
-                "CC004",
-                f"closure submitted to an executor captures "
-                f"mutable local(s) {names} written in the enclosing "
-                f"scope — guard them or pass values as arguments",
-                target,
-            )
 
     def check_blocking(self, call: ast.Call, resolved) -> None:
         func = call.func

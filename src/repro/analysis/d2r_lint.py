@@ -2,24 +2,24 @@
 
 Checks every :class:`~repro.d2r.mapping.TableMap` against the actual
 relational schema (:class:`repro.relational.database.Database`) *before*
-a dump runs — the mapper itself only discovers a bad column name when it
-hits the first row, and a misspelled column in a ``PropertyMap`` silently
-emits nothing at all (``row.get`` returns ``None``).
+a dump runs. Two mistakes get past the dump without a word: a misspelled
+column emits nothing at all (``row.get`` returns ``None``; DM002), and a
+declared datatype the column's values cannot carry is written as
+declared (DM006).
 
-Rules: DM001 unknown URI-pattern column, DM002 unknown mapped column,
-DM003 link to unmapped table, DM004 unresolvable link target, DM005
-duplicate URI pattern, DM006 datatype/column-type mismatch, DM007 table
-missing from the schema, DM008 keyword split on a non-text column, DM009
-constant URI pattern, DM010 lang+datatype conflict.
+What the dump itself rejects is not linted again: a URI-pattern
+placeholder that is not a column, or a link to an unmapped table, raises
+``MappingError``; a table map of a table the schema lacks raises
+``SchemaError``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..d2r.mapping import D2RMapping, TableMap
+from ..d2r.mapping import D2RMapping
 from ..relational.database import Database
-from ..relational.table import ColumnType, Table
+from ..relational.table import ColumnType
 from .diagnostics import Diagnostic
 from .rules import make
 from .vocabulary import _suggest
@@ -69,87 +69,37 @@ class MappingLinter:
         name: Optional[str] = None,
     ) -> List[Diagnostic]:
         diags: List[Diagnostic] = []
-        self._check_duplicate_patterns(mapping, name, diags)
         for table_name in sorted(mapping.table_maps):
+            table = db.tables.get(table_name)
+            if table is None:
+                continue  # the dump raises SchemaError
             table_map = mapping.table_maps[table_name]
             source = name or f"mapping:{table_name}"
-            if table_name not in db.tables:
-                suggestion = _suggest(table_name, set(db.tables))
-                diags.append(make(
-                    "DM007",
-                    f"table map {table_name!r} refers to a table "
-                    f"missing from the schema",
-                    suggestion=suggestion, source=source,
-                ))
-                continue
-            table = db.tables[table_name]
-            self._check_table_map(table_map, table, mapping, db, source,
-                                  diags)
-        return diags
-
-    # ------------------------------------------------------------------
-    def _check_duplicate_patterns(self, mapping, name, diags) -> None:
-        seen: Dict[str, str] = {}
-        for table_name in sorted(mapping.table_maps):
-            template = mapping.table_maps[table_name].uri_pattern.template
-            if template in seen:
-                diags.append(make(
-                    "DM005",
-                    f"tables {seen[template]!r} and {table_name!r} share "
-                    f"the URI pattern {template!r} — their resources "
-                    f"collide",
-                    source=name or f"mapping:{table_name}",
-                ))
-            else:
-                seen[template] = table_name
-
-    def _check_table_map(self, table_map: TableMap, table: Table,
-                         mapping: D2RMapping, db: Database, source,
-                         diags) -> None:
-        pattern_columns = table_map.uri_pattern.columns()
-        if not pattern_columns:
-            diags.append(make(
-                "DM009",
-                f"URI pattern {table_map.uri_pattern.template!r} has no "
-                f"placeholders: every row of {table_map.table!r} mints "
-                f"the same subject",
-                source=source,
-            ))
-        for column in pattern_columns:
-            if not table.has_column(column):
-                diags.append(make(
-                    "DM001",
-                    f"URI pattern {table_map.uri_pattern.template!r} "
-                    f"names unknown column {column!r}",
-                    suggestion=_suggest(column, set(table.column_names)),
-                    source=source,
-                ))
-
-        for prop in table_map.properties:
-            if not table.has_column(prop.column):
-                diags.append(make(
-                    "DM002",
-                    f"property map for <{prop.predicate}> names unknown "
-                    f"column {prop.column!r}",
-                    suggestion=_suggest(
-                        prop.column, set(table.column_names)
-                    ),
-                    source=source,
-                ))
-                continue
-            if prop.lang is not None and prop.datatype is not None:
-                diags.append(make(
-                    "DM010",
-                    f"property map for <{prop.predicate}> declares both "
-                    f"lang {prop.lang!r} and datatype "
-                    f"<{prop.datatype}> — the datatype wins and the "
-                    f"language tag is dropped",
-                    source=source,
-                ))
-            if prop.datatype is not None:
+            for kind, column, predicate in (
+                *(("property", p.column, p.predicate)
+                  for p in table_map.properties),
+                *(("link", m.column, m.predicate)
+                  for m in table_map.links),
+                *(("keyword split", s.column, s.predicate)
+                  for s in table_map.keyword_splits),
+            ):
+                if not table.has_column(column):
+                    diags.append(make(
+                        "DM002",
+                        f"{kind} map for <{predicate}> names unknown "
+                        f"column {column!r}",
+                        suggestion=_suggest(
+                            column, set(table.column_names)
+                        ),
+                        source=source,
+                    ))
+            for prop in table_map.properties:
+                if prop.datatype is None or not table.has_column(
+                    prop.column
+                ):
+                    continue
                 column_type = table.column(prop.column).type
-                compatible = _COMPATIBLE[column_type]
-                if str(prop.datatype) not in compatible:
+                if str(prop.datatype) not in _COMPATIBLE[column_type]:
                     diags.append(make(
                         "DM006",
                         f"column {prop.column!r} has type "
@@ -157,66 +107,4 @@ class MappingLinter:
                         f"declares datatype <{prop.datatype}>",
                         source=source,
                     ))
-
-        for link in table_map.links:
-            if not table.has_column(link.column):
-                diags.append(make(
-                    "DM002",
-                    f"link map for <{link.predicate}> names unknown "
-                    f"column {link.column!r}",
-                    suggestion=_suggest(
-                        link.column, set(table.column_names)
-                    ),
-                    source=source,
-                ))
-            if link.target_table not in mapping:
-                diags.append(make(
-                    "DM003",
-                    f"link {table_map.table}.{link.column} targets "
-                    f"table {link.target_table!r} which has no table "
-                    f"map",
-                    suggestion=_suggest(
-                        link.target_table, set(mapping.table_maps)
-                    ),
-                    source=source,
-                ))
-            if link.target_table not in db.tables:
-                diags.append(make(
-                    "DM004",
-                    f"link {table_map.table}.{link.column} targets "
-                    f"table {link.target_table!r} which is missing "
-                    f"from the schema",
-                    suggestion=_suggest(link.target_table,
-                                        set(db.tables)),
-                    source=source,
-                ))
-            elif db.tables[link.target_table].primary_key is None:
-                diags.append(make(
-                    "DM004",
-                    f"link {table_map.table}.{link.column} targets "
-                    f"table {link.target_table!r} which has no primary "
-                    f"key to resolve rows by",
-                    source=source,
-                ))
-
-        for split in table_map.keyword_splits:
-            if not table.has_column(split.column):
-                diags.append(make(
-                    "DM002",
-                    f"keyword split for <{split.predicate}> names "
-                    f"unknown column {split.column!r}",
-                    suggestion=_suggest(
-                        split.column, set(table.column_names)
-                    ),
-                    source=source,
-                ))
-                continue
-            column_type = table.column(split.column).type
-            if column_type is not ColumnType.TEXT:
-                diags.append(make(
-                    "DM008",
-                    f"keyword split over column {split.column!r} of "
-                    f"type {column_type.value} — token splitting "
-                    f"expects text",
-                    source=source,
-                ))
+        return diags

@@ -1,9 +1,10 @@
 """The uniform diagnostic model shared by every analyzer.
 
-Each analyzer (SPARQL linter, D2R mapping linter, shape checker) reports
-problems as :class:`Diagnostic` values — a rule id from the registry in
-:mod:`repro.analysis.rules`, a severity, an optional source span, a
-human-readable message and an optional "did you mean" suggestion.
+Each analyzer (SPARQL linter, D2R mapping linter, concurrency analyzer)
+reports problems as :class:`Diagnostic` values — a rule id from the
+registry in :mod:`repro.analysis.rules`, a severity, an optional source
+span, a human-readable message and an optional "did you mean"
+suggestion.
 :class:`DiagnosticReport` aggregates diagnostics across analyzers and
 renders them the way compilers do (``source:offset: severity RULE …``).
 """

@@ -47,24 +47,19 @@ from ..sparql.algebra import (
     render_plan,
 )
 from ..sparql.ast import (
-    AndExpr,
-    ArithExpr,
-    CompareExpr,
     ExistsExpr,
     Expression,
     FunctionCall,
     InExpr,
-    NegExpr,
-    NotExpr,
-    OrExpr,
     Query,
     SelectQuery,
     TermExpr,
     TriplePatternNode,
+    expression_variables,
+    walk_expression,
 )
 from ..sparql.functions import FUNCTIONS
 from ..sparql.geo import Point, bounding_box
-from .sparql_lint import _expr_vars, _function_calls
 from .stats import GraphStatistics, _constant_number
 
 
@@ -79,26 +74,6 @@ _BOUNDNESS_SENSITIVE = frozenset({"BOUND", "COALESCE"})
 # ---------------------------------------------------------------------------
 # Rewrite: FILTER pushdown
 # ---------------------------------------------------------------------------
-
-
-def _contains_exists(expr: Expression) -> bool:
-    if isinstance(expr, ExistsExpr):
-        return True
-    if isinstance(expr, (OrExpr, AndExpr)):
-        return any(_contains_exists(o) for o in expr.operands)
-    if isinstance(expr, (NotExpr, NegExpr)):
-        return _contains_exists(expr.operand)
-    if isinstance(expr, (CompareExpr, ArithExpr)):
-        return _contains_exists(expr.left) or _contains_exists(
-            expr.right
-        )
-    if isinstance(expr, InExpr):
-        return _contains_exists(expr.operand) or any(
-            _contains_exists(c) for c in expr.choices
-        )
-    if isinstance(expr, FunctionCall):
-        return any(_contains_exists(a) for a in expr.args)
-    return False
 
 
 def push_filters(root: PlanNode) -> PlanNode:
@@ -123,13 +98,16 @@ def push_filters(root: PlanNode) -> PlanNode:
                     kept.append(element)
                     continue
                 expr = element.expression
-                if _contains_exists(expr) or any(
-                    call.name in _BOUNDNESS_SENSITIVE
-                    for call in _function_calls(expr)
+                if any(
+                    isinstance(e, ExistsExpr) or (
+                        isinstance(e, FunctionCall)
+                        and e.name in _BOUNDNESS_SENSITIVE
+                    )
+                    for e in walk_expression(expr)
                 ):
                     kept.append(element)
                     continue
-                variables = _expr_vars(expr)
+                variables = expression_variables(expr)
                 if not variables:
                     kept.append(element)
                     continue
@@ -270,7 +248,7 @@ def _reorder_bgp(
     # variables are bound; whatever cannot attach stays on the BGP
     leftover: List[Expression] = []
     for expr in node.pushed:
-        variables = _expr_vars(expr)
+        variables = expression_variables(expr)
         running = set(bound)
         placed = False
         for scan in attached:
@@ -312,7 +290,7 @@ def _smaller_side_first(node: BGPNode, bound: Set[str], estimate):
     waits: Dict[int, Set[str]] = {}
     sizes: List[float] = []
     for expr in node.pushed + [e for s in node.scans for e in s.filters]:
-        mentioned = _expr_vars(expr)
+        mentioned = expression_variables(expr)
         related = [
             index for index, (names, _) in enumerate(groups)
             if names & mentioned

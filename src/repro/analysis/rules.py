@@ -3,8 +3,10 @@
 Rule ids are stable (tests and suppressions key on them); default
 severities live here so the analyzers and the documentation table cannot
 drift apart. ``SP*`` rules come from the SPARQL linter, ``DM*`` from the
-D2R mapping linter, ``SH*`` from the graph shape checker and ``CC*``
-from the concurrency analyzer (:mod:`repro.analysis.concurrency`).
+D2R mapping linter and ``CC*`` from the concurrency analyzer
+(:mod:`repro.analysis.concurrency`). Every rule has a live violation:
+an edit of a file the repo ships that the rule reports and no
+behavioural test notices (``tests/analysis/test_live_violations.py``).
 """
 
 from __future__ import annotations
@@ -22,17 +24,13 @@ class Rule:
     id: str
     title: str
     severity: Severity
-    component: str  # "sparql" | "d2r" | "shape" | "concurrency"
+    component: str  # "sparql" | "d2r" | "concurrency"
 
 
 _RULES = [
     # --- SPARQL linter -----------------------------------------------------
-    Rule("SP000", "artifact could not be parsed / loaded",
-         Severity.ERROR, "sparql"),
-    Rule("SP001", "projected variable never bound in the pattern",
-         Severity.ERROR, "sparql"),
-    Rule("SP002", "variable used in FILTER/ORDER BY/BIND but never bound",
-         Severity.ERROR, "sparql"),
+    Rule("SP002", "variable projected or used in FILTER/ORDER BY/BIND "
+         "but never bound", Severity.ERROR, "sparql"),
     Rule("SP003", "undeclared prefix resolved via the default prefix table",
          Severity.WARNING, "sparql"),
     Rule("SP004", "predicate not present in the known vocabulary",
@@ -48,35 +46,10 @@ _RULES = [
     Rule("SP009", "variable occurs exactly once (possible typo)",
          Severity.INFO, "sparql"),
     # --- D2R mapping linter ------------------------------------------------
-    Rule("DM001", "URI pattern placeholder is not a column of the table",
-         Severity.ERROR, "d2r"),
     Rule("DM002", "mapped column does not exist in the table",
          Severity.ERROR, "d2r"),
-    Rule("DM003", "link targets a table with no table map",
-         Severity.ERROR, "d2r"),
-    Rule("DM004", "link target cannot be resolved (missing table or no "
-         "primary key)", Severity.ERROR, "d2r"),
-    Rule("DM005", "duplicate URI pattern across table maps",
-         Severity.WARNING, "d2r"),
     Rule("DM006", "declared datatype is incompatible with the column type",
          Severity.ERROR, "d2r"),
-    Rule("DM007", "table map refers to a table missing from the schema",
-         Severity.ERROR, "d2r"),
-    Rule("DM008", "keyword split over a non-text column",
-         Severity.WARNING, "d2r"),
-    Rule("DM009", "URI pattern has no placeholders (constant subject)",
-         Severity.WARNING, "d2r"),
-    Rule("DM010", "property declares both a language tag and a datatype",
-         Severity.WARNING, "d2r"),
-    # --- Graph shape checker -----------------------------------------------
-    Rule("SH001", "subject type violates the predicate's rdfs:domain",
-         Severity.WARNING, "shape"),
-    Rule("SH002", "object violates the predicate's rdfs:range",
-         Severity.WARNING, "shape"),
-    Rule("SH003", "cardinality bound exceeded",
-         Severity.WARNING, "shape"),
-    Rule("SH004", "subject of a domain-constrained predicate has no type",
-         Severity.INFO, "shape"),
     # --- Concurrency analyzer ----------------------------------------------
     Rule("CC001", "attribute guarded by a lock elsewhere is accessed "
          "unguarded", Severity.ERROR, "concurrency"),
@@ -84,27 +57,21 @@ _RULES = [
          "(potential deadlock cycle)", Severity.ERROR, "concurrency"),
     Rule("CC003", "blocking call or injected callback invoked while "
          "holding a lock", Severity.ERROR, "concurrency"),
-    Rule("CC004", "mutable state captured by an executor-submitted "
-         "closure without a guard", Severity.WARNING, "concurrency"),
     Rule("CC005", "lock created per-call instead of per-instance",
          Severity.ERROR, "concurrency"),
     Rule("CC006", "lock acquired manually without a try/finally release",
          Severity.WARNING, "concurrency"),
-    Rule("CC007", "nested acquisition of a non-reentrant lock "
-         "(self-deadlock)", Severity.ERROR, "concurrency"),
     Rule("CC008", "class-level mutable attribute mutated through "
          "instances (shared across all instances)",
          Severity.WARNING, "concurrency"),
     Rule("CC009", "condition wait() outside a predicate re-check loop",
          Severity.WARNING, "concurrency"),
-    Rule("CC010", "module-level mutable state mutated without a guard "
-         "in a threaded module", Severity.WARNING, "concurrency"),
 ]
 
 #: Version of the rule catalog, embedded in ``repro lint --json``
 #: envelopes so CI artifact diffs can tell rule-set drift from real
 #: regressions. Bump whenever a rule is added, removed or re-tiered.
-CATALOG_VERSION = "2026.13"
+CATALOG_VERSION = "2026.14"
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _RULES}
 

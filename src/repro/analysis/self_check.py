@@ -1,15 +1,15 @@
 """Self-check: lint everything the system itself ships.
 
-``repro lint --self-check`` runs the three analyzers over the paper's own
-artifacts — the virtual-album queries Q1/Q2/Q3, the 4-branch mashup M1,
-an :class:`~repro.core.album_builder.AlbumBuilder` composition, the
-platform's D2R mapping against the real gallery schema, and a shape check
-of the demo dump. This is the correctness gate CI runs; it must stay free
-of error-severity diagnostics.
+``repro lint --self-check`` runs the SPARQL and D2R mapping linters
+over the paper's own artifacts — the virtual-album queries Q1/Q2/Q3, the
+4-branch mashup M1, an :class:`~repro.core.album_builder.AlbumBuilder`
+composition and the platform's D2R mapping against the real gallery
+schema. This is the correctness gate CI runs; it must stay free of
+diagnostics.
 
 The module also knows how to lint files: ``.rq``/``.sparql`` files as
-whole queries, ``.nt`` files as graphs (shape check) and ``.py`` files by
-extracting every string literal that parses as a SPARQL query.
+whole queries and ``.py`` files by extracting every string literal that
+parses as a SPARQL query.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .diagnostics import Diagnostic, DiagnosticReport
-from .rules import make
 from .sparql_lint import SparqlLinter
 
 _QUERY_SUFFIXES = (".rq", ".sparql")
@@ -50,31 +49,10 @@ def builtin_queries() -> List[Tuple[str, str]]:
     ]
 
 
-def _demo_platform():
-    """A small platform instance exercising every mapped table."""
-    from ..platform import Capture, Platform
-    from ..sparql.geo import Point
-
-    platform = Platform()
-    platform.register_user("oscar", "Oscar Rodriguez")
-    platform.register_user("walter", "Walter Goix")
-    platform.add_friendship("oscar", "walter")
-    platform.upload(Capture(
-        username="walter",
-        title="Tramonto sulla Mole Antonelliana",
-        tags=("mole", "torino"),
-        timestamp=1_325_376_000,
-        point=Point(7.6930, 45.0690),
-    ))
-    return platform
-
-
 def self_check(linter: Optional[SparqlLinter] = None) -> DiagnosticReport:
     """Run the full self-check; returns the aggregated report."""
-    from ..d2r.dump import dump_graph
-    from ..lod.ontology import build_ontology
+    from ..platform import Platform
     from .d2r_lint import MappingLinter
-    from .shapes import ShapeChecker
 
     if linter is None:
         linter = SparqlLinter.default()
@@ -82,14 +60,11 @@ def self_check(linter: Optional[SparqlLinter] = None) -> DiagnosticReport:
     for name, query in builtin_queries():
         report.extend(linter.lint(query, name=name))
 
-    platform = _demo_platform()
+    platform = Platform()
     report.extend(
         MappingLinter().lint(platform.mapping, platform.db,
                              name="platform-mapping")
     )
-    dump = dump_graph(platform.db, platform.mapping)
-    checker = ShapeChecker(build_ontology())
-    report.extend(checker.check(dump, name="d2r-dump"))
     return report
 
 
@@ -101,43 +76,32 @@ def self_check(linter: Optional[SparqlLinter] = None) -> DiagnosticReport:
 def lint_path(
     path: Path, linter: Optional[SparqlLinter] = None
 ) -> List[Diagnostic]:
-    """Lint one file or directory (recursing over lintable suffixes)."""
+    """Lint one file or directory (recursing over lintable suffixes).
+
+    A file that cannot be read or parsed raises (``OSError``,
+    :class:`~repro.sparql.errors.SparqlSyntaxError`, ...); a suffix
+    with nothing to lint raises ``ValueError``."""
     if linter is None:
         linter = SparqlLinter.default()
     if path.is_dir():
         diags: List[Diagnostic] = []
         for child in sorted(path.rglob("*")):
-            if child.suffix in _QUERY_SUFFIXES + (".py", ".nt"):
+            if child.suffix in _QUERY_SUFFIXES + (".py",):
                 diags.extend(lint_path(child, linter))
         return diags
-    if not path.exists():
-        return [make(
-            "SP000",
-            "cannot read file: no such file or directory",
-            source=str(path),
-        )]
     if path.suffix in _QUERY_SUFFIXES:
-        return _lint_query_file(path, linter)
+        from ..sparql.errors import SparqlSyntaxError
+
+        text = path.read_text(encoding="utf-8")
+        try:
+            return linter.lint(text, name=str(path))
+        except SparqlSyntaxError as exc:
+            raise SparqlSyntaxError(f"{path}: {exc}") from exc
     if path.suffix == ".py":
         return _lint_python_file(path, linter)
-    if path.suffix == ".nt":
-        return _lint_ntriples_file(path)
-    return [make(
-        "SP000",
-        f"cannot lint {path.name!r}: unsupported file type "
-        f"(expected .rq/.sparql/.py/.nt)",
-        source=str(path),
-    )]
-
-
-def _lint_query_file(path: Path, linter: SparqlLinter) -> List[Diagnostic]:
-    from ..sparql.errors import SparqlSyntaxError
-
-    text = path.read_text(encoding="utf-8")
-    try:
-        return linter.lint(text, name=str(path))
-    except SparqlSyntaxError as exc:
-        return [make("SP000", f"syntax error: {exc}", source=str(path))]
+    raise ValueError(
+        f"{path}: unsupported file type (expected .rq/.sparql/.py)"
+    )
 
 
 def _lint_python_file(path: Path,
@@ -183,16 +147,3 @@ def extract_sparql_strings(text: str) -> List[Tuple[str, int]]:
             continue
         found.append((value, node.lineno))
     return found
-
-
-def _lint_ntriples_file(path: Path) -> List[Diagnostic]:
-    from ..lod.ontology import build_ontology
-    from ..rdf import load_ntriples
-    from .shapes import ShapeChecker
-
-    try:
-        graph = load_ntriples(path.read_text(encoding="utf-8"))
-    except Exception as exc:  # parse errors vary by serializer
-        return [make("SP000", f"cannot load N-Triples: {exc}",
-                     source=str(path))]
-    return ShapeChecker(build_ontology()).check(graph, name=str(path))

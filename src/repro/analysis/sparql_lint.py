@@ -8,9 +8,8 @@ function the query touches. The linter never mutates the AST.
 Rules (ids registered in :mod:`repro.analysis.rules`):
 
 ========  ==============================================================
-SP001     projected variable never bound in the WHERE pattern
-SP002     variable used in FILTER / ORDER BY / BIND / template but
-          never bound
+SP002     variable projected or used in FILTER / ORDER BY / BIND /
+          template but never bound in the WHERE pattern
 SP003     prefix resolved via the forgiving ``DEFAULT_PREFIXES`` fallback
 SP004     predicate not in the published vocabulary (with "did you mean")
 SP005     class not in the published vocabulary (with "did you mean")
@@ -30,30 +29,26 @@ from ..rdf.namespace import RDF
 from ..rdf.terms import Literal, Term, URIRef, Variable
 from ..sparql.ast import (
     AndExpr,
-    ArithExpr,
     AskQuery,
     BGP,
     BindPattern,
     CompareExpr,
     ConstructQuery,
     DescribeQuery,
-    ExistsExpr,
     Expression,
     FilterPattern,
     FunctionCall,
     GraphGraphPattern,
     GroupPattern,
-    InExpr,
-    NegExpr,
-    NotExpr,
     OptionalPattern,
-    OrExpr,
     Query,
     SelectQuery,
     SubSelectPattern,
     TermExpr,
     UnionPattern,
     ValuesPattern,
+    expression_variables,
+    walk_expression,
 )
 from ..sparql.geo import try_parse_point
 from ..sparql.parser import parse_query
@@ -151,7 +146,6 @@ class SparqlLinter:
         if isinstance(query, SelectQuery):
             self._scan_group(query.where, scope, source, name, diags)
             self._scan_modifiers(query, scope)
-            self._check_projection(query, scope, source, name, diags)
         elif isinstance(query, AskQuery):
             self._scan_group(query.where, scope, source, name, diags)
         elif isinstance(query, ConstructQuery):
@@ -173,18 +167,26 @@ class SparqlLinter:
         self._check_single_use(query, scope, source, name, diags)
 
     def _scan_modifiers(self, query: SelectQuery, scope: _Scope) -> None:
+        # a projected variable is used (SP002 when never bound), an
+        # aggregate's alias is not
+        aliases = {str(a.alias) for a in query.aggregates}
+        for variable in query.variables:
+            var = str(variable)
+            scope.count(var)
+            if var not in aliases:
+                scope.used.add(var)
         for condition in query.order_by:
-            for var in _expr_vars(condition.expression):
+            for var in expression_variables(condition.expression):
                 scope.used.add(var)
                 scope.count(var)
                 scope.sp009_eligible.add(var)
         for expr in query.group_by:
-            for var in _expr_vars(expr):
+            for var in expression_variables(expr):
                 scope.used.add(var)
                 scope.count(var)
         for agg in query.aggregates:
             if agg.argument is not None:
-                for var in _expr_vars(agg.argument):
+                for var in expression_variables(agg.argument):
                     scope.used.add(var)
                     scope.count(var)
 
@@ -203,7 +205,7 @@ class SparqlLinter:
                 self._scan_expression(
                     element.expression, scope, source, name, diags
                 )
-                variables = _expr_vars(element.expression)
+                variables = expression_variables(element.expression)
                 if variables:
                     scope.nodes.append(set(variables))
             elif isinstance(element, OptionalPattern):
@@ -218,7 +220,7 @@ class SparqlLinter:
                     scope.count(target)
                 self._scan_group(element.group, scope, source, name, diags)
             elif isinstance(element, BindPattern):
-                expr_vars = _expr_vars(element.expression)
+                expr_vars = expression_variables(element.expression)
                 for var in expr_vars:
                     scope.used.add(var)
                     scope.count(var)
@@ -312,13 +314,15 @@ class SparqlLinter:
     def _scan_expression(self, expr, scope, source, name, diags,
                          count_vars: bool = True) -> None:
         if count_vars:
-            for var in _expr_vars(expr):
+            for var in expression_variables(expr):
                 scope.used.add(var)
                 scope.count(var)
                 scope.sp009_eligible.add(var)
-        for call in _function_calls(expr):
-            if call.name.startswith("bif:"):
-                self._check_bif_call(call, source, name, diags)
+        for node in walk_expression(expr):
+            if isinstance(node, FunctionCall) and (
+                node.name.startswith("bif:")
+            ):
+                self._check_bif_call(node, source, name, diags)
 
     def _check_bif_call(self, call: FunctionCall, source, name,
                         diags) -> None:
@@ -406,30 +410,11 @@ class SparqlLinter:
     # ------------------------------------------------------------------
     # Scope-level rules
     # ------------------------------------------------------------------
-    def _check_projection(self, query: SelectQuery, scope, source, name,
-                          diags) -> None:
-        aliases = {str(a.alias) for a in query.aggregates}
-        for variable in query.variables:
-            var = str(variable)
-            scope.count(var)
-            if var in aliases:
-                continue
-            scope.used.add(var)
-            if var not in scope.bound:
-                diags.append(make(
-                    "SP001",
-                    f"?{var} is projected but never bound in the "
-                    f"pattern",
-                    span=_var_span(source, var),
-                    source=name,
-                ))
-
     def _check_unbound_used(self, scope, source, name, diags) -> None:
         for var in sorted(scope.used - scope.bound):
             diags.append(make(
                 "SP002",
-                f"?{var} is used in an expression but never bound in "
-                f"the pattern",
+                f"?{var} is used but never bound in the pattern",
                 span=_var_span(source, var),
                 source=name,
             ))
@@ -482,7 +467,7 @@ class SparqlLinter:
             if scope.counts[var] != 1 or var not in scope.sp009_eligible:
                 continue
             if var in projected or var in unbound_used:
-                continue  # already covered by SP001/SP002
+                continue  # projected, or already reported as SP002
             diags.append(make(
                 "SP009",
                 f"?{var} occurs exactly once — dead binding or typo",
@@ -494,76 +479,6 @@ class SparqlLinter:
 # ---------------------------------------------------------------------------
 # Expression helpers
 # ---------------------------------------------------------------------------
-
-
-def _expr_vars(expr: Expression) -> Set[str]:
-    """All variable names mentioned in ``expr`` (EXISTS groups included)."""
-    found: Set[str] = set()
-    _collect_vars(expr, found)
-    return found
-
-
-def _collect_vars(expr: Expression, found: Set[str]) -> None:
-    if isinstance(expr, TermExpr):
-        if isinstance(expr.term, Variable):
-            found.add(str(expr.term))
-    elif isinstance(expr, (OrExpr, AndExpr)):
-        for operand in expr.operands:
-            _collect_vars(operand, found)
-    elif isinstance(expr, (NotExpr, NegExpr)):
-        _collect_vars(expr.operand, found)
-    elif isinstance(expr, (CompareExpr, ArithExpr)):
-        _collect_vars(expr.left, found)
-        _collect_vars(expr.right, found)
-    elif isinstance(expr, InExpr):
-        _collect_vars(expr.operand, found)
-        for choice in expr.choices:
-            _collect_vars(choice, found)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            _collect_vars(arg, found)
-    elif isinstance(expr, ExistsExpr):
-        for triple_vars in _group_vars(expr.group):
-            found.update(triple_vars)
-
-
-def _group_vars(group: GroupPattern):
-    for element in group.elements:
-        if isinstance(element, BGP):
-            for triple in element.triples:
-                yield {str(v) for v in triple.variables()}
-        elif isinstance(element, (OptionalPattern, GraphGraphPattern)):
-            yield from _group_vars(element.group)
-        elif isinstance(element, UnionPattern):
-            for branch in element.branches:
-                yield from _group_vars(branch)
-        elif isinstance(element, GroupPattern):
-            yield from _group_vars(element)
-
-
-def _function_calls(expr: Expression) -> List[FunctionCall]:
-    calls: List[FunctionCall] = []
-    _collect_calls(expr, calls)
-    return calls
-
-
-def _collect_calls(expr: Expression, calls: List[FunctionCall]) -> None:
-    if isinstance(expr, FunctionCall):
-        calls.append(expr)
-        for arg in expr.args:
-            _collect_calls(arg, calls)
-    elif isinstance(expr, (OrExpr, AndExpr)):
-        for operand in expr.operands:
-            _collect_calls(operand, calls)
-    elif isinstance(expr, (NotExpr, NegExpr)):
-        _collect_calls(expr.operand, calls)
-    elif isinstance(expr, (CompareExpr, ArithExpr)):
-        _collect_calls(expr.left, calls)
-        _collect_calls(expr.right, calls)
-    elif isinstance(expr, InExpr):
-        _collect_calls(expr.operand, calls)
-        for choice in expr.choices:
-            _collect_calls(choice, calls)
 
 
 def _constant_literal(expr: Expression) -> Optional[Literal]:

@@ -22,6 +22,7 @@ can be reproduced programmatically.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "files", nargs="*",
-        help="files or directories to lint (.rq/.sparql/.py/.nt; with "
+        help="files or directories to lint (.rq/.sparql/.py; with "
              "--concurrency: Python sources, default src/repro)",
     )
     lint.add_argument(
@@ -736,7 +737,13 @@ def _cmd_lint(args) -> int:
               "--self-check/--concurrency)", file=sys.stderr)
         return 2
 
-    report = _collect_lint_diagnostics(args)
+    from .sparql.errors import SparqlSyntaxError
+
+    try:
+        report = _collect_lint_diagnostics(args)
+    except (OSError, SyntaxError, SparqlSyntaxError, ValueError) as exc:
+        print(f"error: cannot lint: {exc}", file=sys.stderr)
+        return 1
 
     rendered = report.render(min_severity)
     if rendered:
@@ -945,7 +952,6 @@ def _cmd_obs(args) -> int:
 
 def _write_json(path: str, payload) -> None:
     import json
-    import os
 
     directory = os.path.dirname(path)
     if directory:
@@ -1250,11 +1256,18 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    obs = _obs_begin(args)
     try:
-        return _COMMANDS[args.command](args)
-    finally:
-        _obs_end(obs, args)
+        obs = _obs_begin(args)
+        try:
+            return _COMMANDS[args.command](args)
+        finally:
+            _obs_end(obs, args)
+    except BrokenPipeError:
+        # the reader closed the pipe (``repro lint ... | head -1``): what
+        # is left to print has nowhere to go, and the interpreter's
+        # final flush must not fail on it either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

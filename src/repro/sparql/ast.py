@@ -10,7 +10,7 @@ reference them as parsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..rdf.terms import Term, Variable
 
@@ -272,3 +272,55 @@ class DescribeQuery:
 
 
 Query = Union[SelectQuery, AskQuery, ConstructQuery, DescribeQuery]
+
+
+# ---------------------------------------------------------------------------
+# Expression walks
+# ---------------------------------------------------------------------------
+
+
+def walk_expression(expr: Expression) -> Iterator[Expression]:
+    """Every node of ``expr`` in pre-order (a call before its
+    arguments). An EXISTS node is yielded; its group is not entered."""
+    yield expr
+    if isinstance(expr, (OrExpr, AndExpr)):
+        children: Tuple[Expression, ...] = expr.operands
+    elif isinstance(expr, (NotExpr, NegExpr)):
+        children = (expr.operand,)
+    elif isinstance(expr, (CompareExpr, ArithExpr)):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, InExpr):
+        children = (expr.operand, *expr.choices)
+    elif isinstance(expr, FunctionCall):
+        children = expr.args
+    else:
+        return
+    for child in children:
+        yield from walk_expression(child)
+
+
+def expression_variables(expr: Expression) -> Set[str]:
+    """The names of the variables ``expr`` mentions, those of the
+    triple patterns of its EXISTS groups included."""
+    found: Set[str] = set()
+    for node in walk_expression(expr):
+        if isinstance(node, TermExpr):
+            if isinstance(node.term, Variable):
+                found.add(str(node.term))
+        elif isinstance(node, ExistsExpr):
+            _pattern_variables(node.group, found)
+    return found
+
+
+def _pattern_variables(group: GroupPattern, found: Set[str]) -> None:
+    for element in group.elements:
+        if isinstance(element, BGP):
+            for triple in element.triples:
+                found.update(str(v) for v in triple.variables())
+        elif isinstance(element, (OptionalPattern, GraphGraphPattern)):
+            _pattern_variables(element.group, found)
+        elif isinstance(element, UnionPattern):
+            for branch in element.branches:
+                _pattern_variables(branch, found)
+        elif isinstance(element, GroupPattern):
+            _pattern_variables(element, found)

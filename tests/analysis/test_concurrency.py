@@ -5,6 +5,8 @@ the repo's own clean baseline (the PR 1 lint-test idiom)."""
 from pathlib import Path
 from textwrap import dedent
 
+import pytest
+
 import repro
 from repro.analysis import Severity, Span
 from repro.analysis.concurrency import (
@@ -295,40 +297,6 @@ def test_cc003_clock_sampled_before_lock_is_silent():
 
 
 # ---------------------------------------------------------------------------
-# CC004 — executor closure captures mutated local
-# ---------------------------------------------------------------------------
-
-
-def test_cc004_lambda_captures_mutated_local():
-    source = '''
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(items):
-            results = []
-            with ThreadPoolExecutor() as pool:
-                for item in items:
-                    pool.submit(lambda: results.append(item))
-                results = sorted(results)
-            return results
-    '''
-    diag = only(lint(source), "CC004")
-    assert diag.severity is Severity.WARNING
-    assert "results" in diag.message
-
-
-def test_cc004_argument_passing_is_silent():
-    source = '''
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(items, handle):
-            with ThreadPoolExecutor() as pool:
-                for item in items:
-                    pool.submit(handle, item)
-    '''
-    assert "CC004" not in rules_of(lint(source))
-
-
-# ---------------------------------------------------------------------------
 # CC005 — per-call lock
 # ---------------------------------------------------------------------------
 
@@ -395,45 +363,6 @@ def test_cc006_try_finally_is_silent():
                 _lock.release()
     '''
     assert "CC006" not in rules_of(lint(source))
-
-
-# ---------------------------------------------------------------------------
-# CC007 — nested acquisition of a non-reentrant lock
-# ---------------------------------------------------------------------------
-
-
-def test_cc007_self_deadlock():
-    source = '''
-        import threading
-
-        class Store:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def outer(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    '''
-    diag = only(lint(source), "CC007")
-    assert diag.severity is Severity.ERROR
-    assert "Store._lock" in diag.message
-
-
-def test_cc007_rlock_reentry_is_silent():
-    source = '''
-        import threading
-
-        class Store:
-            def __init__(self):
-                self._lock = threading.RLock()
-
-            def outer(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    '''
-    assert "CC007" not in rules_of(lint(source))
 
 
 # ---------------------------------------------------------------------------
@@ -512,49 +441,6 @@ def test_cc009_wait_in_while_is_silent():
 
 
 # ---------------------------------------------------------------------------
-# CC010 — module-level mutable state mutated unguarded
-# ---------------------------------------------------------------------------
-
-
-def test_cc010_unguarded_global_mutation_in_threaded_module():
-    source = '''
-        import threading
-
-        SEEN = {}
-
-        def record(key, value):
-            SEEN[key] = value
-    '''
-    diag = only(lint(source), "CC010")
-    assert diag.severity is Severity.WARNING
-    assert "SEEN" in diag.message
-
-
-def test_cc010_guarded_mutation_is_silent():
-    source = '''
-        import threading
-
-        SEEN = {}
-        _LOCK = threading.Lock()
-
-        def record(key, value):
-            with _LOCK:
-                SEEN[key] = value
-    '''
-    assert "CC010" not in rules_of(lint(source))
-
-
-def test_cc010_unthreaded_module_is_silent():
-    source = '''
-        SEEN = {}
-
-        def record(key, value):
-            SEEN[key] = value
-    '''
-    assert "CC010" not in rules_of(lint(source))
-
-
-# ---------------------------------------------------------------------------
 # Suppressions: inline pragmas and module contracts
 # ---------------------------------------------------------------------------
 
@@ -611,6 +497,17 @@ def test_single_threaded_contract_disables_shared_state_rules():
     assert rules_of(lint(contracted)) == []
 
 
+def test_unreadable_path_raises():
+    with pytest.raises(FileNotFoundError):
+        analyze_paths([Path("/nonexistent/code.py")])
+
+
+def test_syntax_error_raises():
+    with pytest.raises(SyntaxError) as excinfo:
+        lint("def broken(:\n    pass")
+    assert excinfo.value.filename == "fixture.py"
+
+
 # ---------------------------------------------------------------------------
 # The repo's own baseline is clean (tentpole acceptance criterion)
 # ---------------------------------------------------------------------------
@@ -624,12 +521,3 @@ def test_repro_package_is_concurrency_clean():
     )
     assert diags == [], rendered
 
-
-def test_unreadable_path_reports_sp000():
-    diags = analyze_paths([Path("/nonexistent/code.py")])
-    assert rules_of(diags) == ["SP000"]
-
-
-def test_syntax_error_reports_sp000():
-    diags = lint("def broken(:\n    pass")
-    assert rules_of(diags) == ["SP000"]

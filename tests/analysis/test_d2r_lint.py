@@ -1,4 +1,4 @@
-"""D2R mapping linter tests — golden diagnostics for DM001–DM010."""
+"""D2R mapping linter tests — golden diagnostics for DM002 and DM006."""
 
 import pytest
 
@@ -71,17 +71,6 @@ def test_valid_mapping_is_clean(db):
     assert lint(base_mapping(), db) == []
 
 
-def test_dm001_uri_pattern_unknown_column(db):
-    mapping = base_mapping()
-    mapping.table_maps["users"] = TableMap(
-        table="users",
-        uri_pattern=UriPattern("http://e/users/{userid}"),
-    )
-    diag = only(lint(mapping, db), "DM001")
-    assert diag.severity is Severity.ERROR
-    assert diag.suggestion == "user_id"
-
-
 def test_dm002_property_unknown_column(db):
     mapping = base_mapping()
     mapping.table_maps["users"].properties.append(
@@ -90,41 +79,6 @@ def test_dm002_property_unknown_column(db):
     diag = only(lint(mapping, db), "DM002")
     assert diag.severity is Severity.ERROR
     assert diag.suggestion == "user_name"
-
-
-def test_dm003_link_to_unmapped_table(db):
-    db.execute("CREATE TABLE regions (rid INTEGER PRIMARY KEY)")
-    mapping = base_mapping()
-    mapping.table_maps["pictures"].links.append(
-        LinkMap("pid", FOAF.based_near, "regions")
-    )
-    diag = only(lint(mapping, db), "DM003")
-    assert diag.severity is Severity.ERROR
-    assert "regions" in diag.message
-
-
-def test_dm004_link_target_missing_from_schema(db):
-    mapping = base_mapping()
-    mapping.table_maps["pictures"].links[0] = LinkMap(
-        "owner_id", FOAF.maker, "members"
-    )
-    diags = lint(mapping, db)
-    # unmapped (DM003) *and* unresolvable (DM004)
-    assert {"DM003", "DM004"} <= {d.rule for d in diags}
-    diag = only(diags, "DM004")
-    assert "members" in diag.message
-
-
-def test_dm005_duplicate_uri_pattern(db):
-    mapping = base_mapping()
-    mapping.table_maps["pictures"] = TableMap(
-        table="pictures",
-        uri_pattern=UriPattern("http://e/users/{user_id}"),
-    )
-    diags = lint(mapping, db)
-    diag = only(diags, "DM005")
-    assert diag.severity is Severity.WARNING
-    assert "collide" in diag.message
 
 
 def test_dm006_datatype_column_type_mismatch(db):
@@ -136,46 +90,6 @@ def test_dm006_datatype_column_type_mismatch(db):
     diag = only(lint(mapping, db), "DM006")
     assert diag.severity is Severity.ERROR
     assert "REAL" in diag.message
-
-
-def test_dm007_unknown_table(db):
-    mapping = base_mapping()
-    mapping.add(TableMap(
-        table="userz",
-        uri_pattern=UriPattern("http://e/userz/{user_id}"),
-    ))
-    diag = only(lint(mapping, db), "DM007")
-    assert diag.severity is Severity.ERROR
-    assert diag.suggestion == "users"
-
-
-def test_dm008_keyword_split_on_numeric_column(db):
-    mapping = base_mapping()
-    mapping.table_maps["pictures"].keyword_splits.append(
-        KeywordSplitMap("rating", KEYWORD)
-    )
-    diag = only(lint(mapping, db), "DM008")
-    assert diag.severity is Severity.WARNING
-
-
-def test_dm009_constant_uri_pattern(db):
-    mapping = base_mapping()
-    mapping.table_maps["users"] = TableMap(
-        table="users",
-        uri_pattern=UriPattern("http://e/the-user"),
-    )
-    diag = only(lint(mapping, db), "DM009")
-    assert diag.severity is Severity.WARNING
-
-
-def test_dm010_lang_and_datatype_conflict(db):
-    mapping = base_mapping()
-    mapping.table_maps["pictures"].properties[0] = PropertyMap(
-        "title", DC.title, lang="it",
-        datatype="http://www.w3.org/2001/XMLSchema#string",
-    )
-    diag = only(lint(mapping, db), "DM010")
-    assert diag.severity is Severity.WARNING
 
 
 def test_platform_mapping_is_clean():

@@ -46,16 +46,28 @@ def test_every_public_name_is_listed_and_nothing_else_resolves():
 
 
 def test_statistics_import_leaves_the_linters_out():
-    loaded = _in_a_process(
-        "import sys\n"
-        "import repro.analysis.stats\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith('repro.analysis.')))\n"
+    # neither the executor's statistics nor planning and running Q1
+    # loads a linter: the planner shares the expression walks of
+    # repro.sparql.ast with the SPARQL linter
+    q1 = (
+        "from repro.core.albums import geo_album\n"
+        "from repro.platform import Platform\n"
+        "from repro.sparql import Evaluator\n"
+        "Evaluator(Platform().union_graph()).evaluate(geo_album().query)\n"
     )
-    assert "repro.analysis.stats" in loaded
-    for heavy in ("concurrency", "_pysource", "sanitizer", "d2r_lint",
-                  "shapes", "self_check"):
-        assert f"repro.analysis.{heavy}" not in loaded
+    for code, used in (
+        ("import repro.analysis.stats\n", "stats"),
+        (q1, "plan"),
+    ):
+        loaded = _in_a_process(
+            "import sys\n" + code + "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.analysis.')))\n"
+        )
+        assert f"repro.analysis.{used}" in loaded
+        for linter in ("concurrency", "_pysource", "sanitizer",
+                       "d2r_lint", "shapes", "self_check", "sparql_lint",
+                       "vocabulary", "rules", "diagnostics"):
+            assert f"repro.analysis.{linter}" not in loaded, code
 
 
 def test_self_check_is_the_function_whichever_name_loads_its_module():

@@ -18,6 +18,9 @@ from repro.analysis import (
     self_check,
 )
 from repro.cli import main
+from repro.sparql.errors import SparqlSyntaxError
+
+from .test_live_violations import LIVE_VIOLATIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -69,7 +72,7 @@ def test_report_aggregation_and_raise():
 
 def test_rule_registry_covers_all_components():
     components = {rule.component for rule in RULES.values()}
-    assert components == {"sparql", "d2r", "shape", "concurrency"}
+    assert components == {"sparql", "d2r", "concurrency"}
     # the README rule tables are the catalog: same ids, same severities
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     documented = re.findall(
@@ -78,6 +81,8 @@ def test_rule_registry_covers_all_components():
     assert sorted(documented) == sorted(
         (rule.id, rule.severity.name.lower()) for rule in RULES.values()
     )
+    # every rule has a live violation, and only rules have one
+    assert sorted(LIVE_VIOLATIONS) == sorted(RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +121,18 @@ def test_lint_rq_file_with_error(tmp_path):
     assert any(d.rule == "SP004" for d in diags)
 
 
-def test_lint_unparseable_rq_is_sp000(tmp_path):
+def test_lint_unparseable_rq_raises_naming_the_file(tmp_path):
     query_file = tmp_path / "broken.rq"
     query_file.write_text("SELECT WHERE {{{")
-    diags = lint_path(query_file)
-    assert [d.rule for d in diags] == ["SP000"]
-    assert diags[0].severity is Severity.ERROR
+    with pytest.raises(SparqlSyntaxError, match="broken.rq: "):
+        lint_path(query_file)
 
 
-def test_lint_unsupported_suffix_is_sp000(tmp_path):
+def test_lint_unsupported_suffix_raises(tmp_path):
     other = tmp_path / "data.csv"
     other.write_text("a,b\n")
-    diags = lint_path(other)
-    assert [d.rule for d in diags] == ["SP000"]
+    with pytest.raises(ValueError, match="unsupported file type"):
+        lint_path(other)
 
 
 def test_extract_sparql_strings_finds_queries():
@@ -167,6 +171,12 @@ def test_cli_self_check_passes(capsys):
 def test_cli_lint_nothing_to_do(capsys):
     assert main(["lint"]) == 2
     assert "nothing to lint" in capsys.readouterr().err
+
+
+def test_cli_lint_unreadable_file_fails(tmp_path, capsys):
+    missing = tmp_path / "missing.rq"
+    assert main(["lint", str(missing)]) == 1
+    assert "error: cannot lint: " in capsys.readouterr().err
 
 
 def test_cli_lint_reports_unknown_predicate(tmp_path, capsys):

@@ -36,28 +36,23 @@ def only(diags, rule):
 
 
 # ---------------------------------------------------------------------------
-# SP001 — projected variable never bound
+# SP002 — variable projected or used in an expression but never bound
 # ---------------------------------------------------------------------------
 
 
-def test_sp001_unbound_projection(structural):
+def test_sp002_unbound_projection(structural):
     query = "SELECT ?x ?missing WHERE { ?x <http://e/p> ?x }"
-    diag = only(structural.lint(query), "SP001")
+    diag = only(structural.lint(query), "SP002")
     assert diag.severity is Severity.ERROR
     start = query.find("?missing")
     assert diag.span == Span(start, start + len("?missing"))
 
 
-def test_sp001_not_raised_for_aggregate_alias(structural):
+def test_sp002_not_raised_for_aggregate_alias(structural):
     query = (
         "SELECT (COUNT(?x) AS ?n) WHERE { ?x <http://e/p> ?x }"
     )
-    assert "SP001" not in rules_of(structural.lint(query))
-
-
-# ---------------------------------------------------------------------------
-# SP002 — variable used in an expression but never bound
-# ---------------------------------------------------------------------------
+    assert "SP002" not in rules_of(structural.lint(query))
 
 
 def test_sp002_filter_var_unbound(structural):
@@ -266,13 +261,13 @@ def test_subselect_projection_binds_outer_scope(structural):
         "{ ?x <http://e/p> ?x } } ?x <http://e/name> ?n }"
     )
     diags = structural.lint(query)
-    assert "SP001" not in rules_of(diags)
+    assert "SP002" not in rules_of(diags)
     assert "SP006" not in rules_of(diags)
 
 
 def test_lint_accepts_parsed_ast(structural):
     parsed = parse_query("SELECT ?x ?gone WHERE { ?x <http://e/p> ?x }")
-    diag = only(structural.lint(parsed), "SP001")
+    diag = only(structural.lint(parsed), "SP002")
     assert diag.span is None  # no source text to anchor to
 
 

@@ -1,10 +1,17 @@
 """CLI tests (run in-process through main())."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestAnnotate:
@@ -400,6 +407,31 @@ class TestLintConcurrency:
             main(["lint", "--effects"])
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_reader_closing_the_pipe_ends_the_run_quietly(self, tmp_path):
+        # more diagnostics than a pipe holds: the run is still printing
+        # when the reader, done after one line, closes its end
+        target = tmp_path / "locks.py"
+        target.write_text("import threading\n" + "".join(
+            f"def guard_{i}():\n    lock = threading.Lock()\n"
+            f"    with lock:\n        pass\n"
+            for i in range(1000)
+        ))
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", "lint", "--concurrency",
+             str(target)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.readline()"],
+            stdin=run.stdout,
+        )
+        run.stdout.close()
+        assert reader.wait(timeout=60) == 0
+        err = run.stderr.read().decode()
+        assert run.wait(timeout=60) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestSanitize:
