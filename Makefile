@@ -61,9 +61,12 @@ benchmarks:
 ## contributes and commits nothing; batch annotation is 1 annotate call
 ## per item; a fully-bound lookup finds 1 triple; a checkpoint of a
 ## durable copy of the store after 100 commits of 8 quads serializes no
-## more quads than those 800 ops. Rows, timings and the checkpoint's
-## commit-lock hold are printed ungated (~60 s, ~20 s of it building the
-## three stacks).
+## more quads than those 800 ops; attach_store on a freshly populated
+## platform (a child process per size) makes 1 term-resolver evaluation
+## per distinct (word, language) and copies 0 triples into a graph
+## before its commit. Rows, timings, the checkpoint's commit-lock hold
+## and the attach's peak RSS are printed ungated (~100 s, ~20 s of it
+## building the three stacks, ~20 s the 10 000-content attach).
 bench-ladder:
 	$(PYTHON) -m pytest benchmarks/bench_ladder.py --benchmark-only -q -s
 

@@ -28,7 +28,10 @@ rewrites; a page of the web interface's content browsing (BROWSE, §3);
 the search box's label index and suggestions (SEARCH, Figures 2–3);
 batch annotation (§6); ``platform.evaluator()`` with
 nothing pending; a checkpoint of a durable copy of the store after 100
-small commits; upload -> queryable, last, because it adds to the stacks.
+small commits; the bulk LODification of a freshly populated platform,
+``attach_store`` (§6's batch processing; in a process of its own, so
+its peak RSS is its own); upload -> queryable, last, because it adds
+to the stacks.
 Rows and timings are recorded ungated, next to the end-to-end
 benchmark's speed index, in ``BENCH_ladder.json`` via :mod:`_harness`;
 each rung also prints one line per value with its growth exponent.
@@ -37,14 +40,20 @@ each rung also prints one line per value with its growth exponent.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
 from typing import Callable, Dict, Sequence
 
 from _harness import counted, metered, record, timed_samples
+from conftest import ladder_workload
 from e2e_workloads import SEARCH_PREFIXES
 from repro.analysis import stats as stats_module
 from repro.analysis.plan import QueryPlanner
@@ -56,7 +65,12 @@ from repro.platform import Platform, SearchInterface, WebInterface
 from repro.platform.models import ContentItem
 from repro.platform.search import LABEL_PREDICATES, LabelIndex
 from repro.rdf import Graph, Literal, URIRef
-from repro.resolvers import SemanticBroker
+from repro.resolvers import (
+    DBpediaResolver,
+    GeonamesResolver,
+    SemanticBroker,
+    SindiceResolver,
+)
 from repro.sparql import Evaluator
 from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as sparql_functions
@@ -67,6 +81,7 @@ from repro.store import engine as store_engine
 from repro.store import wal as store_wal
 from repro.store.engine import SnapshotGraph
 from repro.store.persistence import snapshot_path
+from repro.workloads import populate_platform
 
 #: Largest growth exponent a guarded count may show over the ladder:
 #: a count may grow 4.6x over 100x the corpus (2x over 8x).
@@ -862,6 +877,107 @@ def bench_checkpoint(benchmark, ladder, tmp_path_factory):
             store.close()
 
 
+#: The resolvers that answer a (word, language) from the corpus alone.
+TERM_RESOLVERS = (DBpediaResolver, GeonamesResolver, SindiceResolver)
+
+
+def _attach_counts(contents: int) -> Dict[str, float]:
+    """The stack of ``contents`` contents populated afresh and attached
+    to a fresh store: per term resolver, its evaluations per distinct
+    ``(word, language)`` asked of one instance; the triples added to any
+    graph before the store's commit; the quads, the memo entries, the
+    attach's time and the process's peak RSS."""
+    platform = Platform()
+    populate_platform(platform, ladder_workload(contents))
+    asked = {cls: set() for cls in TERM_RESOLVERS}
+    copied, at_commit = [], []
+    commit = QuadStore.commit
+
+    def asking(cls, resolve_term):
+        def resolve(self, word, language=None, *args):
+            asked[cls].add((id(self), word, language, *args))
+            return resolve_term(self, word, language, *args)
+        return resolve
+
+    def committing(self, batch):
+        at_commit.append(len(copied))
+        return commit(self, batch)
+
+    with ExitStack() as counts:
+        evaluated = {
+            cls: counts.enter_context(counted(cls, "_resolve_term"))
+            for cls in TERM_RESOLVERS
+        }
+        counts.enter_context(counted(Graph, "add", copied))
+        for cls in TERM_RESOLVERS:
+            counts.callback(setattr, cls, "resolve_term", cls.resolve_term)
+            cls.resolve_term = asking(cls, cls.resolve_term)
+        QuadStore.commit = committing
+        counts.callback(setattr, QuadStore, "commit", commit)
+        store = QuadStore(name=f"attach-{contents}")
+        began = time.perf_counter()
+        platform.attach_store(store)
+        took = time.perf_counter() - began
+    row: Dict[str, float] = {
+        f"{cls.name}_evals_per_pair": round(
+            len(evaluated[cls]) / max(len(asked[cls]), 1), 3)
+        for cls in TERM_RESOLVERS
+    }
+    row.update({
+        "pairs": len(asked[DBpediaResolver]),
+        "copied_before_commit": at_commit[0],
+        "quads": store.size,
+        "memo_entries": sum(
+            len(resolver._memo)
+            for resolver in platform.annotator.broker.resolvers
+            if isinstance(resolver, TERM_RESOLVERS)
+        ),
+        "ms": round(took * 1000.0, 1),
+        "peak_rss_mb": _peak_rss_mb(),
+    })
+    return row
+
+
+def _peak_rss_mb() -> float:
+    """This process image's peak RSS (Linux ``VmHWM``, which starts
+    afresh at exec; ``ru_maxrss`` would carry the peak of the process
+    that forked it); NaN where there is no ``/proc``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except FileNotFoundError:
+        pass
+    return math.nan
+
+
+def bench_attach_store(benchmark, ladder):
+    """Bulk LODification pays once per distinct word and once per
+    triple: a freshly populated platform attached to a fresh store asks
+    each term resolver for one evaluation per distinct (word, language)
+    pair, and copies no triple into a graph before the store's one
+    commit. Each size runs in a child process, so the peak RSS printed
+    (ungated, with the time) is that populate and attach's alone."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(source), os.environ.get("PYTHONPATH")))))
+
+    def measure(contents, stack):
+        child = subprocess.run(
+            [sys.executable, __file__, "attach", str(contents)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(child.stdout.splitlines()[-1])
+
+    platform = Platform()
+    populate_platform(platform, ladder_workload(min(ladder)))
+    _climb(benchmark, ladder, "attach_store", measure,
+           exact={"copied_before_commit": 0, **{
+               f"{cls.name}_evals_per_pair": 1 for cls in TERM_RESOLVERS}},
+           timed=lambda: platform.attach_store(QuadStore()))
+
+
 @contextmanager
 def _upload_layers(corpus):
     """Attributes one upload: yields ``(layers, probes)``, ``layers``
@@ -970,3 +1086,8 @@ def bench_upload_queryable(benchmark, ladder):
            exact={"geonames_reads": 0},
            timed=lambda: (top.platform.upload(next(captures)),
                           top.platform.evaluator()))
+
+
+if __name__ == "__main__":
+    # the child process of bench_attach_store: ``attach <contents>``
+    print(json.dumps(_attach_counts(int(sys.argv[2]))))

@@ -48,14 +48,19 @@ class Stack(NamedTuple):
         )).captures
 
 
+def ladder_workload(contents: int) -> Workload:
+    """The synthetic uploads of the stack of ``contents`` contents."""
+    return generate_workload(WorkloadConfig(
+        n_users=10, n_contents=contents, seed=SEED,
+        scatter_km=SCATTER_KM * math.sqrt(contents / 200),
+    ))
+
+
 class Stacks(dict):
     """The stack of each corpus size, built on first use."""
 
     def __missing__(self, contents: int) -> Stack:
-        workload = generate_workload(WorkloadConfig(
-            n_users=10, n_contents=contents, seed=SEED,
-            scatter_km=SCATTER_KM * math.sqrt(contents / 200),
-        ))
+        workload = ladder_workload(contents)
         platform = Platform()
         populate_platform(platform, workload)
         store = QuadStore(name=f"ladder-{contents}")

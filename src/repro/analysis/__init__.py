@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .concurrency import ConcurrencyAnalyzer, analyze_paths
     from .d2r_lint import MappingLinter
     from .diagnostics import (
-        AnalysisError,
         Diagnostic,
         DiagnosticReport,
         Severity,
@@ -68,7 +67,6 @@ _EXPORTS: Dict[str, str] = {
     "ConcurrencyAnalyzer": "concurrency",
     "analyze_paths": "concurrency",
     "MappingLinter": "d2r_lint",
-    "AnalysisError": "diagnostics",
     "Diagnostic": "diagnostics",
     "DiagnosticReport": "diagnostics",
     "Severity": "diagnostics",

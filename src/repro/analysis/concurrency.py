@@ -13,8 +13,9 @@ Diagnostic` model under the ``CC*`` rule catalog.
 
 Checked properties (see :mod:`repro.analysis.rules` for severities):
 
-* **CC001** — an attribute written under a class's lock in one method
-  but read or written outside that lock in another. Only attributes
+* **CC001** — an attribute written under a class's lock (a
+  ``Lock``, ``RLock`` or ``Condition``) in one method but read or
+  written outside that lock in another. Only attributes
   with at least one *guarded write* participate, so configuration
   fields set in ``__init__`` and read under a lock never fire.
 * **CC002** — inconsistent nested lock acquisition order. Every nested
@@ -34,8 +35,10 @@ Checked properties (see :mod:`repro.analysis.rules` for severities):
   ``try/finally`` that releases it.
 * **CC008** — a mutable class-body attribute (list/dict/set literal)
   mutated through ``self``: shared across every instance.
-* **CC009** — ``Condition.wait()`` outside a ``while`` predicate loop
-  (wakeups are spurious by contract).
+* **CC009** — ``Condition.wait()`` whose innermost enclosing loop is
+  not a ``while`` predicate loop (wakeups are spurious by contract, so
+  the predicate is re-checked right around the wait; a ``for`` loop or
+  a ``while True:`` further out does not re-check it).
 
 Suppressions are explicit and reviewable:
 
@@ -485,8 +488,9 @@ class _FunctionChecker:
                             node.value, self.imports
                         )
                         if kind == "condition":
+                            # a condition is a lock too: holding it
+                            # guards what is written under it
                             conditions.add(attr)
-                            continue
                         if kind is not None:
                             class_locks.add(attr)
                             continue
@@ -594,7 +598,9 @@ class _WalkContext:
     class_mutables: Set[str]
     conditions: Set[str]
     threads: Set[str]
-    loop_depth: int = 0
+    #: per enclosing loop, innermost last: is it a predicate loop (a
+    #: ``while`` whose test is not a constant)?
+    loops: List[bool] = field(default_factory=list)
 
     # -- lock identity --------------------------------------------------
     def lock_key(self, expr: ast.AST) -> Optional[str]:
@@ -641,17 +647,17 @@ class _WalkContext:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs run later
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            self.loop_depth += 1
-            body_is_loop = isinstance(stmt, ast.While)
+            self.loops.append(isinstance(stmt, ast.While) and not (
+                isinstance(stmt.test, ast.Constant)
+            ))
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 self.walk_expr(stmt.iter, held)
                 self.walk_target(stmt.target, held)
             else:
-                self.walk_expr(stmt.test, held, in_while=True)
+                self.walk_expr(stmt.test, held)
             self.walk_body(stmt.body, held)
             self.walk_body(stmt.orelse, held)
-            self.loop_depth -= 1
-            del body_is_loop
+            self.loops.pop()
             return
         if isinstance(stmt, ast.If):
             self.walk_expr(stmt.test, held)
@@ -758,12 +764,12 @@ class _WalkContext:
             self.walk_expr(target.value, held)
 
     # -- expressions -----------------------------------------------------
-    def walk_expr(self, expr, held, in_while: bool = False) -> None:
+    def walk_expr(self, expr, held) -> None:
         if expr is None:
             return
         for node in self._iter_nodes(expr):
             if isinstance(node, ast.Call):
-                self.check_call(node, held, in_while=in_while)
+                self.check_call(node, held)
             attr = _is_self_attr(node)
             if attr is not None and isinstance(node.ctx, ast.Load):
                 # receiver of a mutating-method call is a write
@@ -818,8 +824,7 @@ class _WalkContext:
             )
 
     # -- calls -----------------------------------------------------------
-    def check_call(self, call: ast.Call, held,
-                   in_while: bool = False) -> None:
+    def check_call(self, call: ast.Call, held) -> None:
         func = call.func
         dotted = dotted_name(func)
         resolved = self.checker.imports.resolve(dotted)
@@ -856,11 +861,12 @@ class _WalkContext:
                 isinstance(func.value, ast.Name)
                 and func.value.id in self.conditions
             )
-            if is_condition and self.loop_depth == 0:
+            if is_condition and not (self.loops and self.loops[-1]):
                 self.checker.emit(
                     "CC009",
-                    "Condition.wait() outside a while loop — wakeups "
-                    "are spurious; re-check the predicate in a loop",
+                    "Condition.wait() outside a while predicate loop — "
+                    "wakeups are spurious; re-check the predicate in "
+                    "the innermost loop around the wait",
                     call,
                 )
 

@@ -73,18 +73,6 @@ class Diagnostic:
         return text
 
 
-class AnalysisError(Exception):
-    """Raised by strict-mode entry points when error diagnostics exist."""
-
-    def __init__(self, diagnostics: Iterable[Diagnostic]) -> None:
-        self.diagnostics: List[Diagnostic] = list(diagnostics)
-        lines = "; ".join(d.render() for d in self.diagnostics)
-        super().__init__(
-            f"static analysis found {len(self.diagnostics)} error(s): "
-            f"{lines}"
-        )
-
-
 @dataclass
 class DiagnosticReport:
     """An ordered collection of diagnostics with aggregate helpers."""
@@ -110,30 +98,8 @@ class DiagnosticReport:
     def errors(self) -> List[Diagnostic]:
         return self.at_least(Severity.ERROR)
 
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [
-            d for d in self.diagnostics if d.severity is Severity.WARNING
-        ]
-
-    def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.diagnostics)
-
-    def rules(self) -> List[str]:
-        """Distinct rule ids present, in first-seen order."""
-        seen: List[str] = []
-        for d in self.diagnostics:
-            if d.rule not in seen:
-                seen.append(d.rule)
-        return seen
-
     def render(self, min_severity: Severity = Severity.INFO) -> str:
         lines = [
             d.render() for d in self.diagnostics if d.severity >= min_severity
         ]
         return "\n".join(lines)
-
-    def raise_for_errors(self) -> None:
-        """Raise :class:`AnalysisError` if any error diagnostics exist."""
-        if self.has_errors():
-            raise AnalysisError(self.errors)

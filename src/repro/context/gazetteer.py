@@ -54,7 +54,19 @@ class Gazetteer:
     def reverse_geocode(self, point: Point) -> CivicAddress:
         """GPS → civil address (street resolved from the nearest POI when
         within walking distance)."""
+        return self._address(point, self.nearest_city(point)[0])
+
+    def geonames_reference(self, point: Point) -> URIRef:
+        """The city-level Geonames resource for ``point`` (§2.2.1)."""
+        return geonames_uri(self.nearest_city(point)[0].geonames_id)
+
+    def locate(self, point: Point) -> Tuple[CivicAddress, URIRef]:
+        """:meth:`reverse_geocode` and :meth:`geonames_reference` of
+        ``point`` from one nearest-city search."""
         city, _ = self.nearest_city(point)
+        return self._address(point, city), geonames_uri(city.geonames_id)
+
+    def _address(self, point: Point, city: CityInfo) -> CivicAddress:
         street: Optional[str] = None
         poi = self.nearest_poi(point, max_distance_km=0.25)
         if poi is not None:
@@ -63,11 +75,6 @@ class Gazetteer:
         return CivicAddress(
             city=city.labels["en"], country=city.country, street=street
         )
-
-    def geonames_reference(self, point: Point) -> URIRef:
-        """The city-level Geonames resource for ``point`` (§2.2.1)."""
-        city, _ = self.nearest_city(point)
-        return geonames_uri(city.geonames_id)
 
     # ------------------------------------------------------------------
     def nearest_poi(

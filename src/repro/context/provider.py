@@ -215,14 +215,14 @@ class ContextPlatform:
         context = UserContext(username=username, timestamp=timestamp)
         point = self.position_at(username, timestamp)
         if point is not None:
-            address = self.gazetteer.reverse_geocode(point)
+            address, geonames_resource = self.gazetteer.locate(point)
             labeled = self.place_label_at(username, point)
             context.location = LocationContext(
                 point=point,
                 address=address,
                 place_label=labeled[0] if labeled else None,
                 place_type=labeled[1] if labeled else None,
-                geonames_resource=self.gazetteer.geonames_reference(point),
+                geonames_resource=geonames_resource,
                 cell=self.serving_cell(point),
             )
             context.buddies = self.nearby_buddies(username, timestamp)

@@ -8,9 +8,10 @@ named graph, queried together through the union view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from ..rdf.graph import Dataset, Graph
+from ..rdf.terms import URIRef
 from .dbpedia import DBPEDIA_GRAPH_IRI, build_dbpedia
 from .geonames import GEONAMES_GRAPH_IRI, build_geonames
 from .linkedgeodata import LINKEDGEODATA_GRAPH_IRI, build_linkedgeodata
@@ -24,12 +25,20 @@ class LodCorpus:
     geonames: Graph
     linkedgeodata: Graph
 
+    def named_graphs(self) -> Dict[URIRef, Graph]:
+        """The three graphs by their named-graph IRI, in dataset order
+        (the graphs themselves, not copies)."""
+        return {
+            DBPEDIA_GRAPH_IRI: self.dbpedia,
+            GEONAMES_GRAPH_IRI: self.geonames,
+            LINKEDGEODATA_GRAPH_IRI: self.linkedgeodata,
+        }
+
     def as_dataset(self, platform_graph: Optional[Graph] = None) -> Dataset:
         """A named-graph dataset, optionally including platform triples."""
         ds = Dataset()
-        _copy_into(ds.graph(DBPEDIA_GRAPH_IRI), self.dbpedia)
-        _copy_into(ds.graph(GEONAMES_GRAPH_IRI), self.geonames)
-        _copy_into(ds.graph(LINKEDGEODATA_GRAPH_IRI), self.linkedgeodata)
+        for iri, graph in self.named_graphs().items():
+            ds.graph(iri).add_all(graph)
         if platform_graph is not None:
             ds.default.add_all(platform_graph)
         return ds
@@ -43,10 +52,6 @@ class LodCorpus:
         if platform_graph is not None:
             merged.add_all(platform_graph)
         return merged
-
-
-def _copy_into(target: Graph, source: Graph) -> None:
-    target.add_all(source)
 
 
 _cached_corpus: Optional[LodCorpus] = None

@@ -588,7 +588,9 @@ class Platform:
         contribution is computed and the store is reconciled — the
         platform graph into the default context, the LOD corpus into
         its three named contexts, other contexts left alone — as one
-        generation-stamped commit. From then on :meth:`evaluator`
+        generation-stamped commit. The reconcile reads the delta's
+        triples and the corpus graphs where they are: nothing is copied
+        into a graph on the way. From then on :meth:`evaluator`
         serves queries from pinned snapshots of it, with WAL + snapshot
         durability when the store is on disk."""
         # detached while rebuilding: a failure leaves the platform
@@ -599,9 +601,9 @@ class Platform:
         self._sources, self._refs = {}, {}
         self._pending = dict.fromkeys(self._all_sources())
         fresh, delta = self._pending_delta()
-        dataset = self.corpus.as_dataset()
-        dataset.default.add_all(delta)
-        store.sync_dataset(dataset)
+        # the delta's keys are the wanted triples: no source had
+        # contributed yet, so every count is positive
+        store.reconcile({None: delta, **self.corpus.named_graphs()})
         self._store = store
         self._settle(fresh, delta)
         return self

@@ -6,13 +6,18 @@ resolver-native score. Candidates remember which *graph* their resource
 belongs to, because the paper's filtering assigns priorities "with
 graphs and not with the resolvers" (§2.2.2) — a Sindice candidate may
 point into Geonames or DBpedia or elsewhere.
+
+The corpus resolvers answer a word from the corpus alone, so each keeps
+a :class:`TermMemo` of what its ``resolve_term`` returned: a bulk
+annotation pays once per distinct word, not once per title using it.
 """
 
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rdf.terms import URIRef
 
@@ -86,3 +91,49 @@ class Resolver(abc.ABC):
     @property
     def supports_full_text(self) -> bool:
         return type(self).resolve_text is not Resolver.resolve_text
+
+
+#: Entries one :class:`TermMemo` keeps; past it, new arguments are
+#: resolved on every call, as without a memo.
+TERM_MEMO_LIMIT = 65_536
+
+
+class TermMemo:
+    """The candidates one resolver instance's ``resolve_term`` returned,
+    by its full argument tuple.
+
+    Exact for a resolver that reads only its corpus graphs, which are
+    immutable by convention (:func:`repro.lod.build_lod_corpus`): the
+    same arguments give the same candidates for the instance's lifetime.
+    Each resolver owns one, so nothing carries from one platform to the
+    next, and the memo sits below every wrapper
+    (:class:`~repro.resolvers.resilience.ResilientResolver`,
+    :class:`~repro.resolvers.resilience.FlakyResolver`): their caches,
+    breakers, counters and injected faults see the calls they always
+    saw. Batch workers share it; two of them missing on one key at once
+    both compute, and the first answer is kept.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: Dict[Tuple[Any, ...], Tuple[Candidate, ...]] = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def resolve(
+        self,
+        compute: Callable[..., Sequence[Candidate]],
+        *arguments: Any,
+    ) -> List[Candidate]:
+        """``compute(*arguments)``, computed once per distinct
+        ``arguments``; a fresh list each call, as ``compute`` gives."""
+        with self._lock:
+            found = self._entries.get(arguments)
+        if found is None:
+            found = tuple(compute(*arguments))
+            with self._lock:
+                if len(self._entries) < TERM_MEMO_LIMIT:
+                    found = self._entries.setdefault(arguments, found)
+        return list(found)

@@ -26,7 +26,7 @@ from ..rdf.namespace import RDF, RDFS
 from ..rdf.terms import Literal, URIRef
 from ..sparql.fulltext import FullTextIndex
 from ..lod.dbpedia import follow_redirect, is_disambiguation_page
-from .base import Candidate, Resolver
+from .base import Candidate, Resolver, TermMemo
 
 
 class DBpediaResolver(Resolver):
@@ -47,12 +47,23 @@ class DBpediaResolver(Resolver):
             if isinstance(o, URIRef):
                 self._popularity[o] = self._popularity.get(o, 0) + 1
         self._max_popularity = max(self._popularity.values(), default=1)
+        self._memo = TermMemo()
 
     def resolve_term(
         self,
         word: str,
         language: Optional[str] = None,
         entity_type: Optional[URIRef] = None,
+    ) -> List[Candidate]:
+        return self._memo.resolve(
+            self._resolve_term, word, language, entity_type
+        )
+
+    def _resolve_term(
+        self,
+        word: str,
+        language: Optional[str],
+        entity_type: Optional[URIRef],
     ) -> List[Candidate]:
         subjects = self._index.search(word)
         candidates: List[Candidate] = []

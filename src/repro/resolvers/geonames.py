@@ -9,7 +9,7 @@ The graph is read once, in ``__init__``, into a name table: lowered name
 → the matching features' ``(resource, label, score)``, best first. The
 corpus is immutable by convention (:func:`repro.lod.build_lod_corpus`),
 and the table is never written after ``__init__``, so worker threads
-share one resolver without a lock.
+share one resolver; its term memo takes its own lock.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ..rdf.graph import Graph
 from ..rdf.namespace import GN
 from ..rdf.terms import Literal, Term
-from .base import Candidate, Resolver
+from .base import Candidate, Resolver, TermMemo
 
 #: One table entry: (feature, display label, score).
 NameEntry = Tuple[Term, str, float]
@@ -64,9 +64,15 @@ class GeonamesResolver(Resolver):
             key: tuple(sorted(entries, key=lambda e: (-e[2], str(e[0]))))
             for key, entries in table.items()
         }
+        self._memo = TermMemo()
 
     def resolve_term(
         self, word: str, language: Optional[str] = None
+    ) -> List[Candidate]:
+        return self._memo.resolve(self._resolve_term, word, language)
+
+    def _resolve_term(
+        self, word: str, language: Optional[str]
     ) -> List[Candidate]:
         return [
             Candidate(

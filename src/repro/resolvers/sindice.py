@@ -18,7 +18,7 @@ from ..rdf.graph import Graph
 from ..rdf.namespace import GN, RDFS
 from ..rdf.terms import Literal
 from ..sparql.fulltext import FullTextIndex
-from .base import Candidate, Resolver
+from .base import Candidate, Resolver, TermMemo
 
 #: Label-ish predicates Sindice's keyword index covers.
 _LABEL_PREDICATES = (RDFS.label, GN.name, GN.alternateName)
@@ -43,9 +43,15 @@ class SindiceResolver(Resolver):
                         continue
                     self._index.add(s, predicate, o.lexical)
                     self._labels.setdefault(s, []).append(o.lexical)
+        self._memo = TermMemo()
 
     def resolve_term(
         self, word: str, language: Optional[str] = None
+    ) -> List[Candidate]:
+        return self._memo.resolve(self._resolve_term, word, language)
+
+    def _resolve_term(
+        self, word: str, language: Optional[str]
     ) -> List[Candidate]:
         candidates: List[Candidate] = []
         for subject in self._index.search(word):

@@ -13,7 +13,8 @@ The storage engine extracted out of :class:`repro.rdf.graph.Graph`
 * :class:`WriteBatch` — the one way in: ordered quad ops that
   ``QuadStore.commit``/``apply`` turn into one generation and one WAL
   record (``insert``/``remove`` are one-op conveniences,
-  ``sync_dataset`` the bulk loader over the same path).
+  ``reconcile`` the bulk loader over the same path, ``sync_dataset``
+  its dataset-shaped front).
 * :class:`WriteAheadLog` / snapshot files — durability; opening a store
   directory *is* crash recovery (newest snapshot + sealed WAL segments +
   WAL tail, torn tail truncated, a generation gap refused).

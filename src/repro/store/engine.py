@@ -60,10 +60,12 @@ import time
 from pathlib import Path
 from typing import (
     Any,
+    Collection,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -218,6 +220,14 @@ class _State:
         self.contexts = contexts
         self.union_size = union_size
         self.views: Dict[type, Any] = views if views is not None else {}
+
+
+def _term_order(triple: Triple) -> Tuple[tuple, tuple, tuple]:
+    """A triple's position in term order, as ``sorted`` on the triples
+    themselves would place it, without a Python-level comparison per
+    pair."""
+    s, p, o = triple
+    return s._sort_key(), p._sort_key(), o._sort_key()
 
 
 def _context_visible(cs: _ContextState, triple: Triple) -> bool:
@@ -583,14 +593,10 @@ class _Checkpointer:
 
     def wait_until_idle(self, timeout: float = 10.0) -> bool:
         """Block until no checkpoint is due or running (tests/CLI)."""
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while self._due or self._running:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-        return True
+            return self._cond.wait_for(
+                lambda: not (self._due or self._running), timeout
+            )
 
     def close(self) -> None:
         """Drain any pending request, then stop and join the thread."""
@@ -1367,32 +1373,46 @@ class QuadStore:
         return GraphStatistics.cached(self.head())
 
     # -- dataset interop -------------------------------------------------
-    def sync_dataset(self, dataset: Dataset) -> int:
-        """Commit the delta that makes every context ``dataset`` names
-        (its default graph and each named graph) equal to it; contexts
-        it does not name belong to other writers and are left alone.
+    def reconcile(
+        self, wanted: Mapping[ContextKey, Collection[Triple]]
+    ) -> int:
+        """Commit the delta that makes every context ``wanted`` names
+        hold exactly its triples; contexts it does not name belong to
+        other writers and are left alone.
 
         The bulk loader: one generation for the whole reconciliation,
         unchanged quads cost nothing, at the price of visiting both
-        sides in full. Returns the resulting generation."""
-        desired: Dict[ContextKey, Set[Triple]] = {
-            None: set(dataset.default.triples())
-        }
-        for graph in dataset.graphs():
-            key = _as_context(graph.identifier)
-            desired[key] = set(graph.triples())
+        sides in full. Each collection (a graph, a set, a dict's keys;
+        each triple once) is read in place, iterated once and asked for
+        membership, never copied. The ops come context by context in
+        ``wanted``'s order: a context's removals in its own order, then
+        its additions in term order (:meth:`Term._sort_key`, computed
+        once per added triple). Returns the resulting generation."""
         batch = WriteBatch()
         state = self._state  # cc: allow=CC001 (atomic reference read)
-        for key, want in desired.items():
+        for key, want in wanted.items():
             cs = state.contexts.get(key)
             if cs is not None:
                 for triple in _union_triples((cs,), (None, None, None)):
                     if triple not in want:
                         batch.ops.append((OP_REMOVE, triple, key))
-            for triple in sorted(want):
-                if cs is None or not _context_visible(cs, triple):
-                    batch.ops.append((OP_ADD, triple, key))
+            added = [
+                triple for triple in want
+                if cs is None or not _context_visible(cs, triple)
+            ]
+            added.sort(key=_term_order)
+            batch.ops.extend((OP_ADD, triple, key) for triple in added)
         return self.commit(batch)
+
+    def sync_dataset(self, dataset: Dataset) -> int:
+        """:meth:`reconcile` every context ``dataset`` names: its
+        default graph and each named graph."""
+        wanted: Dict[ContextKey, Collection[Triple]] = {
+            None: dataset.default
+        }
+        for graph in dataset.graphs():
+            wanted[_as_context(graph.identifier)] = graph
+        return self.reconcile(wanted)
 
     # -- admin -----------------------------------------------------------
     def info(self) -> dict:

@@ -157,10 +157,41 @@ LIVE_VIOLATIONS = {
         "against a freshly built stack.\"\"\"\n\n"
         "    _errors: List[str] = []\n",
     )),
-    # a wakeup that finds the checkpointer still busy returns "idle"
+    # a spurious wakeup of the idle checkpointer ends its thread: the
+    # loop around the wait is the outer ``while True``, which does not
+    # re-check the predicate
     "CC009": lambda: _source(ENGINE, (
-        "            while self._due or self._running:\n",
-        "            if self._due or self._running:\n",
+        "                while not self._due and not self._closing:\n",
+        "                if not self._due and not self._closing:\n",
+    )),
+}
+
+#: Violations the analyzer reports since it counts a ``Condition`` as a
+#: guard (CC001) and asks the innermost loop around a wait to be the
+#: predicate loop (CC009); the ``CC009`` row above is one of the second
+#: kind.
+SHARPENED = {
+    # the checkpointer's counters read without its condition
+    "CC001": lambda: _source(ENGINE, ((
+        "        with self._cond:\n"
+        "            return {\n"
+        "                \"runs\": self._runs,\n"
+        "                \"failures\": self._failures,\n"
+        "                \"last_error\": self._last_error,\n"
+        "                \"pending\": self._due or self._running,\n"
+        "            }\n"
+    ), (
+        "        return {\n"
+        "            \"runs\": self._runs,\n"
+        "            \"failures\": self._failures,\n"
+        "            \"last_error\": self._last_error,\n"
+        "            \"pending\": self._due or self._running,\n"
+        "        }\n"
+    ))),
+    # a bounded retry of the worker's wait, a ``for`` loop innermost
+    "CC009": lambda: _source(ENGINE, (
+        "                while not self._due and not self._closing:\n",
+        "                for _ in range(3):\n",
     )),
 }
 
@@ -168,5 +199,12 @@ LIVE_VIOLATIONS = {
 @pytest.mark.parametrize("rule_id", sorted(LIVE_VIOLATIONS))
 def test_rule_reports_its_live_violation(rule_id):
     before, after = LIVE_VIOLATIONS[rule_id]()
+    assert rule_id not in {d.rule for d in before}
+    assert rule_id in {d.rule for d in after}, after
+
+
+@pytest.mark.parametrize("rule_id", sorted(SHARPENED))
+def test_rule_reports_a_violation_it_used_to_miss(rule_id):
+    before, after = SHARPENED[rule_id]()
     assert rule_id not in {d.rule for d in before}
     assert rule_id in {d.rule for d in after}, after

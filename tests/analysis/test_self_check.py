@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    AnalysisError,
     Diagnostic,
     DiagnosticReport,
     RULES,
@@ -55,19 +54,17 @@ def test_diagnostic_render_format():
     )
 
 
-def test_report_aggregation_and_raise():
+def test_report_aggregation():
     report = DiagnosticReport()
     report.add(Diagnostic("SP009", Severity.INFO, "info"))
     report.add(Diagnostic("SP003", Severity.WARNING, "warn"))
     report.add(Diagnostic("SP004", Severity.ERROR, "err"))
     assert len(report) == 3
-    assert report.rules() == ["SP009", "SP003", "SP004"]
     assert [d.rule for d in report.errors] == ["SP004"]
-    assert [d.rule for d in report.warnings] == ["SP003"]
+    assert [d.rule for d in report.at_least(Severity.WARNING)] == [
+        "SP003", "SP004",
+    ]
     assert report.render(Severity.WARNING).count("\n") == 1
-    with pytest.raises(AnalysisError) as excinfo:
-        report.raise_for_errors()
-    assert excinfo.value.diagnostics[0].rule == "SP004"
 
 
 def test_rule_registry_covers_all_components():

@@ -117,6 +117,30 @@ class TestContextPlatform:
         assert context.location.geonames_resource == geonames_uri(3165524)
         assert context.location.cell is not None
 
+    @pytest.mark.parametrize(
+        "point", [MOLE, ROME_CENTER, NEAR_MOLE, TURIN_SUBURB]
+    )
+    def test_contextualize_searches_the_nearest_city_once(
+        self, platform, monkeypatch, point
+    ):
+        gazetteer = platform.gazetteer
+        expected = (
+            gazetteer.reverse_geocode(point),
+            gazetteer.geonames_reference(point),
+        )
+        searched = []
+        nearest_city = Gazetteer.nearest_city
+
+        def counting(self, at):
+            searched.append(at)
+            return nearest_city(self, at)
+
+        monkeypatch.setattr(Gazetteer, "nearest_city", counting)
+        platform.report_position("oscar", 100, point)
+        location = platform.contextualize("oscar", 120).location
+        assert searched == [point]
+        assert (location.address, location.geonames_resource) == expected
+
     def test_nearby_buddies_only_friends(self, platform):
         platform.report_position("oscar", 100, MOLE)
         platform.report_position("walter", 100, NEAR_MOLE)

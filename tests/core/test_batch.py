@@ -7,12 +7,14 @@ the resilience PR and the parallel/sequential equivalence contract.)
 """
 
 import time
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
 
+from repro import resolvers as resolvers_module
 from repro.core import BatchAnnotator
-from repro.core.annotator import SemanticAnnotator
+from repro.core.annotator import SemanticAnnotator, build_default_annotator
 from repro.core.filtering import SemanticFilter
 from repro.lod import build_lod_corpus
 from repro.platform import Platform
@@ -376,3 +378,52 @@ class TestFaultDegradation:
         assert result.degraded
         assert result.failed_resolvers() == ["dbpedia"]
         assert result.per_word["Turin"]  # healthy candidates survived
+
+    def test_resilient_path_counts(self, corpus, monkeypatch):
+        # every resolver behind seeded faults and the full resilience
+        # layer, one worker: the counters are a function of the input
+        # stream, pinned here as literals (latencies aside)
+        plain = resolvers_module.default_resolvers
+        monkeypatch.setattr(
+            resolvers_module, "default_resolvers",
+            lambda corpus: [
+                FlakyResolver(r, failure_rate=0.2, seed=5)
+                for r in plain(corpus)
+            ],
+        )
+        platform = Platform()
+        populate_platform(platform, generate_workload(WorkloadConfig(
+            n_users=6, n_contents=40, seed=7,
+        )))
+        platform.annotator = build_default_annotator(
+            corpus, resilient=True, resilience={
+                "retry": RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
+                "failure_threshold": 2,
+                "reset_timeout": 0.0,
+            },
+        )
+        stats = BatchAnnotator(platform, Graph(), batch_size=10).run()
+
+        assert (
+            stats.processed, stats.annotated, stats.triples_added,
+            stats.failures, stats.degraded_items, stats.resolver_failures,
+        ) == (40, 40, 52, [], 4, 20)
+        term = dict(
+            calls=124, successes=100, failures=4, retries=20, timeouts=0,
+            rejected=0, breaker_trips=5, breaker_state="closed",
+            cache_hits=87, cache_misses=104,
+        )
+        text = dict(term, calls=161, successes=132, retries=25,
+                    cache_hits=95, cache_misses=136)
+        for name, report in stats.resolver_report.items():
+            counters = asdict(report)
+            del counters["latency_total"], counters["latency_max"]
+            assert counters == dict(
+                text if name in ("evri", "zemanta") else term,
+                name=name,
+                last_error=f"RuntimeError: {name}: injected fault "
+                "(attempt 0)",
+            ), name
+        assert sorted(stats.resolver_report) == [
+            "dbpedia", "evri", "geonames", "sindice", "zemanta",
+        ]

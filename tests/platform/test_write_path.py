@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.platform import Capture, Platform
 from repro.platform.vocab import TLV
 from repro.rdf import FOAF, TL_USER
+from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, URIRef
 from repro.sparql import Point
 from repro.store import QuadStore
@@ -143,6 +144,34 @@ def _apply(platform: Platform, mutation: tuple) -> None:
         platform.annotate_region(
             pids[args[0] % len(pids)], 0.1, 0.1, 0.5, 0.5, args[1]
         )
+
+
+def test_attach_reconciles_without_a_graph_copy(monkeypatch):
+    """``attach_store`` hands the store its delta and the corpus graphs
+    as they are: no triple is added to any graph before the commit, and
+    the store holds what a dataset of the corpus plus a from-scratch
+    semanticize would have synced."""
+    platform = _busy_platform()
+    added, at_commit = [], []
+    add, commit = Graph.add, QuadStore.commit
+
+    def adding(self, triple):
+        added.append(triple)
+        return add(self, triple)
+
+    def committing(self, batch):
+        at_commit.append(len(added))
+        return commit(self, batch)
+
+    monkeypatch.setattr(Graph, "add", adding)
+    monkeypatch.setattr(QuadStore, "commit", committing)
+    store = QuadStore()
+    platform.attach_store(store)
+    assert at_commit == [0]
+    monkeypatch.undo()
+    expected = QuadStore()
+    expected.sync_dataset(platform.corpus.as_dataset(platform.semanticize()))
+    assert store.to_nquads() == expected.to_nquads()
 
 
 class TestDeltasEqualRebuild:

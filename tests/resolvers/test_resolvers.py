@@ -1,5 +1,8 @@
 """Resolver and broker tests."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.lod import build_lod_corpus
@@ -21,6 +24,7 @@ from repro.resolvers import (
     default_resolvers,
 )
 from repro.lod.geonames import geonames_uri
+from repro.resolvers import base
 
 
 @pytest.fixture(scope="module")
@@ -369,3 +373,114 @@ class TestMergeTieBreak:
         assert [c.resource for c in merged] == [
             DBPR.Apple, DBPR.Banana, DBPR.Turin
         ]
+
+
+class TestTermMemo:
+    """The corpus resolvers answer each distinct argument tuple once per
+    instance; what they return does not change."""
+
+    WORDS = ("Turin", "turin", "Mole Antonelliana", "Torino", "nowhere")
+
+    @pytest.fixture(params=["dbpedia", "geonames", "sindice"])
+    def make(self, request, corpus):
+        return {
+            "dbpedia": lambda: DBpediaResolver(corpus.dbpedia),
+            "geonames": lambda: GeonamesResolver(corpus.geonames),
+            "sindice": lambda: SindiceResolver(
+                [corpus.dbpedia, corpus.geonames]
+            ),
+        }[request.param]
+
+    @staticmethod
+    def _counting(resolver, monkeypatch):
+        computed = []
+        compute = type(resolver)._resolve_term
+
+        def counting(self, *arguments):
+            computed.append(arguments)
+            return compute(self, *arguments)
+
+        monkeypatch.setattr(type(resolver), "_resolve_term", counting)
+        return computed
+
+    def test_once_per_distinct_arguments(self, make, monkeypatch):
+        resolver = make()
+        computed = self._counting(resolver, monkeypatch)
+        asks = [(w, lang) for w in self.WORDS for lang in ("it", "en")]
+        first = [resolver.resolve_term(*ask) for ask in asks]
+        again = [resolver.resolve_term(*ask) for ask in reversed(asks)]
+        assert again == first[::-1]
+        assert len(computed) == len(asks)
+        assert len(resolver._memo) == len(asks)
+        # a fresh list per call: a caller's edit reaches no other caller
+        first[0].clear()
+        assert resolver.resolve_term(*asks[0]) == again[-1]
+
+    def test_answers_what_the_resolver_computes(self, make, monkeypatch):
+        memoised = make()
+        asks = [(w, lang) for w in self.WORDS for lang in (None, "it")]
+        answers = [memoised.resolve_term(*ask) for ask in asks * 2]
+        monkeypatch.setattr(base, "TERM_MEMO_LIMIT", 0)  # keeps nothing
+        computed = make()
+        assert answers == [computed.resolve_term(*ask) for ask in asks * 2]
+        assert len(computed._memo) == 0
+
+    def test_one_memo_per_instance(self, make, monkeypatch):
+        first, second = make(), make()
+        computed = self._counting(first, monkeypatch)
+        first.resolve_term("Turin", "it")
+        second.resolve_term("Turin", "it")
+        assert len(computed) == 2
+
+    def test_full_memo_keeps_answering(self, make, monkeypatch):
+        monkeypatch.setattr(base, "TERM_MEMO_LIMIT", 2)
+        resolver = make()
+        computed = self._counting(resolver, monkeypatch)
+        answers = [resolver.resolve_term(w, "it") for w in self.WORDS]
+        assert [resolver.resolve_term(w, "it") for w in self.WORDS] == (
+            answers
+        )
+        assert len(resolver._memo) == 2
+        assert len(computed) == 2 * len(self.WORDS) - 2
+
+    def test_shared_by_threads(self, make):
+        # more workers than cores, switching every microsecond: every
+        # caller gets the answer, and each key is kept once
+        resolver = make()
+        expected = {w: make().resolve_term(w, "it") for w in self.WORDS}
+        seen, errors = [], []
+
+        def work(offset):
+            try:
+                for k in range(40):
+                    word = self.WORDS[(offset + k) % len(self.WORDS)]
+                    seen.append(
+                        resolver.resolve_term(word, "it") == expected[word]
+                    )
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(n,)) for n in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert seen == [True] * (8 * 40)
+        assert len(resolver._memo) == len(self.WORDS)
+
+    def test_entity_type_is_part_of_the_key(self, corpus):
+        resolver = DBpediaResolver(corpus.dbpedia)
+        typed = resolver.resolve_term(
+            "Turin", "it", entity_type=URIRef("http://example.org/None")
+        )
+        assert typed == []
+        assert resolver.resolve_term("Turin", "it")

@@ -11,7 +11,7 @@ from repro.rdf.graph import Dataset, FrozenGraphError
 from repro.rdf.nquads import serialize_nquads
 from repro.rdf.terms import Literal
 from repro.store import QuadStore, StoreError, WriteBatch, engine
-from repro.store.wal import OP_ADD
+from repro.store.wal import OP_ADD, OP_REMOVE
 
 from ..rdf.test_graph import leaked_mutations
 
@@ -392,6 +392,67 @@ class TestSyncDataset:
         store.sync_dataset(smaller)
         assert store.size == 1
         assert store.head()._contains(*_triple(1))
+
+
+class TestReconcile:
+    G1 = URIRef(EX + "g1")
+
+    @staticmethod
+    def _committed(store, monkeypatch):
+        """The op lists the store commits, one per commit."""
+        seen = []
+        commit = QuadStore.commit
+
+        def recording(self, batch):
+            seen.append(list(batch.ops))
+            return commit(self, batch)
+
+        monkeypatch.setattr(QuadStore, "commit", recording)
+        return seen
+
+    def test_reads_each_collection_in_place(self, monkeypatch):
+        store = QuadStore()
+        store.insert(_triple(0), URIRef(EX + "other"))
+        store.insert(_triple(1))
+        store.insert(_triple(2))
+        graph = Dataset().graph(self.G1)
+        graph.add_all([_triple(7, "b"), _triple(7, "a"), _triple(3)])
+        wanted = {None: {_triple(2): 1, _triple(9): 1, _triple(5): 1},
+                  self.G1: graph}
+        committed = self._committed(store, monkeypatch)
+        generation = store.reconcile(wanted)
+        assert (generation, store.generation) == (4, 4)
+        # a context's removals, then its additions in term order; the
+        # context no one named is left alone
+        assert committed == [[
+            (OP_REMOVE, _triple(1), None),
+            (OP_ADD, _triple(5), None),
+            (OP_ADD, _triple(9), None),
+            (OP_ADD, _triple(3), self.G1),
+            (OP_ADD, _triple(7, "a"), self.G1),
+            (OP_ADD, _triple(7, "b"), self.G1),
+        ]]
+        assert store.reconcile(wanted) == generation
+        assert store.size == 7
+
+    def test_sync_dataset_is_reconcile_of_its_graphs(self, monkeypatch):
+        rng = random.Random(3)
+        dataset = Dataset()
+        for i in rng.sample(range(200), 60):
+            dataset.default.add(_triple(i, str(rng.random())))
+        for i in rng.sample(range(200), 40):
+            dataset.graph(self.G1).add(_triple(i, str(i % 7)))
+        synced, reconciled = QuadStore(), QuadStore()
+        committed = self._committed(synced, monkeypatch)
+        synced.sync_dataset(dataset)
+        reconciled.reconcile({
+            None: set(dataset.default), self.G1: dataset.graph(self.G1),
+        })
+        assert synced.to_nquads() == reconciled.to_nquads()
+        # additions come as sorting the triples themselves orders them
+        assert [triple for _, triple, _ in committed[0]] == (
+            sorted(dataset.default) + sorted(dataset.graph(self.G1))
+        )
 
 
 class TestStatistics:
