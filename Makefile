@@ -63,10 +63,13 @@ benchmarks:
 ## durable copy of the store after 100 commits of 8 quads serializes no
 ## more quads than those 800 ops; attach_store on a freshly populated
 ## platform (a child process per size) makes 1 term-resolver evaluation
-## per distinct (word, language) and copies 0 triples into a graph
-## before its commit. Rows, timings, the checkpoint's commit-lock hold
-## and the attach's peak RSS are printed ungated (~100 s, ~20 s of it
-## building the three stacks, ~20 s the 10 000-content attach).
+## per distinct (word, language), 1 annotator stage-1 evaluation per
+## distinct (title, language) and 1 filter evaluation per distinct
+## (word, candidates), and copies 0 triples into a graph before its
+## commit. Rows, timings, the checkpoint's commit-lock hold, the
+## attach's peak RSS and its memos' entries and tracemalloc bytes are
+## printed ungated (~100 s, ~20 s of it building the three stacks,
+## ~20 s the 10 000-content attach).
 bench-ladder:
 	$(PYTHON) -m pytest benchmarks/bench_ladder.py --benchmark-only -q -s
 

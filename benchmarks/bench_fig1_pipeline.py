@@ -5,13 +5,19 @@ title, per-stage latencies (language id, morphological analysis,
 brokering+filtering) and the acceptance/abstention statistics over the
 gold corpus. The paper gives no numbers for this figure; EXPERIMENTS.md
 records what we measure.
+
+An annotator memoises each stage per distinct input (its text stage per
+title, its filter per word and candidates, its resolvers per word), so
+the pipeline's cost is timed on annotators whose memos are empty, and
+the memoised repeat is reported beside it as the warm figure.
 """
 
 from __future__ import annotations
 
-import pytest
+import statistics
 
 from _harness import record, timed_samples
+from repro.core import build_default_annotator
 from repro.nlp import MorphologicalAnalyzer, default_detector
 from repro.obs import InMemorySpanExporter, Tracer, set_tracer
 from repro.workloads import GOLD_CORPUS, score_pipeline
@@ -32,13 +38,39 @@ def test_pipeline_quality_headline(annotator):
     )
 
 
-def bench_full_pipeline(benchmark, annotator):
-    """End-to-end annotation latency over the whole gold corpus."""
+def _cold(benchmark, corpus, run, rounds: int = 10):
+    """Time ``run(annotator)`` on annotators whose memos are empty (the
+    annotator, its resolvers and its filter), each built outside the
+    timed region; then record the warm figure beside it: the same run
+    on an annotator that has seen every title once. Returns the last
+    cold run's value."""
+    results = []
 
-    def run():
-        return [annotator.annotate(t) for t in TITLES]
+    def fresh():
+        return (build_default_annotator(corpus),), {}
 
-    results = benchmark(run)
+    benchmark.pedantic(
+        lambda annotator: results.append(run(annotator)),
+        setup=fresh, rounds=rounds, iterations=1,
+    )
+    warm = build_default_annotator(corpus)
+    run(warm)
+    warm_ms = statistics.median(timed_samples(lambda: run(warm), 10))
+    cold_ms = benchmark.stats.stats.median * 1000.0
+    benchmark.extra_info["cold_ms"] = round(cold_ms, 2)
+    benchmark.extra_info["warm_ms"] = round(warm_ms, 2)
+    print(f"\nFIG1 {benchmark.name}: cold {cold_ms:.2f} ms, "
+          f"warm {warm_ms:.2f} ms (30 titles)")
+    return results[-1]
+
+
+def bench_full_pipeline(benchmark, corpus):
+    """End-to-end annotation latency over the whole gold corpus: the
+    pipeline's cost (cold), with the memoised repeat beside it (warm)."""
+    results = _cold(
+        benchmark, corpus,
+        lambda annotator: [annotator.annotate(t) for t in TITLES],
+    )
     annotated = sum(1 for r in results if r.annotations)
     benchmark.extra_info["titles"] = len(TITLES)
     benchmark.extra_info["titles_with_annotations"] = annotated
@@ -107,14 +139,15 @@ def bench_stage_morphology(benchmark):
     benchmark(lambda: [analyzer.proper_nouns(t) for t in TITLES])
 
 
-def bench_stage_broker_and_filter(benchmark, annotator):
-    """Brokering+filtering isolated: pre-computed word lists."""
+def bench_stage_broker_and_filter(benchmark, annotator, corpus):
+    """Brokering+filtering isolated: pre-computed word lists, resolved
+    and filtered by annotators with empty memos (warm figure beside)."""
     word_lists = []
     for title in TITLES:
         result = annotator.annotate(title)
         word_lists.append((result.words, title, result.language))
 
-    def run():
+    def run(annotator):
         outcomes = []
         for words, title, language in word_lists:
             broker_result = annotator.broker.resolve(
@@ -126,4 +159,4 @@ def bench_stage_broker_and_filter(benchmark, annotator):
                 )
         return outcomes
 
-    benchmark(run)
+    _cold(benchmark, corpus, run)

@@ -39,6 +39,7 @@ each rung also prints one line per value with its growth exponent.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -47,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -59,7 +61,8 @@ from repro.analysis import stats as stats_module
 from repro.analysis.plan import QueryPlanner
 from repro.analysis.stats import GraphStatistics
 from repro.core import BatchAnnotator, geo_album, rated_album, social_album
-from repro.core.annotator import SemanticAnnotator
+from repro.core.annotator import SemanticAnnotator, build_default_annotator
+from repro.core.filtering import SemanticFilter
 from repro.core.mashup import mashup_query, run_mashup
 from repro.platform import Platform, SearchInterface, WebInterface
 from repro.platform.models import ContentItem
@@ -881,23 +884,29 @@ def bench_checkpoint(benchmark, ladder, tmp_path_factory):
 TERM_RESOLVERS = (DBpediaResolver, GeonamesResolver, SindiceResolver)
 
 
+def _asking(asked: set, method: Callable, key: Callable) -> Callable:
+    """``method`` recording ``key(self, *args)`` in ``asked`` per call."""
+    def asking(self, *args, **kwargs):
+        asked.add((id(self), *key(*args, **kwargs)))
+        return method(self, *args, **kwargs)
+    return asking
+
+
 def _attach_counts(contents: int) -> Dict[str, float]:
     """The stack of ``contents`` contents populated afresh and attached
     to a fresh store: per term resolver, its evaluations per distinct
-    ``(word, language)`` asked of one instance; the triples added to any
-    graph before the store's commit; the quads, the memo entries, the
-    attach's time and the process's peak RSS."""
+    ``(word, language)`` asked of one instance; the annotator's stage-1
+    evaluations per distinct ``(title, language)`` and the filter's
+    evaluations per distinct ``(word, candidates)``; the triples added
+    to any graph before the store's commit; the quads, the memo entries,
+    the attach's time and the process's peak RSS; then the bytes the
+    memos hold, under ``tracemalloc``, after the peak was read."""
     platform = Platform()
     populate_platform(platform, ladder_workload(contents))
     asked = {cls: set() for cls in TERM_RESOLVERS}
+    texts, verdicts = set(), set()
     copied, at_commit = [], []
     commit = QuadStore.commit
-
-    def asking(cls, resolve_term):
-        def resolve(self, word, language=None, *args):
-            asked[cls].add((id(self), word, language, *args))
-            return resolve_term(self, word, language, *args)
-        return resolve
 
     def committing(self, batch):
         at_commit.append(len(copied))
@@ -908,34 +917,98 @@ def _attach_counts(contents: int) -> Dict[str, float]:
             cls: counts.enter_context(counted(cls, "_resolve_term"))
             for cls in TERM_RESOLVERS
         }
+        text_stages = counts.enter_context(
+            counted(SemanticAnnotator, "_text_stage"))
+        rules = counts.enter_context(counted(SemanticFilter, "_apply_rules"))
         counts.enter_context(counted(Graph, "add", copied))
-        for cls in TERM_RESOLVERS:
-            counts.callback(setattr, cls, "resolve_term", cls.resolve_term)
-            cls.resolve_term = asking(cls, cls.resolve_term)
+        asks = [(cls, "resolve_term", asked[cls],
+                 lambda word, language=None, *rest: (word, language, *rest))
+                for cls in TERM_RESOLVERS]
+        asks.append((SemanticAnnotator, "annotate", texts,
+                     lambda title, tags=(), language=None: (title, language)))
+        asks.append((SemanticFilter, "filter_word", verdicts,
+                     lambda word, candidates: (word, tuple(candidates))))
+        for owner, name, keys, key in asks:
+            method = getattr(owner, name)
+            counts.callback(setattr, owner, name, method)
+            setattr(owner, name, _asking(keys, method, key))
         QuadStore.commit = committing
         counts.callback(setattr, QuadStore, "commit", commit)
         store = QuadStore(name=f"attach-{contents}")
         began = time.perf_counter()
         platform.attach_store(store)
         took = time.perf_counter() - began
+    annotator = platform.annotator
     row: Dict[str, float] = {
         f"{cls.name}_evals_per_pair": round(
             len(evaluated[cls]) / max(len(asked[cls]), 1), 3)
         for cls in TERM_RESOLVERS
     }
     row.update({
+        "text_evals_per_input": round(
+            len(text_stages) / max(len(texts), 1), 3),
+        "filter_evals_per_input": round(
+            len(rules) / max(len(verdicts), 1), 3),
         "pairs": len(asked[DBpediaResolver]),
         "copied_before_commit": at_commit[0],
         "quads": store.size,
-        "memo_entries": sum(
-            len(resolver._memo)
-            for resolver in platform.annotator.broker.resolvers
-            if isinstance(resolver, TERM_RESOLVERS)
-        ),
+        "memo_entries": sum(len(memo) for memo in _term_memos(annotator)),
+        "text_memo_entries": len(annotator._texts),
+        "filter_memo_entries": len(annotator.filter._outcomes),
         "ms": round(took * 1000.0, 1),
         "peak_rss_mb": _peak_rss_mb(),
+        "memo_kb": _memo_kb(platform),
     })
     return row
+
+
+def _term_memos(annotator: SemanticAnnotator) -> list:
+    """The memos of an annotator's term resolvers."""
+    return [
+        resolver._memo for resolver in annotator.broker.resolvers
+        if isinstance(resolver, TERM_RESOLVERS)
+    ]
+
+
+def _memos(annotator: SemanticAnnotator) -> list:
+    """Every memo an annotator asks: its text stage's, its filter's and
+    its term resolvers'."""
+    return [annotator._texts, annotator.filter._outcomes,
+            *_term_memos(annotator)]
+
+
+def _memo_kb(platform: Platform) -> float:
+    """The kilobytes an annotator's memos hold once they have seen every
+    content of ``platform``, under ``tracemalloc``. A fresh annotator
+    finds the inputs that add a memo entry; a second one, built before
+    ``tracemalloc`` starts, annotates only those (what the others ask is
+    already kept by then, so its memos end up the same); what that
+    leaves allocated is what its memos keep."""
+    inputs = dict.fromkeys(
+        (item.title, tuple(item.plain_tags)) for item in platform.contents()
+    )
+    finder, filling = build_default_annotator(platform.corpus), []
+    for title, tags in inputs:
+        entries = sum(len(memo) for memo in _memos(finder))
+        finder.annotate(title, tags)
+        if sum(len(memo) for memo in _memos(finder)) > entries:
+            filling.append((title, tags))
+    fresh = build_default_annotator(platform.corpus)
+    for language in fresh.detector.languages:
+        fresh._analyzer(language)  # built once per annotator, not kept
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for title, tags in filling:
+            fresh.annotate(title, tags)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [len(memo) for memo in _memos(fresh)] == [
+        len(memo) for memo in _memos(finder)]
+    return round(kept / 1024.0, 1)
 
 
 def _peak_rss_mb() -> float:
@@ -953,12 +1026,15 @@ def _peak_rss_mb() -> float:
 
 
 def bench_attach_store(benchmark, ladder):
-    """Bulk LODification pays once per distinct word and once per
+    """Bulk LODification pays once per distinct input and once per
     triple: a freshly populated platform attached to a fresh store asks
     each term resolver for one evaluation per distinct (word, language)
-    pair, and copies no triple into a graph before the store's one
-    commit. Each size runs in a child process, so the peak RSS printed
-    (ungated, with the time) is that populate and attach's alone."""
+    pair, the annotator for one stage-1 evaluation per distinct (title,
+    language) and its filter for one per distinct (word, candidates),
+    and copies no triple into a graph before the store's one commit.
+    Each size runs in a child process, so the peak RSS printed (ungated,
+    with the time, the memo entries and the memos' bytes) is that
+    populate and attach's alone."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(source), os.environ.get("PYTHONPATH")))))
@@ -973,8 +1049,10 @@ def bench_attach_store(benchmark, ladder):
     platform = Platform()
     populate_platform(platform, ladder_workload(min(ladder)))
     _climb(benchmark, ladder, "attach_store", measure,
-           exact={"copied_before_commit": 0, **{
-               f"{cls.name}_evals_per_pair": 1 for cls in TERM_RESOLVERS}},
+           exact={"copied_before_commit": 0, "text_evals_per_input": 1,
+                  "filter_evals_per_input": 1, **{
+                      f"{cls.name}_evals_per_pair": 1
+                      for cls in TERM_RESOLVERS}},
            timed=lambda: platform.attach_store(QuadStore()))
 
 

@@ -25,13 +25,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..nlp.langdetect import LanguageDetector, default_detector
 from ..nlp.morpho import MorphologicalAnalyzer
 from ..nlp.termfreq import relevant_words
 from ..obs import get_registry, get_tracer
-from ..resolvers.base import Candidate
+from ..resolvers.base import Candidate, Memo
 from ..resolvers.broker import BrokerResult, SemanticBroker
 from .filtering import FilterOutcome, SemanticFilter
 
@@ -47,9 +47,17 @@ STAGE_HISTOGRAM_HELP = (
 def _stage(tracer, histogram, stage: str):
     """Bracket one pipeline stage: span + stage-latency observation."""
     begin = time.perf_counter()
-    with tracer.span(f"annotate.{stage}"):
-        yield
+    with tracer.span(f"annotate.{stage}") as span:
+        yield span
     histogram.labels(stage=stage).observe(time.perf_counter() - begin)
+
+
+class _TextStage(NamedTuple):
+    """Stage 1's output for one title, shared through the memo."""
+
+    language: str
+    np_lemmas: Tuple[str, ...]
+    frequency_words: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,46 @@ class SemanticAnnotator:
         # annotate() is called concurrently by BatchAnnotator workers;
         # the per-language analyzer cache is the only state it shares.
         self._analyzers_lock = threading.Lock()
+        # stage 1 by (title, language argument); the annotator's
+        # configuration is fixed from here on
+        self._texts = Memo()
+
+    def _text_stage(
+        self, title: str, language: Optional[str]
+    ) -> _TextStage:
+        """Stage 1 for one title: language, NP lemmas and term-frequency
+        words, each stage bracketed by its span and histogram sample.
+        A pure function of its arguments, so :meth:`annotate` asks it
+        through the annotator's memo, once per distinct input."""
+        tracer = get_tracer()
+        histogram = get_registry().histogram(
+            STAGE_HISTOGRAM, STAGE_HISTOGRAM_HELP
+        )
+        with _stage(tracer, histogram, "langdetect"):
+            detected = language or self.detector.detect(title)
+        with _stage(tracer, histogram, "morpho"):
+            analyzer = self._analyzer(detected)
+            np_tokens = analyzer.proper_nouns(title, self.np_min_score)
+        np_lemmas = tuple(t.lemma for t in np_tokens)
+        covered = {lemma.lower() for lemma in np_lemmas}
+        for lemma in np_lemmas:
+            covered.update(part.lower() for part in lemma.split())
+        frequency_words: Sequence[str] = ()
+        if self.term_freq_top_k > 0:
+            with _stage(tracer, histogram, "termfreq"):
+                frequency_words = relevant_words(
+                    title,
+                    detected,
+                    top_k=self.term_freq_top_k,
+                    exclude=covered,
+                )
+                if self.prune_abstract_nouns:
+                    from ..nlp.senses import prune_abstract
+
+                    frequency_words = prune_abstract(
+                        frequency_words, detected
+                    )
+        return _TextStage(detected, np_lemmas, tuple(frequency_words))
 
     def _analyzer(self, language: str) -> MorphologicalAnalyzer:
         with self._analyzers_lock:
@@ -140,38 +188,16 @@ class SemanticAnnotator:
         with tracer.span("annotate") as pipeline_span:
             pipeline_span.set_attribute("title", title)
 
-            with _stage(tracer, histogram, "langdetect"):
-                detected = language or self.detector.detect(title)
-            result = AnnotationResult(
-                title=title, plain_tags=list(tags), language=detected
-            )
-
             # --- stage 1: text processing -----------------------------
-            with _stage(tracer, histogram, "morpho"):
-                analyzer = self._analyzer(detected)
-                np_tokens = analyzer.proper_nouns(
-                    title, self.np_min_score
-                )
-            result.np_lemmas = [t.lemma for t in np_tokens]
-            covered = {lemma.lower() for lemma in result.np_lemmas}
-            for lemma in result.np_lemmas:
-                covered.update(
-                    part.lower() for part in lemma.split()
-                )
-            if self.term_freq_top_k > 0:
-                with _stage(tracer, histogram, "termfreq"):
-                    result.frequency_words = relevant_words(
-                        title,
-                        detected,
-                        top_k=self.term_freq_top_k,
-                        exclude=covered,
-                    )
-                    if self.prune_abstract_nouns:
-                        from ..nlp.senses import prune_abstract
-
-                        result.frequency_words = prune_abstract(
-                            result.frequency_words, detected
-                        )
+            text = self._texts.get(self._text_stage, title, language)
+            detected = text.language
+            result = AnnotationResult(
+                title=title,
+                plain_tags=list(tags),
+                language=detected,
+                np_lemmas=list(text.np_lemmas),
+                frequency_words=list(text.frequency_words),
+            )
 
             words: List[str] = []
             seen = set()
@@ -185,12 +211,13 @@ class SemanticAnnotator:
             result.words = words
 
             # --- stage 2: semantic brokering ---------------------------
-            with _stage(tracer, histogram, "broker"):
+            with _stage(tracer, histogram, "broker") as span:
                 broker_result = self.broker.resolve(
                     words,
                     text=title if self.use_full_text else None,
                     language=detected,
                 )
+                span.set_attribute("failures", len(broker_result.failures))
             result.broker_result = broker_result
 
             # full-text candidates corroborate existing words or add

@@ -40,6 +40,7 @@ from ..resolvers.base import (
     GRAPH_DBPEDIA,
     GRAPH_EVRI,
     GRAPH_GEONAMES,
+    Memo,
 )
 from ..resolvers.evri import build_evri_graph
 
@@ -104,13 +105,27 @@ class SemanticFilter:
             if evri_graph is not None
             else build_evri_graph(),
         }
+        # the verdict is a pure function of (word, candidates) over
+        # the immutable graphs and the settings above
+        self._outcomes = Memo()
 
     # ------------------------------------------------------------------
     def filter_word(
         self, word: str, candidates: Sequence[Candidate]
     ) -> FilterOutcome:
-        """Apply all rules to one word's candidate list."""
-        outcome = self._apply_rules(word, candidates)
+        """Apply all rules to one word's candidate list: once per
+        distinct ``(word, candidates)`` for this filter, a fresh
+        outcome (own ``survivors`` and ``discarded`` lists) per call."""
+        found = self._outcomes.get(
+            self._apply_rules, word, tuple(candidates)
+        )
+        outcome = FilterOutcome(
+            found.word,
+            found.reason,
+            found.chosen,
+            list(found.survivors),
+            list(found.discarded),
+        )
         get_registry().counter(
             "repro_filter_outcomes_total",
             "Filter verdicts by reason (Figure 1 stages 3-4).",

@@ -108,16 +108,40 @@ class Span:
 
     # -- context management -------------------------------------------
     def __enter__(self) -> "Span":
-        self._tracer._begin(self)
+        tracer = self._tracer
+        self.span_id = span_id = next(tracer._ids)
+        try:
+            stack = tracer._local.stack
+        except AttributeError:
+            stack = tracer._local.stack = []
+        parent = self._explicit_parent
+        if parent is None and stack:
+            parent = stack[-1]
+        if parent is not None and parent.span_id is not None:
+            self.parent_id = parent.span_id
+            self.trace_id = parent.trace_id
+        else:
+            self.trace_id = span_id
+        stack.append(self)
+        self.start = start = time.perf_counter()
+        self.started_at = tracer._epoch + start
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self.duration = time.perf_counter() - self.start
         if exc_type is not None:
             self.status = "error"
             self.error = f"{exc_type.__name__}: {exc}"
         elif self.status == "unset":
             self.status = "ok"
-        self._tracer._finish(self)
+        tracer = self._tracer
+        stack = getattr(tracer._local, "stack", ())
+        if stack and stack[-1] is self:
+            stack.pop()
+        elif self in stack:  # defensive: tolerate out-of-order exits
+            stack.remove(self)
+        for exporter in tracer.exporters:
+            exporter.export(self)
         return False
 
     # -- mutation ------------------------------------------------------
@@ -177,6 +201,9 @@ class Tracer:
         self.exporters: List = list(exporters or ())
         self._ids = itertools.count(1)
         self._local = threading.local()
+        # wall-clock epoch of the perf_counter origin: a span's
+        # ``started_at`` without a second clock read per span
+        self._epoch = time.time() - time.perf_counter()
 
     # -- public API ----------------------------------------------------
     def span(
@@ -234,46 +261,7 @@ class Tracer:
     def add_exporter(self, exporter) -> None:
         self.exporters.append(exporter)
 
-    # -- span lifecycle (called by Span) -------------------------------
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _begin(self, span: Span) -> None:
-        span.span_id = next(self._ids)
-        local = self._local
-        stack = getattr(local, "stack", None)
-        if stack is None:
-            stack = []
-            local.stack = stack
-        parent = span._explicit_parent
-        if parent is None and stack:
-            parent = stack[-1]
-        if parent is not None and parent.span_id is not None:
-            span.parent_id = parent.span_id
-            span.trace_id = parent.trace_id
-        else:
-            span.trace_id = span.span_id
-        stack.append(span)
-        span.started_at = time.time()
-        span.start = time.perf_counter()
-
-    def _finish(self, span: Span) -> None:
-        span.duration = time.perf_counter() - span.start
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            if stack[-1] is span:
-                stack.pop()
-            else:  # defensive: tolerate out-of-order exits
-                try:
-                    stack.remove(span)
-                except ValueError:
-                    pass
-        self._export(span)
-
+    # -- span export ---------------------------------------------------
     def _export(self, span: Span) -> None:
         for exporter in self.exporters:
             exporter.export(span)

@@ -8,8 +8,9 @@ graphs and not with the resolvers" (§2.2.2) — a Sindice candidate may
 point into Geonames or DBpedia or elsewhere.
 
 The corpus resolvers answer a word from the corpus alone, so each keeps
-a :class:`TermMemo` of what its ``resolve_term`` returned: a bulk
+a :class:`Memo` of what its ``resolve_term`` returned: a bulk
 annotation pays once per distinct word, not once per title using it.
+The annotator's text stage and the semantic filter keep one too.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..rdf.terms import URIRef
 
@@ -93,47 +94,68 @@ class Resolver(abc.ABC):
         return type(self).resolve_text is not Resolver.resolve_text
 
 
-#: Entries one :class:`TermMemo` keeps; past it, new arguments are
-#: resolved on every call, as without a memo.
+#: Entries one :class:`Memo` keeps; past it, new arguments are
+#: computed on every call, as without a memo.
 TERM_MEMO_LIMIT = 65_536
 
+_MISSING = object()
 
-class TermMemo:
-    """The candidates one resolver instance's ``resolve_term`` returned,
-    by its full argument tuple.
 
-    Exact for a resolver that reads only its corpus graphs, which are
-    immutable by convention (:func:`repro.lod.build_lod_corpus`): the
-    same arguments give the same candidates for the instance's lifetime.
-    Each resolver owns one, so nothing carries from one platform to the
-    next, and the memo sits below every wrapper
+class Memo:
+    """What one owner's pure function returned, by its argument tuple.
+
+    Exact for a function that reads only its owner's immutable state
+    (corpus graphs, which are immutable by convention
+    (:func:`repro.lod.build_lod_corpus`), and configuration fixed at
+    construction): the same arguments give the same value for the
+    owner's lifetime. Each owner (a corpus resolver, an annotator, a
+    semantic filter) keeps its own, so nothing carries from one platform
+    to the next, and a resolver's memo sits below every wrapper
     (:class:`~repro.resolvers.resilience.ResilientResolver`,
     :class:`~repro.resolvers.resilience.FlakyResolver`): their caches,
     breakers, counters and injected faults see the calls they always
-    saw. Batch workers share it; two of them missing on one key at once
-    both compute, and the first answer is kept.
+    saw. Batch workers share it; a worker that misses on a key another
+    is computing waits for that answer, so each key is computed once.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[Tuple[Any, ...], Tuple[Candidate, ...]] = {}
+        self._entries: Dict[Tuple[Any, ...], Any] = {}
+        self._pending: Dict[Tuple[Any, ...], threading.Event] = {}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def resolve(
-        self,
-        compute: Callable[..., Sequence[Candidate]],
-        *arguments: Any,
-    ) -> List[Candidate]:
+    def get(self, compute: Callable[..., Any], *arguments: Any) -> Any:
         """``compute(*arguments)``, computed once per distinct
-        ``arguments``; a fresh list each call, as ``compute`` gives."""
-        with self._lock:
-            found = self._entries.get(arguments)
-        if found is None:
-            found = tuple(compute(*arguments))
+        ``arguments`` while there is room. The value is shared by every
+        caller, so the caller hands out copies of what is mutable in
+        it."""
+        while True:
             with self._lock:
-                if len(self._entries) < TERM_MEMO_LIMIT:
-                    found = self._entries.setdefault(arguments, found)
-        return list(found)
+                found = self._entries.get(arguments, _MISSING)
+                if found is not _MISSING:
+                    return found
+                waiting = self._pending.get(arguments)
+                if waiting is None:
+                    if (len(self._entries) + len(self._pending)
+                            >= TERM_MEMO_LIMIT):
+                        break
+                    computing = self._pending[arguments] = (
+                        threading.Event()
+                    )
+            if waiting is None:
+                try:
+                    found = compute(*arguments)
+                finally:
+                    with self._lock:
+                        del self._pending[arguments]
+                        if found is not _MISSING:
+                            self._entries[arguments] = found
+                    computing.set()
+                return found
+            # another caller is computing it: take its answer, or
+            # compute it here if that caller raised
+            waiting.wait()
+        return compute(*arguments)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..obs import get_registry, get_tracer
+from ..obs import get_registry
 from ..rdf.terms import URIRef
 from .base import Candidate, Resolver
 
@@ -92,39 +92,27 @@ class SemanticBroker:
         what other resolvers already returned. Failures are recorded on
         the result.
         """
-        tracer = get_tracer()
         result = BrokerResult()
-        with tracer.span("broker.resolve") as span:
-            for word in words:
-                if word in result.per_word:
+        for word in words:
+            if word in result.per_word:
+                continue
+            collected: List[Candidate] = []
+            for resolver in self.resolvers:
+                try:
+                    collected.extend(resolver.resolve_term(word, language))
+                except Exception as exc:  # noqa: BLE001 - isolate
+                    self._record_failure(result, resolver.name, word, exc)
+            result.per_word[word] = self._merge(collected)
+        if text:
+            collected = []
+            for resolver in self.resolvers:
+                if not resolver.supports_full_text:
                     continue
-                collected: List[Candidate] = []
-                for resolver in self.resolvers:
-                    try:
-                        collected.extend(
-                            resolver.resolve_term(word, language)
-                        )
-                    except Exception as exc:  # noqa: BLE001 - isolate
-                        self._record_failure(
-                            result, resolver.name, word, exc
-                        )
-                result.per_word[word] = self._merge(collected)
-            if text:
-                collected = []
-                for resolver in self.resolvers:
-                    if not resolver.supports_full_text:
-                        continue
-                    try:
-                        collected.extend(
-                            resolver.resolve_text(text, language)
-                        )
-                    except Exception as exc:  # noqa: BLE001 - isolate
-                        self._record_failure(
-                            result, resolver.name, None, exc
-                        )
-                result.full_text = self._merge(collected)
-            span.set_attribute("words", len(result.per_word))
-            span.set_attribute("failures", len(result.failures))
+                try:
+                    collected.extend(resolver.resolve_text(text, language))
+                except Exception as exc:  # noqa: BLE001 - isolate
+                    self._record_failure(result, resolver.name, None, exc)
+            result.full_text = self._merge(collected)
         return result
 
     @staticmethod

@@ -26,7 +26,7 @@ from ..rdf.namespace import RDF, RDFS
 from ..rdf.terms import Literal, URIRef
 from ..sparql.fulltext import FullTextIndex
 from ..lod.dbpedia import follow_redirect, is_disambiguation_page
-from .base import Candidate, Resolver, TermMemo
+from .base import Candidate, Memo, Resolver
 
 
 class DBpediaResolver(Resolver):
@@ -47,7 +47,7 @@ class DBpediaResolver(Resolver):
             if isinstance(o, URIRef):
                 self._popularity[o] = self._popularity.get(o, 0) + 1
         self._max_popularity = max(self._popularity.values(), default=1)
-        self._memo = TermMemo()
+        self._memo = Memo()
 
     def resolve_term(
         self,
@@ -55,9 +55,9 @@ class DBpediaResolver(Resolver):
         language: Optional[str] = None,
         entity_type: Optional[URIRef] = None,
     ) -> List[Candidate]:
-        return self._memo.resolve(
+        return list(self._memo.get(
             self._resolve_term, word, language, entity_type
-        )
+        ))
 
     def _resolve_term(
         self,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ..rdf.graph import Graph
 from ..rdf.namespace import GN
 from ..rdf.terms import Literal, Term
-from .base import Candidate, Resolver, TermMemo
+from .base import Candidate, Memo, Resolver
 
 #: One table entry: (feature, display label, score).
 NameEntry = Tuple[Term, str, float]
@@ -64,12 +64,14 @@ class GeonamesResolver(Resolver):
             key: tuple(sorted(entries, key=lambda e: (-e[2], str(e[0]))))
             for key, entries in table.items()
         }
-        self._memo = TermMemo()
+        self._memo = Memo()
 
     def resolve_term(
         self, word: str, language: Optional[str] = None
     ) -> List[Candidate]:
-        return self._memo.resolve(self._resolve_term, word, language)
+        return list(
+            self._memo.get(self._resolve_term, word, language)
+        )
 
     def _resolve_term(
         self, word: str, language: Optional[str]

@@ -18,7 +18,7 @@ from ..rdf.graph import Graph
 from ..rdf.namespace import GN, RDFS
 from ..rdf.terms import Literal
 from ..sparql.fulltext import FullTextIndex
-from .base import Candidate, Resolver, TermMemo
+from .base import Candidate, Memo, Resolver
 
 #: Label-ish predicates Sindice's keyword index covers.
 _LABEL_PREDICATES = (RDFS.label, GN.name, GN.alternateName)
@@ -43,12 +43,14 @@ class SindiceResolver(Resolver):
                         continue
                     self._index.add(s, predicate, o.lexical)
                     self._labels.setdefault(s, []).append(o.lexical)
-        self._memo = TermMemo()
+        self._memo = Memo()
 
     def resolve_term(
         self, word: str, language: Optional[str] = None
     ) -> List[Candidate]:
-        return self._memo.resolve(self._resolve_term, word, language)
+        return list(
+            self._memo.get(self._resolve_term, word, language)
+        )
 
     def _resolve_term(
         self, word: str, language: Optional[str]
