@@ -92,7 +92,7 @@ def bench_tracing_overhead(benchmark, annotator):
     run()
     run()  # warm resolver caches out of the timed region
 
-    buffer = InMemorySpanExporter(capacity=1 << 16)
+    buffer = InMemorySpanExporter()
     plain_samples = []
     traced_samples = []
     for _ in range(15):

@@ -58,7 +58,6 @@ from ..sparql.ast import (
     expression_variables,
     walk_expression,
 )
-from ..sparql.functions import FUNCTIONS
 from ..sparql.geo import Point, bounding_box
 from .stats import GraphStatistics, _constant_number
 
@@ -336,11 +335,6 @@ def _geo_probe(
         or str(geometry) in bound
     ):
         return None
-    functions = planner.functions
-    if functions is not None and functions.get(
-        _ST_INTERSECTS
-    ) is not FUNCTIONS[_ST_INTERSECTS]:
-        return None  # a deployment's own bif:st_intersects decides
     for expr in filters:
         if not (
             isinstance(expr, FunctionCall)
@@ -572,17 +566,11 @@ class QueryPlanner:
     """Plans lowered queries: FILTER pushdown, then scan order.
 
     ``stats`` feeds the scan order's cardinality estimates (without it,
-    scans are ordered by bound positions and carry no estimate);
-    ``functions`` is the evaluator's function table.
+    scans are ordered by bound positions and carry no estimate).
     """
 
-    def __init__(
-        self,
-        stats: Optional[GraphStatistics] = None,
-        functions: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def __init__(self, stats: Optional[GraphStatistics] = None) -> None:
         self.stats = stats
-        self.functions = functions
 
     def plan(self, query: Query) -> PlannedQuery:
         """Lower ``query`` and rewrite it; the AST is untouched."""

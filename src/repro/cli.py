@@ -194,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=20, dest="batch_size",
         help="items per checkpoint batch (default: 20)",
     )
-    sanitize.add_argument(
-        "--long-hold-ms", type=float, default=250.0,
-        dest="long_hold_ms",
-        help="flag lock holds longer than this (default: 250 ms)",
-    )
 
     explain = sub.add_parser(
         "explain",
@@ -331,10 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-loaded contents before the run starts",
     )
     obs_loadgen.add_argument(
-        "--sync-every", type=int, default=4,
-        help="uploads per store synchronization",
-    )
-    obs_loadgen.add_argument(
         "--schedule-only", action="store_true",
         help="print the deterministic operation schedule and exit",
     )
@@ -358,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_loadgen.add_argument(
         "--profile", nargs="?", const="", default=None, metavar="FILE",
         help="sample the run with the wall-clock profiler (optionally "
-             "writing collapsed stacks to FILE); REPRO_PROFILE=1|FILE "
-             "does the same from the environment",
+             "writing collapsed stacks to FILE)",
     )
     obs_loadgen.add_argument(
         "--profile-hz", type=float, default=67.0,
@@ -771,9 +761,7 @@ def _cmd_sanitize(args) -> int:
               "positive", file=sys.stderr)
         return 2
 
-    sanitizer = LockSanitizer(
-        long_hold_threshold=args.long_hold_ms / 1000.0
-    )
+    sanitizer = LockSanitizer()
     with sanitizer.installed():
         platform = _demo_platform(
             args.contents, max(5, args.contents // 20)
@@ -969,7 +957,6 @@ def _cmd_obs_loadgen(args) -> int:
         SLOSpec,
         default_slo,
         evaluate_slo,
-        profile_from_env,
         set_registry,
     )
     from .workloads.loadgen import (
@@ -989,7 +976,6 @@ def _cmd_obs_loadgen(args) -> int:
             mode=args.mode,
             rate=args.rate,
             base_contents=args.base_contents,
-            sync_every=args.sync_every,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1017,13 +1003,10 @@ def _cmd_obs_loadgen(args) -> int:
             )
             return 2
 
-    profile_path = None
+    profiler = profile_path = None
     if args.profile is not None:
         profiler = SamplingProfiler(hz=args.profile_hz)
         profile_path = args.profile or None
-    else:
-        profiler, env_path = profile_from_env()
-        profile_path = str(env_path) if env_path else None
 
     registry = MetricsRegistry()
     previous = set_registry(registry)
@@ -1113,11 +1096,12 @@ def _cmd_obs_slo(args) -> int:
 
 def _cmd_obs_demo(args) -> int:
     """Annotate the gold workload under an enabled tracer and report
-    where the Figure 1 pipeline spends its time."""
+    where the Figure 1 pipeline spends its time, stage by stage, from
+    the ``annotate.<stage>`` spans (exact nearest-rank p95, as a load
+    report computes it)."""
     import time
 
     from .core import build_default_annotator
-    from .core.annotator import STAGE_HISTOGRAM
     from .obs import (
         InMemorySpanExporter,
         MetricsRegistry,
@@ -1127,10 +1111,10 @@ def _cmd_obs_demo(args) -> int:
         set_tracer,
     )
     from .workloads import GOLD_CORPUS
+    from .workloads.loadgen import _distribution
 
-    registry = MetricsRegistry()
-    buffer = InMemorySpanExporter(capacity=65536)
-    previous_registry = set_registry(registry)
+    buffer = InMemorySpanExporter()
+    previous_registry = set_registry(MetricsRegistry())
     previous_tracer = set_tracer(
         Tracer(enabled=True, exporters=[buffer])
     )
@@ -1146,25 +1130,26 @@ def _cmd_obs_demo(args) -> int:
 
     print(f"gold workload: {len(GOLD_CORPUS)} title(s) annotated in "
           f"{total_s * 1000.0:.1f} ms")
-    family = registry.get(STAGE_HISTOGRAM)
-    if family is not None:
+    stages: dict = {}
+    for span in buffer.spans():
+        pipeline, _, stage = span.name.partition(".")
+        if pipeline == "annotate" and stage:
+            stages.setdefault(stage, []).append(span.duration)
+    if stages:
         print()
         print(f"{'stage':<12} {'calls':>6} {'total ms':>9} "
               f"{'mean ms':>8} {'p95 ms':>8} {'max ms':>8} "
               f"{'share':>6}")
-        rows = []
-        for labels, child in family.children():
-            rows.append((labels.get("stage", "?"), child))
-        accounted = sum(child.sum for _, child in rows)
-        for stage, child in sorted(
-            rows, key=lambda pair: -pair[1].sum
-        ):
-            share = child.sum / accounted if accounted else 0.0
-            print(f"{stage:<12} {child.count:>6} "
-                  f"{child.sum * 1000.0:>9.1f} "
-                  f"{child.mean * 1000.0:>8.2f} "
-                  f"{child.quantile(0.95) * 1000.0:>8.2f} "
-                  f"{child.max * 1000.0:>8.2f} "
+        totals = {stage: sum(seconds) for stage, seconds in stages.items()}
+        accounted = sum(totals.values())
+        for stage in sorted(stages, key=lambda name: -totals[name]):
+            row = _distribution(stages[stage])
+            share = totals[stage] / accounted if accounted else 0.0
+            print(f"{stage:<12} {int(row['count']):>6} "
+                  f"{totals[stage] * 1000.0:>9.1f} "
+                  f"{row['mean_ms']:>8.2f} "
+                  f"{row['p95_ms']:>8.2f} "
+                  f"{row['max_ms']:>8.2f} "
                   f"{share:>6.1%}")
         print(f"{'(stages)':<12} {'':>6} {accounted * 1000.0:>9.1f}")
     if args.tree:
@@ -1196,7 +1181,7 @@ def _obs_begin(args):
         set_tracer,
     )
 
-    buffer = InMemorySpanExporter(capacity=65536)
+    buffer = InMemorySpanExporter()
     exporters = [buffer]
     file_exporter = None
     if args.trace:

@@ -18,6 +18,9 @@ from ..rdf.terms import URIRef
 from ..sparql.geo import Point, haversine_km
 from .models import CivicAddress
 
+#: How near a POI must be to name a civic address's street, in km.
+WALKING_DISTANCE_KM = 0.25
+
 
 class Gazetteer:
     """Nearest-city and nearest-POI lookups over the synthetic world."""
@@ -68,7 +71,7 @@ class Gazetteer:
 
     def _address(self, point: Point, city: CityInfo) -> CivicAddress:
         street: Optional[str] = None
-        poi = self.nearest_poi(point, max_distance_km=0.25)
+        poi = self.nearest_poi(point)
         if poi is not None:
             label = poi.labels.get("en") or next(iter(poi.labels.values()))
             street = f"near {label}"
@@ -77,19 +80,13 @@ class Gazetteer:
         )
 
     # ------------------------------------------------------------------
-    def nearest_poi(
-        self,
-        point: Point,
-        max_distance_km: float = 1.0,
-        exclude_commercial: bool = False,
-    ) -> Optional[PoiInfo]:
-        """The nearest POI within ``max_distance_km`` (None if nothing;
-        the last listed of equidistant POIs)."""
+    def nearest_poi(self, point: Point) -> Optional[PoiInfo]:
+        """The nearest POI within walking distance,
+        :data:`WALKING_DISTANCE_KM` (None if nothing; the last listed of
+        equidistant POIs)."""
         best: Optional[PoiInfo] = None
-        best_distance = max_distance_km
+        best_distance = WALKING_DISTANCE_KM
         for poi, at in self._located_pois:
-            if exclude_commercial and poi.commercial:
-                continue
             distance = haversine_km(point, at)
             if distance <= best_distance:
                 best = poi

@@ -27,6 +27,9 @@ NEARBY_RADIUS_KM = 1.0
 #: A position fix older than this (seconds) no longer locates a user.
 MAX_FIX_AGE = 3600
 
+#: How near a user's own place label must be to name a position (km).
+PLACE_LABEL_RADIUS_KM = 0.2
+
 #: Sort key of a ``(timestamp, point)`` fix.
 _fix_time = itemgetter(0)
 
@@ -53,8 +56,8 @@ class _UserRecord:
 class ContextPlatform:
     """In-process context manager for a set of platform users."""
 
-    def __init__(self, gazetteer: Optional[Gazetteer] = None) -> None:
-        self.gazetteer = gazetteer or Gazetteer()
+    def __init__(self) -> None:
+        self.gazetteer = Gazetteer()
         self._users: Dict[str, _UserRecord] = {}
         #: the subscriber's bound methods, held weakly (:meth:`subscribe`)
         self._on_fix: Optional[WeakMethod] = None
@@ -150,17 +153,18 @@ class ContextPlatform:
     # Lookup
     # ------------------------------------------------------------------
     def position_at(
-        self, username: str, timestamp: int, max_age: int = MAX_FIX_AGE
+        self, username: str, timestamp: int
     ) -> Optional[Point]:
-        """Most recent fix at or before ``timestamp`` within ``max_age``
-        seconds (deferred uploads carry their capture timestamp); among
-        fixes with that same timestamp the first reported wins."""
+        """Most recent fix at or before ``timestamp`` within
+        :data:`MAX_FIX_AGE` seconds (deferred uploads carry their capture
+        timestamp); among fixes with that same timestamp the first
+        reported wins."""
         positions = self._record(username).positions
         after = bisect_right(positions, timestamp, key=_fix_time)
         if after == 0:
             return None
         fix_time = positions[after - 1][0]
-        if timestamp - fix_time > max_age:
+        if timestamp - fix_time > MAX_FIX_AGE:
             return None
         first = bisect_left(positions, fix_time, hi=after, key=_fix_time)
         return positions[first][1]
@@ -198,11 +202,13 @@ class ContextPlatform:
         return GsmCell(mcc=222, mnc=1, lac=lac, ci=ci)
 
     def place_label_at(
-        self, username: str, point: Point, radius_km: float = 0.2
+        self, username: str, point: Point
     ) -> Optional[Tuple[str, Optional[str]]]:
+        """The user's own label of a place within
+        :data:`PLACE_LABEL_RADIUS_KM` of ``point``, with its type."""
         record = self._record(username)
         for label_point, label, place_type in record.place_labels:
-            if haversine_km(point, label_point) <= radius_km:
+            if haversine_km(point, label_point) <= PLACE_LABEL_RADIUS_KM:
                 return (label, place_type)
         return None
 

@@ -280,29 +280,15 @@ class SemanticAnnotator:
         return None
 
 
-def build_default_annotator(
-    corpus=None,
-    resilient: bool = False,
-    resilience: Optional[dict] = None,
-    **kwargs,
-) -> SemanticAnnotator:
+def build_default_annotator(corpus=None, **kwargs) -> SemanticAnnotator:
     """The annotator over the synthetic LOD corpus with the paper's
-    resolver set and filter defaults.
-
-    With ``resilient=True`` every resolver is wrapped in the
-    retry/breaker/cache layer (:mod:`repro.resolvers.resilience`);
-    ``resilience`` passes keyword arguments through to
-    :func:`~repro.resolvers.resilience.wrap_resilient`.
-    """
+    resolver set and filter defaults. A caller that wants the
+    retry/breaker/cache layer wraps the resolvers itself
+    (:func:`~repro.resolvers.resilience.wrap_resilient`)."""
     from ..lod import build_lod_corpus
     from ..resolvers import default_resolvers
 
     corpus = corpus or build_lod_corpus()
-    resolvers = default_resolvers(corpus)
-    if resilient or resilience:
-        from ..resolvers.resilience import wrap_resilient
-
-        resolvers = wrap_resilient(resolvers, **(resilience or {}))
-    broker = SemanticBroker(resolvers)
+    broker = SemanticBroker(default_resolvers(corpus))
     semantic_filter = SemanticFilter(corpus)
     return SemanticAnnotator(broker, semantic_filter, **kwargs)

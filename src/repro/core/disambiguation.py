@@ -48,12 +48,9 @@ class DisambiguationPrompt:
 class UserAssistedDisambiguator:
     """Collects human picks and replays them as an automatic prior."""
 
-    def __init__(self, min_confidence: int = 1) -> None:
-        if min_confidence < 1:
-            raise ValueError("min_confidence must be >= 1")
+    def __init__(self) -> None:
         #: word(lower) → Counter of picked resources
         self._history: Dict[str, Counter] = {}
-        self.min_confidence = min_confidence
         self.choices: List[Choice] = []
 
     # ------------------------------------------------------------------
@@ -73,18 +70,14 @@ class UserAssistedDisambiguator:
 
     # ------------------------------------------------------------------
     def learned_resource(self, word: str) -> Optional[URIRef]:
-        """The dominant past pick for ``word``, if confident enough.
-
-        Confident = picked at least ``min_confidence`` times *and*
-        strictly more often than any other resource.
+        """The dominant past pick for ``word``: one picked strictly more
+        often than any other resource (a single pick suffices).
         """
         counter = self._history.get(word.lower())
         if not counter:
             return None
         ranked = counter.most_common(2)
         best, best_count = ranked[0]
-        if best_count < self.min_confidence:
-            return None
         if len(ranked) > 1 and ranked[1][1] == best_count:
             return None  # tied: still ambiguous
         return best

@@ -10,7 +10,7 @@ from .activitystreams import (
     merge_timelines,
 )
 from .node import Federation, FederatedContent, FederatedNode
-from .oembed import OEmbedError, photo_response, video_response
+from .oembed import OEmbedError, photo_response
 from .pubsub import Hub, PubSubError
 from .salmon import (
     Envelope,
@@ -66,5 +66,4 @@ __all__ = [
     "photo_response",
     "sign_slap",
     "verify_envelope",
-    "video_response",
 ]

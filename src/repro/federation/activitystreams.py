@@ -71,12 +71,12 @@ class Timeline:
     def push(self, activity: Activity) -> None:
         self._activities.append(activity)
 
-    def entries(self, limit: Optional[int] = None) -> List[Activity]:
-        ordered = sorted(
+    def entries(self) -> List[Activity]:
+        """Every activity, newest first."""
+        return sorted(
             self._activities,
             key=lambda a: (-a.published, a.actor, a.object_id),
         )
-        return ordered[:limit] if limit is not None else ordered
 
     def __len__(self) -> int:
         return len(self._activities)

@@ -2,7 +2,7 @@
 
 "Multimedia content sharing, accomplished by using OEmbed." — given a
 content URL hosted on a node, returns the standard OEmbed response dict
-(type ``photo``/``video``, provider metadata, embed HTML).
+(type ``photo``, provider metadata, embed HTML).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ def photo_response(
     title: str,
     author: str,
     provider: str,
-    width: int = 640,
-    height: int = 480,
     media_url: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Build an OEmbed 1.0 ``photo`` response."""
+    """Build an OEmbed 1.0 ``photo`` response, 640×480."""
+    width, height = 640, 480
     media = media_url or url
     return {
         "version": "1.0",
@@ -38,31 +37,6 @@ def photo_response(
         "html": (
             f'<img src="{media}" width="{width}" height="{height}" '
             f'alt="{_attr_escape(title)}"/>'
-        ),
-    }
-
-
-def video_response(
-    url: str,
-    title: str,
-    author: str,
-    provider: str,
-    width: int = 640,
-    height: int = 360,
-) -> Dict[str, Any]:
-    """Build an OEmbed 1.0 ``video`` response."""
-    return {
-        "version": "1.0",
-        "type": "video",
-        "title": title,
-        "author_name": author,
-        "provider_name": provider,
-        "provider_url": f"https://{provider}",
-        "width": width,
-        "height": height,
-        "html": (
-            f'<video src="{url}" width="{width}" height="{height}" '
-            "controls></video>"
         ),
     }
 

@@ -36,14 +36,15 @@ def _ngrams(text: str, max_n: int = MAX_NGRAM) -> Iterable[str]:
                 yield padded[i : i + n]
 
 
-def build_profile(text: str, size: int = PROFILE_SIZE) -> List[str]:
-    """The ``size`` most frequent n-grams, most frequent first."""
+def build_profile(text: str) -> List[str]:
+    """The :data:`PROFILE_SIZE` most frequent n-grams, most frequent
+    first."""
     counts = Counter(_ngrams(text))
     return [
         gram
         for gram, _ in sorted(
             counts.items(), key=lambda item: (-item[1], item[0])
-        )[:size]
+        )[:PROFILE_SIZE]
     ]
 
 
@@ -58,16 +59,11 @@ class Detection:
 class LanguageDetector:
     """Rank-order n-gram classifier over a fixed set of languages."""
 
-    def __init__(
-        self,
-        samples: Optional[Dict[str, str]] = None,
-        profile_size: int = PROFILE_SIZE,
-    ) -> None:
+    def __init__(self, samples: Optional[Dict[str, str]] = None) -> None:
         samples = samples if samples is not None else SAMPLE_TEXT
-        self.profile_size = profile_size
         self._profiles: Dict[str, Dict[str, int]] = {}
         for language, text in samples.items():
-            profile = build_profile(text, profile_size)
+            profile = build_profile(text)
             self._profiles[language] = {
                 gram: rank for rank, gram in enumerate(profile)
             }
@@ -78,10 +74,10 @@ class LanguageDetector:
 
     def rank(self, text: str) -> List[Detection]:
         """All languages ranked best-first with normalized confidence."""
-        document = build_profile(text, self.profile_size)
+        document = build_profile(text)
         if not document:
             return []
-        max_penalty = self.profile_size
+        max_penalty = PROFILE_SIZE
         scores: List[Tuple[str, float]] = []
         for language, profile in self._profiles.items():
             total = 0
@@ -95,19 +91,19 @@ class LanguageDetector:
         scores.sort(key=lambda item: (-item[1], item[0]))
         return [Detection(lang, conf) for lang, conf in scores]
 
-    def detect(self, text: str, default: str = "en") -> str:
-        """The most likely language code (``default`` for empty input)."""
+    def detect(self, text: str) -> str:
+        """The most likely language code (English for empty input)."""
         ranking = self.rank(text)
         if not ranking:
-            return default
+            return "en"
         return ranking[0].language
 
-    def detect_with_confidence(
-        self, text: str, default: str = "en"
-    ) -> Detection:
+    def detect_with_confidence(self, text: str) -> Detection:
+        """The most likely language with its confidence (English with
+        none for empty input)."""
         ranking = self.rank(text)
         if not ranking:
-            return Detection(default, 0.0)
+            return Detection("en", 0.0)
         return ranking[0]
 
 
@@ -122,6 +118,6 @@ def default_detector() -> LanguageDetector:
     return _default_detector
 
 
-def detect_language(text: str, default: str = "en") -> str:
+def detect_language(text: str) -> str:
     """Module-level convenience wrapper over :func:`default_detector`."""
-    return default_detector().detect(text, default)
+    return default_detector().detect(text)

@@ -77,20 +77,14 @@ _SUFFIX_RULES: Dict[str, List[Tuple[str, str]]] = {
 }
 
 
+#: Tokens in the longest multiword of the gazetteer.
+_MAX_MULTIWORD = max(len(key) for key in MULTIWORDS)
+
 class MorphologicalAnalyzer:
     """Language-configured analyzer (as FreeLing is configured per run)."""
 
-    def __init__(
-        self,
-        language: str = "en",
-        multiwords: Optional[Dict[Tuple[str, ...], str]] = None,
-    ) -> None:
+    def __init__(self, language: str = "en") -> None:
         self.language = language
-        self.multiwords = dict(MULTIWORDS if multiwords is None
-                               else multiwords)
-        self._max_multiword = max(
-            (len(k) for k in self.multiwords), default=1
-        )
         self._common = common_words_for(language)
         self._exceptions = lemma_exceptions_for(language)
 
@@ -123,11 +117,11 @@ class MorphologicalAnalyzer:
         i = 0
         while i < len(raw):
             match: Optional[Tuple[str, int]] = None
-            limit = min(self._max_multiword, len(raw) - i)
+            limit = min(_MAX_MULTIWORD, len(raw) - i)
             for span in range(limit, 1, -1):  # longest match first
                 key = tuple(t.text.lower() for t in raw[i : i + span])
-                if key in self.multiwords:
-                    match = (self.multiwords[key], span)
+                if key in MULTIWORDS:
+                    match = (MULTIWORDS[key], span)
                     break
             if match is not None:
                 merged.append((raw[i], match[0], match[1]))
@@ -177,13 +171,12 @@ class MorphologicalAnalyzer:
         token, multiword, span = item
         if multiword is not None and span > 1:
             gazetteer = tuple(multiword.lower().split()) in {
-                tuple(k) for k in self.multiwords
+                tuple(k) for k in MULTIWORDS
             } or any(
-                " ".join(k) == multiword.lower() for k in self.multiwords
+                " ".join(k) == multiword.lower() for k in MULTIWORDS
             )
             canonical_match = any(
-                canonical == multiword
-                for canonical in self.multiwords.values()
+                canonical == multiword for canonical in MULTIWORDS.values()
             )
             score = 0.95 if canonical_match else 0.9
             return AnalyzedToken(

@@ -170,13 +170,10 @@ def is_concrete_noun(lemma: str, language: str = "en") -> Optional[bool]:
     return sense.is_concrete
 
 
-def prune_abstract(words, language: str = "en",
-                   keep_unknown: bool = True):
+def prune_abstract(words, language: str = "en"):
     """Filter a word list down to concrete (or unknown) nouns — the
     pruning step the paper sketches for the tf fallback."""
-    kept = []
-    for word in words:
-        concrete = is_concrete_noun(word, language)
-        if concrete is True or (concrete is None and keep_unknown):
-            kept.append(word)
-    return kept
+    return [
+        word for word in words
+        if is_concrete_noun(word, language) is not False
+    ]

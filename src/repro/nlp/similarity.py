@@ -58,22 +58,19 @@ def jaro(s1: str, s2: str) -> float:
     ) / 3.0
 
 
-def jaro_winkler(s1: str, s2: str, prefix_scale: float = 0.1,
-                 max_prefix: int = 4) -> float:
+def jaro_winkler(s1: str, s2: str) -> float:
     """Jaro-Winkler similarity in [0, 1].
 
     Boosts the Jaro score for strings sharing a common prefix (up to
-    ``max_prefix`` characters), with the standard scale of 0.1.
+    four characters), with the standard scale of 0.1.
     """
-    if not 0.0 <= prefix_scale <= 0.25:
-        raise ValueError("prefix_scale must be in [0, 0.25]")
     base = jaro(s1, s2)
     prefix = 0
     for c1, c2 in zip(s1, s2):
-        if c1 != c2 or prefix >= max_prefix:
+        if c1 != c2 or prefix >= 4:
             break
         prefix += 1
-    return base + prefix * prefix_scale * (1.0 - base)
+    return base + prefix * 0.1 * (1.0 - base)
 
 
 def jaro_winkler_ci(s1: str, s2: str) -> float:

@@ -20,10 +20,10 @@ def relevant_words(
     text: str,
     language: str = "en",
     top_k: int = 3,
-    min_length: int = 3,
     exclude: Optional[set] = None,
 ) -> List[str]:
-    """Top-``top_k`` frequent content words of ``text`` (lower-cased).
+    """Top-``top_k`` frequent content words of ``text`` (lower-cased),
+    each at least three letters long.
 
     ``exclude`` removes words already covered (e.g. by NP extraction) so
     the fallback only adds *new* candidates.
@@ -32,7 +32,7 @@ def relevant_words(
     counts: Counter = Counter()
     for token in tokenize(text):
         word = token.text.lower()
-        if len(word) < min_length:
+        if len(word) < 3:
             continue
         if token.is_numeric:
             continue

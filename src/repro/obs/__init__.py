@@ -22,7 +22,6 @@ from repro.obs.profiler import (
     ProfilerError,
     ProfileStats,
     SamplingProfiler,
-    profile_from_env,
 )
 from repro.obs.slo import (
     Objective,
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_slo",
     "get_registry",
     "get_tracer",
-    "profile_from_env",
     "render_span_tree",
     "set_registry",
     "set_tracer",

@@ -187,39 +187,6 @@ class HistogramChild:
         with self._lock:
             return list(self._counts)
 
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (0 <= q <= 1)."""
-        if not 0.0 <= q <= 1.0:
-            raise MetricError("quantile must be within [0, 1]")
-        with self._lock:
-            total = self._count
-            counts = list(self._counts)
-            maximum = self._max
-        if total == 0:
-            return 0.0
-        if q == 1.0:
-            # The tracked maximum is exact; interpolating to the upper
-            # bucket edge would overstate the tail.
-            return maximum
-        rank = q * total
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            previous = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank and bucket_count:
-                lower = self.buckets[index - 1] if index > 0 else 0.0
-                upper = (
-                    self.buckets[index]
-                    if index < len(self.buckets) else maximum
-                )
-                upper = max(min(upper, maximum), lower)
-                fraction = (
-                    (rank - previous) / bucket_count
-                    if bucket_count else 0.0
-                )
-                return lower + (upper - lower) * fraction
-        return maximum
-
 
 # ----------------------------------------------------------------------
 # Families
@@ -440,8 +407,8 @@ class MetricsRegistry:
             }
         return result
 
-    def snapshot_json(self, indent: int = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def snapshot_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def prometheus(self) -> str:
         """Prometheus text exposition format, version 0.0.4."""

@@ -22,14 +22,12 @@ never samples itself.
 Overhead is bounded by design — each tick costs one frames snapshot
 plus a dict update, and :meth:`stats` reports the measured sampler duty
 cycle so the ``bench_loadgen`` guard can assert the documented ≤1.10x
-envelope. Attach one to any run with ``profile_from_env()`` honoring
-``REPRO_PROFILE`` (``1``/``0`` or an output path) and
-``REPRO_PROFILE_HZ``.
+envelope. ``repro obs loadgen --profile[=FILE] [--profile-hz HZ]``
+attaches one to a load run.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -40,7 +38,6 @@ __all__ = [
     "ProfileStats",
     "ProfilerError",
     "SamplingProfiler",
-    "profile_from_env",
 ]
 
 _DEFAULT_HZ = 67.0
@@ -206,28 +203,3 @@ class SamplingProfiler:
         target.write_text(text + ("\n" if text else ""), encoding="utf-8")
         return target
 
-
-def profile_from_env(
-    environ: Optional[Dict[str, str]] = None,
-) -> Tuple[Optional[SamplingProfiler], Optional[Path]]:
-    """Build a profiler from ``REPRO_PROFILE``/``REPRO_PROFILE_HZ``.
-
-    ``REPRO_PROFILE`` unset, empty, or ``0`` disables profiling and
-    returns ``(None, None)``. ``1`` enables it with no output file; any
-    other value is treated as the collapsed-stack output path. The
-    caller starts/stops the profiler and writes the file.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_PROFILE", "").strip()
-    if raw in ("", "0"):
-        return None, None
-    hz_raw = env.get("REPRO_PROFILE_HZ", "").strip()
-    try:
-        hz = float(hz_raw) if hz_raw else _DEFAULT_HZ
-    except ValueError:
-        raise ProfilerError(
-            f"REPRO_PROFILE_HZ is not a number: {hz_raw!r}"
-        ) from None
-    profiler = SamplingProfiler(hz=hz)
-    output = None if raw == "1" else Path(raw)
-    return profiler, output

@@ -242,8 +242,8 @@ class SLOReport:
             "objectives": [result.to_dict() for result in self.results],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """A fixed-width verdict table, worst burn first."""

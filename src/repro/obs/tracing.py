@@ -66,6 +66,9 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
+#: Finished spans an :class:`InMemorySpanExporter` keeps, newest last.
+SPAN_CAPACITY = 1 << 16
+
 
 class Span:
     """One timed operation; a context manager.
@@ -271,19 +274,17 @@ class Tracer:
 # Exporters
 # ----------------------------------------------------------------------
 class InMemorySpanExporter:
-    """Bounded ring buffer of finished spans, thread-safe."""
+    """Ring buffer of the last :data:`SPAN_CAPACITY` finished spans,
+    thread-safe."""
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._spans: "deque[Span]" = deque(maxlen=capacity)
+        self._spans: "deque[Span]" = deque(maxlen=SPAN_CAPACITY)
         self.dropped = 0
 
     def export(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) == self.capacity:
+            if len(self._spans) == SPAN_CAPACITY:
                 self.dropped += 1
             self._spans.append(span)
 
@@ -350,11 +351,9 @@ class JsonLinesExporter:
 # ----------------------------------------------------------------------
 # Tree rendering
 # ----------------------------------------------------------------------
-def render_span_tree(
-    spans: Iterable[Span],
-    attributes: bool = True,
-) -> str:
-    """Render finished spans as an indented tree with durations.
+def render_span_tree(spans: Iterable[Span]) -> str:
+    """Render finished spans as an indented tree with durations and
+    attributes.
 
     Spans whose parent is absent from the batch (e.g. evicted from the
     ring buffer) are treated as roots. Siblings sort by start time, so
@@ -391,7 +390,7 @@ def render_span_tree(
             text += "  !error"
             if span.error:
                 text += f" {span.error}"
-        if attributes and span.attributes:
+        if span.attributes:
             rendered = " ".join(
                 f"{key}={value}"
                 for key, value in sorted(span.attributes.items())

@@ -35,7 +35,7 @@ from ..rdf.namespace import DCTERMS
 from ..relational.database import Database
 from ..sparql.evaluator import Evaluator
 from ..store import QuadStore, WriteBatch
-from .crosspost import CrossPoster, default_crossposter
+from .crosspost import default_crossposter
 from .models import Capture, ContentItem, PlatformUser
 from .vocab import TLV, platform_mapping
 
@@ -119,7 +119,6 @@ class Platform:
         corpus: Optional[LodCorpus] = None,
         annotator: Optional[SemanticAnnotator] = None,
         context: Optional[ContextPlatform] = None,
-        crossposter: Optional[CrossPoster] = None,
         inference: bool = False,
     ) -> None:
         self.corpus = corpus or build_lod_corpus()
@@ -144,7 +143,7 @@ class Platform:
 
             annotator = build_default_annotator(self.corpus)
         self.annotator = annotator
-        self.crossposter = crossposter or default_crossposter()
+        self.crossposter = default_crossposter()
         #: by pid; uploads take increasing pids, so also in pid order
         self._items: Dict[int, ContentItem] = {}
         self._annotations: Dict[int, AnnotationResult] = {}

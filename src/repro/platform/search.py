@@ -44,8 +44,7 @@ DEFAULT_CONTENT_RADIUS_KM = 0.3
 class Debouncer:
     """The 2-second AJAX debounce of the search box."""
 
-    def __init__(self, interval: float = DEBOUNCE_SECONDS) -> None:
-        self.interval = interval
+    def __init__(self) -> None:
         self._last_keystroke: Optional[float] = None
         self._pending: str = ""
         self.fired: List[str] = []
@@ -63,7 +62,7 @@ class Debouncer:
         if (
             self._pending
             and self._last_keystroke is not None
-            and at_time - self._last_keystroke >= self.interval
+            and at_time - self._last_keystroke >= DEBOUNCE_SECONDS
         ):
             query = self._pending
             self._pending = ""

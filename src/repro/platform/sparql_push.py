@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Tuple, Union
 
 from ..federation.pubsub import Hub
 from ..rdf.graph import Graph
@@ -59,11 +59,9 @@ class SparqlPushService:
     single MVCC generation even while writers keep committing.
     """
 
-    def __init__(
-        self, graph: GraphSource, hub: Optional[Hub] = None
-    ) -> None:
+    def __init__(self, graph: GraphSource) -> None:
         self._source: GraphSource = graph
-        self.hub = hub or Hub()
+        self.hub = Hub()
         self._registrations: Dict[str, _Registration] = {}
         self._counter = itertools.count(1)
 

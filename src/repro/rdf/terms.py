@@ -310,23 +310,7 @@ class Literal(Term):
             )
         if isinstance(other, Term):
             return False
-        if isinstance(other, str):
-            return (
-                self._lang is None
-                and self._datatype in (None, URIRef(XSD_STRING))
-                and self._lexical == other
-            )
-        if isinstance(other, bool):
-            return self._datatype == XSD_BOOLEAN and self.value is other
-        if isinstance(other, (int, float)):
-            return self.is_numeric and self.value == other
         return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self) -> int:
         return hash((self._lexical, self._lang, self._datatype)) ^ 0x117E

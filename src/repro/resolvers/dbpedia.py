@@ -33,10 +33,10 @@ class DBpediaResolver(Resolver):
     """Resolves (multi)words against DBpedia labels."""
 
     name = "dbpedia"
+    max_candidates = 8
 
-    def __init__(self, dbpedia: Graph, max_candidates: int = 8) -> None:
+    def __init__(self, dbpedia: Graph) -> None:
         self.graph = dbpedia
-        self.max_candidates = max_candidates
         self._index = FullTextIndex.from_graph(
             dbpedia, predicates=[RDFS.label]
         )
@@ -100,7 +100,9 @@ class DBpediaResolver(Resolver):
         self, resource: URIRef, word: str, language: Optional[str]
     ) -> Optional[Tuple[str, Optional[str]]]:
         """Pick the label to report: prefer the requested language, then
-        the label most similar to the queried word."""
+        the label most similar to the queried word, then — as display
+        labels are picked — the smallest language tag (or "") and
+        lexical form, so a tie never falls to the graph's set order."""
         labels: List[Tuple[str, Optional[str]]] = [
             (obj.lexical, obj.lang)
             for obj in self.graph.objects(resource, RDFS.label)
@@ -112,9 +114,9 @@ class DBpediaResolver(Resolver):
             in_language = [l for l in labels if l[1] == language.lower()]
             if in_language:
                 labels = in_language
-        return max(
-            labels, key=lambda item: jaro_winkler_ci(word, item[0])
-        )
+        return min(labels, key=lambda item: (
+            -jaro_winkler_ci(word, item[0]), item[1] or "", item[0]
+        ))
 
     def _score(self, resource: URIRef, word: str, label: str) -> float:
         if word.lower() == label.lower():

@@ -67,12 +67,10 @@ def _default_catalog() -> List[_EvriEntity]:
     return entities
 
 
-def build_evri_graph(
-    catalog: Optional[List[_EvriEntity]] = None,
-) -> Graph:
+def build_evri_graph() -> Graph:
     """The Evri entity graph (evri-typed resources + sameAs links)."""
     g = Graph(URIRef("http://www.evri.com"))
-    for entity in catalog if catalog is not None else _default_catalog():
+    for entity in _default_catalog():
         resource = EVRIR[entity.key]
         g.add((resource, RDF.type, EVRI[entity.entity_type.capitalize()]))
         for name in entity.names:
@@ -86,14 +84,10 @@ class EvriResolver(Resolver):
     """Typed entity resolution with term and full-text modes."""
 
     name = "evri"
+    max_candidates = 5
 
-    def __init__(
-        self,
-        catalog: Optional[List[_EvriEntity]] = None,
-        max_candidates: int = 5,
-    ) -> None:
-        self.catalog = catalog if catalog is not None else _default_catalog()
-        self.max_candidates = max_candidates
+    def __init__(self) -> None:
+        self.catalog = _default_catalog()
         self._by_token: Dict[str, List[_EvriEntity]] = {}
         for entity in self.catalog:
             for name in entity.names:

@@ -29,10 +29,10 @@ class GeonamesResolver(Resolver):
     """Resolves (multi)words against Geonames features."""
 
     name = "geonames"
+    max_candidates = 5
 
-    def __init__(self, geonames: Graph, max_candidates: int = 5) -> None:
+    def __init__(self, geonames: Graph) -> None:
         self.graph = geonames
-        self.max_candidates = max_candidates
         self._max_population = 1
         for _, _, obj in geonames.triples((None, GN.population, None)):
             if isinstance(obj, Literal) and obj.is_numeric:

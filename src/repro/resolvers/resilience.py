@@ -87,9 +87,9 @@ class RetryPolicy:
     """Exponential backoff with deterministic jitter.
 
     ``attempts`` is the *total* number of tries (1 = no retry). The
-    delay before retry ``n`` (0-based) is::
+    delay before retry ``n`` (0-based) doubles each time::
 
-        min(base_delay * multiplier**n, max_delay) * (1 + jitter * h)
+        min(base_delay * 2**n, max_delay) * (1 + jitter * h)
 
     where ``h`` in [0, 1) is a hash of ``(key, n)`` — stable across
     runs, different across keys, so a thundering herd of identical
@@ -98,7 +98,6 @@ class RetryPolicy:
 
     attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.1
 
@@ -113,7 +112,7 @@ class RetryPolicy:
     def delay(self, attempt: int, key: str = "") -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
         raw = min(
-            self.base_delay * self.multiplier ** attempt, self.max_delay
+            self.base_delay * 2 ** attempt, self.max_delay
         )
         if self.jitter:
             raw *= 1.0 + self.jitter * _hash_fraction(
@@ -623,18 +622,21 @@ class ResilientResolver(Resolver):
         return outcome["value"]
 
 
+#: Entries in each wrapped resolver's cache.
+_CACHE_SIZE = 4096
+
+
 def wrap_resilient(
     resolvers,
     retry: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
-    failure_threshold: int = 5,
     reset_timeout: float = 30.0,
-    cache_size: int = 4096,
-    cache_ttl: Optional[float] = 300.0,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> List[ResilientResolver]:
-    """Wrap every resolver with its own breaker and cache.
+    """Wrap every resolver with its own breaker and cache: the breaker
+    opens after five consecutive failures, the cache keeps
+    :data:`_CACHE_SIZE` answers for five minutes.
 
     One cache and one breaker *per resolver* (a DBpedia outage must not
     open Geonames' breaker, and cache keys are per-resolver anyway);
@@ -644,14 +646,8 @@ def wrap_resilient(
         ResilientResolver(
             resolver,
             retry=retry,
-            breaker=CircuitBreaker(
-                failure_threshold=failure_threshold,
-                reset_timeout=reset_timeout,
-                clock=clock,
-            ),
-            cache=TTLCache(
-                max_size=cache_size, ttl=cache_ttl, clock=clock
-            ),
+            breaker=CircuitBreaker(reset_timeout=reset_timeout, clock=clock),
+            cache=TTLCache(max_size=_CACHE_SIZE, clock=clock),
             timeout=timeout,
             clock=clock,
             sleep=sleep,
@@ -683,7 +679,6 @@ class FlakyResolver(Resolver):
         seed: int = 0,
         fail_first: Optional[int] = None,
         latency: float = 0.0,
-        exception: Callable[[str], Exception] = RuntimeError,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if not 0.0 <= failure_rate <= 1.0:
@@ -696,7 +691,6 @@ class FlakyResolver(Resolver):
         self.seed = seed
         self.fail_first = fail_first
         self.latency = latency
-        self.exception = exception
         self._sleep = sleep
         self._lock = threading.Lock()
         self._attempts: Dict[Any, int] = {}
@@ -735,6 +729,6 @@ class FlakyResolver(Resolver):
         if fail:
             with self._lock:
                 self.injected_failures += 1
-            raise self.exception(
+            raise RuntimeError(
                 f"{self.name}: injected fault (attempt {attempt})"
             )

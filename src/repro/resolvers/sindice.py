@@ -28,12 +28,10 @@ class SindiceResolver(Resolver):
     """Keyword index across several graphs at once."""
 
     name = "sindice"
+    max_candidates = 10
 
-    def __init__(
-        self, graphs: Iterable[Graph], max_candidates: int = 10
-    ) -> None:
+    def __init__(self, graphs: Iterable[Graph]) -> None:
         self.graphs = list(graphs)
-        self.max_candidates = max_candidates
         self._index = FullTextIndex()
         self._labels = {}
         for graph in self.graphs:

@@ -23,10 +23,10 @@ class ZemantaResolver(Resolver):
     """Suggests DBpedia resources whose label occurs in the text."""
 
     name = "zemanta"
+    max_candidates = 8
 
-    def __init__(self, dbpedia: Graph, max_candidates: int = 8) -> None:
+    def __init__(self, dbpedia: Graph) -> None:
         self.graph = dbpedia
-        self.max_candidates = max_candidates
         # label (lower, space-normalized) → resources carrying it
         self._by_label: Dict[str, List[Tuple[URIRef, str]]] = {}
         for s, _, o in dbpedia.triples((None, RDFS.label, None)):

@@ -49,8 +49,8 @@ step reads, never what it yields (DESIGN.md, "Read path"):
   solutions (:meth:`Evaluator._grid_hits`), and the rest read the
   triple index — each geometry they find put to the exact filter once
   per snapshot too (``GraphStatistics.probe_outcomes``). A named
-  graph, stale statistics or a deployment's own ``bif:st_intersects``
-  reads the triple index and filters as any scan does.
+  graph or stale statistics read the triple index and filter as any
+  scan does.
 * :attr:`ScanStep.pin` — a scan whose variable ``?v`` is filtered by
   ``?v IN (<iri>, …)`` looks each IRI up with ``?v`` in place, for a
   solution that leaves ``?v`` unbound (:func:`_pinned`), and the
@@ -58,8 +58,7 @@ step reads, never what it yields (DESIGN.md, "Read path"):
   construction. A solution that binds ``?v`` takes its plain key and
   the filter runs.
 
-``evaluate(text)``, optimizing with the default planner and function
-registry, prepares a text through three caches (DESIGN.md, "Read
+``evaluate(text)``, optimizing with the default planner, prepares a text through three caches (DESIGN.md, "Read
 path"). The exact text finds its plan in :data:`_TEXTS` with one
 lookup. A new text is cut into its *shape* — its IRI and string
 constants lifted into numbered slots in one regex pass — and its
@@ -69,8 +68,7 @@ are bound into that plan by copying only the nodes on the way to a
 slot. A plan records the counts it was ordered on and is kept by a
 later statistics snapshot while none of them has moved by more than
 ``GraphStatistics.fits`` allows; a stale plan is slow, never wrong.
-``optimize=False`` and a private planner or function table parse the
-literal text and share no plan. A cached plan is shared by every
+``optimize=False`` and a private planner parse the literal text and share no plan. A cached plan is shared by every
 evaluator — and thread — so execution never writes on a plan: the
 per-node ``actual_rows`` / ``actual_ms`` / ``actual_probes``
 annotations are EXPLAIN's, which plans privately.
@@ -156,10 +154,6 @@ from .results import SelectResult
 from .tokenizer import unquote_string
 
 Bindings = Dict[Variable, Term]
-
-#: The filter the statistics' spatial grid can answer for — as long as
-#: it is the builtin one.
-_ST_INTERSECTS = "bif:st_intersects"
 
 #: Solutions a BGP step hands the next at a time — what ``ASK``, ``LIMIT``
 #: and ``EXISTS`` may compute per step beyond the rows they consume.
@@ -567,8 +561,8 @@ class Evaluator:
     immutable generation snapshot when the evaluator is built, so
     concurrent commits never change what a running query sees.
 
-    ``functions`` extends/overrides the builtin function registry — this is
-    how deployments register extra ``bif:`` style extensions.
+    Function calls go to :data:`~repro.sparql.functions.FUNCTIONS`: SPARQL
+    1.0's builtins and Virtuoso's ``bif:`` geo and text functions.
 
     With ``optimize=True`` (the default) the lowered query is rewritten
     by the static planner (:mod:`repro.analysis.plan`) before it runs;
@@ -582,7 +576,6 @@ class Evaluator:
     def __init__(
         self,
         graph,
-        functions: Optional[Dict[str, object]] = None,
         optimize: bool = True,
         planner=None,
     ) -> None:
@@ -605,9 +598,6 @@ class Evaluator:
         #: MVCC generation the evaluator is pinned to (None for plain
         #: graphs) — surfaced by EXPLAIN.
         self.generation = getattr(self.graph, "generation", None)
-        self.functions = dict(FUNCTIONS)
-        if functions:
-            self.functions.update(functions)
         self.optimize = optimize
         self._planner = planner
         self._stats = None
@@ -635,7 +625,7 @@ class Evaluator:
         began = time.perf_counter()
         plan: Optional[PlanNode] = None
         if isinstance(query, str):
-            if self._shares_plans():
+            if self.optimize and self._planner is None:
                 query, plan = self._prepared(query)
             else:
                 query = _literal_query(query)
@@ -671,15 +661,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _shares_plans(self) -> bool:
-        """Plans are shared only between evaluators that plan alike:
-        optimizing, with the default planner and function table."""
-        return (
-            self.optimize
-            and self._planner is None
-            and self.functions == FUNCTIONS
-        )
-
     def _prepared(self, text: str) -> Tuple[object, PlanNode]:
         """The query and plan of ``text``, through the prepared-query
         caches: the exact text's bound plan while it fits the
@@ -761,9 +742,7 @@ class Evaluator:
 
         planner = self._planner
         if planner is None:
-            planner = QueryPlanner(
-                stats=self._statistics(), functions=self.functions
-            )
+            planner = QueryPlanner(stats=self._statistics())
         return planner.plan(query)
 
     def explain(
@@ -1329,15 +1308,10 @@ class Evaluator:
         The grid is the one in the statistics cached for ``graph`` and
         is used only when it provably describes what a scan would see:
         ``graph`` is the evaluator's own (not a ``GRAPH`` pattern's
-        named graph), the cache holds statistics that still describe it
-        (none are collected here) and ``bif:st_intersects`` is the
-        builtin.
+        named graph) and the cache holds statistics that still describe
+        it (none are collected here).
         """
-        if (
-            graph is not self.graph
-            or self.functions.get(_ST_INTERSECTS)
-            is not FUNCTIONS[_ST_INTERSECTS]
-        ):
+        if graph is not self.graph:
             return None
         return _statistics_class().current(graph)
 
@@ -1564,7 +1538,7 @@ class Evaluator:
             chosen = call.args[1] if condition else call.args[2]
             return self._eval_expression(chosen, binding, graph)
 
-        implementation = self.functions.get(call.name)
+        implementation = FUNCTIONS.get(call.name)
         if implementation is None:
             raise SparqlEvalError(f"unknown function: {call.name}")
         args = [self._eval_expression(a, binding, graph) for a in call.args]

@@ -88,11 +88,12 @@ class SelectResult:
             )
         return buffer.getvalue()
 
-    def to_table(self, max_width: int = 40) -> str:
-        """Human-readable fixed-width table (used by the examples)."""
+    def to_table(self) -> str:
+        """Human-readable fixed-width table (used by the examples); a
+        value longer than :data:`_CELL_WIDTH` is cut."""
         headers = [str(v) for v in self.variables]
         cells = [
-            [_display(row.get(v), max_width) for v in self.variables]
+            [_display(row.get(v)) for v in self.variables]
             for row in self.rows
         ]
         widths = [
@@ -139,8 +140,12 @@ def _lexical(term: Optional[Term]) -> str:
     return str(term)
 
 
-def _display(term: Optional[Term], max_width: int) -> str:
+#: Characters a table cell shows at most.
+_CELL_WIDTH = 40
+
+
+def _display(term: Optional[Term]) -> str:
     text = _lexical(term)
-    if len(text) > max_width:
-        return text[: max_width - 1] + "…"
+    if len(text) > _CELL_WIDTH:
+        return text[: _CELL_WIDTH - 1] + "…"
     return text

@@ -62,6 +62,7 @@ from typing import (
     Any,
     Collection,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -894,6 +895,10 @@ class QuadStore:
         #: (``(0, None)``: the empty store). Guarded by the checkpoint
         #: lock.
         self._base: Tuple[int, Optional[Path]] = (0, None)
+        #: the view kinds a reader has collected on this store: a commit
+        #: from a state that lacks one collects it (``_maintain_views``).
+        #: Replaced, never changed in place, under ``_COLLECT_LOCK``.
+        self._view_kinds: FrozenSet[type] = frozenset()
         self._wal: Optional[WriteAheadLog] = None
         self.recovery: Optional[RecoveryReport] = None
         if self.directory is not None:
@@ -1580,19 +1585,26 @@ def _maintain_views(
     union_removed: List[Triple],
 ) -> None:
     """Carry every view ``old`` holds across a commit (module docstring);
-    a kind not collected yet is collected on first use."""
+    a kind not collected yet is collected on first use. A kind a reader
+    collected on a state this commit's predecessors had already left is
+    collected here, once: else every later state would lack it, and
+    each reader would collect it again for its own generation."""
     views = old.views
-    if not views:
+    wanted = store._view_kinds
+    if not views and not wanted:
         return
     before = SnapshotGraph(store, old, _UNION)
     after = SnapshotGraph(store, new, _UNION)
-    new.views = {
+    carried = {
         kind: view.apply_delta(
             union_added, union_removed, before, after,
             fingerprint=new.generation,
         )
         for kind, view in views.items()
     }
+    for kind in wanted - carried.keys():
+        carried[kind] = kind.collect(after)
+    new.views = carried
 
 
 # ---------------------------------------------------------------------
@@ -1642,6 +1654,8 @@ def cached_view(graph: Any, kind: type) -> Any:
             state = graph._state
             view = kind.collect(graph)
             state.views = {**state.views, kind: view}
+            store = graph._store
+            store._view_kinds = store._view_kinds | {kind}
             return view
         # read before collecting: a write racing the collection leaves
         # the view marked stale, never a stale view marked current

@@ -66,11 +66,18 @@ class WorkloadConfig:
     n_contents: int = 100
     seed: int = 42
     cities: Sequence[str] = ("Turin",)
-    friend_degree: int = 4          # average friendships per user
-    languages: Sequence[str] = ("en", "it", "fr", "es", "de")
     scatter_km: float = 1.5         # content scatter around city center
-    rated_fraction: float = 0.8
     start_timestamp: int = 1_325_376_000  # 2012-01-01, the paper's era
+
+
+#: Average friendships per user.
+FRIEND_DEGREE = 4
+
+#: The title languages, drawn uniformly.
+LANGUAGES = ["en", "it", "fr", "es", "de"]
+
+#: The share of contents that get a rating.
+RATED_FRACTION = 0.8
 
 
 @dataclass
@@ -110,7 +117,7 @@ def generate_workload(config: WorkloadConfig) -> Workload:
 
     friendships: List[Tuple[str, str]] = []
     seen_pairs = set()
-    target_edges = config.n_users * config.friend_degree // 2
+    target_edges = config.n_users * FRIEND_DEGREE // 2
     attempts = 0
     while len(friendships) < target_edges and attempts < target_edges * 20:
         attempts += 1
@@ -125,7 +132,7 @@ def generate_workload(config: WorkloadConfig) -> Workload:
     timestamp = config.start_timestamp
     for index in range(config.n_contents):
         city = rng.choice(cities)
-        language = rng.choice(list(config.languages))
+        language = rng.choice(LANGUAGES)
         templates = _TEMPLATES.get(language, _TEMPLATES["en"])
         template = rng.choice(templates)
         city_pois = [
@@ -160,7 +167,7 @@ def generate_workload(config: WorkloadConfig) -> Workload:
                 point=point,
             )
         )
-        if rng.random() < config.rated_fraction:
+        if rng.random() < RATED_FRACTION:
             ratings[index] = float(rng.randint(1, 5))
 
     return Workload(

@@ -86,3 +86,22 @@ class TestSnapshotFingerprint:
         store.insert((URIRef(EX + "s9"), RDF.type, CITY))
         after = GraphStatistics.collect(store.head())
         assert before.fingerprint != after.fingerprint
+
+    def test_a_view_collected_on_a_left_state_is_carried_again(self):
+        """A reader collects on a generation a commit has already left:
+        the next commit collects the view once, and every commit after
+        it carries the view, so readers stop collecting per
+        generation."""
+        store = _store()
+        pinned = store.head()
+        store.insert((URIRef(EX + "s8"), RDF.type, CITY))
+        assert GraphStatistics.cached(pinned).class_counts[CITY] == 3
+        assert GraphStatistics.current(store.head()) is None
+        assert _rebuilds() == 1
+        store.insert((URIRef(EX + "s9"), RDF.type, CITY))
+        assert _rebuilds() == 2  # once, by the commit
+        store.insert((URIRef(EX + "s10"), RDF.type, CITY))
+        head = GraphStatistics.current(store.head())
+        assert head.class_counts[CITY] == 6
+        assert head.fingerprint == store.generation
+        assert _rebuilds() == 2  # carried from then on

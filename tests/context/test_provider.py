@@ -8,6 +8,7 @@ from repro.context import (
     ContextPlatform,
     Gazetteer,
 )
+from repro.context.provider import MAX_FIX_AGE
 from repro.lod import poi_by_key
 from repro.lod.geonames import geonames_uri
 from repro.sparql import Point
@@ -41,17 +42,6 @@ class TestGazetteer:
 
     def test_geonames_reference(self):
         assert Gazetteer().geonames_reference(MOLE) == geonames_uri(3165524)
-
-    def test_nearest_poi_excludes_commercial(self):
-        gazetteer = Gazetteer()
-        trattoria = poi_by_key("Trattoria_Valenza")
-        at_trattoria = Point(trattoria.longitude, trattoria.latitude)
-        include = gazetteer.nearest_poi(at_trattoria, 0.2)
-        exclude = gazetteer.nearest_poi(
-            at_trattoria, 0.2, exclude_commercial=True
-        )
-        assert include.key == "Trattoria_Valenza"
-        assert exclude is None or not exclude.commercial
 
     def test_search_pois_sorted_by_distance(self):
         hits = Gazetteer().search_pois(MOLE, radius_km=2.0)
@@ -227,10 +217,7 @@ class TestPositionLookupMatchesLinearScan:
         # few distinct timestamps, so ties are common; each fix gets
         # its own point, so which fix won is visible in the answer
         fixes=st.lists(st.integers(0, 12), max_size=14),
-        queries=st.lists(
-            st.tuples(st.integers(-2, 16), st.sampled_from([0, 1, 3, 3600])),
-            min_size=1, max_size=8,
-        ),
+        queries=st.lists(st.integers(-2, 16), min_size=1, max_size=8),
     )
     def test_bisected_list_answers_like_the_scan(self, fixes, queries):
         platform = ContextPlatform()
@@ -240,12 +227,10 @@ class TestPositionLookupMatchesLinearScan:
             fix = (fix_time * 1000, Point(7.0 + serial / 100.0, 45.0))
             platform.report_position("oscar", *fix)
             reported.append(fix)
-            for when, max_age in queries:
+            for when in queries:
                 assert platform.position_at(
-                    "oscar", when * 1000, max_age * 1000
-                ) == _linear_position_at(
-                    reported, when * 1000, max_age * 1000
-                )
+                    "oscar", when * 1000
+                ) == _linear_position_at(reported, when * 1000, MAX_FIX_AGE)
 
     def test_first_reported_fix_wins_a_tie(self):
         platform = ContextPlatform()

@@ -326,7 +326,7 @@ class TestMemoUnderThreads:
 
 
 def test_a_memo_hit_opens_no_stage_span_and_every_call_is_counted(corpus):
-    buffer = InMemorySpanExporter(capacity=4096)
+    buffer = InMemorySpanExporter()
     registry = MetricsRegistry()
     previous = set_tracer(Tracer(enabled=True, exporters=[buffer]))
     previous_registry = set_registry(registry)

@@ -12,17 +12,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import resolvers as resolvers_module
 from repro.core import BatchAnnotator
-from repro.core.annotator import SemanticAnnotator, build_default_annotator
+from repro.core.annotator import SemanticAnnotator
 from repro.core.filtering import SemanticFilter
 from repro.lod import build_lod_corpus
 from repro.platform import Platform
 from repro.rdf import Graph, URIRef
 from repro.resolvers import (
+    CircuitBreaker,
     FlakyResolver,
+    ResilientResolver,
     RetryPolicy,
     SemanticBroker,
+    TTLCache,
     default_resolvers,
     wrap_resilient,
 )
@@ -346,7 +348,6 @@ class TestFaultDegradation:
         broken.annotator = self._annotator(corpus, wrap_resilient(
             resolvers,
             retry=RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
-            failure_threshold=5,
             reset_timeout=3600.0,
         ))
         graph = Graph()
@@ -379,29 +380,24 @@ class TestFaultDegradation:
         assert result.failed_resolvers() == ["dbpedia"]
         assert result.per_word["Turin"]  # healthy candidates survived
 
-    def test_resilient_path_counts(self, corpus, monkeypatch):
+    def test_resilient_path_counts(self, corpus):
         # every resolver behind seeded faults and the full resilience
         # layer, one worker: the counters are a function of the input
         # stream, pinned here as literals (latencies aside)
-        plain = resolvers_module.default_resolvers
-        monkeypatch.setattr(
-            resolvers_module, "default_resolvers",
-            lambda corpus: [
-                FlakyResolver(r, failure_rate=0.2, seed=5)
-                for r in plain(corpus)
-            ],
-        )
+        # (a breaker that opens after two failures, so trips show)
         platform = Platform()
         populate_platform(platform, generate_workload(WorkloadConfig(
             n_users=6, n_contents=40, seed=7,
         )))
-        platform.annotator = build_default_annotator(
-            corpus, resilient=True, resilience={
-                "retry": RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
-                "failure_threshold": 2,
-                "reset_timeout": 0.0,
-            },
-        )
+        platform.annotator = self._annotator(corpus, [
+            ResilientResolver(
+                FlakyResolver(r, failure_rate=0.2, seed=5),
+                retry=RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0),
+                breaker=CircuitBreaker(failure_threshold=2, reset_timeout=0.0),
+                cache=TTLCache(max_size=4096),
+            )
+            for r in default_resolvers(corpus)
+        ])
         stats = BatchAnnotator(platform, Graph(), batch_size=10).run()
 
         assert (

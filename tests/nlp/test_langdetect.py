@@ -8,6 +8,7 @@ from repro.nlp import (
     default_detector,
     detect_language,
 )
+from repro.nlp.langdetect import PROFILE_SIZE
 
 
 class TestProfiles:
@@ -17,8 +18,11 @@ class TestProfiles:
         assert profile.index("a") < profile.index("b")
 
     def test_profile_size_capped(self):
-        profile = build_profile("the quick brown fox " * 20, size=10)
-        assert len(profile) == 10
+        text = " ".join(
+            a + b + c for a in "abcdefgh" for b in "ijklmnop"
+            for c in "qrstuvwx"
+        )
+        assert len(build_profile(text)) == PROFILE_SIZE
 
     def test_empty_text(self):
         assert build_profile("") == []
@@ -59,7 +63,7 @@ class TestDetection:
         assert detect_language("Sunset over the city walls") == "en"
 
     def test_empty_text_default(self):
-        assert detect_language("", default="it") == "it"
+        assert detect_language("") == "en"
         assert detect_language("12345 !!!") == "en"
 
     def test_rank_returns_all_languages(self):

@@ -162,7 +162,7 @@ class TestTermFrequency:
         assert words == ["tower"]
 
     def test_min_length(self):
-        assert relevant_words("go go go inn", "en", min_length=3) == ["inn"]
+        assert relevant_words("go go go inn", "en") == ["inn"]
 
     def test_numbers_excluded(self):
         assert relevant_words("2012 2012 2012 fest", "en") == ["fest"]

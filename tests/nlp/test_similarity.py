@@ -56,10 +56,6 @@ class TestJaroWinkler:
         expected = jaro(a, b) + 4 * 0.1 * (1 - jaro(a, b))
         assert jaro_winkler(a, b) == pytest.approx(expected)
 
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            jaro_winkler("a", "b", prefix_scale=0.5)
-
     def test_paper_threshold_case(self):
         # "Coliseum" tag vs "Roman Colosseum" label: the famous near-miss
         assert jaro_winkler_ci("coliseum", "colosseum") >= 0.8

@@ -20,7 +20,7 @@ from repro.obs import (
 
 @pytest.fixture
 def span_buffer():
-    return InMemorySpanExporter(capacity=4096)
+    return InMemorySpanExporter()
 
 
 @pytest.fixture

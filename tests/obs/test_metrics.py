@@ -66,47 +66,9 @@ class TestHistogram:
             DEFAULT_LATENCY_BUCKETS
         )
 
-    def test_quantile_interpolates(self, registry):
-        histogram = registry.histogram("h", buckets=(1, 2, 4))
-        for _ in range(100):
-            histogram.observe(1.5)
-        child = histogram.labels()
-        assert 1.0 <= child.quantile(0.5) <= 2.0
-        assert child.quantile(0.0) <= child.quantile(1.0)
-
     def test_unsorted_buckets_rejected(self, registry):
         with pytest.raises(MetricError):
             registry.histogram("bad", buckets=(2, 1))
-
-    def test_quantile_one_returns_tracked_max(self, registry):
-        histogram = registry.histogram("h", buckets=(1, 2, 4))
-        for value in (0.5, 1.5, 3.0):
-            histogram.observe(value)
-        child = histogram.labels()
-        # q=1.0 is the exact tracked maximum, not the 4.0 bucket edge.
-        assert child.quantile(1.0) == 3.0
-        histogram.observe(9.0)  # lands in the +Inf bucket
-        assert child.quantile(1.0) == 9.0
-
-    def test_quantile_estimates_never_exceed_max(self, registry):
-        histogram = registry.histogram("h", buckets=(1, 2, 4))
-        for _ in range(10):
-            histogram.observe(1.2)
-        child = histogram.labels()
-        for q in (0.5, 0.9, 0.95, 0.99, 1.0):
-            assert child.quantile(q) <= child.max
-
-    def test_quantile_empty_histogram_is_zero(self, registry):
-        child = registry.histogram("h").labels()
-        assert child.quantile(0.5) == 0.0
-        assert child.quantile(1.0) == 0.0
-
-    def test_quantile_bounds_enforced(self, registry):
-        child = registry.histogram("h").labels()
-        with pytest.raises(MetricError):
-            child.quantile(-0.01)
-        with pytest.raises(MetricError):
-            child.quantile(1.01)
 
 
 class TestRegistry:

@@ -5,11 +5,7 @@ import time
 
 import pytest
 
-from repro.obs.profiler import (
-    ProfilerError,
-    SamplingProfiler,
-    profile_from_env,
-)
+from repro.obs.profiler import ProfilerError, SamplingProfiler
 
 
 def _spin(stop: threading.Event) -> None:
@@ -117,26 +113,3 @@ class TestAggregation:
             stack, count = line.rsplit(" ", 1)
             assert int(count) >= 1 and ";" in stack
 
-
-class TestEnvAttachment:
-    def test_disabled_by_default(self):
-        assert profile_from_env({}) == (None, None)
-        assert profile_from_env({"REPRO_PROFILE": "0"}) == (None, None)
-
-    def test_enabled_without_output(self):
-        profiler, output = profile_from_env({"REPRO_PROFILE": "1"})
-        assert profiler is not None and output is None
-
-    def test_output_path_and_hz(self):
-        profiler, output = profile_from_env({
-            "REPRO_PROFILE": "/tmp/x.collapsed",
-            "REPRO_PROFILE_HZ": "123",
-        })
-        assert str(output) == "/tmp/x.collapsed"
-        assert profiler.hz == 123.0
-
-    def test_bad_hz_raises(self):
-        with pytest.raises(ProfilerError):
-            profile_from_env({
-                "REPRO_PROFILE": "1", "REPRO_PROFILE_HZ": "fast",
-            })

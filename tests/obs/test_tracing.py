@@ -13,6 +13,7 @@ from repro.obs import (
     render_span_tree,
     set_tracer,
 )
+from repro.obs.tracing import SPAN_CAPACITY
 
 
 class TestSpanLifecycle:
@@ -144,12 +145,14 @@ class TestRecordSpan:
 
 class TestExporters:
     def test_ring_buffer_drops_oldest_and_counts(self):
-        buffer = InMemorySpanExporter(capacity=2)
+        buffer = InMemorySpanExporter()
         tracer = Tracer(enabled=True, exporters=[buffer])
-        for index in range(5):
+        for index in range(SPAN_CAPACITY + 3):
             with tracer.span(f"s{index}"):
                 pass
-        assert [s.name for s in buffer.spans()] == ["s3", "s4"]
+        names = [s.name for s in buffer.spans()]
+        assert len(names) == SPAN_CAPACITY
+        assert names[:2] == ["s3", "s4"]
         assert buffer.dropped == 3
         buffer.clear()
         assert buffer.spans() == []

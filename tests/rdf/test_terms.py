@@ -111,9 +111,18 @@ class TestLiteral:
         assert not lit.is_numeric
 
     def test_equality_value_vs_typed(self):
-        assert Literal(3) == 3
-        assert Literal("3", datatype=XSD_INTEGER) == 3
-        assert Literal("3") != 3  # plain literal is not a number
+        # a literal's value compares in SPARQL filters, never through ==
+        assert Literal(3).value == 3
+        assert Literal("3", datatype=XSD_INTEGER).value == 3
+        assert Literal(3) != 3
+        assert Literal("3") != 3
+
+    def test_a_literal_equals_and_hashes_only_as_a_literal(self):
+        assert Literal("x") != "x"
+        assert len({Literal("x"), "x"}) == 2
+        for value in (True, 3, 2.5):
+            assert Literal(value) != value
+            assert len({Literal(value), value}) == 2
 
     def test_lang_literals_distinct(self):
         assert Literal("Turin", lang="en") != Literal("Turin", lang="it")

@@ -13,7 +13,7 @@ import itertools
 
 import pytest
 
-from repro.context.gazetteer import Gazetteer
+from repro.context.gazetteer import WALKING_DISTANCE_KM, Gazetteer
 from repro.core import BatchAnnotator
 from repro.core.annotator import SemanticAnnotator
 from repro.core.filtering import SemanticFilter
@@ -113,25 +113,22 @@ def test_every_name_in_three_casings_answers_as_the_scan(corpus):
 
 
 def test_prefixes_and_unknown_words_answer_as_the_scan(corpus):
-    for max_candidates in (1, 5):
-        resolver = GeonamesResolver(
-            corpus.geonames, max_candidates=max_candidates
-        )
-        words = ["", "Tur", "Turi", "Turin ", "Colosseum", "Nowhere"]
-        words += [name[:3] for name in all_names(corpus.geonames)]
-        for word in words:
-            assert resolver.resolve_term(word) == reference_resolve(
-                resolver, word
-            ), (word, max_candidates)
+    resolver = GeonamesResolver(corpus.geonames)
+    words = ["", "Tur", "Turi", "Turin ", "Colosseum", "Nowhere"]
+    words += [name[:3] for name in all_names(corpus.geonames)]
+    for word in words:
+        assert resolver.resolve_term(word) == reference_resolve(
+            resolver, word
+        ), word
 
 
 def test_a_name_and_score_tie_is_broken_by_the_resource():
     graph = build_lod_corpus(cached=False).geonames
     turin = geonames_uri(3165524)
     population = graph.value(turin, GN.population)
-    # two more places called Turin, as populous as Turin: one sorts
-    # before it and one after
-    twins = [geonames_uri(1), geonames_uri(9999999)]
+    # six more places called Turin, as populous as Turin: one sorts
+    # before it and five after, so the five candidates kept cut two
+    twins = [geonames_uri(1)] + [geonames_uri(n) for n in range(4, 9)]
     for twin in twins:
         graph.add((twin, GN.featureClass, GN.P))
         graph.add((twin, GN.name, Literal("Turin")))
@@ -141,16 +138,13 @@ def test_a_name_and_score_tie_is_broken_by_the_resource():
     graph.add((region, GN.featureClass, GN.A))
     graph.add((region, GN.name, Literal("Turin")))
     graph.add((region, GN.population, population))
-    for max_candidates in (1, 2, 5):
-        resolver = GeonamesResolver(graph, max_candidates=max_candidates)
-        for word in casings("Turin"):
-            found = resolver.resolve_term(word)
-            assert found == reference_resolve(resolver, word)
-            assert region not in {c.resource for c in found}
-    ranked = [
-        c.resource for c in GeonamesResolver(graph).resolve_term("turin")
-    ]
-    assert ranked == [twins[0], turin, twins[1]]
+    resolver = GeonamesResolver(graph)
+    for word in casings("Turin"):
+        found = resolver.resolve_term(word)
+        assert found == reference_resolve(resolver, word)
+        assert region not in {c.resource for c in found}
+    ranked = [c.resource for c in resolver.resolve_term("turin")]
+    assert ranked == [twins[0], turin, *twins[1:4]]
 
 
 def test_a_place_without_a_literal_name_is_labelled_by_the_spelling_matched():
@@ -186,12 +180,9 @@ def brute_nearest_city(gazetteer, point):
     return best, haversine_km(point, Point(best.longitude, best.latitude))
 
 
-def brute_nearest_poi(gazetteer, point, max_distance_km=1.0,
-                      exclude_commercial=False):
-    best, best_distance = None, max_distance_km
+def brute_nearest_poi(gazetteer, point):
+    best, best_distance = None, WALKING_DISTANCE_KM
     for poi in gazetteer.pois:
-        if exclude_commercial and poi.commercial:
-            continue
         distance = haversine_km(point, Point(poi.longitude, poi.latitude))
         if distance <= best_distance:
             best, best_distance = poi, distance
@@ -229,12 +220,9 @@ def assert_answers_as_brute_force(gazetteer):
         assert gazetteer.nearest_city(point) == brute_nearest_city(
             gazetteer, point
         )
-        for distance, commercial in itertools.product(
-            (0.25, 1.0, 5.0), (False, True)
-        ):
-            assert gazetteer.nearest_poi(
-                point, distance, commercial
-            ) == brute_nearest_poi(gazetteer, point, distance, commercial)
+        assert gazetteer.nearest_poi(point) == brute_nearest_poi(
+            gazetteer, point
+        )
         for category in [None] + categories:
             for radius in (0.5, 2.0):
                 assert gazetteer.search_pois(
@@ -244,7 +232,6 @@ def assert_answers_as_brute_force(gazetteer):
 
 def test_the_gazetteer_answers_as_the_per_call_scan():
     gazetteer = Gazetteer()
-    assert any(poi.commercial for poi in gazetteer.pois)
     assert_answers_as_brute_force(gazetteer)
 
 

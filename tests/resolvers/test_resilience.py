@@ -57,15 +57,13 @@ class ScriptedResolver(Resolver):
 class TestRetryPolicy:
     def test_schedule_is_exponential_and_capped(self):
         policy = RetryPolicy(
-            attempts=5, base_delay=0.1, multiplier=2.0,
-            max_delay=0.5, jitter=0.0,
+            attempts=5, base_delay=0.1, max_delay=0.5, jitter=0.0,
         )
         assert policy.schedule() == [0.1, 0.2, 0.4, 0.5]
 
     def test_jitter_is_deterministic_and_bounded(self):
         policy = RetryPolicy(
-            attempts=3, base_delay=0.1, multiplier=2.0,
-            max_delay=10.0, jitter=0.5,
+            attempts=3, base_delay=0.1, max_delay=10.0, jitter=0.5,
         )
         first = policy.schedule("dbpedia:turin")
         again = policy.schedule("dbpedia:turin")

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.lod import build_lod_corpus
-from repro.rdf import DBPR, EVRIR, OWL, RDF, URIRef
+from repro.rdf import DBPR, EVRIR, OWL, RDF, RDFS, Graph, Literal, URIRef
 from repro.resolvers import (
     Candidate,
     DBpediaResolver,
@@ -124,6 +124,21 @@ class TestDBpediaResolver:
         candidates = dbpedia_resolver.resolve_term("Paris")
         scores = [c.score for c in candidates]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("order", [("en", "it"), ("it", "en")])
+    def test_tied_labels_break_by_language_then_form(self, order):
+        # equally similar labels: the smallest (tag, form) is reported,
+        # whichever the graph holds first
+        graph = Graph()
+        for lang in order:
+            graph.add((
+                DBPR.Piazza_Castello, RDFS.label,
+                Literal("Piazza Castello", lang=lang),
+            ))
+        [candidate] = DBpediaResolver(graph).resolve_term("Piazza Castello")
+        assert (candidate.label, candidate.language) == (
+            "Piazza Castello", "en",
+        )
 
 
 class TestGeonamesResolver:

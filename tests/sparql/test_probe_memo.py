@@ -29,7 +29,7 @@ from repro.rdf.namespace import TL_PID
 from repro.sparql import Evaluator
 from repro.sparql import functions as functions_module
 from repro.sparql.errors import ExpressionError
-from repro.sparql.functions import FUNCTIONS, boolean, ebv
+from repro.sparql.functions import FUNCTIONS, ebv
 from repro.sparql.geo import (
     EARTH_RADIUS_KM, Point, st_intersects, try_parse_point,
 )
@@ -569,28 +569,6 @@ def test_a_repeated_m1_on_the_index_path_evaluates_nothing(monkeypatch):
     assert list(Evaluator(store).evaluate(text)) == list(rows)
     assert len(calls) == 2 * first
     assert_memo_is_exact(stats)
-
-
-def test_a_deployments_own_st_intersects_bypasses_probe_and_memo():
-    store = base_store()
-    text = drawn_bgp(MOLE, 0.2, True, False, False)
-    # the builtin warms the memo for this very key
-    builtin = Evaluator(store).evaluate(text)
-    memo = dict(memo_of(store))
-    assert memo
-    everything = {"bif:st_intersects": lambda args: boolean(True)}
-    rows = []
-    paths = paths_taken(lambda: rows.extend(
-        Evaluator(store, functions=everything).evaluate(text)
-    ))
-    assert paths == set()  # no probe planned: a plain scan
-    geometries = list(store.head().triples((None, GEO.geometry, None)))
-    assert len(rows) == len(geometries) > len(builtin)
-    assert memo_of(store) == memo
-    # and on a fresh generation it writes nothing
-    store.insert((ex("elsewhere"), RDFS.label, Literal("elsewhere")))
-    Evaluator(store, functions=everything).evaluate(text)
-    assert memo_of(store) == {}
 
 
 # ---------------------------------------------------------------------------

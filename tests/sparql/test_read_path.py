@@ -20,7 +20,6 @@ from repro.sparql import Evaluator, parse_query
 from repro.sparql import evaluator as evaluator_module
 from repro.sparql import functions as functions_module
 from repro.sparql.algebra import BGPNode, ScanStep, walk
-from repro.sparql.functions import boolean
 from repro.sparql.geo import GeometryError, parse_point, try_parse_point
 from repro.store import QuadStore
 from repro.store.engine import current_view
@@ -202,7 +201,7 @@ class TestPlanCache:
 
         store = store_of_cases()
         text, expected = CASE["geo-constant-centre"]
-        buffer = InMemorySpanExporter(capacity=256)
+        buffer = InMemorySpanExporter()
         previous = set_tracer(Tracer(enabled=True, exporters=[buffer]))
         try:
             for _ in range(2):
@@ -216,18 +215,19 @@ class TestPlanCache:
             for cached in shared_plans(text) for node in walk(cached)
         )
 
-    def test_plans_are_not_shared_across_function_registries(
-        self, planned
-    ):
+    def test_plans_are_not_shared_with_a_private_planner(self, planned):
         store = store_of_cases()
         text, _ = CASE["geo-constant-centre"]
         Evaluator(store).evaluate(text)
-        Evaluator(store, functions={"ex:noop": lambda args: args[0]}
-                  ).evaluate(text)
         Evaluator(store, planner=QueryPlanner(
             stats=store.statistics())).evaluate(text)
-        assert len(planned) == 3
+        assert len(planned) == 2
         assert list(evaluator_module._TEXTS) == [text]
+
+    def test_the_function_table_is_not_an_option(self):
+        # SPARQL 1.0's builtins and Virtuoso's bif: functions, no others
+        with pytest.raises(TypeError):
+            Evaluator(store_of_cases(), functions={})
 
     def test_both_caches_are_bounded(self):
         graph = build_dataset().union_graph()
@@ -393,34 +393,6 @@ class TestGeoProbe:
         assert counts(registry, "repro_geo_probe_total", "path") == {
             "scan": 3,
         }
-
-    @pytest.mark.parametrize("build", [
-        pytest.param(
-            lambda g, f: Evaluator(g, functions=f), id="optimized"),
-        pytest.param(
-            lambda g, f: Evaluator(g, functions=f, optimize=False),
-            id="reference"),
-        pytest.param(
-            lambda g, f: Evaluator(
-                g, functions=f, planner=QueryPlanner(stats=None)),
-            id="no-passes"),
-    ])
-    def test_a_custom_st_intersects_is_honoured(self, build, registry):
-        # a deployment's own notion of "intersects": everything does
-        functions = {"bif:st_intersects": lambda args: boolean(True)}
-        store = store_of_cases()
-        Evaluator(store).evaluate(CASE["geo-constant-centre"][0])
-        registry.clear()
-        rows = build(store, functions).evaluate(
-            CASE["geo-constant-centre"][0]
-        )
-        assert {row["x"] for row in rows} == {
-            ex("pic1"), ex("pic2"), ex("pic3"), ex("mole"),
-            ex("nowhere"),
-        }
-        assert "grid" not in counts(
-            registry, "repro_geo_probe_total", "path"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,20 @@ class TestDumpAndDemo:
         out = capsys.readouterr().out
         assert "Mole" in out
 
+    def test_obs_demo_tables_each_stage_from_its_spans(self, capsys):
+        assert main(["obs", "demo"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(next(l for l in lines if l.startswith("stage")))
+        rows = [line.split() for line in lines[header + 1:-1]]
+        assert sorted(row[0] for row in rows) == [
+            "broker", "filter", "langdetect", "morpho", "termfreq",
+        ]
+        for _, calls, _, mean, p95, peak, _ in rows:
+            assert int(calls) == 30  # one span per gold title
+            # nearest-rank: the p95 is an observed span, so at most the max
+            assert float(mean) <= float(peak)
+            assert 0.0 < float(p95) <= float(peak)
+
 
 class TestParser:
     def test_unknown_command(self):

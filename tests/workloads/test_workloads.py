@@ -11,6 +11,7 @@ from repro.workloads import (
     populate_platform,
     score_pipeline,
 )
+from repro.workloads.generator import FRIEND_DEGREE
 from repro.workloads.gold import GoldExample, ScoredCorpus
 
 
@@ -31,12 +32,10 @@ class TestGenerator:
         ]
 
     def test_sizes(self):
-        w = generate_workload(
-            WorkloadConfig(n_users=8, n_contents=50, friend_degree=3)
-        )
+        w = generate_workload(WorkloadConfig(n_users=8, n_contents=50))
         assert len(w.usernames) == 8
         assert len(w.captures) == 50
-        assert len(w.friendships) == 8 * 3 // 2
+        assert len(w.friendships) == 8 * FRIEND_DEGREE // 2
 
     def test_unknown_city_rejected(self):
         with pytest.raises(ValueError):
