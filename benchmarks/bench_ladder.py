@@ -448,9 +448,10 @@ def _fresh_texts(store: QuadStore, texts: Sequence[str]):
 def bench_fresh_texts(benchmark, ladder):
     """M1 FRESH: 12 mashups of pictures never asked about and Q2 for 20
     friend names, each after a commit, are parsed once and planned once
-    per query at every size — a shape's plan is bound to each text's
-    constants and kept across commits that leave its counts alone
-    (parsing and planning every text would read 12 / 12 and 20 / 20).
+    per query at every size — every text of a shape runs the shape's
+    one plan with its own constants read through its slots, and the
+    plan is kept across commits that leave its counts alone (parsing
+    and planning every text would read 12 / 12 and 20 / 20).
     Parse, plan and execution times of M1 are printed ungated."""
 
     def measure(contents, stack):

@@ -80,6 +80,11 @@ _SUFFIX_RULES: Dict[str, List[Tuple[str, str]]] = {
 #: Tokens in the longest multiword of the gazetteer.
 _MAX_MULTIWORD = max(len(key) for key in MULTIWORDS)
 
+#: The gazetteer's canonical forms: a merged run that is one of them
+#: scores as a gazetteer multiword.
+_CANONICAL = frozenset(MULTIWORDS.values())
+
+
 class MorphologicalAnalyzer:
     """Language-configured analyzer (as FreeLing is configured per run)."""
 
@@ -170,20 +175,11 @@ class MorphologicalAnalyzer:
     ) -> AnalyzedToken:
         token, multiword, span = item
         if multiword is not None and span > 1:
-            gazetteer = tuple(multiword.lower().split()) in {
-                tuple(k) for k in MULTIWORDS
-            } or any(
-                " ".join(k) == multiword.lower() for k in MULTIWORDS
-            )
-            canonical_match = any(
-                canonical == multiword for canonical in MULTIWORDS.values()
-            )
-            score = 0.95 if canonical_match else 0.9
             return AnalyzedToken(
                 form=multiword,
                 lemma=multiword,
                 pos=POS_PROPER,
-                np_score=score,
+                np_score=0.95 if multiword in _CANONICAL else 0.9,
                 is_multiword=True,
             )
 

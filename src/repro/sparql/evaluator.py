@@ -58,20 +58,29 @@ step reads, never what it yields (DESIGN.md, "Read path"):
   construction. A solution that binds ``?v`` takes its plain key and
   the filter runs.
 
-``evaluate(text)``, optimizing with the default planner, prepares a text through three caches (DESIGN.md, "Read
-path"). The exact text finds its plan in :data:`_TEXTS` with one
-lookup. A new text is cut into its *shape* — its IRI and string
-constants lifted into numbered slots in one regex pass — and its
-constants: the shape is parsed once (:data:`_SHAPES`) and planned once
-per set of values in the slots the planner reads, and the constants
-are bound into that plan by copying only the nodes on the way to a
-slot. A plan records the counts it was ordered on and is kept by a
-later statistics snapshot while none of them has moved by more than
+``evaluate(text)``, optimizing with the default planner, prepares a
+text through three caches (DESIGN.md, "Read path"). The exact text
+finds its plan in :data:`_TEXTS` with one lookup. A new text is cut
+into its *shape* — its IRI and string constants lifted into numbered
+slots in one regex pass — and its constants: the shape is parsed once
+(:data:`_SHAPES`) and planned once per set of values in the slots the
+planner reads, those values put into a copy of the shape's AST
+(:func:`_substituted`). Every other slot keeps its sentinel in the
+plan, and every text of the shape runs that one plan: the evaluation
+reads a sentinel through its ``slots`` — sentinel → the text's
+constant — wherever the executor reads a constant of the plan or the
+query (scan positions and a probe's centre once per step, a
+``TermExpr`` per evaluation, ``VALUES`` rows, a ``GRAPH`` target, a
+CONSTRUCT template, DESCRIBE terms). Slots belong to one evaluation:
+an AST handed to ``evaluate`` and EXPLAIN's private plan run with none.
+A plan records the counts it was ordered on and is kept by a later
+statistics snapshot while none of them has moved by more than
 ``GraphStatistics.fits`` allows; a stale plan is slow, never wrong.
-``optimize=False`` and a private planner parse the literal text and share no plan. A cached plan is shared by every
-evaluator — and thread — so execution never writes on a plan: the
-per-node ``actual_rows`` / ``actual_ms`` / ``actual_probes``
-annotations are EXPLAIN's, which plans privately.
+``optimize=False`` and a private planner parse the literal text and
+share no plan. A cached plan is shared by every evaluator — and
+thread — so execution never writes on a plan: the per-node
+``actual_rows`` / ``actual_ms`` / ``actual_probes`` annotations are
+EXPLAIN's, which plans privately.
 
 Expression errors follow the spec: a FILTER whose expression errors
 rejects the solution; an ORDER BY key that errors sorts lowest.
@@ -171,9 +180,13 @@ _CACHE_LOCK = threading.Lock()
 #: slotless, shapes).
 _SHAPES: Dict[str, Optional[_Shape]] = {}
 
-#: Exact query text -> ``(shape, constants, prepared, query, plan)``:
-#: the front cache, what a repeated text costs is this lookup.
+#: Exact query text -> ``(shape, constants, prepared, slots)``, ``slots``
+#: mapping each free slot's sentinel to the text's constant: the front
+#: cache, what a repeated text costs is this lookup.
 _TEXTS: Dict[str, tuple] = {}
+
+#: The slots of an evaluation that reads no text's constants.
+_NO_SLOTS: Dict[Term, Term] = {}
 
 #: Sentinel IRI / string a lifted constant is replaced by in its shape
 #: (numbered per slot); a text that already holds it is not lifted.
@@ -235,8 +248,8 @@ def _count_plan(outcome: str) -> None:
     get_registry().counter(
         "repro_plan_cache_total",
         "Plans of query texts by where they came from: hit (the exact "
-        "text again), bound (a new text of a cached shape, its "
-        "constants bound into the shape's plan), stale (planned again: "
+        "text again), bound (a new text of a cached shape: the shape's "
+        "plan, run with the text's constants), stale (planned again: "
         "a count the plan was ordered on drifted), miss (a new shape, "
         "or new values in a slot the planner reads).",
     ).labels(outcome=outcome).inc()
@@ -281,8 +294,8 @@ def _lift(text: str) -> Optional[Tuple[str, Tuple[Term, ...]]]:
 
 def _shape_of(text: str) -> Tuple[_Shape, Tuple[Term, ...]]:
     """The shape of ``text`` — parsed once per shape — and the constants
-    of ``text`` to bind into it. A text whose shape is unusable is its
-    own shape, with no slots."""
+    of ``text`` in its slots. A text whose shape is unusable is its own
+    shape, with no slots."""
     lifted = _lift(text)
     if lifted is not None:
         shape_text, constants = lifted
@@ -293,10 +306,10 @@ def _shape_of(text: str) -> Tuple[_Shape, Tuple[Term, ...]]:
             _remember(_SHAPES, shape_text, shape)
         # (a text that is its own shape may have been filed under the
         # very key: it has no slots)
-        if shape is not None and shape.size == len(constants):
+        if shape is not None and len(shape.sentinels) == len(constants):
             return shape, constants
     shape = _SHAPES.get(text)
-    if shape is None or shape.size:
+    if shape is None or shape.sentinels:
         shape = _Shape(parse_query(text), ())
         _remember(_SHAPES, text, shape)
     return shape, ()
@@ -307,7 +320,7 @@ def _literal_query(text: str):
     without slots, else parsed here — what neither the reference plan
     nor a private planner takes from the prepared-query caches."""
     shape = _SHAPES.get(text)
-    if shape is not None and not shape.size:
+    if shape is not None and not shape.sentinels:
         return shape.query
     return parse_query(text)
 
@@ -317,19 +330,19 @@ class _Shape:
     numbered slots, parsed once, and its plans — one per set of values
     in the slots the planner reads (:attr:`keyed`)."""
 
-    __slots__ = ("query", "size", "keyed", "key_sites", "free", "plans")
+    __slots__ = ("query", "sentinels", "keyed", "free", "plans")
 
-    def __init__(self, query, sentinels: Sequence[Term], sites=None) -> None:
+    def __init__(self, query, sentinels: Sequence[Term]) -> None:
         self.query = query
-        self.size = len(sentinels)
+        self.sentinels = tuple(sentinels)
         slot_of = {term: slot for slot, term in enumerate(sentinels)}
         #: the slots whose values the planner reads: a pattern's
         #: predicate, the object of ``rdf:type`` (the class count) and
-        #: the choices of an ``IN`` list (the pin)
+        #: the choices of an ``IN`` list (the pin); their values are
+        #: put into the query a plan is made of
         self.keyed = _read_slots(query, slot_of)
-        #: where those sit in :attr:`query` (``sites``: where all do)
-        self.key_sites = _pruned(sites, set(self.keyed))
-        #: sentinel -> slot of the slots a plan leaves for binding
+        #: sentinel -> slot of the others: a plan keeps their sentinels,
+        #: which an evaluation reads through its ``slots``
         self.free = {
             term: slot for term, slot in slot_of.items()
             if slot not in self.keyed
@@ -352,29 +365,33 @@ class _Shape:
             query = parse_query(shape_text)
         except (SparqlSyntaxError, ValueError):
             return None
-        sites = _sites(
-            query, {term: slot for slot, term in enumerate(sentinels)}
-        )
-        if _slot_numbers(sites) != set(range(len(sentinels))):
+        terms = {
+            obj for obj in _walk(query) if isinstance(obj, (URIRef, Literal))
+        }
+        if not terms.issuperset(sentinels):
             return None
-        return cls(query, sentinels, sites)
+        return cls(query, sentinels)
+
+    def planned_query(self, constants: Sequence[Term]):
+        """The query a plan for ``constants`` is made of: the values of
+        the keyed slots in place, sentinels in the others."""
+        if not self.keyed:
+            return self.query
+        return _substituted(self.query, {
+            self.sentinels[slot]: constants[slot] for slot in self.keyed
+        })
 
 
 class _Prepared:
     """A plan of a shape, made with the values of its keyed slots in
-    place and sentinels in the others (:meth:`bind` puts a text's
-    constants there), and the counts it was ordered on."""
+    place and sentinels in the others, and the counts it was ordered
+    on. Every text of the shape with those values runs it as it is."""
 
-    __slots__ = ("query", "plan", "sites", "footprint", "stats")
+    __slots__ = ("query", "plan", "footprint", "stats")
 
-    def __init__(self, query, plan: PlanNode, free, stats) -> None:
+    def __init__(self, query, plan: PlanNode, stats) -> None:
         self.query = query
         self.plan = plan
-        #: where the free slots sit: in the query (not its WHERE group,
-        #: which only the plan runs) and in the plan
-        self.sites = (
-            _sites(query, free, shallow=True), _sites(plan, free)
-        )
         self.footprint = stats.footprint(plan)
         #: the latest statistics the plan is known to fit
         self.stats = stats
@@ -390,35 +407,14 @@ class _Prepared:
         self.stats = stats
         return True
 
-    def bind(self, constants: Sequence[Term]) -> Tuple[object, PlanNode]:
-        """The query and plan with ``constants`` in their slots: only the
-        nodes on the way to a slot are copied, the rest is shared."""
-        query_sites, plan_sites = self.sites
-        memo: Dict[int, object] = {}
-        return (
-            self.query if query_sites is None
-            else _bind(self.query, query_sites, constants, memo),
-            self.plan if plan_sites is None
-            else _bind(self.plan, plan_sites, constants, memo),
-        )
-
-
-_QUERY_FORMS = (SelectQuery, AskQuery, ConstructQuery, DescribeQuery)
-
 
 @functools.lru_cache(maxsize=None)
-def _kind(cls: type):
-    """How the walks below take an object of ``cls`` apart, and how
-    :func:`_bind` copies it: ``"term"`` (a possible sentinel),
-    ``"list"``, ``"tuple"``, ``"object"`` (a dataclass of the AST), the
-    names of a plan node's slots, or ``None`` for a leaf."""
+def _kind(cls: type) -> Optional[str]:
+    """How the walks below take an object of ``cls`` apart: ``"term"``
+    (a possible sentinel), ``"list"``, ``"tuple"``, ``"object"`` (a
+    dataclass of the AST), or ``None`` for a leaf."""
     if issubclass(cls, (URIRef, Literal)):
         return "term"
-    if issubclass(cls, PlanNode):
-        return tuple(
-            name for base in cls.__mro__
-            for name in getattr(base, "__slots__", ())
-        )
     if issubclass(cls, list):
         return "list"
     if issubclass(cls, tuple):
@@ -428,93 +424,45 @@ def _kind(cls: type):
     return None
 
 
-def _fields(obj, kind, shallow: bool = False):
-    """The ``(field, value)`` pairs of a non-leaf ``obj`` of ``kind``;
-    ``shallow`` leaves out a query form's ``where`` group."""
-    if kind == "list" or kind == "tuple":
-        return enumerate(obj)
+def _fields(obj, kind: str):
+    """The ``(field, value)`` pairs of a non-leaf ``obj`` of ``kind``."""
     if kind == "object":
-        if shallow and isinstance(obj, _QUERY_FORMS):
-            return [(n, v) for n, v in vars(obj).items() if n != "where"]
         return vars(obj).items()
-    return [(name, getattr(obj, name)) for name in kind]
+    return enumerate(obj)
 
 
-def _sites(obj, slot_of: Dict[Term, int], shallow: bool = False):
-    """Where the sentinels of ``slot_of`` sit in ``obj``: the slot when
-    ``obj`` is one, ``None`` when it holds none, else ``(kind, ((field,
-    site), …))`` over the fields that do. A query a plan node holds is
-    walked ``shallow``: execution reads its plan, not its WHERE group."""
+def _walk(obj) -> Iterator[object]:
+    """``obj`` and, depth first, everything it is made of."""
+    yield obj
+    kind = _kind(type(obj))
+    if kind is not None and kind != "term":
+        for _, value in _fields(obj, kind):
+            yield from _walk(value)
+
+
+def _substituted(obj, values: Dict[Term, Term]):
+    """``obj`` with each term ``values`` names replaced by its value:
+    the lists, tuples and AST objects it is made of are copied, their
+    leaves shared."""
     kind = _kind(type(obj))
     if kind is None:
-        return None
+        return obj
     if kind == "term":
-        return slot_of.get(obj)
-    inner = kind.__class__ is tuple  # a plan node
-    parts = []
-    for field, value in _fields(obj, kind, shallow):
-        site = _sites(value, slot_of, inner)
-        if site is not None:
-            parts.append((field, site))
-    return (kind, tuple(parts)) if parts else None
-
-
-def _pruned(site, slots: set):
-    """``site`` cut down to the ``slots`` named."""
-    if site is None or isinstance(site, int):
-        return site if site in slots else None
-    kind, parts = site
-    kept = tuple(
-        (field, inner) for field, inner in (
-            (field, _pruned(inner, slots)) for field, inner in parts
-        ) if inner is not None
-    )
-    return (kind, kept) if kept else None
-
-
-def _slot_numbers(site) -> set:
-    """The slots a site tree of :func:`_sites` reaches."""
-    if site is None:
-        return set()
-    if isinstance(site, int):
-        return {site}
-    return set().union(*(_slot_numbers(inner) for _, inner in site[1]))
-
-
-def _bind(obj, site, constants: Sequence[Term], memo: Dict[int, object]):
-    """``obj`` with ``constants[slot]`` at every slot ``site`` names:
-    each object on the way there copied once (``memo``, so what the
-    plan shares — a probe's filter and the scan's — stays shared),
-    everything else the very object."""
-    if site.__class__ is int:
-        return constants[site]
-    new = memo.get(id(obj))
-    if new is not None:
-        return new
-    kind, parts = site
-    if kind == "list" or kind == "tuple":
-        items = list(obj)
-        for index, inner in parts:
-            items[index] = _bind(obj[index], inner, constants, memo)
-        if kind == "list":
-            new = items
-        elif hasattr(obj, "_fields"):
-            new = type(obj)._make(items)
-        else:
-            new = tuple(items)
-    else:
+        return values.get(obj, obj)
+    fields = [
+        (field, _substituted(value, values))
+        for field, value in _fields(obj, kind)
+    ]
+    if kind == "object":
         new = object.__new__(type(obj))
-        if kind == "object":
-            new.__dict__.update(obj.__dict__)
-        else:
-            for name in kind:
-                object.__setattr__(new, name, getattr(obj, name))
-        for name, inner in parts:
-            object.__setattr__(
-                new, name, _bind(getattr(obj, name), inner, constants, memo)
-            )
-    memo[id(obj)] = new
-    return new
+        new.__dict__.update(fields)
+        return new
+    items = [value for _, value in fields]
+    if kind == "list":
+        return items
+    if hasattr(obj, "_fields"):
+        return type(obj)._make(items)
+    return tuple(items)
 
 
 def _read_slots(query, slot_of: Dict[Term, int]) -> Tuple[int, ...]:
@@ -523,30 +471,17 @@ def _read_slots(query, slot_of: Dict[Term, int]) -> Tuple[int, ...]:
     ``rdf:type`` pattern or of one with a slot for its predicate (the
     class count), and a choice of an ``IN`` list (the pin's IRIs)."""
     found: set = set()
-
-    def slot(term) -> Optional[int]:
-        if isinstance(term, (URIRef, Literal)):
-            return slot_of.get(term)
-        return None
-
-    def visit(obj) -> None:
-        kind = _kind(type(obj))
-        if kind is None or kind == "term":
-            return
+    for obj in _walk(query.where):
         if isinstance(obj, TriplePatternNode):
-            predicate = slot(obj.predicate)
+            predicate = slot_of.get(obj.predicate)
             found.add(predicate)
             if predicate is not None or obj.predicate == RDF.type:
-                found.add(slot(obj.object))
+                found.add(slot_of.get(obj.object))
         elif isinstance(obj, InExpr):
             found.update(
-                slot(choice.term) for choice in obj.choices
+                slot_of.get(choice.term) for choice in obj.choices
                 if isinstance(choice, TermExpr)
             )
-        for _, value in _fields(obj, kind):
-            visit(value)
-
-    visit(query.where)
     found.discard(None)
     return tuple(sorted(found))
 
@@ -612,6 +547,10 @@ class Evaluator:
         # a plan it made for itself) the run also leaves actual_rows /
         # actual_ms on the plan's nodes
         self._annotate = False
+        # sentinel -> constant of the text being evaluated (its free
+        # slots): what the executor reads in place of a sentinel it
+        # meets in the shared plan or query
+        self._slots = _NO_SLOTS
 
     # ------------------------------------------------------------------
     # Entry points
@@ -624,17 +563,19 @@ class Evaluator:
         """
         began = time.perf_counter()
         plan: Optional[PlanNode] = None
+        slots = _NO_SLOTS
         if isinstance(query, str):
             if self.optimize and self._planner is None:
-                query, plan = self._prepared(query)
+                query, plan, slots = self._prepared(query)
             else:
                 query = _literal_query(query)
         tracer = get_tracer()
         form = type(query).__name__.replace("Query", "").upper()
         with tracer.span("sparql.evaluate", {"form": form}):
-            previous_timing = self._time_plan_nodes
+            previous = self._time_plan_nodes, self._slots
             if tracer.enabled:
                 self._time_plan_nodes = True
+            self._slots = slots
             try:
                 if plan is None:
                     # (an object that is no query at all fails to lower)
@@ -651,7 +592,7 @@ class Evaluator:
                 else:
                     result = self._eval_describe(query, plan)
             finally:
-                self._time_plan_nodes = previous_timing
+                self._time_plan_nodes, self._slots = previous
         get_registry().histogram(
             "repro_query_seconds",
             "End-to-end SPARQL evaluation latency.",
@@ -661,13 +602,15 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _prepared(self, text: str) -> Tuple[object, PlanNode]:
+    def _prepared(
+        self, text: str
+    ) -> Tuple[object, PlanNode, Dict[Term, Term]]:
         """The query and plan of ``text``, through the prepared-query
-        caches: the exact text's bound plan while it fits the
-        statistics (``hit``); else the plan of its shape for the values
-        of the keyed slots, with the text's constants bound into it
-        (``bound``), made again when it no longer fits (``stale``) or
-        made for the first time (``miss``).
+        caches, and the slots to run them with: the exact text's plan
+        while it fits the statistics (``hit``); else the plan of its
+        shape for the values of the keyed slots (``bound``), made again
+        when it no longer fits (``stale``) or made for the first time
+        (``miss``).
 
         A plan found here may be running on other threads, so it is
         executed but never written to.
@@ -675,12 +618,16 @@ class Evaluator:
         stats = self._statistics()
         front = _TEXTS.get(text)
         if front is not None:
-            shape, constants, prepared, query, plan = front
+            shape, constants, prepared, slots = front
             if prepared.fits(stats):
                 _count_plan("hit")
-                return query, plan
+                return prepared.query, prepared.plan, slots
         else:
             shape, constants = _shape_of(text)
+            slots = {
+                sentinel: constants[slot]
+                for sentinel, slot in shape.free.items()
+            }
         key = tuple(constants[slot] for slot in shape.keyed)
         prepared = shape.plans.get(key)
         if prepared is None:
@@ -690,17 +637,12 @@ class Evaluator:
         else:
             outcome, prepared = "stale", None
         if prepared is None:
-            query = shape.query
-            if shape.key_sites is not None:
-                query = _bind(query, shape.key_sites, constants, {})
-            prepared = _Prepared(
-                query, self._plan(query).plan, shape.free, stats
-            )
+            query = shape.planned_query(constants)
+            prepared = _Prepared(query, self._plan(query).plan, stats)
             _remember(shape.plans, key, prepared)
-        query, plan = prepared.bind(constants)
-        _remember(_TEXTS, text, (shape, constants, prepared, query, plan))
+        _remember(_TEXTS, text, (shape, constants, prepared, slots))
         _count_plan(outcome)
-        return query, plan
+        return prepared.query, prepared.plan, slots
 
     def _exists_plan(self, group: GroupPattern) -> PlanNode:
         """The plan of an ``EXISTS`` group, lowered once per evaluator.
@@ -888,6 +830,7 @@ class Evaluator:
         self, query: ConstructQuery, plan: PlanNode
     ) -> Graph:
         result = Graph()
+        slots = self._slots
         for index, row in enumerate(self._solutions(plan)):
             bnode_map: Dict[BNode, BNode] = {}
             for pattern in query.template:
@@ -910,7 +853,7 @@ class Evaluator:
                         )
                         triple.append(fresh)
                     else:
-                        triple.append(position)
+                        triple.append(slots.get(position, position))
                 if not ok:
                     continue
                 s, p, o = triple
@@ -933,7 +876,7 @@ class Evaluator:
                             targets.append(bound)
         for term in query.terms:
             if not isinstance(term, Variable):
-                targets.append(term)
+                targets.append(self._slots.get(term, term))
         for target in dict.fromkeys(targets):
             for triple in self.graph.triples((target, None, None)):
                 result.add(triple)
@@ -1057,8 +1000,13 @@ class Evaluator:
                     pass  # variable stays unbound per spec
                 yield extended
         elif isinstance(node, ValuesNode):
+            slots = self._slots
+            rows = [
+                [slots.get(value, value) for value in row]
+                for row in node.rows
+            ]
             for binding in solutions:
-                for row in node.rows:
+                for row in rows:
                     merged = self._merge_row(
                         binding, zip(node.variables, row)
                     )
@@ -1075,8 +1023,9 @@ class Evaluator:
             named = (
                 self.dataset.graphs() if self.dataset is not None else []
             )
+            constant = self._slots.get(node.target, node.target)
             for binding in solutions:
-                target = node.target
+                target = constant
                 if isinstance(target, Variable) and target in binding:
                     target = binding[target]
                 if isinstance(target, Variable):
@@ -1174,9 +1123,11 @@ class Evaluator:
         return skip the ``IN`` filter, which holds by construction.
         A scan with neither does no per-row work for them.
         """
-        pattern = scan.pattern
+        pattern, slots = scan.pattern, self._slots
         subject, predicate, obj = positions = (
-            pattern.subject, pattern.predicate, pattern.object
+            slots.get(pattern.subject, pattern.subject),
+            slots.get(pattern.predicate, pattern.predicate),
+            slots.get(pattern.object, pattern.object),
         )
         s_var = isinstance(subject, Variable)
         p_var = isinstance(predicate, Variable)
@@ -1193,7 +1144,7 @@ class Evaluator:
         if probe is not None:
             stats = self._probe_statistics(graph)
         if stats is not None:
-            center = probe.center
+            center = slots.get(probe.center, probe.center)
             # what the memo keys hold besides the centre
             first = probe.filter.args[0]
             shape = (
@@ -1212,7 +1163,7 @@ class Evaluator:
                 shared = len(chunk) > 1
                 if stats is not None:
                     lookups += self._grid_hits(
-                        scan, chunk, stats, shape, hits
+                        scan, center, chunk, stats, shape, hits
                     )
                     asked = near = None  # (hits may know more now)
                 for row in chunk:
@@ -1318,13 +1269,15 @@ class Evaluator:
     def _grid_hits(
         self,
         scan: ScanStep,
+        center: Term,
         chunk: List[Bindings],
         stats,
         shape: Tuple[float, bool],
         hits: Dict[Term, Optional[Tuple[list, dict]]],
     ) -> int:
         """Look up, on the spatial grid, the centres ``chunk`` asks a
-        probed scan about; returns how many it looked up.
+        probed scan about (``center``: the probe's, a constant read
+        through the evaluation's slots); returns how many it looked up.
 
         A centre is looked up once per step: the grid's candidates in
         the bounding box of the circle around it, each put to the exact
@@ -1348,7 +1301,6 @@ class Evaluator:
         """
         probe = scan.probe
         subject, geometry = scan.pattern.subject, scan.pattern.object
-        center = probe.center
         asking: Dict[Optional[Term], int] = Counter()
         if isinstance(center, Variable):
             # (solutions extended off one match share its very terms,
@@ -1434,7 +1386,7 @@ class Evaluator:
                 if value is None:
                     raise ExpressionError(f"unbound variable ?{term}")
                 return value
-            return term
+            return self._slots.get(term, term) if self._slots else term
         if isinstance(expression, OrExpr):
             error: Optional[ExpressionError] = None
             for operand in expression.operands:

@@ -78,6 +78,8 @@ class TestProperNounExtraction:
         nps = analyzer.proper_nouns("we visited Palazzo Carignano today")
         assert [t.lemma for t in nps] == ["Palazzo Carignano"]
         assert nps[0].is_multiword
+        # an ad-hoc run, not a gazetteer multiword
+        assert nps[0].np_score == 0.9
 
     def test_numbers_excluded(self):
         analyzer = MorphologicalAnalyzer("en")

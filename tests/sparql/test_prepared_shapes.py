@@ -325,13 +325,9 @@ def restored(text):
     shape, constants = evaluator_module._shape_of(text)
     if not constants:
         return None
-    sentinels = {
-        URIRef(f"{evaluator_module._SLOT}{slot}") if isinstance(c, URIRef)
-        else Literal(f"{evaluator_module._SLOT}{slot}"): slot
-        for slot, c in enumerate(constants)
-    }
-    sites = evaluator_module._sites(shape.query, sentinels)
-    return evaluator_module._bind(shape.query, sites, constants, {})
+    return evaluator_module._substituted(
+        shape.query, dict(zip(shape.sentinels, constants))
+    )
 
 
 def same_query(got, expected):
@@ -376,6 +372,45 @@ def test_a_text_holding_the_sentinel_is_its_own_shape(registry):
         Evaluator(store, optimize=False).evaluate(text)
     )
     assert list(evaluator_module._SHAPES) == [text]
+
+
+def test_two_texts_of_one_shape_run_the_same_plan(monkeypatch, registry):
+    store = store_of(build_dataset())
+    ran = []
+    original = Evaluator._solutions
+
+    def recording(self, plan):
+        ran.append(plan)
+        return original(self, plan)
+
+    monkeypatch.setattr(Evaluator, "_solutions", recording)
+    texts = [
+        f"SELECT ?l WHERE {{ <http://example.org/{pic}> rdfs:label ?l }}"
+        for pic in ("pic1", "pic2")
+    ]
+    got = [normalize(Evaluator(store).evaluate(text)) for text in texts]
+    assert outcomes(registry) == {"miss": 1, "bound": 1}
+    # one plan object, not a copy per text
+    assert len(ran) == 2 and ran[0] is ran[1]
+    # each text read its own constant
+    assert got == [
+        [(("l", '"Tramonto sulla Mole"'),)], [(("l", '"Mole by night"'),)],
+    ]
+
+
+def test_an_ast_after_a_text_runs_without_the_texts_constants():
+    store = store_of(build_dataset())
+    evaluator = Evaluator(store)
+    text = 'SELECT ?x WHERE { BIND("from the text" AS ?x) }'
+    assert normalize(evaluator.evaluate(text)) == [
+        (("x", '"from the text"'),),
+    ]
+    # the AST holds the very sentinel the text's constant sat behind
+    sentinel = f"{evaluator_module._SLOT}0"
+    ast = parse_query(f'SELECT ?x WHERE {{ BIND("{sentinel}" AS ?x) }}')
+    assert normalize(evaluator.evaluate(ast)) == [
+        (("x", f'"{sentinel}"'),),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ def fresh_caches(monkeypatch):
 
 
 def shared_plans(text):
-    """The plans ``evaluate(text)`` shares: the exact text's bound plan
-    and the plan of its shape it was bound from."""
-    _, _, prepared, _, plan = evaluator_module._TEXTS[text]
-    return [plan, prepared.plan]
+    """The plans ``evaluate(text)`` shares: the plan of its shape that
+    every text of the shape runs."""
+    _, _, prepared, _ = evaluator_module._TEXTS[text]
+    return [prepared.plan]
 
 
 def store_of_cases():
