@@ -553,9 +553,10 @@ def _triples_yielded():
 def _reindexed():
     """Counts the label triples the commits of the block re-index: the
     literal label triples of each delta ``LabelIndex.apply_delta`` is
-    handed, plus the triples it reads from the graph."""
+    handed, plus the triples it reads from the graph. Yields that list
+    and the list of each carry's seconds."""
     original = LabelIndex.apply_delta
-    read = []
+    read, spent = [], []
 
     def counting(self, added, removed, *args, **kwargs):
         read.extend(
@@ -563,25 +564,29 @@ def _reindexed():
             if p in LABEL_PREDICATES and isinstance(o, Literal)
         )
         with _triples_yielded() as triples:
+            began = time.perf_counter()
             view = original(self, added, removed, *args, **kwargs)
+            spent.append(time.perf_counter() - began)
         read.extend(triples)
         return view
 
     LabelIndex.apply_delta = counting
     try:
-        yield read
+        yield read, spent
     finally:
         LabelIndex.apply_delta = original
 
 
 def _next_generation(stack):
     """``(triples read to build an interface on the head after one
-    upload commit, label triples that commit re-indexed)``; the upload
-    is deleted again afterwards, so later rungs see the same corpus."""
+    upload commit, label triples that commit re-indexed, milliseconds
+    it spent carrying the label index)``; the upload is deleted again
+    afterwards, so later rungs see the same corpus."""
     platform = stack.platform
-    with _reindexed() as reindexed:
+    with _reindexed() as (reindexed, spent):
         item = platform.upload(stack.next_captures(1)[0])
         platform.evaluator()  # one commit, carrying the label index
+    assert len(spent) == 1, f"{len(spent)} label carries for one upload"
     union, contents = platform.union_graph(), platform.contents()
     with _triples_yielded() as read:
         search = SearchInterface(union, contents)
@@ -591,7 +596,24 @@ def _next_generation(stack):
     )
     platform.delete_content(item.pid)
     platform.evaluator()
-    return len(read), len(reindexed)
+    return len(read), len(reindexed), spent[0] * 1000.0
+
+
+def _label_kb(union) -> float:
+    """The kilobytes a :class:`LabelIndex` of ``union`` holds, under
+    ``tracemalloc``: a collection of its own, apart from the timed
+    one."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels = LabelIndex.collect(union)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+        del labels  # alive until measured
+    finally:
+        tracemalloc.stop()
+    return round(kept / 1024.0, 1)
 
 
 @contextmanager
@@ -676,7 +698,9 @@ def bench_search(benchmark, ladder):
     content items. The candidates a keystroke scores stay level with the
     corpus: ``suggest`` scores the first class and reads the others in
     ``str`` order only until the top 10 is decided. Build and suggest
-    times are printed ungated."""
+    times, the upload commit's label carry time and the kilobytes a
+    label index holds (a second collection, under ``tracemalloc``) are
+    printed ungated."""
     built = {}
 
     def measure(contents, stack):
@@ -695,7 +719,8 @@ def bench_search(benchmark, ladder):
         search = built[contents] = SearchInterface(
             union, stack.platform.contents()
         )
-        next_reads, reindexed = _next_generation(stack)
+        label_kb = _label_kb(union)
+        next_reads, reindexed, carry_ms = _next_generation(stack)
         assert next_reads == 0, (
             f"an interface on the head after an upload at {contents} "
             f"contents read {next_reads} triples (0 expected)"
@@ -725,6 +750,8 @@ def bench_search(benchmark, ladder):
             "candidates_max": max(candidates),
             "scored_per_keystroke": len(scored) / len(SEARCH_PREFIXES),
             "build_ms": round(build_ms, 2),
+            "label_kb": label_kb,
+            "carry_ms": round(carry_ms, 3),
             "suggest_us": round(
                 statistics.median(samples) * 1000.0 / len(SEARCH_PREFIXES),
                 1),

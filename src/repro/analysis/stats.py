@@ -37,7 +37,7 @@ from ..rdf.terms import BNode, Literal, Term, Variable
 from ..sparql.algebra import PlanNode, ScanStep, walk
 from ..sparql.ast import Expression, TermExpr, TriplePatternNode
 from ..sparql.geo import Point, bounding_box, try_parse_point
-from ..store.engine import cached_view, current_view, view_fingerprint
+from ..store.engine import cached_view, current_view
 
 #: Edge of one spatial-grid cell in degrees: ~1.1 km of latitude, ~0.8 km
 #: of longitude at 45°N. The paper's radii are 0.2–1 km, so a probe
@@ -57,19 +57,10 @@ PLAN_DRIFT = 2.0
 
 
 class GraphStatistics:
-    """Cardinality statistics collected from a graph.
-
-    ``fingerprint`` records the graph's change fingerprint at
-    collection time (:func:`repro.store.engine.view_fingerprint`):
-    ``Graph._version`` for mutable graphs, or the MVCC store's
-    ``generation`` counter for generation-pinned snapshots
-    (:class:`repro.store.SnapshotGraph`), which a commit that carries
-    the statistics (:meth:`apply_delta`) stamps on them. Graph-like
-    objects with neither get a fresh sentinel object that never
-    compares equal to anything observed later — *always stale*.
-    (The old fallback of ``len(graph)`` let a same-size mutation —
-    remove one triple, add another — serve stale planner statistics.)
-    """
+    """Cardinality statistics collected from a graph: a derived view
+    (:mod:`repro.store.engine`), carried by every commit on a store's
+    union and cached against any other graph's change fingerprint
+    (:meth:`cached`)."""
 
     def __init__(
         self,
@@ -123,9 +114,6 @@ class GraphStatistics:
         #: Only geometries a step tested, never a candidate list; same
         #: lifetime and lock-free rule as :attr:`probe_memo`.
         self.probe_outcomes: Dict[Tuple[Term, float, bool, Term], bool] = {}
-        #: ``Graph._version`` at collection time (staleness detection);
-        #: an always-stale sentinel when the graph has no version.
-        self.fingerprint: object = None
         #: Wall-clock time of collection (snapshot age accounting).
         self.collected_at: float = time.time()
 
@@ -137,9 +125,8 @@ class GraphStatistics:
     @classmethod
     def collect(cls, graph: Graph) -> "GraphStatistics":
         # Hold the graph's write lock (when it has one) for the whole
-        # scan: the fingerprint must describe the same state the
-        # indexes were scanned in, not a version a concurrent writer
-        # bumped halfway through.
+        # scan: the statistics describe one state of the graph, not
+        # one a concurrent writer changed halfway through.
         guard = getattr(graph, "_lock", None)
         with guard if guard is not None else nullcontext():
             predicates = graph.predicate_statistics()
@@ -170,10 +157,6 @@ class GraphStatistics:
                 sum(len(entries) for entries in grid.values()),
                 grid,
             )
-            version = view_fingerprint(graph)
-        # no fingerprint source -> a unique sentinel: never equal to any
-        # later observation, so the snapshot can never be served stale.
-        stats.fingerprint = version if version is not None else object()
         # every collection is a (re)build of the planner's statistics;
         # a hot counter here exposes silent per-query re-scans (the
         # inc happens outside the graph lock: CC003)
@@ -207,7 +190,6 @@ class GraphStatistics:
         removed,
         before,
         after,
-        fingerprint: object = None,
     ) -> "GraphStatistics":
         """Statistics for ``after`` = this snapshot + a generation delta.
 
@@ -353,7 +335,6 @@ class GraphStatistics:
             points,
             grid,
         )
-        result.fingerprint = fingerprint
         get_registry().counter(
             "repro_graph_stats_delta_updates_total",
             "Incremental GraphStatistics maintenance passes "

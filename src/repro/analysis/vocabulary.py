@@ -93,10 +93,6 @@ class VocabularyIndex:
         self.predicates.update(str(p) for p in predicates)
         return self
 
-    def add_classes(self, *classes: str) -> "VocabularyIndex":
-        self.classes.update(str(c) for c in classes)
-        return self
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

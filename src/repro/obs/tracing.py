@@ -261,9 +261,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def add_exporter(self, exporter) -> None:
-        self.exporters.append(exporter)
-
     # -- span export ---------------------------------------------------
     def _export(self, span: Span) -> None:
         for exporter in self.exporters:

@@ -91,6 +91,10 @@ _DISPLAY_RANK = {RDFS.label: 0, GN.name: 1}
 CANDIDATES = 200
 
 
+#: A label triple of a subject: (predicate, literal).
+_Label = Tuple[Term, Literal]
+
+
 class _Entry(NamedTuple):
     """What a suggestion shows and scores for one labelled subject.
 
@@ -106,8 +110,8 @@ class _Entry(NamedTuple):
 
 class LabelIndex:
     """The search box's label index over one graph: a token index of the
-    literals of :data:`LABEL_PREDICATES` (:attr:`index`, each token's
-    subjects in ``str`` order among them), one :class:`_Entry` per
+    literals of :data:`LABEL_PREDICATES` (:attr:`index`, one posting per
+    token: its subjects in ``str`` order), one :class:`_Entry` per
     subject with a displayed label (:attr:`entries`) and, per token, the
     subjects whose displayed label it starts (:attr:`first`).
 
@@ -118,8 +122,8 @@ class LabelIndex:
 
     A derived view (:mod:`repro.store.engine`): :meth:`collect` reads the
     label triples of a graph, :meth:`apply_delta` carries an index across
-    one store commit. Never written once built, so threads share one
-    without a lock.
+    one store commit, per touched subject. Never written once built, so
+    threads share one without a lock.
     """
 
     __slots__ = ("index", "entries", "first")
@@ -143,13 +147,13 @@ class LabelIndex:
         for subject, predicate, label in literal_triples(
             graph, LABEL_PREDICATES
         ):
-            tokens = index.add(subject, predicate, label.lexical)
+            tokens = index.add(subject, label.lexical)
             entry = _entry(predicate, label, tokens)
             if entry is not None and (
                 subject not in entries or entry < entries[subject]
             ):
                 entries[subject] = entry
-        index.tokens()  # sorted now: a keystroke only reads
+        index.tokens()  # built now: a keystroke only reads
         first: Dict[str, List[Term]] = defaultdict(list)
         for subject, entry in entries.items():
             if entry.tokens:
@@ -159,73 +163,60 @@ class LabelIndex:
             for token, subjects in first.items()
         })
 
-    def apply_delta(
-        self, added, removed, before, after, fingerprint: object = None
-    ) -> "LabelIndex":
+    def apply_delta(self, added, removed, before, after) -> "LabelIndex":
         """The index of ``after`` = ``before`` + one commit's
         union-effective ``added``/``removed`` triples; ``self`` when the
         delta holds no literal label triple.
 
-        Only the touched ``(subject, predicate)`` pairs and subjects are
-        derived again, and ``before`` is never read: what it held that
-        ``after`` lacks is in ``removed``. A pair that only gained
-        literals gains their tokens, and a subject that lost no display
-        label keeps the smaller of its entry and the new labels' — no
-        graph read, the case of an upload. A pair that lost a literal
-        keeps a token only if one of its literals in ``after`` still
-        carries it, and a subject that lost a display label is given
-        the smallest of its labels in ``after``. Posting sets, subject
-        orders, sorted tokens, entries and first-token groups the commit
-        does not touch are shared with this index. A view of a store
-        state is that state's by construction, so the ``fingerprint`` is
-        not kept."""
-        # per touched pair: (literals gained, literals lost)
-        delta: Dict[Tuple[Term, Term], Tuple[list, list]] = {}
+        Carried per touched subject, and ``before`` is never read: what
+        it held that ``after`` lacks is in ``removed``. A subject that
+        only gained labels joins their tokens' postings and keeps the
+        smaller of its entry and the new display labels' — no graph
+        read, the case of an upload. A subject that lost a label is read
+        once in ``after`` (its three label predicates): it leaves each
+        token of its lost labels that none of the labels read carries,
+        and its entry is the smallest of theirs. Postings, sorted
+        tokens, entries and first-token groups the commit does not
+        touch are shared with this index."""
+        # per touched subject: (labels gained, labels lost)
+        delta: Dict[Term, Tuple[List[_Label], List[_Label]]] = {}
         for side, triples in enumerate((added, removed)):
             for s, p, o in triples:
                 if p in _LABELLED and isinstance(o, Literal):
-                    delta.setdefault((s, p), ([], []))[side].append(o)
+                    delta.setdefault(s, ([], []))[side].append((p, o))
         if not delta:
             return self
-        retokenized: Dict[Tuple[Term, Term], Tuple[Set[str], Set[str]]] = {}
-        shown: Dict[Term, bool] = {}  # subject -> lost a display label
-        for pair, (gained, lost) in delta.items():
+        joined: Dict[str, Set[Term]] = defaultdict(set)
+        left: Dict[str, Set[Term]] = defaultdict(set)
+        shown: Dict[Term, Optional[_Entry]] = {}  # subject -> new entry
+        for subject, (gained, lost) in delta.items():
+            entry = self.entries.get(subject)
             if lost:
-                retokenized[pair] = (
-                    _tokens(lost), _tokens(_labels(after, *pair))
-                )
+                held = list(_labels(after, subject))
+                kept = _tokens(held)
+                # a label both gained and lost nets out: only ``after``
+                # tells which side it ended on
+                joins = _tokens(gained) & kept
+                for token in _tokens(lost) - kept:
+                    left[token].add(subject)
+                best = _best(held)
             else:
-                retokenized[pair] = (set(), _tokens(gained))
-            if pair[1] in _DISPLAY_RANK:
-                shown[pair[0]] = shown.get(pair[0], False) or bool(lost)
+                joins = _tokens(gained)
+                best = _best(gained, entry)
+            for token in joins:
+                joined[token].add(subject)
+            if best != entry:
+                shown[subject] = best
         entries, first = self.entries, self.first
         if shown:
             entries, first = dict(entries), dict(first)
-            for subject, lost_one in shown.items():
-                if lost_one:
-                    best = None
-                    candidates = [
-                        (p, label)
-                        for p in _DISPLAY_RANK
-                        for label in _labels(after, subject, p)
-                    ]
-                else:
-                    best = entries.get(subject)
-                    candidates = [
-                        (p, label)
-                        for p in _DISPLAY_RANK
-                        for label in delta.get((subject, p), ([], []))[0]
-                    ]
-                for p, label in candidates:
-                    entry = _entry(p, label, tokenize_text(label.lexical))
-                    if best is None or entry < best:
-                        best = entry
+            for subject, best in shown.items():
                 _regroup(first, subject, self.entries.get(subject), best)
                 if best is None:
-                    entries.pop(subject, None)
+                    del entries[subject]
                 else:
                     entries[subject] = best
-        return LabelIndex(self.index.revised(retokenized), entries, first)
+        return LabelIndex(self.index.revised(joined, left), entries, first)
 
     def leading(self, prefix: str, walked: List[str]) -> Iterator[Term]:
         """The candidates of the ``walked`` tokens
@@ -289,17 +280,32 @@ def _entry(
     return _Entry(rank, label.lang or "", label.lexical, tuple(tokens))
 
 
-def _labels(graph, subject: Term, predicate: Term) -> Iterator[Literal]:
-    for _, _, label in graph.triples((subject, predicate, None)):
-        if isinstance(label, Literal):
-            yield label
+def _labels(graph, subject: Term) -> Iterator[_Label]:
+    """The literal labels of ``subject`` in ``graph``, with their
+    predicates."""
+    for predicate in LABEL_PREDICATES:
+        for _, _, label in graph.triples((subject, predicate, None)):
+            if isinstance(label, Literal):
+                yield predicate, label
 
 
-def _tokens(labels: Iterable[Literal]) -> Set[str]:
+def _tokens(labels: Iterable[_Label]) -> Set[str]:
     """Every token of ``labels``."""
     return {
-        token for label in labels for token in tokenize_text(label.lexical)
+        token for _, label in labels for token in tokenize_text(label.lexical)
     }
+
+
+def _best(
+    labels: Iterable[_Label], best: Optional[_Entry] = None
+) -> Optional[_Entry]:
+    """The smallest of ``best`` and the entries of ``labels``' display
+    labels."""
+    for predicate, label in labels:
+        entry = _entry(predicate, label, tokenize_text(label.lexical))
+        if entry is not None and (best is None or entry < best):
+            best = entry
+    return best
 
 
 class SearchInterface:

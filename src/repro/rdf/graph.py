@@ -447,10 +447,6 @@ class Graph:
         """
         return subject in self._spo
 
-    def predicate_objects(self, subject: Term) -> Iterator[Tuple[Term, Term]]:
-        for _, p, o in self.triples((subject, None, None)):
-            yield p, o
-
     def serialize(self, fmt: str = "ntriples") -> str:
         """Serialize to ``ntriples`` or ``turtle``."""
         if fmt in ("ntriples", "nt"):

@@ -39,8 +39,9 @@ class SindiceResolver(Resolver):
                 for s, _, o in graph.triples((None, predicate, None)):
                     if not isinstance(o, Literal):
                         continue
-                    self._index.add(s, predicate, o.lexical)
+                    self._index.add(s, o.lexical)
                     self._labels.setdefault(s, []).append(o.lexical)
+        self._index.tokens()  # built now: a search only reads
         self._memo = Memo()
 
     def resolve_term(

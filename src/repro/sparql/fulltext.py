@@ -82,21 +82,26 @@ def contains(text: str, pattern: str) -> bool:
 
 
 class FullTextIndex:
-    """Inverted index mapping word tokens to (subject, predicate) pairs.
+    """Inverted index mapping each word token to its posting: the
+    subjects whose indexed literals hold it, once each, in ``str``
+    order.
 
     Indexes the literal objects of a graph (all of them, or those of
-    some predicates). Lookups return the subjects whose literals contain
-    the query tokens; :meth:`search_prefix` supports the mobile
-    interface's search-as-you-type behaviour. Once nothing is added any
-    more and :meth:`tokens` has sorted the index, searching writes
-    nothing, so any number of threads may search it without a lock.
+    some predicates). :meth:`add` collects subjects into a set per
+    token; :meth:`tokens` sorts the tokens and turns each set into its
+    posting, once after the last :meth:`add`, so a built index holds
+    one tuple per token and nothing else. Lookups return the subjects
+    whose literals contain the query tokens; :meth:`search_prefix`
+    supports the mobile interface's search-as-you-type behaviour.
+    Once built, searching writes nothing, so any number of threads may
+    search it without a lock.
     """
 
     def __init__(self) -> None:
-        self._postings: Dict[str, Set[Tuple[Term, Term]]] = defaultdict(set)
+        #: per token, its subjects added since :meth:`tokens` last ran
+        self._added: Dict[str, Set[Term]] = defaultdict(set)
         self._sorted_tokens: Optional[List[str]] = None
-        #: per token, its subjects once each in ``str`` order; sorted
-        #: with the tokens
+        #: per token, its posting; complete once :meth:`tokens` ran
         self._subjects: Dict[str, Tuple[Term, ...]] = {}
 
     @classmethod
@@ -114,34 +119,35 @@ class FullTextIndex:
         copy: later changes to ``graph`` do not reach it.
         """
         index = cls()
-        for s, p, o in literal_triples(graph, predicates):
-            index.add(s, p, o.lexical)
+        for s, _, o in literal_triples(graph, predicates):
+            index.add(s, o.lexical)
+        index.tokens()  # built now: a search only reads
         return index
 
-    def add(self, subject: Term, predicate: Term, text: str) -> List[str]:
-        """Index ``text`` under ``(subject, predicate)``; returns its
-        tokens."""
+    def add(self, subject: Term, text: str) -> List[str]:
+        """Index ``text`` under ``subject``; returns its tokens."""
         tokens = tokenize_text(text)
         for token in tokens:
-            self._postings[token].add((subject, predicate))
-        self._sorted_tokens = None
+            self._added[token].add(subject)
+        if tokens:
+            self._sorted_tokens = None
         return tokens
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self.tokens())
 
     def search(self, query: str) -> Set[Term]:
         """Subjects whose indexed text contains *all* query tokens."""
         tokens = tokenize_text(query)
         if not tokens:
             return set()
-        result: Optional[Set[Term]] = None
-        for token in tokens:
-            subjects = {s for s, _ in self._postings.get(token, ())}
-            result = subjects if result is None else result & subjects
+        self.tokens()
+        result = set(self._subjects.get(tokens[0], ()))
+        for token in tokens[1:]:
             if not result:
-                return set()
-        return result or set()
+                break
+            result.intersection_update(self._subjects.get(token, ()))
+        return result
 
     def search_prefix(self, prefix: str, limit: int = 50) -> Set[Term]:
         """Subjects with any indexed token starting with ``prefix``.
@@ -199,7 +205,8 @@ class FullTextIndex:
         return walked
 
     def subjects(self, token: str) -> Tuple[Term, ...]:
-        """The subjects of ``token``, once each, in ``str`` order."""
+        """The posting of ``token``: its subjects, once each, in ``str``
+        order."""
         self.tokens()
         return self._subjects.get(token, ())
 
@@ -209,101 +216,75 @@ class FullTextIndex:
 
     def revised(
         self,
-        retokenized: Dict[Tuple[Term, Term], Tuple[Set[str], Set[str]]],
+        joined: Dict[str, Set[Term]],
+        left: Dict[str, Set[Term]],
     ) -> "FullTextIndex":
-        """This index with each ``(subject, predicate)`` of
-        ``retokenized`` moved from its old tokens to its new ones
-        (``{pair: (old, new)}``), as a new index; this one is left as it
-        was. The new index shares every posting set and subject tuple no
-        pair touches, and the sorted tokens when no token comes or goes;
-        ``self`` when nothing moves. A token that only gained pairs
-        gains their subjects by bisection; one that lost a pair has its
-        subjects sorted again."""
-        touched: Dict[str, Set[Tuple[Term, Term]]] = {}
-        gained: Dict[str, List[Term]] = defaultdict(list)
-        lost: Set[str] = set()
-
-        def members(token: str) -> Set[Tuple[Term, Term]]:
-            found = touched.get(token)
-            if found is None:
-                found = touched[token] = set(self._postings.get(token, ()))
-            return found
-
-        for pair, (old, new) in retokenized.items():
-            for token in old - new:
-                members(token).discard(pair)
-                lost.add(token)
-            for token in new - old:
-                members(token).add(pair)
-                gained[token].append(pair[0])
-        if not touched:
-            return self
-        postings = defaultdict(set, self._postings)
+        """This index with the subjects of ``joined`` added to their
+        tokens' postings and those of ``left`` taken out of theirs
+        (``{token: subjects}``), as a new index; this one is left as it
+        was. A subject goes in or out of a posting by bisection and one
+        slice, so the new index shares every posting no subject moves
+        in, and the sorted tokens when no token comes or goes; ``self``
+        when nothing moves."""
         tokens = self.tokens()
-        subjects = dict(self._subjects)
-        for token, found in touched.items():
-            if found:
-                if token not in postings:
-                    if tokens is self._sorted_tokens:
-                        tokens = list(tokens)
-                    bisect.insort(tokens, token)
-                postings[token] = found
-                if token in lost:
-                    subjects[token] = _in_str_order(found)
-                else:
-                    subjects[token] = _joined(
-                        self._subjects.get(token, ()), gained[token]
-                    )
-            elif token in postings:
-                if tokens is self._sorted_tokens:
-                    tokens = list(tokens)
-                del postings[token]
+        subjects = self._subjects
+        for token in joined.keys() | left.keys():
+            old = posting = subjects.get(token, ())
+            for subject in left.get(token, ()):
+                at, there = _place(posting, subject)
+                if there:
+                    posting = posting[:at] + posting[at + 1:]
+            for subject in joined.get(token, ()):
+                at, there = _place(posting, subject)
+                if not there:
+                    posting = posting[:at] + (subject,) + posting[at:]
+            if posting is old:
+                continue
+            if subjects is self._subjects:
+                subjects = dict(subjects)
+            if posting:
+                subjects[token] = posting
+            else:
                 del subjects[token]
+            if old and posting:
+                continue
+            # the token comes or goes
+            if tokens is self._sorted_tokens:
+                tokens = list(tokens)
+            if posting:
+                bisect.insort(tokens, token)
+            else:
                 del tokens[bisect.bisect_left(tokens, token)]
+        if subjects is self._subjects:
+            return self
         index = FullTextIndex()
-        index._postings = postings
         index._sorted_tokens = tokens
         index._subjects = subjects
         return index
 
     def tokens(self) -> List[str]:
         """All indexed tokens, sorted once after the last :meth:`add`
-        (with each token's subjects, :meth:`subjects`) and shared with
+        (with each token's posting, :meth:`subjects`) and shared with
         :meth:`search_prefix` (do not modify the list)."""
         if self._sorted_tokens is None:
-            self._subjects = {
-                token: _in_str_order(pairs)
-                for token, pairs in self._postings.items()
-            }
-            self._sorted_tokens = sorted(self._postings)
+            for token, added in self._added.items():
+                added.update(self._subjects.get(token, ()))
+                self._subjects[token] = tuple(sorted(added, key=str))
+            self._added.clear()
+            self._sorted_tokens = sorted(self._subjects)
         return self._sorted_tokens
 
 
-def _in_str_order(pairs: Iterable[Tuple[Term, Term]]) -> Tuple[Term, ...]:
-    """The subjects of ``(subject, predicate)`` pairs, once each, in
-    ``str`` order."""
-    return tuple(sorted({subject for subject, _ in pairs}, key=str))
-
-
 def _place(order: Sequence[Term], subject: Term) -> Tuple[int, bool]:
-    """Where ``subject`` belongs in ``order`` (subjects in ``str``
-    order), and whether it is there."""
+    """Where ``subject`` is in ``order`` (subjects in ``str`` order), or
+    where it belongs, and whether it is there."""
     key = str(subject)
     low = bisect.bisect_left(order, key, key=str)
-    return low, subject in order[
-        low:bisect.bisect_right(order, key, low, key=str)
-    ]
-
-
-def _joined(order: Tuple[Term, ...], subjects: List[Term]) -> Tuple[Term, ...]:
-    """``order`` (subjects in ``str`` order) with those of ``subjects``
-    it lacks inserted in place."""
-    joined = list(order)
-    for subject in subjects:
-        at, there = _place(joined, subject)
-        if not there:
-            joined.insert(at, subject)
-    return tuple(joined)
+    high = bisect.bisect_right(order, key, low, key=str)
+    for at in range(low, high):
+        if order[at] == subject:
+            return at, True
+    return high, False
 
 
 def literal_triples(

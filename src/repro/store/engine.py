@@ -120,7 +120,6 @@ __all__ = [
     "WriteBatch",
     "cached_view",
     "current_view",
-    "view_fingerprint",
 ]
 
 
@@ -1596,10 +1595,7 @@ def _maintain_views(
     before = SnapshotGraph(store, old, _UNION)
     after = SnapshotGraph(store, new, _UNION)
     carried = {
-        kind: view.apply_delta(
-            union_added, union_removed, before, after,
-            fingerprint=new.generation,
-        )
+        kind: view.apply_delta(union_added, union_removed, before, after)
         for kind, view in views.items()
     }
     for kind in wanted - carried.keys():

@@ -244,7 +244,7 @@ def carried_stats(store):
 
 def assert_carried_equals_collected(store):
     carried = carried_stats(store)
-    assert carried is not None and carried.fingerprint == store.generation
+    assert carried is not None, "the head carries no statistics"
     fresh = GraphStatistics.collect(store.head())
     assert normalized(carried) == normalized(fresh)
     assert carried.geo_points == fresh.geo_points

@@ -1,11 +1,11 @@
-"""Regression: statistics fingerprinting for MVCC store snapshots.
+"""Regression: statistics freshness for MVCC store snapshots.
 
 A :class:`repro.store.SnapshotGraph` has no ``_version`` counter (it is
-immutable), so the old fingerprint fell back to the always-stale
-sentinel — every evaluator over an unchanged store re-collected
-statistics from scratch. The fingerprint now keys on the snapshot's
-``generation``, and commits maintain the snapshot incrementally, so
-full rebuilds happen only on the first collection.
+immutable), so statistics once keyed on it were always stale — every
+evaluator over an unchanged store re-collected them from scratch. The
+statistics now live in the pinned state's views
+(:func:`repro.store.engine.current_view`), and commits carry them
+incrementally, so full rebuilds happen only on the first collection.
 """
 
 from repro.analysis.stats import GraphStatistics
@@ -44,10 +44,17 @@ class TestSnapshotFingerprint:
         set_registry(self._previous)
 
     def test_fingerprint_is_the_generation(self):
+        """Statistics cached on a pinned view are every pin's of that
+        generation, and only theirs."""
         store = _store()
         view = store.head()
-        stats = GraphStatistics.collect(view)
-        assert stats.fingerprint == view.generation == 1
+        assert view.generation == 1
+        stats = GraphStatistics.cached(view)
+        assert GraphStatistics.current(view) is stats
+        assert GraphStatistics.current(store.head()) is stats
+        store.insert((URIRef(EX + "s9"), RDF.type, CITY))
+        assert GraphStatistics.current(view) is stats
+        assert GraphStatistics.current(store.head()) is not stats
 
     def test_same_generation_never_rebuilds(self):
         """The regression: N evaluators over one unchanged store must
@@ -70,7 +77,7 @@ class TestSnapshotFingerprint:
         store.insert((URIRef(EX + "s9"), RDF.type, CITY))
         maintained = store.statistics()
         assert maintained.class_counts[CITY] == 4
-        assert maintained.fingerprint == store.generation
+        assert GraphStatistics.current(store.head()) is maintained
         assert _rebuilds() == 1  # the delta path, not a re-scan
 
         deltas = get_registry().counter(
@@ -82,10 +89,12 @@ class TestSnapshotFingerprint:
 
     def test_distinct_generations_are_distinct_fingerprints(self):
         store = _store()
-        before = GraphStatistics.collect(store.head())
+        before = GraphStatistics.cached(store.head())
         store.insert((URIRef(EX + "s9"), RDF.type, CITY))
-        after = GraphStatistics.collect(store.head())
-        assert before.fingerprint != after.fingerprint
+        after = GraphStatistics.current(store.head())
+        assert after is not None and after is not before
+        assert before.class_counts[CITY] == 3
+        assert after.class_counts[CITY] == 4
 
     def test_a_view_collected_on_a_left_state_is_carried_again(self):
         """A reader collects on a generation a commit has already left:
@@ -103,5 +112,6 @@ class TestSnapshotFingerprint:
         store.insert((URIRef(EX + "s10"), RDF.type, CITY))
         head = GraphStatistics.current(store.head())
         assert head.class_counts[CITY] == 6
-        assert head.fingerprint == store.generation
+        # the left state keeps the statistics collected on it
+        assert GraphStatistics.current(pinned).class_counts[CITY] == 3
         assert _rebuilds() == 2  # carried from then on

@@ -3,7 +3,8 @@ a ``_version`` counter.
 
 The old fingerprint fell back to ``len(graph)``, so a same-size
 mutation (remove one triple, add another) served stale planner
-statistics. The fallback is now an always-stale sentinel.
+statistics. A graph without a change signal now has its statistics
+never served from the cache.
 """
 
 from repro.analysis.stats import GraphStatistics
@@ -39,17 +40,18 @@ class VersionlessGraph:
 class TestFingerprint:
     def test_versioned_graph_uses_version(self):
         graph = _graph()
-        stats = GraphStatistics.collect(graph)
-        assert stats.fingerprint == graph._version
+        stats = GraphStatistics.cached(graph)
+        assert GraphStatistics.current(graph) is stats
+        # a mutation moves the version: the old statistics are stale
+        graph.add((URIRef(EX + "c"), RDF.type, URIRef(EX + "City")))
+        assert GraphStatistics.current(graph) is None
 
     def test_versionless_fingerprint_is_always_stale(self):
         proxy = VersionlessGraph(_graph())
-        first = GraphStatistics.collect(proxy)
-        second = GraphStatistics.collect(proxy)
-        # the sentinel never equals anything observed later — in
-        # particular not len(graph) and not another snapshot's sentinel
-        assert first.fingerprint != len(proxy)
-        assert first.fingerprint != second.fingerprint
+        first = GraphStatistics.cached(proxy)
+        # never served from the cache, not even before any change
+        assert GraphStatistics.current(proxy) is None
+        assert GraphStatistics.cached(proxy) is not first
 
     def test_same_size_mutation_not_served_stale(self):
         """The bug scenario: remove one triple, add another — size

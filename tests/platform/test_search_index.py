@@ -51,14 +51,19 @@ def ex(name: str) -> URIRef:
     return URIRef(EX + name)
 
 
+def postings(index):
+    """Each token of ``index``, in order, with its posting."""
+    return {token: index.subjects(token) for token in index.tokens()}
+
+
 def _walked_postings(graph, predicates=None):
-    """The index a walk of every triple builds, filtered to
+    """The postings a walk of every triple builds, filtered to
     ``predicates`` (all of them when ``None``)."""
     index = FullTextIndex()
     for s, p, o in graph:
         if isinstance(o, Literal) and (predicates is None or p in predicates):
-            index.add(s, p, o.lexical)
-    return dict(index._postings)
+            index.add(s, o.lexical)
+    return postings(index)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +108,9 @@ def test_from_graph_equals_a_filtered_full_walk(triples, predicates,
         for triple in triples:
             graph.add(triple)
     index = FullTextIndex.from_graph(graph, predicates=predicates)
-    assert dict(index._postings) == _walked_postings(graph, set(predicates))
+    assert postings(index) == _walked_postings(graph, set(predicates))
     # the default still indexes every literal of the graph
-    assert dict(FullTextIndex.from_graph(graph)._postings) == (
+    assert postings(FullTextIndex.from_graph(graph)) == (
         _walked_postings(graph))
 
 
@@ -180,7 +185,7 @@ class _Reference:
         for token in self.tokens[bisect.bisect_left(self.tokens, lowered):]:
             if not lowered or not token.startswith(lowered):
                 break
-            result.update(s for s, _ in self.postings[token])
+            result.update(self.postings[token])
             if len(result) >= 200:
                 break
         return result
@@ -215,12 +220,11 @@ def _platform(contents: int, seed: int = 7) -> Platform:
 
 def assert_carried_equals_collected(graph, labels):
     """``labels``, carried through commits, holds what a collect of
-    ``graph`` builds: postings, tokens, each token's subjects in ``str``
-    order, entries and first-token groups."""
+    ``graph`` builds: the sorted tokens, each token's posting (its
+    subjects in ``str`` order), entries and first-token groups."""
     fresh = LabelIndex.collect(graph)
-    assert dict(labels.index._postings) == dict(fresh.index._postings)
     assert labels.index.tokens() == fresh.index.tokens()
-    assert labels.index._subjects == fresh.index._subjects
+    assert postings(labels.index) == postings(fresh.index)
     assert labels.entries == fresh.entries
     assert labels.first == fresh.first
 

@@ -1,5 +1,8 @@
 """Full-text matching and inverted index tests."""
 
+import sys
+import threading
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -120,17 +123,17 @@ class TestFullTextIndex:
     def test_add_invalidates_prefix_cache(self):
         idx = FullTextIndex.from_graph(self._graph())
         assert idx.search_prefix("zanzibar") == set()
-        idx.add(ex("z"), RDFS.label, "Zanzibar")
+        idx.add(ex("z"), "Zanzibar")
         assert idx.search_prefix("zanzibar") == {ex("z")}
 
     def test_len_counts_tokens(self):
         idx = FullTextIndex()
-        idx.add(ex("a"), RDFS.label, "one two two")
+        idx.add(ex("a"), "one two two")
         assert len(idx) == 2
 
     def test_tokens_sorted(self):
         idx = FullTextIndex()
-        idx.add(ex("a"), RDFS.label, "zebra apple")
+        idx.add(ex("a"), "zebra apple")
         assert idx.tokens() == ["apple", "zebra"]
 
 
@@ -141,7 +144,7 @@ def _cut_token_by_token(index, prefix, limit):
     result = set()
     for token in index.tokens():
         if token.startswith(prefix):
-            result.update(s for s, _ in index._postings[token])
+            result.update(index.subjects(token))
             if len(result) >= limit:
                 break
     return result
@@ -151,18 +154,18 @@ def _cut_token_by_token(index, prefix, limit):
 @given(
     labels=st.lists(
         st.tuples(st.sampled_from(["ma", "mab", "mac", "mad", "mb", "x"]),
-                  st.integers(0, 30), st.sampled_from(["p", "q"])),
+                  st.integers(0, 30)),
         max_size=80,
     ),
     prefix=st.sampled_from(["m", "ma", "mac", "x", "z"]),
     limit=st.integers(1, 40),
 )
 # the union lands on the limit at "mab", so "mac" is not walked
-@example(labels=[("ma", 1, "p"), ("ma", 2, "p"), ("mab", 2, "p"),
-                 ("mab", 3, "p"), ("mac", 4, "p")], prefix="m", limit=3)
+@example(labels=[("ma", 1), ("ma", 2), ("mab", 2), ("mab", 3), ("mac", 4)],
+         prefix="m", limit=3)
 # "mab" alone holds the limit: it ends the walk without a union copy
-@example(labels=[("ma", 1, "p"), *(("mab", n, "q") for n in range(2, 6)),
-                 ("mac", 9, "p")], prefix="m", limit=3)
+@example(labels=[("ma", 1), *(("mab", n) for n in range(2, 6)), ("mac", 9)],
+         prefix="m", limit=3)
 def test_prefix_search_stops_at_the_token_that_reaches_the_limit(
         labels, prefix, limit):
     """The walk's shortcuts (no union while the subject counts sum below
@@ -170,7 +173,99 @@ def test_prefix_search_stops_at_the_token_that_reaches_the_limit(
     token-by-token union does — also when subjects repeat across tokens
     and when the union lands exactly on the limit."""
     index = FullTextIndex()
-    for token, subject, predicate in labels:
-        index.add(ex(f"s{subject}"), ex(predicate), token)
+    for token, subject in labels:
+        index.add(ex(f"s{subject}"), token)
     assert index.search_prefix(prefix, limit) == (
         _cut_token_by_token(index, prefix, limit))
+
+
+_TOKENS = st.sampled_from(["ma", "mab", "mac", "x"])
+_SUBJECTS = st.integers(0, 6).map(lambda n: ex(f"s{n}"))
+_MOVES = st.dictionaries(_TOKENS, st.sets(_SUBJECTS, max_size=4), max_size=4)
+
+
+def _index_of(pairs):
+    index = FullTextIndex()
+    for token, subject in pairs:
+        index.add(subject, token)
+    index.tokens()
+    return index
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    held=st.sets(st.tuples(_TOKENS, _SUBJECTS), max_size=20),
+    joined=_MOVES,
+    left=_MOVES,
+)
+# a subject leaves and joins one token in one revision: it stays
+@example(held={("ma", ex("s1"))}, joined={"ma": {ex("s1")}},
+         left={"ma": {ex("s1")}})
+def test_revised_equals_an_index_built_afresh(held, joined, left):
+    """``revised`` takes ``left`` out, then puts ``joined`` in, and
+    gives the index a build of what is held then makes; the index it
+    revised is left as it was, and shares every posting neither names
+    with the new one, which is that index itself when no subject
+    moved."""
+    index = _index_of(held)
+    before = {token: index.subjects(token) for token in index.tokens()}
+    revised = index.revised(joined, left)
+    now = {pair for pair in held
+           if pair[1] not in left.get(pair[0], ())}
+    now |= {(token, s) for token, subjects in joined.items()
+            for s in subjects}
+    fresh = _index_of(now)
+    assert revised.tokens() == fresh.tokens()
+    for token in fresh.tokens():
+        assert revised.subjects(token) == fresh.subjects(token)
+    assert {token: index.subjects(token) for token in index.tokens()} == (
+        before)
+    for token, posting in before.items():
+        if token not in joined and token not in left:
+            assert revised.subjects(token) is posting
+    moved = any(
+        subjects - set(before.get(token, ()))
+        for token, subjects in joined.items()
+    ) or any(
+        subjects & set(before.get(token, ()))
+        for token, subjects in left.items()
+    )
+    assert (revised is index) == (not moved)
+
+
+def test_threads_search_a_built_index_without_writing_it():
+    """A built index is only read by searches: threads searching it at
+    once all see the answers one thread saw, and the sorted tokens and
+    postings stay the objects they were."""
+    index = FullTextIndex()
+    for n in range(300):
+        index.add(ex(f"s{n}"), f"mole m{n % 17} turin{n % 5}")
+    tokens = index.tokens()
+    postings = dict(index._subjects)
+    queries = ["mole", "m3 turin2", "turin4", "zz"]
+    expected = {q: (index.search(q), index.search_prefix(q[:2], 20))
+                for q in queries}
+    failures = []
+
+    def reader(offset):
+        for k in range(200):
+            query = queries[(offset + k) % len(queries)]
+            got = (index.search(query), index.search_prefix(query[:2], 20))
+            if got != expected[query]:
+                failures.append(query)
+
+    threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert index.tokens() is tokens
+    assert all(index._subjects[token] is posting
+               for token, posting in postings.items())
