@@ -1,13 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint-tools self-check lint-concurrency \
+.PHONY: check test lint-tools self-check lint-concurrency examples \
 	sanitize benchmarks bench-ladder bench-store bench-loadgen \
 	bench-write-path bench-read-path bench-e2e-selftest bench-compare \
 	slo-smoke
 
-## The CI gate: tier-1 tests + static analysis + the repo's own lint.
-check: test lint-tools self-check lint-concurrency
+## The CI gate: tier-1 tests + static analysis + the repo's own lint +
+## the examples.
+check: test lint-tools self-check lint-concurrency examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -33,6 +34,13 @@ self-check:
 ## CC-rule lock-discipline lint over the package's own source.
 lint-concurrency:
 	$(PYTHON) -m repro lint --concurrency
+
+## Run every script under examples/ and fail on the first non-zero
+## exit (~2.5 s); their output is not checked.
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "$$script"; $(PYTHON) "$$script" > /dev/null; \
+	done
 
 ## Run the gold batch workload under the runtime lock sanitizer.
 sanitize:

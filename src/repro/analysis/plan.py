@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..rdf.namespace import GEO
 from ..rdf.terms import URIRef, Variable
 from ..sparql.algebra import (
-    CONTAINS,
     AggregateNode,
     BGPNode,
     DistinctNode,
@@ -140,13 +139,11 @@ def reorder_scans(root: PlanNode, planner: "QueryPlanner") -> PlanNode:
     before it included (estimates from :class:`GraphStatistics`,
     falling back to a bound-position count). A scan that first binds a
     variable a pushed ``IN`` list of IRIs constrains is costed, and
-    marked, as the lookups of those IRIs (:func:`_bgp_pins`).
-    ``bif:contains`` is a constraint, not a scan: it is only eligible
-    once its subject is bound. Every other element of a group keeps
-    its written place. With statistics, every scan records the
-    estimated rows per incoming solution once it has run — the running
-    product of the costs the order was decided on — as ``est_rows``,
-    and its BGP the last scan's.
+    marked, as the lookups of those IRIs (:func:`_bgp_pins`). Every
+    other element of a group keeps its written place. With statistics,
+    every scan records the estimated rows per incoming solution once it
+    has run — the running product of the costs the order was decided
+    on — as ``est_rows``, and its BGP the last scan's.
 
     Sound because joins of triple patterns commute — only the result
     *order* changes, never the multiset of solutions.
@@ -265,10 +262,11 @@ def _reorder_bgp(
 
 
 def _smaller_side_first(node: BGPNode, bound: Set[str], estimate):
-    """The ``defer`` of a BGP's greedy order: :func:`_scan_deferred`,
-    and — where only a filter relates two groups of scans that share
-    no variable — the group estimated larger (by ``estimate`` per
-    scan) waits for the smaller.
+    """The ``defer`` of a BGP's greedy order, or ``None``: where only a
+    filter relates two groups of scans that share no variable, the
+    group estimated larger (by ``estimate`` per scan) waits for the
+    smaller. The waits follow one size order, so some scan is always
+    free to run.
 
     Left to itself the greedy order starts at the cheapest scan and
     follows shared variables, so the group that scan is in runs first
@@ -307,8 +305,8 @@ def _smaller_side_first(node: BGPNode, bound: Set[str], estimate):
                     *(groups[i][0] for i in related[:position])
                 )
     if not waits:
-        return _scan_deferred
-    return lambda scan, running: _scan_deferred(scan, running) or (
+        return None
+    return lambda scan, running: (
         not waits.get(id(scan), frozenset()) <= running
     )
 
@@ -377,18 +375,6 @@ def _probe_estimate(
     )
 
 
-def _scan_deferred(scan: ScanStep, bound: Set[str]) -> bool:
-    """True when a scan may not run yet (magic predicate, subject
-    unbound)."""
-    pattern = scan.pattern
-    if pattern.predicate == CONTAINS:
-        subject = pattern.subject
-        return isinstance(subject, Variable) and str(
-            subject
-        ) not in bound
-    return False
-
-
 def _greedy_order(
     items: list,
     bound: Set[str],
@@ -399,7 +385,8 @@ def _greedy_order(
     """Cheapest-first greedy ordering under an accumulating bound set.
 
     Prefers items connected to already-bound variables; picks the
-    cheapest of all eligible items when none is connected.
+    cheapest of all eligible items when none is connected. ``defer``
+    must leave some item eligible at every step.
     """
     remaining = list(items)
     ordered = []
@@ -409,12 +396,6 @@ def _greedy_order(
             item for item in remaining
             if defer is None or not defer(item, running)
         ]
-        if not eligible:
-            # e.g. bif:contains whose subject is never bound: keep the
-            # written order and let the executor raise the same error
-            # the un-rewritten plan raises.
-            ordered.extend(remaining)
-            break
         connected = [
             item for item in eligible
             if not running or variables_of(item) & running
@@ -455,11 +436,7 @@ def _quick_estimate(
     total = 1.0
     running = set(bound)
     for scan in _greedy_order(
-        scans,
-        set(bound),
-        estimate,
-        lambda s: s.variables(),
-        defer=_scan_deferred,
+        scans, set(bound), estimate, lambda s: s.variables()
     ):
         total *= max(estimate(scan, running), 0.001)
         running |= scan.variables()
@@ -472,8 +449,8 @@ def _bgp_pins(
     """The IN-list access path each scan of ``node`` may take, keyed by
     scan id, with the scan's pattern put to each IRI (for costing): a
     pushed, not negated ``?v IN (<iri>, …)`` of IRI constants only, ``?v``
-    in one position of the scan, which is no ``bif:contains``. The
-    caller checks that ``?v`` is still unbound and no grid probe wins.
+    in one position of the scan. The caller checks that ``?v`` is still
+    unbound and no grid probe wins.
 
     Sound because ``=`` between an IRI and any other term is term
     identity: the triples a lookup finds with each IRI in ``?v``'s place
@@ -502,8 +479,6 @@ def _bgp_pins(
     if not choices:
         return pins
     for scan in node.scans:
-        if scan.pattern.predicate == CONTAINS:
-            continue
         variables = scan.pattern.variables()
         for variable in variables:
             pin = choices.get(variable)

@@ -2,9 +2,8 @@
 
 ``repro lint --self-check`` runs the SPARQL and D2R mapping linters
 over the paper's own artifacts — the virtual-album queries Q1/Q2/Q3, the
-4-branch mashup M1, an :class:`~repro.core.album_builder.AlbumBuilder`
-composition and the platform's D2R mapping against the real gallery
-schema. This is the correctness gate CI runs; it must stay free of
+4-branch mashup M1 and the platform's D2R mapping against the real
+gallery schema. This is the correctness gate CI runs; it must stay free of
 diagnostics.
 
 The module also knows how to lint files: ``.rq``/``.sparql`` files as
@@ -26,26 +25,14 @@ _QUERY_SUFFIXES = (".rq", ".sparql")
 
 def builtin_queries() -> List[Tuple[str, str]]:
     """The paper's named queries: ``[(name, sparql), ...]``."""
-    from ..core.album_builder import AlbumBuilder
     from ..core.albums import geo_album, rated_album, social_album
     from ..core.mashup import mashup_query
-    from ..rdf.namespace import DBPR
 
-    builder = (
-        AlbumBuilder("self-check album")
-        .near_label("Mole Antonelliana", lang="it", radius_km=0.5)
-        .by_friend_of("oscar")
-        .min_rating(3)
-        .about_concept(DBPR.Mole_Antonelliana)
-        .order_by_rating()
-        .limit(20)
-    )
     return [
         ("Q1", geo_album().query),
         ("Q2", social_album().query),
         ("Q3", rated_album().query),
         ("M1", mashup_query(pid=1)),
-        ("builder", builder.sparql()),
     ]
 
 

@@ -67,9 +67,6 @@ BIF_ARITY: Dict[str, Tuple[int, int]] = {
     "bif:contains": (2, 2),
 }
 
-#: ``bif:`` names usable as magic predicates in triple position.
-BIF_MAGIC_PREDICATES = frozenset({"bif:contains"})
-
 
 class _Scope:
     """Per-(sub)query facts gathered in one walk over the pattern tree."""
@@ -277,7 +274,15 @@ class SparqlLinter:
         if isinstance(predicate, URIRef) and str(predicate).startswith(
             "bif:"
         ):
-            self._check_magic_predicate(triple, source, name, diags)
+            # the parser turned each bif:contains triple into its
+            # FILTER: no other bif: name is a magic predicate
+            diags.append(make(
+                "SP008",
+                f"{str(predicate)!r} is not usable as a magic predicate",
+                span=_text_span(source, str(predicate)),
+                suggestion=_bif_suggestion(str(predicate)),
+                source=name,
+            ))
             return
         if self.vocabulary is None:
             return
@@ -327,15 +332,11 @@ class SparqlLinter:
     def _check_bif_call(self, call: FunctionCall, source, name,
                         diags) -> None:
         if call.name not in BIF_ARITY:
-            local = call.name[4:]
-            suggestion = _suggest(
-                local, {key[4:] for key in BIF_ARITY}
-            )
             diags.append(make(
                 "SP008",
                 f"unknown bif: function {call.name!r}",
                 span=_text_span(source, call.name),
-                suggestion=f"bif:{suggestion}" if suggestion else None,
+                suggestion=_bif_suggestion(call.name),
                 source=name,
             ))
             return
@@ -382,30 +383,6 @@ class SparqlLinter:
                     span=_text_span(source, "bif:contains"),
                     source=name,
                 ))
-
-    def _check_magic_predicate(self, triple, source, name, diags) -> None:
-        predicate = str(triple.predicate)
-        if predicate not in BIF_MAGIC_PREDICATES:
-            suggestion = _suggest(
-                predicate[4:], {p[4:] for p in BIF_MAGIC_PREDICATES}
-            )
-            diags.append(make(
-                "SP008",
-                f"{predicate!r} is not usable as a magic predicate",
-                span=_text_span(source, predicate),
-                suggestion=f"bif:{suggestion}" if suggestion else None,
-                source=name,
-            ))
-            return
-        obj = triple.object
-        if not isinstance(obj, Literal) or obj.is_numeric:
-            diags.append(make(
-                "SP008",
-                "bif:contains magic predicate needs a constant string "
-                "pattern as object",
-                span=_text_span(source, predicate),
-                source=name,
-            ))
 
     # ------------------------------------------------------------------
     # Scope-level rules
@@ -479,6 +456,12 @@ class SparqlLinter:
 # ---------------------------------------------------------------------------
 # Expression helpers
 # ---------------------------------------------------------------------------
+
+
+def _bif_suggestion(name: str) -> Optional[str]:
+    """The implemented ``bif:`` function closest to ``name``, if any."""
+    suggestion = _suggest(name[4:], {key[4:] for key in BIF_ARITY})
+    return f"bif:{suggestion}" if suggestion else None
 
 
 def _constant_literal(expr: Expression) -> Optional[Literal]:

@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--queries", action="store_true",
-        help="lint the built-in queries (Q1/Q2/Q3/M1, album builder)",
+        help="lint the built-in queries (Q1/Q2/Q3/M1)",
     )
     lint.add_argument(
         "--mapping", action="store_true",
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "query",
-        help="builtin query name (Q1/Q2/Q3/M1/builder), a .rq/.sparql "
+        help="builtin query name (Q1/Q2/Q3/M1), a .rq/.sparql "
              "path (or @path), or raw SPARQL text",
     )
     explain.add_argument(

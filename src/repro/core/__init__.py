@@ -13,7 +13,6 @@ from .annotator import (
     SemanticAnnotator,
     build_default_annotator,
 )
-from .album_builder import AlbumBuilder, AlbumBuilderError
 from .albums import VirtualAlbum, geo_album, rated_album, social_album
 from .filtering import (
     DEFAULT_JW_THRESHOLD,
@@ -35,8 +34,6 @@ from .mashup import (
 )
 
 __all__ = [
-    "AlbumBuilder",
-    "AlbumBuilderError",
     "Annotation",
     "BatchAnnotator",
     "BatchStats",

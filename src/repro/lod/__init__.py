@@ -31,7 +31,6 @@ from .world import (
     PersonInfo,
     PoiInfo,
     RedirectInfo,
-    city_by_key,
     poi_by_key,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "build_linkedgeodata",
     "build_lod_corpus",
     "build_ontology",
-    "city_by_key",
     "follow_redirect",
     "geonames_uri",
     "is_disambiguation_page",

@@ -463,13 +463,6 @@ MINOR_RESOURCES: Dict[str, Dict[str, str]] = {
 }
 
 
-def city_by_key(key: str) -> CityInfo:
-    for city in CITIES:
-        if city.key == key:
-            return city
-    raise KeyError(key)
-
-
 def poi_by_key(key: str) -> PoiInfo:
     for poi in POIS:
         if poi.key == key:

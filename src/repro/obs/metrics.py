@@ -22,7 +22,6 @@ buckets disagree — a config bug worth failing loudly on).
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import re
 import threading
@@ -406,9 +405,6 @@ class MetricsRegistry:
                 "series": series,
             }
         return result
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def prometheus(self) -> str:
         """Prometheus text exposition format, version 0.0.4."""

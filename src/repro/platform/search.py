@@ -175,9 +175,10 @@ class LabelIndex:
         read, the case of an upload. A subject that lost a label is read
         once in ``after`` (its three label predicates): it leaves each
         token of its lost labels that none of the labels read carries,
-        and its entry is the smallest of theirs. Postings, sorted
-        tokens, entries and first-token groups the commit does not
-        touch are shared with this index."""
+        joins each token of its gained labels that they carry and no
+        label it only lost did, and its entry is the smallest of
+        theirs. Postings, sorted tokens, entries and first-token groups
+        the commit does not touch are shared with this index."""
         # per touched subject: (labels gained, labels lost)
         delta: Dict[Term, Tuple[List[_Label], List[_Label]]] = {}
         for side, triples in enumerate((added, removed)):
@@ -195,8 +196,12 @@ class LabelIndex:
                 held = list(_labels(after, subject))
                 kept = _tokens(held)
                 # a label both gained and lost nets out: only ``after``
-                # tells which side it ended on
-                joins = _tokens(gained) & kept
+                # tells which side it ended on. A label only lost was
+                # held before, so its tokens' postings list the subject
+                fresh = set(gained)
+                joins = (_tokens(gained) & kept) - _tokens(
+                    label for label in lost if label not in fresh
+                )
                 for token in _tokens(lost) - kept:
                     left[token].add(subject)
                 best = _best(held)

@@ -115,11 +115,6 @@ class URIRef(Term, str):
     # (equality still distinguishes term kinds).
     __hash__ = str.__hash__
 
-    def defrag(self) -> "URIRef":
-        """Return the IRI without its fragment part."""
-        base, _, _ = str(self).partition("#")
-        return URIRef(base)
-
     def local_name(self) -> str:
         """Return the part after the last ``#`` or ``/``."""
         value = str(self)

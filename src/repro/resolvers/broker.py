@@ -56,17 +56,6 @@ class BrokerResult:
     def degraded(self) -> bool:
         return bool(self.failures)
 
-    def failed_resolvers(self) -> List[str]:
-        """Names of resolvers that failed at least once, sorted."""
-        return sorted({failure.resolver for failure in self.failures})
-
-    def all_candidates(self) -> List[Candidate]:
-        merged: List[Candidate] = []
-        for candidates in self.per_word.values():
-            merged.extend(candidates)
-        merged.extend(self.full_text)
-        return merged
-
     def words(self) -> List[str]:
         return list(self.per_word)
 

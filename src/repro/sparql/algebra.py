@@ -64,11 +64,6 @@ from .ast import (
 )
 from .errors import SparqlEvalError
 
-#: Virtuoso's full-text magic predicate: a constraint in triple position
-#: on a literal another pattern binds.
-CONTAINS = URIRef("bif:contains")
-
-
 class PlanNode:
     """Base class of all algebra nodes.
 
@@ -193,7 +188,7 @@ class BGPNode(PlanNode):
 
     The order is the planner's cost order once ``reorder_scans`` has
     run; a BGP as lowered (the reference plan, every ``EXISTS`` group)
-    keeps the written order, ``bif:contains`` constraints last.
+    keeps the written order.
 
     ``pushed`` holds filters assigned to this BGP by the pushdown pass
     but not yet attached to a specific scan (the reorder pass attaches
@@ -553,9 +548,7 @@ def _sliced(query, node: PlanNode) -> PlanNode:
 def lower_group(group: GroupPattern) -> JoinNode:
     """Lower a group pattern; FILTERs go last (group-level scoping), so
     triple blocks only FILTERs separated become one BGP (joins of
-    triple patterns commute). A BGP's scans keep the written order,
-    except that ``bif:contains`` constraints go after the others: a
-    constraint binds nothing, and it needs its subject bound."""
+    triple patterns commute). A BGP's scans keep the written order."""
     elements: List[PlanNode] = []
     filters: List[PlanNode] = []
     for element in group.elements:
@@ -569,9 +562,6 @@ def lower_group(group: GroupPattern) -> JoinNode:
             elements[-1].scans.extend(node.scans)
         else:
             elements.append(node)
-    for node in elements:
-        if isinstance(node, BGPNode):
-            node.scans.sort(key=lambda s: s.pattern.predicate == CONTAINS)
     return JoinNode(elements + filters)
 
 

@@ -301,7 +301,7 @@ def walk_expression(expr: Expression) -> Iterator[Expression]:
 
 def expression_variables(expr: Expression) -> Set[str]:
     """The names of the variables ``expr`` mentions, those of the
-    triple patterns of its EXISTS groups included."""
+    triple patterns and filters of its EXISTS groups included."""
     found: Set[str] = set()
     for node in walk_expression(expr):
         if isinstance(node, TermExpr):
@@ -317,6 +317,8 @@ def _pattern_variables(group: GroupPattern, found: Set[str]) -> None:
         if isinstance(element, BGP):
             for triple in element.triples:
                 found.update(str(v) for v in triple.variables())
+        elif isinstance(element, FilterPattern):
+            found |= expression_variables(element.expression)
         elif isinstance(element, (OptionalPattern, GraphGraphPattern)):
             _pattern_variables(element.group, found)
         elif isinstance(element, UnionPattern):

@@ -33,7 +33,9 @@ looked up once. Steps pass solutions on in chunks of :data:`_CHUNK`, so
 The scans run in the order the plan lists them. The planner's
 ``reorder_scans`` is the one place a scan order is chosen; a BGP it
 did not order (the reference plan, every ``EXISTS`` group) runs as
-written, its ``bif:contains`` constraints placed last by the lowering.
+written. Every scan reads the graph: ``bif:contains`` is a FILTER
+function, whichever way the query spells it (the parser turns the
+magic predicate into the FILTER).
 
 Two facts the reorder pass leaves on the BGPs it orders change *how* a
 step reads, never what it yields (DESIGN.md, "Read path"):
@@ -111,7 +113,6 @@ from ..rdf.terms import (
     BNode, Literal, Term, URIRef, Variable, unescape_literal,
 )
 from .algebra import (
-    CONTAINS,
     AggregateNode,
     BGPNode,
     DistinctNode,
@@ -154,7 +155,6 @@ from .ast import (
     TriplePatternNode,
 )
 from .errors import ExpressionError, SparqlEvalError, SparqlSyntaxError
-from .fulltext import contains as fulltext_contains
 from . import functions as sparql_functions
 from .functions import FUNCTIONS, arithmetic, boolean, compare, ebv, equals
 from .geo import Point, try_parse_point
@@ -1132,7 +1132,6 @@ class Evaluator:
         s_var = isinstance(subject, Variable)
         p_var = isinstance(predicate, Variable)
         o_var = isinstance(obj, Variable)
-        magic = predicate == CONTAINS
         probe, pin = scan.probe, scan.pin
         special = probe if probe is not None else pin
         stats = None
@@ -1195,10 +1194,7 @@ class Evaluator:
                                 exts = _pinned(positions, key, graph, pin)
                             else:
                                 lookups += 1
-                                exts = (
-                                    _contains(key) if magic
-                                    else _matches(positions, key, graph)
-                                )
+                                exts = _matches(positions, key, graph)
                             if shared:
                                 exts = _remembering(exts, memo, key)
                     if special is not None:
@@ -1545,25 +1541,6 @@ def _pinned(
                             graph):
             ext[pin.variable] = iri
             yield ext
-
-
-def _contains(key: Tuple) -> Iterator[Bindings]:
-    """Virtuoso's ``?text bif:contains "pattern"`` magic predicate:
-    a full-text constraint on an already-bound literal."""
-    subject, _, needle = key
-    if subject is None:
-        raise SparqlEvalError(
-            "bif:contains requires its subject to be bound by "
-            "another pattern"
-        )
-    if not isinstance(needle, Literal):
-        raise SparqlEvalError(
-            "bif:contains requires a literal search pattern"
-        )
-    if isinstance(subject, Literal) and fulltext_contains(
-        subject.lexical, needle.lexical
-    ):
-        yield {}
 
 
 def _point_of(term: Optional[Term]) -> Optional[Point]:

@@ -409,8 +409,17 @@ def fn_st_point(args: List[Term]) -> Term:
 
 
 def fn_bif_contains(args: List[Term]) -> Term:
+    """Virtuoso's full-text match of a literal's text against a literal
+    pattern; a text that is no literal (an IRI, a blank node) matches
+    nothing."""
     _require(args, 2, "bif:contains")
-    return boolean(fulltext_contains(_string(args[0]), _string(args[1])))
+    text, pattern = args
+    if not isinstance(pattern, Literal):
+        raise ExpressionError(f"not a search pattern: {pattern!r}")
+    return boolean(
+        isinstance(text, Literal)
+        and fulltext_contains(text.lexical, pattern.lexical)
+    )
 
 
 def _xsd_cast_factory(converter: Callable, datatype: str) -> FunctionImpl:

@@ -4,7 +4,8 @@ Parses the SPARQL dialect used throughout the paper: SELECT / ASK /
 CONSTRUCT / DESCRIBE, group graph patterns with OPTIONAL / UNION / FILTER /
 BIND / VALUES, sub-SELECTs (the mashup query nests SELECTs inside UNION
 branches), solution modifiers, GROUP BY with the standard aggregates, and
-Virtuoso-style ``bif:`` extension functions.
+Virtuoso-style ``bif:`` extension functions — ``bif:contains`` also in
+its magic-predicate spelling, which the parser turns into the FILTER.
 
 Prefix handling is deliberately forgiving: prefixes declared in the
 prologue win, but undeclared prefixes fall back to the library's default
@@ -63,6 +64,12 @@ from .ast import (
 )
 from .errors import SparqlSyntaxError
 from .tokenizer import Token, tokenize, unquote_string
+
+#: Virtuoso's magic-predicate spelling of the full-text builtin: a
+#: group's ``?text bif:contains "pattern"`` triple is parsed as
+#: ``FILTER(bif:contains(?text, "pattern"))`` in that group, so nothing
+#: after the parser meets it.
+_MAGIC_CONTAINS = URIRef("bif:contains")
 
 #: Builtin function names (case-insensitive in queries).
 BUILTIN_FUNCTIONS = frozenset(
@@ -470,15 +477,26 @@ class Parser:
                 group.elements.append(self._parse_group_or_union())
             else:
                 bgp = BGP()
+                constraints: List[PatternNode] = []
                 while True:
-                    bgp.triples.extend(self._parse_triples_same_subject())
+                    for triple in self._parse_triples_same_subject():
+                        if triple.predicate == _MAGIC_CONTAINS:
+                            constraints.append(FilterPattern(FunctionCall(
+                                "bif:contains",
+                                (TermExpr(triple.subject),
+                                 TermExpr(triple.object)),
+                            )))
+                        else:
+                            bgp.triples.append(triple)
                     if self._accept_punct("."):
                         token = self._peek()
                         if token.kind in ("var", "iri", "pname", "bnode",
                                           "string", "number"):
                             continue
                     break
-                group.elements.append(bgp)
+                if bgp.triples:
+                    group.elements.append(bgp)
+                group.elements.extend(constraints)
             self._accept_punct(".")
         self._expect_punct("}")
         return group
@@ -566,7 +584,8 @@ class Parser:
             self._next()
             return RDF.type
         if token.kind == "pname" and token.text.startswith("bif:"):
-            # Virtuoso magic predicates (?text bif:contains "pattern")
+            # a Virtuoso magic predicate: _parse_group turns
+            # bif:contains into its FILTER, the linter reports any other
             self._next()
             return URIRef(token.text)
         term = self._parse_term()

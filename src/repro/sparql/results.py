@@ -8,7 +8,6 @@ results format (lexical forms only).
 
 from __future__ import annotations
 
-import io
 import json
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -50,12 +49,6 @@ class SelectResult:
             return self.rows[0]
         return self.rows[0].get(Variable(str(variable)))
 
-    def to_dicts(self) -> List[Dict[str, Term]]:
-        """Rows as plain ``{str: Term}`` dicts."""
-        return [
-            {str(var): term for var, term in row.items()} for row in self.rows
-        ]
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -74,19 +67,6 @@ class SelectResult:
             "results": {"bindings": bindings},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """W3C SPARQL CSV results format (header + lexical values)."""
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow([str(v) for v in self.variables])
-        for row in self.rows:
-            writer.writerow(
-                [_lexical(row.get(v)) for v in self.variables]
-            )
-        return buffer.getvalue()
 
     def to_table(self) -> str:
         """Human-readable fixed-width table (used by the examples); a

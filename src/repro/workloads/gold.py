@@ -44,10 +44,6 @@ class GoldExample:
     language: Optional[str] = None  # expected detection, None = don't care
     expected: Dict[str, Optional[URIRef]] = field(default_factory=dict)
 
-    @property
-    def expected_resources(self) -> List[URIRef]:
-        return [r for r in self.expected.values() if r is not None]
-
 
 GOLD_CORPUS: List[GoldExample] = [
     # --- straightforward city/monument hits (5 languages) --------------

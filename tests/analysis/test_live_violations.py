@@ -3,9 +3,11 @@
 A row is the audit edit that keeps its rule (DESIGN.md § *Analysis
 layers*): a change to a file the repo ships that the rule reports and
 that no behavioural test notices. ``examples/`` is not run by the test
-suite, and the CC rows are races and stalls that a test run does not
-reproduce. The edit is applied to today's text of the file, so a row
-whose site moved fails here until it is written again.
+suite (CI runs each example and checks its exit status only, which
+every row's edit leaves at 0), and the CC rows are races and stalls
+that a test run does not reproduce. The edit is applied to today's
+text of the file, so a row whose site moved fails here until it is
+written again.
 ``test_rule_registry_covers_all_components`` holds these rows' ids equal
 to the catalog's: a rule without a live violation has no place in it.
 """

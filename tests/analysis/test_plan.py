@@ -33,7 +33,7 @@ from repro.sparql.algebra import (
     lower_query,
     walk,
 )
-from repro.sparql.ast import TriplePatternNode
+from repro.sparql.ast import FunctionCall, TriplePatternNode
 from repro.sparql.geo import Point
 
 MOLE_POS = Point(7.6934, 45.0692)
@@ -197,8 +197,8 @@ class TestPlannerMechanics:
     def test_only_reorder_fixes_the_scan_order(self, graph):
         # the executor runs a BGP's scans as listed: the planner lists
         # them in cost order, the bare lowering (what optimize=False
-        # runs) as written — but for bif:contains, a constraint that
-        # binds nothing, which goes last
+        # runs) as written; bif:contains, in either spelling, is a
+        # FILTER like any other
         text = (
             'SELECT ?p WHERE { ?l bif:contains "walter" . '
             '?p rev:rating ?r . ?p foaf:maker ?u . ?u foaf:name ?l '
@@ -212,16 +212,19 @@ class TestPlannerMechanics:
         (lowered,) = [
             n for n in walk(lowered_plan) if isinstance(n, BGPNode)
         ]
-        contains = "bif:contains"
         assert [str(s.pattern.predicate) for s in lowered.scans] == [
-            str(REV.rating), str(FOAF.maker), str(FOAF.name), contains,
+            str(REV.rating), str(FOAF.maker), str(FOAF.name),
         ]
         assert not any(scan.filters for scan in lowered.scans)
         # the two names (2 rows) before the twelve makers and ratings,
-        # the constraint as soon as ?l is bound
+        # the text filter on the scan that binds ?l
         assert [str(s.pattern.predicate) for s in planned.scans] == [
-            str(FOAF.name), contains, str(FOAF.maker), str(REV.rating),
+            str(FOAF.name), str(FOAF.maker), str(REV.rating),
         ]
+        assert [
+            [e.name for e in s.filters if isinstance(e, FunctionCall)]
+            for s in planned.scans
+        ] == [["bif:contains"], [], []]
         assert planned.scans[0].est_rows == 2
         for plan in (planned_plan, lowered_plan):
             assert not any("run time" in n.label() for n in walk(plan))

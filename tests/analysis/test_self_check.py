@@ -89,7 +89,7 @@ def test_rule_registry_covers_all_components():
 
 def test_builtin_queries_cover_the_paper():
     names = [name for name, _ in builtin_queries()]
-    assert names == ["Q1", "Q2", "Q3", "M1", "builder"]
+    assert names == ["Q1", "Q2", "Q3", "M1"]
 
 
 def test_self_check_is_clean():

@@ -377,7 +377,7 @@ class TestFaultDegradation:
         broker = SemanticBroker(resolvers)
         result = broker.resolve(["Turin"])
         assert result.degraded
-        assert result.failed_resolvers() == ["dbpedia"]
+        assert {f.resolver for f in result.failures} == {"dbpedia"}
         assert result.per_word["Turin"]  # healthy candidates survived
 
     def test_resilient_path_counts(self, corpus):

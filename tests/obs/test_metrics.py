@@ -107,7 +107,7 @@ class TestExpositions:
     def test_snapshot_is_json_able(self, registry):
         registry.counter("c_total", "help").labels(k="v").inc(2)
         registry.histogram("h", buckets=(1,)).observe(0.5)
-        snapshot = json.loads(registry.snapshot_json())
+        snapshot = json.loads(json.dumps(registry.snapshot()))
         assert snapshot["c_total"]["type"] == "counter"
         assert snapshot["c_total"]["series"][0]["value"] == 2
         assert snapshot["h"]["series"][0]["count"] == 1

@@ -38,9 +38,6 @@ class TestURIRef:
         d = {URIRef("http://x/a"): 1, Literal("http://x/a"): 2}
         assert len(d) == 2
 
-    def test_defrag(self):
-        assert URIRef("http://x/a#frag").defrag() == URIRef("http://x/a")
-
     def test_local_name_hash(self):
         assert URIRef("http://x/v#name").local_name() == "name"
 

@@ -272,13 +272,6 @@ class TestBroker:
         result = broker.resolve(["Turin", "Turin"])
         assert len(result.per_word) == 1
 
-    def test_all_candidates_flattened(self, corpus):
-        broker = SemanticBroker(default_resolvers(corpus))
-        result = broker.resolve(["Turin"], text="Turin")
-        assert len(result.all_candidates()) >= len(
-            result.per_word["Turin"]
-        )
-
     def test_resolver_broker_alias(self):
         from repro.resolvers import ResolverBroker
 
@@ -325,7 +318,7 @@ class TestBrokerIsolation:
         )
         result = broker.resolve(["Turin"], text="Turin")
         assert result.degraded
-        assert result.failed_resolvers() == ["exploding"]
+        assert {f.resolver for f in result.failures} == {"exploding"}
         # one failure per word plus one for the full-text phase
         assert len(result.failures) == 2
         term_failure = next(

@@ -485,6 +485,26 @@ CASES = [
             {"x": _NOWHERE, "t": _MONUMENT, "y": _MOLE},
         ),
     ),
+    (
+        "contains-on-an-iri",
+        # only a literal's text is searched: ex:walter's IRI spells
+        # "walter", and still matches nothing
+        """SELECT ?pic WHERE {
+             ?pic foaf:maker ?who .
+             ?who bif:contains "walter"
+           }""",
+        _rows(),
+    ),
+    (
+        "contains-unbound-subject",
+        # the constraint is a FILTER: on a variable nothing binds it
+        # rejects every solution
+        """SELECT ?pic WHERE {
+             ?pic rdfs:label ?label .
+             ?text bif:contains "mole"
+           }""",
+        _rows(),
+    ),
 ]
 
 #: the cases above whose optimized plan looks the listed IRIs up, and

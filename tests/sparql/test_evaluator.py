@@ -14,6 +14,7 @@ from repro.rdf import (
     SIOCT,
     URIRef,
 )
+from repro.analysis import SparqlLinter
 from repro.sparql import Evaluator, SparqlEvalError, SparqlSyntaxError, query
 from repro.sparql.geo import Point
 
@@ -712,11 +713,12 @@ class TestOneExecutor:
         assert normalize(build(build_dataset()).evaluate(text)) == expected
 
     @pytest.mark.parametrize("build", CONFIGURATIONS)
-    def test_unbindable_contains_subject_raises(self, build):
-        with pytest.raises(SparqlEvalError, match="subject to be bound"):
-            build(build_dataset()).evaluate(
-                'SELECT ?l WHERE { ?l bif:contains "mole" }'
-            )
+    def test_unbindable_contains_subject_matches_nothing(self, build):
+        # the magic spelling is the FILTER: on a variable nothing binds
+        # it rejects every solution, and the linter names the variable
+        text = 'SELECT ?l WHERE { ?l bif:contains "mole" }'
+        assert len(build(build_dataset()).evaluate(text)) == 0
+        assert [d.rule for d in SparqlLinter().lint(text)] == ["SP002"]
 
     def test_exists_group_is_lowered_once(self):
         from repro.sparql import parse_query

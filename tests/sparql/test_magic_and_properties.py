@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, Literal, RDFS, URIRef
 from repro.rdf.terms import Variable
-from repro.sparql import Evaluator, SparqlEvalError, query
+from repro.analysis import SparqlLinter
+from repro.sparql import Evaluator, parse_query, query
 from repro.sparql.ast import BGP, GroupPattern, SelectQuery, \
     TriplePatternNode
 
@@ -28,6 +29,16 @@ class TestMagicContains:
         g.add((ex("colosseum"), RDFS.label, Literal("Roman Colosseum")))
         g.add((ex("tower"), RDFS.label, Literal("Eiffel Tower")))
         return g
+
+    def test_magic_spelling_parses_to_the_filter(self):
+        magic = parse_query(
+            'SELECT ?m WHERE { ?m rdfs:label ?l . ?l bif:contains "x" }'
+        )
+        function = parse_query(
+            'SELECT ?m WHERE { ?m rdfs:label ?l '
+            'FILTER(bif:contains(?l, "x")) }'
+        )
+        assert magic == function
 
     def test_single_word(self, labeled_graph):
         result = query(
@@ -74,10 +85,12 @@ class TestMagicContains:
     ]
 
     def test_unbound_subject_rejected(self, labeled_graph):
+        # a FILTER on a variable nothing binds: no row passes, and the
+        # linter reports the variable
         for shape, optimize in self.SHAPES:
             text = shape.format('?l bif:contains "mole" .')
-            with pytest.raises(SparqlEvalError):
-                query(labeled_graph, text, optimize=optimize)
+            assert len(query(labeled_graph, text, optimize=optimize)) == 0
+            assert "SP002" in [d.rule for d in SparqlLinter().lint(text)]
 
     def test_deferred_after_binding_pattern(self, labeled_graph):
         # the magic pattern appears FIRST but must evaluate after the

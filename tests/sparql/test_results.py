@@ -1,7 +1,5 @@
 """Result container and serialization tests."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -52,10 +50,6 @@ class TestContainer:
         assert empty.first() is None
         assert not empty
 
-    def test_to_dicts(self, result):
-        dicts = result.to_dicts()
-        assert dicts[0]["s"] == URIRef(EX + "alice")
-
 
 class TestJson:
     def test_w3c_structure(self, result):
@@ -88,26 +82,6 @@ class TestJson:
         )
         doc = json.loads(res.to_json())
         assert doc["results"]["bindings"][0]["o"]["type"] == "bnode"
-
-
-class TestCsv:
-    def test_header_and_rows(self, result):
-        reader = csv.reader(io.StringIO(result.to_csv()))
-        rows = list(reader)
-        assert rows[0] == ["s", "name", "age"]
-        assert rows[1] == [EX + "alice", "Alice", "30"]
-
-    def test_unbound_is_empty_cell(self, result):
-        rows = list(csv.reader(io.StringIO(result.to_csv())))
-        assert rows[2][2] == ""
-
-    def test_quoting(self):
-        res = SelectResult(
-            [Variable("x")],
-            [{Variable("x"): Literal('has, comma and "quote"')}],
-        )
-        rows = list(csv.reader(io.StringIO(res.to_csv())))
-        assert rows[1] == ['has, comma and "quote"']
 
 
 class TestTable:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.analysis import GraphStatistics
 from repro.platform.search import LabelIndex, SearchInterface
 from repro.rdf import GN, Literal, RDF, RDFS, URIRef
+from repro.sparql.fulltext import FullTextIndex
 from repro.store import QuadStore, SnapshotGraph
 from repro.store import engine
 from repro.store.engine import cached_view, current_view
@@ -318,6 +319,28 @@ def test_removing_the_displayed_label_shows_the_next():
     store.remove((turin, GN.name, None))
     assert turin not in carried(store).entries
     assert "torino" not in carried(store).index.tokens()
+    assert_carried_equals_collected(store)
+
+
+def test_a_title_edit_moves_only_the_words_it_changes(monkeypatch):
+    # seven words, one of them replaced: one token joins, one leaves,
+    # and the five kept are not handed to the posting update
+    store = indexed_store()
+    pic = ex("pic")
+    before = Literal("Tramonto sulla Mole Antonelliana dal Monte Cappuccini")
+    after = Literal("Tramonto sulla Mole Antonelliana dal Monte Superga")
+    store.insert((pic, RDFS.label, before))
+    passed = []
+    revised = FullTextIndex.revised
+
+    def counting(self, joined, left):
+        passed.append((dict(joined), dict(left)))
+        return revised(self, joined, left)
+
+    monkeypatch.setattr(FullTextIndex, "revised", counting)
+    store.commit(store.batch().remove((pic, RDFS.label, before))
+                 .insert((pic, RDFS.label, after)))
+    assert passed == [({"superga": {pic}}, {"cappuccini": {pic}})]
     assert_carried_equals_collected(store)
 
 
